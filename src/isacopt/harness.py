@@ -35,9 +35,11 @@ from . import __version__ as _version
 from .alternating import SolverOptions, run_alternating
 from .errors import ConfigError, SolverError
 from .irs import build_quadratic_terms, irs_phase_update
-from .objective import quartic_kernels, quartic_kernels_reference
+from .objective import (IrsPhase, build_omega, quartic_kernels,
+                        quartic_kernels_reference)
 from .precoder import (approximation_ratio_study, default_beampattern_target,
-                       dykstra_project, solve_unit_diag_relaxation)
+                       dykstra_project, relaxed_objective, solve_relaxed,
+                       solve_unit_diag_relaxation)
 from .scene import (SceneConfig, complex_normal, make_channels,
                     scene_config_from_dict)
 
@@ -525,6 +527,23 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     timing_rows.append(("dykstra_project", cfg.n_tx, "cyclic",
                         _median_time(lambda: dykstra_project(probe, cfg, r_d),
                                      20), 20))
+
+    # The relaxed precoder solve on one channel draw, once with a ball no
+    # two trace-P_T covariances can leave (closed form) and once with a ball
+    # a quarter of the closed-form point's distance from R_D (cyclic path).
+    ch = make_channels(cfg, rng)
+    omega = build_omega(IrsPhase(np.ones(cfg.n_irs, dtype=complex)), ch, cfg)
+    bound = cfg.power_budget * float(np.linalg.eigvalsh(omega)[-1])
+    slack = replace(cfg, beampattern_tol=2.0 * cfg.power_budget ** 2)
+    closed = solve_relaxed(omega, slack, r_d)
+    check_rows.append(("solve_relaxed", cfg.n_tx, "closed_form_gap",
+                       (bound - relaxed_objective(closed, omega)) / bound))
+    binding = replace(cfg, beampattern_tol=0.25 * float(
+        np.sum(np.abs(closed.s - r_d) ** 2)))
+    for path_name, scene, n in (("closed_form", slack, reps),
+                                ("cyclic", binding, 20)):
+        timing_rows.append(("solve_relaxed", cfg.n_tx, path_name, _median_time(
+            lambda: solve_relaxed(omega, scene, r_d), n), n))
 
     result.files.append(str(write_csv(
         out_dir / "bench.csv", ["op", "size", "metric", "value"],

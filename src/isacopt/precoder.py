@@ -1,12 +1,15 @@
 """Precoder sub-problem: linear objective over an intersection of convex sets.
 
 The relaxed covariance S = sum_k p_k p_k^H is optimized directly (the
-objective and both constraints depend on the precoder only through S).  The
-feasible set {S >= 0, tr(S) = P_T, ||S - R_D||_F^2 <= gamma_BP} is an
-intersection of three sets with cheap individual projections, so the solve
-is projected gradient ascent with Dykstra's cyclic projection; the problem
-is convex, hence the limit is the global optimum.  A precoder is then
-recovered by Gaussian randomization against the relaxed covariance.
+objective and both constraints depend on the precoder only through S).
+Without the beampattern ball the optimum over {S >= 0, tr(S) = P_T} is
+P_T u u^H with u the top eigenvector of the objective matrix, so whenever
+that matrix lies inside the ball ||S - R_D||_F^2 <= gamma_BP it is the exact
+optimum and its factor sqrt(P_T) u is an exact precoder: no iteration and
+no randomization.  Only when the ball binds is the solve projected gradient
+ascent with Dykstra's cyclic projection over the intersection of the three
+sets (convex, hence the limit is the global optimum), followed by Gaussian
+randomization against the relaxed covariance.
 """
 
 from __future__ import annotations
@@ -23,14 +26,23 @@ from .scene import SceneConfig, complex_normal, ula_steering
 
 @dataclass
 class RelaxedCovariance:
-    """Optimizer of the relaxed (covariance-level) precoder problem."""
+    """Optimizer of the relaxed (covariance-level) precoder problem.
+
+    ``factor``, when set, is an exact factor F with S = F F^H (one column
+    per nonzero eigenvalue), which makes randomization unnecessary.
+    """
 
     s: np.ndarray
+    factor: np.ndarray | None = None
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=complex)
         if self.s.ndim != 2 or self.s.shape[0] != self.s.shape[1]:
             raise ConfigError("relaxed covariance must be square")
+        if self.factor is not None:
+            self.factor = np.asarray(self.factor, dtype=complex)
+            if self.factor.ndim != 2 or self.factor.shape[0] != self.s.shape[0]:
+                raise ConfigError("factor must have one row per antenna")
 
 
 @dataclass
@@ -222,11 +234,19 @@ def solve_relaxed(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
                   dykstra_tol: float = 1e-8) -> RelaxedCovariance:
     """Maximize tr(S Omega) over the feasible covariance set.
 
-    Monotone projected gradient ascent; the problem is convex (linear
-    objective, convex set) so the returned point is globally optimal up to
-    the projection and gain tolerances.
+    If S = P_T u u^H (u the top eigenvector of Omega) lies inside the
+    beampattern ball it is returned with its factor sqrt(P_T) u: it attains
+    the bound P_T * lambda_max(Omega) of the ball-free problem, so it is
+    exact.  Otherwise the ball binds and the solve is monotone projected
+    gradient ascent from ``s0``; the problem is convex (linear objective,
+    convex set) so the returned point is globally optimal up to the
+    projection and gain tolerances.
     """
     validate_beampattern_target(r_d, cfg)
+    top = np.linalg.eigh(hermitize(omega))[1][:, -1:]
+    s = cfg.power_budget * (top @ top.conj().T)
+    if float(np.sum(np.abs(s - r_d) ** 2)) <= cfg.beampattern_tol:
+        return RelaxedCovariance(s, factor=math.sqrt(cfg.power_budget) * top)
     start = hermitize(s0) if s0 is not None else r_d
 
     def project(x):
@@ -251,28 +271,33 @@ def factor_precoder(s: RelaxedCovariance, k: int, omega: np.ndarray,
                     rng: np.random.Generator, n_g: int) -> Precoder:
     """Recover a K-column precoder from the relaxed covariance.
 
-    Candidate 0 is the deterministic top-K eigenpair factorization; the
-    remaining n_g candidates draw each column from CN(0, S/K).  Every
-    candidate is rescaled to meet the power budget exactly, candidates
-    violating the beampattern ball are discarded, and the feasible one
-    with the largest objective wins.
+    When S carries an exact factor of at most K columns, that factor padded
+    with zero columns is the only candidate: it attains the relaxation
+    bound, so no draw could beat it and none is taken from ``rng``.
+    Otherwise candidate 0 is the deterministic top-K eigenpair
+    factorization and the remaining n_g candidates draw each column from
+    CN(0, S/K).  Every candidate is rescaled to meet the power budget
+    exactly, candidates violating the beampattern ball are discarded, and
+    the feasible one with the largest objective wins.
     """
     if n_g < 1:
         raise ConfigError(f"randomization sample count must be >= 1, got {n_g}")
     n = s.s.shape[0]
     p_t, gamma = cfg.power_budget, cfg.beampattern_tol
-    w, u = np.linalg.eigh(hermitize(s.s))
-    w = np.maximum(w, 0.0)
-
-    order = np.argsort(w)[::-1]
-    lead = order[: min(k, n)]
     cand0 = np.zeros((n, k), dtype=complex)
-    cand0[:, : lead.size] = u[:, lead] * np.sqrt(w[lead])
-
-    half = u * np.sqrt(w / k)   # half @ z has covariance S/K for z ~ CN(0, I)
+    if s.factor is not None and s.factor.shape[1] <= k:
+        cand0[:, : s.factor.shape[1]] = s.factor
+        n_draws = 0
+    else:
+        w, u = np.linalg.eigh(hermitize(s.s))
+        w = np.maximum(w, 0.0)
+        lead = np.argsort(w)[::-1][: min(k, n)]
+        cand0[:, : lead.size] = u[:, lead] * np.sqrt(w[lead])
+        half = u * np.sqrt(w / k)   # half @ z has covariance S/K for z ~ CN(0, I)
+        n_draws = n_g
 
     best_p, best_obj = None, -math.inf
-    for idx in range(n_g + 1):
+    for idx in range(n_draws + 1):
         cand = cand0 if idx == 0 else half @ complex_normal(rng, n, k)
         pw = float(np.sum(np.abs(cand) ** 2))
         if pw <= 0.0:

@@ -254,8 +254,14 @@ class TestBench:
         kron_errors = [float(r[3]) for r in rows
                        if r[0] == "quartic_kernels" and r[2] == "max_rel_error"]
         assert kron_errors and all(e < 1e-10 for e in kron_errors)
+        gaps = [float(r[3]) for r in rows
+                if r[0] == "solve_relaxed" and r[2] == "closed_form_gap"]
+        assert len(gaps) == 1 and abs(gaps[0]) <= 1e-12
         t_header, t_rows = read_csv_rows(out / "bench_timing.csv")
         assert all(float(r[3]) > 0 for r in t_rows)
+        paths = {(r[0], r[2]) for r in t_rows}
+        assert {("dykstra_project", "cyclic"), ("solve_relaxed", "closed_form"),
+                ("solve_relaxed", "cyclic")} <= paths
 
     def test_fast_path_beats_kronecker_at_l8(self, tmp_path):
         spec = make_spec(tmp_path, kind="bench", beta_values=[])

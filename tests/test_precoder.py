@@ -11,7 +11,8 @@ from isacopt import (ConfigError, DykstraError,
                      project_psd, project_spectrahedron, project_trace,
                      relaxed_objective, solve_relaxed,
                      solve_unit_diag_relaxation)
-from isacopt.precoder import validate_beampattern_target
+from isacopt.precoder import (_feasibility_residuals,
+                              validate_beampattern_target)
 from isacopt.scene import SceneConfig, complex_normal
 
 from conftest import random_hermitian, random_psd, small_config
@@ -225,8 +226,67 @@ class TestSolveRelaxed:
         assert np.trace(s).real == pytest.approx(cfg.power_budget, rel=1e-8)
         assert np.sum(np.abs(s - r_d) ** 2) <= cfg.beampattern_tol * (1 + 1e-6)
 
+    def test_closed_form_when_ball_slack(self, rng):
+        cfg = SceneConfig()   # P_T = 1 and gamma = 10: the ball cannot bind
+        r_d = default_beampattern_target(cfg)
+        omega = random_psd(rng, cfg.n_tx)
+        s = solve_relaxed(omega, cfg, r_d)
+        w, u = np.linalg.eigh(omega)
+        top = u[:, -1]
+        np.testing.assert_allclose(
+            s.s, cfg.power_budget * np.outer(top, top.conj()), atol=1e-12)
+        assert relaxed_objective(s, omega) == pytest.approx(
+            cfg.power_budget * w[-1], rel=1e-12)
+        assert s.factor is not None and s.factor.shape == (cfg.n_tx, 1)
+        np.testing.assert_allclose(s.factor @ s.factor.conj().T, s.s,
+                                   atol=1e-15)
+
+    def test_binding_ball_takes_cyclic_path(self, rng):
+        cfg = small_config(n_tx=4, beampattern_tol=0.2)
+        r_d = default_beampattern_target(cfg)
+        omega = random_psd(rng, 4)
+        w, u = np.linalg.eigh(omega)
+        closed = cfg.power_budget * np.outer(u[:, -1], u[:, -1].conj())
+        assert np.sum(np.abs(closed - r_d) ** 2) > cfg.beampattern_tol
+        s = solve_relaxed(omega, cfg, r_d)
+        assert s.factor is None
+        assert np.linalg.norm(s.s - closed) > 1e-3
+        for res in _feasibility_residuals(cfg, r_d):
+            assert res(s.s) <= 1e-8
+        value = relaxed_objective(s, omega)
+        assert value >= float(np.real(np.vdot(omega, r_d)))
+        assert value <= cfg.power_budget * w[-1]
+
 
 class TestFactorPrecoder:
+    def test_exact_factor_draws_nothing(self, rng):
+        cfg = SceneConfig()
+        r_d = default_beampattern_target(cfg)
+        omega = random_psd(rng, cfg.n_tx)
+        s = solve_relaxed(omega, cfg, r_d)
+        state = rng.bit_generator.state
+        p = factor_precoder(s, cfg.n_users, omega, cfg, r_d, rng, n_g=100)
+        assert rng.bit_generator.state == state
+        assert p.p.shape == (cfg.n_tx, cfg.n_users)
+        assert p.power() == pytest.approx(cfg.power_budget, rel=1e-12)
+        gram = p.p @ p.p.conj().T
+        assert np.sum(np.abs(gram - r_d) ** 2) <= cfg.beampattern_tol
+        assert precoder_objective(p, omega) == pytest.approx(
+            relaxed_objective(s, omega), rel=1e-12)
+
+    def test_covariance_without_factor_is_randomized(self, rng):
+        cfg = SceneConfig()
+        r_d = default_beampattern_target(cfg)
+        omega = random_psd(rng, cfg.n_tx)
+        s = RelaxedCovariance(solve_relaxed(omega, cfg, r_d).s)
+        state = rng.bit_generator.state
+        factor_precoder(s, cfg.n_users, omega, cfg, r_d, rng, n_g=3)
+        assert rng.bit_generator.state != state
+
+    def test_factor_shape_validated(self):
+        with pytest.raises(ConfigError):
+            RelaxedCovariance(np.eye(3), factor=np.ones((2, 1)))
+
     def test_rank_one_recovery(self, rng):
         cfg = small_config(n_tx=4, k=1, beampattern_tol=1e6)
         r_d = default_beampattern_target(cfg)
