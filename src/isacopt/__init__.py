@@ -22,11 +22,10 @@ from .precoder import (RandomizationReport, RelaxedCovariance,
                        project_ball, project_psd, project_spectrahedron,
                        project_trace, relaxed_objective, solve_relaxed,
                        solve_unit_diag_relaxation)
-from .irs import (InnerTrace, SurrogateWorkspace, build_quadratic_terms,
-                  build_quartic_surrogate, build_workspace, irs_phase_update,
-                  linear_surrogate_vectors, quartic_surrogate_constant,
-                  solve_irs_manifold, solve_irs_minorization,
-                  wirtinger_gradient)
+from .irs import (InnerTrace, build_quadratic_terms, build_quartic_surrogate,
+                  irs_phase_update, linear_surrogate_vectors,
+                  quartic_surrogate_constant, solve_irs_manifold,
+                  solve_irs_minorization, wirtinger_gradient)
 from .alternating import (RunTrace, SolverOptions, objective_snapshot,
                           run_alternating)
 from .harness import (AggregateResult, ExperimentSpec, load_experiment_spec,

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import (ConfigError, SolverError, require_finite,
+                     require_integer)
 from .irs import solve_irs_manifold, solve_irs_minorization
 from .objective import (IrsPhase, Precoder, build_omega, snr_comm, snr_radar)
 from .precoder import (default_beampattern_target, factor_precoder,
@@ -48,6 +49,9 @@ class SolverOptions:
     dykstra_tol: float = 1e-8
 
     def __post_init__(self):
+        require_finite(self, ("eps_rel", "inner_tol", "dykstra_tol"))
+        require_integer(self, ("t_max", "n_g", "inner_max", "seed",
+                               "dykstra_max_cycles"))
         if self.eps_rel <= 0:
             raise ConfigError(f"eps_rel must be positive, got {self.eps_rel}")
         if self.t_max < 1:
@@ -56,6 +60,15 @@ class SolverOptions:
             raise ConfigError(f"n_g must be >= 1, got {self.n_g}")
         if self.inner_max < 1:
             raise ConfigError(f"inner_max must be >= 1, got {self.inner_max}")
+        if self.dykstra_max_cycles < 1:
+            raise ConfigError(f"dykstra_max_cycles must be >= 1, "
+                              f"got {self.dykstra_max_cycles}")
+        for name in ("inner_tol", "dykstra_tol"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, "
+                                  f"got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.irs_method not in IRS_METHODS:
             raise ConfigError(f"irs_method must be one of {IRS_METHODS}")
         if self.theta_init not in THETA_INITS:

@@ -13,7 +13,8 @@ Four experiment kinds:
 Every primary CSV is deterministic for a fixed config and master seed;
 wall-clock measurements are written to separate ``*_timing.csv`` files that
 are excluded from the determinism contract.  Each CSV gets a ``.meta.json``
-sidecar with the fully resolved configuration and its content hash.
+sidecar with the fully resolved configuration and the hash of its
+scientific fields.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ import numpy as np
 
 from . import __version__ as _version
 from .alternating import SolverOptions, run_alternating
-from .errors import ConfigError, SolverError
-from .irs import build_quadratic_terms, irs_phase_update
-from .objective import (IrsPhase, build_omega, quartic_kernels,
+from .errors import ConfigError, SolverError, require_integer
+from .irs import (SurrogateFactors, build_quadratic_terms,
+                  dense_linearization, irs_phase_update,
+                  solve_irs_minorization)
+from .objective import (IrsPhase, Precoder, build_omega, quartic_kernels,
                         quartic_kernels_reference)
 from .precoder import (approximation_ratio_study, default_beampattern_target,
                        dykstra_project, relaxed_objective, solve_relaxed,
@@ -64,6 +67,7 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self):
+        require_integer(self, ("trials", "master_seed", "threads"))
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(
                 f"kind must be one of {EXPERIMENT_KINDS}, got '{self.kind}'")
@@ -135,9 +139,18 @@ def resolved_spec_dict(spec: ExperimentSpec) -> dict:
     return out
 
 
+# The fields that determine the numbers an experiment produces; where they
+# are written (output_dir) and how many workers compute them (threads) are
+# left out of the hash.
+SCIENCE_FIELDS = ("kind", "scene", "solver", "beta_values", "l_values",
+                  "n_g_grid", "trials", "master_seed")
+
+
 def config_hash(spec: ExperimentSpec) -> str:
-    blob = json.dumps(resolved_spec_dict(spec), sort_keys=True,
-                      separators=(",", ":")).encode()
+    """SHA-256 of the scientific fields of the resolved configuration."""
+    resolved = resolved_spec_dict(spec)
+    blob = json.dumps({name: resolved[name] for name in SCIENCE_FIELDS},
+                      sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -544,6 +557,26 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
                                 ("cyclic", binding, 20)):
         timing_rows.append(("solve_relaxed", cfg.n_tx, path_name, _median_time(
             lambda: solve_relaxed(omega, scene, r_d), n), n))
+
+    # One inner iteration of the phase solver on the paper's 6 x 6 surface
+    # and on a 16 x 16 one, plus the factored linearization against the
+    # dense-matrix reference at L = 36.
+    for rows_, cols_ in ((6, 6), (16, 16)):
+        cfg_l = replace(cfg, irs_rows=rows_, irs_cols=cols_)
+        ch_l = make_channels(cfg_l, rng)
+        p = complex_normal(rng, cfg_l.n_tx, cfg_l.n_users)
+        p = Precoder(p * math.sqrt(cfg_l.power_budget / np.sum(np.abs(p) ** 2)))
+        theta = IrsPhase(np.exp(2j * np.pi * rng.random(cfg_l.n_irs)))
+        if cfg_l.n_irs == 36:
+            nu_ref, _, _ = dense_linearization(theta, p, ch_l, cfg_l)
+            nu, _, _, _ = SurrogateFactors(p, ch_l, cfg_l).linearize(theta.theta)
+            check_rows.append((
+                "solve_irs_minorization", cfg_l.n_irs, "factored_nu_rel_error",
+                float(np.linalg.norm(nu - nu_ref) / np.linalg.norm(nu_ref))))
+        timing_rows.append((
+            "solve_irs_minorization", cfg_l.n_irs, "inner_iteration",
+            _median_time(lambda: solve_irs_minorization(
+                theta, p, ch_l, cfg_l, inner_max=1), 20), 20))
 
     result.files.append(str(write_csv(
         out_dir / "bench.csv", ["op", "size", "metric", "value"],

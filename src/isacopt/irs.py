@@ -1,26 +1,43 @@
 """Surface-phase sub-problem: double-minorization solver and manifold baseline.
 
-With the precoder fixed, the objective is quartic in the unit-modulus phase
-vector.  One minorization flattens the quartic term to a quadratic through
-the lifted variable X = Theta R Theta (valid because the lifted quadratic
-form is PSD); a second one flattens the quadratic surrogate to a linear
-form, whose maximizer on the torus is a closed-form phase alignment.
+With the precoder fixed, the objective g is quartic in the unit-modulus
+phase vector theta.  One minorization flattens the quartic term to a
+quadratic through the lifted variable X = Theta R Theta (valid because the
+lifted quadratic form is PSD); a second one flattens the quadratic surrogate
+to a linear form, whose maximizer on the torus is a closed-form phase
+alignment.
 
 The second flattening is only a true minorizer if the quadratic surrogate
 is convex in the real representation.  Its quartic-origin part has a
 trace-zero indefinite Hessian, so the plain linearization can (and in
 radar-weighted scenes does) decrease the objective.  The default solver
 therefore composes the same building blocks through two value-preserving
-repairs that restore the ascent guarantee:
+repairs that restore the ascent guarantee: the quartic cross matrices are
+symmetrized (quadratic forms only see the symmetric part), and a
+torus-constant anchor rho * theta^H theta is added and subtracted, with rho
+the smallest value making the loaded form convex.  The linear surrogate
+vector is then the Wirtinger gradient plus rho * theta, and the update is
 
-* the quartic cross matrices are symmetrized (quadratic forms only see the
-  symmetric part, so every surrogate value is unchanged), and
-* a torus-constant anchor rho * theta^H theta is added and subtracted,
-  with rho the smallest value making the loaded form convex; rho is zero
-  whenever the surrogate is already convex, in which case the update
-  coincides with the plain one.
+    theta <- exp(j arg(grad g(theta) + rho * theta)).
 
-``safeguard=False`` runs the plain composition and raises if it dips.
+rho is zero whenever the surrogate is already convex, in which case the
+update coincides with the plain one.  ``safeguard=False`` runs the plain
+composition and raises if it dips.
+
+No L x L matrix is formed on the solver path.  R = a a^T is rank one, so
+X = b b^T with b = theta o a and every surrogate piece is low rank: the
+quartic matrices are U1 = c p q^T and U2 = conj(U1), the communication form
+is U3 = Psi Psi^H with K_u * rank(P) columns in Psi, and mu = diag(U4) is a
+row sum.  The anchor's displacement form vanishes off span{p, q, Psi}, so
+rho comes from the same eigenproblem compressed onto an orthonormal basis
+of that span, (2m) x (2m) with m <= K_u * K + 2 instead of 2L x 2L.  One
+inner iteration costs O(L (N + m^2)).
+
+The dense constructions (``build_quartic_surrogate``,
+``quartic_surrogate_constant``, ``linear_surrogate_vectors``,
+``dense_linearization``) are reference code for the tests.
+``build_quadratic_terms`` returns the dense U3, which the
+approximation-ratio study needs.
 """
 
 from __future__ import annotations
@@ -37,28 +54,94 @@ from .scene import ChannelSet, SceneConfig
 
 
 @dataclass
-class SurrogateWorkspace:
-    """Per-iteration surrogate pieces, kept for inspection and tests."""
-
-    x: np.ndarray        # Theta R Theta
-    y: np.ndarray        # kernel of the frozen-side quartic cross term
-    z: np.ndarray        # kernel of the mirrored cross term
-    u1: np.ndarray       # quartic surrogate, conjugate-pair half
-    u2: np.ndarray       # quartic surrogate, plain-pair half
-    u3: np.ndarray       # quadratic (communication) form, Hermitian PSD
-    u4: np.ndarray       # linear-term source matrix
-    mu: np.ndarray       # diag(u4)
-    nu: np.ndarray       # linear surrogate vector, conjugate slot
-    eta: np.ndarray      # linear surrogate vector, plain slot
-
-
-@dataclass
 class InnerTrace:
     """Objective bookkeeping of one inner solve."""
 
     objectives: list[float] = field(default_factory=list)
     surrogate_gaps: list[float] = field(default_factory=list)
     line_search_failed: bool = False
+
+
+class SurrogateFactors:
+    """Low-rank factors of the surrogate pieces for one precoder.
+
+    GP = G P over the nonzero columns of P (dropping zero columns leaves
+    P P^H unchanged), so V b = conj(GP) (GP^T b) and W b = conj(G) (G^T b).
+    The communication form is U3 = Psi Psi^H, with column (k, j) of Psi
+    equal to sqrt(cc) conj(h_k o gp_j), and mu = diag(U4) =
+    cc sum_j gp_j o ((FP)^H H)_j.
+    """
+
+    def __init__(self, p: Precoder, ch: ChannelSet, cfg: SceneConfig):
+        p_nz = p.p[:, np.any(p.p != 0, axis=0)]
+        cc = comm_coefficient(cfg)
+        self.c = quartic_coefficient(cfg)
+        self.steer = ch.steer
+        self.g = ch.g
+        self.gp = ch.g @ p_nz
+        self.psi = math.sqrt(cc) * (ch.h.T[:, :, None] * self.gp[:, None, :]
+                                    ).reshape(len(ch.steer), -1).conj()
+        self.mu = cc * np.sum(self.gp * ((ch.f @ p_nz).conj().T @ ch.h).T,
+                              axis=1)
+
+    def quartic(self, theta: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """(p, q, q_v, q_w) at theta: p = a* o V b and q = a* o W b give
+        U1 = c p q^T, and q_v = b^H V b, q_w = b^H W b."""
+        b = theta * self.steer
+        vb = self.gp.conj() @ (self.gp.T @ b)
+        wb = self.g.conj() @ (self.g.T @ b)
+        q_v = float(np.real(np.vdot(b, vb)))
+        q_w = float(np.real(np.vdot(b, wb)))
+        a_conj = self.steer.conj()
+        return a_conj * vb, a_conj * wb, q_v, q_w
+
+    def comm(self, theta: np.ndarray) -> np.ndarray:
+        """U3 theta + mu*, the communication part of the gradient."""
+        return self.psi @ (self.psi.conj().T @ theta) + self.mu.conj()
+
+    def gradient(self, theta: np.ndarray, pv: np.ndarray, qv: np.ndarray,
+                 q_v: float, q_w: float) -> np.ndarray:
+        """Wirtinger gradient from the quartic factors at theta."""
+        return self.c * (q_w * pv + q_v * qv) + self.comm(theta)
+
+    def linearize(self, theta: np.ndarray, safeguard: bool = True
+                  ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        """(nu, rho, p, q) at theta; the plain-slot vector is eta = conj(nu).
+
+        Safeguarded, nu = grad g(theta) + rho theta with the exact anchor
+        rho.  Plain, the unsymmetrized U1 = c p q^T gives
+        nu = 2 c q_v q + U3 theta + mu* and rho = 0.
+        """
+        pv, qv, q_v, q_w = self.quartic(theta)
+        if not safeguard:
+            return 2.0 * self.c * q_v * qv + self.comm(theta), 0.0, pv, qv
+        rho = self.anchor(pv, qv)
+        nu = self.gradient(theta, pv, qv, q_v, q_w) + rho * theta
+        return nu, rho, pv, qv
+
+    def anchor(self, pv: np.ndarray, qv: np.ndarray) -> float:
+        """Exact ascent anchor, from the eigenproblem on span{p, q, Psi}.
+
+        With [p, q, Psi] = Q R, R holds the coordinates Q^H [p, q, Psi];
+        the displacement form is zero on the orthogonal complement, so
+        the compressed form has the same smallest negative eigenvalue.
+        """
+        _, r = np.linalg.qr(np.column_stack([pv, qv, self.psi]))
+        pt, qt, psit = r[:, 0], r[:, 1], r[:, 2:]
+        u1_sym = 0.5 * self.c * (np.outer(pt, qt) + np.outer(qt, pt))
+        return ascent_anchor(u1_sym, psit @ psit.conj().T)
+
+    def surrogate_value(self, theta: np.ndarray, pv: np.ndarray,
+                        qv: np.ndarray, rho: float) -> float:
+        """Quadratic surrogate with anchor rho, expanded where (p, q) were
+        taken, at theta."""
+        quartic = 2.0 * self.c * np.real(np.vdot(theta, pv)
+                                         * np.vdot(theta, qv))
+        coords = self.psi.conj().T @ theta
+        quad = np.vdot(coords, coords).real + rho * np.vdot(theta, theta).real
+        lin = 2.0 * np.real(theta @ self.mu)
+        return float(quartic + quad + lin)
 
 
 def _kernel_factors(p: Precoder, ch: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
@@ -69,19 +152,28 @@ def _kernel_factors(p: Precoder, ch: ChannelSet) -> tuple[np.ndarray, np.ndarray
     return v, w
 
 
-def build_quartic_surrogate(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
-                            cfg: SceneConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic surrogate matrices (U1, U2) of the quartic term at theta_t.
-
-    U1 = c (R^H o Y^T) and U2 = c (R o Z^T) with c = beta |alpha|^2 /
-    sigma_R^2 and (Y, Z) the kernels at X_t = Theta_t R Theta_t.  The
-    surrogate theta^H U1 theta* + theta^T U2 theta minorizes the quartic
-    term after restoring the dropped constant c * vec(X_t)^H Q vec(X_t).
-    """
+def _lifted_kernels(theta_t: IrsPhase, p: Precoder, ch: ChannelSet
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X_t = Theta_t R Theta_t and its kernels (Y, Z), as dense L x L."""
     v, w = _kernel_factors(p, ch)
     th = theta_t.theta
     x_t = (th[:, None] * ch.r_mat) * th[None, :]
     y, z = quartic_kernels(x_t, v, w)
+    return x_t, y, z
+
+
+def build_quartic_surrogate(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
+                            cfg: SceneConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic surrogate matrices (U1, U2) of the quartic term at theta_t.
+
+    Reference code: the solver uses the rank-one factors of
+    ``SurrogateFactors`` instead.  U1 = c (R^H o Y^T) and U2 = c (R o Z^T)
+    with c = beta |alpha|^2 / sigma_R^2 and (Y, Z) the kernels at
+    X_t = Theta_t R Theta_t.  The surrogate theta^H U1 theta* +
+    theta^T U2 theta minorizes the quartic term after restoring the dropped
+    constant c * vec(X_t)^H Q vec(X_t).
+    """
+    _, y, z = _lifted_kernels(theta_t, p, ch)
     c = quartic_coefficient(cfg)
     u1 = c * (ch.r_mat.conj() * y.T)
     u2 = c * (ch.r_mat * z.T)
@@ -90,30 +182,29 @@ def build_quartic_surrogate(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
 
 def quartic_surrogate_constant(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
                                cfg: SceneConfig) -> float:
-    """Dropped constant c * vec(X_t)^H Q vec(X_t); equals g4(theta_t)."""
-    v, w = _kernel_factors(p, ch)
-    th = theta_t.theta
-    x_t = (th[:, None] * ch.r_mat) * th[None, :]
-    y, _ = quartic_kernels(x_t, v, w)
+    """Dropped constant c * vec(X_t)^H Q vec(X_t); equals g4(theta_t).
+
+    Reference code for the tangency tests.
+    """
+    x_t, y, _ = _lifted_kernels(theta_t, p, ch)
     return quartic_coefficient(cfg) * float(np.real(np.vdot(x_t, y)))
 
 
-def _quadratic_pieces(p: Precoder, ch: ChannelSet, cfg: SceneConfig
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Dense quadratic form U3 (Hermitian PSD by the Schur product theorem)
+    and linear coefficient mu = diag(U4) of the communication terms.
+
+    The approximation-ratio study needs U3 as a matrix.  The solver uses the
+    factor ``SurrogateFactors.psi`` and the row-sum ``SurrogateFactors.mu``,
+    for which this is the reference.
+    """
     cc = comm_coefficient(cfg)
     gp = ch.g @ p.p
     m = gp @ gp.conj().T
     u3 = hermitize(cc * ((ch.h.conj().T @ ch.h) * m.T))
     u4 = cc * (gp @ (ch.f @ p.p).conj().T @ ch.h)
-    return u3, u4, np.diagonal(u4).copy()
-
-
-def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic form U3 (Hermitian PSD by the Schur product theorem) and
-    linear coefficient mu = diag(U4) of the communication terms."""
-    u3, _, mu = _quadratic_pieces(p, ch, cfg)
-    return u3, mu
+    return u3, np.diagonal(u4).copy()
 
 
 def linear_surrogate_vectors(theta_t: IrsPhase, u1: np.ndarray, u2: np.ndarray,
@@ -123,11 +214,35 @@ def linear_surrogate_vectors(theta_t: IrsPhase, u1: np.ndarray, u2: np.ndarray,
 
         nu  = 2 U1^T theta_t* + U3 theta_t + mu*
         eta = 2 U2^T theta_t  + U3^T theta_t* + mu
+
+    Reference code: with the rank-one U1 the solver forms nu from the
+    gradient and takes eta = conj(nu).
     """
     th = theta_t.theta
     nu = 2.0 * u1.T @ th.conj() + u3 @ th + mu.conj()
     eta = 2.0 * u2.T @ th + u3.T @ th.conj() + mu
     return nu, eta
+
+
+def dense_linearization(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
+                        cfg: SceneConfig, safeguard: bool = True
+                        ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(nu, eta, rho) at theta_t from the dense L x L surrogate pieces.
+
+    Reference code for ``SurrogateFactors.linearize``: the quartic
+    surrogate, symmetrized and anchored by ``ascent_anchor`` on the full
+    2L x 2L form when ``safeguard`` is set, then linearized.
+    """
+    u1, u2 = build_quartic_surrogate(theta_t, p, ch, cfg)
+    u3, mu = build_quadratic_terms(p, ch, cfg)
+    rho = 0.0
+    if safeguard:
+        u1 = 0.5 * (u1 + u1.T)
+        u2 = 0.5 * (u2 + u2.T)
+        rho = ascent_anchor(u1, u3)
+        u3 = u3 + rho * np.eye(len(theta_t))
+    nu, eta = linear_surrogate_vectors(theta_t, u1, u2, u3, mu)
+    return nu, eta, rho
 
 
 def irs_phase_update(nu: np.ndarray, eta: np.ndarray,
@@ -146,22 +261,6 @@ def irs_phase_update(nu: np.ndarray, eta: np.ndarray,
     return IrsPhase(theta)
 
 
-def build_workspace(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
-                    cfg: SceneConfig) -> SurrogateWorkspace:
-    """Assemble every surrogate piece at theta_t (plain composition)."""
-    v, w = _kernel_factors(p, ch)
-    th = theta_t.theta
-    x_t = (th[:, None] * ch.r_mat) * th[None, :]
-    y, z = quartic_kernels(x_t, v, w)
-    c = quartic_coefficient(cfg)
-    u1 = c * (ch.r_mat.conj() * y.T)
-    u2 = c * (ch.r_mat * z.T)
-    u3, u4, mu = _quadratic_pieces(p, ch, cfg)
-    nu, eta = linear_surrogate_vectors(theta_t, u1, u2, u3, mu)
-    return SurrogateWorkspace(x=x_t, y=y, z=z, u1=u1, u2=u2, u3=u3, u4=u4,
-                              mu=mu, nu=nu, eta=eta)
-
-
 def ascent_anchor(u1_sym: np.ndarray, u3: np.ndarray) -> float:
     """Smallest rho >= 0 making the surrogate's real quadratic form convex.
 
@@ -177,21 +276,13 @@ def ascent_anchor(u1_sym: np.ndarray, u3: np.ndarray) -> float:
     return max(0.0, -lam_min) * (1.0 + 1e-9)
 
 
-def _surrogate_value(theta: np.ndarray, u1, u2, u3, mu) -> float:
-    """Quadratic surrogate value at theta."""
-    quartic = np.real(theta.conj() @ u1 @ theta.conj() + theta @ u2 @ theta)
-    quad = np.real(theta.conj() @ (u3 @ theta))
-    lin = 2.0 * np.real(theta @ mu)
-    return float(quartic + quad + lin)
-
-
 def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
                            cfg: SceneConfig, inner_tol: float = 1e-6,
                            inner_max: int = 200, safeguard: bool = True
                            ) -> tuple[IrsPhase, InnerTrace]:
     """Iterate the closed-form double-minorization update to convergence.
 
-    Each iteration rebuilds the quartic surrogate at the current phases,
+    Each iteration takes the surrogate factors at the current phases,
     linearizes, and applies the phase-alignment update; it stops when the
     relative objective gain drops below ``inner_tol`` or after
     ``inner_max`` iterations.  The recorded objective sequence is the true
@@ -200,32 +291,23 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
-    u3, mu = build_quadratic_terms(p, ch, cfg)
-    eye = np.eye(len(theta0))
+    factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
     theta = theta0
     g_prev = weighted_snr(p, theta, ch, cfg)
     trace.objectives.append(g_prev)
     for _ in range(inner_max):
-        u1, u2 = build_quartic_surrogate(theta, p, ch, cfg)
-        if safeguard:
-            u1 = 0.5 * (u1 + u1.T)
-            u2 = 0.5 * (u2 + u2.T)
-            rho = ascent_anchor(u1, u3)
-            u3_eff = u3 + rho * eye if rho > 0.0 else u3
-        else:
-            u3_eff = u3
-        nu, eta = linear_surrogate_vectors(theta, u1, u2, u3_eff, mu)
-        new_theta = irs_phase_update(nu, eta, theta.theta)
+        th = theta.theta
+        nu, rho, pv, qv = factors.linearize(th, safeguard)
+        new_theta = irs_phase_update(nu, nu.conj(), th)
 
         g_new = weighted_snr(p, new_theta, ch, cfg)
         # gap of the fully restored surrogate chain at the new point
-        constant = _surrogate_value(theta.theta, u1, u2, u3_eff, mu) \
-            - float(np.real(theta.theta.conj() @ nu + theta.theta @ eta))
-        lifted = float(np.real(new_theta.theta.conj() @ nu
-                               + new_theta.theta @ eta)) + constant
-        quad_at_new = _surrogate_value(new_theta.theta, u1, u2, u3_eff, mu)
-        trace.surrogate_gaps.append(quad_at_new - lifted)
+        step = new_theta.theta - th
+        lifted = factors.surrogate_value(th, pv, qv, rho) \
+            + 2.0 * float(np.real(np.vdot(step, nu)))
+        trace.surrogate_gaps.append(
+            factors.surrogate_value(new_theta.theta, pv, qv, rho) - lifted)
 
         if g_new < g_prev - 1e-9 * abs(g_prev):
             raise MonotonicityError(
@@ -247,18 +329,10 @@ def wirtinger_gradient(theta: IrsPhase, p: Precoder, ch: ChannelSet,
     For real objective g, dg = 2 Re{grad^H d theta}.  The communication
     terms contribute mu* + U3 theta; the quartic term is the product of the
     two PSD forms q_v q_w in b = theta o a, so the product rule gives
-    a* o (c (q_w V b + q_v W b)).
+    a* o (c (q_w V b + q_v W b)) = c (q_w p + q_v q).
     """
-    u3, mu = build_quadratic_terms(p, ch, cfg)
-    v, w = _kernel_factors(p, ch)
-    b = theta.theta * ch.steer
-    vb = v @ b
-    wb = w @ b
-    q_v = float(np.real(np.vdot(b, vb)))
-    q_w = float(np.real(np.vdot(b, wb)))
-    c = quartic_coefficient(cfg)
-    grad_quartic = ch.steer.conj() * (c * (q_w * vb + q_v * wb))
-    return mu.conj() + u3 @ theta.theta + grad_quartic
+    factors = SurrogateFactors(p, ch, cfg)
+    return factors.gradient(theta.theta, *factors.quartic(theta.theta))
 
 
 def _tangent_project(grad: np.ndarray, theta: np.ndarray) -> np.ndarray:

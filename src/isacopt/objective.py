@@ -6,9 +6,10 @@ the objective is
     beta * SNR_R + (1 - beta) * SNR_C = tr(P P^H Omega),
 
 which splits into terms of order 0, 1, 2 and 4 in theta.  The quartic term
-is handled through the lifted variable X = Theta R Theta, whose kernels
-Y and Z are computed with O(L^3) matrix products instead of the L^2 x L^2
-Kronecker operator they represent.
+is handled through the lifted variable X = Theta R Theta.  Its kernels Y
+and Z are kept here as reference code, computed with O(L^3) matrix products
+instead of the L^2 x L^2 Kronecker operator they represent; the phase
+solver uses their rank-one factors instead (``irs.SurrogateFactors``).
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def quartic_kernels(x: np.ndarray, v: np.ndarray, w: np.ndarray
 
     Computed as Y = W X V^T and Z = W^T X* V, which are algebraically
     identical to applying the Kronecker operator but cost O(L^3) time and
-    O(L^2) memory.
+    O(L^2) memory.  Reference code for the dense surrogate constructions; the
+    phase solver never forms X, Y or Z.
     """
     if not (x.shape == v.shape == w.shape) or x.shape[0] != x.shape[1]:
         raise ConfigError(
@@ -176,7 +178,7 @@ def quartic_kernels_reference(x: np.ndarray, v: np.ndarray, w: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Same kernels via the explicit Kronecker operator.
 
-    Reference path for equivalence checks and micro-benchmarks only; the
+    Reference code for equivalence checks and micro-benchmarks only; the
     L^4 memory footprint restricts it to L <= 8.
     """
     if not (x.shape == v.shape == w.shape) or x.shape[0] != x.shape[1]:

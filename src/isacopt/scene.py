@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite, require_integer
 
 TWO_PI = 2.0 * np.pi
 
@@ -38,6 +38,9 @@ def linear_to_db(x: float) -> float:
 def dbm_to_watts(x_dbm: float) -> float:
     """Convert dBm to watts, 10**((x - 30)/10)."""
     return float(10.0 ** ((x_dbm - 30.0) / 10.0))
+
+
+_SCENE_COUNTS = ("n_tx", "n_rx", "n_users", "irs_rows", "irs_cols")
 
 
 @dataclass
@@ -75,6 +78,9 @@ class SceneConfig:
     beampattern_mix: float = 0.5
 
     def __post_init__(self):
+        require_integer(self, _SCENE_COUNTS)
+        require_finite(self, [f.name for f in fields(self)
+                              if f.name not in _SCENE_COUNTS])
         if self.n_rx != self.n_tx:
             raise ConfigError(
                 f"receive antenna count must equal transmit count "

@@ -28,6 +28,29 @@ class TestSolverOptions:
         with pytest.raises(ConfigError):
             SolverOptions(irs_method="magic")
 
+    @pytest.mark.parametrize("field,value", [
+        ("eps_rel", float("nan")), ("eps_rel", float("inf")),
+        ("inner_tol", float("nan")), ("dykstra_tol", float("inf"))])
+    def test_rejects_non_finite_floats(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize("field", ["inner_tol", "dykstra_tol"])
+    def test_rejects_negative_tolerances(self, field):
+        with pytest.raises(ConfigError, match=field):
+            SolverOptions(**{field: -1.0})
+        assert getattr(SolverOptions(**{field: 0.0}), field) == 0.0
+
+    @pytest.mark.parametrize("field,value", [
+        ("t_max", 2.5), ("n_g", 10.0), ("inner_max", True),
+        ("dykstra_max_cycles", "500"), ("seed", 1.5)])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SolverOptions(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        assert SolverOptions(t_max=np.int64(3)).t_max == 3
+
 
 class TestObjectiveSnapshot:
     def test_equal_snrs_give_same_value(self, rng):

@@ -99,3 +99,11 @@ class TestValidateConfig:
     def test_invalid_exits_2(self, tmp_path):
         config = write_config(tmp_path, trials=0)
         assert main(["validate-config", "--config", str(config)]) == 2
+
+    def test_non_finite_scene_exits_2(self, tmp_path, capsys):
+        # json writes float("nan") as the NaN literal, which json.load accepts
+        config = write_config(
+            tmp_path, scene={"n_tx": 3, "n_rx": 3,
+                             "power_budget": float("nan")})
+        assert main(["validate-config", "--config", str(config)]) == 2
+        assert "power_budget" in capsys.readouterr().err

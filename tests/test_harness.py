@@ -65,6 +65,14 @@ class TestSpecLoading:
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
 
+    def test_config_hash_ignores_output_dir_and_threads(self, tmp_path):
+        a = make_spec(tmp_path)
+        b = make_spec(tmp_path, output_dir=str(tmp_path / "elsewhere"),
+                      threads=2)
+        c = make_spec(tmp_path, master_seed=43)
+        assert config_hash(a) == config_hash(b)
+        assert config_hash(a) != config_hash(c)
+
 
 class TestHelpers:
     def test_near_square_grid(self):
@@ -262,6 +270,14 @@ class TestBench:
         paths = {(r[0], r[2]) for r in t_rows}
         assert {("dykstra_project", "cyclic"), ("solve_relaxed", "closed_form"),
                 ("solve_relaxed", "cyclic")} <= paths
+        inner = {int(r[1]) for r in t_rows
+                 if (r[0], r[2]) == ("solve_irs_minorization", "inner_iteration")}
+        assert inner == {36, 256}
+        nu_errors = [(int(r[1]), float(r[3])) for r in rows
+                     if r[0] == "solve_irs_minorization"
+                     and r[2] == "factored_nu_rel_error"]
+        assert len(nu_errors) == 1 and nu_errors[0][0] == 36
+        assert nu_errors[0][1] <= 1e-10
 
     def test_fast_path_beats_kronecker_at_l8(self, tmp_path):
         spec = make_spec(tmp_path, kind="bench", beta_values=[])

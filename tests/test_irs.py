@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from isacopt import (IrsPhase, MonotonicityError, Precoder,
                      build_quadratic_terms, build_quartic_surrogate,
-                     build_workspace, decompose_objective, irs_phase_update,
-                     linear_surrogate_vectors, solve_irs_manifold,
-                     solve_irs_minorization, weighted_snr,
-                     wirtinger_gradient)
-from isacopt.irs import ascent_anchor, quartic_surrogate_constant
-from isacopt.objective import quartic_coefficient
+                     decompose_objective, irs_phase_update,
+                     linear_surrogate_vectors, make_channels,
+                     solve_irs_manifold, solve_irs_minorization,
+                     weighted_snr, wirtinger_gradient)
+from isacopt.irs import (SurrogateFactors, ascent_anchor,
+                         dense_linearization, quartic_surrogate_constant)
+from isacopt.objective import comm_coefficient, quartic_coefficient
 from isacopt.scene import ChannelSet, complex_normal
 
 from conftest import random_phases, random_scene, small_config
@@ -91,9 +94,11 @@ class TestQuadraticTerms:
             assert form == pytest.approx(g1, rel=1e-10, abs=1e-12)
 
     def test_mu_is_diagonal_of_u4(self, rng):
-        cfg, ch, p, theta = random_scene(rng)
-        ws = build_workspace(theta, p, ch, cfg)
-        np.testing.assert_array_equal(ws.mu, np.diagonal(ws.u4))
+        cfg, ch, p, _ = random_scene(rng)
+        _, mu = build_quadratic_terms(p, ch, cfg)
+        gp = ch.g @ p.p
+        u4 = comm_coefficient(cfg) * (gp @ (ch.f @ p.p).conj().T @ ch.h)
+        np.testing.assert_array_equal(mu, np.diagonal(u4))
 
 
 class TestLinearSurrogateVectors:
@@ -115,12 +120,14 @@ class TestLinearSurrogateVectors:
 
     def test_value_at_expansion_point(self, rng):
         cfg, ch, p, theta = random_scene(rng)
-        ws = build_workspace(theta, p, ch, cfg)
+        u1, u2 = build_quartic_surrogate(theta, p, ch, cfg)
+        u3, mu = build_quadratic_terms(p, ch, cfg)
+        nu, eta = linear_surrogate_vectors(theta, u1, u2, u3, mu)
         th = theta.theta
-        got = float(np.real(th.conj() @ ws.nu + th @ ws.eta))
-        expected = (2.0 * surrogate_value(th, ws.u1, ws.u2)
-                    + 2.0 * float(np.real(th.conj() @ ws.u3 @ th))
-                    + 2.0 * float(np.real(th.conj() @ ws.mu.conj())))
+        got = float(np.real(th.conj() @ nu + th @ eta))
+        expected = (2.0 * surrogate_value(th, u1, u2)
+                    + 2.0 * float(np.real(th.conj() @ u3 @ th))
+                    + 2.0 * float(np.real(th.conj() @ mu.conj())))
         assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -244,6 +251,71 @@ class TestAscentAnchor:
             assert val >= -1e-9 * max(1.0, abs(val))
 
 
+def _rel_err(got, want):
+    return float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
+
+
+class TestSurrogateFactors:
+    @pytest.mark.parametrize("safeguard", [True, False])
+    @pytest.mark.parametrize("nonzero_cols", [1, 3])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6, 6)])
+    def test_matches_dense_oracle(self, shape, nonzero_cols, safeguard):
+        rng = np.random.default_rng([77, *shape, nonzero_cols])
+        active = 0
+        for _ in range(5):
+            cfg, ch, p, theta = random_scene(
+                rng, l_rows=shape[0], l_cols=shape[1], n_tx=4, k=3,
+                beta=float(rng.uniform(0.05, 0.99)),
+                alpha=complex(10 ** rng.uniform(-2, 0)))
+            pp = p.p.copy()
+            pp[:, nonzero_cols:] = 0.0      # zero columns, as a padded factor
+            p = Precoder(pp)
+            nu_d, eta_d, rho_d = dense_linearization(theta, p, ch, cfg,
+                                                     safeguard)
+            _, mu_d = build_quadratic_terms(p, ch, cfg)
+            factors = SurrogateFactors(p, ch, cfg)
+            nu, rho, _, _ = factors.linearize(theta.theta, safeguard)
+            assert _rel_err(nu, nu_d) <= 1e-10
+            assert _rel_err(nu.conj(), eta_d) <= 1e-10
+            assert _rel_err(factors.mu, mu_d) <= 1e-10
+            assert abs(rho - rho_d) <= 1e-10 * max(rho_d, 1e-300)
+            active += rho_d > 0.0
+        # the anchor comparison must not hold only because rho vanishes
+        assert active > 0 if safeguard else rho == 0.0
+
+    def test_surrogate_value_matches_dense(self, rng):
+        cfg, ch, p, theta_t = random_scene(rng, l_rows=2, l_cols=3)
+        factors = SurrogateFactors(p, ch, cfg)
+        _, _, pv, qv = factors.linearize(theta_t.theta)
+        u1, u2 = build_quartic_surrogate(theta_t, p, ch, cfg)
+        u3, mu = build_quadratic_terms(p, ch, cfg)
+        rho = 0.3
+        for _ in range(20):
+            th = random_phases(rng, cfg.n_irs).theta
+            dense = (surrogate_value(th, u1, u2)
+                     + float(np.real(th.conj() @ (u3 + rho * np.eye(len(th))) @ th))
+                     + 2.0 * float(np.real(th @ mu)))
+            assert factors.surrogate_value(th, pv, qv, rho) \
+                == pytest.approx(dense, rel=1e-10)
+
+    def test_no_dense_matrix_on_solver_path(self):
+        cfg = small_config(l_rows=32, l_cols=32, n_tx=8, k=3, beta=0.9)
+        rng = np.random.default_rng(5)
+        ch = make_channels(cfg, rng)
+        p = Precoder(complex_normal(rng, cfg.n_tx, cfg.n_users) / 5.0)
+        theta = random_phases(rng, cfg.n_irs)
+        dense_bytes = cfg.n_irs ** 2 * 16
+        tracemalloc.start()
+        try:
+            solve_irs_minorization(theta, p, ch, cfg, inner_tol=0.0,
+                                   inner_max=2)
+            wirtinger_gradient(theta, p, ch, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
+
+
 class TestWirtingerGradient:
     def test_zero_when_objective_constant(self, rng):
         cfg, ch, p, theta = random_scene(rng, beta=1.0, alpha=0.0)
@@ -265,6 +337,21 @@ class TestWirtingerGradient:
                     analytic = 2 * np.real(grad[l] * np.conj(direction))
                     assert analytic == pytest.approx(
                         fd, rel=1e-5, abs=1e-6 * max(1.0, abs(fd)))
+
+    def test_matches_dense_formula(self, rng):
+        for _ in range(5):
+            cfg, ch, p, theta = random_scene(rng, l_rows=3, l_cols=3)
+            u3, mu = build_quadratic_terms(p, ch, cfg)
+            gp = ch.g @ p.p
+            v = (gp @ gp.conj().T).T
+            w = ch.g.conj() @ ch.g.T
+            b = theta.theta * ch.steer
+            q_v = float(np.real(b.conj() @ v @ b))
+            q_w = float(np.real(b.conj() @ w @ b))
+            dense = (mu.conj() + u3 @ theta.theta + ch.steer.conj()
+                     * (quartic_coefficient(cfg) * (q_w * v @ b + q_v * w @ b)))
+            grad = wirtinger_gradient(theta, p, ch, cfg)
+            assert _rel_err(grad, dense) <= 1e-10
 
     def test_radar_term_scales_with_noise_power(self, rng):
         cfg, ch, p, theta = random_scene(rng, beta=1.0)

@@ -152,6 +152,19 @@ class TestSceneConfigValidation:
         with pytest.raises(ConfigError):
             SceneConfig(rician_h=-1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("power_budget", float("nan")), ("power_budget", float("inf")),
+        ("sigma2_comm", float("inf")), ("sigma2_radar", float("nan")),
+        ("alpha", complex(float("nan"), 0.0)), ("alpha", complex(0.0, float("inf"))),
+        ("beampattern_tol", float("inf")), ("target_azimuth", float("nan"))])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SceneConfig(**{field: value})
+
+    def test_rejects_non_integer_counts(self):
+        with pytest.raises(ConfigError, match="irs_rows"):
+            SceneConfig(irs_rows=2.5)
+
 
 class TestJsonLoading:
     def test_db_suffix_conversion(self):
