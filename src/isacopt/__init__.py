@@ -21,7 +21,7 @@ from .precoder import (RandomizationReport, RelaxedCovariance,
                        dykstra_project, factor_precoder, precoder_objective,
                        project_ball, project_psd, project_spectrahedron,
                        project_trace, relaxed_objective, solve_relaxed,
-                       solve_unit_diag_relaxation)
+                       solve_unit_diag_relaxation, unit_diag_dual_bound)
 from .irs import (InnerTrace, build_quadratic_terms, build_quartic_surrogate,
                   irs_phase_update, linear_surrogate_vectors,
                   quartic_surrogate_constant, solve_irs_manifold,

@@ -42,9 +42,9 @@ from .objective import (IrsPhase, Precoder, build_omega, quartic_kernels,
                         quartic_kernels_reference)
 from .precoder import (approximation_ratio_study, default_beampattern_target,
                        dykstra_project, relaxed_objective, solve_relaxed,
-                       solve_unit_diag_relaxation)
-from .scene import (SceneConfig, complex_normal, make_channels,
-                    scene_config_from_dict)
+                       solve_unit_diag_relaxation, unit_diag_dual_bound)
+from .scene import (SceneConfig, complex_normal, convert_suffixed,
+                    make_channels, scene_config_from_dict)
 
 log = logging.getLogger(__name__)
 
@@ -126,9 +126,8 @@ def load_experiment_spec(source: str | Path | dict) -> ExperimentSpec:
 
 def solver_options_from_dict(raw: dict) -> SolverOptions:
     """SolverOptions from a JSON-style dict; eps_rel may be given in dB."""
-    from .scene import _convert_suffixed
     names = {f.name for f in fields(SolverOptions)}
-    return SolverOptions(**_convert_suffixed(raw, names, "solver config"))
+    return SolverOptions(**convert_suffixed(raw, names, "solver config"))
 
 
 def resolved_spec_dict(spec: ExperimentSpec) -> dict:
@@ -564,8 +563,7 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     for rows_, cols_ in ((6, 6), (16, 16)):
         cfg_l = replace(cfg, irs_rows=rows_, irs_cols=cols_)
         ch_l = make_channels(cfg_l, rng)
-        p = complex_normal(rng, cfg_l.n_tx, cfg_l.n_users)
-        p = Precoder(p * math.sqrt(cfg_l.power_budget / np.sum(np.abs(p) ** 2)))
+        p = _random_precoder(cfg_l, rng)
         theta = IrsPhase(np.exp(2j * np.pi * rng.random(cfg_l.n_irs)))
         if cfg_l.n_irs == 36:
             nu_ref, _, _ = dense_linearization(theta, p, ch_l, cfg_l)
@@ -577,6 +575,25 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
             "solve_irs_minorization", cfg_l.n_irs, "inner_iteration",
             _median_time(lambda: solve_irs_minorization(
                 theta, p, ch_l, cfg_l, inner_max=1), 20), 20))
+
+    # The ratio study's unit-diagonal relaxation on the communication form
+    # U3 of a random precoder, at the ratio config's two surface sizes:
+    # the relative gap to its dual certificate and lambda_min(R*).
+    for rows_, cols_ in ((2, 4), (6, 6)):
+        cfg_l = replace(cfg, irs_rows=rows_, irs_cols=cols_)
+        ch_l = make_channels(cfg_l, rng)
+        a_mat, _ = build_quadratic_terms(_random_precoder(cfg_l, rng), ch_l,
+                                         cfg_l)
+        r_star = solve_unit_diag_relaxation(a_mat)
+        bound = unit_diag_dual_bound(a_mat, r_star)
+        value = float(np.real(np.vdot(a_mat, r_star)))
+        check_rows.append(("solve_unit_diag_relaxation", cfg_l.n_irs,
+                           "unit_diag_certificate_gap", (bound - value) / bound))
+        check_rows.append(("solve_unit_diag_relaxation", cfg_l.n_irs,
+                           "lambda_min", float(np.linalg.eigvalsh(r_star)[0])))
+        timing_rows.append((
+            "solve_unit_diag_relaxation", cfg_l.n_irs, "coordinate_ascent",
+            _median_time(lambda: solve_unit_diag_relaxation(a_mat), 20), 20))
 
     result.files.append(str(write_csv(
         out_dir / "bench.csv", ["op", "size", "metric", "value"],
@@ -591,6 +608,11 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
         result.timing.append({"op": op, "size": size, "path": path_name,
                               "median_seconds": seconds})
     return result
+
+
+def _random_precoder(cfg: SceneConfig, rng: np.random.Generator) -> Precoder:
+    p = complex_normal(rng, cfg.n_tx, cfg.n_users)
+    return Precoder(p * math.sqrt(cfg.power_budget / np.sum(np.abs(p) ** 2)))
 
 
 def _median_time(fn, reps: int) -> float:

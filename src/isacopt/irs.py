@@ -175,8 +175,9 @@ def build_quartic_surrogate(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
     """
     _, y, z = _lifted_kernels(theta_t, p, ch)
     c = quartic_coefficient(cfg)
-    u1 = c * (ch.r_mat.conj() * y.T)
-    u2 = c * (ch.r_mat * z.T)
+    r = ch.r_mat
+    u1 = c * (r.conj() * y.T)
+    u2 = c * (r * z.T)
     return u1, u2
 
 

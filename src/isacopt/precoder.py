@@ -10,6 +10,10 @@ no randomization.  Only when the ball binds is the solve projected gradient
 ascent with Dykstra's cyclic projection over the intersection of the three
 sets (convex, hence the limit is the global optimum), followed by Gaussian
 randomization against the relaxed covariance.
+
+The approximation-ratio study measures the same randomization on the
+unit-modulus problem max x^H A x, against its unit-diagonal relaxation:
+coordinate ascent for the relaxation and a dual certificate for the bound.
 """
 
 from __future__ import annotations
@@ -192,21 +196,19 @@ def validate_beampattern_target(r_d: np.ndarray, cfg: SceneConfig):
 
 
 def _ascend_linear(objective_mat: np.ndarray, x0: np.ndarray, project,
-                   gain_tol: float, max_steps: int,
-                   step_cap: float = math.inf) -> np.ndarray:
+                   gain_tol: float, max_steps: int) -> np.ndarray:
     """Projected gradient ascent of tr(X A) with adaptive step doubling.
 
     The gradient is the constant matrix A, so the only tuning is the step;
     doubling on success drives the projection argument toward the face of
-    the feasible set that maximizes the linear objective.  ``step_cap``
-    bounds the step when far projections are expensive.
+    the feasible set that maximizes the linear objective.
     """
     x = project(x0)
     f = float(np.real(np.vdot(objective_mat, x)))
     scale = float(np.linalg.norm(objective_mat))
     if scale == 0.0:
         return x
-    step = min(1.0 / scale, step_cap)
+    step = 1.0 / scale
     for _ in range(max_steps):
         improved = False
         for _ in range(40):
@@ -222,7 +224,7 @@ def _ascend_linear(objective_mat: np.ndarray, x0: np.ndarray, project,
             break
         gain = f_trial - f
         x, f = trial, f_trial
-        step = min(step * 2.0, step_cap)
+        step *= 2.0
         if gain <= gain_tol * max(1.0, abs(f)):
             break
     return x
@@ -266,6 +268,16 @@ def precoder_objective(p: Precoder, omega: np.ndarray) -> float:
     return float(np.real(np.vdot(p.p, omega @ p.p)))
 
 
+def _leading_factor(w: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
+    """F with F F^H the top-k eigen-truncation of U diag(w) U^H (w >= 0),
+    zero-padded to k columns."""
+    n = u.shape[0]
+    out = np.zeros((n, k), dtype=complex)
+    lead = np.argsort(w)[::-1][: min(k, n)]
+    out[:, : lead.size] = u[:, lead] * np.sqrt(w[lead])
+    return out
+
+
 def factor_precoder(s: RelaxedCovariance, k: int, omega: np.ndarray,
                     cfg: SceneConfig, r_d: np.ndarray,
                     rng: np.random.Generator, n_g: int) -> Precoder:
@@ -278,56 +290,95 @@ def factor_precoder(s: RelaxedCovariance, k: int, omega: np.ndarray,
     factorization and the remaining n_g candidates draw each column from
     CN(0, S/K).  Every candidate is rescaled to meet the power budget
     exactly, candidates violating the beampattern ball are discarded, and
-    the feasible one with the largest objective wins.
+    the feasible one with the largest objective wins.  If none is feasible,
+    the rank-K eigen-truncation of R_D, rescaled to the power budget, is
+    returned when it lies in the ball; otherwise the recovery fails.
     """
     if n_g < 1:
         raise ConfigError(f"randomization sample count must be >= 1, got {n_g}")
     n = s.s.shape[0]
     p_t, gamma = cfg.power_budget, cfg.beampattern_tol
-    cand0 = np.zeros((n, k), dtype=complex)
+
+    def feasible(cand):
+        """``cand`` rescaled to the power budget, or None outside the ball."""
+        pw = float(np.sum(np.abs(cand) ** 2))
+        if pw <= 0.0:
+            return None
+        cand = cand * math.sqrt(p_t / pw)
+        gram = cand @ cand.conj().T
+        if float(np.sum(np.abs(gram - r_d) ** 2)) > gamma:
+            return None
+        return cand
+
     if s.factor is not None and s.factor.shape[1] <= k:
+        cand0 = np.zeros((n, k), dtype=complex)
         cand0[:, : s.factor.shape[1]] = s.factor
         n_draws = 0
     else:
         w, u = np.linalg.eigh(hermitize(s.s))
         w = np.maximum(w, 0.0)
-        lead = np.argsort(w)[::-1][: min(k, n)]
-        cand0[:, : lead.size] = u[:, lead] * np.sqrt(w[lead])
+        cand0 = _leading_factor(w, u, k)
         half = u * np.sqrt(w / k)   # half @ z has covariance S/K for z ~ CN(0, I)
         n_draws = n_g
 
     best_p, best_obj = None, -math.inf
     for idx in range(n_draws + 1):
-        cand = cand0 if idx == 0 else half @ complex_normal(rng, n, k)
-        pw = float(np.sum(np.abs(cand) ** 2))
-        if pw <= 0.0:
-            continue
-        cand = cand * math.sqrt(p_t / pw)
-        gram = cand @ cand.conj().T
-        if float(np.sum(np.abs(gram - r_d) ** 2)) > gamma:
+        cand = feasible(cand0 if idx == 0 else half @ complex_normal(rng, n, k))
+        if cand is None:
             continue
         obj = float(np.real(np.vdot(cand, omega @ cand)))
         if obj > best_obj:
             best_p, best_obj = cand, obj
     if best_p is None:
-        raise RandomizationInfeasibleError("randomization infeasible")
+        w, u = np.linalg.eigh(hermitize(r_d))
+        best_p = feasible(_leading_factor(np.maximum(w, 0.0), u, k))
+    if best_p is None:
+        raise RandomizationInfeasibleError(
+            "randomization infeasible: neither a candidate nor the rank-K "
+            "truncation of R_D lies in the beampattern ball")
     return Precoder(best_p)
+
+
+def unit_diag_dual_bound(a: np.ndarray, r: np.ndarray) -> float:
+    """Certified upper bound on max tr(A R) over {R >= 0, diag(R) = 1}.
+
+    Any real y gives the bound sum(y) + L * max(0, -lambda_min(Diag(y) - A))
+    by weak duality (tr R = L on the feasible set).  With y = Re diag(A R)
+    taken from a near-optimal R the bound is tight: it equals tr(A R) when
+    Diag(y) - A is PSD, and it is never below tr(A R).  The bound also
+    covers rounding: it adds an allowance for the floating-point error of
+    the sum and of the eigenvalue, and for that of a computed unit-modulus
+    value x^H A x, so a ratio against it stays <= 1 in floating point too
+    (the allowance is below 1e-12 relative for the matrices of the ratio
+    study).
+    """
+    a = hermitize(a)
+    n = a.shape[0]
+    y = np.real(np.sum(a * r.T, axis=1))
+    dual = np.diag(y) - a
+    lam = float(np.linalg.eigvalsh(dual)[0])
+    rounding = (4.0 * (n + 1) * float(np.finfo(float).eps)
+                * (float(np.sum(np.abs(a))) + n * float(np.linalg.norm(dual))))
+    return float(np.sum(y)) + n * max(0.0, -lam) + rounding
 
 
 def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
                               n_g_grid, rng: np.random.Generator
                               ) -> list[RandomizationReport]:
-    """Measure the randomization quality ratio against the relaxation bound.
+    """Measure the randomization quality ratio against a certified bound.
 
     For each sample count, draw xi ~ CN(0, R*), map every draw to the
-    unit-modulus vector exp(j arg(xi)), and report the best quadratic-form
-    value relative to tr(A R*).  With R* the optimum of the unit-diagonal
-    relaxation the ratio cannot exceed 1.
+    unit-modulus vector xi / |xi| (an entry with xi = 0 becomes 1), and
+    report the best quadratic-form value relative to the dual bound
+    ``unit_diag_dual_bound(A, R*)``.  That bound is at least the
+    relaxation optimum, which is at least every unit-modulus value, so the
+    ratio cannot exceed 1 whatever R* is; for the R* of
+    ``solve_unit_diag_relaxation`` it is within 1e-6 of tr(A R*).
     """
     if np.max(np.abs(np.diagonal(r_star) - 1.0)) > 1e-6:
         raise ConfigError("reference covariance must have unit diagonal")
     a = hermitize(a)
-    sdp_obj = float(np.real(np.vdot(a, r_star)))
+    sdp_obj = unit_diag_dual_bound(a, r_star)
     w, u = np.linalg.eigh(hermitize(r_star))
     half = u * np.sqrt(np.maximum(w, 0.0))
     reports = []
@@ -335,8 +386,9 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
         if n_g < 1:
             raise ConfigError(f"sample count must be >= 1, got {n_g}")
         xi = half @ complex_normal(rng, r_star.shape[0], int(n_g))
-        xi_hat = np.exp(1j * np.angle(xi))
-        values = np.real(np.einsum("li,lm,mi->i", xi_hat.conj(), a, xi_hat))
+        mag = np.abs(xi)
+        xi_hat = np.divide(xi, mag, out=np.ones_like(xi), where=mag > 0.0)
+        values = np.sum((xi_hat.conj() * (a @ xi_hat)).real, axis=0)
         best = float(values.max())
         reports.append(RandomizationReport(
             n_samples=int(n_g), best_objective=best, sdp_objective=sdp_obj,
@@ -344,14 +396,19 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     return reports
 
 
-def _unit_diag_coordinate_ascent(a: np.ndarray, max_sweeps: int = 1000,
-                                 tol: float = 1e-12) -> np.ndarray:
-    """Row-by-row ascent on the full-rank factorization R = V^H V.
+def solve_unit_diag_relaxation(a: np.ndarray, max_sweeps: int = 1000,
+                               tol: float = 1e-12) -> np.ndarray:
+    """Maximize tr(A R) over {R >= 0, diag(R) = 1}.
 
-    Each column update v_i <- c_i / ||c_i|| with c_i = sum_{j != i} A_ij v_j
-    maximizes the objective over that column alone, so sweeps are monotone;
-    the iterate is PSD with exactly unit diagonal throughout.
+    Row-by-row ascent on the factorization R = V^H V with unit-norm columns
+    (the mixing method): the column update v_i <- c_i / ||c_i|| with
+    c_i = sum_{j != i} A_ij v_j maximizes the objective over that column
+    alone, so sweeps are monotone, and the iterate is PSD with unit
+    diagonal by construction.  Sweeps stop once the objective gains at most
+    ``tol`` relative.  Optimality is certified separately by
+    ``unit_diag_dual_bound``.
     """
+    a = hermitize(a)
     n = a.shape[0]
     v = np.eye(n, dtype=complex)
     f = float(np.real(np.vdot(a, v.conj().T @ v)))
@@ -365,42 +422,4 @@ def _unit_diag_coordinate_ascent(a: np.ndarray, max_sweeps: int = 1000,
         if abs(f_new - f) <= tol * max(1.0, abs(f)):
             break
         f = f_new
-    return v.conj().T @ v
-
-
-def solve_unit_diag_relaxation(a: np.ndarray, gain_tol: float = 1e-10,
-                               max_steps: int = 8,
-                               dykstra_cycles: int = 5000,
-                               dykstra_tol: float = 1e-8) -> np.ndarray:
-    """Maximize tr(A R) over {R >= 0, diag(R) = 1}.
-
-    A factorized coordinate-ascent pass supplies a near-optimal warm start
-    (cyclic projections are slow from far points), a short projected
-    gradient ascent through the cone/diagonal cyclic projection polishes
-    it, and a final congruence rescaling restores the unit diagonal
-    exactly without leaving the cone.
-    """
-    a = hermitize(a)
-
-    def project_diag(x):
-        out = x.copy()
-        np.fill_diagonal(out, 1.0)
-        return out
-
-    def res_psd(x):
-        w = np.linalg.eigvalsh(hermitize(x))
-        return max(0.0, -float(w[0])) / max(1.0, float(np.abs(w).max()))
-
-    def res_diag(x):
-        return float(np.max(np.abs(np.diagonal(x) - 1.0)))
-
-    def project(x):
-        return _dykstra(hermitize(x), [project_psd, project_diag],
-                        [res_psd, res_diag], dykstra_cycles, dykstra_tol)
-
-    start = _unit_diag_coordinate_ascent(a)
-    scale = float(np.linalg.norm(a))
-    cap = 2.0 / scale if scale > 0 else math.inf
-    r = _ascend_linear(a, start, project, gain_tol, max_steps, step_cap=cap)
-    diag_fix = 1.0 / np.sqrt(np.real(np.diagonal(r)))
-    return hermitize(r * diag_fix[:, None] * diag_fix[None, :])
+    return hermitize(v.conj().T @ v)

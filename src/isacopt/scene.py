@@ -110,21 +110,28 @@ class SceneConfig:
 
 @dataclass
 class ChannelSet:
-    """One realization of all channels plus the target steering data.
-
-    ``r_mat`` is the rank-one outer product (without conjugation) of the
-    surface steering vector toward the target with itself.
-    """
+    """One realization of all channels plus the target steering data."""
 
     g: np.ndarray        # L x N_T, radar -> surface
     h: np.ndarray        # K x L, surface -> users
     f: np.ndarray        # K x N_T, radar -> users direct
     steer: np.ndarray    # length L
-    r_mat: np.ndarray    # L x L
 
     def __post_init__(self):
         if not np.allclose(np.abs(self.steer), 1.0, atol=1e-12):
             raise ConfigError("steering vector entries must have unit modulus")
+
+    @property
+    def r_mat(self) -> np.ndarray:
+        """R = a a^T (no conjugation), the dense L x L rank-one target matrix.
+
+        Built on each access for the reference constructions; the solver
+        path works with ``steer`` alone.  The upper triangle is mirrored
+        because a vectorized complex product (fused multiply-add) can round
+        a_i a_j and a_j a_i differently, and R must be exactly symmetric.
+        """
+        r = np.outer(self.steer, self.steer)
+        return np.triu(r) + np.triu(r, 1).T
 
 
 def ula_spacing_check(config: SceneConfig) -> bool:
@@ -193,9 +200,6 @@ def make_channels(cfg: SceneConfig, rng: np.random.Generator) -> ChannelSet:
     """
     lx, ly, d = cfg.irs_cols, cfg.irs_rows, cfg.spacing_over_lambda
     steer = upa_steering(cfg.target_azimuth, cfg.target_elevation, lx, ly, d)
-    # mirror the upper triangle so the outer product is bitwise symmetric
-    r_mat = np.outer(steer, steer)
-    r_mat = np.triu(r_mat) + np.triu(r_mat, 1).T
 
     az = rng.uniform(0.0, TWO_PI)
     el = rng.uniform(0.0, np.pi)
@@ -211,7 +215,7 @@ def make_channels(cfg: SceneConfig, rng: np.random.Generator) -> ChannelSet:
                      random_phase_vector(rng, cfg.n_tx))
     f = rician_channel(cfg.n_users, cfg.n_tx, cfg.rician_f, los_f, rng)
 
-    return ChannelSet(g=g, h=h, f=f, steer=steer, r_mat=r_mat)
+    return ChannelSet(g=g, h=h, f=f, steer=steer)
 
 
 # --- JSON configuration loading -------------------------------------------
@@ -224,7 +228,12 @@ _ALPHA_KEYS = {"alpha_mag": lambda v: complex(float(v)),
                "alpha_mag_db": lambda v: complex(db_to_linear(float(v)))}
 
 
-def _convert_suffixed(raw: dict, valid_names: set[str], where: str) -> dict:
+def convert_suffixed(raw: dict, valid_names: set[str], where: str) -> dict:
+    """Map JSON-style keys onto field names, converting dB-suffixed values.
+
+    Raises ConfigError for a key that names no field in ``valid_names`` and
+    for two keys that set the same field.
+    """
     out: dict = {}
 
     def put(name, value, src):
@@ -249,7 +258,7 @@ def _convert_suffixed(raw: dict, valid_names: set[str], where: str) -> dict:
 def scene_config_from_dict(raw: dict) -> SceneConfig:
     """Build a SceneConfig from a JSON-style dict, converting dB fields."""
     names = {f.name for f in fields(SceneConfig)}
-    return SceneConfig(**_convert_suffixed(raw, names, "scene config"))
+    return SceneConfig(**convert_suffixed(raw, names, "scene config"))
 
 
 def load_scene_config(path: str | Path) -> SceneConfig:

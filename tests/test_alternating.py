@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from isacopt import (ConfigError, SceneConfig, SolverOptions,
-                     make_channels, objective_snapshot, run_alternating,
-                     weighted_snr)
+                     default_beampattern_target, make_channels,
+                     objective_snapshot, run_alternating, weighted_snr)
 
 from conftest import random_scene, small_config
 
@@ -120,6 +120,17 @@ class TestRunAlternating:
         cfg, ch = tiny_scene()
         p, _, trace = run_alternating(ch, cfg, opts=SolverOptions(t_max=4))
         assert p.power() == pytest.approx(cfg.power_budget, rel=1e-9)
+
+    def test_binding_ball_completes_with_feasible_precoder(self):
+        # gamma = 0.1 on the default scene rejects every randomized
+        # candidate; the truncated target (at 0.089) keeps the run going
+        cfg = SceneConfig(beampattern_tol=0.1)
+        ch = make_channels(cfg, np.random.default_rng(0))
+        p, theta, trace = run_alternating(ch, cfg, opts=SolverOptions(seed=0))
+        r_d = default_beampattern_target(cfg)
+        assert p.power() == pytest.approx(cfg.power_budget, rel=1e-9)
+        assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) <= 0.1
+        assert trace.objective_per_outer[-1] > 0
 
     def test_determinism_given_seed(self):
         cfg, ch = tiny_scene()

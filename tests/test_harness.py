@@ -278,6 +278,17 @@ class TestBench:
                      and r[2] == "factored_nu_rel_error"]
         assert len(nu_errors) == 1 and nu_errors[0][0] == 36
         assert nu_errors[0][1] <= 1e-10
+        unit_diag = {(int(r[1]), r[2]): float(r[3]) for r in rows
+                     if r[0] == "solve_unit_diag_relaxation"}
+        assert set(unit_diag) == {(l, m) for l in (8, 36) for m in (
+            "unit_diag_certificate_gap", "lambda_min")}
+        for l in (8, 36):
+            assert 0.0 <= unit_diag[(l, "unit_diag_certificate_gap")] <= 1e-6
+            assert unit_diag[(l, "lambda_min")] >= -1e-12 * l
+        ascent = {int(r[1]) for r in t_rows
+                  if (r[0], r[2]) == ("solve_unit_diag_relaxation",
+                                      "coordinate_ascent")}
+        assert ascent == {8, 36}
 
     def test_fast_path_beats_kronecker_at_l8(self, tmp_path):
         spec = make_spec(tmp_path, kind="bench", beta_values=[])

@@ -218,7 +218,7 @@ class TestMinorizationSolver:
         h = complex_normal(rng, 1, 4)
         steer = np.exp(2j * np.pi * rng.random(4))
         ch = ChannelSet(g=g, h=h, f=np.zeros((1, 1), dtype=complex),
-                        steer=steer, r_mat=np.outer(steer, steer))
+                        steer=steer)
         p = Precoder(np.array([[1.0 + 0.0j]]))
         theta, trace = solve_irs_minorization(
             IrsPhase(np.ones(4, dtype=complex)), p, ch, cfg, inner_max=300)

@@ -21,7 +21,7 @@ class TestEffectiveRadarChannel:
         g = np.array([[2.0 + 1.0j]])
         steer = np.array([1.0 + 0.0j])
         ch = ChannelSet(g=g, h=np.array([[0.0j]]), f=np.array([[0.0j]]),
-                        steer=steer, r_mat=np.outer(steer, steer))
+                        steer=steer)
         phi = 0.77
         theta = IrsPhase(np.array([np.exp(1j * phi)]))
         c_r = effective_radar_channel(theta, ch, cfg)

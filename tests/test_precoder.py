@@ -5,12 +5,13 @@ import pytest
 
 from isacopt import (ConfigError, DykstraError,
                      RandomizationInfeasibleError, RelaxedCovariance,
-                     approximation_ratio_study,
-                     default_beampattern_target, dykstra_project,
-                     factor_precoder, precoder_objective, project_ball,
-                     project_psd, project_spectrahedron, project_trace,
-                     relaxed_objective, solve_relaxed,
-                     solve_unit_diag_relaxation)
+                     SolverOptions, approximation_ratio_study,
+                     build_quadratic_terms, default_beampattern_target,
+                     dykstra_project, factor_precoder, make_channels,
+                     precoder_objective, project_ball, project_psd,
+                     project_spectrahedron, project_trace, relaxed_objective,
+                     run_alternating, scene_config_from_dict, solve_relaxed,
+                     solve_unit_diag_relaxation, unit_diag_dual_bound)
 from isacopt.precoder import (_feasibility_residuals,
                               validate_beampattern_target)
 from isacopt.scene import SceneConfig, complex_normal
@@ -328,6 +329,22 @@ class TestFactorPrecoder:
             many.append(precoder_objective(p_many, omega))
         assert np.mean(many) >= np.mean(few) - 1e-12
 
+    def test_truncated_target_when_no_candidate_is_feasible(self, rng):
+        # a ball just wide enough for the rank-K truncation of R_D, too
+        # narrow for every randomized candidate
+        cfg = small_config(n_tx=3, k=2)
+        r_d = default_beampattern_target(cfg)
+        w, u = np.linalg.eigh(r_d)
+        trunc = u[:, [2, 1]] * np.sqrt(w[[2, 1]])
+        trunc *= math.sqrt(cfg.power_budget / np.sum(np.abs(trunc) ** 2))
+        dist2 = float(np.sum(np.abs(trunc @ trunc.conj().T - r_d) ** 2))
+        cfg = small_config(n_tx=3, k=2, beampattern_tol=1.01 * dist2)
+        s = RelaxedCovariance(np.eye(3, dtype=complex) / 3)
+        p = factor_precoder(s, 2, random_psd(rng, 3), cfg, r_d, rng, n_g=3)
+        np.testing.assert_allclose(p.p @ p.p.conj().T,
+                                   trunc @ trunc.conj().T, atol=1e-12)
+        assert p.power() == pytest.approx(cfg.power_budget, rel=1e-12)
+
     def test_infeasible_raises(self, rng):
         # a ball too tight for any power-normalized candidate
         cfg = small_config(n_tx=3, k=2, beampattern_tol=1e-12)
@@ -391,6 +408,72 @@ class TestUnitDiagRelaxation:
         got = float(np.real(np.vdot(a, r)))
         assert got <= np.trace(a).real * (1 + 1e-7)
         assert got >= np.trace(a).real * (1 - 1e-6)
+
+
+def ratio_study_matrix(l_rows, l_cols, seed):
+    """U3 at the precoder of one ratio-study trial (the shipped scene)."""
+    cfg = scene_config_from_dict({
+        "n_tx": 16, "n_rx": 16, "n_users": 5, "beta": 0.9,
+        "power_budget_dbm": 30, "sigma2_radar_dbm": 0, "sigma2_comm_dbm": 0,
+        "alpha_mag_db": -20, "irs_rows": l_rows, "irs_cols": l_cols})
+    rng = np.random.default_rng(seed)
+    ch = make_channels(cfg, rng)
+    p, _, _ = run_alternating(ch, cfg, opts=SolverOptions(eps_rel=0.01,
+                                                           t_max=10), rng=rng)
+    return build_quadratic_terms(p, ch, cfg)[0]
+
+
+class _ZeroNormal:
+    """Generator stand-in whose Gaussian draws are all zero."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+class TestUnitDiagCertificate:
+    @pytest.mark.parametrize("l", [4, 8, 36])
+    def test_psd_with_exact_unit_diagonal(self, rng, l):
+        a = random_psd(rng, l)
+        r = solve_unit_diag_relaxation(a)
+        assert np.linalg.eigvalsh(r)[0] >= -1e-12 * np.linalg.norm(a)
+        assert np.max(np.abs(np.diagonal(r) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["psd", "indefinite"])
+    def test_bound_dominates_relaxation_and_random_points(self, rng, kind):
+        l = 8
+        a = (random_psd if kind == "psd" else random_hermitian)(rng, l)
+        r = solve_unit_diag_relaxation(a)
+        bound = unit_diag_dual_bound(a, r)
+        assert bound >= float(np.real(np.vdot(a, r)))
+        x = np.exp(2j * np.pi * rng.random((l, 10_000)))
+        values = np.real(np.sum(x.conj() * (a @ x), axis=0))
+        assert bound >= values.max()
+
+    def test_gap_on_ratio_study_matrix(self):
+        a = ratio_study_matrix(6, 6, seed=21)
+        r = solve_unit_diag_relaxation(a)
+        value = float(np.real(np.vdot(a, r)))
+        bound = unit_diag_dual_bound(a, r)
+        assert 0.0 <= (bound - value) / bound <= 1e-6
+
+    def test_ratio_at_most_one_for_suboptimal_reference(self, rng):
+        # R* = I is feasible but far from optimal: tr(A I) lies below the
+        # best draws, the dual bound does not
+        a = random_psd(rng, 16)
+        reports = approximation_ratio_study(a, np.eye(16, dtype=complex),
+                                            [10, 1000], rng)
+        for rep in reports:
+            assert rep.best_objective > np.trace(a).real
+            assert 0.0 < rep.ratio <= 1.0
+            assert rep.sdp_objective == pytest.approx(
+                unit_diag_dual_bound(a, np.eye(16)), rel=1e-15)
+
+    def test_zero_draw_maps_to_unit_modulus(self, rng):
+        # every xi is 0, so every entry of x must become 1
+        a = random_psd(rng, 5)
+        rep, = approximation_ratio_study(a, np.eye(5, dtype=complex), [3],
+                                         _ZeroNormal())
+        assert rep.best_objective == pytest.approx(np.sum(a).real, rel=1e-12)
 
 
 class TestBeampatternTarget:
