@@ -62,7 +62,7 @@ class RandomizationReport:
         if self.ratio > 1.0 + 1e-9:
             raise ConfigError(
                 f"approximation ratio {self.ratio} exceeds 1: the reference "
-                f"covariance is not the relaxation optimum")
+                f"objective is not an upper bound")
 
 
 def project_psd(m: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
@@ -385,11 +385,14 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     for n_g in n_g_grid:
         if n_g < 1:
             raise ConfigError(f"sample count must be >= 1, got {n_g}")
+        # in place: at n_g = 10^4 each L x n_g complex array is 160 L kB
         xi = half @ complex_normal(rng, r_star.shape[0], int(n_g))
         mag = np.abs(xi)
-        xi_hat = np.divide(xi, mag, out=np.ones_like(xi), where=mag > 0.0)
-        values = np.sum((xi_hat.conj() * (a @ xi_hat)).real, axis=0)
-        best = float(values.max())
+        np.divide(xi, mag, out=xi, where=mag > 0.0)
+        xi[mag == 0.0] = 1.0
+        ax = a @ xi
+        ax *= np.conj(xi, out=xi)
+        best = float(ax.real.sum(axis=0).max())
         reports.append(RandomizationReport(
             n_samples=int(n_g), best_objective=best, sdp_objective=sdp_obj,
             ratio=best / sdp_obj))
