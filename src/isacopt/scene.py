@@ -127,8 +127,8 @@ class ChannelSet:
 
         Built on each access for the reference constructions; the solver
         path works with ``steer`` alone.  The upper triangle is mirrored
-        because a vectorized complex product (fused multiply-add) can round
-        a_i a_j and a_j a_i differently, and R must be exactly symmetric.
+        because ``np.outer`` can round a_i a_j and a_j a_i differently (by
+        about 1e-16), and R must be exactly symmetric.
         """
         r = np.outer(self.steer, self.steer)
         return np.triu(r) + np.triu(r, 1).T

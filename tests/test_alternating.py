@@ -126,7 +126,7 @@ class TestRunAlternating:
         # candidate; the truncated target (at 0.089) keeps the run going
         cfg = SceneConfig(beampattern_tol=0.1)
         ch = make_channels(cfg, np.random.default_rng(0))
-        p, theta, trace = run_alternating(ch, cfg, opts=SolverOptions(seed=0))
+        p, _, trace = run_alternating(ch, cfg, opts=SolverOptions(seed=0))
         r_d = default_beampattern_target(cfg)
         assert p.power() == pytest.approx(cfg.power_budget, rel=1e-9)
         assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) <= 0.1
