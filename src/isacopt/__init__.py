@@ -5,7 +5,7 @@ Library core plus an experiment harness with a CLI front end (``isac``).
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, DykstraError, MonotonicityError,
+from .errors import (ConfigError, MonotonicityError,
                      RandomizationInfeasibleError, SolverError)
 from .scene import (ChannelSet, SceneConfig, db_to_linear, dbm_to_watts,
                     linear_to_db, load_scene_config, make_channels,
@@ -18,9 +18,9 @@ from .objective import (IrsPhase, ObjectiveBreakdown, Precoder, build_omega,
                         weighted_snr)
 from .precoder import (RandomizationReport, RelaxedCovariance,
                        approximation_ratio_study, default_beampattern_target,
-                       dykstra_project, factor_precoder, precoder_objective,
-                       project_ball, project_psd, project_spectrahedron,
-                       project_trace, relaxed_objective, solve_relaxed,
+                       factor_precoder, precoder_objective, project_ball,
+                       project_psd, project_spectrahedron, project_trace,
+                       relaxed_dual_bound, relaxed_objective, solve_relaxed,
                        solve_unit_diag_relaxation, unit_diag_dual_bound)
 from .irs import (InnerTrace, build_quadratic_terms, build_quartic_surrogate,
                   irs_phase_update, linear_surrogate_vectors,

@@ -45,13 +45,10 @@ class SolverOptions:
     safeguard: bool = True       # ascent-guaranteed phase update
     keep_best_precoder: bool = True
     theta_init: str = "ones"
-    dykstra_max_cycles: int = 500
-    dykstra_tol: float = 1e-8
 
     def __post_init__(self):
-        require_finite(self, ("eps_rel", "inner_tol", "dykstra_tol"))
-        require_integer(self, ("t_max", "n_g", "inner_max", "seed",
-                               "dykstra_max_cycles"))
+        require_finite(self, ("eps_rel", "inner_tol"))
+        require_integer(self, ("t_max", "n_g", "inner_max", "seed"))
         if self.eps_rel <= 0:
             raise ConfigError(f"eps_rel must be positive, got {self.eps_rel}")
         if self.t_max < 1:
@@ -60,13 +57,9 @@ class SolverOptions:
             raise ConfigError(f"n_g must be >= 1, got {self.n_g}")
         if self.inner_max < 1:
             raise ConfigError(f"inner_max must be >= 1, got {self.inner_max}")
-        if self.dykstra_max_cycles < 1:
-            raise ConfigError(f"dykstra_max_cycles must be >= 1, "
-                              f"got {self.dykstra_max_cycles}")
-        for name in ("inner_tol", "dykstra_tol"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, "
-                                  f"got {getattr(self, name)}")
+        if self.inner_tol < 0:
+            raise ConfigError(f"inner_tol must be non-negative, "
+                              f"got {self.inner_tol}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.irs_method not in IRS_METHODS:
@@ -122,7 +115,6 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
 
     theta = initial_phases(cfg, opts, rng)
     trace = RunTrace()
-    s_warm = r_d
     precoder: Precoder | None = None
 
     for t in range(1, opts.t_max + 1):
@@ -133,10 +125,7 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             times["omega"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
-            relaxed = solve_relaxed(omega, cfg, r_d, s0=s_warm,
-                                    dykstra_cycles=opts.dykstra_max_cycles,
-                                    dykstra_tol=opts.dykstra_tol)
-            s_warm = relaxed.s
+            relaxed = solve_relaxed(omega, cfg, r_d)
             times["precoder"] = time.perf_counter() - tic
 
             tic = time.perf_counter()

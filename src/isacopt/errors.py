@@ -34,14 +34,6 @@ class SolverError(RuntimeError):
     """Base class for numerical-solver failures."""
 
 
-class DykstraError(SolverError):
-    """Cyclic projection failed to reach the requested feasibility tolerance."""
-
-    def __init__(self, message: str, worst_violation: float):
-        super().__init__(message)
-        self.worst_violation = worst_violation
-
-
 class RandomizationInfeasibleError(SolverError):
     """No randomized precoder candidate satisfied the constraints."""
 

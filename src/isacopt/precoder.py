@@ -2,14 +2,15 @@
 
 The relaxed covariance S = sum_k p_k p_k^H is optimized directly (the
 objective and both constraints depend on the precoder only through S).
-Without the beampattern ball the optimum over {S >= 0, tr(S) = P_T} is
+Without the beampattern ball the optimum over C = {S >= 0, tr(S) = P_T} is
 P_T u u^H with u the top eigenvector of the objective matrix, so whenever
 that matrix lies inside the ball ||S - R_D||_F^2 <= gamma_BP it is the exact
 optimum and its factor sqrt(P_T) u is an exact precoder: no iteration and
-no randomization.  Only when the ball binds is the solve projected gradient
-ascent with Dykstra's cyclic projection over the intersection of the three
-sets (convex, hence the limit is the global optimum), followed by Gaussian
-randomization against the relaxed covariance.
+no randomization.  When the ball binds, the KKT conditions put the optimum
+at S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t) meets the
+ball, so the solve is a bisection on t, one eigendecomposition per step,
+and ``relaxed_dual_bound`` certifies it; Gaussian randomization against
+the relaxed covariance then recovers a precoder.
 
 The approximation-ratio study measures the same randomization on the
 unit-modulus problem max x^H A x, against its unit-diagonal relaxation:
@@ -23,9 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DykstraError, RandomizationInfeasibleError
+from .errors import ConfigError, RandomizationInfeasibleError, SolverError
 from .objective import Precoder, hermitize
 from .scene import SceneConfig, complex_normal, ula_steering
+
+# Relative width of the bracket on t at which the KKT search stops.
+_KKT_REL_WIDTH = 1e-13
+# Doublings of t after which the KKT search gives up.
+_KKT_MAX_DOUBLINGS = 200
 
 
 @dataclass
@@ -34,10 +40,13 @@ class RelaxedCovariance:
 
     ``factor``, when set, is an exact factor F with S = F F^H (one column
     per nonzero eigenvalue), which makes randomization unnecessary.
+    ``kkt_scale``, set when the beampattern ball binds, is the scale t of
+    the KKT point the solve stopped at, for ``relaxed_dual_bound``.
     """
 
     s: np.ndarray
     factor: np.ndarray | None = None
+    kkt_scale: float | None = None
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=complex)
@@ -76,7 +85,11 @@ def project_psd(m: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
 
 
 def project_trace(m: np.ndarray, target: float) -> np.ndarray:
-    """Frobenius projection onto the hyperplane tr(M) = target."""
+    """Frobenius projection onto the hyperplane tr(M) = target.
+
+    Reference code, used only by tests (``project_spectrahedron`` fuses it
+    with the cone).
+    """
     n = m.shape[0]
     return m + ((target - np.trace(m)) / n) * np.eye(n)
 
@@ -93,7 +106,13 @@ def project_ball(m: np.ndarray, center: np.ndarray, radius2: float) -> np.ndarra
 
 
 def _simplex_scaled(w: np.ndarray, target: float) -> np.ndarray:
-    """Project a real vector onto {v >= 0, sum v = target}."""
+    """Project a real vector onto {v >= 0, sum v = target}.
+
+    The projection is invariant to a common shift of ``w``; shifting the
+    largest entry to 0 keeps the partial sums, and so the sum of the
+    output, accurate when the entries are large against ``target``.
+    """
+    w = w - w.max()
     mu = np.sort(w)[::-1]
     cssv = np.cumsum(mu) - target
     ind = np.arange(1, w.size + 1)
@@ -105,39 +124,15 @@ def _simplex_scaled(w: np.ndarray, target: float) -> np.ndarray:
 def project_spectrahedron(m: np.ndarray, target: float) -> np.ndarray:
     """Exact Frobenius projection onto {S >= 0, tr S = target}.
 
-    Eigendecompose and project the spectrum onto the scaled simplex; this
-    fuses the cone and trace constraints into a single projection, which
-    removes the slow cyclic tail those two sets exhibit jointly.
+    Eigendecompose and project the spectrum onto the scaled simplex.
     """
     w, u = np.linalg.eigh(hermitize(m))
     return hermitize((u * _simplex_scaled(w, target)) @ u.conj().T)
 
 
-def _dykstra(x0: np.ndarray, projections, residuals, max_cycles: int,
-             tol: float) -> np.ndarray:
-    """Dykstra's cyclic projection with correction terms.
-
-    ``projections`` is a list of projection callables, ``residuals`` a list
-    of callables returning a scaled constraint violation; iteration stops
-    once every residual is below ``tol``.
-    """
-    x = x0
-    corrections = [np.zeros_like(x0) for _ in projections]
-    worst = math.inf
-    for _ in range(max_cycles):
-        for i, proj in enumerate(projections):
-            shifted = x + corrections[i]
-            x = proj(shifted)
-            corrections[i] = shifted - x
-        worst = max(res(x) for res in residuals)
-        if worst < tol:
-            return x
-    raise DykstraError(
-        f"cyclic projection did not reach tolerance {tol} within "
-        f"{max_cycles} cycles (worst residual {worst:.3e})", worst)
-
-
 def _feasibility_residuals(cfg: SceneConfig, r_d: np.ndarray):
+    """Scaled violations of the cone, trace and ball constraints, as three
+    callables.  Reference code, used only by tests."""
     p_t, gamma = cfg.power_budget, cfg.beampattern_tol
     radius = math.sqrt(gamma)
 
@@ -153,22 +148,6 @@ def _feasibility_residuals(cfg: SceneConfig, r_d: np.ndarray):
         return max(0.0, dist - radius) / max(1.0, radius)
 
     return [res_psd, res_trace, res_ball]
-
-
-def dykstra_project(m: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
-                    max_cycles: int = 500, tol: float = 1e-8) -> np.ndarray:
-    """Project onto {PSD} n {tr = P_T} n {Frobenius ball around R_D}.
-
-    Cyclic projection with correction terms over the fused cone-and-trace
-    set and the ball; the output violates each of the three constraints by
-    less than ``tol`` (Frobenius-relative).
-    """
-    projections = [
-        lambda x: project_spectrahedron(x, cfg.power_budget),
-        lambda x: project_ball(x, r_d, cfg.beampattern_tol),
-    ]
-    return _dykstra(hermitize(m), projections,
-                    _feasibility_residuals(cfg, r_d), max_cycles, tol)
 
 
 def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
@@ -195,67 +174,81 @@ def validate_beampattern_target(r_d: np.ndarray, cfg: SceneConfig):
         raise ConfigError("desired covariance R_D does not meet the power budget")
 
 
-def _ascend_linear(objective_mat: np.ndarray, x0: np.ndarray, project,
-                   gain_tol: float, max_steps: int) -> np.ndarray:
-    """Projected gradient ascent of tr(X A) with adaptive step doubling.
+def _kkt_point(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
+               t: float) -> tuple[np.ndarray, float]:
+    """S(t) = Pi_C(R_D + t Omega) and its squared distance from R_D."""
+    s = project_spectrahedron(r_d + t * omega, cfg.power_budget)
+    return s, float(np.sum(np.abs(s - r_d) ** 2))
 
-    The gradient is the constant matrix A, so the only tuning is the step;
-    doubling on success drives the projection argument toward the face of
-    the feasible set that maximizes the linear objective.
+
+def relaxed_dual_bound(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
+                       t: float) -> float:
+    """Upper bound on max tr(S Omega) over the feasible covariance set.
+
+    For any t > 0 the Lagrangian with multiplier 1/(2t) on the ball is,
+    after completing the square, maximized over C = {S >= 0, tr S = P_T}
+    by S(t) = Pi_C(R_D + t Omega); its value
+    tr(Omega S(t)) + (gamma - ||S(t) - R_D||^2) / (2t) bounds the optimum
+    by weak duality.
     """
-    x = project(x0)
-    f = float(np.real(np.vdot(objective_mat, x)))
-    scale = float(np.linalg.norm(objective_mat))
-    if scale == 0.0:
-        return x
-    step = 1.0 / scale
-    for _ in range(max_steps):
-        improved = False
-        for _ in range(40):
-            trial = project(x + step * objective_mat)
-            f_trial = float(np.real(np.vdot(objective_mat, trial)))
-            if f_trial > f:
-                improved = True
-                break
-            step *= 0.5
-            if step * scale <= 1e-16:
-                break
-        if not improved:
-            break
-        gain = f_trial - f
-        x, f = trial, f_trial
-        step *= 2.0
-        if gain <= gain_tol * max(1.0, abs(f)):
-            break
-    return x
+    if not t > 0:
+        raise ConfigError(f"dual scale must be positive, got t={t}")
+    omega = hermitize(omega)
+    s, dist2 = _kkt_point(omega, cfg, r_d, t)
+    return (float(np.real(np.vdot(omega, s)))
+            + (cfg.beampattern_tol - dist2) / (2.0 * t))
 
 
-def solve_relaxed(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
-                  s0: np.ndarray | None = None, gain_tol: float = 1e-10,
-                  max_steps: int = 1000, dykstra_cycles: int = 500,
-                  dykstra_tol: float = 1e-8) -> RelaxedCovariance:
+def solve_relaxed(omega: np.ndarray, cfg: SceneConfig,
+                  r_d: np.ndarray) -> RelaxedCovariance:
     """Maximize tr(S Omega) over the feasible covariance set.
 
     If S = P_T u u^H (u the top eigenvector of Omega) lies inside the
     beampattern ball it is returned with its factor sqrt(P_T) u: it attains
     the bound P_T * lambda_max(Omega) of the ball-free problem, so it is
-    exact.  Otherwise the ball binds and the solve is monotone projected
-    gradient ascent from ``s0``; the problem is convex (linear objective,
-    convex set) so the returned point is globally optimal up to the
-    projection and gain tolerances.
+    exact.  Otherwise the ball binds, and by the KKT conditions the optimum
+    is S(t) = Pi_C(R_D + t Omega) at the t where ||S(t) - R_D||^2 = gamma;
+    that distance is nondecreasing in t, so t is found by doubling from
+    sqrt(gamma) / ||Omega||_F until S(t) leaves the ball, then bisecting
+    to a relative width of 1e-13.  The result is the ball projection of the
+    outer end S(t_hi), a convex combination of two points of C, so it is
+    feasible by construction; ``kkt_scale`` keeps t_hi for
+    ``relaxed_dual_bound``.  A point S(t) inside the ball that attains
+    P_T * lambda_max(Omega) to 1e-12 relative is returned as it is (a
+    repeated top eigenvalue can leave S(t) inside the ball for every t);
+    SolverError if neither happens within a fixed number of doublings.
     """
     validate_beampattern_target(r_d, cfg)
-    top = np.linalg.eigh(hermitize(omega))[1][:, -1:]
+    omega = hermitize(omega)
+    w, u = np.linalg.eigh(omega)
+    top = u[:, -1:]
     s = cfg.power_budget * (top @ top.conj().T)
     if float(np.sum(np.abs(s - r_d) ** 2)) <= cfg.beampattern_tol:
         return RelaxedCovariance(s, factor=math.sqrt(cfg.power_budget) * top)
-    start = hermitize(s0) if s0 is not None else r_d
-
-    def project(x):
-        return dykstra_project(x, cfg, r_d, dykstra_cycles, dykstra_tol)
-
-    s = _ascend_linear(hermitize(omega), start, project, gain_tol, max_steps)
-    return RelaxedCovariance(s)
+    gamma = cfg.beampattern_tol
+    attainable = cfg.power_budget * float(w[-1])
+    scale = float(np.linalg.norm(omega))
+    t_lo, t_hi = 0.0, math.sqrt(gamma) / scale if scale > 0.0 else 1.0
+    for _ in range(_KKT_MAX_DOUBLINGS):
+        s_hi, dist2 = _kkt_point(omega, cfg, r_d, t_hi)
+        if dist2 > gamma:
+            break
+        if (float(np.real(np.vdot(omega, s_hi)))
+                >= attainable - 1e-12 * abs(attainable)):
+            return RelaxedCovariance(s_hi)
+        t_lo, t_hi = t_hi, 2.0 * t_hi
+    else:
+        raise SolverError(
+            f"KKT search: S(t) stayed inside the beampattern ball below its "
+            f"optimum after {_KKT_MAX_DOUBLINGS} doublings of t")
+    while t_hi - t_lo > _KKT_REL_WIDTH * t_hi:
+        t_mid = 0.5 * (t_lo + t_hi)
+        s_mid, dist2 = _kkt_point(omega, cfg, r_d, t_mid)
+        if dist2 > gamma:
+            t_hi, s_hi = t_mid, s_mid
+        else:
+            t_lo = t_mid
+    return RelaxedCovariance(project_ball(s_hi, r_d, gamma), kkt_scale=t_hi)
 
 
 def relaxed_objective(s: RelaxedCovariance, omega: np.ndarray) -> float:

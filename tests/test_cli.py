@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from isacopt.cli import main
 
 
@@ -53,6 +55,12 @@ class TestRun:
         config = write_config(tmp_path, scene={"n_tx": 3, "n_rx": 3,
                                                "mystery": 1})
         assert main(["run", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("key", ["dykstra_max_cycles", "dykstra_tol"])
+    def test_removed_solver_option_exits_2(self, tmp_path, capsys, key):
+        config = write_config(tmp_path, solver={"t_max": 3, key: 500})
+        assert main(["validate-config", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
 
 
 class TestBench:

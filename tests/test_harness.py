@@ -265,11 +265,15 @@ class TestBench:
         gaps = [float(r[3]) for r in rows
                 if r[0] == "solve_relaxed" and r[2] == "closed_form_gap"]
         assert len(gaps) == 1 and abs(gaps[0]) <= 1e-12
+        cert = [float(r[3]) for r in rows
+                if r[0] == "solve_relaxed" and r[2] == "binding_certificate_gap"]
+        assert len(cert) == 1 and abs(cert[0]) <= 1e-12
         t_header, t_rows = read_csv_rows(out / "bench_timing.csv")
         assert all(float(r[3]) > 0 for r in t_rows)
         paths = {(r[0], r[2]) for r in t_rows}
-        assert {("dykstra_project", "cyclic"), ("solve_relaxed", "closed_form"),
-                ("solve_relaxed", "cyclic")} <= paths
+        assert {("solve_relaxed", "closed_form"),
+                ("solve_relaxed", "binding")} <= paths
+        assert not any(op == "dykstra_project" for op, _ in paths)
         inner = {int(r[1]) for r in t_rows
                  if (r[0], r[2]) == ("solve_irs_minorization", "inner_iteration")}
         assert inner == {36, 256}

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from isacopt import (ConfigError, DykstraError,
-                     RandomizationInfeasibleError, RelaxedCovariance,
-                     SolverOptions, approximation_ratio_study,
-                     build_quadratic_terms, default_beampattern_target,
-                     dykstra_project, factor_precoder, make_channels,
-                     precoder_objective, project_ball, project_psd,
-                     project_spectrahedron, project_trace, relaxed_objective,
-                     run_alternating, scene_config_from_dict, solve_relaxed,
+from isacopt import (ConfigError, RandomizationInfeasibleError,
+                     RelaxedCovariance, SolverOptions,
+                     approximation_ratio_study, build_quadratic_terms,
+                     default_beampattern_target, factor_precoder,
+                     make_channels, precoder_objective, project_ball,
+                     project_psd, project_spectrahedron, project_trace,
+                     relaxed_dual_bound, relaxed_objective, run_alternating,
+                     scene_config_from_dict, solve_relaxed,
                      solve_unit_diag_relaxation, unit_diag_dual_bound)
 from isacopt.precoder import (_feasibility_residuals,
                               validate_beampattern_target)
@@ -148,39 +148,6 @@ class TestSpectrahedronProjection:
             assert np.linalg.norm(cand - m) >= best - 1e-12
 
 
-class TestDykstraProject:
-    def test_feasible_input_fixed_point(self, rng):
-        cfg = small_config()
-        r_d = default_beampattern_target(cfg)
-        out = dykstra_project(r_d, cfg, r_d)
-        assert np.linalg.norm(out - r_d) <= 1e-8 * max(1.0, np.linalg.norm(r_d))
-
-    def test_large_perturbation_becomes_feasible(self, rng):
-        cfg = small_config()
-        r_d = default_beampattern_target(cfg)
-        m = r_d + random_psd(rng, cfg.n_tx, scale=5.0)
-        out = dykstra_project(m, cfg, r_d)
-        w = np.linalg.eigvalsh(out)
-        assert w[0] >= -1e-8 * max(1.0, abs(w).max())
-        assert abs(np.trace(out).real - cfg.power_budget) <= 1e-8
-        assert np.linalg.norm(out - r_d) <= math.sqrt(cfg.beampattern_tol) + 1e-7
-
-    def test_shrinking_ball_returns_target(self, rng):
-        cfg = small_config(beampattern_tol=1e-10)
-        r_d = default_beampattern_target(cfg)
-        m = r_d + random_hermitian(rng, cfg.n_tx)
-        out = dykstra_project(m, cfg, r_d)
-        assert np.linalg.norm(out - r_d) <= 1e-4
-
-    def test_nonconvergence_raises(self, rng):
-        cfg = small_config()
-        r_d = default_beampattern_target(cfg)
-        m = r_d + random_psd(rng, cfg.n_tx, scale=5.0)
-        with pytest.raises(DykstraError) as err:
-            dykstra_project(m, cfg, r_d, max_cycles=0)
-        assert err.value.worst_violation > 0
-
-
 class TestSolveRelaxed:
     def test_identity_objective_gives_budget(self, rng):
         cfg = small_config()
@@ -242,10 +209,11 @@ class TestSolveRelaxed:
         np.testing.assert_allclose(s.factor @ s.factor.conj().T, s.s,
                                    atol=1e-15)
 
-    def test_binding_ball_takes_cyclic_path(self, rng):
-        cfg = small_config(n_tx=4, beampattern_tol=0.2)
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_binding_ball_solves_exactly(self, rng, n):
+        cfg = small_config(n_tx=n, beampattern_tol=0.2)
         r_d = default_beampattern_target(cfg)
-        omega = random_psd(rng, 4)
+        omega = random_psd(rng, n)
         w, u = np.linalg.eigh(omega)
         closed = cfg.power_budget * np.outer(u[:, -1], u[:, -1].conj())
         assert np.sum(np.abs(closed - r_d) ** 2) > cfg.beampattern_tol
@@ -253,10 +221,47 @@ class TestSolveRelaxed:
         assert s.factor is None
         assert np.linalg.norm(s.s - closed) > 1e-3
         for res in _feasibility_residuals(cfg, r_d):
-            assert res(s.s) <= 1e-8
+            assert res(s.s) <= 1e-12
         value = relaxed_objective(s, omega)
         assert value >= float(np.real(np.vdot(omega, r_d)))
         assert value <= cfg.power_budget * w[-1]
+        # the dual bound at the scale the search stopped at certifies it
+        gap = (relaxed_dual_bound(omega, cfg, r_d, s.kkt_scale) - value) / value
+        assert -1e-12 <= gap <= 1e-12
+
+    def test_dual_bound_holds_at_any_scale(self, rng):
+        cfg = small_config(n_tx=4, beampattern_tol=0.2)
+        r_d = default_beampattern_target(cfg)
+        omega = random_psd(rng, 4)
+        value = relaxed_objective(solve_relaxed(omega, cfg, r_d), omega)
+        for t in (1e-3, 0.1, 1.0, 10.0, 1e3):
+            assert relaxed_dual_bound(omega, cfg, r_d, t) >= value * (1 - 1e-12)
+        with pytest.raises(ConfigError):
+            relaxed_dual_bound(omega, cfg, r_d, 0.0)
+
+    def test_repeated_top_eigenvalue_face_meets_ball(self, rng):
+        # Omega's top eigenvalue is double, every P_T u u^H on its eigenspace
+        # is outside the ball, but the face of C on that eigenspace meets it:
+        # S(t) stays inside the ball for every t, and the optimum is the
+        # ball-free one
+        cfg = small_config(n_tx=4)
+        r_d = default_beampattern_target(cfg)
+        q, _ = np.linalg.qr(complex_normal(rng, 4, 4))
+        omega = (q * np.array([0.1, 0.3, 1.0, 1.0])) @ q.conj().T
+        v = q[:, 2:]
+        nearest = v @ project_spectrahedron(
+            v.conj().T @ r_d @ v, cfg.power_budget) @ v.conj().T
+        face_dist2 = float(np.sum(np.abs(nearest - r_d) ** 2))
+        top_dist2 = (cfg.power_budget ** 2 + float(np.sum(np.abs(r_d) ** 2))
+                     - 2 * cfg.power_budget
+                     * np.linalg.eigvalsh(v.conj().T @ r_d @ v)[-1])
+        assert face_dist2 < top_dist2
+        cfg = small_config(n_tx=4, beampattern_tol=0.5 * (face_dist2 + top_dist2))
+        s = solve_relaxed(omega, cfg, r_d)
+        for res in _feasibility_residuals(cfg, r_d):
+            assert res(s.s) <= 1e-12
+        assert relaxed_objective(s, omega) == pytest.approx(
+            cfg.power_budget * np.linalg.eigvalsh(omega)[-1], rel=1e-12)
 
 
 class TestFactorPrecoder:
