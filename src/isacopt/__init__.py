@@ -18,10 +18,11 @@ from .objective import (IrsPhase, ObjectiveBreakdown, Precoder, build_omega,
                         weighted_snr)
 from .precoder import (RandomizationReport, RelaxedCovariance,
                        approximation_ratio_study, default_beampattern_target,
-                       factor_precoder, precoder_objective, project_ball,
-                       project_psd, project_spectrahedron, project_trace,
-                       relaxed_dual_bound, relaxed_objective, solve_relaxed,
-                       solve_unit_diag_relaxation, unit_diag_dual_bound)
+                       dykstra_project, factor_precoder, precoder_objective,
+                       project_ball, project_psd, project_spectrahedron,
+                       project_trace, relaxed_dual_bound, relaxed_objective,
+                       solve_relaxed, solve_unit_diag_relaxation,
+                       unit_diag_dual_bound)
 from .irs import (InnerTrace, build_quadratic_terms, build_quartic_surrogate,
                   irs_phase_update, linear_surrogate_vectors,
                   quartic_surrogate_constant, solve_irs_manifold,

@@ -10,7 +10,8 @@ no randomization.  When the ball binds, the KKT conditions put the optimum
 at S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t) meets the
 ball, so the solve is a bisection on t, one eigendecomposition per step,
 and ``relaxed_dual_bound`` certifies it; Gaussian randomization against
-the relaxed covariance then recovers a precoder.
+the relaxed covariance then recovers a precoder.  The Euclidean projection
+onto the feasible set, ``dykstra_project``, is the same search along M - R_D.
 
 The approximation-ratio study measures the same randomization on the
 unit-modulus problem max x^H A x, against its unit-diagonal relaxation:
@@ -181,6 +182,37 @@ def _kkt_point(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
     return s, float(np.sum(np.abs(s - r_d) ** 2))
 
 
+def _bisect_kkt(direction: np.ndarray, cfg: SceneConfig, r_d: np.ndarray, t_lo: float,
+                t_hi: float, s_hi: np.ndarray) -> RelaxedCovariance:
+    """Bisect [t_lo, t_hi] (S(t_lo) in the ball, s_hi = S(t_hi) outside) to a
+    relative width of 1e-13; the ball projection of S(t_hi), at t_hi."""
+    gamma = cfg.beampattern_tol
+    while t_hi - t_lo > _KKT_REL_WIDTH * t_hi:
+        t_mid = 0.5 * (t_lo + t_hi)
+        s_mid, dist2 = _kkt_point(direction, cfg, r_d, t_mid)
+        if dist2 > gamma:
+            t_hi, s_hi = t_mid, s_mid
+        else:
+            t_lo = t_mid
+    return RelaxedCovariance(project_ball(s_hi, r_d, gamma), kkt_scale=t_hi)
+
+
+def dykstra_project(m: np.ndarray, cfg: SceneConfig, r_d: np.ndarray) -> np.ndarray:
+    """Project onto {PSD} n {tr = P_T} n {Frobenius ball around R_D}.
+
+    By KKT the projection of M is Pi_C(R_D + s (M - R_D)) with s = 1/(1 + mu),
+    mu the ball's multiplier: s = 1 if that point lies in the ball, else the
+    bisection of ``solve_relaxed`` finds s.  (The name, from the Dykstra
+    iteration this replaced, is kept for the benchmark's tracer.)
+    """
+    validate_beampattern_target(r_d, cfg)
+    direction = hermitize(m) - r_d
+    s, dist2 = _kkt_point(direction, cfg, r_d, 1.0)
+    if dist2 <= cfg.beampattern_tol:
+        return s
+    return _bisect_kkt(direction, cfg, r_d, 0.0, 1.0, s).s
+
+
 def relaxed_dual_bound(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
                        t: float) -> float:
     """Upper bound on max tr(S Omega) over the feasible covariance set.
@@ -241,14 +273,7 @@ def solve_relaxed(omega: np.ndarray, cfg: SceneConfig,
         raise SolverError(
             f"KKT search: S(t) stayed inside the beampattern ball below its "
             f"optimum after {_KKT_MAX_DOUBLINGS} doublings of t")
-    while t_hi - t_lo > _KKT_REL_WIDTH * t_hi:
-        t_mid = 0.5 * (t_lo + t_hi)
-        s_mid, dist2 = _kkt_point(omega, cfg, r_d, t_mid)
-        if dist2 > gamma:
-            t_hi, s_hi = t_mid, s_mid
-        else:
-            t_lo = t_mid
-    return RelaxedCovariance(project_ball(s_hi, r_d, gamma), kkt_scale=t_hi)
+    return _bisect_kkt(omega, cfg, r_d, t_lo, t_hi, s_hi)
 
 
 def relaxed_objective(s: RelaxedCovariance, omega: np.ndarray) -> float:

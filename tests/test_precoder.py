@@ -6,8 +6,8 @@ import pytest
 from isacopt import (ConfigError, RandomizationInfeasibleError,
                      RelaxedCovariance, SolverOptions,
                      approximation_ratio_study, build_quadratic_terms,
-                     default_beampattern_target, factor_precoder,
-                     make_channels, precoder_objective, project_ball,
+                     default_beampattern_target, dykstra_project,
+                     factor_precoder, make_channels, precoder_objective, project_ball,
                      project_psd, project_spectrahedron, project_trace,
                      relaxed_dual_bound, relaxed_objective, run_alternating,
                      scene_config_from_dict, solve_relaxed,
@@ -128,11 +128,12 @@ class TestSpectrahedronProjection:
             corrections = [np.zeros_like(m), np.zeros_like(m)]
             projs = [project_psd, lambda v: project_trace(v, target)]
             for _ in range(20_000):
+                prev = x
                 for i, proj in enumerate(projs):
                     shifted = x + corrections[i]
                     x = proj(shifted)
                     corrections[i] = shifted - x
-                if np.linalg.norm(x - fused) <= 1e-8:
+                if np.linalg.norm(x - prev) <= 1e-13:
                     break
             assert np.linalg.norm(x - fused) <= 1e-6 * max(
                 1.0, np.linalg.norm(fused))
@@ -146,6 +147,66 @@ class TestSpectrahedronProjection:
             cand = random_psd(rng, 3)
             cand = cand * (target / np.trace(cand).real)
             assert np.linalg.norm(cand - m) >= best - 1e-12
+
+
+class TestDykstraProject:
+    def test_feasible_input_fixed_point(self, rng):
+        cfg = small_config()
+        r_d = default_beampattern_target(cfg)
+        out = dykstra_project(r_d, cfg, r_d)
+        assert np.linalg.norm(out - r_d) <= 1e-8 * max(1.0, np.linalg.norm(r_d))
+
+    def test_large_perturbation_becomes_feasible(self, rng):
+        cfg = small_config()
+        r_d = default_beampattern_target(cfg)
+        m = r_d + random_psd(rng, cfg.n_tx, scale=5.0)
+        out = dykstra_project(m, cfg, r_d)
+        w = np.linalg.eigvalsh(out)
+        assert w[0] >= -1e-8 * max(1.0, abs(w).max())
+        assert abs(np.trace(out).real - cfg.power_budget) <= 1e-8
+        assert np.linalg.norm(out - r_d) <= math.sqrt(cfg.beampattern_tol) + 1e-7
+
+    def test_shrinking_ball_returns_target(self, rng):
+        cfg = small_config(beampattern_tol=1e-10)
+        r_d = default_beampattern_target(cfg)
+        m = r_d + random_hermitian(rng, cfg.n_tx)
+        out = dykstra_project(m, cfg, r_d)
+        assert np.linalg.norm(out - r_d) <= 1e-4
+
+    def test_agrees_with_cyclic_projection(self, rng):
+        # Dykstra's cyclic scheme over C and the ball converges to the same
+        # projection
+        cfg = small_config(n_tx=3, beampattern_tol=0.2)
+        r_d = default_beampattern_target(cfg)
+        projs = [lambda v: project_spectrahedron(v, cfg.power_budget),
+                 lambda v: project_ball(v, r_d, cfg.beampattern_tol)]
+        for _ in range(3):
+            m = r_d + random_hermitian(rng, 3, scale=2.0)
+            out = dykstra_project(m, cfg, r_d)
+            assert np.sum(np.abs(out - r_d) ** 2) == pytest.approx(
+                cfg.beampattern_tol, rel=1e-12)
+            x = m.copy()
+            corrections = [np.zeros_like(m), np.zeros_like(m)]
+            for _ in range(20_000):
+                prev = x
+                for i, proj in enumerate(projs):
+                    shifted = x + corrections[i]
+                    x = proj(shifted)
+                    corrections[i] = shifted - x
+                if np.linalg.norm(x - prev) <= 1e-13:
+                    break
+            assert np.linalg.norm(x - out) <= 1e-9
+
+    def test_relaxed_optimum_is_fixed_point(self, rng):
+        # S* maximizes tr(S Omega) over the feasible set iff it is the
+        # projection of S* + eps Omega for eps > 0
+        cfg = small_config(n_tx=4, beampattern_tol=0.2)
+        r_d = default_beampattern_target(cfg)
+        omega = random_psd(rng, 4)
+        s = solve_relaxed(omega, cfg, r_d).s
+        for eps in (1e-2, 1.0, 1e2):
+            out = dykstra_project(s + eps * omega, cfg, r_d)
+            assert np.linalg.norm(out - s) <= 1e-12 * np.linalg.norm(s)
 
 
 class TestSolveRelaxed:
