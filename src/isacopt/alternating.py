@@ -10,6 +10,7 @@ on, with a hard iteration cap.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -17,8 +18,11 @@ import numpy as np
 
 from .errors import (ConfigError, SolverError, require_finite,
                      require_integer)
-from .irs import solve_irs_manifold, solve_irs_minorization
-from .objective import (IrsPhase, Precoder, build_omega, snr_comm, snr_radar)
+from .irs import SurrogateFactors, solve_irs_manifold, solve_irs_minorization
+from .objective import IrsPhase, Precoder, build_omega
+# Unused here since the phase solvers report the snapshot; the names stay
+# module attributes because perfbench's tracer wraps them here by name.
+from .objective import snr_comm, snr_radar  # noqa: F401
 from .precoder import (default_beampattern_target, factor_precoder,
                        precoder_objective, relaxed_objective, solve_relaxed,
                        validate_beampattern_target)
@@ -84,10 +88,9 @@ class RunTrace:
 
 def objective_snapshot(p: Precoder, theta: IrsPhase, ch: ChannelSet,
                        cfg: SceneConfig) -> tuple[float, float, float]:
-    """(weighted objective, radar SNR, communication SNR) at (P, theta)."""
-    s_r = snr_radar(p, theta, ch, cfg)
-    s_c = snr_comm(p, theta, ch, cfg)
-    return cfg.beta * s_r + (1.0 - cfg.beta) * s_c, s_r, s_c
+    """(weighted objective, radar SNR, communication SNR) at (P, theta),
+    from the same kernel that scores the phase solvers' iterates."""
+    return SurrogateFactors(p, ch, cfg).value(theta.theta)
 
 
 def initial_phases(cfg: SceneConfig, opts: SolverOptions,
@@ -131,26 +134,29 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             tic = time.perf_counter()
             candidate = factor_precoder(relaxed, cfg.n_users, omega, cfg, r_d,
                                         rng, opts.n_g)
-            if (opts.keep_best_precoder and precoder is not None
-                    and precoder_objective(precoder, omega)
-                    > precoder_objective(candidate, omega)):
+            candidate_obj = precoder_objective(candidate, omega)
+            incumbent_obj = (precoder_objective(precoder, omega)
+                             if opts.keep_best_precoder and precoder is not None
+                             else -math.inf)
+            if incumbent_obj > candidate_obj:
                 # randomization fell short of the incumbent; keep it
                 trace.precoder_dips.append(t)
                 log.debug("outer %d: randomized precoder scored below the "
                           "previous one; keeping the incumbent", t)
+                precoder_obj = incumbent_obj
             else:
-                precoder = candidate
+                precoder, precoder_obj = candidate, candidate_obj
             times["randomization"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
             inner_cap = opts.inner_max if (opts.irs_inner
                                            or opts.irs_method == "manifold") else 1
             if opts.irs_method == "minorization":
-                theta, _ = solve_irs_minorization(
+                theta, inner = solve_irs_minorization(
                     theta, precoder, ch, cfg, inner_tol=opts.inner_tol,
                     inner_max=inner_cap, safeguard=opts.safeguard)
             else:
-                theta, _ = solve_irs_manifold(
+                theta, inner = solve_irs_manifold(
                     theta, precoder, ch, cfg, inner_tol=opts.inner_tol,
                     inner_max=inner_cap)
             times["irs"] = time.perf_counter() - tic
@@ -159,12 +165,12 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
                         *exc.args[1:])
             raise
 
-        g, s_r, s_c = objective_snapshot(precoder, theta, ch, cfg)
+        g, s_r, s_c = inner.snapshot
         trace.objective_per_outer.append(g)
         trace.snr_radar_per_outer.append(s_r)
         trace.snr_comm_per_outer.append(s_c)
         trace.relaxed_bound_per_outer.append(relaxed_objective(relaxed, omega))
-        trace.precoder_obj_per_outer.append(precoder_objective(precoder, omega))
+        trace.precoder_obj_per_outer.append(precoder_obj)
         trace.wall_time_per_stage.append(times)
 
         if t >= 2:

@@ -73,8 +73,9 @@ def _cmd_run(args) -> int:
     if result.trial_errors:
         print(f"{len(result.trial_errors)} trial(s) failed and were skipped:",
               file=sys.stderr)
-        for line in result.trial_errors:
-            print(f"  {line}", file=sys.stderr)
+        for err in result.trial_errors:
+            print(f"  point {err['point']} trial {err['trial']}: {err['error']}",
+                  file=sys.stderr)
     return 0
 
 

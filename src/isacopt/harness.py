@@ -10,22 +10,28 @@ Four experiment kinds:
   number of randomized samples, against the unit-diagonal relaxation bound.
 * ``bench``       - micro-benchmarks of the numerical kernels.
 
-Every primary CSV is deterministic for a fixed config and master seed;
-wall-clock measurements are written to separate ``*_timing.csv`` files that
-are excluded from the determinism contract.  Each CSV gets a ``.meta.json``
-sidecar with the fully resolved configuration and the hash of its
-scientific fields.
+Every primary CSV is deterministic for a fixed config and master seed,
+whatever the number of worker processes; wall-clock measurements are
+written to separate ``*_timing.csv`` files that are excluded from the
+determinism contract.  Each CSV gets a ``.meta.json`` sidecar with the
+fully resolved configuration, the hash of its scientific fields and the
+trials behind it that raised, which are skipped rather than fatal.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import math
+import multiprocessing
+import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -34,7 +40,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .alternating import SolverOptions, run_alternating
-from .errors import ConfigError, SolverError, require_integer
+from .errors import ConfigError, require_integer
 from .irs import (SurrogateFactors, build_quadratic_terms,
                   dense_linearization, irs_phase_update,
                   solve_irs_minorization)
@@ -91,7 +97,7 @@ class AggregateResult:
     points: list[dict] = field(default_factory=list)
     timing: list[dict] = field(default_factory=list)
     files: list[str] = field(default_factory=list)
-    trial_errors: list[str] = field(default_factory=list)
+    trial_errors: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
         for row in self.points:
@@ -166,7 +172,10 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows, spec: ExperimentSpec) -> Path:
+def write_csv(path: Path, header: list[str], rows, spec: ExperimentSpec,
+              trial_errors: list[dict] | tuple = ()) -> Path:
+    """Write the CSV and its sidecar; ``trial_errors`` are the records of
+    the trials behind the rows that raised and were skipped."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -178,6 +187,7 @@ def write_csv(path: Path, header: list[str], rows, spec: ExperimentSpec) -> Path
         "config": resolved_spec_dict(spec),
         "config_sha256": config_hash(spec),
         "package": f"isacopt {_version}",
+        "trial_errors": list(trial_errors),
     }
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     with open(meta_path, "w", encoding="utf-8") as fh:
@@ -277,35 +287,77 @@ def _ratio_trial(args):
     }
 
 
-def _run_trials(worker, arg_list, threads: int, errors: list[str]):
-    """Run trial workers, in order, optionally across processes."""
-    results = []
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set BLAS to one thread in the environment for the block.
+
+    A spawned worker imports numpy afresh, so BLAS reads this environment:
+    one thread per worker instead of one per CPU in every worker.
+    """
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
+def _point_args(spec: ExperimentSpec, cfgs: list[SceneConfig], *extra
+                ) -> list[list[tuple]]:
+    """Worker arguments per sweep point, ending in (point, trial)."""
+    return [[(cfg, spec.solver, *extra, spec.master_seed, point, t)
+             for t in range(spec.trials)] for point, cfg in enumerate(cfgs)]
+
+
+def _run_trials(worker, point_args: list[list[tuple]], threads: int
+                ) -> tuple[list[list[dict]], list[dict]]:
+    """Run the trials of every sweep point, here or in ``threads`` spawned
+    worker processes, which take them in chunks from one pool.
+
+    Returns the results of each point in trial order, and the records of
+    the trials that raised.
+    """
+    flat = [args for args_of_point in point_args for args in args_of_point]
+    guarded = functools.partial(_guarded, worker)
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = list(pool.map(_guarded(worker), arg_list))
-        raw = futures
+        with _one_blas_thread(), ProcessPoolExecutor(
+                threads, mp_context=multiprocessing.get_context("spawn")) as pool:
+            outcomes = list(pool.map(
+                guarded, flat, chunksize=math.ceil(len(flat) / (4 * threads))))
     else:
-        raw = [_guarded(worker)(args) for args in arg_list]
-    for outcome in raw:
-        if isinstance(outcome, str):
-            errors.append(outcome)
-            log.warning("trial skipped: %s", outcome)
+        outcomes = map(guarded, flat)
+    results, errors = [[] for _ in point_args], []
+    for args, (result, error) in zip(flat, outcomes):
+        if error is None:
+            results[args[-2]].append(result)
         else:
-            results.append(outcome)
-    return results
+            errors.append(error)
+            log.warning("trial skipped: point %d trial %d: %s", *args[-2:],
+                        error["error"])
+    return results, errors
 
 
-class _guarded:
-    """Wrap a trial worker so solver failures skip the trial, not the run."""
+def _guarded(worker, args) -> tuple[dict | None, dict | None]:
+    """Run one trial: (result, None), or (None, record) if it raised.
 
-    def __init__(self, worker):
-        self.worker = worker
-
-    def __call__(self, args):
-        try:
-            return self.worker(args)
-        except SolverError as exc:
-            return f"{self.worker.__name__}{args[-2:]}: {exc}"
+    A failing trial is skipped, not fatal; its record holds the
+    (point, trial) index, the error and its traceback.
+    """
+    try:
+        return worker(args), None
+    except Exception as exc:
+        point, trial = args[-2:]
+        return None, {"point": point, "trial": trial,
+                      "error": f"{type(exc).__name__}: {exc}",
+                      "traceback": traceback.format_exc()}
 
 
 # --- aggregation (shared by writers and verification) -----------------------
@@ -334,16 +386,21 @@ def aggregate_mean_var(values: list[float]) -> tuple[float, float]:
 
 # --- experiments ------------------------------------------------------------
 
+def _surface_scenes(spec: ExperimentSpec) -> list[SceneConfig]:
+    """The scene on a near-square surface of each size in ``l_values``."""
+    return [replace(spec.scene, irs_rows=rows_, irs_cols=cols_)
+            for rows_, cols_ in (near_square_grid(int(l)) for l in spec.l_values)]
+
+
 def run_convergence_experiment(spec: ExperimentSpec) -> AggregateResult:
     """Objective trajectories per radar weight; one CSV pair per weight."""
     out_dir = Path(spec.output_dir)
     result = AggregateResult(kind="convergence")
-    for point, beta in enumerate(spec.beta_values):
-        cfg = replace(spec.scene, beta=float(beta))
-        args = [(cfg, spec.solver, spec.master_seed, point, t)
-                for t in range(spec.trials)]
-        trials = _run_trials(_convergence_trial, args, spec.threads,
-                             result.trial_errors)
+    cfgs = [replace(spec.scene, beta=float(beta)) for beta in spec.beta_values]
+    per_point, result.trial_errors = _run_trials(
+        _convergence_trial, _point_args(spec, cfgs), spec.threads)
+    for point, (beta, trials) in enumerate(zip(spec.beta_values, per_point)):
+        errors = [e for e in result.trial_errors if e["point"] == point]
         tag = f"beta{beta:g}"
 
         raw_rows = []
@@ -355,14 +412,14 @@ def run_convergence_experiment(spec: ExperimentSpec) -> AggregateResult:
         raw_path = write_csv(
             out_dir / f"convergence_raw_{tag}.csv",
             ["trial", "iteration", "objective", "snr_radar", "snr_comm"],
-            raw_rows, spec)
+            raw_rows, spec, errors)
 
         agg_rows = aggregate_convergence([tr["objectives"] for tr in trials])
         agg_path = write_csv(
             out_dir / f"convergence_{tag}.csv",
             ["iteration", "mean_objective", "var_objective", "std_objective",
              "n_trials"],
-            agg_rows, spec)
+            agg_rows, spec, errors)
 
         stages = sorted({s for tr in trials for s in tr["stage_totals"]})
         timing_rows = []
@@ -373,7 +430,7 @@ def run_convergence_experiment(spec: ExperimentSpec) -> AggregateResult:
         timing_path = write_csv(
             out_dir / f"convergence_timing_{tag}.csv",
             ["stage", "mean_seconds", "var_seconds", "n_trials"],
-            timing_rows, spec)
+            timing_rows, spec, errors)
 
         result.files += [str(raw_path), str(agg_path), str(timing_path)]
         for row in agg_rows:
@@ -395,13 +452,9 @@ def run_scaling_experiment(spec: ExperimentSpec) -> AggregateResult:
     result = AggregateResult(kind="scaling")
     raw_rows, raw_timing_rows, agg_rows, timing_rows = [], [], [], []
     l0 = float(spec.l_values[0])
-    for point, l_total in enumerate(spec.l_values):
-        rows_, cols_ = near_square_grid(int(l_total))
-        cfg = replace(spec.scene, irs_rows=rows_, irs_cols=cols_)
-        args = [(cfg, spec.solver, spec.master_seed, point, t)
-                for t in range(spec.trials)]
-        trials = _run_trials(_scaling_trial, args, spec.threads,
-                             result.trial_errors)
+    per_point, result.trial_errors = _run_trials(
+        _scaling_trial, _point_args(spec, _surface_scenes(spec)), spec.threads)
+    for l_total, trials in zip(spec.l_values, per_point):
         ipm_ref = (float(l_total) / l0) ** 3.5
         for method in ("minorization", "manifold"):
             per = [tr[method] for tr in trials]
@@ -428,22 +481,22 @@ def run_scaling_experiment(spec: ExperimentSpec) -> AggregateResult:
     result.files.append(str(write_csv(
         out_dir / "scaling_raw.csv",
         ["l", "method", "trial", "final_objective", "outer_iterations"],
-        raw_rows, spec)))
+        raw_rows, spec, result.trial_errors)))
     result.files.append(str(write_csv(
         out_dir / "scaling.csv",
         ["l", "method", "mean_final_objective", "var_final_objective",
          "mean_outer_iterations", "n_trials", "ipm_cost_ref_l35"],
-        agg_rows, spec)))
+        agg_rows, spec, result.trial_errors)))
     result.files.append(str(write_csv(
         out_dir / "scaling_raw_timing.csv",
         ["l", "method", "trial", "irs_seconds", "irs_seconds_per_outer",
          "total_seconds"],
-        raw_timing_rows, spec)))
+        raw_timing_rows, spec, result.trial_errors)))
     result.files.append(str(write_csv(
         out_dir / "scaling_timing.csv",
         ["l", "method", "mean_irs_seconds", "var_irs_seconds",
          "mean_irs_seconds_per_outer", "mean_total_seconds", "n_trials"],
-        timing_rows, spec)))
+        timing_rows, spec, result.trial_errors)))
     for row in agg_rows:
         result.points.append({"l": row[0], "method": row[1],
                               "mean_final_objective": row[2],
@@ -462,13 +515,11 @@ def run_ratio_experiment(spec: ExperimentSpec) -> AggregateResult:
     out_dir = Path(spec.output_dir)
     result = AggregateResult(kind="ratio")
     raw_rows, agg_rows = [], []
-    for point, l_total in enumerate(spec.l_values):
-        rows_, cols_ = near_square_grid(int(l_total))
-        cfg = replace(spec.scene, irs_rows=rows_, irs_cols=cols_)
-        args = [(cfg, spec.solver, list(spec.n_g_grid), spec.master_seed,
-                 point, t) for t in range(spec.trials)]
-        trials = _run_trials(_ratio_trial, args, spec.threads,
-                             result.trial_errors)
+    per_point, result.trial_errors = _run_trials(
+        _ratio_trial,
+        _point_args(spec, _surface_scenes(spec), list(spec.n_g_grid)),
+        spec.threads)
+    for l_total, trials in zip(spec.l_values, per_point):
         for tr in trials:
             for n_g, ratio, best, sdp in tr["reports"]:
                 raw_rows.append((l_total, n_g, tr["trial"], ratio, best, sdp))
@@ -481,11 +532,11 @@ def run_ratio_experiment(spec: ExperimentSpec) -> AggregateResult:
     result.files.append(str(write_csv(
         out_dir / "ratio_raw.csv",
         ["l", "n_g", "trial", "ratio", "best_objective", "sdp_objective"],
-        raw_rows, spec)))
+        raw_rows, spec, result.trial_errors)))
     result.files.append(str(write_csv(
         out_dir / "ratio.csv",
         ["l", "n_g", "mean_ratio", "var_ratio", "n_trials"],
-        agg_rows, spec)))
+        agg_rows, spec, result.trial_errors)))
     for row in agg_rows:
         result.points.append({"l": row[0], "n_g": row[1], "mean_ratio": row[2],
                               "var_ratio": row[3], "n_trials": row[4]})

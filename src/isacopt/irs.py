@@ -33,6 +33,10 @@ rho comes from the same eigenproblem compressed onto an orthonormal basis
 of that span, (2m) x (2m) with m <= K_u * K + 2 instead of 2L x 2L.  One
 inner iteration costs O(L (N + m^2)).
 
+``SurrogateFactors`` is built once per precoder and is the objective kernel
+of both phase solvers: each iterate is scored from the q_v, q_w and G P
+that the next linearization reuses, and the solvers report the score.
+
 The dense constructions (``build_quartic_surrogate``,
 ``quartic_surrogate_constant``, ``linear_surrogate_vectors``,
 ``dense_linearization``) are reference code for the tests.
@@ -49,40 +53,65 @@ import numpy as np
 
 from .errors import ConfigError, MonotonicityError
 from .objective import (IrsPhase, Precoder, comm_coefficient, hermitize,
-                        quartic_coefficient, quartic_kernels, weighted_snr)
+                        quartic_coefficient, quartic_kernels)
+# The solvers score iterates with SurrogateFactors.value; the name stays a
+# module attribute because perfbench's tracer wraps it here by name.
+from .objective import weighted_snr  # noqa: F401
 from .scene import ChannelSet, SceneConfig
 
 
 @dataclass
 class InnerTrace:
-    """Objective bookkeeping of one inner solve."""
+    """Objective bookkeeping of one inner solve.
+
+    ``objectives`` is the weighted SNR at the start and after each accepted
+    update; ``snapshot`` is (g, SNR_R, SNR_C) at the returned phases, so
+    ``snapshot[0] == objectives[-1]``.
+    """
 
     objectives: list[float] = field(default_factory=list)
-    surrogate_gaps: list[float] = field(default_factory=list)
+    snapshot: tuple[float, float, float] = (math.nan, math.nan, math.nan)
     line_search_failed: bool = False
 
 
 class SurrogateFactors:
-    """Low-rank factors of the surrogate pieces for one precoder.
+    """Objective and surrogate pieces for one precoder, in low-rank factors.
 
-    GP = G P over the nonzero columns of P (dropping zero columns leaves
-    P P^H unchanged), so V b = conj(GP) (GP^T b) and W b = conj(G) (G^T b).
-    The communication form is U3 = Psi Psi^H, with column (k, j) of Psi
-    equal to sqrt(cc) conj(h_k o gp_j), and mu = diag(U4) =
-    cc sum_j gp_j o ((FP)^H H)_j.
+    GP = G P and FP = F P over the nonzero columns of P (dropping zero
+    columns leaves P P^H unchanged), so V b = conj(GP) (GP^T b) and
+    W b = conj(G) (G^T b).  The communication form is U3 = Psi Psi^H, with
+    column (k, j) of Psi equal to sqrt(cc) conj(h_k o gp_j), and
+    mu = diag(U4) = cc sum_j gp_j o ((FP)^H H)_j.
     """
 
     def __init__(self, p: Precoder, ch: ChannelSet, cfg: SceneConfig):
         p_nz = p.p[:, np.any(p.p != 0, axis=0)]
         cc = comm_coefficient(cfg)
         self.c = quartic_coefficient(cfg)
+        self.cfg = cfg
         self.steer = ch.steer
         self.g = ch.g
+        self.h = ch.h
         self.gp = ch.g @ p_nz
+        self.fp = ch.f @ p_nz
         self.psi = math.sqrt(cc) * (ch.h.T[:, :, None] * self.gp[:, None, :]
                                     ).reshape(len(ch.steer), -1).conj()
-        self.mu = cc * np.sum(self.gp * ((ch.f @ p_nz).conj().T @ ch.h).T,
-                              axis=1)
+        self.mu = cc * np.sum(self.gp * (self.fp.conj().T @ ch.h).T, axis=1)
+
+    def value(self, theta: np.ndarray, quartic: tuple | None = None
+              ) -> tuple[float, float, float]:
+        """(g, SNR_R, SNR_C) at theta, g = beta SNR_R + (1 - beta) SNR_C.
+
+        SNR_R = |alpha|^2 q_v q_w / sigma_R^2 and
+        SNR_C = ||FP + (H o theta^T) GP||^2 / sigma_C^2; ``quartic`` is
+        ``self.quartic(theta)`` when the caller already holds it.
+        """
+        _, _, q_v, q_w = self.quartic(theta) if quartic is None else quartic
+        cfg = self.cfg
+        s_r = abs(cfg.alpha) ** 2 * q_v * q_w / cfg.sigma2_radar
+        comm = self.fp + (self.h * theta) @ self.gp
+        s_c = float(np.real(np.vdot(comm, comm))) / cfg.sigma2_comm
+        return cfg.beta * s_r + (1.0 - cfg.beta) * s_c, s_r, s_c
 
     def quartic(self, theta: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -105,15 +134,17 @@ class SurrogateFactors:
         """Wirtinger gradient from the quartic factors at theta."""
         return self.c * (q_w * pv + q_v * qv) + self.comm(theta)
 
-    def linearize(self, theta: np.ndarray, safeguard: bool = True
+    def linearize(self, theta: np.ndarray, safeguard: bool = True,
+                  quartic: tuple | None = None
                   ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
         """(nu, rho, p, q) at theta; the plain-slot vector is eta = conj(nu).
 
         Safeguarded, nu = grad g(theta) + rho theta with the exact anchor
         rho.  Plain, the unsymmetrized U1 = c p q^T gives
-        nu = 2 c q_v q + U3 theta + mu* and rho = 0.
+        nu = 2 c q_v q + U3 theta + mu* and rho = 0.  ``quartic`` is
+        ``self.quartic(theta)`` when the caller already holds it.
         """
-        pv, qv, q_v, q_w = self.quartic(theta)
+        pv, qv, q_v, q_w = self.quartic(theta) if quartic is None else quartic
         if not safeguard:
             return 2.0 * self.c * q_v * qv + self.comm(theta), 0.0, pv, qv
         rho = self.anchor(pv, qv)
@@ -127,7 +158,7 @@ class SurrogateFactors:
         the displacement form is zero on the orthogonal complement, so
         the compressed form has the same smallest negative eigenvalue.
         """
-        _, r = np.linalg.qr(np.column_stack([pv, qv, self.psi]))
+        r = np.linalg.qr(np.column_stack([pv, qv, self.psi]), mode="r")
         pt, qt, psit = r[:, 0], r[:, 1], r[:, 2:]
         u1_sym = 0.5 * self.c * (np.outer(pt, qt) + np.outer(qt, pt))
         return ascent_anchor(u1_sym, psit @ psit.conj().T)
@@ -135,7 +166,7 @@ class SurrogateFactors:
     def surrogate_value(self, theta: np.ndarray, pv: np.ndarray,
                         qv: np.ndarray, rho: float) -> float:
         """Quadratic surrogate with anchor rho, expanded where (p, q) were
-        taken, at theta."""
+        taken, at theta.  Reference code for the ascent-gap tests."""
         quartic = 2.0 * self.c * np.real(np.vdot(theta, pv)
                                          * np.vdot(theta, qv))
         coords = self.psi.conj().T @ theta
@@ -268,11 +299,13 @@ def ascent_anchor(u1_sym: np.ndarray, u3: np.ndarray) -> float:
     The displacement form is 2 Re{d^H U1s d*} + d^H U3 d; its real
     representation is assembled blockwise and rho = max(0, -lambda_min).
     """
-    x1, y1 = u1_sym.real, u1_sym.imag
-    e, o = u3.real, u3.imag
-    top = np.hstack([2.0 * x1 + e, 2.0 * y1 - o])
-    bottom = np.hstack([(2.0 * y1 - o).T, -2.0 * x1 + e])
-    h = np.vstack([top, bottom])
+    m = u3.shape[0]
+    x2, y2 = 2.0 * u1_sym.real, 2.0 * u1_sym.imag
+    h = np.empty((2 * m, 2 * m))
+    np.add(x2, u3.real, out=h[:m, :m])
+    np.subtract(y2, u3.imag, out=h[:m, m:])
+    h[m:, :m] = h[:m, m:].T
+    np.subtract(u3.real, x2, out=h[m:, m:])
     lam_min = float(np.linalg.eigvalsh(0.5 * (h + h.T))[0])
     return max(0.0, -lam_min) * (1.0 + 1e-9)
 
@@ -283,33 +316,29 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
                            ) -> tuple[IrsPhase, InnerTrace]:
     """Iterate the closed-form double-minorization update to convergence.
 
-    Each iteration takes the surrogate factors at the current phases,
-    linearizes, and applies the phase-alignment update; it stops when the
-    relative objective gain drops below ``inner_tol`` or after
-    ``inner_max`` iterations.  The recorded objective sequence is the true
-    weighted SNR and must be nondecreasing (guaranteed with the default
+    Each iteration linearizes the surrogate at the current phases and
+    applies the phase-alignment update; the quartic factors taken to score
+    the new phases are the ones the next linearization expands around.  It
+    stops when the relative objective gain drops below ``inner_tol`` or
+    after ``inner_max`` iterations.  The recorded objective sequence is the
+    true weighted SNR and must be nondecreasing (guaranteed with the default
     safeguard); a dip beyond 1e-9 relative slack raises.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
-    theta = theta0
-    g_prev = weighted_snr(p, theta, ch, cfg)
-    trace.objectives.append(g_prev)
+    theta = theta0.theta
+    quartic = factors.quartic(theta)
+    snapshot = factors.value(theta, quartic)
+    trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
-        th = theta.theta
-        nu, rho, pv, qv = factors.linearize(th, safeguard)
-        new_theta = irs_phase_update(nu, nu.conj(), th)
+        nu, _, _, _ = factors.linearize(theta, safeguard, quartic)
+        new_theta = irs_phase_update(nu, nu.conj(), theta).theta
+        quartic = factors.quartic(new_theta)
+        new_snapshot = factors.value(new_theta, quartic)
 
-        g_new = weighted_snr(p, new_theta, ch, cfg)
-        # gap of the fully restored surrogate chain at the new point
-        step = new_theta.theta - th
-        lifted = factors.surrogate_value(th, pv, qv, rho) \
-            + 2.0 * float(np.real(np.vdot(step, nu)))
-        trace.surrogate_gaps.append(
-            factors.surrogate_value(new_theta.theta, pv, qv, rho) - lifted)
-
+        g_prev, g_new = snapshot[0], new_snapshot[0]
         if g_new < g_prev - 1e-9 * abs(g_prev):
             raise MonotonicityError(
                 f"objective decreased from {g_prev:.12g} to {g_new:.12g} "
@@ -317,10 +346,11 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
                 + ("" if safeguard else " (safeguard disabled)"))
         trace.objectives.append(g_new)
         done = abs(g_new - g_prev) <= inner_tol * max(abs(g_prev), 1e-300)
-        theta, g_prev = new_theta, g_new
+        theta, snapshot = new_theta, new_snapshot
         if done:
             break
-    return theta, trace
+    trace.snapshot = snapshot
+    return IrsPhase(theta), trace
 
 
 def wirtinger_gradient(theta: IrsPhase, p: Precoder, ch: ChannelSet,
@@ -357,17 +387,20 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
 
     Baseline solver: tangent projection of the conjugate gradient,
     elementwise-renormalization retraction, initial step 1/||grad||,
-    contraction 0.5.  Accepted steps only, so the trace is monotone.
+    contraction 0.5.  Accepted steps only, so the trace is monotone.  The
+    surrogate factors are built once; each candidate's quartic factors
+    score it and, once it is accepted, give the next gradient.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
+    factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
     theta = theta0.theta.copy()
-    g = weighted_snr(p, IrsPhase(theta), ch, cfg)
-    trace.objectives.append(g)
+    quartic = factors.quartic(theta)
+    snapshot = factors.value(theta, quartic)
+    trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
-        grad = wirtinger_gradient(IrsPhase(theta), p, ch, cfg)
-        rgrad = _tangent_project(grad, theta)
+        rgrad = _tangent_project(factors.gradient(theta, *quartic), theta)
         norm2 = float(np.real(np.vdot(rgrad, rgrad)))
         if norm2 <= 1e-300:
             break
@@ -375,17 +408,19 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         accepted = False
         for _ in range(max_halvings):
             cand = _retract(theta + step * rgrad, theta)
-            g_cand = weighted_snr(p, IrsPhase(cand), ch, cfg)
-            if g_cand >= g + armijo_slope * step * norm2:
+            cand_quartic = factors.quartic(cand)
+            cand_snapshot = factors.value(cand, cand_quartic)
+            if cand_snapshot[0] >= snapshot[0] + armijo_slope * step * norm2:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             trace.line_search_failed = True
             break
-        gain = g_cand - g
-        theta, g = cand, g_cand
-        trace.objectives.append(g)
-        if gain <= inner_tol * max(abs(g), 1e-300):
+        gain = cand_snapshot[0] - snapshot[0]
+        theta, quartic, snapshot = cand, cand_quartic, cand_snapshot
+        trace.objectives.append(snapshot[0])
+        if gain <= inner_tol * max(abs(snapshot[0]), 1e-300):
             break
+    trace.snapshot = snapshot
     return IrsPhase(theta), trace

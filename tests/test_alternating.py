@@ -68,6 +68,15 @@ class TestObjectiveSnapshot:
         g, _, _ = objective_snapshot(p, theta, ch, cfg)
         assert g == pytest.approx(weighted_snr(p, theta, ch, cfg), rel=1e-12)
 
+    @pytest.mark.parametrize("method", ["minorization", "manifold"])
+    def test_run_reports_the_snapshot_of_its_output(self, method):
+        cfg, ch = tiny_scene()
+        p, theta, trace = run_alternating(
+            ch, cfg, opts=SolverOptions(t_max=4, irs_method=method))
+        assert objective_snapshot(p, theta, ch, cfg) == (
+            trace.objective_per_outer[-1], trace.snr_radar_per_outer[-1],
+            trace.snr_comm_per_outer[-1])
+
 
 class TestRunAlternating:
     def test_single_iteration_when_t_max_one(self):
@@ -116,13 +125,14 @@ class TestRunAlternating:
     def test_termination_rule_fires_on_flat_objective(self, monkeypatch):
         # a constant objective must stop at the first possible check (t = 2)
         import isacopt.alternating as alt
+        from isacopt.irs import SurrogateFactors
 
         cfg, ch = tiny_scene()
 
-        def constant_snapshot(p, theta, ch_, cfg_):
+        def constant_snapshot(self, theta, quartic=None):
             return 42.0, 42.0, 42.0
 
-        monkeypatch.setattr(alt, "objective_snapshot", constant_snapshot)
+        monkeypatch.setattr(SurrogateFactors, "value", constant_snapshot)
         _, _, trace = alt.run_alternating(ch, cfg, opts=SolverOptions(t_max=9))
         assert trace.terminated_by == "tolerance"
         assert len(trace.objective_per_outer) == 2

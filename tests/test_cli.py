@@ -2,7 +2,19 @@ import json
 
 import pytest
 
+from isacopt import harness
 from isacopt.cli import main
+from isacopt.harness import read_csv_rows
+
+_CONVERGENCE_TRIAL = harness._convergence_trial
+
+
+def _fails_on_point0_trial1(args):
+    """Convergence worker that raises on trial 1 of the first sweep point;
+    module-level so that spawned workers can import it."""
+    if tuple(args[-2:]) == (0, 1):
+        raise ValueError("injected failure")
+    return _CONVERGENCE_TRIAL(args)
 
 
 def write_config(tmp_path, **overrides):
@@ -31,6 +43,32 @@ class TestRun:
         printed = capsys.readouterr().out.strip().splitlines()
         assert any("convergence_beta0.5.csv" in line for line in printed)
         assert (out / "convergence_beta0.5.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failing_trial_is_skipped_and_recorded(self, tmp_path, capsys,
+                                                   monkeypatch, threads):
+        monkeypatch.setattr(harness, "_convergence_trial",
+                            _fails_on_point0_trial1)
+        config = write_config(tmp_path, beta_values=[0.5, 0.9], trials=3)
+        out = tmp_path / "results"
+        code = main(["run", "--config", str(config), "--out", str(out),
+                     "--threads", threads])
+        assert code == 0
+        assert "point 0 trial 1: ValueError: injected failure" \
+            in capsys.readouterr().err
+        for tag, failed in (("beta0.5", [(0, 1)]), ("beta0.9", [])):
+            for kind in ("", "_raw", "_timing"):
+                meta = json.loads(
+                    (out / f"convergence{kind}_{tag}.csv.meta.json").read_text())
+                assert [(e["point"], e["trial"])
+                        for e in meta["trial_errors"]] == failed
+                assert all(e["error"] == "ValueError: injected failure"
+                           and "injected failure" in e["traceback"]
+                           for e in meta["trial_errors"])
+        _, rows = read_csv_rows(out / "convergence_raw_beta0.5.csv")
+        assert sorted({int(row[0]) for row in rows}) == [0, 2]
+        _, rows = read_csv_rows(out / "convergence_raw_beta0.9.csv")
+        assert sorted({int(row[0]) for row in rows}) == [0, 1, 2]
 
     def test_seed_and_trials_override(self, tmp_path):
         config = write_config(tmp_path)

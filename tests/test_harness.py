@@ -1,10 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isacopt import (ConfigError, load_experiment_spec, run_bench,
+from isacopt import (ConfigError, harness, load_experiment_spec, run_bench,
                      run_convergence_experiment, run_ratio_experiment,
                      run_scaling_experiment)
 from isacopt.harness import (aggregate_convergence, config_hash, format_cell,
@@ -161,6 +162,24 @@ class TestConvergenceExperiment:
         name = "convergence_raw_beta0.5.csv"
         assert (tmp_path / "s" / name).read_bytes() \
             == (tmp_path / "p" / name).read_bytes()
+
+
+def _blas_env(args):
+    """Trial worker reporting its BLAS thread variables; module-level so
+    that spawned workers can import it."""
+    return {var: os.environ.get(var) for var in harness.BLAS_THREAD_VARS}
+
+
+class TestWorkers:
+    def test_spawned_workers_start_with_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "7")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        [results], errors = harness._run_trials(
+            _blas_env, [[(0, t) for t in range(4)]], threads=2)
+        assert errors == []
+        assert results == [dict.fromkeys(harness.BLAS_THREAD_VARS, "1")] * 4
+        assert dict(os.environ) == before
 
 
 class TestAggregateRecompute:

@@ -2,7 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import isacopt.irs as irs
 from isacopt import (IrsPhase, MonotonicityError, Precoder,
                      build_quadratic_terms, build_quartic_surrogate,
                      decompose_objective, irs_phase_update,
@@ -11,7 +14,8 @@ from isacopt import (IrsPhase, MonotonicityError, Precoder,
                      weighted_snr, wirtinger_gradient)
 from isacopt.irs import (SurrogateFactors, ascent_anchor,
                          dense_linearization, quartic_surrogate_constant)
-from isacopt.objective import comm_coefficient, quartic_coefficient
+from isacopt.objective import (comm_coefficient, quartic_coefficient,
+                               snr_comm, snr_radar)
 from isacopt.scene import ChannelSet, complex_normal
 
 from conftest import random_phases, random_scene, small_config
@@ -227,10 +231,24 @@ class TestMinorizationSolver:
         assert trace.objectives[-1] >= optimum * (1 - 1e-6)
 
     def test_surrogate_gaps_nonnegative_with_safeguard(self, rng):
+        # the anchored surrogate lies above its linearization at each of the
+        # solver's 60 iterates, which are replayed here step by step
         cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
-        _, trace = solve_irs_minorization(theta0, p, ch, cfg, inner_tol=0.0,
-                                          inner_max=60)
-        assert all(gap >= -1e-9 for gap in trace.surrogate_gaps)
+        factors = SurrogateFactors(p, ch, cfg)
+        th, gaps = theta0.theta, []
+        for _ in range(60):
+            nu, rho, pv, qv = factors.linearize(th)
+            new = irs_phase_update(nu, nu.conj(), th).theta
+            lifted = factors.surrogate_value(th, pv, qv, rho) \
+                + 2.0 * float(np.real(np.vdot(new - th, nu)))
+            gaps.append(factors.surrogate_value(new, pv, qv, rho) - lifted)
+            th = new
+        theta, trace = solve_irs_minorization(theta0, p, ch, cfg, inner_tol=0.0,
+                                              inner_max=60)
+        assert len(trace.objectives) == 61
+        assert np.array_equal(theta.theta, th)
+        assert len(gaps) == 60
+        assert all(gap >= -1e-9 for gap in gaps)
 
 
 class TestAscentAnchor:
@@ -297,6 +315,23 @@ class TestSurrogateFactors:
                      + 2.0 * float(np.real(th @ mu)))
             assert factors.surrogate_value(th, pv, qv, rho) \
                 == pytest.approx(dense, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(l=st.integers(1, 36),
+           beta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                          st.floats(0.0, 1.0)),
+           zero_cols=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_value_matches_effective_channels(self, l, beta, zero_cols, seed):
+        rng = np.random.default_rng(seed)
+        cfg, ch, p, theta = random_scene(rng, l_rows=1, l_cols=l, n_tx=4, k=3,
+                                         beta=beta)
+        pp = p.p.copy()
+        pp[:, 3 - zero_cols:] = 0.0
+        p = Precoder(pp)
+        g, s_r, s_c = SurrogateFactors(p, ch, cfg).value(theta.theta)
+        assert g == pytest.approx(weighted_snr(p, theta, ch, cfg), rel=1e-12)
+        assert s_r == pytest.approx(snr_radar(p, theta, ch, cfg), rel=1e-12)
+        assert s_c == pytest.approx(snr_comm(p, theta, ch, cfg), rel=1e-12)
 
     def test_no_dense_matrix_on_solver_path(self):
         cfg = small_config(l_rows=32, l_cols=32, n_tx=8, k=3, beta=0.9)
@@ -397,6 +432,21 @@ class TestManifoldSolver:
         _, trace = solve_irs_manifold(theta, p, ch, cfg, inner_max=100)
         for a, b in zip(trace.objectives, trace.objectives[1:]):
             assert b >= a - 1e-12 * abs(a)
+
+    def test_factors_built_once_per_call(self, rng, monkeypatch):
+        built = []
+
+        class Counted(SurrogateFactors):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(irs, "SurrogateFactors", Counted)
+        cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
+        _, trace = solve_irs_manifold(theta0, p, ch, cfg, inner_tol=0.0,
+                                      inner_max=20)
+        assert len(trace.objectives) > 2
+        assert len(built) == 1
 
     def test_comparable_to_minorization(self, rng):
         gaps = []
