@@ -5,8 +5,7 @@ Library core plus an experiment harness with a CLI front end (``isac``).
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, MonotonicityError,
-                     RandomizationInfeasibleError, SolverError)
+from .errors import ConfigError, MonotonicityError, SolverError
 from .scene import (ChannelSet, SceneConfig, db_to_linear, dbm_to_watts,
                     linear_to_db, load_scene_config, make_channels,
                     rician_channel, scene_config_from_dict, ula_spacing_check,

@@ -1,10 +1,11 @@
 """Alternating optimization of the precoder and the surface phases.
 
 One outer iteration rebuilds the objective matrix from the current phases,
-solves the relaxed precoder problem, recovers a precoder by randomization,
-then updates the phases.  Termination follows the relative-change rule
-|g(t+1) - g(t)| / g(t) <= eps_rel, checked from the second outer iteration
-on, with a hard iteration cap.
+solves the relaxed precoder problem, recovers a K-column precoder from it
+deterministically (``factor_precoder``), then updates the phases.
+Termination follows the relative-change rule |g(t+1) - g(t)| / g(t) <=
+eps_rel, checked from the second outer iteration on, with a hard iteration
+cap.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .objective import IrsPhase, Precoder, build_omega
 # module attributes because perfbench's tracer wraps them here by name.
 from .objective import snr_comm, snr_radar  # noqa: F401
 from .precoder import (default_beampattern_target, factor_precoder,
-                       precoder_objective, relaxed_objective, solve_relaxed,
-                       validate_beampattern_target)
+                       precoder_objective, relaxed_dual_bound,
+                       relaxed_objective, solve_relaxed)
 from .scene import ChannelSet, SceneConfig
 
 log = logging.getLogger(__name__)
@@ -40,7 +41,6 @@ class SolverOptions:
 
     eps_rel: float = 0.01        # relative-change stopping threshold
     t_max: int = 20              # outer iteration cap
-    n_g: int = 100               # randomization samples per precoder recovery
     inner_tol: float = 1e-6
     inner_max: int = 200
     seed: int = 0
@@ -52,13 +52,11 @@ class SolverOptions:
 
     def __post_init__(self):
         require_finite(self, ("eps_rel", "inner_tol"))
-        require_integer(self, ("t_max", "n_g", "inner_max", "seed"))
+        require_integer(self, ("t_max", "inner_max", "seed"))
         if self.eps_rel <= 0:
             raise ConfigError(f"eps_rel must be positive, got {self.eps_rel}")
         if self.t_max < 1:
             raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
-        if self.n_g < 1:
-            raise ConfigError(f"n_g must be >= 1, got {self.n_g}")
         if self.inner_max < 1:
             raise ConfigError(f"inner_max must be >= 1, got {self.inner_max}")
         if self.inner_tol < 0:
@@ -107,13 +105,15 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
                     ) -> tuple[Precoder, IrsPhase, RunTrace]:
     """Alternate the two sub-problems until the stopping rule fires.
 
-    Returns the final precoder, phases and the run trace.  Sub-solver
-    failures propagate as SolverError with the failing stage named.
+    Returns the final precoder, phases and the run trace.  ``rng`` draws
+    only the initial phases of ``theta_init="random"``.  Sub-solver
+    failures propagate as SolverError with the failing stage named; an R_D
+    or ball that ``validate_beampattern_target`` rejects raises ConfigError
+    from the precoder stage.
     """
     opts = opts or SolverOptions()
     if r_d is None:
         r_d = default_beampattern_target(cfg)
-    validate_beampattern_target(r_d, cfg)
     rng = rng if rng is not None else np.random.default_rng(opts.seed)
 
     theta = initial_phases(cfg, opts, rng)
@@ -132,21 +132,20 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             times["precoder"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
-            candidate = factor_precoder(relaxed, cfg.n_users, omega, cfg, r_d,
-                                        rng, opts.n_g)
+            candidate = factor_precoder(relaxed, cfg.n_users, omega, cfg, r_d)
             candidate_obj = precoder_objective(candidate, omega)
             incumbent_obj = (precoder_objective(precoder, omega)
                              if opts.keep_best_precoder and precoder is not None
                              else -math.inf)
             if incumbent_obj > candidate_obj:
-                # randomization fell short of the incumbent; keep it
+                # the recovered precoder fell short of the incumbent; keep it
                 trace.precoder_dips.append(t)
-                log.debug("outer %d: randomized precoder scored below the "
+                log.debug("outer %d: recovered precoder scored below the "
                           "previous one; keeping the incumbent", t)
                 precoder_obj = incumbent_obj
             else:
                 precoder, precoder_obj = candidate, candidate_obj
-            times["randomization"] = time.perf_counter() - tic
+            times["recovery"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
             inner_cap = opts.inner_max if (opts.irs_inner
@@ -169,7 +168,9 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
         trace.objective_per_outer.append(g)
         trace.snr_radar_per_outer.append(s_r)
         trace.snr_comm_per_outer.append(s_c)
-        trace.relaxed_bound_per_outer.append(relaxed_objective(relaxed, omega))
+        trace.relaxed_bound_per_outer.append(    # a certified upper bound
+            relaxed_objective(relaxed, omega) if relaxed.kkt_scale is None
+            else relaxed_dual_bound(omega, cfg, r_d, relaxed.kkt_scale))
         trace.precoder_obj_per_outer.append(precoder_obj)
         trace.wall_time_per_stage.append(times)
 

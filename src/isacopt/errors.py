@@ -34,9 +34,5 @@ class SolverError(RuntimeError):
     """Base class for numerical-solver failures."""
 
 
-class RandomizationInfeasibleError(SolverError):
-    """No randomized precoder candidate satisfied the constraints."""
-
-
 class MonotonicityError(SolverError):
     """An ascent-guaranteed iteration decreased the objective beyond slack."""

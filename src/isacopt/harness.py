@@ -48,7 +48,8 @@ from .objective import (IrsPhase, Precoder, build_omega, quartic_kernels,
                         quartic_kernels_reference)
 from .precoder import (approximation_ratio_study, default_beampattern_target,
                        relaxed_dual_bound, relaxed_objective, solve_relaxed,
-                       solve_unit_diag_relaxation, unit_diag_dual_bound)
+                       solve_unit_diag_relaxation, unit_diag_dual_bound,
+                       validate_beampattern_target)
 from .scene import (SceneConfig, complex_normal, convert_suffixed,
                     make_channels, scene_config_from_dict)
 
@@ -87,6 +88,9 @@ class ExperimentSpec:
             raise ConfigError(f"{self.kind} experiment needs a non-empty l_values sweep")
         if self.kind == "ratio" and not self.n_g_grid:
             raise ConfigError("ratio experiment needs a non-empty n_g_grid")
+        # R_D depends on no swept field: one check covers every trial
+        validate_beampattern_target(default_beampattern_target(self.scene),
+                                    self.scene)
 
 
 @dataclass

@@ -5,15 +5,16 @@ objective and both constraints depend on the precoder only through S).
 Without the beampattern ball the optimum over C = {S >= 0, tr(S) = P_T} is
 P_T u u^H with u the top eigenvector of the objective matrix, so whenever
 that matrix lies inside the ball ||S - R_D||_F^2 <= gamma_BP it is the exact
-optimum and its factor sqrt(P_T) u is an exact precoder: no iteration and
-no randomization.  When the ball binds, the KKT conditions put the optimum
-at S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t) meets the
+optimum and its factor sqrt(P_T) u is an exact precoder: no iteration.
+When the ball binds, the KKT conditions put the optimum at
+S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t) meets the
 ball, so the solve is a bisection on t, one eigendecomposition per step,
-and ``relaxed_dual_bound`` certifies it; Gaussian randomization against
-the relaxed covariance then recovers a precoder.  The Euclidean projection
-onto the feasible set, ``dykstra_project``, is the same search along M - R_D.
+and ``relaxed_dual_bound`` certifies it.  The precoder is then recovered
+deterministically along the rank-K path S_K(t) = Pi_{C_K}(R_D + t Omega)
+(``factor_precoder``).  The Euclidean projection onto the feasible set,
+``dykstra_project``, is the same search along M - R_D.
 
-The approximation-ratio study measures the same randomization on the
+The approximation-ratio study measures Gaussian randomization on the
 unit-modulus problem max x^H A x, against its unit-diagonal relaxation:
 coordinate ascent for the relaxation and a dual certificate for the bound.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RandomizationInfeasibleError, SolverError
+from .errors import ConfigError, SolverError
 from .objective import Precoder, hermitize
 from .scene import SceneConfig, complex_normal, ula_steering
 
@@ -40,14 +41,17 @@ class RelaxedCovariance:
     """Optimizer of the relaxed (covariance-level) precoder problem.
 
     ``factor``, when set, is an exact factor F with S = F F^H (one column
-    per nonzero eigenvalue), which makes randomization unnecessary.
-    ``kkt_scale``, set when the beampattern ball binds, is the scale t of
-    the KKT point the solve stopped at, for ``relaxed_dual_bound``.
+    per nonzero eigenvalue).  ``kkt_scale``, set when the beampattern ball
+    binds, is the scale t of the KKT point the solve stopped at, for
+    ``relaxed_dual_bound``.  ``in_ball_scale``, set whenever the KKT search
+    ran, is the largest scale at which S(t) was tested inside the ball;
+    ``factor_precoder`` starts its search there.
     """
 
     s: np.ndarray
     factor: np.ndarray | None = None
     kkt_scale: float | None = None
+    in_ball_scale: float | None = None
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=complex)
@@ -122,13 +126,23 @@ def _simplex_scaled(w: np.ndarray, target: float) -> np.ndarray:
     return np.maximum(w - tau, 0.0)
 
 
+def _projected_spectrum(m: np.ndarray, target: float, k: int | None = None):
+    """(v, U) of the projection of M onto {S >= 0, tr S = target, rank S <= k}
+    (no rank limit for k=None): the top k eigenpairs, their eigenvalues
+    projected onto the scaled simplex (exact; Kyrillidis et al., ICML 2013)."""
+    w, u = np.linalg.eigh(hermitize(m))
+    if k is not None and k < w.size:
+        w, u = w[-k:], u[:, -k:]
+    return _simplex_scaled(w, target), u
+
+
 def project_spectrahedron(m: np.ndarray, target: float) -> np.ndarray:
     """Exact Frobenius projection onto {S >= 0, tr S = target}.
 
     Eigendecompose and project the spectrum onto the scaled simplex.
     """
-    w, u = np.linalg.eigh(hermitize(m))
-    return hermitize((u * _simplex_scaled(w, target)) @ u.conj().T)
+    v, u = _projected_spectrum(m, target)
+    return hermitize((u * v) @ u.conj().T)
 
 
 def _feasibility_residuals(cfg: SceneConfig, r_d: np.ndarray):
@@ -166,13 +180,23 @@ def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
     return r_d * (p_t / float(np.real(np.trace(r_d))))
 
 
-def validate_beampattern_target(r_d: np.ndarray, cfg: SceneConfig):
-    """The target must itself be feasible: PSD with trace P_T."""
+def _check_target(r_d: np.ndarray, cfg: SceneConfig):
+    """The target must itself be a feasible covariance: PSD with trace P_T."""
     w = np.linalg.eigvalsh(hermitize(r_d))
     if w[0] < -1e-8 * max(1.0, float(np.abs(w).max())):
         raise ConfigError("desired covariance R_D is not positive semidefinite")
     if abs(float(np.real(np.trace(r_d))) - cfg.power_budget) > 1e-8 * cfg.power_budget:
         raise ConfigError("desired covariance R_D does not meet the power budget")
+
+
+def validate_beampattern_target(r_d: np.ndarray, cfg: SceneConfig):
+    """The target must be feasible, and the ball must hold a K-column precoder
+    (K = ``cfg.n_users``): S_K(0) = Pi_{C_K}(R_D), the nearest rank-K
+    covariance to R_D and ``factor_precoder``'s last resort, must lie in it.
+    """
+    _check_target(r_d, cfg)
+    # a covariance with no factor or in-ball scale is recovered as S_K(0)
+    factor_precoder(RelaxedCovariance(r_d), cfg.n_users, r_d, cfg, r_d)
 
 
 def _kkt_point(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
@@ -182,19 +206,19 @@ def _kkt_point(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
     return s, float(np.sum(np.abs(s - r_d) ** 2))
 
 
-def _bisect_kkt(direction: np.ndarray, cfg: SceneConfig, r_d: np.ndarray, t_lo: float,
-                t_hi: float, s_hi: np.ndarray) -> RelaxedCovariance:
-    """Bisect [t_lo, t_hi] (S(t_lo) in the ball, s_hi = S(t_hi) outside) to a
-    relative width of 1e-13; the ball projection of S(t_hi), at t_hi."""
-    gamma = cfg.beampattern_tol
-    while t_hi - t_lo > _KKT_REL_WIDTH * t_hi:
+def _bisect(point, gamma: float, t_lo: float, t_hi: float, lo, hi,
+            floor: float = 0.0):
+    """Bisect [t_lo, t_hi] to a width of 1e-13 * t_hi, or ``floor`` if wider,
+    ``point(t)`` giving (x, squared distance from R_D), lo = x(t_lo) in the
+    ball and hi = x(t_hi) outside; the final (t_lo, lo, t_hi, hi)."""
+    while t_hi - t_lo > max(_KKT_REL_WIDTH * t_hi, floor):
         t_mid = 0.5 * (t_lo + t_hi)
-        s_mid, dist2 = _kkt_point(direction, cfg, r_d, t_mid)
+        mid, dist2 = point(t_mid)
         if dist2 > gamma:
-            t_hi, s_hi = t_mid, s_mid
+            t_hi, hi = t_mid, mid
         else:
-            t_lo = t_mid
-    return RelaxedCovariance(project_ball(s_hi, r_d, gamma), kkt_scale=t_hi)
+            t_lo, lo = t_mid, mid
+    return t_lo, lo, t_hi, hi
 
 
 def dykstra_project(m: np.ndarray, cfg: SceneConfig, r_d: np.ndarray) -> np.ndarray:
@@ -205,12 +229,14 @@ def dykstra_project(m: np.ndarray, cfg: SceneConfig, r_d: np.ndarray) -> np.ndar
     bisection of ``solve_relaxed`` finds s.  (The name, from the Dykstra
     iteration this replaced, is kept for the benchmark's tracer.)
     """
-    validate_beampattern_target(r_d, cfg)
+    _check_target(r_d, cfg)
     direction = hermitize(m) - r_d
     s, dist2 = _kkt_point(direction, cfg, r_d, 1.0)
     if dist2 <= cfg.beampattern_tol:
         return s
-    return _bisect_kkt(direction, cfg, r_d, 0.0, 1.0, s).s
+    _, _, _, s = _bisect(lambda t: _kkt_point(direction, cfg, r_d, t),
+                         cfg.beampattern_tol, 0.0, 1.0, None, s)
+    return project_ball(s, r_d, cfg.beampattern_tol)
 
 
 def relaxed_dual_bound(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
@@ -221,14 +247,23 @@ def relaxed_dual_bound(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
     after completing the square, maximized over C = {S >= 0, tr S = P_T}
     by S(t) = Pi_C(R_D + t Omega); its value
     tr(Omega S(t)) + (gamma - ||S(t) - R_D||^2) / (2t) bounds the optimum
-    by weak duality.
+    by weak duality.  The bound adds an allowance for rounding: for the
+    error e of the computed S(t), which lowers that value by up to about
+    e^2 / (2t) plus e ||Omega||, and for the error of evaluating it.  The
+    allowance is near 1e-14 relative for the scenes of the experiments,
+    and dominates only when gamma nears the rounding level of the distance.
     """
     if not t > 0:
         raise ConfigError(f"dual scale must be positive, got t={t}")
     omega = hermitize(omega)
     s, dist2 = _kkt_point(omega, cfg, r_d, t)
+    gamma, norm_omega = cfg.beampattern_tol, float(np.linalg.norm(omega))
+    err = 4.0 * s.shape[0] * float(np.finfo(float).eps)
+    e = err * (float(np.linalg.norm(r_d)) + t * norm_omega)  # of S(t), >= eps||M||
+    rounding = (e * e / (2.0 * t) + err * (gamma + dist2) / (2.0 * t)
+                + (e + err * cfg.power_budget) * norm_omega)
     return (float(np.real(np.vdot(omega, s)))
-            + (cfg.beampattern_tol - dist2) / (2.0 * t))
+            + (gamma - dist2) / (2.0 * t) + rounding)
 
 
 def solve_relaxed(omega: np.ndarray, cfg: SceneConfig,
@@ -245,12 +280,13 @@ def solve_relaxed(omega: np.ndarray, cfg: SceneConfig,
     to a relative width of 1e-13.  The result is the ball projection of the
     outer end S(t_hi), a convex combination of two points of C, so it is
     feasible by construction; ``kkt_scale`` keeps t_hi for
-    ``relaxed_dual_bound``.  A point S(t) inside the ball that attains
-    P_T * lambda_max(Omega) to 1e-12 relative is returned as it is (a
-    repeated top eigenvalue can leave S(t) inside the ball for every t);
-    SolverError if neither happens within a fixed number of doublings.
+    ``relaxed_dual_bound`` and ``in_ball_scale`` keeps t_lo.  A point S(t)
+    inside the ball that attains P_T * lambda_max(Omega) to 1e-12 relative
+    is returned as it is, with in-ball scale t (a repeated top eigenvalue
+    can leave S(t) inside the ball for every t); SolverError if neither
+    happens within a fixed number of doublings.
     """
-    validate_beampattern_target(r_d, cfg)
+    _check_target(r_d, cfg)
     omega = hermitize(omega)
     w, u = np.linalg.eigh(omega)
     top = u[:, -1:]
@@ -267,13 +303,16 @@ def solve_relaxed(omega: np.ndarray, cfg: SceneConfig,
             break
         if (float(np.real(np.vdot(omega, s_hi)))
                 >= attainable - 1e-12 * abs(attainable)):
-            return RelaxedCovariance(s_hi)
+            return RelaxedCovariance(s_hi, in_ball_scale=t_hi)
         t_lo, t_hi = t_hi, 2.0 * t_hi
     else:
         raise SolverError(
             f"KKT search: S(t) stayed inside the beampattern ball below its "
             f"optimum after {_KKT_MAX_DOUBLINGS} doublings of t")
-    return _bisect_kkt(omega, cfg, r_d, t_lo, t_hi, s_hi)
+    t_lo, _, t_hi, s_hi = _bisect(lambda t: _kkt_point(omega, cfg, r_d, t),
+                                  gamma, t_lo, t_hi, None, s_hi)
+    return RelaxedCovariance(project_ball(s_hi, r_d, gamma), kkt_scale=t_hi,
+                             in_ball_scale=t_lo)
 
 
 def relaxed_objective(s: RelaxedCovariance, omega: np.ndarray) -> float:
@@ -286,75 +325,49 @@ def precoder_objective(p: Precoder, omega: np.ndarray) -> float:
     return float(np.real(np.vdot(p.p, omega @ p.p)))
 
 
-def _leading_factor(w: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
-    """F with F F^H the top-k eigen-truncation of U diag(w) U^H (w >= 0),
-    zero-padded to k columns."""
-    n = u.shape[0]
-    out = np.zeros((n, k), dtype=complex)
-    lead = np.argsort(w)[::-1][: min(k, n)]
-    out[:, : lead.size] = u[:, lead] * np.sqrt(w[lead])
-    return out
-
-
 def factor_precoder(s: RelaxedCovariance, k: int, omega: np.ndarray,
-                    cfg: SceneConfig, r_d: np.ndarray,
-                    rng: np.random.Generator, n_g: int) -> Precoder:
-    """Recover a K-column precoder from the relaxed covariance.
+                    cfg: SceneConfig, r_d: np.ndarray) -> Precoder:
+    """Recover a K-column precoder from the relaxed covariance, with no draws.
 
-    When S carries an exact factor of at most K columns, that factor padded
-    with zero columns is the only candidate: it attains the relaxation
-    bound, so no draw could beat it and none is taken from ``rng``.
-    Otherwise candidate 0 is the deterministic top-K eigenpair
-    factorization and the remaining n_g candidates draw each column from
-    CN(0, S/K).  Every candidate is rescaled to meet the power budget
-    exactly, candidates violating the beampattern ball are discarded, and
-    the feasible one with the largest objective wins.  If none is feasible,
-    the rank-K eigen-truncation of R_D, rescaled to the power budget, is
-    returned when it lies in the ball; otherwise the recovery fails.
+    An exact factor of at most K columns (slack ball), zero-padded and
+    rescaled to the power budget, is the precoder; its Gram matrix is S,
+    which passed the ball test, up to rounding.  Otherwise the precoder is
+    the factor of S_K(t) = Pi_{C_K}(R_D + t Omega), C_K = {S >= 0,
+    tr S = P_T, rank S <= K}, at the largest t tested inside the ball: S's
+    in-ball scale t_in, where S_K = S if rank S(t_in) <= K, else a bisection
+    of [0, t_in] to a width of 1e-13 t_in that keeps its tested in-ball end.
+    (S_K(t) minimizes ||S - R_D||^2 - 2t tr(Omega S) over C_K, so both terms
+    are nondecreasing in t; returning only tested points guards against
+    rounding.)  S_K(0) is the point ``validate_beampattern_target`` tests,
+    and the answer when S has neither a factor nor an in-ball scale.
     """
-    if n_g < 1:
-        raise ConfigError(f"randomization sample count must be >= 1, got {n_g}")
-    n = s.s.shape[0]
-    p_t, gamma = cfg.power_budget, cfg.beampattern_tol
-
-    def feasible(cand):
-        """``cand`` rescaled to the power budget, or None outside the ball."""
-        pw = float(np.sum(np.abs(cand) ** 2))
-        if pw <= 0.0:
-            return None
-        cand = cand * math.sqrt(p_t / pw)
-        gram = cand @ cand.conj().T
-        if float(np.sum(np.abs(gram - r_d) ** 2)) > gamma:
-            return None
-        return cand
-
+    gamma = cfg.beampattern_tol
     if s.factor is not None and s.factor.shape[1] <= k:
-        cand0 = np.zeros((n, k), dtype=complex)
-        cand0[:, : s.factor.shape[1]] = s.factor
-        n_draws = 0
-    else:
-        w, u = np.linalg.eigh(hermitize(s.s))
-        w = np.maximum(w, 0.0)
-        cand0 = _leading_factor(w, u, k)
-        half = u * np.sqrt(w / k)   # half @ z has covariance S/K for z ~ CN(0, I)
-        n_draws = n_g
+        p = np.zeros((s.s.shape[0], k), dtype=complex)
+        p[:, : s.factor.shape[1]] = s.factor
+        return Precoder(
+            p * math.sqrt(cfg.power_budget / float(np.sum(np.abs(p) ** 2))))
 
-    best_p, best_obj = None, -math.inf
-    for idx in range(n_draws + 1):
-        cand = feasible(cand0 if idx == 0 else half @ complex_normal(rng, n, k))
-        if cand is None:
-            continue
-        obj = float(np.real(np.vdot(cand, omega @ cand)))
-        if obj > best_obj:
-            best_p, best_obj = cand, obj
-    if best_p is None:
-        w, u = np.linalg.eigh(hermitize(r_d))
-        best_p = feasible(_leading_factor(np.maximum(w, 0.0), u, k))
-    if best_p is None:
-        raise RandomizationInfeasibleError(
-            "randomization infeasible: neither a candidate nor the rank-K "
-            "truncation of R_D lies in the beampattern ball")
-    return Precoder(best_p)
+    def point(t):
+        """F (N x k, zero-padded) with F F^H = S_K(t), and ||F F^H - R_D||^2."""
+        v, u = _projected_spectrum(r_d + t * omega if t > 0.0 else r_d,
+                                   cfg.power_budget, k)
+        f = np.zeros((u.shape[0], k), dtype=complex)
+        f[:, : v.size] = u * np.sqrt(v)
+        return f, float(np.sum(np.abs(f @ f.conj().T - r_d) ** 2))
+
+    t_in = s.in_ball_scale or 0.0
+    p, dist2 = point(t_in)
+    if dist2 > gamma and t_in > 0.0:
+        lo, dist2 = point(0.0)
+        if dist2 <= gamma:
+            _, p, _, _ = _bisect(point, gamma, 0.0, t_in, lo, p,
+                                 _KKT_REL_WIDTH * t_in)
+    if dist2 > gamma:
+        raise ConfigError(f"beampattern ball too tight: the nearest {k}-column "
+                          f"precoder to R_D is at squared distance {dist2:.6g} "
+                          f"> {gamma:.6g}")
+    return Precoder(p)
 
 
 def unit_diag_dual_bound(a: np.ndarray, r: np.ndarray) -> float:

@@ -332,7 +332,7 @@ def test_criterion_10_determinism(tmp_path):
     base = {
         "scene": {"n_tx": 4, "n_rx": 4, "n_users": 2, "irs_rows": 2,
                   "irs_cols": 3, "alpha_mag_db": -10},
-        "solver": {"t_max": 4, "n_g": 20},
+        "solver": {"t_max": 4},
         "trials": 4,
         "master_seed": 99,
     }

@@ -42,7 +42,7 @@ class TestSolverOptions:
         assert getattr(SolverOptions(**{field: 0.0}), field) == 0.0
 
     @pytest.mark.parametrize("field,value", [
-        ("t_max", 2.5), ("n_g", 10.0), ("inner_max", True), ("seed", 1.5)])
+        ("t_max", 2.5), ("inner_max", True), ("seed", 1.5)])
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SolverOptions(**{field: value})
@@ -121,6 +121,18 @@ class TestRunAlternating:
             for po, rb in zip(trace.precoder_obj_per_outer,
                               trace.relaxed_bound_per_outer):
                 assert po <= rb * (1 + 1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.2])
+    def test_binding_recovery_is_near_the_certified_bound(self, gamma):
+        # the deterministic rank-K recovery keeps every outer iteration's
+        # precoder within 2 % of the certified relaxation bound
+        for seed in range(5):
+            cfg = SceneConfig(beta=0.5, beampattern_tol=gamma)
+            ch = make_channels(cfg, np.random.default_rng(seed))
+            _, _, trace = run_alternating(ch, cfg, opts=SolverOptions(seed=seed))
+            for po, rb in zip(trace.precoder_obj_per_outer,
+                              trace.relaxed_bound_per_outer):
+                assert po >= 0.98 * rb
 
     def test_termination_rule_fires_on_flat_objective(self, monkeypatch):
         # a constant objective must stop at the first possible check (t = 2)

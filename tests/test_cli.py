@@ -22,7 +22,7 @@ def write_config(tmp_path, **overrides):
         "kind": "convergence",
         "scene": {"n_tx": 3, "n_rx": 3, "n_users": 2, "irs_rows": 2,
                   "irs_cols": 2, "alpha_mag": 0.1},
-        "solver": {"t_max": 3, "n_g": 10},
+        "solver": {"t_max": 3},
         "beta_values": [0.5],
         "trials": 2,
         "master_seed": 1,
@@ -94,11 +94,25 @@ class TestRun:
                                                "mystery": 1})
         assert main(["run", "--config", str(config)]) == 2
 
-    @pytest.mark.parametrize("key", ["dykstra_max_cycles", "dykstra_tol"])
+    @pytest.mark.parametrize("key", ["dykstra_max_cycles", "dykstra_tol",
+                                     "n_g"])
     def test_removed_solver_option_exits_2(self, tmp_path, capsys, key):
         config = write_config(tmp_path, solver={"t_max": 3, key: 500})
         assert main(["validate-config", "--config", str(config)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_ball_without_k_column_precoder_exits_2(self, tmp_path, capsys,
+                                                    command):
+        # no 2-column precoder lies within 1e-12 of the rank-3 target R_D
+        config = write_config(tmp_path, scene={
+            "n_tx": 3, "n_rx": 3, "n_users": 2, "irs_rows": 2, "irs_cols": 2,
+            "alpha_mag": 0.1, "beampattern_tol": 1e-12})
+        out = tmp_path / "results"
+        assert main([command, "--config", str(config)]
+                    + (["--out", str(out)] if command == "run" else [])) == 2
+        assert "beampattern ball too tight" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBench:

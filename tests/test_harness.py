@@ -21,7 +21,7 @@ def make_spec(tmp_path, **overrides):
     base = {
         "kind": "convergence",
         "scene": small_scene_dict(),
-        "solver": {"t_max": 4, "n_g": 10},
+        "solver": {"t_max": 4},
         "beta_values": [0.5],
         "trials": 3,
         "master_seed": 42,
@@ -186,7 +186,7 @@ class TestAggregateRecompute:
     def test_scaling_aggregate_matches_raw(self, tmp_path):
         spec = make_spec(tmp_path, kind="scaling", beta_values=[],
                          l_values=[4], trials=3,
-                         solver={"t_max": 3, "n_g": 10, "inner_max": 30})
+                         solver={"t_max": 3, "inner_max": 30})
         run_scaling_experiment(spec)
         out = Path(spec.output_dir)
         _, raw = read_csv_rows(out / "scaling_raw.csv")
@@ -202,7 +202,7 @@ class TestAggregateRecompute:
         spec = make_spec(tmp_path, kind="ratio", beta_values=[],
                          l_values=[4], n_g_grid=[5, 20], trials=3,
                          scene={**small_scene_dict(), "beta": 0.9},
-                         solver={"t_max": 2, "n_g": 10})
+                         solver={"t_max": 2})
         run_ratio_experiment(spec)
         out = Path(spec.output_dir)
         _, raw = read_csv_rows(out / "ratio_raw.csv")
@@ -219,7 +219,7 @@ class TestScalingExperiment:
     def test_two_methods_per_size(self, tmp_path):
         spec = make_spec(tmp_path, kind="scaling", beta_values=[],
                          l_values=[4], trials=2,
-                         solver={"t_max": 3, "n_g": 10, "inner_max": 30})
+                         solver={"t_max": 3, "inner_max": 30})
         result = run_scaling_experiment(spec)
         assert not result.trial_errors
         _, rows = read_csv_rows(Path(spec.output_dir) / "scaling.csv")
@@ -230,7 +230,7 @@ class TestScalingExperiment:
     def test_timing_separated_from_primary(self, tmp_path):
         spec = make_spec(tmp_path, kind="scaling", beta_values=[],
                          l_values=[4], trials=1,
-                         solver={"t_max": 2, "n_g": 5, "inner_max": 20})
+                         solver={"t_max": 2, "inner_max": 20})
         run_scaling_experiment(spec)
         header, _ = read_csv_rows(Path(spec.output_dir) / "scaling.csv")
         assert not any("seconds" in col for col in header)
@@ -240,7 +240,7 @@ class TestScalingExperiment:
     def test_reference_cost_column(self, tmp_path):
         spec = make_spec(tmp_path, kind="scaling", beta_values=[],
                          l_values=[4, 16], trials=1,
-                         solver={"t_max": 2, "n_g": 5, "inner_max": 20})
+                         solver={"t_max": 2, "inner_max": 20})
         run_scaling_experiment(spec)
         _, rows = read_csv_rows(Path(spec.output_dir) / "scaling.csv")
         ref = {int(r[0]): float(r[6]) for r in rows}
@@ -253,7 +253,7 @@ class TestRatioExperiment:
         spec = make_spec(tmp_path, kind="ratio", beta_values=[],
                          l_values=[4], n_g_grid=[5, 50], trials=3,
                          scene={**small_scene_dict(), "beta": 0.9},
-                         solver={"t_max": 2, "n_g": 10})
+                         solver={"t_max": 2})
         result = run_ratio_experiment(spec)
         assert not result.trial_errors
         _, rows = read_csv_rows(Path(spec.output_dir) / "ratio.csv")
@@ -266,7 +266,7 @@ class TestRatioExperiment:
                          l_values=[1], n_g_grid=[3], trials=2,
                          scene={**small_scene_dict(),
                                 "irs_rows": 1, "irs_cols": 1, "beta": 0.9},
-                         solver={"t_max": 2, "n_g": 10})
+                         solver={"t_max": 2})
         run_ratio_experiment(spec)
         _, rows = read_csv_rows(Path(spec.output_dir) / "ratio.csv")
         assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)

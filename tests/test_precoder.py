@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isacopt import (ConfigError, RandomizationInfeasibleError,
-                     RelaxedCovariance, SolverOptions,
+from isacopt import (ConfigError, RelaxedCovariance, SolverOptions,
                      approximation_ratio_study, build_quadratic_terms,
                      default_beampattern_target, dykstra_project,
                      factor_precoder, make_channels, precoder_objective, project_ball,
@@ -332,7 +333,7 @@ class TestFactorPrecoder:
         omega = random_psd(rng, cfg.n_tx)
         s = solve_relaxed(omega, cfg, r_d)
         state = rng.bit_generator.state
-        p = factor_precoder(s, cfg.n_users, omega, cfg, r_d, rng, n_g=100)
+        p = factor_precoder(s, cfg.n_users, omega, cfg, r_d)
         assert rng.bit_generator.state == state
         assert p.p.shape == (cfg.n_tx, cfg.n_users)
         assert p.power() == pytest.approx(cfg.power_budget, rel=1e-12)
@@ -340,15 +341,6 @@ class TestFactorPrecoder:
         assert np.sum(np.abs(gram - r_d) ** 2) <= cfg.beampattern_tol
         assert precoder_objective(p, omega) == pytest.approx(
             relaxed_objective(s, omega), rel=1e-12)
-
-    def test_covariance_without_factor_is_randomized(self, rng):
-        cfg = SceneConfig()
-        r_d = default_beampattern_target(cfg)
-        omega = random_psd(rng, cfg.n_tx)
-        s = RelaxedCovariance(solve_relaxed(omega, cfg, r_d).s)
-        state = rng.bit_generator.state
-        factor_precoder(s, cfg.n_users, omega, cfg, r_d, rng, n_g=3)
-        assert rng.bit_generator.state != state
 
     def test_factor_shape_validated(self):
         with pytest.raises(ConfigError):
@@ -359,9 +351,9 @@ class TestFactorPrecoder:
         r_d = default_beampattern_target(cfg)
         u = complex_normal(rng, 4)
         u = u / np.linalg.norm(u)
-        s = RelaxedCovariance(cfg.power_budget * np.outer(u, u.conj()))
         omega = np.outer(u, u.conj())
-        p = factor_precoder(s, 1, omega, cfg, r_d, rng, n_g=5)
+        s = solve_relaxed(omega, cfg, r_d)
+        p = factor_precoder(s, 1, omega, cfg, r_d)
         # optimal column is sqrt(P_T) u up to a global phase
         overlap = abs(np.vdot(u, p.p[:, 0])) / np.linalg.norm(p.p[:, 0])
         assert overlap == pytest.approx(1.0, abs=1e-9)
@@ -373,52 +365,64 @@ class TestFactorPrecoder:
             r_d = default_beampattern_target(cfg)
             omega = random_psd(rng, 5)
             s = solve_relaxed(omega, cfg, r_d)
-            p = factor_precoder(s, 3, omega, cfg, r_d, rng, n_g=30)
+            p = factor_precoder(s, 3, omega, cfg, r_d)
             assert p.power() == pytest.approx(cfg.power_budget, rel=1e-10)
             gram = p.p @ p.p.conj().T
             assert np.sum(np.abs(gram - r_d) ** 2) <= cfg.beampattern_tol
             assert precoder_objective(p, omega) <= relaxed_objective(
                 s, omega) * (1 + 1e-9)
 
-    def test_objective_nondecreasing_in_n_g_statistically(self, rng):
-        cfg = small_config(n_tx=4, k=2)
-        r_d = default_beampattern_target(cfg)
-        omega = random_psd(rng, 4)
-        s = solve_relaxed(omega, cfg, r_d)
-        few, many = [], []
-        for trial in range(50):
-            p_few = factor_precoder(s, 2, omega, cfg, r_d,
-                                    np.random.default_rng([5, trial]), n_g=2)
-            p_many = factor_precoder(s, 2, omega, cfg, r_d,
-                                     np.random.default_rng([5, trial]), n_g=64)
-            few.append(precoder_objective(p_few, omega))
-            many.append(precoder_objective(p_many, omega))
-        assert np.mean(many) >= np.mean(few) - 1e-12
-
-    def test_truncated_target_when_no_candidate_is_feasible(self, rng):
-        # a ball just wide enough for the rank-K truncation of R_D, too
-        # narrow for every randomized candidate
-        cfg = small_config(n_tx=3, k=2)
-        r_d = default_beampattern_target(cfg)
-        w, u = np.linalg.eigh(r_d)
-        trunc = u[:, [2, 1]] * np.sqrt(w[[2, 1]])
-        trunc *= math.sqrt(cfg.power_budget / np.sum(np.abs(trunc) ** 2))
-        dist2 = float(np.sum(np.abs(trunc @ trunc.conj().T - r_d) ** 2))
-        cfg = small_config(n_tx=3, k=2, beampattern_tol=1.01 * dist2)
-        s = RelaxedCovariance(np.eye(3, dtype=complex) / 3)
-        p = factor_precoder(s, 2, random_psd(rng, 3), cfg, r_d, rng, n_g=3)
-        np.testing.assert_allclose(p.p @ p.p.conj().T,
-                                   trunc @ trunc.conj().T, atol=1e-12)
-        assert p.power() == pytest.approx(cfg.power_budget, rel=1e-12)
-
     def test_infeasible_raises(self, rng):
-        # a ball too tight for any power-normalized candidate
+        # a ball too tight for any K-column precoder is a config error
         cfg = small_config(n_tx=3, k=2, beampattern_tol=1e-12)
         r_d = default_beampattern_target(cfg)
         omega = random_psd(rng, 3)
+        with pytest.raises(ConfigError):
+            validate_beampattern_target(r_d, cfg)
         s = RelaxedCovariance(np.eye(3, dtype=complex) / 3)
-        with pytest.raises(RandomizationInfeasibleError):
-            factor_precoder(s, 2, omega, cfg, r_d, rng, n_g=3)
+        with pytest.raises(ConfigError):
+            factor_precoder(s, 2, omega, cfg, r_d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8), k_frac=st.floats(0.0, 1.0),
+           gamma_frac=st.floats(0.0, 1.0, exclude_max=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rank_k_path_property(self, n, k_frac, gamma_frac, seed):
+        # gamma between the nearest rank-K covariance to R_D and the slack
+        # point: the ball binds and admits a K-column precoder
+        k = 1 + min(n - 1, int(k_frac * n))
+        rng = np.random.default_rng(seed)
+        omega = random_psd(rng, n)
+        cfg = small_config(n_tx=n, k=k)   # a slack ball
+        r_d = default_beampattern_target(cfg)
+        # recovered with neither a factor nor an in-ball scale: S_K(0)
+        f0 = factor_precoder(RelaxedCovariance(r_d), k, omega, cfg, r_d).p
+        near2 = float(np.sum(np.abs(f0 @ f0.conj().T - r_d) ** 2))
+        top = np.linalg.eigh(omega)[1][:, -1]
+        slack2 = float(np.sum(np.abs(
+            cfg.power_budget * np.outer(top, top.conj()) - r_d) ** 2))
+        gamma = near2 + gamma_frac * (slack2 - near2)
+        if not 0.0 < gamma < slack2:
+            return
+        cfg = small_config(n_tx=n, k=k, beampattern_tol=gamma)
+        s = solve_relaxed(omega, cfg, r_d)
+        p = factor_precoder(s, k, omega, cfg, r_d)
+        assert p.p.shape == (n, k)
+        assert abs(p.power() - cfg.power_budget) <= 1e-12 * cfg.power_budget
+        # tested inside the ball on the KKT path; on the slack path the
+        # factor's Gram matrix is S, which is inside, up to rounding
+        gram = p.p @ p.p.conj().T
+        slack = 1e-12 if s.factor is not None else 0.0
+        assert np.sum(np.abs(gram - r_d) ** 2) <= cfg.beampattern_tol * (1 + slack)
+        value = precoder_objective(p, omega)
+        assert value >= float(np.real(np.vdot(f0, omega @ f0))) * (1 - 1e-12)
+        bound = (cfg.power_budget * np.linalg.eigvalsh(omega)[-1]
+                 if s.kkt_scale is None
+                 else relaxed_dual_bound(omega, cfg, r_d, s.kkt_scale))
+        assert value <= bound * (1 + 1e-12)
+        w = np.linalg.eigvalsh(s.s)
+        if np.count_nonzero(w > 1e-12 * cfg.power_budget) <= k:
+            assert value == pytest.approx(relaxed_objective(s, omega), rel=1e-9)
 
 
 class TestApproximationRatio:
