@@ -210,9 +210,13 @@ def _bisect(point, gamma: float, t_lo: float, t_hi: float, lo, hi,
             floor: float = 0.0):
     """Bisect [t_lo, t_hi] to a width of 1e-13 * t_hi, or ``floor`` if wider,
     ``point(t)`` giving (x, squared distance from R_D), lo = x(t_lo) in the
-    ball and hi = x(t_hi) outside; the final (t_lo, lo, t_hi, hi)."""
+    ball and hi = x(t_hi) outside; the final (t_lo, lo, t_hi, hi).  It also
+    stops at adjacent floats, so t_hi stays positive when no t > 0 tests
+    inside the ball (a gamma at the rounding level of the distance)."""
     while t_hi - t_lo > max(_KKT_REL_WIDTH * t_hi, floor):
         t_mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < t_mid < t_hi:
+            break
         mid, dist2 = point(t_mid)
         if dist2 > gamma:
             t_hi, hi = t_mid, mid
