@@ -263,7 +263,7 @@ def relaxed_dual_bound(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
     s, dist2 = _kkt_point(omega, cfg, r_d, t)
     gamma, norm_omega = cfg.beampattern_tol, float(np.linalg.norm(omega))
     err = 4.0 * s.shape[0] * float(np.finfo(float).eps)
-    e = err * (float(np.linalg.norm(r_d)) + t * norm_omega)  # of S(t), >= eps||M||
+    e = err * (float(np.linalg.norm(r_d)) + t * norm_omega)   # error of S(t)
     rounding = (e * e / (2.0 * t) + err * (gamma + dist2) / (2.0 * t)
                 + (e + err * cfg.power_budget) * norm_omega)
     return (float(np.real(np.vdot(omega, s)))
