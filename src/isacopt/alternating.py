@@ -81,6 +81,7 @@ class RunTrace:
     precoder_obj_per_outer: list[float] = field(default_factory=list)
     wall_time_per_stage: list[dict[str, float]] = field(default_factory=list)
     precoder_dips: list[int] = field(default_factory=list)
+    line_search_failures: list[int] = field(default_factory=list)
     terminated_by: str = ""
 
 
@@ -158,6 +159,10 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
                 theta, inner = solve_irs_manifold(
                     theta, precoder, ch, cfg, inner_tol=opts.inner_tol,
                     inner_max=inner_cap)
+                if inner.line_search_failed:
+                    trace.line_search_failures.append(t)
+                    log.warning("outer %d: the Armijo line search found no "
+                                "ascent step; the phase step ended early", t)
             times["irs"] = time.perf_counter() - tic
         except SolverError as exc:
             exc.args = (f"outer iteration {t}: {exc.args[0] if exc.args else exc}",

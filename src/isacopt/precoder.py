@@ -16,7 +16,9 @@ deterministically along the rank-K path S_K(t) = Pi_{C_K}(R_D + t Omega)
 
 The approximation-ratio study measures Gaussian randomization on the
 unit-modulus problem max x^H A x, against its unit-diagonal relaxation:
-coordinate ascent for the relaxation and a dual certificate for the bound.
+the same minorization step (a generalized power method) for the
+relaxation, a dual certificate for the bound, and draws and scores formed
+at the rank of R* and of A.
 """
 
 from __future__ import annotations
@@ -28,12 +30,18 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .objective import Precoder, hermitize
-from .scene import SceneConfig, complex_normal, ula_steering
+from .scene import SceneConfig, ula_steering
+# Unused since the ratio study draws only the rows it needs; the name stays
+# a module attribute because perfbench's tracer wraps it here by name.
+from .scene import complex_normal  # noqa: F401
 
 # Relative width of the bracket on t at which the KKT search stops.
 _KKT_REL_WIDTH = 1e-13
 # Doublings of t after which the KKT search gives up.
 _KKT_MAX_DOUBLINGS = 200
+# Relative gain at which the unit-diagonal ascent stops, and its step cap.
+_UNIT_DIAG_TOL = 1e-12
+_UNIT_DIAG_MAX_STEPS = 10_000
 
 
 @dataclass
@@ -405,60 +413,83 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     For each sample count, draw xi ~ CN(0, R*), map every draw to the
     unit-modulus vector xi / |xi| (an entry with xi = 0 becomes 1), and
     report the best quadratic-form value relative to the dual bound
-    ``unit_diag_dual_bound(A, R*)``.  That bound is at least the
-    relaxation optimum, which is at least every unit-modulus value, so the
-    ratio cannot exceed 1 whatever R* is.  For the R* of
-    ``solve_unit_diag_relaxation`` the bound exceeds tr(A R*) by at most
-    about 2e-7 relative on the ratio study's matrices.
+    ``unit_diag_dual_bound(A, R*)``.  Both matrices enter at their rank:
+    xi = sum_j sqrt(lambda_j) u_j z_j over the r eigenpairs of R* above
+    rounding level (lambda_j > L eps lambda_max), so only those r rows of
+    each L x n_g Gaussian draw are used (the draws themselves are taken in
+    full, so the generator advances as for xi = R*^(1/2) z), and the
+    candidates are ranked by sum_i mu_i |e_i^H x|^2 over the eigenpairs
+    (mu_i, e_i) of A above rounding level.  The reported value is the
+    winner's dense x^H A x, an exact unit-modulus value, so the ratio
+    cannot exceed 1 whatever R* is: the bound is at least the relaxation
+    optimum, which is at least every unit-modulus value.  Dropping the
+    rounding-level eigenpairs moves the ratios by at most 2.4e-9 relative
+    on 80 of the ratio study's matrices (L = 8 and 36), against the draws
+    shaped by the full square root of R*.
     """
     if np.max(np.abs(np.diagonal(r_star) - 1.0)) > 1e-6:
         raise ConfigError("reference covariance must have unit diagonal")
     a = hermitize(a)
     sdp_obj = unit_diag_dual_bound(a, r_star)
     w, u = np.linalg.eigh(hermitize(r_star))
-    half = u * np.sqrt(np.maximum(w, 0.0))
+    rows = _above_rounding(w)
+    # scale-free: the 1/sqrt(2) of CN(0, 1) cancels in xi / |xi|
+    half = u[:, rows] * np.sqrt(w[rows])
+    mu, e = np.linalg.eigh(a)
+    cols = _above_rounding(np.abs(mu))
+    mu, e_h = mu[cols], e[:, cols].conj().T
+    n = a.shape[0]
     reports = []
     for n_g in n_g_grid:
         if n_g < 1:
             raise ConfigError(f"sample count must be >= 1, got {n_g}")
-        # in place: at n_g = 10^4 each L x n_g complex array is 160 L kB
-        xi = half @ complex_normal(rng, r_star.shape[0], int(n_g))
-        mag = np.abs(xi)
-        np.divide(xi, mag, out=xi, where=mag > 0.0)
-        xi[mag == 0.0] = 1.0
-        ax = a @ xi
-        ax *= np.conj(xi, out=xi)
-        best = float(ax.real.sum(axis=0).max())
+        z_re = rng.standard_normal((n, int(n_g)))[rows]
+        z_im = rng.standard_normal((n, int(n_g)))[rows]
+        x = half @ (z_re + 1j * z_im)
+        mag = np.abs(x)
+        np.divide(x, mag, out=x, where=mag > 0.0)
+        x[mag == 0.0] = 1.0
+        proj = e_h @ x
+        best_x = x[:, int(np.argmax(mu @ (proj.real ** 2 + proj.imag ** 2)))]
+        best = float(np.real(np.vdot(best_x, a @ best_x)))
         reports.append(RandomizationReport(
             n_samples=int(n_g), best_objective=best, sdp_objective=sdp_obj,
             ratio=best / sdp_obj))
     return reports
 
 
-def solve_unit_diag_relaxation(a: np.ndarray, max_sweeps: int = 1000,
-                               tol: float = 1e-12) -> np.ndarray:
+def _above_rounding(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues w above rounding level, L eps max(w)."""
+    return w > w.size * float(np.finfo(float).eps) * float(w.max())
+
+
+def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
     """Maximize tr(A R) over {R >= 0, diag(R) = 1}.
 
-    Row-by-row ascent on the factorization R = V^H V with unit-norm columns
-    (the mixing method): the column update v_i <- c_i / ||c_i|| with
-    c_i = sum_{j != i} A_ij v_j maximizes the objective over that column
-    alone, so sweeps are monotone, and the iterate is PSD with unit
-    diagonal by construction.  Sweeps stop once the objective gains at most
-    ``tol`` relative.  Optimality is certified separately by
-    ``unit_diag_dual_bound``.
+    The generalized power method (Journee et al., JMLR 2010) on R = V^H V
+    with unit-norm columns, which is the minorization step of the phase
+    update applied to this set.  With B = A + sigma I, sigma =
+    max(0, -lambda_min(A)), tr(A R) = tr(V B V^H) - L sigma on the set and
+    tr(V B V^H) is convex in V, so its linearization at V minorizes it;
+    V <- V B with every column normalized maximizes that linearization in
+    closed form, so the steps ascend monotonically.  The iterate is PSD
+    with unit diagonal by construction (where a column of V B is zero, V
+    keeps its column).  From V = I, steps stop once the objective gains at
+    most 1e-12 relative, or after a fixed number of steps.  Optimality is
+    certified separately by ``unit_diag_dual_bound``.
     """
     a = hermitize(a)
     n = a.shape[0]
+    shift = max(0.0, -float(np.linalg.eigvalsh(a)[0]))
+    b = a + shift * np.eye(n)
     v = np.eye(n, dtype=complex)
-    f = float(np.real(np.vdot(a, v.conj().T @ v)))
-    for _ in range(max_sweeps):
-        for i in range(n):
-            c = v @ a[:, i] - a[i, i] * v[:, i]
-            norm = float(np.linalg.norm(c))
-            if norm > 1e-300:
-                v[:, i] = c / norm
-        f_new = float(np.real(np.vdot(a, v.conj().T @ v)))
-        if abs(f_new - f) <= tol * max(1.0, abs(f)):
+    f = None
+    for _ in range(_UNIT_DIAG_MAX_STEPS):
+        g = v @ b
+        f_new = float(np.real(np.vdot(v, g))) - n * shift   # tr(A V^H V)
+        if f is not None and abs(f_new - f) <= _UNIT_DIAG_TOL * max(1.0, abs(f)):
             break
         f = f_new
+        norms = np.linalg.norm(g, axis=0)
+        np.divide(g, norms, out=v, where=norms > 1e-300)
     return hermitize(v.conj().T @ v)

@@ -1,9 +1,13 @@
+import functools
+import logging
+
 import numpy as np
 import pytest
 
-from isacopt import (ConfigError, SceneConfig, SolverOptions,
+from isacopt import (ConfigError, SceneConfig, SolverOptions, alternating,
                      default_beampattern_target, make_channels,
                      objective_snapshot, run_alternating, weighted_snr)
+from isacopt.irs import solve_irs_manifold
 
 from conftest import random_scene, small_config
 
@@ -178,6 +182,22 @@ class TestRunAlternating:
         opts = SolverOptions(t_max=3, irs_method="manifold", inner_max=50)
         _, _, trace = run_alternating(ch, cfg, opts=opts)
         assert len(trace.objective_per_outer) >= 1
+
+    def test_failed_line_search_is_recorded(self, monkeypatch, caplog):
+        # with no halvings allowed every Armijo search fails at once
+        cfg, ch = tiny_scene()
+        opts = SolverOptions(t_max=3, irs_method="manifold", inner_max=50)
+        _, _, clean = run_alternating(ch, cfg, opts=opts)
+        assert clean.line_search_failures == []
+        monkeypatch.setattr(alternating, "solve_irs_manifold",
+                            functools.partial(solve_irs_manifold,
+                                              max_halvings=0))
+        with caplog.at_level(logging.WARNING, logger=alternating.__name__):
+            _, _, trace = run_alternating(ch, cfg, opts=opts)
+        outers = list(range(1, len(trace.objective_per_outer) + 1))
+        assert trace.line_search_failures == outers
+        assert sum("line search" in r.getMessage()
+                   for r in caplog.records) == len(outers)
 
     def test_random_theta_init(self):
         cfg, ch = tiny_scene()

@@ -310,8 +310,11 @@ class TestBench:
             assert unit_diag[(l, "lambda_min")] >= -1e-12 * l
         ascent = {int(r[1]) for r in t_rows
                   if (r[0], r[2]) == ("solve_unit_diag_relaxation",
-                                      "coordinate_ascent")}
+                                      "power_method")}
         assert ascent == {8, 36}
+        study = {(int(r[1]), r[2]) for r in t_rows
+                 if r[0] == "approximation_ratio_study"}
+        assert study == {(36, "n_g_10000")}
 
     def test_fast_path_beats_kronecker_at_l8(self, tmp_path):
         spec = make_spec(tmp_path, kind="bench", beta_values=[])

@@ -13,11 +13,13 @@ from isacopt import (ConfigError, RelaxedCovariance, SolverOptions,
                      relaxed_dual_bound, relaxed_objective, run_alternating,
                      scene_config_from_dict, solve_relaxed,
                      solve_unit_diag_relaxation, unit_diag_dual_bound)
+from isacopt import precoder
 from isacopt.precoder import (_feasibility_residuals,
                               validate_beampattern_target)
 from isacopt.scene import SceneConfig, complex_normal
 
 from conftest import random_hermitian, random_psd, small_config
+from reference import dense_ratio_study, mixing_method_relaxation
 
 
 class TestProjectPsd:
@@ -544,6 +546,74 @@ class TestUnitDiagCertificate:
         rep, = approximation_ratio_study(a, np.eye(5, dtype=complex), [3],
                                          _ZeroNormal())
         assert rep.best_objective == pytest.approx(np.sum(a).real, rel=1e-12)
+
+
+class TestLowRankStudy:
+    """The minorization step and the rank-r study against the mixing
+    method and the dense study they replaced (``tests/reference.py``)."""
+
+    # Dropping R*'s rounding-level eigenpairs moves the ratios by up to
+    # 2.4e-9 relative (40 matrices each at L = 8 and 36; seed 5 at L = 36
+    # moves them by 1.9e-9), so the tolerance is 1e-8.
+    @pytest.mark.parametrize("rows,cols,seed", [(2, 4, 33), (6, 6, 33),
+                                                (6, 6, 5)])
+    def test_ratios_match_dense_reference(self, rows, cols, seed):
+        a = ratio_study_matrix(rows, cols, seed=seed)
+        r = solve_unit_diag_relaxation(a)
+        grid = [10, 100, 1000, 10_000]
+        rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        new = approximation_ratio_study(a, r, grid, rng_new)
+        ref = dense_ratio_study(a, r, grid, rng_ref)
+        for got, want in zip(new, ref):
+            assert got.n_samples == want.n_samples
+            assert got.sdp_objective == want.sdp_objective
+            assert got.ratio == pytest.approx(want.ratio, rel=1e-8)
+        # the same draws, so the generators end in the same state
+        assert rng_new.random() == rng_ref.random()
+
+    def test_best_objective_is_a_unit_modulus_value(self, rng):
+        # R* = x0 x0^H: every draw is x0 up to a phase, so the best value
+        # is x0^H A x0, for an indefinite A too
+        l = 12
+        a = random_hermitian(rng, l)
+        x0 = np.exp(2j * np.pi * rng.random(l))
+        for rep in approximation_ratio_study(a, np.outer(x0, x0.conj()),
+                                             [1, 50], rng):
+            assert rep.best_objective == pytest.approx(
+                float(np.real(np.vdot(x0, a @ x0))), rel=1e-12)
+
+    def test_full_rank_reference_scores_densely(self, rng):
+        # with R* = I every row of the draws is used, so the candidates are
+        # the reference's; the winner is reported by its dense value
+        a = random_hermitian(rng, 9)
+        new = approximation_ratio_study(a, np.eye(9, dtype=complex),
+                                        [7, 300], np.random.default_rng(2))
+        ref = dense_ratio_study(a, np.eye(9, dtype=complex), [7, 300],
+                                np.random.default_rng(2))
+        for got, want in zip(new, ref):
+            assert got.best_objective == pytest.approx(want.best_objective,
+                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["psd", "indefinite"])
+    def test_ascent_monotone_and_certified_at_l36(self, rng, kind,
+                                                  monkeypatch):
+        a = (random_psd if kind == "psd" else random_hermitian)(rng, 36)
+        r = solve_unit_diag_relaxation(a)
+        value = float(np.real(np.vdot(a, r)))
+        bound = unit_diag_dual_bound(a, r)
+        assert 0.0 <= (bound - value) / abs(bound) <= 1e-6
+        reference = float(np.real(np.vdot(a, mixing_method_relaxation(a))))
+        assert abs(value - reference) <= 1e-6 * abs(bound)
+        # the first steps, one cap at a time: tr(A R) never falls
+        values = []
+        for steps in range(1, 41):
+            monkeypatch.setattr(precoder, "_UNIT_DIAG_MAX_STEPS", steps)
+            r_k = solve_unit_diag_relaxation(a)
+            np.testing.assert_allclose(np.diagonal(r_k).real, 1.0,
+                                       atol=1e-12)
+            values.append(float(np.real(np.vdot(a, r_k))))
+        assert np.all(np.diff(values) >= -1e-12 * abs(bound))
+        assert values[-1] > values[0]
 
 
 class TestBeampatternTarget:
