@@ -24,8 +24,8 @@ from .objective import IrsPhase, Precoder, build_omega
 # Unused here since the phase solvers report the snapshot; the names stay
 # module attributes because perfbench's tracer wraps them here by name.
 from .objective import snr_comm, snr_radar  # noqa: F401
-from .precoder import (default_beampattern_target, factor_precoder,
-                       precoder_objective, relaxed_dual_bound,
+from .precoder import (check_beampattern_target, default_beampattern_target,
+                       factor_precoder, precoder_objective, relaxed_dual_bound,
                        relaxed_objective, solve_relaxed)
 from .scene import ChannelSet, SceneConfig
 
@@ -108,13 +108,15 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
 
     Returns the final precoder, phases and the run trace.  ``rng`` draws
     only the initial phases of ``theta_init="random"``.  Sub-solver
-    failures propagate as SolverError with the failing stage named; an R_D
-    or ball that ``validate_beampattern_target`` rejects raises ConfigError
+    failures propagate as SolverError with the failing stage named.  An R_D
+    that is not PSD with trace P_T raises ConfigError before the first
+    outer iteration; a ball too tight for a K-column precoder raises it
     from the precoder stage.
     """
     opts = opts or SolverOptions()
     if r_d is None:
         r_d = default_beampattern_target(cfg)
+    check_beampattern_target(r_d, cfg)
     rng = rng if rng is not None else np.random.default_rng(opts.seed)
 
     theta = initial_phases(cfg, opts, rng)

@@ -18,7 +18,8 @@ The approximation-ratio study measures Gaussian randomization on the
 unit-modulus problem max x^H A x, against its unit-diagonal relaxation:
 the same minorization step (a generalized power method) for the
 relaxation, a dual certificate for the bound, and draws and scores formed
-at the rank of R* and of A.
+at the rank of R* and of A: each sample count takes 2 r n_g standard
+normals, r the number of eigenpairs of R* above rounding level.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .objective import Precoder, hermitize
 from .scene import SceneConfig, ula_steering
-# Unused since the ratio study draws only the rows it needs; the name stays
-# a module attribute because perfbench's tracer wraps it here by name.
+# Unused since the ratio study draws at the rank of R*; the name stays a
+# module attribute because perfbench's tracer wraps it here by name.
 from .scene import complex_normal  # noqa: F401
 
 # Relative width of the bracket on t at which the KKT search stops.
@@ -188,7 +189,7 @@ def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
     return r_d * (p_t / float(np.real(np.trace(r_d))))
 
 
-def _check_target(r_d: np.ndarray, cfg: SceneConfig):
+def check_beampattern_target(r_d: np.ndarray, cfg: SceneConfig):
     """The target must itself be a feasible covariance: PSD with trace P_T."""
     w = np.linalg.eigvalsh(hermitize(r_d))
     if w[0] < -1e-8 * max(1.0, float(np.abs(w).max())):
@@ -202,7 +203,7 @@ def validate_beampattern_target(r_d: np.ndarray, cfg: SceneConfig):
     (K = ``cfg.n_users``): S_K(0) = Pi_{C_K}(R_D), the nearest rank-K
     covariance to R_D and ``factor_precoder``'s last resort, must lie in it.
     """
-    _check_target(r_d, cfg)
+    check_beampattern_target(r_d, cfg)
     # a covariance with no factor or in-ball scale is recovered as S_K(0)
     factor_precoder(RelaxedCovariance(r_d), cfg.n_users, r_d, cfg, r_d)
 
@@ -241,7 +242,7 @@ def dykstra_project(m: np.ndarray, cfg: SceneConfig, r_d: np.ndarray) -> np.ndar
     bisection of ``solve_relaxed`` finds s.  (The name, from the Dykstra
     iteration this replaced, is kept for the benchmark's tracer.)
     """
-    _check_target(r_d, cfg)
+    check_beampattern_target(r_d, cfg)
     direction = hermitize(m) - r_d
     s, dist2 = _kkt_point(direction, cfg, r_d, 1.0)
     if dist2 <= cfg.beampattern_tol:
@@ -296,9 +297,9 @@ def solve_relaxed(omega: np.ndarray, cfg: SceneConfig,
     inside the ball that attains P_T * lambda_max(Omega) to 1e-12 relative
     is returned as it is, with in-ball scale t (a repeated top eigenvalue
     can leave S(t) inside the ball for every t); SolverError if neither
-    happens within a fixed number of doublings.
+    happens within a fixed number of doublings.  R_D must already pass
+    ``check_beampattern_target``; it is not re-checked here.
     """
-    _check_target(r_d, cfg)
     omega = hermitize(omega)
     w, u = np.linalg.eigh(omega)
     top = u[:, -1:]
@@ -414,18 +415,15 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     unit-modulus vector xi / |xi| (an entry with xi = 0 becomes 1), and
     report the best quadratic-form value relative to the dual bound
     ``unit_diag_dual_bound(A, R*)``.  Both matrices enter at their rank:
-    xi = sum_j sqrt(lambda_j) u_j z_j over the r eigenpairs of R* above
-    rounding level (lambda_j > L eps lambda_max), so only those r rows of
-    each L x n_g Gaussian draw are used (the draws themselves are taken in
-    full, so the generator advances as for xi = R*^(1/2) z), and the
+    xi = U_r Lambda_r^(1/2) z over the r eigenpairs of R* above rounding
+    level (lambda_j > L eps lambda_max), with z ~ CN(0, I_r) drawn as two
+    r x n_g blocks of standard normals (real parts, then imaginary), so
+    the generator advances by 2 r n_g normals per sample count; and the
     candidates are ranked by sum_i mu_i |e_i^H x|^2 over the eigenpairs
     (mu_i, e_i) of A above rounding level.  The reported value is the
     winner's dense x^H A x, an exact unit-modulus value, so the ratio
     cannot exceed 1 whatever R* is: the bound is at least the relaxation
-    optimum, which is at least every unit-modulus value.  Dropping the
-    rounding-level eigenpairs moves the ratios by at most 2.4e-9 relative
-    on 80 of the ratio study's matrices (L = 8 and 36), against the draws
-    shaped by the full square root of R*.
+    optimum, which is at least every unit-modulus value.
     """
     if np.max(np.abs(np.diagonal(r_star) - 1.0)) > 1e-6:
         raise ConfigError("reference covariance must have unit diagonal")
@@ -438,14 +436,13 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     mu, e = np.linalg.eigh(a)
     cols = _above_rounding(np.abs(mu))
     mu, e_h = mu[cols], e[:, cols].conj().T
-    n = a.shape[0]
     reports = []
     for n_g in n_g_grid:
         if n_g < 1:
             raise ConfigError(f"sample count must be >= 1, got {n_g}")
-        z_re = rng.standard_normal((n, int(n_g)))[rows]
-        z_im = rng.standard_normal((n, int(n_g)))[rows]
-        x = half @ (z_re + 1j * z_im)
+        shape = (half.shape[1], int(n_g))
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = half @ z
         mag = np.abs(x)
         np.divide(x, mag, out=x, where=mag > 0.0)
         x[mag == 0.0] = 1.0

@@ -41,15 +41,17 @@ def mixing_method_relaxation(a: np.ndarray, max_sweeps: int = 1000,
 def dense_ratio_study(a: np.ndarray, r_star: np.ndarray, n_g_grid,
                       rng: np.random.Generator) -> list[RandomizationReport]:
     """Reference for ``approximation_ratio_study``: the same draws from
-    ``rng``, shaped by the full square root of R* and scored with the dense
+    ``rng`` (z ~ CN(0, I_r), r the number of eigenpairs of R* above
+    L eps lambda_max), shaped by those eigenpairs and scored with the dense
     quadratic form of every candidate."""
     a = hermitize(a)
     sdp_obj = unit_diag_dual_bound(a, r_star)
     w, u = np.linalg.eigh(hermitize(r_star))
-    half = u * np.sqrt(np.maximum(w, 0.0))
+    keep = w > w.size * np.finfo(float).eps * w.max()
+    half = u[:, keep] * np.sqrt(w[keep])
     reports = []
     for n_g in n_g_grid:
-        xi = half @ complex_normal(rng, r_star.shape[0], int(n_g))
+        xi = half @ complex_normal(rng, half.shape[1], int(n_g))
         mag = np.abs(xi)
         np.divide(xi, mag, out=xi, where=mag > 0.0)
         xi[mag == 0.0] = 1.0

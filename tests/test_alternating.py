@@ -169,6 +169,23 @@ class TestRunAlternating:
         assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) <= 0.1
         assert trace.objective_per_outer[-1] > 0
 
+    @pytest.mark.parametrize("defect,message", [
+        ("not_psd", "not positive semidefinite"),
+        ("wrong_trace", "power budget")])
+    def test_infeasible_target_rejected_before_first_iteration(
+            self, monkeypatch, defect, message):
+        cfg, ch = tiny_scene()
+        r_d = (cfg.power_budget * np.diag([2.0, 0.0, -1.0]).astype(complex)
+               if defect == "not_psd"
+               else 2.0 * default_beampattern_target(cfg))
+
+        def no_iteration(*args):
+            raise AssertionError("an outer iteration started")
+
+        monkeypatch.setattr(alternating, "build_omega", no_iteration)
+        with pytest.raises(ConfigError, match=message):
+            run_alternating(ch, cfg, r_d=r_d)
+
     def test_determinism_given_seed(self):
         cfg, ch = tiny_scene()
         runs = [run_alternating(ch, cfg, opts=SolverOptions(seed=3))

@@ -495,6 +495,16 @@ def ratio_study_matrix(l_rows, l_cols, seed):
     return build_quadratic_terms(p, ch, cfg)[0]
 
 
+def kept_rank_at_rounding_level(r):
+    """r, the number of eigenpairs of R* the ratio study keeps, once
+    ||R* - U_r Lambda_r U_r^H||_F <= L eps lambda_max is checked."""
+    w, u = np.linalg.eigh(r)
+    keep = precoder._above_rounding(w)
+    kept = (u[:, keep] * w[keep]) @ u[:, keep].conj().T
+    assert np.linalg.norm(r - kept) <= w.size * np.finfo(float).eps * w.max()
+    return int(keep.sum())
+
+
 class _ZeroNormal:
     """Generator stand-in whose Gaussian draws are all zero."""
 
@@ -552,9 +562,9 @@ class TestLowRankStudy:
     """The minorization step and the rank-r study against the mixing
     method and the dense study they replaced (``tests/reference.py``)."""
 
-    # Dropping R*'s rounding-level eigenpairs moves the ratios by up to
-    # 2.4e-9 relative (40 matrices each at L = 8 and 36; seed 5 at L = 36
-    # moves them by 1.9e-9), so the tolerance is 1e-8.
+    # The same draws shaped by the same eigenpairs: the ratios agree to
+    # 4.5e-16 relative on these inputs, with only the ranking's rounding
+    # between them.
     @pytest.mark.parametrize("rows,cols,seed", [(2, 4, 33), (6, 6, 33),
                                                 (6, 6, 5)])
     def test_ratios_match_dense_reference(self, rows, cols, seed):
@@ -567,7 +577,7 @@ class TestLowRankStudy:
         for got, want in zip(new, ref):
             assert got.n_samples == want.n_samples
             assert got.sdp_objective == want.sdp_objective
-            assert got.ratio == pytest.approx(want.ratio, rel=1e-8)
+            assert got.ratio == pytest.approx(want.ratio, rel=1e-12)
         # the same draws, so the generators end in the same state
         assert rng_new.random() == rng_ref.random()
 
@@ -583,8 +593,8 @@ class TestLowRankStudy:
                 float(np.real(np.vdot(x0, a @ x0))), rel=1e-12)
 
     def test_full_rank_reference_scores_densely(self, rng):
-        # with R* = I every row of the draws is used, so the candidates are
-        # the reference's; the winner is reported by its dense value
+        # with R* = I all L eigenpairs are kept (r = L), so the candidates
+        # are the reference's; the winner is reported by its dense value
         a = random_hermitian(rng, 9)
         new = approximation_ratio_study(a, np.eye(9, dtype=complex),
                                         [7, 300], np.random.default_rng(2))
@@ -593,6 +603,17 @@ class TestLowRankStudy:
         for got, want in zip(new, ref):
             assert got.best_objective == pytest.approx(want.best_objective,
                                                        rel=1e-12)
+
+    # The draws see R* only through U_r Lambda_r^(1/2), the eigenpairs above
+    # rounding level, so U_r Lambda_r U_r^H must be R* to rounding level.
+    @pytest.mark.parametrize("rows,cols,seed", [(2, 4, 33), (6, 6, 33),
+                                                (6, 6, 5)])
+    def test_kept_eigenpairs_reproduce_relaxation(self, rows, cols, seed):
+        r = solve_unit_diag_relaxation(ratio_study_matrix(rows, cols, seed))
+        assert kept_rank_at_rounding_level(r) < rows * cols
+
+    def test_identity_keeps_every_eigenpair(self):
+        assert kept_rank_at_rounding_level(np.eye(36, dtype=complex)) == 36
 
     @pytest.mark.parametrize("kind", ["psd", "indefinite"])
     def test_ascent_monotone_and_certified_at_l36(self, rng, kind,
