@@ -2,7 +2,9 @@
 
 One outer iteration rebuilds the objective matrix from the current phases,
 solves the relaxed precoder problem, recovers a K-column precoder from it
-deterministically (``factor_precoder``), then updates the phases.
+deterministically (``factor_precoder``), then updates the phases with the
+ascent-safeguarded closed-form step.  A recovered precoder that scores below
+the previous one is dropped for it (``RunTrace.precoder_dips``).
 Termination follows the relative-change rule |g(t+1) - g(t)| / g(t) <=
 eps_rel, checked from the second outer iteration on, with a hard iteration
 cap.
@@ -19,10 +21,10 @@ import numpy as np
 
 from .errors import (ConfigError, SolverError, require_finite,
                      require_integer)
-from .irs import SurrogateFactors, solve_irs_manifold, solve_irs_minorization
+from .irs import solve_irs_manifold, solve_irs_minorization
 from .objective import IrsPhase, Precoder, build_omega
-# Unused here since the phase solvers report the snapshot; the names stay
-# module attributes because perfbench's tracer wraps them here by name.
+# Unused here since the phase solvers report the snapshot; kept for the
+# tracer, which wraps them here by name.
 from .objective import snr_comm, snr_radar  # noqa: F401
 from .precoder import (check_beampattern_target, default_beampattern_target,
                        factor_precoder, precoder_objective, relaxed_dual_bound,
@@ -46,8 +48,6 @@ class SolverOptions:
     seed: int = 0
     irs_method: str = "minorization"
     irs_inner: bool = False      # run the phase solver to inner convergence
-    safeguard: bool = True       # ascent-guaranteed phase update
-    keep_best_precoder: bool = True
     theta_init: str = "ones"
 
     def __post_init__(self):
@@ -83,13 +83,6 @@ class RunTrace:
     precoder_dips: list[int] = field(default_factory=list)
     line_search_failures: list[int] = field(default_factory=list)
     terminated_by: str = ""
-
-
-def objective_snapshot(p: Precoder, theta: IrsPhase, ch: ChannelSet,
-                       cfg: SceneConfig) -> tuple[float, float, float]:
-    """(weighted objective, radar SNR, communication SNR) at (P, theta),
-    from the same kernel that scores the phase solvers' iterates."""
-    return SurrogateFactors(p, ch, cfg).value(theta.theta)
 
 
 def initial_phases(cfg: SceneConfig, opts: SolverOptions,
@@ -138,8 +131,7 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             candidate = factor_precoder(relaxed, cfg.n_users, omega, cfg, r_d)
             candidate_obj = precoder_objective(candidate, omega)
             incumbent_obj = (precoder_objective(precoder, omega)
-                             if opts.keep_best_precoder and precoder is not None
-                             else -math.inf)
+                             if precoder is not None else -math.inf)
             if incumbent_obj > candidate_obj:
                 # the recovered precoder fell short of the incumbent; keep it
                 trace.precoder_dips.append(t)
@@ -156,7 +148,7 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             if opts.irs_method == "minorization":
                 theta, inner = solve_irs_minorization(
                     theta, precoder, ch, cfg, inner_tol=opts.inner_tol,
-                    inner_max=inner_cap, safeguard=opts.safeguard)
+                    inner_max=inner_cap)
             else:
                 theta, inner = solve_irs_manifold(
                     theta, precoder, ch, cfg, inner_tol=opts.inner_tol,

@@ -37,7 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--trials", type=int, help="trial count override")
     run_p.add_argument("--threads", type=int, help="worker process count")
 
-    bench_p = sub.add_parser("bench", help="micro-benchmark the numerical kernels")
+    bench_p = sub.add_parser(
+        "bench", help="time the solver-path operations and check their results")
     bench_p.add_argument("--config", help="optional experiment JSON for sizes")
     bench_p.add_argument("--out", default="bench_out", help="output directory")
     bench_p.add_argument("--seed", type=int, help="master seed override")

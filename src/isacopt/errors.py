@@ -9,11 +9,21 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration input."""
 
 
-def require_finite(owner, names) -> None:
-    """Raise ConfigError unless every named attribute is a finite number
-    (complex values need finite real and imaginary parts)."""
+def _named_values(owner, names):
+    """(name, value) per named attribute, or (``name[i]``, entry) per entry
+    of a list attribute."""
     for name in names:
         value = getattr(owner, name)
+        if isinstance(value, list):
+            yield from ((f"{name}[{i}]", v) for i, v in enumerate(value))
+        else:
+            yield name, value
+
+
+def require_finite(owner, names) -> None:
+    """Raise ConfigError unless every named attribute or list entry is a
+    finite number (complex values need finite real and imaginary parts)."""
+    for name, value in _named_values(owner, names):
         ok = isinstance(value, numbers.Number) and not isinstance(value, bool)
         if ok:
             z = complex(value)
@@ -23,9 +33,9 @@ def require_finite(owner, names) -> None:
 
 
 def require_integer(owner, names) -> None:
-    """Raise ConfigError unless every named attribute is an integer."""
-    for name in names:
-        value = getattr(owner, name)
+    """Raise ConfigError unless every named attribute or list entry is an
+    integer."""
+    for name, value in _named_values(owner, names):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
 

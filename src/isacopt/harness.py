@@ -8,7 +8,9 @@ Four experiment kinds:
   solvers as the surface size grows.
 * ``ratio``       - Gaussian-randomization approximation ratio versus the
   number of randomized samples, against the unit-diagonal relaxation bound.
-* ``bench``       - micro-benchmarks of the numerical kernels.
+* ``bench``       - timings of the solver-path operations (phase update,
+  relaxed precoder solve, inner phase iteration, unit-diagonal relaxation,
+  ratio study) and checks of their results.
 
 Every primary CSV is deterministic for a fixed config and master seed,
 whatever the number of worker processes; wall-clock measurements are
@@ -40,12 +42,10 @@ import numpy as np
 
 from . import __version__ as _version
 from .alternating import SolverOptions, run_alternating
-from .errors import ConfigError, require_integer
-from .irs import (SurrogateFactors, build_quadratic_terms,
-                  dense_linearization, irs_phase_update,
+from .errors import ConfigError, require_finite, require_integer
+from .irs import (build_quadratic_terms, irs_phase_update,
                   solve_irs_minorization)
-from .objective import (IrsPhase, Precoder, build_omega, quartic_kernels,
-                        quartic_kernels_reference)
+from .objective import IrsPhase, Precoder, build_omega
 from .precoder import (approximation_ratio_study, default_beampattern_target,
                        relaxed_dual_bound, relaxed_objective, solve_relaxed,
                        solve_unit_diag_relaxation, unit_diag_dual_bound,
@@ -74,7 +74,19 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self):
-        require_integer(self, ("trials", "master_seed", "threads"))
+        for name in ("beta_values", "l_values", "n_g_grid"):
+            if not isinstance(getattr(self, name), list):
+                raise ConfigError(f"{name} must be a list")
+        require_integer(self, ("trials", "master_seed", "threads",
+                               "l_values", "n_g_grid"))
+        require_finite(self, ("beta_values",))
+        if not all(0.0 <= beta <= 1.0 for beta in self.beta_values):
+            raise ConfigError(f"beta_values must lie in [0, 1], "
+                              f"got {self.beta_values}")
+        for name in ("l_values", "n_g_grid"):
+            if min(getattr(self, name), default=1) < 1:
+                raise ConfigError(f"{name} must be >= 1, "
+                                  f"got {getattr(self, name)}")
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(
                 f"kind must be one of {EXPERIMENT_KINDS}, got '{self.kind}'")
@@ -95,19 +107,11 @@ class ExperimentSpec:
 
 @dataclass
 class AggregateResult:
-    """Aggregated outcome of one experiment."""
+    """Outcome of one experiment: the CSVs it wrote and its failed trials."""
 
     kind: str
-    points: list[dict] = field(default_factory=list)
-    timing: list[dict] = field(default_factory=list)
     files: list[str] = field(default_factory=list)
     trial_errors: list[dict] = field(default_factory=list)
-
-    def __post_init__(self):
-        for row in self.points:
-            for key, value in row.items():
-                if key.startswith("var_") and value < 0:
-                    raise ConfigError(f"negative variance in column {key}")
 
 
 def load_experiment_spec(source: str | Path | dict) -> ExperimentSpec:
@@ -437,14 +441,6 @@ def run_convergence_experiment(spec: ExperimentSpec) -> AggregateResult:
             timing_rows, spec, errors)
 
         result.files += [str(raw_path), str(agg_path), str(timing_path)]
-        for row in agg_rows:
-            result.points.append({
-                "beta": float(beta), "iteration": row[0],
-                "mean_objective": row[1], "var_objective": row[2],
-                "n_trials": row[4]})
-        for stage, mean, var, n in timing_rows:
-            result.timing.append({"beta": float(beta), "stage": stage,
-                                  "mean_seconds": mean, "var_seconds": var})
         log.info("convergence beta=%g: %d/%d trials ok", beta, len(trials),
                  spec.trials)
     return result
@@ -501,16 +497,6 @@ def run_scaling_experiment(spec: ExperimentSpec) -> AggregateResult:
         ["l", "method", "mean_irs_seconds", "var_irs_seconds",
          "mean_irs_seconds_per_outer", "mean_total_seconds", "n_trials"],
         timing_rows, spec, result.trial_errors)))
-    for row in agg_rows:
-        result.points.append({"l": row[0], "method": row[1],
-                              "mean_final_objective": row[2],
-                              "var_final_objective": row[3],
-                              "n_trials": row[5]})
-    for row in timing_rows:
-        result.timing.append({"l": row[0], "method": row[1],
-                              "mean_irs_seconds": row[2],
-                              "mean_irs_seconds_per_outer": row[4],
-                              "mean_total_seconds": row[5]})
     return result
 
 
@@ -541,37 +527,16 @@ def run_ratio_experiment(spec: ExperimentSpec) -> AggregateResult:
         out_dir / "ratio.csv",
         ["l", "n_g", "mean_ratio", "var_ratio", "n_trials"],
         agg_rows, spec, result.trial_errors)))
-    for row in agg_rows:
-        result.points.append({"l": row[0], "n_g": row[1], "mean_ratio": row[2],
-                              "var_ratio": row[3], "n_trials": row[4]})
     return result
 
 
 def run_bench(spec: ExperimentSpec) -> AggregateResult:
-    """Micro-benchmarks: kernel equivalence and per-operation timings."""
+    """Timings of the solver-path operations, and checks of their results."""
     out_dir = Path(spec.output_dir)
     result = AggregateResult(kind="bench")
     rng = np.random.default_rng(spec.master_seed)
     check_rows, timing_rows = [], []
     reps = 100
-
-    for l in (2, 4, 6, 8):
-        x = complex_normal(rng, l, l)
-        v = complex_normal(rng, l, l)
-        w = complex_normal(rng, l, l)
-        y_fast, z_fast = quartic_kernels(x, v, w)
-        y_ref, z_ref = quartic_kernels_reference(x, v, w)
-        err = max(
-            np.linalg.norm(y_fast - y_ref) / max(np.linalg.norm(y_ref), 1e-300),
-            np.linalg.norm(z_fast - z_ref) / max(np.linalg.norm(z_ref), 1e-300))
-        check_rows.append(("quartic_kernels", l, "max_rel_error", err))
-        timing_rows.append(("quartic_kernels", l, "fast",
-                            _median_time(lambda: quartic_kernels(x, v, w), reps),
-                            reps))
-        timing_rows.append(("quartic_kernels", l, "kronecker",
-                            _median_time(
-                                lambda: quartic_kernels_reference(x, v, w), reps),
-                            reps))
 
     l_irs = spec.scene.n_irs
     nu = complex_normal(rng, l_irs)
@@ -611,19 +576,12 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
             lambda: solve_relaxed(omega, scene, r_d), n), n))
 
     # One inner iteration of the phase solver on the paper's 6 x 6 surface
-    # and on a 16 x 16 one, plus the factored linearization against the
-    # dense-matrix reference at L = 36.
+    # and on a 16 x 16 one.
     for rows_, cols_ in ((6, 6), (16, 16)):
         cfg_l = replace(cfg, irs_rows=rows_, irs_cols=cols_)
         ch_l = make_channels(cfg_l, rng)
         p = _random_precoder(cfg_l, rng)
         theta = IrsPhase(np.exp(2j * np.pi * rng.random(cfg_l.n_irs)))
-        if cfg_l.n_irs == 36:
-            nu_ref, _, _ = dense_linearization(theta, p, ch_l, cfg_l)
-            nu, _, _, _ = SurrogateFactors(p, ch_l, cfg_l).linearize(theta.theta)
-            check_rows.append((
-                "solve_irs_minorization", cfg_l.n_irs, "factored_nu_rel_error",
-                float(np.linalg.norm(nu - nu_ref) / np.linalg.norm(nu_ref))))
         timing_rows.append((
             "solve_irs_minorization", cfg_l.n_irs, "inner_iteration",
             _median_time(lambda: solve_irs_minorization(
@@ -662,11 +620,6 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
         out_dir / "bench_timing.csv",
         ["op", "size", "path", "median_seconds", "reps"],
         timing_rows, spec)))
-    for op, size, metric, value in check_rows:
-        result.points.append({"op": op, "size": size, metric: value})
-    for op, size, path_name, seconds, n in timing_rows:
-        result.timing.append({"op": op, "size": size, "path": path_name,
-                              "median_seconds": seconds})
     return result
 
 

@@ -37,11 +37,11 @@ inner iteration costs O(L (N + m^2)).
 of both phase solvers: each iterate is scored from the q_v, q_w and G P
 that the next linearization reuses, and the solvers report the score.
 
-The dense constructions (``build_quartic_surrogate``,
-``quartic_surrogate_constant``, ``linear_surrogate_vectors``,
-``dense_linearization``) are reference code for the tests.
 ``build_quadratic_terms`` returns the dense U3, which the
-approximation-ratio study needs.
+approximation-ratio study needs.  The dense quartic constructions
+(``quartic_kernels``, ``build_quartic_surrogate``,
+``linear_surrogate_vectors``) run on no solver path; they stay here, under
+these names, because perfbench's tracer wraps them in this module.
 """
 
 from __future__ import annotations
@@ -163,17 +163,6 @@ class SurrogateFactors:
         u1_sym = 0.5 * self.c * (np.outer(pt, qt) + np.outer(qt, pt))
         return ascent_anchor(u1_sym, psit @ psit.conj().T)
 
-    def surrogate_value(self, theta: np.ndarray, pv: np.ndarray,
-                        qv: np.ndarray, rho: float) -> float:
-        """Quadratic surrogate with anchor rho, expanded where (p, q) were
-        taken, at theta.  Reference code for the ascent-gap tests."""
-        quartic = 2.0 * self.c * np.real(np.vdot(theta, pv)
-                                         * np.vdot(theta, qv))
-        coords = self.psi.conj().T @ theta
-        quad = np.vdot(coords, coords).real + rho * np.vdot(theta, theta).real
-        lin = 2.0 * np.real(theta @ self.mu)
-        return float(quartic + quad + lin)
-
 
 def _kernel_factors(p: Precoder, ch: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
     """V = (G P P^H G^H)^T and W = G* G^T, both Hermitian PSD."""
@@ -197,10 +186,10 @@ def build_quartic_surrogate(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
                             cfg: SceneConfig) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic surrogate matrices (U1, U2) of the quartic term at theta_t.
 
-    Reference code: the solver uses the rank-one factors of
-    ``SurrogateFactors`` instead.  U1 = c (R^H o Y^T) and U2 = c (R o Z^T)
-    with c = beta |alpha|^2 / sigma_R^2 and (Y, Z) the kernels at
-    X_t = Theta_t R Theta_t.  The surrogate theta^H U1 theta* +
+    Dense quartic construction, kept for the tracer: the solver uses the
+    rank-one factors of ``SurrogateFactors`` instead.  U1 = c (R^H o Y^T)
+    and U2 = c (R o Z^T) with c = beta |alpha|^2 / sigma_R^2 and (Y, Z) the
+    kernels at X_t = Theta_t R Theta_t.  The surrogate theta^H U1 theta* +
     theta^T U2 theta minorizes the quartic term after restoring the dropped
     constant c * vec(X_t)^H Q vec(X_t).
     """
@@ -210,16 +199,6 @@ def build_quartic_surrogate(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
     u1 = c * (r.conj() * y.T)
     u2 = c * (r * z.T)
     return u1, u2
-
-
-def quartic_surrogate_constant(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
-                               cfg: SceneConfig) -> float:
-    """Dropped constant c * vec(X_t)^H Q vec(X_t); equals g4(theta_t).
-
-    Reference code for the tangency tests.
-    """
-    x_t, y, _ = _lifted_kernels(theta_t, p, ch)
-    return quartic_coefficient(cfg) * float(np.real(np.vdot(x_t, y)))
 
 
 def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
@@ -247,34 +226,13 @@ def linear_surrogate_vectors(theta_t: IrsPhase, u1: np.ndarray, u2: np.ndarray,
         nu  = 2 U1^T theta_t* + U3 theta_t + mu*
         eta = 2 U2^T theta_t  + U3^T theta_t* + mu
 
-    Reference code: with the rank-one U1 the solver forms nu from the
-    gradient and takes eta = conj(nu).
+    Dense quartic construction, kept for the tracer: with the rank-one U1
+    the solver forms nu from the gradient and takes eta = conj(nu).
     """
     th = theta_t.theta
     nu = 2.0 * u1.T @ th.conj() + u3 @ th + mu.conj()
     eta = 2.0 * u2.T @ th + u3.T @ th.conj() + mu
     return nu, eta
-
-
-def dense_linearization(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
-                        cfg: SceneConfig, safeguard: bool = True
-                        ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(nu, eta, rho) at theta_t from the dense L x L surrogate pieces.
-
-    Reference code for ``SurrogateFactors.linearize``: the quartic
-    surrogate, symmetrized and anchored by ``ascent_anchor`` on the full
-    2L x 2L form when ``safeguard`` is set, then linearized.
-    """
-    u1, u2 = build_quartic_surrogate(theta_t, p, ch, cfg)
-    u3, mu = build_quadratic_terms(p, ch, cfg)
-    rho = 0.0
-    if safeguard:
-        u1 = 0.5 * (u1 + u1.T)
-        u2 = 0.5 * (u2 + u2.T)
-        rho = ascent_anchor(u1, u3)
-        u3 = u3 + rho * np.eye(len(theta_t))
-    nu, eta = linear_surrogate_vectors(theta_t, u1, u2, u3, mu)
-    return nu, eta, rho
 
 
 def irs_phase_update(nu: np.ndarray, eta: np.ndarray,
@@ -351,19 +309,6 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
             break
     trace.snapshot = snapshot
     return IrsPhase(theta), trace
-
-
-def wirtinger_gradient(theta: IrsPhase, p: Precoder, ch: ChannelSet,
-                       cfg: SceneConfig) -> np.ndarray:
-    """Conjugate-coordinate gradient of the true objective at theta.
-
-    For real objective g, dg = 2 Re{grad^H d theta}.  The communication
-    terms contribute mu* + U3 theta; the quartic term is the product of the
-    two PSD forms q_v q_w in b = theta o a, so the product rule gives
-    a* o (c (q_w V b + q_v W b)) = c (q_w p + q_v q).
-    """
-    factors = SurrogateFactors(p, ch, cfg)
-    return factors.gradient(theta.theta, *factors.quartic(theta.theta))
 
 
 def _tangent_project(grad: np.ndarray, theta: np.ndarray) -> np.ndarray:

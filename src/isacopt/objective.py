@@ -1,15 +1,14 @@
-"""Weighted-SNR objective: effective channels, quadratic form, decomposition.
+"""Weighted-SNR objective: effective channels and the quadratic form.
 
 For surface phases theta (unit modulus, Theta = diag(theta)) and precoder P
 the objective is
 
-    beta * SNR_R + (1 - beta) * SNR_C = tr(P P^H Omega),
+    beta * SNR_R + (1 - beta) * SNR_C = tr(P P^H Omega).
 
-which splits into terms of order 0, 1, 2 and 4 in theta.  The quartic term
-is handled through the lifted variable X = Theta R Theta.  Its kernels Y
-and Z are kept here as reference code, computed with O(L^3) matrix products
-instead of the L^2 x L^2 Kronecker operator they represent; the phase
-solver uses their rank-one factors instead (``irs.SurrogateFactors``).
+The phase solvers score their iterates with the low-rank factors of
+``irs.SurrogateFactors``; ``weighted_snr``, ``snr_radar`` and ``snr_comm``
+evaluate the same quantities from the dense effective channels.
+``quartic_kernels`` gives the lifted quartic term's kernels densely.
 """
 
 from __future__ import annotations
@@ -53,17 +52,6 @@ class Precoder:
     def power(self) -> float:
         """tr(P P^H), the total transmit power."""
         return float(np.sum(np.abs(self.p) ** 2))
-
-
-@dataclass
-class ObjectiveBreakdown:
-    """Objective split by polynomial order in the surface phases."""
-
-    g0: float
-    g1: float
-    g2: float
-    g4: float
-    total: float
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -130,40 +118,14 @@ def comm_coefficient(cfg: SceneConfig) -> float:
     return (1.0 - cfg.beta) / cfg.sigma2_comm
 
 
-def decompose_objective(p: Precoder, theta: IrsPhase, ch: ChannelSet,
-                        cfg: SceneConfig) -> ObjectiveBreakdown:
-    """Split the objective into g0 + g1 + g2 + g4 by order in theta.
-
-    g0 collects the direct-link power, g1 the conjugate pair of direct/
-    reflected cross terms (real by pairing), g2 the reflected downlink
-    power and g4 the round-trip radar term.
-    """
-    _check_dims(theta.theta, ch)
-    cc = comm_coefficient(cfg)
-    fp = ch.f @ p.p
-    g0 = cc * float(np.sum(np.abs(fp) ** 2))
-
-    htg = (ch.h * theta.theta[np.newaxis, :]) @ ch.g
-    htgp = htg @ p.p
-    g1 = cc * 2.0 * float(np.real(np.vdot(fp, htgp)))
-    g2 = cc * float(np.sum(np.abs(htgp) ** 2))
-
-    b = theta.theta * ch.steer
-    q_w = float(np.sum(np.abs(ch.g.T @ b) ** 2))          # b^H (G* G^T) b
-    q_v = float(np.sum(np.abs(p.p.conj().T @ (ch.g.conj().T @ b.conj())) ** 2))
-    g4 = quartic_coefficient(cfg) * q_w * q_v
-
-    return ObjectiveBreakdown(g0=g0, g1=g1, g2=g2, g4=g4, total=g0 + g1 + g2 + g4)
-
-
 def quartic_kernels(x: np.ndarray, v: np.ndarray, w: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Kernels Y, Z with vec(Y) = (V (x) W) vec(X), vec(Z) = (V (x) W)^T vec(X)*.
 
     Computed as Y = W X V^T and Z = W^T X* V, which are algebraically
     identical to applying the Kronecker operator but cost O(L^3) time and
-    O(L^2) memory.  Reference code for the dense surrogate constructions; the
-    phase solver never forms X, Y or Z.
+    O(L^2) memory.  The phase solver never forms X, Y or Z; ``irs``
+    imports this for its dense quartic constructions, kept for the tracer.
     """
     if not (x.shape == v.shape == w.shape) or x.shape[0] != x.shape[1]:
         raise ConfigError(
@@ -171,23 +133,4 @@ def quartic_kernels(x: np.ndarray, v: np.ndarray, w: np.ndarray
             f"{x.shape}, {v.shape}, {w.shape}")
     y = w @ x @ v.T
     z = w.T @ x.conj() @ v
-    return y, z
-
-
-def quartic_kernels_reference(x: np.ndarray, v: np.ndarray, w: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Same kernels via the explicit Kronecker operator.
-
-    Reference code for equivalence checks and micro-benchmarks only; the
-    L^4 memory footprint restricts it to L <= 8.
-    """
-    if not (x.shape == v.shape == w.shape) or x.shape[0] != x.shape[1]:
-        raise ConfigError("kernel factors must be square and equally sized")
-    l = x.shape[0]
-    if l > 8:
-        raise ConfigError(f"explicit Kronecker path is limited to L <= 8, got L={l}")
-    q = np.kron(v, w)
-    x_vec = x.ravel(order="F")
-    y = (q @ x_vec).reshape((l, l), order="F")
-    z = (q.T @ x_vec.conj()).reshape((l, l), order="F")
     return y, z

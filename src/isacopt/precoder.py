@@ -32,8 +32,8 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .objective import Precoder, hermitize
 from .scene import SceneConfig, ula_steering
-# Unused since the ratio study draws at the rank of R*; the name stays a
-# module attribute because perfbench's tracer wraps it here by name.
+# Unused since the ratio study draws at the rank of R*; kept for the tracer,
+# which counts calls to it here by name.
 from .scene import complex_normal  # noqa: F401
 
 # Relative width of the bracket on t at which the KKT search stops.
@@ -89,23 +89,16 @@ class RandomizationReport:
 
 
 def project_psd(m: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix (eigenvalue clamp)."""
+    """Frobenius-nearest positive semidefinite matrix (eigenvalue clamp).
+
+    The name stays: the tracer counts calls to it here.
+    """
     asym = np.linalg.norm(m - m.conj().T)
     if asym > herm_tol * max(1.0, np.linalg.norm(m)):
         raise ConfigError(f"input is not Hermitian (asymmetry {asym:.3e})")
     w, u = np.linalg.eigh(hermitize(m))
     w = np.maximum(w, 0.0)
     return hermitize((u * w) @ u.conj().T)
-
-
-def project_trace(m: np.ndarray, target: float) -> np.ndarray:
-    """Frobenius projection onto the hyperplane tr(M) = target.
-
-    Reference code, used only by tests (``project_spectrahedron`` fuses it
-    with the cone).
-    """
-    n = m.shape[0]
-    return m + ((target - np.trace(m)) / n) * np.eye(n)
 
 
 def project_ball(m: np.ndarray, center: np.ndarray, radius2: float) -> np.ndarray:
@@ -152,26 +145,6 @@ def project_spectrahedron(m: np.ndarray, target: float) -> np.ndarray:
     """
     v, u = _projected_spectrum(m, target)
     return hermitize((u * v) @ u.conj().T)
-
-
-def _feasibility_residuals(cfg: SceneConfig, r_d: np.ndarray):
-    """Scaled violations of the cone, trace and ball constraints, as three
-    callables.  Reference code, used only by tests."""
-    p_t, gamma = cfg.power_budget, cfg.beampattern_tol
-    radius = math.sqrt(gamma)
-
-    def res_psd(x):
-        w = np.linalg.eigvalsh(hermitize(x))
-        return max(0.0, -float(w[0])) / max(1.0, float(np.abs(w).max()))
-
-    def res_trace(x):
-        return abs(float(np.real(np.trace(x))) - p_t) / max(1.0, p_t)
-
-    def res_ball(x):
-        dist = float(np.linalg.norm(x - r_d))
-        return max(0.0, dist - radius) / max(1.0, radius)
-
-    return [res_psd, res_trace, res_ball]
 
 
 def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
@@ -239,8 +212,9 @@ def dykstra_project(m: np.ndarray, cfg: SceneConfig, r_d: np.ndarray) -> np.ndar
 
     By KKT the projection of M is Pi_C(R_D + s (M - R_D)) with s = 1/(1 + mu),
     mu the ball's multiplier: s = 1 if that point lies in the ball, else the
-    bisection of ``solve_relaxed`` finds s.  (The name, from the Dykstra
-    iteration this replaced, is kept for the benchmark's tracer.)
+    bisection of ``solve_relaxed`` finds s.  Nothing in the library calls
+    it; it is kept for the tracer, under the name of the Dykstra iteration
+    it replaced.
     """
     check_beampattern_target(r_d, cfg)
     direction = hermitize(m) - r_d

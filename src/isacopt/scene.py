@@ -125,8 +125,9 @@ class ChannelSet:
     def r_mat(self) -> np.ndarray:
         """R = a a^T (no conjugation), the dense L x L rank-one target matrix.
 
-        Built on each access for the reference constructions; the solver
-        path works with ``steer`` alone.  The upper triangle is mirrored
+        Built on each access for the dense quartic constructions of ``irs``,
+        which are kept for the tracer; the solver path works with ``steer``
+        alone.  The upper triangle is mirrored
         because ``np.outer`` can round a_i a_j and a_j a_i differently (by
         about 1e-16), and R must be exactly symmetric.
         """

@@ -11,20 +11,20 @@ import pytest
 from scipy import stats
 
 from isacopt import (SceneConfig, build_omega, build_quadratic_terms,
-                     build_quartic_surrogate, decompose_objective,
-                     default_beampattern_target, irs_phase_update,
-                     linear_surrogate_vectors, load_experiment_spec,
-                     quartic_kernels, quartic_kernels_reference,
-                     run_bench, run_convergence_experiment,
-                     run_ratio_experiment, run_scaling_experiment,
-                     snr_comm, snr_radar, solve_irs_minorization,
-                     solve_relaxed, wirtinger_gradient)
+                     build_quartic_surrogate, default_beampattern_target,
+                     irs_phase_update, linear_surrogate_vectors,
+                     load_experiment_spec, quartic_kernels, run_bench,
+                     run_convergence_experiment, run_ratio_experiment,
+                     run_scaling_experiment, snr_comm, snr_radar,
+                     solve_irs_minorization, solve_relaxed)
 from isacopt.harness import aggregate_convergence, read_csv_rows
-from isacopt.irs import quartic_surrogate_constant
-from isacopt.precoder import _feasibility_residuals, relaxed_objective
+from isacopt.precoder import relaxed_objective
 from isacopt.scene import complex_normal
 
 from conftest import random_scene
+from reference import (decompose_objective, feasibility_residuals,
+                       quartic_kernels_reference, quartic_surrogate_constant,
+                       wirtinger_gradient)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -201,7 +201,7 @@ def test_criterion_06_convex_subproblem_optimality():
         target = cfg.power_budget * float(np.linalg.eigvalsh(omega)[-1])
         worst_gap = max(worst_gap,
                         abs(relaxed_objective(s, omega) - target) / target)
-        for res in _feasibility_residuals(cfg, r_d):
+        for res in feasibility_residuals(cfg, r_d):
             worst_residual = max(worst_residual, res(s.s))
     _report(6, "relaxed solve attains the analytic optimum, feasible to 1e-8",
             worst_gap <= 1e-6 and worst_residual < 1e-8,

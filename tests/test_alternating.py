@@ -6,10 +6,11 @@ import pytest
 
 from isacopt import (ConfigError, SceneConfig, SolverOptions, alternating,
                      default_beampattern_target, make_channels,
-                     objective_snapshot, run_alternating, weighted_snr)
+                     run_alternating, weighted_snr)
 from isacopt.irs import solve_irs_manifold
 
 from conftest import random_scene, small_config
+from reference import objective_snapshot
 
 
 def tiny_scene(seed=0, **kwargs):

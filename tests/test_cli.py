@@ -115,6 +115,27 @@ class TestRun:
         assert not out.exists()
 
 
+BAD_SWEEPS = [
+    {"kind": "ratio", "l_values": [4], "n_g_grid": [0]},
+    {"kind": "scaling", "l_values": [4.7]},
+    {"beta_values": [1.5]},
+]
+
+
+class TestBadSweeps:
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    @pytest.mark.parametrize("sweep", BAD_SWEEPS,
+                             ids=["n_g_zero", "l_fractional", "beta_above_one"])
+    def test_out_of_range_sweep_exits_2(self, tmp_path, capsys, command,
+                                        sweep):
+        config = write_config(tmp_path, **sweep)
+        out = tmp_path / "results"
+        assert main([command, "--config", str(config)]
+                    + (["--out", str(out)] if command == "run" else [])) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBench:
     def test_bench_runs(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -1,13 +1,17 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isacopt import (ConfigError, harness, load_experiment_spec, run_bench,
-                     run_convergence_experiment, run_ratio_experiment,
-                     run_scaling_experiment)
+from isacopt import (ConfigError, default_beampattern_target, harness,
+                     load_experiment_spec, make_channels, run_alternating,
+                     run_bench, run_convergence_experiment,
+                     run_ratio_experiment, run_scaling_experiment)
 from isacopt.harness import (aggregate_convergence, config_hash, format_cell,
                              near_square_grid, read_csv_rows,
                              solver_options_from_dict)
@@ -45,6 +49,12 @@ class TestSpecLoading:
             make_spec(tmp_path, beta_values=[])
         with pytest.raises(ConfigError, match="l_values"):
             make_spec(tmp_path, kind="scaling", l_values=[])
+        with pytest.raises(ConfigError, match="n_g_grid"):
+            make_spec(tmp_path, kind="ratio", l_values=[4], n_g_grid=[0])
+        with pytest.raises(ConfigError, match="l_values"):
+            make_spec(tmp_path, kind="scaling", l_values=[4.7])
+        with pytest.raises(ConfigError, match="beta_values"):
+            make_spec(tmp_path, beta_values=[1.5])
 
     def test_eps_rel_db_suffix(self):
         opts = solver_options_from_dict({"eps_rel_db": -20})
@@ -73,6 +83,63 @@ class TestSpecLoading:
         c = make_spec(tmp_path, master_seed=43)
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# Scenes are valid apart from the ball, which can be too tight for a
+# K-column precoder; sweep entries can be out of range or fractional.
+SMALL_CONFIGS = st.fixed_dictionaries({
+    "kind": st.sampled_from(["convergence", "scaling", "ratio"]),
+    "scene": st.fixed_dictionaries({
+        "n_tx": st.integers(1, 4), "n_users": st.integers(1, 3),
+        "irs_rows": st.integers(1, 3), "irs_cols": st.integers(1, 3),
+        "beta": st.floats(0.0, 1.0), "alpha_mag": _log_uniform(-3, 0),
+        "power_budget": _log_uniform(-2, 2),
+        "beampattern_tol": _log_uniform(-9, 4),
+        "beampattern_mix": st.floats(0.0, 1.0)}),
+    "solver": st.fixed_dictionaries({
+        "t_max": st.integers(1, 3),
+        "irs_method": st.sampled_from(["minorization", "manifold"]),
+        "irs_inner": st.booleans(),
+        "theta_init": st.sampled_from(["ones", "random"])}),
+    "beta_values": st.lists(st.one_of(st.floats(0.0, 1.0),
+                                      st.floats(-0.5, 1.5)),
+                            min_size=1, max_size=2),
+    "l_values": st.lists(st.one_of(st.integers(1, 9), st.integers(-1, 9),
+                                   st.floats(0.5, 9.5)),
+                         min_size=1, max_size=2),
+    "n_g_grid": st.lists(st.one_of(st.integers(1, 20), st.integers(-1, 20)),
+                         min_size=1, max_size=2),
+    "master_seed": st.integers(0, 2 ** 16),
+})
+
+
+class TestConfigProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(raw=SMALL_CONFIGS)
+    def test_rejected_on_load_or_feasible(self, raw):
+        # a config either fails when it loads, or every sweep point runs to
+        # a finite precoder on the power budget and inside the ball
+        scene = {**raw["scene"], "n_rx": raw["scene"]["n_tx"]}
+        try:
+            spec = load_experiment_spec({**raw, "scene": scene})
+        except ConfigError:
+            return
+        cfgs = ([replace(spec.scene, beta=beta) for beta in spec.beta_values]
+                if spec.kind == "convergence"
+                else harness._surface_scenes(spec))
+        rng = np.random.default_rng(spec.master_seed)
+        for cfg in cfgs:
+            ch = make_channels(cfg, rng)
+            p, _, _ = run_alternating(ch, cfg, opts=spec.solver, rng=rng)
+            assert np.all(np.isfinite(p.p))
+            assert p.power() == pytest.approx(cfg.power_budget, rel=1e-9)
+            r_d = default_beampattern_target(cfg)
+            dist2 = float(np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2))
+            assert dist2 <= cfg.beampattern_tol * (1.0 + 1e-9)
 
 
 class TestHelpers:
@@ -278,9 +345,6 @@ class TestBench:
         result = run_bench(spec)
         out = Path(spec.output_dir)
         _, rows = read_csv_rows(out / "bench.csv")
-        kron_errors = [float(r[3]) for r in rows
-                       if r[0] == "quartic_kernels" and r[2] == "max_rel_error"]
-        assert kron_errors and all(e < 1e-10 for e in kron_errors)
         gaps = [float(r[3]) for r in rows
                 if r[0] == "solve_relaxed" and r[2] == "closed_form_gap"]
         assert len(gaps) == 1 and abs(gaps[0]) <= 1e-12
@@ -296,11 +360,9 @@ class TestBench:
         inner = {int(r[1]) for r in t_rows
                  if (r[0], r[2]) == ("solve_irs_minorization", "inner_iteration")}
         assert inner == {36, 256}
-        nu_errors = [(int(r[1]), float(r[3])) for r in rows
-                     if r[0] == "solve_irs_minorization"
-                     and r[2] == "factored_nu_rel_error"]
-        assert len(nu_errors) == 1 and nu_errors[0][0] == 36
-        assert nu_errors[0][1] <= 1e-10
+        # only solver-path operations: no dense reference rows
+        assert not any(r[0] == "quartic_kernels" for r in rows + t_rows)
+        assert not any(r[2] == "factored_nu_rel_error" for r in rows)
         unit_diag = {(int(r[1]), r[2]): float(r[3]) for r in rows
                      if r[0] == "solve_unit_diag_relaxation"}
         assert set(unit_diag) == {(l, m) for l in (8, 36) for m in (
@@ -315,14 +377,6 @@ class TestBench:
         study = {(int(r[1]), r[2]) for r in t_rows
                  if r[0] == "approximation_ratio_study"}
         assert study == {(36, "n_g_10000")}
-
-    def test_fast_path_beats_kronecker_at_l8(self, tmp_path):
-        spec = make_spec(tmp_path, kind="bench", beta_values=[])
-        run_bench(spec)
-        _, rows = read_csv_rows(Path(spec.output_dir) / "bench_timing.csv")
-        times = {(r[0], int(r[1]), r[2]): float(r[3]) for r in rows}
-        assert times[("quartic_kernels", 8, "fast")] \
-            < times[("quartic_kernels", 8, "kronecker")]
 
     def test_primary_csv_deterministic(self, tmp_path):
         a = make_spec(tmp_path, kind="bench", beta_values=[],

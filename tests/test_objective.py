@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from isacopt import (ConfigError, IrsPhase, Precoder, build_omega,
-                     decompose_objective, effective_comm_channel,
-                     effective_radar_channel, quartic_kernels,
-                     quartic_kernels_reference, weighted_snr)
+                     effective_comm_channel, effective_radar_channel,
+                     quartic_kernels, weighted_snr)
 from isacopt.scene import ChannelSet, complex_normal
 
 from conftest import random_scene, small_config
+from reference import decompose_objective, quartic_kernels_reference
 
 
 class TestEffectiveRadarChannel:

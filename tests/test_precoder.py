@@ -9,17 +9,17 @@ from isacopt import (ConfigError, RelaxedCovariance, SolverOptions,
                      approximation_ratio_study, build_quadratic_terms,
                      default_beampattern_target, dykstra_project,
                      factor_precoder, make_channels, precoder_objective, project_ball,
-                     project_psd, project_spectrahedron, project_trace,
+                     project_psd, project_spectrahedron,
                      relaxed_dual_bound, relaxed_objective, run_alternating,
                      scene_config_from_dict, solve_relaxed,
                      solve_unit_diag_relaxation, unit_diag_dual_bound)
 from isacopt import precoder
-from isacopt.precoder import (_feasibility_residuals,
-                              validate_beampattern_target)
+from isacopt.precoder import validate_beampattern_target
 from isacopt.scene import SceneConfig, complex_normal
 
 from conftest import random_hermitian, random_psd, small_config
-from reference import dense_ratio_study, mixing_method_relaxation
+from reference import (dense_ratio_study, feasibility_residuals,
+                       mixing_method_relaxation, project_trace)
 
 
 class TestProjectPsd:
@@ -284,7 +284,7 @@ class TestSolveRelaxed:
         s = solve_relaxed(omega, cfg, r_d)
         assert s.factor is None
         assert np.linalg.norm(s.s - closed) > 1e-3
-        for res in _feasibility_residuals(cfg, r_d):
+        for res in feasibility_residuals(cfg, r_d):
             assert res(s.s) <= 1e-12
         value = relaxed_objective(s, omega)
         assert value >= float(np.real(np.vdot(omega, r_d)))
@@ -322,7 +322,7 @@ class TestSolveRelaxed:
         assert face_dist2 < top_dist2
         cfg = small_config(n_tx=4, beampattern_tol=0.5 * (face_dist2 + top_dist2))
         s = solve_relaxed(omega, cfg, r_d)
-        for res in _feasibility_residuals(cfg, r_d):
+        for res in feasibility_residuals(cfg, r_d):
             assert res(s.s) <= 1e-12
         assert relaxed_objective(s, omega) == pytest.approx(
             cfg.power_budget * np.linalg.eigvalsh(omega)[-1], rel=1e-12)
