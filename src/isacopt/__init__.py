@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, MonotonicityError, SolverError
 from .scene import (ChannelSet, SceneConfig, db_to_linear, dbm_to_watts,
-                    linear_to_db, load_scene_config, make_channels,
-                    rician_channel, scene_config_from_dict, ula_spacing_check,
-                    ula_steering, upa_steering)
+                    make_channels, rician_channel, scene_config_from_dict,
+                    ula_spacing_check, ula_steering, upa_steering)
 from .objective import (IrsPhase, Precoder, build_omega,
                         effective_comm_channel, effective_radar_channel,
                         quartic_kernels, snr_comm, snr_radar, weighted_snr)

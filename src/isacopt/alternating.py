@@ -45,14 +45,13 @@ class SolverOptions:
     t_max: int = 20              # outer iteration cap
     inner_tol: float = 1e-6
     inner_max: int = 200
-    seed: int = 0
     irs_method: str = "minorization"
     irs_inner: bool = False      # run the phase solver to inner convergence
     theta_init: str = "ones"
 
     def __post_init__(self):
         require_finite(self, ("eps_rel", "inner_tol"))
-        require_integer(self, ("t_max", "inner_max", "seed"))
+        require_integer(self, ("t_max", "inner_max"))
         if self.eps_rel <= 0:
             raise ConfigError(f"eps_rel must be positive, got {self.eps_rel}")
         if self.t_max < 1:
@@ -62,8 +61,6 @@ class SolverOptions:
         if self.inner_tol < 0:
             raise ConfigError(f"inner_tol must be non-negative, "
                               f"got {self.inner_tol}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.irs_method not in IRS_METHODS:
             raise ConfigError(f"irs_method must be one of {IRS_METHODS}")
         if self.theta_init not in THETA_INITS:
@@ -100,7 +97,8 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
     """Alternate the two sub-problems until the stopping rule fires.
 
     Returns the final precoder, phases and the run trace.  ``rng`` draws
-    only the initial phases of ``theta_init="random"``.  Sub-solver
+    only the initial phases of ``theta_init="random"``; without one, they
+    come from ``np.random.default_rng(0)``.  Sub-solver
     failures propagate as SolverError with the failing stage named.  An R_D
     that is not PSD with trace P_T raises ConfigError before the first
     outer iteration; a ball too tight for a K-column precoder raises it
@@ -110,7 +108,7 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
     if r_d is None:
         r_d = default_beampattern_target(cfg)
     check_beampattern_target(r_d, cfg)
-    rng = rng if rng is not None else np.random.default_rng(opts.seed)
+    rng = rng if rng is not None else np.random.default_rng(0)
 
     theta = initial_phases(cfg, opts, rng)
     trace = RunTrace()

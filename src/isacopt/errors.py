@@ -11,11 +11,11 @@ class ConfigError(ValueError):
 
 def _named_values(owner, names):
     """(name, value) per named attribute, or (``name[i]``, entry) per entry
-    of a list attribute."""
+    of a list attribute named as ``name[]``."""
     for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, list):
-            yield from ((f"{name}[{i}]", v) for i, v in enumerate(value))
+        value = getattr(owner, name.removesuffix("[]"))
+        if name.endswith("[]"):
+            yield from ((f"{name[:-2]}[{i}]", v) for i, v in enumerate(value))
         else:
             yield name, value
 

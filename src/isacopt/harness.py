@@ -50,8 +50,8 @@ from .precoder import (approximation_ratio_study, default_beampattern_target,
                        relaxed_dual_bound, relaxed_objective, solve_relaxed,
                        solve_unit_diag_relaxation, unit_diag_dual_bound,
                        validate_beampattern_target)
-from .scene import (SceneConfig, complex_normal, convert_suffixed,
-                    make_channels, scene_config_from_dict)
+from .scene import (ChannelSet, SceneConfig, complex_normal,
+                    convert_suffixed, make_channels, scene_config_from_dict)
 
 log = logging.getLogger(__name__)
 
@@ -78,8 +78,11 @@ class ExperimentSpec:
             if not isinstance(getattr(self, name), list):
                 raise ConfigError(f"{name} must be a list")
         require_integer(self, ("trials", "master_seed", "threads",
-                               "l_values", "n_g_grid"))
-        require_finite(self, ("beta_values",))
+                               "l_values[]", "n_g_grid[]"))
+        require_finite(self, ("beta_values[]",))
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, "
+                              f"got {self.output_dir!r}")
         if not all(0.0 <= beta <= 1.0 for beta in self.beta_values):
             raise ConfigError(f"beta_values must lie in [0, 1], "
                               f"got {self.beta_values}")
@@ -90,10 +93,9 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(
                 f"kind must be one of {EXPERIMENT_KINDS}, got '{self.kind}'")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        for name, low in (("trials", 1), ("threads", 1), ("master_seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.kind == "convergence" and not self.beta_values:
             raise ConfigError("convergence experiment needs a non-empty beta_values sweep")
         if self.kind in ("scaling", "ratio") and not self.l_values:
@@ -109,7 +111,6 @@ class ExperimentSpec:
 class AggregateResult:
     """Outcome of one experiment: the CSVs it wrote and its failed trials."""
 
-    kind: str
     files: list[str] = field(default_factory=list)
     trial_errors: list[dict] = field(default_factory=list)
 
@@ -171,8 +172,6 @@ def config_hash(spec: ExperimentSpec) -> str:
 
 def format_cell(value) -> str:
     """Lossless cell format: floats use shortest round-trip repr."""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -213,14 +212,14 @@ def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
 
 # --- per-trial machinery ----------------------------------------------------
 
-def _trial_rng(master_seed: int, point: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([master_seed, point, trial]))
-
-
-def _randomize_alpha(cfg: SceneConfig, rng: np.random.Generator) -> SceneConfig:
-    """Fresh uniform phase for the round-trip coefficient, magnitude kept."""
-    phase = np.exp(2j * np.pi * rng.random())
-    return replace(cfg, alpha=abs(cfg.alpha) * phase)
+def _trial_inputs(cfg: SceneConfig, master_seed: int, point: int, trial: int
+                  ) -> tuple[SceneConfig, ChannelSet, np.random.Generator]:
+    """One trial's scene, channels and generator, drawn in this order: a
+    uniform phase for alpha (magnitude kept), the channels, then the
+    generator is left to the solver."""
+    rng = np.random.default_rng(np.random.SeedSequence([master_seed, point, trial]))
+    cfg = replace(cfg, alpha=abs(cfg.alpha) * np.exp(2j * np.pi * rng.random()))
+    return cfg, make_channels(cfg, rng), rng
 
 
 def near_square_grid(l_total: int) -> tuple[int, int]:
@@ -236,9 +235,7 @@ def near_square_grid(l_total: int) -> tuple[int, int]:
 
 def _convergence_trial(args):
     cfg, opts, master_seed, point, trial = args
-    rng = _trial_rng(master_seed, point, trial)
-    cfg = _randomize_alpha(cfg, rng)
-    ch = make_channels(cfg, rng)
+    cfg, ch, rng = _trial_inputs(cfg, master_seed, point, trial)
     _, _, trace = run_alternating(ch, cfg, opts=opts, rng=rng)
     stage_totals: dict[str, float] = {}
     for stage_times in trace.wall_time_per_stage:
@@ -249,16 +246,13 @@ def _convergence_trial(args):
         "objectives": trace.objective_per_outer,
         "snr_radar": trace.snr_radar_per_outer,
         "snr_comm": trace.snr_comm_per_outer,
-        "terminated_by": trace.terminated_by,
         "stage_totals": stage_totals,
     }
 
 
 def _scaling_trial(args):
     cfg, opts, master_seed, point, trial = args
-    rng = _trial_rng(master_seed, point, trial)
-    cfg = _randomize_alpha(cfg, rng)
-    ch = make_channels(cfg, rng)
+    cfg, ch, _ = _trial_inputs(cfg, master_seed, point, trial)
     solver_seeds = np.random.SeedSequence([master_seed, point, trial, 1]).spawn(2)
     out = {}
     for method, seed in zip(("minorization", "manifold"), solver_seeds):
@@ -281,9 +275,7 @@ def _scaling_trial(args):
 
 def _ratio_trial(args):
     cfg, opts, n_g_grid, master_seed, point, trial = args
-    rng = _trial_rng(master_seed, point, trial)
-    cfg = _randomize_alpha(cfg, rng)
-    ch = make_channels(cfg, rng)
+    cfg, ch, rng = _trial_inputs(cfg, master_seed, point, trial)
     precoder, _, _ = run_alternating(ch, cfg, opts=opts, rng=rng)
     a_mat, _ = build_quadratic_terms(precoder, ch, cfg)
     r_star = solve_unit_diag_relaxation(a_mat)
@@ -403,7 +395,7 @@ def _surface_scenes(spec: ExperimentSpec) -> list[SceneConfig]:
 def run_convergence_experiment(spec: ExperimentSpec) -> AggregateResult:
     """Objective trajectories per radar weight; one CSV pair per weight."""
     out_dir = Path(spec.output_dir)
-    result = AggregateResult(kind="convergence")
+    result = AggregateResult()
     cfgs = [replace(spec.scene, beta=float(beta)) for beta in spec.beta_values]
     per_point, result.trial_errors = _run_trials(
         _convergence_trial, _point_args(spec, cfgs), spec.threads)
@@ -449,7 +441,7 @@ def run_convergence_experiment(spec: ExperimentSpec) -> AggregateResult:
 def run_scaling_experiment(spec: ExperimentSpec) -> AggregateResult:
     """Both phase solvers inside the full loop as the surface size grows."""
     out_dir = Path(spec.output_dir)
-    result = AggregateResult(kind="scaling")
+    result = AggregateResult()
     raw_rows, raw_timing_rows, agg_rows, timing_rows = [], [], [], []
     l0 = float(spec.l_values[0])
     per_point, result.trial_errors = _run_trials(
@@ -503,7 +495,7 @@ def run_scaling_experiment(spec: ExperimentSpec) -> AggregateResult:
 def run_ratio_experiment(spec: ExperimentSpec) -> AggregateResult:
     """Randomization approximation ratio over the sample-count grid."""
     out_dir = Path(spec.output_dir)
-    result = AggregateResult(kind="ratio")
+    result = AggregateResult()
     raw_rows, agg_rows = [], []
     per_point, result.trial_errors = _run_trials(
         _ratio_trial,
@@ -533,7 +525,7 @@ def run_ratio_experiment(spec: ExperimentSpec) -> AggregateResult:
 def run_bench(spec: ExperimentSpec) -> AggregateResult:
     """Timings of the solver-path operations, and checks of their results."""
     out_dir = Path(spec.output_dir)
-    result = AggregateResult(kind="bench")
+    result = AggregateResult()
     rng = np.random.default_rng(spec.master_seed)
     check_rows, timing_rows = [], []
     reps = 100

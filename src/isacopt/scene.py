@@ -10,11 +10,9 @@ into the round-trip coefficient and the noise powers.
 
 from __future__ import annotations
 
-import json
 import math
-import warnings
+import numbers
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -26,13 +24,6 @@ TWO_PI = 2.0 * np.pi
 def db_to_linear(x_db: float) -> float:
     """Convert a dB ratio to linear scale, 10**(x/10)."""
     return float(10.0 ** (x_db / 10.0))
-
-
-def linear_to_db(x: float) -> float:
-    """Convert a positive linear ratio to dB. Rejects non-positive input."""
-    if x <= 0:
-        raise ConfigError(f"linear_to_db requires a positive value, got {x}")
-    return float(10.0 * math.log10(x))
 
 
 def dbm_to_watts(x_dbm: float) -> float:
@@ -225,34 +216,43 @@ def make_channels(cfg: SceneConfig, rng: np.random.Generator) -> ChannelSet:
 # referenced to 1 mW) and are converted on load.  The round-trip coefficient
 # is configured through its magnitude as "alpha_mag" or "alpha_mag_db".
 
-_ALPHA_KEYS = {"alpha_mag": lambda v: complex(float(v)),
-               "alpha_mag_db": lambda v: complex(db_to_linear(float(v)))}
+_ALPHA_KEYS = {"alpha_mag": complex,
+               "alpha_mag_db": lambda v: complex(db_to_linear(v))}
 
 
 def convert_suffixed(raw: dict, valid_names: set[str], where: str) -> dict:
     """Map JSON-style keys onto field names, converting dB-suffixed values.
 
-    Raises ConfigError for a key that names no field in ``valid_names`` and
-    for two keys that set the same field.
+    Raises ConfigError for a section that is not an object, a key that
+    names no field in ``valid_names``, two keys that set the same field,
+    and a converted value that is not a real number.
     """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
     out: dict = {}
-
-    def put(name, value, src):
-        if name in out:
-            raise ConfigError(f"{where}: '{src}' duplicates an already-set field '{name}'")
-        out[name] = value
-
     for key, value in raw.items():
         if key in _ALPHA_KEYS and "alpha" in valid_names:
-            put("alpha", _ALPHA_KEYS[key](value), key)
+            name, convert = "alpha", _ALPHA_KEYS[key]
         elif key.endswith("_dbm") and key[:-4] in valid_names:
-            put(key[:-4], dbm_to_watts(float(value)), key)
+            name, convert = key[:-4], dbm_to_watts
         elif key.endswith("_db") and key[:-3] in valid_names:
-            put(key[:-3], db_to_linear(float(value)), key)
+            name, convert = key[:-3], db_to_linear
         elif key in valid_names:
-            put(key, value, key)
+            name, convert = key, None
         else:
             raise ConfigError(f"{where}: unknown key '{key}'")
+        if name in out:
+            raise ConfigError(f"{where}: '{key}' duplicates an already-set field '{name}'")
+        if convert is not None:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{where}: '{key}' must be a real number, "
+                                  f"got {value!r}")
+            try:
+                value = convert(float(value))
+            except OverflowError:
+                raise ConfigError(f"{where}: '{key}' = {value!r} is out of "
+                                  f"range") from None
+        out[name] = value
     return out
 
 
@@ -260,20 +260,3 @@ def scene_config_from_dict(raw: dict) -> SceneConfig:
     """Build a SceneConfig from a JSON-style dict, converting dB fields."""
     names = {f.name for f in fields(SceneConfig)}
     return SceneConfig(**convert_suffixed(raw, names, "scene config"))
-
-
-def load_scene_config(path: str | Path) -> SceneConfig:
-    """Read a scene configuration from a JSON document."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    cfg = scene_config_from_dict(raw)
-    if not ula_spacing_check(cfg):
-        warnings.warn(
-            f"array spacing d/lambda = {cfg.spacing_over_lambda} differs from "
-            f"the conventional 0.5", stacklevel=2)
-    return cfg

@@ -95,7 +95,7 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 2
 
     @pytest.mark.parametrize("key", ["dykstra_max_cycles", "dykstra_tol",
-                                     "n_g"])
+                                     "n_g", "seed"])
     def test_removed_solver_option_exits_2(self, tmp_path, capsys, key):
         config = write_config(tmp_path, solver={"t_max": 3, key: 500})
         assert main(["validate-config", "--config", str(config)]) == 2
@@ -134,6 +134,37 @@ class TestBadSweeps:
                     + (["--out", str(out)] if command == "run" else [])) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Configs of the wrong JSON shape or type: overrides of the valid config,
+# or the text of the whole file.
+MALFORMED = {
+    "scene_not_object": {"scene": [1, 2]},
+    "solver_not_object": {"solver": 5},
+    "alpha_mag_string": {"scene": {"alpha_mag": "x"}},
+    "dbm_string": {"scene": {"power_budget_dbm": "loud"}},
+    "db_null": {"solver": {"eps_rel_db": None}},
+    "dbm_bool": {"scene": {"power_budget_dbm": True}},
+    "output_dir_number": {"output_dir": 5},
+    "dbm_overflow": {"scene": {"power_budget_dbm": 1e308}},
+    "scalar_as_list": {"scene": {"beta": [0.5]}},
+    "negative_master_seed": {"master_seed": -1},
+    "not_json": "{not json",
+    "top_level_array": '[{"kind": "convergence"}]',
+}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_exits_2(self, tmp_path, capsys, command, case):
+        bad = MALFORMED[case]
+        config = write_config(tmp_path, **({} if isinstance(bad, str) else bad))
+        if isinstance(bad, str):
+            config.write_text(bad)
+        assert main([command, "--config", str(config)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "default_out").exists()
 
 
 class TestBench:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isacopt import (ConfigError, default_beampattern_target, harness,
-                     load_experiment_spec, make_channels, run_alternating,
-                     run_bench, run_convergence_experiment,
+from isacopt import (ConfigError, SceneConfig, default_beampattern_target,
+                     harness, load_experiment_spec, make_channels,
+                     run_alternating, run_bench, run_convergence_experiment,
                      run_ratio_experiment, run_scaling_experiment)
 from isacopt.harness import (aggregate_convergence, config_hash, format_cell,
                              near_square_grid, read_csv_rows,
@@ -153,6 +153,18 @@ class TestHelpers:
         for x in (0.1, 1e-17, 123456.789, float(np.float64(1) / 3)):
             assert float(format_cell(x)) == x
         assert format_cell(7) == "7"
+        assert format_cell(True) == "1"
+
+    def test_trial_inputs_draw_order(self):
+        # the seeded draws of one trial, in order: alpha's phase, the
+        # channels, then whatever the solver takes from the generator
+        cfg, ch, rng = harness._trial_inputs(SceneConfig(alpha=0.3), 5, 2, 7)
+        ref = np.random.default_rng(np.random.SeedSequence([5, 2, 7]))
+        assert cfg.alpha == 0.3 * np.exp(2j * np.pi * ref.random())
+        ref_ch = make_channels(cfg, ref)
+        for name in ("g", "h", "f", "steer"):
+            np.testing.assert_array_equal(getattr(ch, name), getattr(ref_ch, name))
+        assert rng.random() == ref.random()
 
     def test_aggregate_convergence_carry_forward(self):
         rows = aggregate_convergence([[1.0, 2.0, 3.0], [2.0]])
