@@ -27,8 +27,8 @@ from .objective import IrsPhase, Precoder, build_omega
 # tracer, which wraps them here by name.
 from .objective import snr_comm, snr_radar  # noqa: F401
 from .precoder import (check_beampattern_target, default_beampattern_target,
-                       factor_precoder, precoder_objective, relaxed_dual_bound,
-                       relaxed_objective, solve_relaxed)
+                       factor_precoder, precoder_objective, relaxed_objective,
+                       solve_relaxed)
 from .scene import ChannelSet, SceneConfig
 
 log = logging.getLogger(__name__)
@@ -166,8 +166,8 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
         trace.snr_radar_per_outer.append(s_r)
         trace.snr_comm_per_outer.append(s_c)
         trace.relaxed_bound_per_outer.append(    # a certified upper bound
-            relaxed_objective(relaxed, omega) if relaxed.kkt_scale is None
-            else relaxed_dual_bound(omega, cfg, r_d, relaxed.kkt_scale))
+            relaxed_objective(relaxed, omega) if relaxed.dual_bound is None
+            else relaxed.dual_bound)
         trace.precoder_obj_per_outer.append(precoder_obj)
         trace.wall_time_per_stage.append(times)
 

@@ -8,11 +8,12 @@ that matrix lies inside the ball ||S - R_D||_F^2 <= gamma_BP it is the exact
 optimum and its factor sqrt(P_T) u is an exact precoder: no iteration.
 When the ball binds, the KKT conditions put the optimum at
 S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t) meets the
-ball, so the solve is a bisection on t, one eigendecomposition per step,
-and ``relaxed_dual_bound`` certifies it.  The precoder is then recovered
-deterministically along the rank-K path S_K(t) = Pi_{C_K}(R_D + t Omega)
-(``factor_precoder``).  The Euclidean projection onto the feasible set,
-``dykstra_project``, is the same search along M - R_D.
+ball, so the solve is a bracketing root search on t (Chandrupatla's
+method), one eigendecomposition per step, and ``relaxed_dual_bound``
+certifies it.  The precoder is then recovered deterministically along the
+rank-K path S_K(t) = Pi_{C_K}(R_D + t Omega) (``factor_precoder``).  The
+Euclidean projection onto the feasible set, ``dykstra_project``, is the
+same search along M - R_D.
 
 The approximation-ratio study measures Gaussian randomization on the
 unit-modulus problem max x^H A x, against its unit-diagonal relaxation:
@@ -40,6 +41,8 @@ from .scene import complex_normal  # noqa: F401
 _KKT_REL_WIDTH = 1e-13
 # Doublings of t after which the KKT search gives up.
 _KKT_MAX_DOUBLINGS = 200
+# Candidate columns the ratio study forms at a time, which bounds its memory.
+_RATIO_CHUNK = 1024
 # Relative gain at which the unit-diagonal ascent stops, and its step cap.
 _UNIT_DIAG_TOL = 1e-12
 _UNIT_DIAG_MAX_STEPS = 10_000
@@ -51,16 +54,18 @@ class RelaxedCovariance:
 
     ``factor``, when set, is an exact factor F with S = F F^H (one column
     per nonzero eigenvalue).  ``kkt_scale``, set when the beampattern ball
-    binds, is the scale t of the KKT point the solve stopped at, for
-    ``relaxed_dual_bound``.  ``in_ball_scale``, set whenever the KKT search
-    ran, is the largest scale at which S(t) was tested inside the ball;
-    ``factor_precoder`` starts its search there.
+    binds, is the scale t of the KKT point the solve stopped at, and
+    ``dual_bound`` is ``relaxed_dual_bound`` at that scale.
+    ``in_ball_scale``, set whenever the KKT search ran, is the largest scale
+    at which S(t) was tested inside the ball; ``factor_precoder`` starts its
+    search there.
     """
 
     s: np.ndarray
     factor: np.ndarray | None = None
     kkt_scale: float | None = None
     in_ball_scale: float | None = None
+    dual_bound: float | None = None
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=complex)
@@ -188,23 +193,46 @@ def _kkt_point(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
     return s, float(np.sum(np.abs(s - r_d) ** 2))
 
 
-def _bisect(point, gamma: float, t_lo: float, t_hi: float, lo, hi,
-            floor: float = 0.0):
-    """Bisect [t_lo, t_hi] to a width of 1e-13 * t_hi, or ``floor`` if wider,
-    ``point(t)`` giving (x, squared distance from R_D), lo = x(t_lo) in the
-    ball and hi = x(t_hi) outside; the final (t_lo, lo, t_hi, hi).  It also
-    stops at adjacent floats, so t_hi stays positive when no t > 0 tests
-    inside the ball (a gamma at the rounding level of the distance)."""
-    while t_hi - t_lo > max(_KKT_REL_WIDTH * t_hi, floor):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if not t_lo < t_mid < t_hi:
-            break
-        mid, dist2 = point(t_mid)
-        if dist2 > gamma:
-            t_hi, hi = t_mid, mid
+def _kkt_root(point, gamma: float, lo, hi, floor: float = 0.0):
+    """Find where the nondecreasing d(t) crosses gamma by Chandrupatla's
+    bracketing method (Adv. Eng. Softw. 28, 1997), ``point(t)`` giving
+    (x, d(t)), x's squared distance from R_D.  The ends are tested points
+    (t, x, d): lo inside the ball (d <= gamma), hi outside.  Each step
+    tries inverse quadratic interpolation through both ends and the end
+    dropped last, where Chandrupatla's test finds d monotone enough for it,
+    else the midpoint, and keeps the trial half the stopping width inside
+    either end, so the bracket closes from both sides.  The search stops at
+    a width of 1e-13 * t_hi, or ``floor`` if wider; the final (lo, hi).  It
+    also stops at adjacent floats, so t_hi stays positive when no t > 0
+    tests inside the ball (a gamma at the rounding level of the distance).
+    """
+    a, b, c = hi, lo, None     # a: the end tested last; c: the end dropped last
+    while hi[0] - lo[0] > (tol := max(_KKT_REL_WIDTH * hi[0], floor)):
+        fa, fb = a[2] - gamma, b[2] - gamma
+        if c is None:
+            step = fa / (fa - fb)    # a first step by linear interpolation
         else:
-            t_lo, lo = t_mid, mid
-    return t_lo, lo, t_hi, hi
+            ta, tb, tc, fc = a[0], b[0], c[0], c[2] - gamma
+            xi, ph = (ta - tb) / (tc - tb), (fa - fb) / (fc - fb)
+            step = 0.5
+            if ph * ph < xi and (1.0 - ph) ** 2 < 1.0 - xi:
+                step = (fa / (fb - fa) * fc / (fb - fc) + (tc - ta) / (tb - ta)
+                        * fa / (fc - fa) * fb / (fc - fb))
+        margin = 0.5 * tol / (hi[0] - lo[0])
+        t = a[0] + min(max(step, margin), 1.0 - margin) * (b[0] - a[0])
+        if not lo[0] < t < hi[0]:
+            break
+        new = (t, *point(t))
+        if (new[2] > gamma) == (a[2] > gamma):
+            c = a
+        else:
+            b, c = a, b
+        a = new
+        if new[2] > gamma:
+            hi = new
+        else:
+            lo = new
+    return lo, hi
 
 
 def dykstra_project(m: np.ndarray, cfg: SceneConfig, r_d: np.ndarray) -> np.ndarray:
@@ -212,7 +240,7 @@ def dykstra_project(m: np.ndarray, cfg: SceneConfig, r_d: np.ndarray) -> np.ndar
 
     By KKT the projection of M is Pi_C(R_D + s (M - R_D)) with s = 1/(1 + mu),
     mu the ball's multiplier: s = 1 if that point lies in the ball, else the
-    bisection of ``solve_relaxed`` finds s.  Nothing in the library calls
+    root search of ``solve_relaxed`` finds s.  Nothing in the library calls
     it; it is kept for the tracer, under the name of the Dykstra iteration
     it replaced.
     """
@@ -221,8 +249,10 @@ def dykstra_project(m: np.ndarray, cfg: SceneConfig, r_d: np.ndarray) -> np.ndar
     s, dist2 = _kkt_point(direction, cfg, r_d, 1.0)
     if dist2 <= cfg.beampattern_tol:
         return s
-    _, _, _, s = _bisect(lambda t: _kkt_point(direction, cfg, r_d, t),
-                         cfg.beampattern_tol, 0.0, 1.0, None, s)
+    # S(0) = Pi_C(R_D) = R_D
+    _, (_, s, _) = _kkt_root(lambda t: _kkt_point(direction, cfg, r_d, t),
+                             cfg.beampattern_tol, (0.0, r_d, 0.0),
+                             (1.0, s, dist2))
     return project_ball(s, r_d, cfg.beampattern_tol)
 
 
@@ -243,7 +273,13 @@ def relaxed_dual_bound(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
     if not t > 0:
         raise ConfigError(f"dual scale must be positive, got t={t}")
     omega = hermitize(omega)
-    s, dist2 = _kkt_point(omega, cfg, r_d, t)
+    return _dual_bound(omega, cfg, r_d, t, *_kkt_point(omega, cfg, r_d, t))
+
+
+def _dual_bound(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
+                t: float, s: np.ndarray, dist2: float) -> float:
+    """``relaxed_dual_bound`` from S(t) = s and its squared distance from
+    R_D, for a Hermitian Omega."""
     gamma, norm_omega = cfg.beampattern_tol, float(np.linalg.norm(omega))
     err = 4.0 * s.shape[0] * float(np.finfo(float).eps)
     e = err * (float(np.linalg.norm(r_d)) + t * norm_omega)   # error of S(t)
@@ -263,11 +299,12 @@ def solve_relaxed(omega: np.ndarray, cfg: SceneConfig,
     exact.  Otherwise the ball binds, and by the KKT conditions the optimum
     is S(t) = Pi_C(R_D + t Omega) at the t where ||S(t) - R_D||^2 = gamma;
     that distance is nondecreasing in t, so t is found by doubling from
-    sqrt(gamma) / ||Omega||_F until S(t) leaves the ball, then bisecting
-    to a relative width of 1e-13.  The result is the ball projection of the
-    outer end S(t_hi), a convex combination of two points of C, so it is
-    feasible by construction; ``kkt_scale`` keeps t_hi for
-    ``relaxed_dual_bound`` and ``in_ball_scale`` keeps t_lo.  A point S(t)
+    sqrt(gamma) / ||Omega||_F until S(t) leaves the ball, then closing that
+    bracket with ``_kkt_root`` to a relative width of 1e-13.  The result is
+    the ball projection of the outer end S(t_hi), a convex combination of
+    two points of C, so it is feasible by construction; ``kkt_scale`` keeps
+    t_hi, ``dual_bound`` the ``relaxed_dual_bound`` there (from the S(t_hi)
+    at hand) and ``in_ball_scale`` keeps t_lo.  A point S(t)
     inside the ball that attains P_T * lambda_max(Omega) to 1e-12 relative
     is returned as it is, with in-ball scale t (a repeated top eigenvalue
     can leave S(t) inside the ball for every t); SolverError if neither
@@ -283,23 +320,25 @@ def solve_relaxed(omega: np.ndarray, cfg: SceneConfig,
     gamma = cfg.beampattern_tol
     attainable = cfg.power_budget * float(w[-1])
     scale = float(np.linalg.norm(omega))
-    t_lo, t_hi = 0.0, math.sqrt(gamma) / scale if scale > 0.0 else 1.0
+    t = math.sqrt(gamma) / scale if scale > 0.0 else 1.0
+    lo = (0.0, r_d, 0.0)     # S(0) = Pi_C(R_D) = R_D
     for _ in range(_KKT_MAX_DOUBLINGS):
-        s_hi, dist2 = _kkt_point(omega, cfg, r_d, t_hi)
-        if dist2 > gamma:
+        hi = (t, *_kkt_point(omega, cfg, r_d, t))
+        if hi[2] > gamma:
             break
-        if (float(np.real(np.vdot(omega, s_hi)))
+        if (float(np.real(np.vdot(omega, hi[1])))
                 >= attainable - 1e-12 * abs(attainable)):
-            return RelaxedCovariance(s_hi, in_ball_scale=t_hi)
-        t_lo, t_hi = t_hi, 2.0 * t_hi
+            return RelaxedCovariance(hi[1], in_ball_scale=t)
+        lo, t = hi, 2.0 * t
     else:
         raise SolverError(
             f"KKT search: S(t) stayed inside the beampattern ball below its "
             f"optimum after {_KKT_MAX_DOUBLINGS} doublings of t")
-    t_lo, _, t_hi, s_hi = _bisect(lambda t: _kkt_point(omega, cfg, r_d, t),
-                                  gamma, t_lo, t_hi, None, s_hi)
-    return RelaxedCovariance(project_ball(s_hi, r_d, gamma), kkt_scale=t_hi,
-                             in_ball_scale=t_lo)
+    lo, (t_hi, s_hi, dist2) = _kkt_root(
+        lambda t: _kkt_point(omega, cfg, r_d, t), gamma, lo, hi)
+    return RelaxedCovariance(
+        project_ball(s_hi, r_d, gamma), kkt_scale=t_hi, in_ball_scale=lo[0],
+        dual_bound=_dual_bound(omega, cfg, r_d, t_hi, s_hi, dist2))
 
 
 def relaxed_objective(s: RelaxedCovariance, omega: np.ndarray) -> float:
@@ -321,8 +360,9 @@ def factor_precoder(s: RelaxedCovariance, k: int, omega: np.ndarray,
     which passed the ball test, up to rounding.  Otherwise the precoder is
     the factor of S_K(t) = Pi_{C_K}(R_D + t Omega), C_K = {S >= 0,
     tr S = P_T, rank S <= K}, at the largest t tested inside the ball: S's
-    in-ball scale t_in, where S_K = S if rank S(t_in) <= K, else a bisection
-    of [0, t_in] to a width of 1e-13 t_in that keeps its tested in-ball end.
+    in-ball scale t_in, where S_K = S if rank S(t_in) <= K, else the root
+    search of ``solve_relaxed`` on [0, t_in], to a width of 1e-13 t_in,
+    which keeps its tested in-ball end.
     (S_K(t) minimizes ||S - R_D||^2 - 2t tr(Omega S) over C_K, so both terms
     are nondecreasing in t; returning only tested points guards against
     rounding.)  S_K(0) is the point ``validate_beampattern_target`` tests,
@@ -346,10 +386,11 @@ def factor_precoder(s: RelaxedCovariance, k: int, omega: np.ndarray,
     t_in = s.in_ball_scale or 0.0
     p, dist2 = point(t_in)
     if dist2 > gamma and t_in > 0.0:
-        lo, dist2 = point(0.0)
+        hi = (t_in, p, dist2)
+        p, dist2 = point(0.0)
         if dist2 <= gamma:
-            _, p, _, _ = _bisect(point, gamma, 0.0, t_in, lo, p,
-                                 _KKT_REL_WIDTH * t_in)
+            (_, p, dist2), _ = _kkt_root(point, gamma, (0.0, p, dist2), hi,
+                                         _KKT_REL_WIDTH * t_in)
     if dist2 > gamma:
         raise ConfigError(f"beampattern ball too tight: the nearest {k}-column "
                           f"precoder to R_D is at squared distance {dist2:.6g} "
@@ -393,8 +434,9 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     level (lambda_j > L eps lambda_max), with z ~ CN(0, I_r) drawn as two
     r x n_g blocks of standard normals (real parts, then imaginary), so
     the generator advances by 2 r n_g normals per sample count; and the
-    candidates are ranked by sum_i mu_i |e_i^H x|^2 over the eigenpairs
-    (mu_i, e_i) of A above rounding level.  The reported value is the
+    candidates, formed a fixed number of columns at a time, are ranked by
+    sum_i mu_i |e_i^H x|^2 over the eigenpairs (mu_i, e_i) of A above
+    rounding level, the first best one winning.  The reported value is the
     winner's dense x^H A x, an exact unit-modulus value, so the ratio
     cannot exceed 1 whatever R* is: the bound is at least the relaxation
     optimum, which is at least every unit-modulus value.
@@ -416,12 +458,17 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
             raise ConfigError(f"sample count must be >= 1, got {n_g}")
         shape = (half.shape[1], int(n_g))
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        x = half @ z
-        mag = np.abs(x)
-        np.divide(x, mag, out=x, where=mag > 0.0)
-        x[mag == 0.0] = 1.0
-        proj = e_h @ x
-        best_x = x[:, int(np.argmax(mu @ (proj.real ** 2 + proj.imag ** 2)))]
+        best_score, best_x = None, None
+        for j in range(0, int(n_g), _RATIO_CHUNK):
+            x = half @ z[:, j:j + _RATIO_CHUNK]
+            mag = np.abs(x)
+            np.divide(x, mag, out=x, where=mag > 0.0)
+            x[mag == 0.0] = 1.0
+            proj = e_h @ x
+            score = mu @ (proj.real ** 2 + proj.imag ** 2)
+            i = int(np.argmax(score))
+            if best_x is None or score[i] > best_score:   # first index wins
+                best_score, best_x = score[i], x[:, i]
         best = float(np.real(np.vdot(best_x, a @ best_x)))
         reports.append(RandomizationReport(
             n_samples=int(n_g), best_objective=best, sdp_objective=sdp_obj,

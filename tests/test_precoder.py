@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isacopt import (ConfigError, RelaxedCovariance, SolverOptions,
-                     approximation_ratio_study, build_quadratic_terms,
+from isacopt import (ConfigError, IrsPhase, RelaxedCovariance, SolverOptions,
+                     approximation_ratio_study, build_omega,
+                     build_quadratic_terms,
                      default_beampattern_target, dykstra_project,
                      factor_precoder, make_channels, precoder_objective, project_ball,
                      project_psd, project_spectrahedron,
@@ -328,6 +329,131 @@ class TestSolveRelaxed:
             cfg.power_budget * np.linalg.eigvalsh(omega)[-1], rel=1e-12)
 
 
+def paper_binding_instance(seed, beta=0.5, gamma=0.1):
+    """The paper's scene (N=16, K=5, L=36, P_T=1) with the ball of the
+    beampattern config, and Omega at unit phases for one channel draw."""
+    cfg = SceneConfig(beta=beta, beampattern_tol=gamma)
+    ch = make_channels(cfg, np.random.default_rng(seed))
+    omega = build_omega(IrsPhase(np.ones(cfg.n_irs, dtype=complex)), ch, cfg)
+    return cfg, default_beampattern_target(cfg), omega
+
+
+class TestKktRoot:
+    """The bracketing root search behind ``solve_relaxed``,
+    ``factor_precoder`` and ``dykstra_project``."""
+
+    def test_stored_dual_bound_is_relaxed_dual_bound(self, rng):
+        for seed in (7, 8):
+            cfg, r_d, omega = paper_binding_instance(seed)
+            s = solve_relaxed(omega, cfg, r_d)
+            assert s.kkt_scale is not None
+            assert s.dual_bound == relaxed_dual_bound(omega, cfg, r_d,
+                                                      s.kkt_scale)
+        cfg = SceneConfig()   # slack ball: no KKT point, no stored bound
+        s = solve_relaxed(random_psd(rng, cfg.n_tx), cfg,
+                          default_beampattern_target(cfg))
+        assert s.kkt_scale is None and s.dual_bound is None
+
+    def test_root_agrees_with_brentq(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        cfg, r_d, omega = paper_binding_instance(7)
+        s = solve_relaxed(omega, cfg, r_d)
+        t_hi = s.kkt_scale
+
+        def phi(t):
+            return precoder._kkt_point(omega, cfg, r_d, t)[1] - cfg.beampattern_tol
+
+        root = brentq(phi, 0.0, 2.0 * t_hi, xtol=1e-300, rtol=1e-15)
+        assert abs(root - t_hi) <= 1e-12 * t_hi
+        assert abs(root - s.in_ball_scale) <= 1e-12 * t_hi
+
+    @pytest.mark.parametrize("floor_frac", [0.0, 1e-13, 1e-6])
+    def test_bracket_of_tested_points(self, floor_frac):
+        cfg, r_d, omega = paper_binding_instance(7)
+        gamma = cfg.beampattern_tol
+        tested = {}
+
+        def point(t):
+            x, dist2 = precoder._kkt_point(omega, cfg, r_d, t)
+            tested[t] = (x, dist2)
+            return x, dist2
+
+        t_small = math.sqrt(gamma) / np.linalg.norm(omega)
+        lo, hi = (t_small, *point(t_small)), (1e3 * t_small,
+                                              *point(1e3 * t_small))
+        assert lo[2] <= gamma < hi[2]
+        floor = floor_frac * hi[0]
+        new_lo, new_hi = precoder._kkt_root(point, gamma, lo, hi, floor)
+        assert lo[0] <= new_lo[0] < new_hi[0] <= hi[0]
+        for (t, x, dist2), inside in ((new_lo, True), (new_hi, False)):
+            assert tested[t][0] is x and tested[t][1] == dist2
+            assert (dist2 <= gamma) == inside
+        assert new_hi[0] - new_lo[0] <= max(1e-13 * new_hi[0], floor)
+        # a bracket a thousand times wide closes in few tests all the same
+        assert len(tested) <= 16
+
+    def test_solve_keeps_the_tested_bracket(self):
+        cfg, r_d, omega = paper_binding_instance(8, beta=0.99)
+        gamma = cfg.beampattern_tol
+        s = solve_relaxed(omega, cfg, r_d)
+        assert 0.0 < s.in_ball_scale < s.kkt_scale
+        assert s.kkt_scale - s.in_ball_scale <= 1e-13 * s.kkt_scale
+        hermitian = 0.5 * (omega + omega.conj().T)
+        assert precoder._kkt_point(hermitian, cfg, r_d, s.in_ball_scale)[1] <= gamma
+        s_hi, dist2 = precoder._kkt_point(hermitian, cfg, r_d, s.kkt_scale)
+        assert dist2 > gamma
+        np.testing.assert_array_equal(s.s, project_ball(s_hi, r_d, gamma))
+        # the recovered precoder is a tested in-ball point of the rank-K path
+        p = factor_precoder(s, cfg.n_users, omega, cfg, r_d)
+        assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) <= gamma
+
+    def test_adjacent_floats_stop(self, rng):
+        # gamma below the rounding level of ||S(t) - R_D||^2: no t > 0 tests
+        # inside the ball, so the search ends where t_hi has no float
+        # between it and t_lo = 0, and t_hi stays positive
+        cfg = small_config(n_tx=4, k=4, beampattern_tol=1e-40)
+        r_d = default_beampattern_target(cfg)
+        omega = random_psd(rng, 4)
+        s = solve_relaxed(omega, cfg, r_d)
+        assert s.in_ball_scale == 0.0
+        assert s.kkt_scale > 0.0 and s.kkt_scale / 2.0 in (0.0, s.kkt_scale)
+        assert s.dual_bound == relaxed_dual_bound(omega, cfg, r_d, s.kkt_scale)
+        assert s.dual_bound >= relaxed_objective(s, omega)
+        np.testing.assert_allclose(s.s, r_d, atol=1e-14)
+        np.testing.assert_allclose(
+            dykstra_project(r_d + omega, cfg, r_d), r_d, atol=1e-14)
+
+    def test_evaluation_counts_bounded(self, monkeypatch):
+        # the beampattern config's ball (gamma = 0.1) binds on every draw;
+        # the bisection this search replaced took about 46 and 44
+        calls = {"kkt": 0, "spectrum": 0}
+        kkt_point, spectrum = precoder._kkt_point, precoder._projected_spectrum
+
+        def counted_kkt_point(*args):
+            calls["kkt"] += 1
+            return kkt_point(*args)
+
+        def counted_spectrum(*args):
+            calls["spectrum"] += 1
+            return spectrum(*args)
+
+        monkeypatch.setattr(precoder, "_kkt_point", counted_kkt_point)
+        monkeypatch.setattr(precoder, "_projected_spectrum", counted_spectrum)
+        searched = 0
+        for seed in range(3):
+            for beta in (0.01, 0.5, 0.99):
+                cfg, r_d, omega = paper_binding_instance(seed, beta=beta)
+                calls["kkt"] = 0
+                s = solve_relaxed(omega, cfg, r_d)
+                assert s.kkt_scale is not None
+                assert calls["kkt"] <= 16
+                calls["spectrum"] = 0
+                factor_precoder(s, cfg.n_users, omega, cfg, r_d)
+                assert calls["spectrum"] <= 16
+                searched += calls["spectrum"] > 1   # S(t_in) had rank > K
+        assert searched >= 6
+
+
 class TestFactorPrecoder:
     def test_exact_factor_draws_nothing(self, rng):
         cfg = SceneConfig()
@@ -591,6 +717,23 @@ class TestLowRankStudy:
                                              [1, 50], rng):
             assert rep.best_objective == pytest.approx(
                 float(np.real(np.vdot(x0, a @ x0))), rel=1e-12)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_chunked_pass_matches_one_block(self, monkeypatch, chunk):
+        # the candidates of one block formed in column chunks: the same
+        # winner (the first best one), so the same value up to the rounding
+        # of a one-column product
+        a = ratio_study_matrix(2, 4, seed=33)
+        r = solve_unit_diag_relaxation(a)
+        monkeypatch.setattr(precoder, "_RATIO_CHUNK", 10 ** 9)
+        whole = approximation_ratio_study(a, r, [10, 2500],
+                                          np.random.default_rng(4))
+        monkeypatch.setattr(precoder, "_RATIO_CHUNK", chunk)
+        chunked = approximation_ratio_study(a, r, [10, 2500],
+                                            np.random.default_rng(4))
+        for got, want in zip(chunked, whole):
+            assert got.best_objective == pytest.approx(want.best_objective,
+                                                       rel=1e-14)
 
     def test_full_rank_reference_scores_densely(self, rng):
         # with R* = I all L eigenpairs are kept (r = L), so the candidates
