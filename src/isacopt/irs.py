@@ -10,7 +10,7 @@ alignment.
 The second flattening is only a true minorizer if the quadratic surrogate
 is convex in the real representation.  Its quartic-origin part has a
 trace-zero indefinite Hessian, so the plain linearization can (and in
-radar-weighted scenes does) decrease the objective.  The default solver
+radar-weighted scenes does) decrease the objective.  The solver
 therefore composes the same building blocks through two value-preserving
 repairs that restore the ascent guarantee: the quartic cross matrices are
 symmetrized (quadratic forms only see the symmetric part), and a
@@ -21,8 +21,8 @@ vector is then the Wirtinger gradient plus rho * theta, and the update is
     theta <- exp(j arg(grad g(theta) + rho * theta)).
 
 rho is zero whenever the surrogate is already convex, in which case the
-update coincides with the plain one.  ``safeguard=False`` runs the plain
-composition and raises if it dips.
+update coincides with the plain one.  The plain composition itself is test
+reference code (``tests/reference.py``).
 
 No L x L matrix is formed on the solver path.  R = a a^T is rank one, so
 X = b b^T with b = theta o a and every surrogate piece is low rank: the
@@ -40,8 +40,9 @@ that the next linearization reuses, and the solvers report the score.
 ``build_quadratic_terms`` returns the dense U3, which the
 approximation-ratio study needs.  The dense quartic constructions
 (``quartic_kernels``, ``build_quartic_surrogate``,
-``linear_surrogate_vectors``) run on no solver path; they stay here, under
-these names, because perfbench's tracer wraps them in this module.
+``linear_surrogate_vectors``) run on no solver path and form R = a a^T
+from the steering vector themselves; they stay here, under these names,
+because perfbench's tracer wraps them in this module.
 """
 
 from __future__ import annotations
@@ -98,15 +99,15 @@ class SurrogateFactors:
                                     ).reshape(len(ch.steer), -1).conj()
         self.mu = cc * np.sum(self.gp * (self.fp.conj().T @ ch.h).T, axis=1)
 
-    def value(self, theta: np.ndarray, quartic: tuple | None = None
+    def value(self, theta: np.ndarray, quartic: tuple
               ) -> tuple[float, float, float]:
         """(g, SNR_R, SNR_C) at theta, g = beta SNR_R + (1 - beta) SNR_C.
 
         SNR_R = |alpha|^2 q_v q_w / sigma_R^2 and
         SNR_C = ||FP + (H o theta^T) GP||^2 / sigma_C^2; ``quartic`` is
-        ``self.quartic(theta)`` when the caller already holds it.
+        ``self.quartic(theta)``.
         """
-        _, _, q_v, q_w = self.quartic(theta) if quartic is None else quartic
+        _, _, q_v, q_w = quartic
         cfg = self.cfg
         s_r = abs(cfg.alpha) ** 2 * q_v * q_w / cfg.sigma2_radar
         comm = self.fp + (self.h * theta) @ self.gp
@@ -134,22 +135,12 @@ class SurrogateFactors:
         """Wirtinger gradient from the quartic factors at theta."""
         return self.c * (q_w * pv + q_v * qv) + self.comm(theta)
 
-    def linearize(self, theta: np.ndarray, safeguard: bool = True,
-                  quartic: tuple | None = None
-                  ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-        """(nu, rho, p, q) at theta; the plain-slot vector is eta = conj(nu).
-
-        Safeguarded, nu = grad g(theta) + rho theta with the exact anchor
-        rho.  Plain, the unsymmetrized U1 = c p q^T gives
-        nu = 2 c q_v q + U3 theta + mu* and rho = 0.  ``quartic`` is
-        ``self.quartic(theta)`` when the caller already holds it.
-        """
-        pv, qv, q_v, q_w = self.quartic(theta) if quartic is None else quartic
-        if not safeguard:
-            return 2.0 * self.c * q_v * qv + self.comm(theta), 0.0, pv, qv
+    def linearize(self, theta: np.ndarray, quartic: tuple) -> np.ndarray:
+        """nu = grad g(theta) + rho theta, with the exact anchor rho and
+        ``quartic`` = ``self.quartic(theta)``."""
+        pv, qv, q_v, q_w = quartic
         rho = self.anchor(pv, qv)
-        nu = self.gradient(theta, pv, qv, q_v, q_w) + rho * theta
-        return nu, rho, pv, qv
+        return self.gradient(theta, pv, qv, q_v, q_w) + rho * theta
 
     def anchor(self, pv: np.ndarray, qv: np.ndarray) -> float:
         """Exact ascent anchor, from the eigenproblem on span{p, q, Psi}.
@@ -177,7 +168,9 @@ def _lifted_kernels(theta_t: IrsPhase, p: Precoder, ch: ChannelSet
     """X_t = Theta_t R Theta_t and its kernels (Y, Z), as dense L x L."""
     v, w = _kernel_factors(p, ch)
     th = theta_t.theta
-    x_t = (th[:, None] * ch.r_mat) * th[None, :]
+    # R = a a^T, mirrored: np.outer can round a_i a_j and a_j a_i apart
+    r = np.outer(ch.steer, ch.steer)
+    x_t = (th[:, None] * (np.triu(r) + np.triu(r, 1).T)) * th[None, :]
     y, z = quartic_kernels(x_t, v, w)
     return x_t, y, z
 
@@ -195,7 +188,7 @@ def build_quartic_surrogate(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
     """
     _, y, z = _lifted_kernels(theta_t, p, ch)
     c = quartic_coefficient(cfg)
-    r = ch.r_mat
+    r = np.outer(ch.steer, ch.steer)
     u1 = c * (r.conj() * y.T)
     u2 = c * (r * z.T)
     return u1, u2
@@ -227,7 +220,8 @@ def linear_surrogate_vectors(theta_t: IrsPhase, u1: np.ndarray, u2: np.ndarray,
         eta = 2 U2^T theta_t  + U3^T theta_t* + mu
 
     Dense quartic construction, kept for the tracer: with the rank-one U1
-    the solver forms nu from the gradient and takes eta = conj(nu).
+    the solver forms nu from the gradient, where eta = conj(nu), and steps
+    to exp(j arg nu).
     """
     th = theta_t.theta
     nu = 2.0 * u1.T @ th.conj() + u3 @ th + mu.conj()
@@ -235,18 +229,17 @@ def linear_surrogate_vectors(theta_t: IrsPhase, u1: np.ndarray, u2: np.ndarray,
     return nu, eta
 
 
-def irs_phase_update(nu: np.ndarray, eta: np.ndarray,
+def irs_phase_update(nu: np.ndarray,
                      theta_prev: np.ndarray | None = None) -> IrsPhase:
-    """Torus maximizer of Re{theta^H nu + theta^T eta}: exp(j arg(nu + eta*)).
+    """Torus maximizer of Re{theta^H nu}: exp(j arg nu).
 
-    Coordinates where nu + eta* vanishes have no preferred phase; they keep
-    the previous phase when one is supplied (determinism), else 1.
+    Coordinates where |nu| < 5e-15 have no preferred phase; they keep the
+    previous phase when one is supplied (determinism), else 1.
     """
-    s = nu + eta.conj()
-    degenerate = np.abs(s) < 1e-14
-    theta = np.exp(1j * np.angle(s))
+    degenerate = np.abs(nu) < 5e-15
+    theta = np.exp(1j * np.angle(nu))
     if np.any(degenerate):
-        keep = theta_prev if theta_prev is not None else np.ones_like(s)
+        keep = theta_prev if theta_prev is not None else np.ones_like(nu)
         theta = np.where(degenerate, keep, theta)
     return IrsPhase(theta)
 
@@ -270,7 +263,7 @@ def ascent_anchor(u1_sym: np.ndarray, u3: np.ndarray) -> float:
 
 def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
                            cfg: SceneConfig, inner_tol: float = 1e-6,
-                           inner_max: int = 200, safeguard: bool = True
+                           inner_max: int = 200
                            ) -> tuple[IrsPhase, InnerTrace]:
     """Iterate the closed-form double-minorization update to convergence.
 
@@ -279,8 +272,8 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
     the new phases are the ones the next linearization expands around.  It
     stops when the relative objective gain drops below ``inner_tol`` or
     after ``inner_max`` iterations.  The recorded objective sequence is the
-    true weighted SNR and must be nondecreasing (guaranteed with the default
-    safeguard); a dip beyond 1e-9 relative slack raises.
+    true weighted SNR and must be nondecreasing (guaranteed by the anchor);
+    a dip beyond 1e-9 relative slack raises.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
@@ -291,8 +284,8 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
     snapshot = factors.value(theta, quartic)
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
-        nu, _, _, _ = factors.linearize(theta, safeguard, quartic)
-        new_theta = irs_phase_update(nu, nu.conj(), theta).theta
+        nu = factors.linearize(theta, quartic)
+        new_theta = irs_phase_update(nu, theta).theta
         quartic = factors.quartic(new_theta)
         new_snapshot = factors.value(new_theta, quartic)
 
@@ -300,8 +293,7 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         if g_new < g_prev - 1e-9 * abs(g_prev):
             raise MonotonicityError(
                 f"objective decreased from {g_prev:.12g} to {g_new:.12g} "
-                f"in the inner phase update"
-                + ("" if safeguard else " (safeguard disabled)"))
+                f"in the inner phase update")
         trace.objectives.append(g_new)
         done = abs(g_new - g_prev) <= inner_tol * max(abs(g_prev), 1e-300)
         theta, snapshot = new_theta, new_snapshot
@@ -309,6 +301,11 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
             break
     trace.snapshot = snapshot
     return IrsPhase(theta), trace
+
+
+# Armijo sufficient-increase slope and backtracking cap of the manifold baseline.
+_ARMIJO_SLOPE = 1e-4
+_MAX_HALVINGS = 50
 
 
 def _tangent_project(grad: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -326,8 +323,7 @@ def _retract(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 
 def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
                        cfg: SceneConfig, inner_tol: float = 1e-6,
-                       inner_max: int = 200, armijo_slope: float = 1e-4,
-                       max_halvings: int = 50) -> tuple[IrsPhase, InnerTrace]:
+                       inner_max: int = 200) -> tuple[IrsPhase, InnerTrace]:
     """Riemannian gradient ascent on the torus with Armijo backtracking.
 
     Baseline solver: tangent projection of the conjugate gradient,
@@ -351,11 +347,11 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
             break
         step = 1.0 / math.sqrt(norm2)
         accepted = False
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             cand = _retract(theta + step * rgrad, theta)
             cand_quartic = factors.quartic(cand)
             cand_snapshot = factors.value(cand, cand_quartic)
-            if cand_snapshot[0] >= snapshot[0] + armijo_slope * step * norm2:
+            if cand_snapshot[0] >= snapshot[0] + _ARMIJO_SLOPE * step * norm2:
                 accepted = True
                 break
             step *= 0.5

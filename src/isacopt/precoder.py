@@ -46,6 +46,8 @@ _RATIO_CHUNK = 1024
 # Relative gain at which the unit-diagonal ascent stops, and its step cap.
 _UNIT_DIAG_TOL = 1e-12
 _UNIT_DIAG_MAX_STEPS = 10_000
+# Relative asymmetry above which project_psd rejects its input.
+_HERM_TOL = 1e-10
 
 
 @dataclass
@@ -93,13 +95,14 @@ class RandomizationReport:
                 f"objective is not an upper bound")
 
 
-def project_psd(m: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
+def project_psd(m: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix (eigenvalue clamp).
 
-    The name stays: the tracer counts calls to it here.
+    Nothing in the library calls it; the name stays because the tracer
+    counts calls to it here.
     """
     asym = np.linalg.norm(m - m.conj().T)
-    if asym > herm_tol * max(1.0, np.linalg.norm(m)):
+    if asym > _HERM_TOL * max(1.0, np.linalg.norm(m)):
         raise ConfigError(f"input is not Hermitian (asymmetry {asym:.3e})")
     w, u = np.linalg.eigh(hermitize(m))
     w = np.maximum(w, 0.0)
@@ -156,15 +159,14 @@ def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
     """Desired transmit covariance: omni floor plus a beam toward the surface.
 
     R_D = (1 - mix) * (P_T/N) I + mix * P_T b b^H with b the normalized
-    transmit steering vector toward the surface, then projected to be PSD
-    with trace exactly P_T (feasible by construction).
+    transmit steering vector toward the surface: a convex combination of
+    two PSD matrices of trace P_T (mix lies in [0, 1]), so feasible by
+    construction.
     """
     n, p_t, mix = cfg.n_tx, cfg.power_budget, cfg.beampattern_mix
     b = ula_steering(cfg.radar_irs_azimuth, n, cfg.spacing_over_lambda)
     b = b / np.linalg.norm(b)
-    r_d = (1.0 - mix) * (p_t / n) * np.eye(n) + mix * p_t * np.outer(b, b.conj())
-    r_d = project_psd(hermitize(r_d))
-    return r_d * (p_t / float(np.real(np.trace(r_d))))
+    return (1.0 - mix) * (p_t / n) * np.eye(n) + mix * p_t * np.outer(b, b.conj())
 
 
 def check_beampattern_target(r_d: np.ndarray, cfg: SceneConfig):

@@ -112,19 +112,6 @@ class ChannelSet:
         if not np.allclose(np.abs(self.steer), 1.0, atol=1e-12):
             raise ConfigError("steering vector entries must have unit modulus")
 
-    @property
-    def r_mat(self) -> np.ndarray:
-        """R = a a^T (no conjugation), the dense L x L rank-one target matrix.
-
-        Built on each access for the dense quartic constructions of ``irs``,
-        which are kept for the tracer; the solver path works with ``steer``
-        alone.  The upper triangle is mirrored
-        because ``np.outer`` can round a_i a_j and a_j a_i differently (by
-        about 1e-16), and R must be exactly symmetric.
-        """
-        r = np.outer(self.steer, self.steer)
-        return np.triu(r) + np.triu(r, 1).T
-
 
 def ula_spacing_check(config: SceneConfig) -> bool:
     """True iff the array spacing is the conventional half wavelength."""

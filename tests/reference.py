@@ -88,9 +88,10 @@ def dense_linearization(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
                         ) -> tuple[np.ndarray, np.ndarray, float]:
     """(nu, eta, rho) at theta_t from the dense L x L surrogate pieces.
 
-    Reference for ``SurrogateFactors.linearize``: the quartic surrogate,
-    symmetrized and anchored by ``ascent_anchor`` on the full 2L x 2L form
-    when ``safeguard`` is set, then linearized.
+    Reference for ``SurrogateFactors.linearize`` (``safeguard`` set: the
+    quartic surrogate symmetrized and anchored by ``ascent_anchor`` on the
+    full 2L x 2L form, then linearized) and for ``plain_linearization``
+    (unset).
     """
     u1, u2 = build_quartic_surrogate(theta_t, p, ch, cfg)
     u3, mu = build_quadratic_terms(p, ch, cfg)
@@ -102,6 +103,15 @@ def dense_linearization(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
         u3 = u3 + rho * np.eye(len(theta_t))
     nu, eta = linear_surrogate_vectors(theta_t, u1, u2, u3, mu)
     return nu, eta, rho
+
+
+def plain_linearization(factors: SurrogateFactors, theta: np.ndarray
+                        ) -> np.ndarray:
+    """The paper's plain linearization at theta, from the unsymmetrized
+    U1 = c p q^T with no anchor: nu = 2 c q_v q + U3 theta + mu*.  It is
+    not ascent-safe on radar-weighted scenes."""
+    _, qv, q_v, _ = factors.quartic(theta)
+    return 2.0 * factors.c * q_v * qv + factors.comm(theta)
 
 
 def anchored_surrogate_value(factors: SurrogateFactors, theta: np.ndarray,
@@ -134,7 +144,8 @@ def objective_snapshot(p: Precoder, theta: IrsPhase, ch: ChannelSet,
                        cfg: SceneConfig) -> tuple[float, float, float]:
     """(weighted objective, radar SNR, communication SNR) at (P, theta),
     from the same kernel that scores the phase solvers' iterates."""
-    return SurrogateFactors(p, ch, cfg).value(theta.theta)
+    factors = SurrogateFactors(p, ch, cfg)
+    return factors.value(theta.theta, factors.quartic(theta.theta))
 
 
 def project_trace(m: np.ndarray, target: float) -> np.ndarray:

@@ -1,13 +1,12 @@
-import functools
 import logging
 
 import numpy as np
 import pytest
 
+import isacopt.irs as irs
 from isacopt import (ConfigError, SceneConfig, SolverOptions, alternating,
                      default_beampattern_target, make_channels,
                      run_alternating, weighted_snr)
-from isacopt.irs import solve_irs_manifold
 
 from conftest import random_scene, small_config
 from reference import objective_snapshot
@@ -207,9 +206,7 @@ class TestRunAlternating:
         opts = SolverOptions(t_max=3, irs_method="manifold", inner_max=50)
         _, _, clean = run_alternating(ch, cfg, opts=opts)
         assert clean.line_search_failures == []
-        monkeypatch.setattr(alternating, "solve_irs_manifold",
-                            functools.partial(solve_irs_manifold,
-                                              max_halvings=0))
+        monkeypatch.setattr(irs, "_MAX_HALVINGS", 0)
         with caplog.at_level(logging.WARNING, logger=alternating.__name__):
             _, _, trace = run_alternating(ch, cfg, opts=opts)
         outers = list(range(1, len(trace.objective_per_outer) + 1))

@@ -31,7 +31,8 @@ class TestEffectiveRadarChannel:
     def test_matches_five_factor_product(self, rng):
         cfg, ch, p, theta = random_scene(rng, l_rows=2, l_cols=2, n_tx=2)
         th_mat = np.diag(theta.theta)
-        brute = cfg.alpha * ch.g.T @ th_mat @ ch.r_mat @ th_mat @ ch.g
+        r_mat = np.outer(ch.steer, ch.steer)
+        brute = cfg.alpha * ch.g.T @ th_mat @ r_mat @ th_mat @ ch.g
         np.testing.assert_allclose(effective_radar_channel(theta, ch, cfg),
                                    brute, rtol=1e-12, atol=1e-14)
 
@@ -198,7 +199,7 @@ class TestG4ThreeWays:
             th_mat = np.diag(theta.theta)
             pp = p.p @ p.p.conj().T
             # (i) five-factor trace form
-            x = th_mat @ ch.r_mat @ th_mat
+            x = th_mat @ np.outer(ch.steer, ch.steer) @ th_mat
             g4_trace = coef * np.real(np.trace(
                 ch.g.T @ x @ ch.g @ pp @ ch.g.conj().T @ x.conj().T @ ch.g.conj()))
             # (ii) lifted vec form

@@ -15,6 +15,7 @@ from isacopt import (ConfigError, IrsPhase, RelaxedCovariance, SolverOptions,
                      scene_config_from_dict, solve_relaxed,
                      solve_unit_diag_relaxation, unit_diag_dual_bound)
 from isacopt import precoder
+from isacopt.objective import hermitize
 from isacopt.precoder import validate_beampattern_target
 from isacopt.scene import SceneConfig, complex_normal
 
@@ -785,6 +786,18 @@ class TestBeampatternTarget:
         cfg = SceneConfig()
         r_d = default_beampattern_target(cfg)
         validate_beampattern_target(r_d, cfg)
+
+    @pytest.mark.parametrize("p_t", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    @pytest.mark.parametrize("mix", np.linspace(0.0, 1.0, 11))
+    def test_default_target_psd_with_budget_trace(self, mix, n, p_t):
+        # a convex combination of two trace-P_T PSD matrices needs no clamp
+        cfg = SceneConfig(n_tx=n, n_rx=n, power_budget=p_t,
+                          beampattern_mix=float(mix))
+        r_d = default_beampattern_target(cfg)
+        assert np.linalg.eigvalsh(hermitize(r_d))[0] >= -1e-15 * p_t
+        assert abs(float(np.trace(r_d).real) - p_t) <= 1e-15 * p_t
+        precoder.check_beampattern_target(r_d, cfg)
 
     def test_infeasible_target_rejected(self):
         cfg = SceneConfig()

@@ -102,15 +102,6 @@ class TestMakeChannels:
         assert ch.h.shape == (cfg.n_users, 12)
         assert ch.f.shape == (cfg.n_users, cfg.n_tx)
         assert ch.steer.shape == (12,)
-        assert ch.r_mat.shape == (12, 12)
-
-    def test_r_mat_rank_one_and_exactly_symmetric(self, rng):
-        ch = make_channels(SceneConfig(), rng)
-        assert np.max(np.abs(ch.r_mat - ch.r_mat.T)) == 0.0
-        s = np.linalg.svd(ch.r_mat, compute_uv=False)
-        assert s[1] < 1e-10 * s[0]
-        np.testing.assert_allclose(ch.r_mat, np.outer(ch.steer, ch.steer),
-                                   rtol=0, atol=1e-14)
 
     def test_same_seed_bit_identical(self):
         cfg = SceneConfig()
