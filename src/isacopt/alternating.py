@@ -26,9 +26,8 @@ from .objective import IrsPhase, Precoder, build_omega
 # Unused here since the phase solvers report the snapshot; kept for the
 # tracer, which wraps them here by name.
 from .objective import snr_comm, snr_radar  # noqa: F401
-from .precoder import (check_beampattern_target, default_beampattern_target,
-                       factor_precoder, precoder_objective, relaxed_objective,
-                       solve_relaxed)
+from .precoder import (default_beampattern_target, factor_precoder,
+                       precoder_objective, relaxed_objective, solve_relaxed)
 from .scene import ChannelSet, SceneConfig
 
 log = logging.getLogger(__name__)
@@ -43,14 +42,12 @@ class SolverOptions:
 
     eps_rel: float = 0.01        # relative-change stopping threshold
     t_max: int = 20              # outer iteration cap
-    inner_tol: float = 1e-6
-    inner_max: int = 200
+    inner_max: int = 1           # phase-solver iterations per outer iteration
     irs_method: str = "minorization"
-    irs_inner: bool = False      # run the phase solver to inner convergence
     theta_init: str = "ones"
 
     def __post_init__(self):
-        require_finite(self, ("eps_rel", "inner_tol"))
+        require_finite(self, ("eps_rel",))
         require_integer(self, ("t_max", "inner_max"))
         if self.eps_rel <= 0:
             raise ConfigError(f"eps_rel must be positive, got {self.eps_rel}")
@@ -58,9 +55,6 @@ class SolverOptions:
             raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
         if self.inner_max < 1:
             raise ConfigError(f"inner_max must be >= 1, got {self.inner_max}")
-        if self.inner_tol < 0:
-            raise ConfigError(f"inner_tol must be non-negative, "
-                              f"got {self.inner_tol}")
         if self.irs_method not in IRS_METHODS:
             raise ConfigError(f"irs_method must be one of {IRS_METHODS}")
         if self.theta_init not in THETA_INITS:
@@ -90,24 +84,22 @@ def initial_phases(cfg: SceneConfig, opts: SolverOptions,
 
 
 def run_alternating(ch: ChannelSet, cfg: SceneConfig,
-                    r_d: np.ndarray | None = None,
                     opts: SolverOptions | None = None,
                     rng: np.random.Generator | None = None
                     ) -> tuple[Precoder, IrsPhase, RunTrace]:
     """Alternate the two sub-problems until the stopping rule fires.
 
-    Returns the final precoder, phases and the run trace.  ``rng`` draws
-    only the initial phases of ``theta_init="random"``; without one, they
-    come from ``np.random.default_rng(0)``.  Sub-solver
-    failures propagate as SolverError with the failing stage named.  An R_D
-    that is not PSD with trace P_T raises ConfigError before the first
-    outer iteration; a ball too tight for a K-column precoder raises it
-    from the precoder stage.
+    Returns the final precoder, phases and the run trace.  R_D is the
+    scene's ``default_beampattern_target``, PSD with trace P_T by
+    construction.  Each outer iteration takes ``opts.inner_max`` steps of
+    the phase solver ``opts.irs_method`` (fewer if it converges).  ``rng``
+    draws only the initial phases of ``theta_init="random"``; without one,
+    they come from ``np.random.default_rng(0)``.  Sub-solver failures
+    propagate as SolverError with the failing stage named; a ball too tight
+    for a K-column precoder raises ConfigError from the precoder stage.
     """
     opts = opts or SolverOptions()
-    if r_d is None:
-        r_d = default_beampattern_target(cfg)
-    check_beampattern_target(r_d, cfg)
+    r_d = default_beampattern_target(cfg)
     rng = rng if rng is not None else np.random.default_rng(0)
 
     theta = initial_phases(cfg, opts, rng)
@@ -126,7 +118,7 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             times["precoder"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
-            candidate = factor_precoder(relaxed, cfg.n_users, omega, cfg, r_d)
+            candidate = factor_precoder(relaxed, omega, cfg, r_d)
             candidate_obj = precoder_objective(candidate, omega)
             incumbent_obj = (precoder_objective(precoder, omega)
                              if precoder is not None else -math.inf)
@@ -141,16 +133,12 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             times["recovery"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
-            inner_cap = opts.inner_max if (opts.irs_inner
-                                           or opts.irs_method == "manifold") else 1
             if opts.irs_method == "minorization":
                 theta, inner = solve_irs_minorization(
-                    theta, precoder, ch, cfg, inner_tol=opts.inner_tol,
-                    inner_max=inner_cap)
+                    theta, precoder, ch, cfg, inner_max=opts.inner_max)
             else:
                 theta, inner = solve_irs_manifold(
-                    theta, precoder, ch, cfg, inner_tol=opts.inner_tol,
-                    inner_max=inner_cap)
+                    theta, precoder, ch, cfg, inner_max=opts.inner_max)
                 if inner.line_search_failed:
                     trace.line_search_failures.append(t)
                     log.warning("outer %d: the Armijo line search found no "

@@ -1,7 +1,7 @@
 """Command-line front end.
 
     isac run --config exp.json --out results/ [--seed N] [--trials N] [--threads N]
-    isac bench [--out dir] [--config exp.json]
+    isac bench [--out dir]
     isac validate-config --config exp.json
     isac plotdata --csv results/convergence_beta0.5.csv
 
@@ -39,9 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench", help="time the solver-path operations and check their results")
-    bench_p.add_argument("--config", help="optional experiment JSON for sizes")
     bench_p.add_argument("--out", default="bench_out", help="output directory")
-    bench_p.add_argument("--seed", type=int, help="master seed override")
 
     val_p = sub.add_parser("validate-config", help="check a config and print it resolved")
     val_p.add_argument("--config", required=True, help="experiment JSON file")
@@ -55,13 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
     updates = {}
-    if getattr(args, "out", None):
+    if args.out:
         updates["output_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["master_seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
+    if args.trials is not None:
         updates["trials"] = args.trials
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         updates["threads"] = args.threads
     return dataclasses.replace(spec, **updates) if updates else spec
 
@@ -81,13 +79,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.config:
-        spec = load_experiment_spec(args.config)
-        spec = dataclasses.replace(spec, kind="bench", output_dir=args.out)
-    else:
-        spec = ExperimentSpec(kind="bench", output_dir=args.out)
-    spec = _apply_overrides(spec, args)
-    result = run_bench(spec)
+    result = run_bench(ExperimentSpec(kind="bench", output_dir=args.out))
     for path in result.files:
         print(path)
     return 0

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .alternating import SolverOptions, run_alternating
+from .alternating import IRS_METHODS, SolverOptions, run_alternating
 from .errors import ConfigError, require_finite, require_integer
 from .irs import (build_quadratic_terms, irs_phase_update,
                   solve_irs_minorization)
@@ -104,8 +104,7 @@ class ExperimentSpec:
         if self.kind == "ratio" and not self.n_g_grid:
             raise ConfigError("ratio experiment needs a non-empty n_g_grid")
         # R_D depends on no swept field: one check covers every trial
-        validate_beampattern_target(default_beampattern_target(self.scene),
-                                    self.scene)
+        validate_beampattern_target(self.scene)
 
 
 @dataclass
@@ -255,9 +254,9 @@ def _scaling_trial(args):
     cfg, opts, master_seed, point, trial = args
     cfg, ch, rng = _trial_inputs(cfg, master_seed, point, trial)
     out = {}
-    for method in ("minorization", "manifold"):
+    for method in IRS_METHODS:
         # paired comparison: both methods start from one generator state
-        method_opts = replace(opts, irs_method=method, irs_inner=True)
+        method_opts = replace(opts, irs_method=method)
         tic = time.perf_counter()
         _, _, trace = run_alternating(ch, cfg, opts=method_opts,
                                       rng=copy.deepcopy(rng))
@@ -440,7 +439,8 @@ def run_convergence_experiment(spec: ExperimentSpec) -> AggregateResult:
 
 
 def run_scaling_experiment(spec: ExperimentSpec) -> AggregateResult:
-    """Both phase solvers inside the full loop as the surface size grows."""
+    """Both phase solvers inside the full loop as the surface size grows;
+    ``solver.irs_method`` is not read."""
     out_dir = Path(spec.output_dir)
     result = AggregateResult()
     raw_rows, raw_timing_rows, agg_rows, timing_rows = [], [], [], []
@@ -449,7 +449,7 @@ def run_scaling_experiment(spec: ExperimentSpec) -> AggregateResult:
         _scaling_trial, _point_args(spec, _surface_scenes(spec)), spec.threads)
     for l_total, trials in zip(spec.l_values, per_point):
         ipm_ref = (float(l_total) / l0) ** 3.5
-        for method in ("minorization", "manifold"):
+        for method in IRS_METHODS:
             per = [tr[method] for tr in trials]
             for rec in per:
                 raw_rows.append((l_total, method, rec["trial"],

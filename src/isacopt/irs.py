@@ -168,9 +168,7 @@ def _lifted_kernels(theta_t: IrsPhase, p: Precoder, ch: ChannelSet
     """X_t = Theta_t R Theta_t and its kernels (Y, Z), as dense L x L."""
     v, w = _kernel_factors(p, ch)
     th = theta_t.theta
-    # R = a a^T, mirrored: np.outer can round a_i a_j and a_j a_i apart
-    r = np.outer(ch.steer, ch.steer)
-    x_t = (th[:, None] * (np.triu(r) + np.triu(r, 1).T)) * th[None, :]
+    x_t = (th[:, None] * np.outer(ch.steer, ch.steer)) * th[None, :]
     y, z = quartic_kernels(x_t, v, w)
     return x_t, y, z
 
@@ -229,18 +227,16 @@ def linear_surrogate_vectors(theta_t: IrsPhase, u1: np.ndarray, u2: np.ndarray,
     return nu, eta
 
 
-def irs_phase_update(nu: np.ndarray,
-                     theta_prev: np.ndarray | None = None) -> IrsPhase:
+def irs_phase_update(nu: np.ndarray, theta_prev: np.ndarray) -> IrsPhase:
     """Torus maximizer of Re{theta^H nu}: exp(j arg nu).
 
     Coordinates where |nu| < 5e-15 have no preferred phase; they keep the
-    previous phase when one is supplied (determinism), else 1.
+    phase of ``theta_prev`` (determinism).
     """
     degenerate = np.abs(nu) < 5e-15
     theta = np.exp(1j * np.angle(nu))
     if np.any(degenerate):
-        keep = theta_prev if theta_prev is not None else np.ones_like(nu)
-        theta = np.where(degenerate, keep, theta)
+        theta = np.where(degenerate, theta_prev, theta)
     return IrsPhase(theta)
 
 

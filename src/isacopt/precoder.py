@@ -178,14 +178,16 @@ def check_beampattern_target(r_d: np.ndarray, cfg: SceneConfig):
         raise ConfigError("desired covariance R_D does not meet the power budget")
 
 
-def validate_beampattern_target(r_d: np.ndarray, cfg: SceneConfig):
-    """The target must be feasible, and the ball must hold a K-column precoder
-    (K = ``cfg.n_users``): S_K(0) = Pi_{C_K}(R_D), the nearest rank-K
-    covariance to R_D and ``factor_precoder``'s last resort, must lie in it.
+def validate_beampattern_target(cfg: SceneConfig):
+    """The scene's target R_D (``default_beampattern_target``) must be
+    feasible, and the ball must hold a K-column precoder (K =
+    ``cfg.n_users``): S_K(0) = Pi_{C_K}(R_D), the nearest rank-K covariance
+    to R_D and ``factor_precoder``'s last resort, must lie in it.
     """
+    r_d = default_beampattern_target(cfg)
     check_beampattern_target(r_d, cfg)
     # a covariance with no factor or in-ball scale is recovered as S_K(0)
-    factor_precoder(RelaxedCovariance(r_d), cfg.n_users, r_d, cfg, r_d)
+    factor_precoder(RelaxedCovariance(r_d), r_d, cfg, r_d)
 
 
 def _kkt_point(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
@@ -310,8 +312,8 @@ def solve_relaxed(omega: np.ndarray, cfg: SceneConfig,
     inside the ball that attains P_T * lambda_max(Omega) to 1e-12 relative
     is returned as it is, with in-ball scale t (a repeated top eigenvalue
     can leave S(t) inside the ball for every t); SolverError if neither
-    happens within a fixed number of doublings.  R_D must already pass
-    ``check_beampattern_target``; it is not re-checked here.
+    happens within a fixed number of doublings.  R_D is checked when a
+    config loads (``validate_beampattern_target``), not here.
     """
     omega = hermitize(omega)
     w, u = np.linalg.eigh(omega)
@@ -353,9 +355,9 @@ def precoder_objective(p: Precoder, omega: np.ndarray) -> float:
     return float(np.real(np.vdot(p.p, omega @ p.p)))
 
 
-def factor_precoder(s: RelaxedCovariance, k: int, omega: np.ndarray,
+def factor_precoder(s: RelaxedCovariance, omega: np.ndarray,
                     cfg: SceneConfig, r_d: np.ndarray) -> Precoder:
-    """Recover a K-column precoder from the relaxed covariance, with no draws.
+    """Recover a K-column precoder, K = ``cfg.n_users``, with no draws.
 
     An exact factor of at most K columns (slack ball), zero-padded and
     rescaled to the power budget, is the precoder; its Gram matrix is S,
@@ -370,7 +372,7 @@ def factor_precoder(s: RelaxedCovariance, k: int, omega: np.ndarray,
     rounding.)  S_K(0) is the point ``validate_beampattern_target`` tests,
     and the answer when S has neither a factor nor an in-ball scale.
     """
-    gamma = cfg.beampattern_tol
+    gamma, k = cfg.beampattern_tol, cfg.n_users
     if s.factor is not None and s.factor.shape[1] <= k:
         p = np.zeros((s.s.shape[0], k), dtype=complex)
         p[:, : s.factor.shape[1]] = s.factor

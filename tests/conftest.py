@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from isacopt import IrsPhase, Precoder, SceneConfig, make_channels
+from isacopt import (IrsPhase, Precoder, SceneConfig, alternating,
+                     make_channels)
 from isacopt.scene import complex_normal
 
 
@@ -35,6 +36,21 @@ def random_hermitian(rng, n, scale=1.0):
 def random_psd(rng, n, scale=1.0):
     m = complex_normal(rng, n, n)
     return scale * (m @ m.conj().T)
+
+
+@pytest.fixture
+def phase_solver_calls(monkeypatch):
+    """(solver name, inner_max) of every phase-solver call of the loop."""
+    calls = []
+    for name in ("solve_irs_minorization", "solve_irs_manifold"):
+        solver = getattr(alternating, name)
+
+        def spy(*args, _solver=solver, _name=name, **kwargs):
+            calls.append((_name, kwargs["inner_max"]))
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(alternating, name, spy)
+    return calls
 
 
 @pytest.fixture

@@ -133,7 +133,7 @@ def test_criterion_04_closed_form_update_optimality():
     for instance in range(10):
         l = int(rng.integers(2, 16))
         nu = complex_normal(rng, l) * rng.uniform(0.1, 10)
-        out = irs_phase_update(nu)
+        out = irs_phase_update(nu, np.ones(l, dtype=complex))
         attained = float(np.real(out.theta.conj() @ nu))
         analytic = float(np.abs(nu).sum())
         worst_gap = max(worst_gap, abs(attained - analytic) / analytic)

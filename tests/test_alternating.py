@@ -33,17 +33,10 @@ class TestSolverOptions:
             SolverOptions(irs_method="magic")
 
     @pytest.mark.parametrize("field,value", [
-        ("eps_rel", float("nan")), ("eps_rel", float("inf")),
-        ("inner_tol", float("nan"))])
+        ("eps_rel", float("nan")), ("eps_rel", float("inf"))])
     def test_rejects_non_finite_floats(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SolverOptions(**{field: value})
-
-    @pytest.mark.parametrize("field", ["inner_tol"])
-    def test_rejects_negative_tolerances(self, field):
-        with pytest.raises(ConfigError, match=field):
-            SolverOptions(**{field: -1.0})
-        assert getattr(SolverOptions(**{field: 0.0}), field) == 0.0
 
     @pytest.mark.parametrize("field,value", [
         ("t_max", 2.5), ("inner_max", True)])
@@ -169,23 +162,6 @@ class TestRunAlternating:
         assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) <= 0.1
         assert trace.objective_per_outer[-1] > 0
 
-    @pytest.mark.parametrize("defect,message", [
-        ("not_psd", "not positive semidefinite"),
-        ("wrong_trace", "power budget")])
-    def test_infeasible_target_rejected_before_first_iteration(
-            self, monkeypatch, defect, message):
-        cfg, ch = tiny_scene()
-        r_d = (cfg.power_budget * np.diag([2.0, 0.0, -1.0]).astype(complex)
-               if defect == "not_psd"
-               else 2.0 * default_beampattern_target(cfg))
-
-        def no_iteration(*args):
-            raise AssertionError("an outer iteration started")
-
-        monkeypatch.setattr(alternating, "build_omega", no_iteration)
-        with pytest.raises(ConfigError, match=message):
-            run_alternating(ch, cfg, r_d=r_d)
-
     def test_determinism_given_seed(self):
         cfg, ch = tiny_scene()
         runs = [run_alternating(ch, cfg, opts=SolverOptions())
@@ -230,6 +206,15 @@ class TestRunAlternating:
 
     def test_inner_loop_mode(self):
         cfg, ch = tiny_scene()
-        opts = SolverOptions(t_max=3, irs_inner=True, inner_max=50)
+        opts = SolverOptions(t_max=3, inner_max=50)
         _, _, trace = run_alternating(ch, cfg, opts=opts)
         assert len(trace.objective_per_outer) >= 1
+
+    def test_inner_max_reaches_both_phase_solvers(self, phase_solver_calls):
+        cfg, ch = tiny_scene()
+        for method in alternating.IRS_METHODS:
+            run_alternating(ch, cfg, opts=SolverOptions(
+                t_max=2, inner_max=3, irs_method=method))
+        assert {name for name, _ in phase_solver_calls} == {
+            "solve_irs_minorization", "solve_irs_manifold"}
+        assert all(inner_max == 3 for _, inner_max in phase_solver_calls)

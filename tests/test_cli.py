@@ -102,6 +102,19 @@ class TestRun:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate-config", "run"])
+    @pytest.mark.parametrize("key,value", [("irs_inner", True),
+                                           ("inner_tol", 1e-6)])
+    def test_phase_step_setting_other_than_inner_max_exits_2(
+            self, tmp_path, capsys, command, key, value):
+        # inner_max alone sets the phase steps per outer iteration
+        config = write_config(tmp_path, solver={"t_max": 3, key: value})
+        out = tmp_path / "results"
+        assert main([command, "--config", str(config)]
+                    + (["--out", str(out)] if command == "run" else [])) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_ball_without_k_column_precoder_exits_2(self, tmp_path, capsys,
                                                     command):
         # no 2-column precoder lies within 1e-12 of the rank-3 target R_D
@@ -169,9 +182,8 @@ class TestMalformedConfig:
 
 class TestBench:
     def test_bench_runs(self, tmp_path, capsys):
-        config = write_config(tmp_path)
         out = tmp_path / "bench"
-        code = main(["bench", "--config", str(config), "--out", str(out)])
+        code = main(["bench", "--out", str(out)])
         assert code == 0
         assert (out / "bench.csv").exists()
         assert (out / "bench_timing.csv").exists()

@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +91,15 @@ def _log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
+# Every key is a SolverOptions field (checked below), so that no example is
+# rejected for a removed key alone.
+SOLVER_STRATEGIES = {
+    "t_max": st.integers(1, 3),
+    "inner_max": st.integers(1, 3),
+    "irs_method": st.sampled_from(["minorization", "manifold"]),
+    "theta_init": st.sampled_from(["ones", "random"]),
+}
+
 # Scenes are valid apart from the ball, which can be too tight for a
 # K-column precoder; sweep entries can be out of range or fractional.
 SMALL_CONFIGS = st.fixed_dictionaries({
@@ -102,11 +111,7 @@ SMALL_CONFIGS = st.fixed_dictionaries({
         "power_budget": _log_uniform(-2, 2),
         "beampattern_tol": _log_uniform(-9, 4),
         "beampattern_mix": st.floats(0.0, 1.0)}),
-    "solver": st.fixed_dictionaries({
-        "t_max": st.integers(1, 3),
-        "irs_method": st.sampled_from(["minorization", "manifold"]),
-        "irs_inner": st.booleans(),
-        "theta_init": st.sampled_from(["ones", "random"])}),
+    "solver": st.fixed_dictionaries(SOLVER_STRATEGIES),
     "beta_values": st.lists(st.one_of(st.floats(0.0, 1.0),
                                       st.floats(-0.5, 1.5)),
                             min_size=1, max_size=2),
@@ -120,6 +125,10 @@ SMALL_CONFIGS = st.fixed_dictionaries({
 
 
 class TestConfigProperty:
+    def test_solver_strategies_are_solver_options(self):
+        assert set(SOLVER_STRATEGIES) <= {
+            f.name for f in fields(alternating.SolverOptions)}
+
     @settings(max_examples=40, deadline=None)
     @given(raw=SMALL_CONFIGS)
     def test_rejected_on_load_or_feasible(self, raw):
@@ -307,6 +316,20 @@ class TestScalingExperiment:
         assert len(rows) == 2
         methods = {row[1] for row in rows}
         assert methods == {"minorization", "manifold"}
+
+    def test_inner_max_reaches_both_methods(self, tmp_path,
+                                            phase_solver_calls):
+        spec = make_spec(tmp_path, kind="scaling", beta_values=[],
+                         l_values=[4], trials=1,
+                         solver={"t_max": 2, "inner_max": 7})
+        assert not run_scaling_experiment(spec).trial_errors
+        assert {name for name, _ in phase_solver_calls} == {
+            "solve_irs_minorization", "solve_irs_manifold"}
+        assert all(inner_max == 7 for _, inner_max in phase_solver_calls)
+        meta = json.loads((Path(spec.output_dir) / "scaling.csv.meta.json")
+                          .read_text())
+        assert meta["config"]["solver"]["inner_max"] == 7
+        assert "irs_inner" not in meta["config"]["solver"]
 
     def test_methods_start_from_equal_random_phases(self, tmp_path,
                                                     monkeypatch):

@@ -138,19 +138,19 @@ class TestLinearSurrogateVectors:
 class TestPhaseUpdate:
     def test_phase_extraction(self):
         nu = np.array([1j, -1.0 + 0j])
-        out = irs_phase_update(nu)
+        out = irs_phase_update(nu, np.ones_like(nu))
         np.testing.assert_allclose(out.theta,
                                    [np.exp(1j * np.pi / 2), np.exp(1j * np.pi)],
                                    atol=1e-15)
 
     def test_positive_real_gives_ones(self, rng):
         s = rng.uniform(0.1, 2.0, size=6).astype(complex)
-        out = irs_phase_update(s)
+        out = irs_phase_update(s, np.ones_like(s))
         np.testing.assert_allclose(out.theta, np.ones(6), atol=1e-15)
 
     def test_attains_analytic_maximum_and_beats_random(self, rng):
         nu = complex_normal(rng, 8)
-        out = irs_phase_update(nu)
+        out = irs_phase_update(nu, np.ones_like(nu))
         attained = float(np.real(out.theta.conj() @ nu))
         assert attained == pytest.approx(float(np.abs(nu).sum()), rel=1e-12)
         for _ in range(10_000):
@@ -165,7 +165,8 @@ class TestPhaseUpdate:
         assert out.theta[0] == prev[0]
 
     def test_exact_unit_modulus(self, rng):
-        out = irs_phase_update(complex_normal(rng, 50))
+        nu = complex_normal(rng, 50)
+        out = irs_phase_update(nu, np.ones_like(nu))
         assert np.max(np.abs(np.abs(out.theta) - 1.0)) <= 1e-15
 
     def test_bit_equal_to_two_slot_form(self, rng):

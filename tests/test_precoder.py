@@ -405,7 +405,7 @@ class TestKktRoot:
         assert dist2 > gamma
         np.testing.assert_array_equal(s.s, project_ball(s_hi, r_d, gamma))
         # the recovered precoder is a tested in-ball point of the rank-K path
-        p = factor_precoder(s, cfg.n_users, omega, cfg, r_d)
+        p = factor_precoder(s, omega, cfg, r_d)
         assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) <= gamma
 
     def test_adjacent_floats_stop(self, rng):
@@ -449,7 +449,7 @@ class TestKktRoot:
                 assert s.kkt_scale is not None
                 assert calls["kkt"] <= 16
                 calls["spectrum"] = 0
-                factor_precoder(s, cfg.n_users, omega, cfg, r_d)
+                factor_precoder(s, omega, cfg, r_d)
                 assert calls["spectrum"] <= 16
                 searched += calls["spectrum"] > 1   # S(t_in) had rank > K
         assert searched >= 6
@@ -462,7 +462,7 @@ class TestFactorPrecoder:
         omega = random_psd(rng, cfg.n_tx)
         s = solve_relaxed(omega, cfg, r_d)
         state = rng.bit_generator.state
-        p = factor_precoder(s, cfg.n_users, omega, cfg, r_d)
+        p = factor_precoder(s, omega, cfg, r_d)
         assert rng.bit_generator.state == state
         assert p.p.shape == (cfg.n_tx, cfg.n_users)
         assert p.power() == pytest.approx(cfg.power_budget, rel=1e-12)
@@ -482,7 +482,7 @@ class TestFactorPrecoder:
         u = u / np.linalg.norm(u)
         omega = np.outer(u, u.conj())
         s = solve_relaxed(omega, cfg, r_d)
-        p = factor_precoder(s, 1, omega, cfg, r_d)
+        p = factor_precoder(s, omega, cfg, r_d)
         # optimal column is sqrt(P_T) u up to a global phase
         overlap = abs(np.vdot(u, p.p[:, 0])) / np.linalg.norm(p.p[:, 0])
         assert overlap == pytest.approx(1.0, abs=1e-9)
@@ -494,7 +494,7 @@ class TestFactorPrecoder:
             r_d = default_beampattern_target(cfg)
             omega = random_psd(rng, 5)
             s = solve_relaxed(omega, cfg, r_d)
-            p = factor_precoder(s, 3, omega, cfg, r_d)
+            p = factor_precoder(s, omega, cfg, r_d)
             assert p.power() == pytest.approx(cfg.power_budget, rel=1e-10)
             gram = p.p @ p.p.conj().T
             assert np.sum(np.abs(gram - r_d) ** 2) <= cfg.beampattern_tol
@@ -507,10 +507,10 @@ class TestFactorPrecoder:
         r_d = default_beampattern_target(cfg)
         omega = random_psd(rng, 3)
         with pytest.raises(ConfigError):
-            validate_beampattern_target(r_d, cfg)
+            validate_beampattern_target(cfg)
         s = RelaxedCovariance(np.eye(3, dtype=complex) / 3)
         with pytest.raises(ConfigError):
-            factor_precoder(s, 2, omega, cfg, r_d)
+            factor_precoder(s, omega, cfg, r_d)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 8), k_frac=st.floats(0.0, 1.0),
@@ -525,7 +525,7 @@ class TestFactorPrecoder:
         cfg = small_config(n_tx=n, k=k)   # a slack ball
         r_d = default_beampattern_target(cfg)
         # recovered with neither a factor nor an in-ball scale: S_K(0)
-        f0 = factor_precoder(RelaxedCovariance(r_d), k, omega, cfg, r_d).p
+        f0 = factor_precoder(RelaxedCovariance(r_d), omega, cfg, r_d).p
         near2 = float(np.sum(np.abs(f0 @ f0.conj().T - r_d) ** 2))
         top = np.linalg.eigh(omega)[1][:, -1]
         slack2 = float(np.sum(np.abs(
@@ -535,7 +535,7 @@ class TestFactorPrecoder:
             return
         cfg = small_config(n_tx=n, k=k, beampattern_tol=gamma)
         s = solve_relaxed(omega, cfg, r_d)
-        p = factor_precoder(s, k, omega, cfg, r_d)
+        p = factor_precoder(s, omega, cfg, r_d)
         assert p.p.shape == (n, k)
         assert abs(p.power() - cfg.power_budget) <= 1e-12 * cfg.power_budget
         # tested inside the ball on the KKT path; on the slack path the
@@ -783,9 +783,7 @@ class TestLowRankStudy:
 
 class TestBeampatternTarget:
     def test_default_target_feasible(self):
-        cfg = SceneConfig()
-        r_d = default_beampattern_target(cfg)
-        validate_beampattern_target(r_d, cfg)
+        validate_beampattern_target(SceneConfig())
 
     @pytest.mark.parametrize("p_t", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("n", [1, 4, 16, 64])
@@ -799,7 +797,13 @@ class TestBeampatternTarget:
         assert abs(float(np.trace(r_d).real) - p_t) <= 1e-15 * p_t
         precoder.check_beampattern_target(r_d, cfg)
 
-    def test_infeasible_target_rejected(self):
+    @pytest.mark.parametrize("target,message", [
+        (lambda cfg: np.eye(cfg.n_tx) * 5.0, "power budget"),
+        (lambda cfg: cfg.power_budget * np.diag([2.0, 0.0, -1.0]),
+         "not positive semidefinite"),
+        (lambda cfg: 2.0 * default_beampattern_target(cfg), "power budget")],
+        ids=["five_identity", "not_psd", "wrong_trace"])
+    def test_infeasible_target_rejected(self, target, message):
         cfg = SceneConfig()
-        with pytest.raises(ConfigError):
-            validate_beampattern_target(np.eye(cfg.n_tx) * 5.0, cfg)
+        with pytest.raises(ConfigError, match=message):
+            precoder.check_beampattern_target(target(cfg), cfg)
