@@ -18,9 +18,10 @@ same search along M - R_D.
 The approximation-ratio study measures Gaussian randomization on the
 unit-modulus problem max x^H A x, against its unit-diagonal relaxation:
 the same minorization step (a generalized power method) for the
-relaxation, a dual certificate for the bound, and draws and scores formed
-at the rank of R* and of A: each sample count takes 2 r n_g standard
-normals, r the number of eigenpairs of R* above rounding level.
+relaxation, run on coordinates in the eigenbasis of A at its rank, a dual
+certificate for the bound, and draws and scores formed at the rank of R*
+and of A: each sample count takes 2 r n_g standard normals, r the number
+of eigenpairs of R* above rounding level.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ _KKT_REL_WIDTH = 1e-13
 # Doublings of t after which the KKT search gives up.
 _KKT_MAX_DOUBLINGS = 200
 # Candidate columns the ratio study forms at a time, which bounds its memory.
-_RATIO_CHUNK = 1024
+_RATIO_CHUNK = 512
 # Relative gain at which the unit-diagonal ascent stops, and its step cap.
 _UNIT_DIAG_TOL = 1e-12
 _UNIT_DIAG_MAX_STEPS = 10_000
@@ -438,7 +439,8 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     level (lambda_j > L eps lambda_max), with z ~ CN(0, I_r) drawn as two
     r x n_g blocks of standard normals (real parts, then imaginary), so
     the generator advances by 2 r n_g normals per sample count; and the
-    candidates, formed a fixed number of columns at a time, are ranked by
+    candidates, formed a fixed number of columns at a time and normalized
+    by ``_unit_modulus`` (bit-equal to the masked divide), are ranked by
     sum_i mu_i |e_i^H x|^2 over the eigenpairs (mu_i, e_i) of A above
     rounding level, the first best one winning.  The reported value is the
     winner's dense x^H A x, an exact unit-modulus value, so the ratio
@@ -460,16 +462,15 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     for n_g in n_g_grid:
         if n_g < 1:
             raise ConfigError(f"sample count must be >= 1, got {n_g}")
-        shape = (half.shape[1], int(n_g))
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z = np.empty((half.shape[1], int(n_g)), dtype=complex)
+        z.real = rng.standard_normal(z.shape)
+        z.imag = rng.standard_normal(z.shape)
         best_score, best_x = None, None
         for j in range(0, int(n_g), _RATIO_CHUNK):
-            x = half @ z[:, j:j + _RATIO_CHUNK]
-            mag = np.abs(x)
-            np.divide(x, mag, out=x, where=mag > 0.0)
-            x[mag == 0.0] = 1.0
-            proj = e_h @ x
-            score = mu @ (proj.real ** 2 + proj.imag ** 2)
+            x = _unit_modulus(half @ z[:, j:j + _RATIO_CHUNK])
+            proj = (e_h @ x).view(float)             # Re, Im interleaved
+            np.square(proj, out=proj)
+            score = mu @ (proj[:, 0::2] + proj[:, 1::2])
             i = int(np.argmax(score))
             if best_x is None or score[i] > best_score:   # first index wins
                 best_score, best_x = score[i], x[:, i]
@@ -480,9 +481,24 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     return reports
 
 
+def _unit_modulus(x: np.ndarray) -> np.ndarray:
+    """x / |x| in place, with 1 where x = 0.
+
+    Multiplying by 1/|x| is bit-equal to the masked complex divide
+    ``np.divide(x, |x|, where=|x| > 0)``, which divides by |x| + 0j as
+    x * (1 / |x|), and it is cheaper.
+    """
+    mag = np.abs(x)
+    zero = mag == 0.0
+    mag[zero] = 1.0
+    x *= np.reciprocal(mag, out=mag)
+    x[zero] = 1.0
+    return x
+
+
 def _above_rounding(w: np.ndarray) -> np.ndarray:
     """Mask of the eigenvalues w above rounding level, L eps max(w)."""
-    return w > w.size * float(np.finfo(float).eps) * float(w.max())
+    return w > w.size * float(np.finfo(float).eps) * float(w.max(initial=0.0))
 
 
 def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
@@ -499,19 +515,47 @@ def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
     keeps its column).  From V = I, steps stop once the objective gains at
     most 1e-12 relative, or after a fixed number of steps.  Optimality is
     certified separately by ``unit_diag_dual_bound``.
+
+    The steps run at the rank of B.  One ``eigh`` gives B = E M E^H over
+    its r eigenvalues above rounding level (r = 5 for the ratio study's
+    A = U3; r = L - 1 or so for an indefinite A).  After the first step
+    every column of V lies in span(E), so V = E Z and a step is
+    Z <- normalize_cols(Z E M E^H) on the r x L coordinates, O(r^2 L)
+    where V B is O(L^3); E M E^H is formed once when r L^2 flops are
+    fewer than 2 r^2 L.  R = Z^H Z.  A coordinate whose column of A is
+    zero keeps its e_i (Z's column is 0 there and R_ii = 1); the ``eigh``
+    leaves such coordinates out, so E is exactly zero on them (an ``eigh``
+    of all of A leaves rounding noise there, which normalizing amplifies).
+    Dropping B's eigenvalues below rounding level moves R at rounding
+    level against the dense V <- V B (``tests/reference.py``).
     """
     a = hermitize(a)
     n = a.shape[0]
-    shift = max(0.0, -float(np.linalg.eigvalsh(a)[0]))
-    b = a + shift * np.eye(n)
-    v = np.eye(n, dtype=complex)
-    f = None
-    for _ in range(_UNIT_DIAG_MAX_STEPS):
-        g = v @ b
-        f_new = float(np.real(np.vdot(v, g))) - n * shift   # tr(A V^H V)
-        if f is not None and abs(f_new - f) <= _UNIT_DIAG_TOL * max(1.0, abs(f)):
+    live = np.any(a != 0.0, axis=0)
+    w, u = np.linalg.eigh(a[np.ix_(live, live)])
+    shift = max(0.0, -float(w.min(initial=0.0)))
+    m = w + shift
+    keep = _above_rounding(m)
+    m = m[keep]
+    e_h = np.zeros((m.size, n), dtype=complex)
+    e_h[:, live] = u[:, keep].conj().T
+    g = m[:, np.newaxis] * e_h             # V B at V = I, in the basis E
+    f = float(np.real(np.trace(a)))        # tr(A R) at R = I
+    norms = np.linalg.norm(g, axis=0)
+    fixed = norms <= 1e-300                # V keeps e_i there, Z's column 0
+    em = e_h.conj().T * m                  # E M
+    b = em @ e_h if 2 * m.size >= n else None
+    offset = np.count_nonzero(~fixed) * shift
+    z = np.zeros_like(g)
+    np.divide(g, norms, out=z, where=~fixed)
+    for _ in range(_UNIT_DIAG_MAX_STEPS - 1):
+        g = z @ b if b is not None else (z @ em) @ e_h
+        f_new = float(np.real(np.vdot(z, g))) - offset     # tr(A Z^H Z)
+        if abs(f_new - f) <= _UNIT_DIAG_TOL * max(1.0, abs(f)):
             break
         f = f_new
         norms = np.linalg.norm(g, axis=0)
-        np.divide(g, norms, out=v, where=norms > 1e-300)
-    return hermitize(v.conj().T @ v)
+        np.divide(g, norms, out=z, where=norms > 1e-300)
+    r = z.conj().T @ z
+    r[fixed, fixed] = 1.0
+    return hermitize(r)

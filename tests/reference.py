@@ -202,6 +202,30 @@ def mixing_method_relaxation(a: np.ndarray, max_sweeps: int = 1000,
     return hermitize(v.conj().T @ v)
 
 
+def dense_power_method(a: np.ndarray, max_steps: int = 10_000,
+                       tol: float = 1e-12) -> np.ndarray:
+    """Reference for ``solve_unit_diag_relaxation``: the same generalized
+    power method run densely, V <- V B on the L x L iterate with
+    B = A + max(0, -lambda_min(A)) I, columns normalized (where a column
+    of V B is zero, V keeps its column), from V = I until the objective
+    gains at most ``tol`` relative or after ``max_steps`` steps."""
+    a = hermitize(a)
+    n = a.shape[0]
+    shift = max(0.0, -float(np.linalg.eigvalsh(a)[0]))
+    b = a + shift * np.eye(n)
+    v = np.eye(n, dtype=complex)
+    f = None
+    for _ in range(max_steps):
+        g = v @ b
+        f_new = float(np.real(np.vdot(v, g))) - n * shift   # tr(A V^H V)
+        if f is not None and abs(f_new - f) <= tol * max(1.0, abs(f)):
+            break
+        f = f_new
+        norms = np.linalg.norm(g, axis=0)
+        np.divide(g, norms, out=v, where=norms > 1e-300)
+    return hermitize(v.conj().T @ v)
+
+
 def dense_ratio_study(a: np.ndarray, r_star: np.ndarray, n_g_grid,
                       rng: np.random.Generator) -> list[RandomizationReport]:
     """Reference for ``approximation_ratio_study``: the same draws from

@@ -20,8 +20,9 @@ from isacopt.precoder import validate_beampattern_target
 from isacopt.scene import SceneConfig, complex_normal
 
 from conftest import random_hermitian, random_psd, small_config
-from reference import (dense_ratio_study, feasibility_residuals,
-                       mixing_method_relaxation, project_trace)
+from reference import (dense_power_method, dense_ratio_study,
+                       feasibility_residuals, mixing_method_relaxation,
+                       project_trace)
 
 
 class TestProjectPsd:
@@ -608,6 +609,25 @@ class TestUnitDiagRelaxation:
         assert got <= np.trace(a).real * (1 + 1e-7)
         assert got >= np.trace(a).real * (1 - 1e-6)
 
+    @pytest.mark.parametrize("a", [np.zeros((4, 4)),
+                                   np.diag([1.0, 0.0, 2.0, 3.0])],
+                             ids=["zero", "diagonal-with-zero"])
+    def test_zero_column_keeps_its_unit_vector(self, a):
+        # V B has a zero column wherever A has one, and V keeps e_i there
+        np.testing.assert_array_equal(solve_unit_diag_relaxation(a),
+                                      np.eye(4))
+
+    def test_zeroed_coordinate_stays_decoupled(self, rng):
+        a = random_psd(rng, 8)
+        a[3, :] = a[:, 3] = 0.0
+        r = solve_unit_diag_relaxation(a)
+        np.testing.assert_allclose(np.diagonal(r).real, 1.0, atol=1e-12)
+        assert r[3, 3] == 1.0
+        assert not np.any(np.delete(r[3], 3)) and not np.any(np.delete(r[:, 3], 3))
+        # measured 7.1e-15 against the dense ascent
+        np.testing.assert_allclose(r, dense_power_method(a), rtol=0,
+                                   atol=1e-12)
+
 
 def ratio_study_matrix(l_rows, l_cols, seed):
     """U3 at the precoder of one ratio-study trial (the shipped scene)."""
@@ -719,6 +739,16 @@ class TestLowRankStudy:
             assert rep.best_objective == pytest.approx(
                 float(np.real(np.vdot(x0, a @ x0))), rel=1e-12)
 
+    def test_reciprocal_normalization_is_the_masked_divide(self, rng):
+        x = complex_normal(rng, 6, 4000)
+        x[2, :5] = 0.0
+        x[4, 9] = 1e-300
+        want = x.copy()
+        mag = np.abs(want)
+        np.divide(want, mag, out=want, where=mag > 0.0)
+        want[mag == 0.0] = 1.0
+        assert precoder._unit_modulus(x).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_chunked_pass_matches_one_block(self, monkeypatch, chunk):
         # the candidates of one block formed in column chunks: the same
@@ -758,6 +788,28 @@ class TestLowRankStudy:
 
     def test_identity_keeps_every_eigenpair(self):
         assert kept_rank_at_rounding_level(np.eye(36, dtype=complex)) == 36
+
+    # The ascent at the rank of B against the dense V <- V B: R* agrees to
+    # 2.5e-14 at most over these inputs, every step cap and convergence
+    # (measured), hence the bound of 1e-12.  (6, 6, 104) is a slow input
+    # (1396 steps); the random ones are full rank, r = L or L - 1.
+    @pytest.mark.parametrize("source", [(2, 4, 33), (6, 6, 33), (6, 6, 5),
+                                        (6, 6, 104), "psd", "indefinite"])
+    def test_factored_ascent_matches_dense_reference(self, rng, monkeypatch,
+                                                     source):
+        if source == "psd":
+            a = random_psd(rng, 36)
+        elif source == "indefinite":
+            a = random_hermitian(rng, 36)
+        else:
+            a = ratio_study_matrix(*source)
+        np.testing.assert_allclose(solve_unit_diag_relaxation(a),
+                                   dense_power_method(a), rtol=0, atol=1e-12)
+        for steps in range(1, 41):
+            monkeypatch.setattr(precoder, "_UNIT_DIAG_MAX_STEPS", steps)
+            np.testing.assert_allclose(solve_unit_diag_relaxation(a),
+                                       dense_power_method(a, steps),
+                                       rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["psd", "indefinite"])
     def test_ascent_monotone_and_certified_at_l36(self, rng, kind,
