@@ -440,12 +440,13 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     r x n_g blocks of standard normals (real parts, then imaginary), so
     the generator advances by 2 r n_g normals per sample count; and the
     candidates, formed a fixed number of columns at a time and normalized
-    by ``_unit_modulus`` (bit-equal to the masked divide), are ranked by
-    sum_i mu_i |e_i^H x|^2 over the eigenpairs (mu_i, e_i) of A above
-    rounding level, the first best one winning.  The reported value is the
-    winner's dense x^H A x, an exact unit-modulus value, so the ratio
-    cannot exceed 1 whatever R* is: the bound is at least the relaxation
-    optimum, which is at least every unit-modulus value.
+    by ``_unit_modulus`` (the masked divide up to the sign of a zero
+    part), are ranked by sum_i mu_i |e_i^H x|^2 over the eigenpairs
+    (mu_i, e_i) of A above rounding level, the first best one winning.
+    The reported value is the winner's dense x^H A x, an exact
+    unit-modulus value, so the ratio cannot exceed 1 whatever R* is: the
+    bound is at least the relaxation optimum, which is at least every
+    unit-modulus value.
     """
     if np.max(np.abs(np.diagonal(r_star) - 1.0)) > 1e-6:
         raise ConfigError("reference covariance must have unit diagonal")
@@ -486,7 +487,9 @@ def _unit_modulus(x: np.ndarray) -> np.ndarray:
 
     Multiplying by 1/|x| is bit-equal to the masked complex divide
     ``np.divide(x, |x|, where=|x| > 0)``, which divides by |x| + 0j as
-    x * (1 / |x|), and it is cheaper.
+    (re + im 0, im - re 0) * (1 / |x|), except for the sign of an
+    exactly-zero real or imaginary part, which the two can set
+    differently and no later sum or comparison sees; and it is cheaper.
     """
     mag = np.abs(x)
     zero = mag == 0.0
@@ -520,9 +523,8 @@ def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
     its r eigenvalues above rounding level (r = 5 for the ratio study's
     A = U3; r = L - 1 or so for an indefinite A).  After the first step
     every column of V lies in span(E), so V = E Z and a step is
-    Z <- normalize_cols(Z E M E^H) on the r x L coordinates, O(r^2 L)
-    where V B is O(L^3); E M E^H is formed once when r L^2 flops are
-    fewer than 2 r^2 L.  R = Z^H Z.  A coordinate whose column of A is
+    Z <- normalize_cols((Z E M) E^H) on the r x L coordinates, O(r^2 L)
+    where V B is O(L^3).  R = Z^H Z.  A coordinate whose column of A is
     zero keeps its e_i (Z's column is 0 there and R_ii = 1); the ``eigh``
     leaves such coordinates out, so E is exactly zero on them (an ``eigh``
     of all of A leaves rounding noise there, which normalizing amplifies).
@@ -544,12 +546,11 @@ def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(g, axis=0)
     fixed = norms <= 1e-300                # V keeps e_i there, Z's column 0
     em = e_h.conj().T * m                  # E M
-    b = em @ e_h if 2 * m.size >= n else None
     offset = np.count_nonzero(~fixed) * shift
     z = np.zeros_like(g)
     np.divide(g, norms, out=z, where=~fixed)
     for _ in range(_UNIT_DIAG_MAX_STEPS - 1):
-        g = z @ b if b is not None else (z @ em) @ e_h
+        g = (z @ em) @ e_h
         f_new = float(np.real(np.vdot(z, g))) - offset     # tr(A Z^H Z)
         if abs(f_new - f) <= _UNIT_DIAG_TOL * max(1.0, abs(f)):
             break
