@@ -161,7 +161,7 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
 
         if t >= 2:
             prev = trace.objective_per_outer[-2]
-            if abs(g - prev) <= opts.eps_rel * max(abs(prev), 1e-300):
+            if abs(g - prev) <= opts.eps_rel * abs(prev):
                 trace.terminated_by = "tolerance"
                 break
     if not trace.terminated_by:

@@ -24,6 +24,10 @@ rho is zero whenever the surrogate is already convex, in which case the
 update coincides with the plain one.  The plain composition itself is test
 reference code (``tests/reference.py``).
 
+Every rule of both phase solvers is relative or an exact-zero test, so
+noise powers scaled by 2^k give bit-identical phases.  Where nu_i = 0 any
+phase maximizes the linear minorizer, so the update needs no rule there.
+
 No L x L matrix is formed on the solver path.  R = a a^T is rank one, so
 X = b b^T with b = theta o a and every surrogate piece is low rank: the
 quartic matrices are U1 = c p q^T and U2 = conj(U1), the communication form
@@ -227,17 +231,12 @@ def linear_surrogate_vectors(theta_t: IrsPhase, u1: np.ndarray, u2: np.ndarray,
     return nu, eta
 
 
-def irs_phase_update(nu: np.ndarray, theta_prev: np.ndarray) -> IrsPhase:
-    """Torus maximizer of Re{theta^H nu}: exp(j arg nu).
+def irs_phase_update(nu: np.ndarray) -> IrsPhase:
+    """Torus maximizer of Re{theta^H nu}: exp(j arg nu), scale-free.
 
-    Coordinates where |nu| < 5e-15 have no preferred phase; they keep the
-    phase of ``theta_prev`` (determinism).
+    Where nu_i = 0 every phase maximizes; arg fixes one (1 for nu_i = +0).
     """
-    degenerate = np.abs(nu) < 5e-15
-    theta = np.exp(1j * np.angle(nu))
-    if np.any(degenerate):
-        theta = np.where(degenerate, theta_prev, theta)
-    return IrsPhase(theta)
+    return IrsPhase(np.exp(1j * np.angle(nu)))
 
 
 def ascent_anchor(u1_sym: np.ndarray, u3: np.ndarray) -> float:
@@ -257,17 +256,20 @@ def ascent_anchor(u1_sym: np.ndarray, u3: np.ndarray) -> float:
     return max(0.0, -lam_min) * (1.0 + 1e-9)
 
 
+# Relative objective gain at which both phase solvers stop.
+_INNER_TOL = 1e-6
+
+
 def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
-                           cfg: SceneConfig, inner_tol: float = 1e-6,
-                           inner_max: int = 200
+                           cfg: SceneConfig, inner_max: int = 200
                            ) -> tuple[IrsPhase, InnerTrace]:
     """Iterate the closed-form double-minorization update to convergence.
 
     Each iteration linearizes the surrogate at the current phases and
     applies the phase-alignment update; the quartic factors taken to score
     the new phases are the ones the next linearization expands around.  It
-    stops when the relative objective gain drops below ``inner_tol`` or
-    after ``inner_max`` iterations.  The recorded objective sequence is the
+    stops once |g_new - g_prev| <= ``_INNER_TOL`` |g_prev| or after
+    ``inner_max`` iterations.  The recorded objective sequence is the
     true weighted SNR and must be nondecreasing (guaranteed by the anchor);
     a dip beyond 1e-9 relative slack raises.
     """
@@ -281,7 +283,7 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
         nu = factors.linearize(theta, quartic)
-        new_theta = irs_phase_update(nu, theta).theta
+        new_theta = irs_phase_update(nu).theta
         quartic = factors.quartic(new_theta)
         new_snapshot = factors.value(new_theta, quartic)
 
@@ -291,7 +293,7 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
                 f"objective decreased from {g_prev:.12g} to {g_new:.12g} "
                 f"in the inner phase update")
         trace.objectives.append(g_new)
-        done = abs(g_new - g_prev) <= inner_tol * max(abs(g_prev), 1e-300)
+        done = abs(g_new - g_prev) <= _INNER_TOL * abs(g_prev)
         theta, snapshot = new_theta, new_snapshot
         if done:
             break
@@ -304,27 +306,15 @@ _ARMIJO_SLOPE = 1e-4
 _MAX_HALVINGS = 50
 
 
-def _tangent_project(grad: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Project onto the tangent space of the product-of-circles manifold."""
-    return grad - np.real(grad * theta.conj()) * theta
-
-
-def _retract(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Elementwise renormalization onto the torus."""
-    mag = np.abs(v)
-    safe = mag > 1e-300
-    out = np.where(safe, v / np.where(safe, mag, 1.0), fallback)
-    return out
-
-
 def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
-                       cfg: SceneConfig, inner_tol: float = 1e-6,
-                       inner_max: int = 200) -> tuple[IrsPhase, InnerTrace]:
+                       cfg: SceneConfig, inner_max: int = 200
+                       ) -> tuple[IrsPhase, InnerTrace]:
     """Riemannian gradient ascent on the torus with Armijo backtracking.
 
-    Baseline solver: tangent projection of the conjugate gradient,
-    elementwise-renormalization retraction, initial step 1/||grad||,
-    contraction 0.5.  Accepted steps only, so the trace is monotone.  The
+    Baseline solver: tangent projection of the conjugate gradient, an
+    unguarded renormalization (rgrad is tangent, so |theta_i + s rgrad_i|
+    >= 1), initial step 1/||grad||, contraction 0.5, and the minorization
+    solver's stop.  Accepted steps only, so the trace is monotone.  The
     surrogate factors are built once; each candidate's quartic factors
     score it and, once it is accepted, give the next gradient.
     """
@@ -337,14 +327,16 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
     snapshot = factors.value(theta, quartic)
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
-        rgrad = _tangent_project(factors.gradient(theta, *quartic), theta)
+        grad = factors.gradient(theta, *quartic)
+        rgrad = grad - np.real(grad * theta.conj()) * theta
         norm2 = float(np.real(np.vdot(rgrad, rgrad)))
-        if norm2 <= 1e-300:
+        if norm2 == 0.0:
             break
         step = 1.0 / math.sqrt(norm2)
         accepted = False
         for _ in range(_MAX_HALVINGS):
-            cand = _retract(theta + step * rgrad, theta)
+            cand = theta + step * rgrad
+            cand /= np.abs(cand)
             cand_quartic = factors.quartic(cand)
             cand_snapshot = factors.value(cand, cand_quartic)
             if cand_snapshot[0] >= snapshot[0] + _ARMIJO_SLOPE * step * norm2:
@@ -354,10 +346,10 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         if not accepted:
             trace.line_search_failed = True
             break
-        gain = cand_snapshot[0] - snapshot[0]
+        g_prev = snapshot[0]
         theta, quartic, snapshot = cand, cand_quartic, cand_snapshot
         trace.objectives.append(snapshot[0])
-        if gain <= inner_tol * max(abs(snapshot[0]), 1e-300):
+        if abs(snapshot[0] - g_prev) <= _INNER_TOL * abs(g_prev):
             break
     trace.snapshot = snapshot
     return IrsPhase(theta), trace

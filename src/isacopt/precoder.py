@@ -103,7 +103,7 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     counts calls to it here.
     """
     asym = np.linalg.norm(m - m.conj().T)
-    if asym > _HERM_TOL * max(1.0, np.linalg.norm(m)):
+    if asym > _HERM_TOL * np.linalg.norm(m):
         raise ConfigError(f"input is not Hermitian (asymmetry {asym:.3e})")
     w, u = np.linalg.eigh(hermitize(m))
     w = np.maximum(w, 0.0)
@@ -173,7 +173,7 @@ def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
 def check_beampattern_target(r_d: np.ndarray, cfg: SceneConfig):
     """The target must itself be a feasible covariance: PSD with trace P_T."""
     w = np.linalg.eigvalsh(hermitize(r_d))
-    if w[0] < -1e-8 * max(1.0, float(np.abs(w).max())):
+    if w[0] < -1e-8 * float(np.abs(w).max()):
         raise ConfigError("desired covariance R_D is not positive semidefinite")
     if abs(float(np.real(np.trace(r_d))) - cfg.power_budget) > 1e-8 * cfg.power_budget:
         raise ConfigError("desired covariance R_D does not meet the power budget")
@@ -514,10 +514,10 @@ def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
     tr(V B V^H) is convex in V, so its linearization at V minorizes it;
     V <- V B with every column normalized maximizes that linearization in
     closed form, so the steps ascend monotonically.  The iterate is PSD
-    with unit diagonal by construction (where a column of V B is zero, V
-    keeps its column).  From V = I, steps stop once the objective gains at
-    most 1e-12 relative, or after a fixed number of steps.  Optimality is
-    certified separately by ``unit_diag_dual_bound``.
+    with unit diagonal by construction (where a column of V B is 0, V keeps
+    its column).  From V = I, steps stop once |f_new - f| <= 1e-12 |f|, or
+    after a fixed number of steps, so A and 2^k A give the same bits.
+    Optimality is certified separately by ``unit_diag_dual_bound``.
 
     The steps run at the rank of B.  One ``eigh`` gives B = E M E^H over
     its r eigenvalues above rounding level (r = 5 for the ratio study's
@@ -544,7 +544,7 @@ def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
     g = m[:, np.newaxis] * e_h             # V B at V = I, in the basis E
     f = float(np.real(np.trace(a)))        # tr(A R) at R = I
     norms = np.linalg.norm(g, axis=0)
-    fixed = norms <= 1e-300                # V keeps e_i there, Z's column 0
+    fixed = norms == 0.0                   # V keeps e_i there, Z's column 0
     em = e_h.conj().T * m                  # E M
     offset = np.count_nonzero(~fixed) * shift
     z = np.zeros_like(g)
@@ -552,11 +552,11 @@ def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
     for _ in range(_UNIT_DIAG_MAX_STEPS - 1):
         g = (z @ em) @ e_h
         f_new = float(np.real(np.vdot(z, g))) - offset     # tr(A Z^H Z)
-        if abs(f_new - f) <= _UNIT_DIAG_TOL * max(1.0, abs(f)):
+        if abs(f_new - f) <= _UNIT_DIAG_TOL * abs(f):
             break
         f = f_new
         norms = np.linalg.norm(g, axis=0)
-        np.divide(g, norms, out=z, where=norms > 1e-300)
+        np.divide(g, norms, out=z, where=norms != 0.0)
     r = z.conj().T @ z
     r[fixed, fixed] = 1.0
     return hermitize(r)

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isacopt import (ConfigError, SceneConfig, alternating,
-                     default_beampattern_target, harness,
+from isacopt import (ConfigError, IrsPhase, SceneConfig, alternating,
+                     build_omega, default_beampattern_target, harness,
                      load_experiment_spec, make_channels,
                      run_alternating, run_bench, run_convergence_experiment,
-                     run_ratio_experiment, run_scaling_experiment)
+                     run_ratio_experiment, run_scaling_experiment,
+                     solve_relaxed)
 from isacopt.alternating import initial_phases
+from isacopt.precoder import relaxed_objective
 from isacopt.harness import (aggregate_convergence, config_hash, format_cell,
                              near_square_grid, read_csv_rows,
                              solver_options_from_dict)
@@ -435,6 +437,23 @@ class TestBench:
         study = {(int(r[1]), r[2]) for r in t_rows
                  if r[0] == "approximation_ratio_study"}
         assert study == {(36, "n_g_10000")}
+
+    def test_closed_form_gap_is_certified(self):
+        # tr(S Omega) and P_T lambda_max(Omega) are two roundings of one
+        # number; against the bare eigenvalue the gap is negative on 97 of
+        # these draws, and the rounding allowance makes it >= 0 on all
+        cfg = SceneConfig()
+        r_d = default_beampattern_target(cfg)
+        slack = replace(cfg, beampattern_tol=2.0 * cfg.power_budget ** 2)
+        ones = IrsPhase(np.ones(cfg.n_irs, dtype=complex))
+        gaps = []
+        for seed in range(200):
+            ch = make_channels(cfg, np.random.default_rng(seed))
+            omega = build_omega(ones, ch, cfg)
+            closed = solve_relaxed(omega, slack, r_d)
+            gaps.append(harness._closed_form_gap(
+                omega, cfg, relaxed_objective(closed, omega)))
+        assert 0.0 <= min(gaps) and max(gaps) <= 1e-12
 
     def test_primary_csv_deterministic(self, tmp_path):
         a = make_spec(tmp_path, kind="bench", beta_values=[],

