@@ -1,10 +1,13 @@
 """Alternating optimization of the precoder and the surface phases.
 
-One outer iteration rebuilds the objective matrix from the current phases,
-solves the relaxed precoder problem, recovers a K-column precoder from it
-deterministically (``factor_precoder``), then updates the phases with the
-ascent-safeguarded closed-form step.  A recovered precoder that scores below
-the previous one is dropped for it (``RunTrace.precoder_dips``).
+One outer iteration works from the effective channels at the current
+phases (``objective.EffectiveChannels``): it solves the relaxed precoder
+problem from them, recovers a K-column precoder deterministically
+(``factor_precoder``), scores it and the previous precoder on them, then
+updates the phases with the ascent-safeguarded closed-form step, which
+starts from those channels and that score and returns the channels at the
+new phases for the next outer iteration.  A recovered precoder that scores
+below the previous one is dropped for it (``RunTrace.precoder_dips``).
 Termination follows the relative-change rule |g(t+1) - g(t)| / g(t) <=
 eps_rel, checked from the second outer iteration on, with a hard iteration
 cap.
@@ -22,12 +25,13 @@ import numpy as np
 from .errors import (ConfigError, SolverError, require_finite,
                      require_integer)
 from .irs import solve_irs_manifold, solve_irs_minorization
-from .objective import IrsPhase, Precoder, build_omega
-# Unused here since the phase solvers report the snapshot; kept for the
-# tracer, which wraps them here by name.
-from .objective import snr_comm, snr_radar  # noqa: F401
+from .objective import IrsPhase, Precoder, effective_channels
+# Unused here since the loop scores on the effective channels; kept for
+# the tracer, which wraps them here by name.
+from .objective import build_omega, snr_comm, snr_radar  # noqa: F401
 from .precoder import (default_beampattern_target, factor_precoder,
-                       precoder_objective, relaxed_objective, solve_relaxed)
+                       solve_relaxed)
+from .precoder import precoder_objective, relaxed_objective  # noqa: F401
 from .scene import ChannelSet, SceneConfig
 
 log = logging.getLogger(__name__)
@@ -103,46 +107,45 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
     rng = rng if rng is not None else np.random.default_rng(0)
 
     theta = initial_phases(cfg, opts, rng)
+    channels = effective_channels(theta, ch, cfg)
     trace = RunTrace()
     precoder: Precoder | None = None
+    # (g, SNR_R, SNR_C) of the incumbent precoder on the current channels:
+    # the phase step scored it there
+    incumbent: tuple[float, ...] = (-math.inf,)
 
     for t in range(1, opts.t_max + 1):
         times: dict[str, float] = {}
         try:
             tic = time.perf_counter()
-            omega = build_omega(theta, ch, cfg)
-            times["omega"] = time.perf_counter() - tic
-
-            tic = time.perf_counter()
-            relaxed = solve_relaxed(omega, cfg, r_d)
+            relaxed = solve_relaxed(channels, cfg, r_d)
             times["precoder"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
-            candidate = factor_precoder(relaxed, omega, cfg, r_d)
-            candidate_obj = precoder_objective(candidate, omega)
-            incumbent_obj = (precoder_objective(precoder, omega)
-                             if precoder is not None else -math.inf)
-            if incumbent_obj > candidate_obj:
+            candidate = factor_precoder(relaxed, channels, cfg, r_d)
+            snapshot = channels.snrs(candidate.p)
+            if incumbent[0] > snapshot[0]:
                 # the recovered precoder fell short of the incumbent; keep it
                 trace.precoder_dips.append(t)
                 log.debug("outer %d: recovered precoder scored below the "
                           "previous one; keeping the incumbent", t)
-                precoder_obj = incumbent_obj
+                snapshot = incumbent
             else:
-                precoder, precoder_obj = candidate, candidate_obj
+                precoder = candidate
             times["recovery"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
-            if opts.irs_method == "minorization":
-                theta, inner = solve_irs_minorization(
-                    theta, precoder, ch, cfg, inner_max=opts.inner_max)
-            else:
-                theta, inner = solve_irs_manifold(
-                    theta, precoder, ch, cfg, inner_max=opts.inner_max)
-                if inner.line_search_failed:
-                    trace.line_search_failures.append(t)
-                    log.warning("outer %d: the Armijo line search found no "
-                                "ascent step; the phase step ended early", t)
+            solve_irs = (solve_irs_minorization
+                         if opts.irs_method == "minorization"
+                         else solve_irs_manifold)
+            theta, inner = solve_irs(theta, precoder, ch, cfg,
+                                     inner_max=opts.inner_max,
+                                     start=(channels, snapshot))
+            if inner.line_search_failed:
+                trace.line_search_failures.append(t)
+                log.warning("outer %d: the Armijo line search found no "
+                            "ascent step; the phase step ended early", t)
+            channels, incumbent = inner.channels, inner.snapshot
             times["irs"] = time.perf_counter() - tic
         except SolverError as exc:
             exc.args = (f"outer iteration {t}: {exc.args[0] if exc.args else exc}",
@@ -153,10 +156,8 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
         trace.objective_per_outer.append(g)
         trace.snr_radar_per_outer.append(s_r)
         trace.snr_comm_per_outer.append(s_c)
-        trace.relaxed_bound_per_outer.append(    # a certified upper bound
-            relaxed_objective(relaxed, omega) if relaxed.dual_bound is None
-            else relaxed.dual_bound)
-        trace.precoder_obj_per_outer.append(precoder_obj)
+        trace.relaxed_bound_per_outer.append(relaxed.dual_bound)
+        trace.precoder_obj_per_outer.append(snapshot[0])
         trace.wall_time_per_stage.append(times)
 
         if t >= 2:

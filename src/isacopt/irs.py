@@ -57,7 +57,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, MonotonicityError
-from .objective import (IrsPhase, Precoder, comm_coefficient, hermitize,
+from .objective import (EffectiveChannels, IrsPhase, Precoder,
+                        comm_coefficient, effective_channels, hermitize,
                         quartic_coefficient, quartic_kernels)
 # The solvers score iterates with SurrogateFactors.value; the name stays a
 # module attribute because perfbench's tracer wraps it here by name.
@@ -71,11 +72,13 @@ class InnerTrace:
 
     ``objectives`` is the weighted SNR at the start and after each accepted
     update; ``snapshot`` is (g, SNR_R, SNR_C) at the returned phases, so
-    ``snapshot[0] == objectives[-1]``.
+    ``snapshot[0] == objectives[-1]``, and ``channels`` are the effective
+    channels there, which scored them.
     """
 
     objectives: list[float] = field(default_factory=list)
     snapshot: tuple[float, float, float] = (math.nan, math.nan, math.nan)
+    channels: EffectiveChannels | None = None
     line_search_failed: bool = False
 
 
@@ -83,52 +86,53 @@ class SurrogateFactors:
     """Objective and surrogate pieces for one precoder, in low-rank factors.
 
     GP = G P and FP = F P over the nonzero columns of P (dropping zero
-    columns leaves P P^H unchanged), so V b = conj(GP) (GP^T b) and
-    W b = conj(G) (G^T b).  The communication form is U3 = Psi Psi^H, with
-    column (k, j) of Psi equal to sqrt(cc) conj(h_k o gp_j), and
-    mu = diag(U4) = cc sum_j gp_j o ((FP)^H H)_j.
+    columns leaves P P^H unchanged), so V b = conj(GP) (P^T t) and
+    W b = conj(G) t for b = theta o a and t = G^T b.  The communication
+    form is U3 = Psi Psi^H, with column (k, j) of Psi equal to
+    sqrt(cc) conj(h_k o gp_j), and mu = diag(U4) = cc sum_j gp_j o
+    ((FP)^H H)_j.
     """
 
     def __init__(self, p: Precoder, ch: ChannelSet, cfg: SceneConfig):
-        p_nz = p.p[:, np.any(p.p != 0, axis=0)]
+        nonzero = np.any(p.p != 0, axis=0)
+        p_nz = p.p[:, nonzero]
         cc = comm_coefficient(cfg)
         self.c = quartic_coefficient(cfg)
         self.cfg = cfg
+        self.ch = ch
+        self.p = p.p
+        self.p_nz = p_nz
         self.steer = ch.steer
         self.g = ch.g
-        self.h = ch.h
         self.gp = ch.g @ p_nz
         self.fp = ch.f @ p_nz
         self.psi = math.sqrt(cc) * (ch.h.T[:, :, None] * self.gp[:, None, :]
                                     ).reshape(len(ch.steer), -1).conj()
         self.mu = cc * np.sum(self.gp * (self.fp.conj().T @ ch.h).T, axis=1)
 
-    def value(self, theta: np.ndarray, quartic: tuple
-              ) -> tuple[float, float, float]:
-        """(g, SNR_R, SNR_C) at theta, g = beta SNR_R + (1 - beta) SNR_C.
-
-        SNR_R = |alpha|^2 q_v q_w / sigma_R^2 and
-        SNR_C = ||FP + (H o theta^T) GP||^2 / sigma_C^2; ``quartic`` is
-        ``self.quartic(theta)``.
+    def at(self, theta: IrsPhase, start: tuple | None = None
+           ) -> tuple[EffectiveChannels, tuple[float, float, float]]:
+        """(channels, snapshot) at theta: the effective channels there and
+        (g, SNR_R, SNR_C) of the precoder on them (``channels.snrs``).
+        ``start``, that pair where the caller has it, is returned as given.
         """
-        _, _, q_v, q_w = quartic
-        cfg = self.cfg
-        s_r = abs(cfg.alpha) ** 2 * q_v * q_w / cfg.sigma2_radar
-        comm = self.fp + (self.h * theta) @ self.gp
-        s_c = float(np.real(np.vdot(comm, comm))) / cfg.sigma2_comm
-        return cfg.beta * s_r + (1.0 - cfg.beta) * s_c, s_r, s_c
+        if start is not None:
+            return start
+        channels = effective_channels(theta, self.ch, self.cfg)
+        return channels, channels.snrs(self.p)
 
-    def quartic(self, theta: np.ndarray
+    def quartic(self, channels: EffectiveChannels
                 ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """(p, q, q_v, q_w) at theta: p = a* o V b and q = a* o W b give
-        U1 = c p q^T, and q_v = b^H V b, q_w = b^H W b."""
-        b = theta * self.steer
-        vb = self.gp.conj() @ (self.gp.T @ b)
-        wb = self.g.conj() @ (self.g.T @ b)
-        q_v = float(np.real(np.vdot(b, vb)))
-        q_w = float(np.real(np.vdot(b, wb)))
+        """(p, q, q_v, q_w) from t = G^T b of the channels: p = a* o V b and
+        q = a* o W b give U1 = c p q^T, and q_v = b^H V b = ||P^T t||^2 and
+        q_w = b^H W b = ||t||^2."""
+        t = channels.t
+        pt = self.p_nz.T @ t
+        vb = self.gp.conj() @ pt
+        wb = self.g.conj() @ t
         a_conj = self.steer.conj()
-        return a_conj * vb, a_conj * wb, q_v, q_w
+        return (a_conj * vb, a_conj * wb, float(np.vdot(pt, pt).real),
+                channels.q_w)
 
     def comm(self, theta: np.ndarray) -> np.ndarray:
         """U3 theta + mu*, the communication part of the gradient."""
@@ -141,7 +145,7 @@ class SurrogateFactors:
 
     def linearize(self, theta: np.ndarray, quartic: tuple) -> np.ndarray:
         """nu = grad g(theta) + rho theta, with the exact anchor rho and
-        ``quartic`` = ``self.quartic(theta)``."""
+        ``quartic`` the quartic factors at theta."""
         pv, qv, q_v, q_w = quartic
         rho = self.anchor(pv, qv)
         return self.gradient(theta, pv, qv, q_v, q_w) + rho * theta
@@ -261,31 +265,30 @@ _INNER_TOL = 1e-6
 
 
 def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
-                           cfg: SceneConfig, inner_max: int = 200
+                           cfg: SceneConfig, inner_max: int = 200,
+                           start: tuple | None = None
                            ) -> tuple[IrsPhase, InnerTrace]:
     """Iterate the closed-form double-minorization update to convergence.
 
     Each iteration linearizes the surrogate at the current phases and
-    applies the phase-alignment update; the quartic factors taken to score
-    the new phases are the ones the next linearization expands around.  It
-    stops once |g_new - g_prev| <= ``_INNER_TOL`` |g_prev| or after
-    ``inner_max`` iterations.  The recorded objective sequence is the
-    true weighted SNR and must be nondecreasing (guaranteed by the anchor);
-    a dip beyond 1e-9 relative slack raises.
+    applies the phase-alignment update; the effective channels taken to
+    score the new phases give the quartic factors that the next
+    linearization expands around.  It stops once |g_new - g_prev| <=
+    ``_INNER_TOL`` |g_prev| or after ``inner_max`` iterations.  The
+    recorded objective sequence is the true weighted SNR and must be
+    nondecreasing (guaranteed by the anchor); a dip beyond 1e-9 relative
+    slack raises.  ``start`` is (channels, snapshot) at theta0 where the
+    caller has them (``SurrogateFactors.at``).
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
-    theta = theta0.theta
-    quartic = factors.quartic(theta)
-    snapshot = factors.value(theta, quartic)
+    channels, snapshot = factors.at(theta0, start)
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
-        nu = factors.linearize(theta, quartic)
-        new_theta = irs_phase_update(nu).theta
-        quartic = factors.quartic(new_theta)
-        new_snapshot = factors.value(new_theta, quartic)
+        nu = factors.linearize(channels.theta.theta, factors.quartic(channels))
+        new_channels, new_snapshot = factors.at(irs_phase_update(nu))
 
         g_prev, g_new = snapshot[0], new_snapshot[0]
         if g_new < g_prev - 1e-9 * abs(g_prev):
@@ -294,11 +297,11 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
                 f"in the inner phase update")
         trace.objectives.append(g_new)
         done = abs(g_new - g_prev) <= _INNER_TOL * abs(g_prev)
-        theta, snapshot = new_theta, new_snapshot
+        channels, snapshot = new_channels, new_snapshot
         if done:
             break
-    trace.snapshot = snapshot
-    return IrsPhase(theta), trace
+    trace.snapshot, trace.channels = snapshot, channels
+    return channels.theta, trace
 
 
 # Armijo sufficient-increase slope and backtracking cap of the manifold baseline.
@@ -307,7 +310,8 @@ _MAX_HALVINGS = 50
 
 
 def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
-                       cfg: SceneConfig, inner_max: int = 200
+                       cfg: SceneConfig, inner_max: int = 200,
+                       start: tuple | None = None
                        ) -> tuple[IrsPhase, InnerTrace]:
     """Riemannian gradient ascent on the torus with Armijo backtracking.
 
@@ -315,20 +319,20 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
     unguarded renormalization (rgrad is tangent, so |theta_i + s rgrad_i|
     >= 1), initial step 1/||grad||, contraction 0.5, and the minorization
     solver's stop.  Accepted steps only, so the trace is monotone.  The
-    surrogate factors are built once; each candidate's quartic factors
-    score it and, once it is accepted, give the next gradient.
+    surrogate factors are built once; the effective channels of each
+    candidate score it and, once it is accepted, give the next gradient.
+    ``start`` is as for ``solve_irs_minorization``.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
-    theta = theta0.theta.copy()
-    quartic = factors.quartic(theta)
-    snapshot = factors.value(theta, quartic)
+    channels, snapshot = factors.at(theta0, start)
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
-        grad = factors.gradient(theta, *quartic)
-        rgrad = grad - np.real(grad * theta.conj()) * theta
+        theta = channels.theta.theta
+        grad = factors.gradient(theta, *factors.quartic(channels))
+        rgrad = 1j * theta * np.imag(grad * theta.conj())
         norm2 = float(np.real(np.vdot(rgrad, rgrad)))
         if norm2 == 0.0:
             break
@@ -337,9 +341,8 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         for _ in range(_MAX_HALVINGS):
             cand = theta + step * rgrad
             cand /= np.abs(cand)
-            cand_quartic = factors.quartic(cand)
-            cand_snapshot = factors.value(cand, cand_quartic)
-            if cand_snapshot[0] >= snapshot[0] + _ARMIJO_SLOPE * step * norm2:
+            cand_at = factors.at(IrsPhase(cand))
+            if cand_at[1][0] >= snapshot[0] + _ARMIJO_SLOPE * step * norm2:
                 accepted = True
                 break
             step *= 0.5
@@ -347,9 +350,9 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
             trace.line_search_failed = True
             break
         g_prev = snapshot[0]
-        theta, quartic, snapshot = cand, cand_quartic, cand_snapshot
+        channels, snapshot = cand_at
         trace.objectives.append(snapshot[0])
         if abs(snapshot[0] - g_prev) <= _INNER_TOL * abs(g_prev):
             break
-    trace.snapshot = snapshot
-    return IrsPhase(theta), trace
+    trace.snapshot, trace.channels = snapshot, channels
+    return channels.theta, trace

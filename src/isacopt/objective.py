@@ -5,15 +5,24 @@ the objective is
 
     beta * SNR_R + (1 - beta) * SNR_C = tr(P P^H Omega).
 
-The phase solvers score their iterates with the low-rank factors of
-``irs.SurrogateFactors``; ``weighted_snr``, ``snr_radar`` and ``snr_comm``
-evaluate the same quantities from the dense effective channels.
+Omega has rank <= 1 + K.  With t = G^T (theta o a), the round-trip radar
+channel is alpha t t^T, the downlink channel is C = F + (H o theta^T) G,
+and Omega = W^H diag(d) W over the rows W = [t^T; C] with weights
+d = (beta |alpha|^2 ||t||^2 / sigma_R^2, (1 - beta) / sigma_C^2, ...).
+``EffectiveChannels`` holds t and C for one theta and is what an outer
+iteration works from: it scores precoders, gives Omega's top eigenpair
+from the (1 + K) x (1 + K) Gram matrix of its weighted rows, forms the
+dense Omega for the binding ball, and gives the phase step its start.
+``build_omega`` is its dense Omega; ``weighted_snr``, ``snr_radar`` and
+``snr_comm`` evaluate the objective from the dense channel matrices.
 ``quartic_kernels`` gives the lifted quartic term's kernels densely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -101,11 +110,86 @@ def weighted_snr(p: Precoder, theta: IrsPhase, ch: ChannelSet,
 
 def build_omega(theta: IrsPhase, ch: ChannelSet, cfg: SceneConfig) -> np.ndarray:
     """Hermitian PSD matrix with tr(P P^H Omega) equal to the weighted SNR."""
-    c_r = effective_radar_channel(theta, ch, cfg)
-    c_c = effective_comm_channel(theta, ch)
-    omega = (cfg.beta / cfg.sigma2_radar) * (c_r.conj().T @ c_r) \
-        + ((1.0 - cfg.beta) / cfg.sigma2_comm) * (c_c.conj().T @ c_c)
-    return hermitize(omega)
+    return effective_channels(theta, ch, cfg).omega
+
+
+@dataclass
+class EffectiveChannels:
+    """The effective channels at one phase vector theta.
+
+    ``t`` = G^T (theta o a), so the radar channel is alpha t t^T, and
+    ``comm`` = C = F + (H o theta^T) G.  Omega = W^H diag(d) W with rows
+    W = [t^T; C] and weights d = (c ||t||^2, cc, ..., cc),
+    c = ``quartic_coefficient`` and cc = ``comm_coefficient``.
+    """
+
+    theta: IrsPhase
+    t: np.ndarray
+    comm: np.ndarray
+    cfg: SceneConfig
+    q_w: float = field(init=False)      # ||t||^2
+
+    def __post_init__(self):
+        self.q_w = float(np.vdot(self.t, self.t).real)
+
+    def snrs(self, p: np.ndarray) -> tuple[float, float, float]:
+        """(g, SNR_R, SNR_C) of the precoder p: g = ||diag(sqrt d) W p||_F^2.
+
+        SNR_R = |alpha|^2 ||p^T t||^2 ||t||^2 / sigma_R^2 and
+        SNR_C = ||C p||^2 / sigma_C^2, with g = beta SNR_R + (1 - beta) SNR_C.
+        """
+        cfg = self.cfg
+        pt = p.T @ self.t
+        cp = self.comm @ p
+        q_v = float(np.vdot(pt, pt).real)
+        s_r = abs(cfg.alpha) ** 2 * q_v * self.q_w / cfg.sigma2_radar
+        s_c = float(np.vdot(cp, cp).real) / cfg.sigma2_comm
+        return cfg.beta * s_r + (1.0 - cfg.beta) * s_c, s_r, s_c
+
+    def top_eigenpair(self) -> tuple[float, np.ndarray, float]:
+        """(lambda_max(Omega), a unit top eigenvector u, ||Omega||_F).
+
+        From the (1 + K) x (1 + K) Gram matrix M M^H of the weighted rows
+        M = D_r W, D_r = diag(sqrt(d / d_max)): lambda_max(Omega) =
+        d_max lambda_max(M M^H), u is M^H v normalized (v the top
+        eigenvector of M M^H) and ||Omega||_F = d_max ||M M^H||_F.  The
+        weights are relative to d_max, so scaling both noise powers by 2^k
+        scales only d_max, exactly.  For Omega = 0, u is the last unit
+        vector, as a dense ``eigh`` gives.
+        """
+        d_r = quartic_coefficient(self.cfg) * self.q_w
+        d_c = comm_coefficient(self.cfg)
+        d_max = max(d_r, d_c)
+        if d_max > 0.0:
+            m = np.vstack((math.sqrt(d_r / d_max) * self.t,
+                           math.sqrt(d_c / d_max) * self.comm))
+            gram = m @ m.conj().T
+            w, v = np.linalg.eigh(gram)
+            if w[-1] > 0.0:
+                u = m.conj().T @ v[:, -1]
+                u /= math.sqrt(np.vdot(u, u).real)
+                return (d_max * float(w[-1]), u,
+                        d_max * math.sqrt(np.vdot(gram, gram).real))
+        u = np.zeros(self.t.size, dtype=complex)
+        u[-1] = 1.0
+        return 0.0, u, 0.0
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """The dense Omega, Hermitian PSD, formed on first use."""
+        cfg = self.cfg
+        c_r = cfg.alpha * np.outer(self.t, self.t)
+        omega = (cfg.beta / cfg.sigma2_radar) * (c_r.conj().T @ c_r) \
+            + ((1.0 - cfg.beta) / cfg.sigma2_comm) * (self.comm.conj().T @ self.comm)
+        return hermitize(omega)
+
+
+def effective_channels(theta: IrsPhase, ch: ChannelSet,
+                       cfg: SceneConfig) -> EffectiveChannels:
+    """t = G^T (theta o a) and C = F + (H o theta^T) G at theta."""
+    comm = effective_comm_channel(theta, ch)
+    return EffectiveChannels(theta, ch.g.T @ (theta.theta * ch.steer), comm,
+                             cfg)
 
 
 def quartic_coefficient(cfg: SceneConfig) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .objective import Precoder, hermitize
+from .objective import EffectiveChannels, Precoder, hermitize
 from .scene import SceneConfig, ula_steering
 # Unused since the ratio study draws at the rank of R*; kept for the tracer,
 # which counts calls to it here by name.
@@ -294,36 +294,60 @@ def _dual_bound(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
             + (gamma - dist2) / (2.0 * t) + rounding)
 
 
-def solve_relaxed(omega: np.ndarray, cfg: SceneConfig,
-                  r_d: np.ndarray) -> RelaxedCovariance:
+def slack_bound(lam_max: float, norm_omega: float, cfg: SceneConfig) -> float:
+    """Certified upper bound P_T lambda_max(Omega) + 4 N eps P_T ||Omega||_F.
+
+    P_T lambda_max(Omega) is the optimum of tr(S Omega) over C = {S >= 0,
+    tr S = P_T}, which contains the feasible set; the allowance covers the
+    rounding of the computed eigenvalue and of a computed tr(S Omega) or
+    precoder objective, as in ``relaxed_dual_bound``.
+    """
+    err = 4.0 * cfg.n_tx * float(np.finfo(float).eps)
+    return cfg.power_budget * (lam_max + err * norm_omega)
+
+
+def solve_relaxed(omega, cfg: SceneConfig, r_d: np.ndarray) -> RelaxedCovariance:
     """Maximize tr(S Omega) over the feasible covariance set.
 
-    If S = P_T u u^H (u the top eigenvector of Omega) lies inside the
-    beampattern ball it is returned with its factor sqrt(P_T) u: it attains
-    the bound P_T * lambda_max(Omega) of the ball-free problem, so it is
-    exact.  Otherwise the ball binds, and by the KKT conditions the optimum
-    is S(t) = Pi_C(R_D + t Omega) at the t where ||S(t) - R_D||^2 = gamma;
-    that distance is nondecreasing in t, so t is found by doubling from
-    sqrt(gamma) / ||Omega||_F until S(t) leaves the ball, then closing that
-    bracket with ``_kkt_root`` to a relative width of 1e-13.  The result is
-    the ball projection of the outer end S(t_hi), a convex combination of
-    two points of C, so it is feasible by construction; ``kkt_scale`` keeps
-    t_hi, ``dual_bound`` the ``relaxed_dual_bound`` there (from the S(t_hi)
-    at hand) and ``in_ball_scale`` keeps t_lo.  A point S(t)
-    inside the ball that attains P_T * lambda_max(Omega) to 1e-12 relative
-    is returned as it is, with in-ball scale t (a repeated top eigenvalue
-    can leave S(t) inside the ball for every t); SolverError if neither
-    happens within a fixed number of doublings.  R_D is checked when a
-    config loads (``validate_beampattern_target``), not here.
+    ``omega`` is Omega as a dense matrix or as the ``EffectiveChannels`` it
+    is built from; from the channels the top eigenpair comes from their
+    (1 + K) x (1 + K) Gram matrix, and the dense Omega is formed only when
+    the ball binds.  If S = P_T u u^H (u the top eigenvector of Omega) lies
+    inside the beampattern ball it is returned with its factor
+    sqrt(P_T) u: it attains the bound P_T * lambda_max(Omega) of the
+    ball-free problem, so it is exact, and ``dual_bound`` is
+    ``slack_bound``.  Otherwise the ball binds, and by the KKT conditions
+    the optimum is S(t) = Pi_C(R_D + t Omega) at the t where
+    ||S(t) - R_D||^2 = gamma; that distance is nondecreasing in t, so t is
+    found by doubling from sqrt(gamma) / ||Omega||_F until S(t) leaves the
+    ball, then closing that bracket with ``_kkt_root`` to a relative width
+    of 1e-13.  The result is the ball projection of the outer end S(t_hi),
+    a convex combination of two points of C, so it is feasible by
+    construction; ``kkt_scale`` keeps t_hi, ``dual_bound`` the
+    ``relaxed_dual_bound`` there (from the S(t_hi) at hand) and
+    ``in_ball_scale`` keeps t_lo.  A point S(t) inside the ball that
+    attains P_T * lambda_max(Omega) to 1e-12 relative is returned as it
+    is, with in-ball scale t and ``slack_bound`` (a repeated top
+    eigenvalue can leave S(t) inside the ball for every t); SolverError if
+    neither happens within a fixed number of doublings.  R_D is checked
+    when a config loads (``validate_beampattern_target``), not here.
     """
-    omega = hermitize(omega)
-    w, u = np.linalg.eigh(omega)
-    top = u[:, -1:]
+    if isinstance(omega, EffectiveChannels):
+        lam, top, norm_omega = omega.top_eigenpair()
+    else:
+        omega = hermitize(omega)
+        w, u = np.linalg.eigh(omega)
+        lam, top, norm_omega = float(w[-1]), u[:, -1], float(np.linalg.norm(omega))
+    top = top[:, np.newaxis]
     s = cfg.power_budget * (top @ top.conj().T)
-    if float(np.sum(np.abs(s - r_d) ** 2)) <= cfg.beampattern_tol:
-        return RelaxedCovariance(s, factor=math.sqrt(cfg.power_budget) * top)
+    bound = slack_bound(lam, norm_omega, cfg)
+    diff = s - r_d
+    if float(np.vdot(diff, diff).real) <= cfg.beampattern_tol:
+        return RelaxedCovariance(s, factor=math.sqrt(cfg.power_budget) * top,
+                                 dual_bound=bound)
+    omega = _dense(omega)
     gamma = cfg.beampattern_tol
-    attainable = cfg.power_budget * float(w[-1])
+    attainable = cfg.power_budget * lam
     scale = float(np.linalg.norm(omega))
     t = math.sqrt(gamma) / scale if scale > 0.0 else 1.0
     lo = (0.0, r_d, 0.0)     # S(0) = Pi_C(R_D) = R_D
@@ -333,7 +357,7 @@ def solve_relaxed(omega: np.ndarray, cfg: SceneConfig,
             break
         if (float(np.real(np.vdot(omega, hi[1])))
                 >= attainable - 1e-12 * abs(attainable)):
-            return RelaxedCovariance(hi[1], in_ball_scale=t)
+            return RelaxedCovariance(hi[1], in_ball_scale=t, dual_bound=bound)
         lo, t = hi, 2.0 * t
     else:
         raise SolverError(
@@ -346,6 +370,11 @@ def solve_relaxed(omega: np.ndarray, cfg: SceneConfig,
         dual_bound=_dual_bound(omega, cfg, r_d, t_hi, s_hi, dist2))
 
 
+def _dense(omega) -> np.ndarray:
+    """The dense Omega of a dense matrix or of ``EffectiveChannels``."""
+    return omega.omega if isinstance(omega, EffectiveChannels) else omega
+
+
 def relaxed_objective(s: RelaxedCovariance, omega: np.ndarray) -> float:
     """tr(S Omega), the relaxation bound on the precoder objective."""
     return float(np.real(np.vdot(omega, s.s)))
@@ -356,8 +385,8 @@ def precoder_objective(p: Precoder, omega: np.ndarray) -> float:
     return float(np.real(np.vdot(p.p, omega @ p.p)))
 
 
-def factor_precoder(s: RelaxedCovariance, omega: np.ndarray,
-                    cfg: SceneConfig, r_d: np.ndarray) -> Precoder:
+def factor_precoder(s: RelaxedCovariance, omega, cfg: SceneConfig,
+                    r_d: np.ndarray) -> Precoder:
     """Recover a K-column precoder, K = ``cfg.n_users``, with no draws.
 
     An exact factor of at most K columns (slack ball), zero-padded and
@@ -372,13 +401,15 @@ def factor_precoder(s: RelaxedCovariance, omega: np.ndarray,
     are nondecreasing in t; returning only tested points guards against
     rounding.)  S_K(0) is the point ``validate_beampattern_target`` tests,
     and the answer when S has neither a factor nor an in-ball scale.
+    ``omega`` is Omega, dense or as its ``EffectiveChannels``; only the
+    rank-K search reads it.
     """
     gamma, k = cfg.beampattern_tol, cfg.n_users
     if s.factor is not None and s.factor.shape[1] <= k:
         p = np.zeros((s.s.shape[0], k), dtype=complex)
         p[:, : s.factor.shape[1]] = s.factor
         return Precoder(
-            p * math.sqrt(cfg.power_budget / float(np.sum(np.abs(p) ** 2))))
+            p * math.sqrt(cfg.power_budget / float(np.vdot(p, p).real)))
 
     def point(t):
         """F (N x k, zero-padded) with F F^H = S_K(t), and ||F F^H - R_D||^2."""
@@ -388,6 +419,7 @@ def factor_precoder(s: RelaxedCovariance, omega: np.ndarray,
         f[:, : v.size] = u * np.sqrt(v)
         return f, float(np.sum(np.abs(f @ f.conj().T - r_d) ** 2))
 
+    omega = _dense(omega)
     t_in = s.in_ball_scale or 0.0
     p, dist2 = point(t_in)
     if dist2 > gamma and t_in > 0.0:

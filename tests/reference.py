@@ -105,12 +105,17 @@ def dense_linearization(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
     return nu, eta, rho
 
 
+def quartic_at(factors: SurrogateFactors, theta: np.ndarray) -> tuple:
+    """The quartic factors (p, q, q_v, q_w) of ``factors`` at phases theta."""
+    return factors.quartic(factors.at(IrsPhase(theta))[0])
+
+
 def plain_linearization(factors: SurrogateFactors, theta: np.ndarray
                         ) -> np.ndarray:
     """The paper's plain linearization at theta, from the unsymmetrized
     U1 = c p q^T with no anchor: nu = 2 c q_v q + U3 theta + mu*.  It is
     not ascent-safe on radar-weighted scenes."""
-    _, qv, q_v, _ = factors.quartic(theta)
+    _, qv, q_v, _ = quartic_at(factors, theta)
     return 2.0 * factors.c * q_v * qv + factors.comm(theta)
 
 
@@ -137,7 +142,7 @@ def wirtinger_gradient(theta: IrsPhase, p: Precoder, ch: ChannelSet,
     a* o (c (q_w V b + q_v W b)) = c (q_w p + q_v q).
     """
     factors = SurrogateFactors(p, ch, cfg)
-    return factors.gradient(theta.theta, *factors.quartic(theta.theta))
+    return factors.gradient(theta.theta, *quartic_at(factors, theta.theta))
 
 
 def objective_snapshot(p: Precoder, theta: IrsPhase, ch: ChannelSet,
@@ -145,7 +150,7 @@ def objective_snapshot(p: Precoder, theta: IrsPhase, ch: ChannelSet,
     """(weighted objective, radar SNR, communication SNR) at (P, theta),
     from the same kernel that scores the phase solvers' iterates."""
     factors = SurrogateFactors(p, ch, cfg)
-    return factors.value(theta.theta, factors.quartic(theta.theta))
+    return factors.at(theta)[1]
 
 
 def project_trace(m: np.ndarray, target: float) -> np.ndarray:

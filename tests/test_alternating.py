@@ -134,14 +134,14 @@ class TestRunAlternating:
     def test_termination_rule_fires_on_flat_objective(self, monkeypatch):
         # a constant objective must stop at the first possible check (t = 2)
         import isacopt.alternating as alt
-        from isacopt.irs import SurrogateFactors
+        from isacopt.objective import EffectiveChannels
 
         cfg, ch = tiny_scene()
 
-        def constant_snapshot(self, theta, quartic=None):
+        def constant_snapshot(self, p):
             return 42.0, 42.0, 42.0
 
-        monkeypatch.setattr(SurrogateFactors, "value", constant_snapshot)
+        monkeypatch.setattr(EffectiveChannels, "snrs", constant_snapshot)
         _, _, trace = alt.run_alternating(ch, cfg, opts=SolverOptions(t_max=9))
         assert trace.terminated_by == "tolerance"
         assert len(trace.objective_per_outer) == 2

@@ -17,7 +17,7 @@ from isacopt.scene import ChannelSet, complex_normal
 
 from conftest import random_phases, random_scene, small_config
 from reference import (anchored_surrogate_value, decompose_objective,
-                       dense_linearization, plain_linearization,
+                       dense_linearization, plain_linearization, quartic_at,
                        quartic_surrogate_constant, wirtinger_gradient)
 
 
@@ -207,7 +207,7 @@ class TestMinorizationSolver:
             ch = ChannelSet(g=g, h=h, f=ch.f, steer=ch.steer)
             factors = SurrogateFactors(p, ch, cfg)
             th = theta0.theta
-            assert factors.gradient(th, *factors.quartic(th))[2] == 0.0
+            assert factors.gradient(th, *quartic_at(factors, th))[2] == 0.0
             theta, trace = solve_irs_minorization(theta0, p, ch, cfg,
                                                   inner_max=60)
             assert np.max(np.abs(np.abs(theta.theta) - 1.0)) <= 1e-15
@@ -226,10 +226,10 @@ class TestMinorizationSolver:
                                               beta=0.97, alpha=1.0 + 0.0j)
             factors = SurrogateFactors(p, ch, cfg)
             th = theta0.theta
-            g = factors.value(th, factors.quartic(th))[0]
+            g = factors.at(IrsPhase(th))[1][0]
             for _ in range(150):
                 th = irs_phase_update(plain_linearization(factors, th)).theta
-                g_new = factors.value(th, factors.quartic(th))[0]
+                g_new = factors.at(IrsPhase(th))[1][0]
                 tripped = g_new < g - 1e-9 * abs(g)
                 if tripped or g_new == g:
                     break
@@ -278,7 +278,7 @@ class TestMinorizationSolver:
         factors = SurrogateFactors(p, ch, cfg)
         th, gaps = theta0.theta, []
         for _ in range(60):
-            quartic = factors.quartic(th)
+            quartic = quartic_at(factors, th)
             pv, qv = quartic[:2]
             rho = factors.anchor(pv, qv)
             nu = factors.linearize(th, quartic)
@@ -337,7 +337,7 @@ class TestSurrogateFactors:
                                                      safeguard)
             _, mu_d = build_quadratic_terms(p, ch, cfg)
             factors = SurrogateFactors(p, ch, cfg)
-            quartic = factors.quartic(theta.theta)
+            quartic = quartic_at(factors, theta.theta)
             if safeguard:
                 nu = factors.linearize(theta.theta, quartic)
                 rho = factors.anchor(*quartic[:2])
@@ -354,7 +354,7 @@ class TestSurrogateFactors:
     def test_surrogate_value_matches_dense(self, rng):
         cfg, ch, p, theta_t = random_scene(rng, l_rows=2, l_cols=3)
         factors = SurrogateFactors(p, ch, cfg)
-        pv, qv, _, _ = factors.quartic(theta_t.theta)
+        pv, qv, _, _ = quartic_at(factors, theta_t.theta)
         u1, u2 = build_quartic_surrogate(theta_t, p, ch, cfg)
         u3, mu = build_quadratic_terms(p, ch, cfg)
         rho = 0.3
@@ -379,7 +379,7 @@ class TestSurrogateFactors:
         pp[:, 3 - zero_cols:] = 0.0
         p = Precoder(pp)
         factors = SurrogateFactors(p, ch, cfg)
-        g, s_r, s_c = factors.value(theta.theta, factors.quartic(theta.theta))
+        g, s_r, s_c = factors.at(theta)[1]
         assert g == pytest.approx(weighted_snr(p, theta, ch, cfg), rel=1e-12)
         assert s_r == pytest.approx(snr_radar(p, theta, ch, cfg), rel=1e-12)
         assert s_c == pytest.approx(snr_comm(p, theta, ch, cfg), rel=1e-12)

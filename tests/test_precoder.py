@@ -356,10 +356,13 @@ class TestKktRoot:
             assert s.kkt_scale is not None
             assert s.dual_bound == relaxed_dual_bound(omega, cfg, r_d,
                                                       s.kkt_scale)
-        cfg = SceneConfig()   # slack ball: no KKT point, no stored bound
-        s = solve_relaxed(random_psd(rng, cfg.n_tx), cfg,
-                          default_beampattern_target(cfg))
-        assert s.kkt_scale is None and s.dual_bound is None
+        cfg = SceneConfig()   # slack ball: no KKT point, the slack bound
+        omega = random_psd(rng, cfg.n_tx)
+        s = solve_relaxed(omega, cfg, default_beampattern_target(cfg))
+        assert s.kkt_scale is None
+        assert s.dual_bound == precoder.slack_bound(
+            float(np.linalg.eigh(omega)[0][-1]), float(np.linalg.norm(omega)),
+            cfg)
 
     def test_root_agrees_with_brentq(self):
         brentq = pytest.importorskip("scipy.optimize").brentq
