@@ -46,11 +46,11 @@ from .alternating import IRS_METHODS, SolverOptions, run_alternating
 from .errors import ConfigError, require_finite, require_integer
 from .irs import (build_quadratic_terms, irs_phase_update,
                   solve_irs_minorization)
-from .objective import IrsPhase, Precoder, build_omega
+from .objective import IrsPhase, Precoder, effective_channels
 from .precoder import (approximation_ratio_study, default_beampattern_target,
-                       relaxed_dual_bound, relaxed_objective, solve_relaxed,
-                       solve_unit_diag_relaxation, unit_diag_dual_bound,
-                       validate_beampattern_target)
+                       relaxed_dual_bound, relaxed_objective, slack_bound,
+                       solve_relaxed, solve_unit_diag_relaxation,
+                       unit_diag_dual_bound, validate_beampattern_target)
 from .scene import (ChannelSet, SceneConfig, complex_normal,
                     convert_suffixed, make_channels, scene_config_from_dict)
 
@@ -543,16 +543,23 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     r_d = default_beampattern_target(cfg)
 
     # The relaxed precoder solve on one channel draw, once with a ball no
-    # two trace-P_T covariances can leave (closed form) and once with a ball
-    # a quarter of the closed-form point's distance from R_D (KKT search),
-    # with the relative gap of each to its certified bound.
+    # two trace-P_T covariances can leave (closed form, from the channel
+    # rows as a run takes it) and once with a ball a quarter of the
+    # closed-form point's distance from R_D (KKT search), with the relative
+    # gap of each to its certified bound, and the error of the rows' top
+    # eigenvalue against the dense one.
     ch = make_channels(cfg, rng)
-    omega = build_omega(IrsPhase(np.ones(cfg.n_irs, dtype=complex)), ch, cfg)
+    channels = effective_channels(IrsPhase(np.ones(cfg.n_irs, dtype=complex)),
+                                  ch, cfg)
+    omega = channels.omega
     slack = replace(cfg, beampattern_tol=2.0 * cfg.power_budget ** 2)
-    closed = solve_relaxed(omega, slack, r_d)
+    closed = solve_relaxed(channels, slack, r_d)
     check_rows.append(("solve_relaxed", cfg.n_tx, "closed_form_gap",
                        _closed_form_gap(omega, cfg,
                                         relaxed_objective(closed, omega))))
+    dense_top = float(np.linalg.eigvalsh(omega)[-1])
+    check_rows.append(("solve_relaxed", cfg.n_tx, "slack_top_eig_rel_error",
+                       abs(channels.top_eigenpair()[0] - dense_top) / dense_top))
     binding = replace(cfg, beampattern_tol=0.25 * float(
         np.sum(np.abs(closed.s - r_d) ** 2)))
     kkt = solve_relaxed(omega, binding, r_d)
@@ -560,10 +567,12 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     check_rows.append((
         "solve_relaxed", cfg.n_tx, "binding_certificate_gap",
         (relaxed_dual_bound(omega, binding, r_d, kkt.kkt_scale) - value) / value))
-    for path_name, scene, n in (("closed_form", slack, reps),
-                                ("binding", binding, 20)):
+    for path_name, form, scene, n in (
+            ("closed_form", omega, slack, reps),
+            ("closed_form_rows", channels, slack, reps),
+            ("binding", omega, binding, 20)):
         timing_rows.append(("solve_relaxed", cfg.n_tx, path_name, _median_time(
-            lambda: solve_relaxed(omega, scene, r_d), n), n))
+            lambda: solve_relaxed(form, scene, r_d), n), n))
 
     # One inner iteration of the phase solver on the paper's 6 x 6 surface
     # and on a 16 x 16 one.
@@ -614,11 +623,9 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
 
 
 def _closed_form_gap(omega, cfg: SceneConfig, value: float) -> float:
-    """Relative gap of ``value`` below P_T lambda_max(Omega) plus the
-    allowance 4 N eps P_T ||Omega||_F, as in ``relaxed_dual_bound``."""
-    err = 4.0 * cfg.n_tx * float(np.finfo(float).eps)
-    bound = cfg.power_budget * (float(np.linalg.eigvalsh(omega)[-1])
-                                + err * float(np.linalg.norm(omega)))
+    """Relative gap of ``value`` below ``slack_bound`` of the dense Omega."""
+    bound = slack_bound(float(np.linalg.eigvalsh(omega)[-1]),
+                        float(np.linalg.norm(omega)), cfg)
     return (bound - value) / bound
 
 

@@ -31,7 +31,7 @@ phase maximizes the linear minorizer, so the update needs no rule there.
 No L x L matrix is formed on the solver path.  R = a a^T is rank one, so
 X = b b^T with b = theta o a and every surrogate piece is low rank: the
 quartic matrices are U1 = c p q^T and U2 = conj(U1), the communication form
-is U3 = Psi Psi^H with K_u * rank(P) columns in Psi, and mu = diag(U4) is a
+is U3 = cc Psi Psi^H with K_u * rank(P) columns in Psi, and mu = diag(U4) is a
 row sum.  The anchor's displacement form vanishes off span{p, q, Psi}, so
 rho comes from the same eigenproblem compressed onto an orthonormal basis
 of that span, (2m) x (2m) with m <= K_u * K + 2 instead of 2L x 2L.  One
@@ -88,9 +88,10 @@ class SurrogateFactors:
     GP = G P and FP = F P over the nonzero columns of P (dropping zero
     columns leaves P P^H unchanged), so V b = conj(GP) (P^T t) and
     W b = conj(G) t for b = theta o a and t = G^T b.  The communication
-    form is U3 = Psi Psi^H, with column (k, j) of Psi equal to
-    sqrt(cc) conj(h_k o gp_j), and mu = diag(U4) = cc sum_j gp_j o
-    ((FP)^H H)_j.
+    form is U3 = cc Psi Psi^H, with column (k, j) of Psi equal to
+    conj(h_k o gp_j), and mu = diag(U4) = cc sum_j gp_j o ((FP)^H H)_j.
+    The weight cc multiplies the form, not Psi (as sqrt(cc)), so that noise
+    powers scaled by 2^k scale the surrogate exactly, odd k included.
     """
 
     def __init__(self, p: Precoder, ch: ChannelSet, cfg: SceneConfig):
@@ -106,8 +107,9 @@ class SurrogateFactors:
         self.g = ch.g
         self.gp = ch.g @ p_nz
         self.fp = ch.f @ p_nz
-        self.psi = math.sqrt(cc) * (ch.h.T[:, :, None] * self.gp[:, None, :]
-                                    ).reshape(len(ch.steer), -1).conj()
+        self.cc = cc
+        self.psi = (ch.h.T[:, :, None] * self.gp[:, None, :]
+                    ).reshape(len(ch.steer), -1).conj()
         self.mu = cc * np.sum(self.gp * (self.fp.conj().T @ ch.h).T, axis=1)
 
     def at(self, theta: IrsPhase, start: tuple | None = None
@@ -136,7 +138,7 @@ class SurrogateFactors:
 
     def comm(self, theta: np.ndarray) -> np.ndarray:
         """U3 theta + mu*, the communication part of the gradient."""
-        return self.psi @ (self.psi.conj().T @ theta) + self.mu.conj()
+        return self.cc * (self.psi @ (self.psi.conj().T @ theta)) + self.mu.conj()
 
     def gradient(self, theta: np.ndarray, pv: np.ndarray, qv: np.ndarray,
                  q_v: float, q_w: float) -> np.ndarray:
@@ -160,7 +162,7 @@ class SurrogateFactors:
         r = np.linalg.qr(np.column_stack([pv, qv, self.psi]), mode="r")
         pt, qt, psit = r[:, 0], r[:, 1], r[:, 2:]
         u1_sym = 0.5 * self.c * (np.outer(pt, qt) + np.outer(qt, pt))
-        return ascent_anchor(u1_sym, psit @ psit.conj().T)
+        return ascent_anchor(u1_sym, self.cc * (psit @ psit.conj().T))
 
 
 def _kernel_factors(p: Precoder, ch: ChannelSet) -> tuple[np.ndarray, np.ndarray]:

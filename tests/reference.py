@@ -127,7 +127,8 @@ def anchored_surrogate_value(factors: SurrogateFactors, theta: np.ndarray,
     quartic = 2.0 * factors.c * np.real(np.vdot(theta, pv)
                                         * np.vdot(theta, qv))
     coords = factors.psi.conj().T @ theta
-    quad = np.vdot(coords, coords).real + rho * np.vdot(theta, theta).real
+    quad = (factors.cc * np.vdot(coords, coords).real
+            + rho * np.vdot(theta, theta).real)
     lin = 2.0 * np.real(theta @ factors.mu)
     return float(quartic + quad + lin)
 

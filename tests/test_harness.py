@@ -411,10 +411,14 @@ class TestBench:
         cert = [float(r[3]) for r in rows
                 if r[0] == "solve_relaxed" and r[2] == "binding_certificate_gap"]
         assert len(cert) == 1 and abs(cert[0]) <= 1e-12
+        top = [float(r[3]) for r in rows
+               if r[0] == "solve_relaxed" and r[2] == "slack_top_eig_rel_error"]
+        assert len(top) == 1 and 0.0 <= top[0] <= 1e-13
         t_header, t_rows = read_csv_rows(out / "bench_timing.csv")
         assert all(float(r[3]) > 0 for r in t_rows)
         paths = {(r[0], r[2]) for r in t_rows}
         assert {("solve_relaxed", "closed_form"),
+                ("solve_relaxed", "closed_form_rows"),
                 ("solve_relaxed", "binding")} <= paths
         assert not any(op == "dykstra_project" for op, _ in paths)
         inner = {int(r[1]) for r in t_rows

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from isacopt import (ConfigError, IrsPhase, Precoder, build_omega,
-                     effective_comm_channel, effective_radar_channel,
-                     quartic_kernels, weighted_snr)
+from isacopt import (ConfigError, IrsPhase, Precoder, SceneConfig, build_omega,
+                     default_beampattern_target, effective_comm_channel,
+                     effective_radar_channel, make_channels, quartic_kernels,
+                     solve_relaxed, weighted_snr)
+from isacopt.objective import effective_channels
 from isacopt.scene import ChannelSet, complex_normal
 
-from conftest import random_scene, small_config
+from conftest import random_phases, random_scene, small_config
 from reference import decompose_objective, quartic_kernels_reference
 
 
@@ -107,6 +109,62 @@ class TestWeightedSnrAndOmega:
         expected = (c_c.conj().T @ c_c) / cfg.sigma2_comm
         np.testing.assert_allclose(build_omega(theta, ch, cfg), expected,
                                    rtol=1e-12)
+
+
+class TestEffectiveChannels:
+    """Omega's top eigenpair from the channel rows against a dense eigh."""
+
+    @staticmethod
+    def _check(cfg, ch, theta) -> bool:
+        """Compare at one scene; True if the eigenvector was compared."""
+        lam, top, norm = effective_channels(theta, ch, cfg).top_eigenpair()
+        omega = build_omega(theta, ch, cfg)
+        w, u = np.linalg.eigh(omega)
+        assert abs(lam - w[-1]) <= 1e-13 * w[-1]
+        assert abs(norm - np.linalg.norm(omega)) <= 1e-13 * np.linalg.norm(omega)
+        assert abs(np.linalg.norm(top) - 1.0) <= 1e-14
+        if w[-1] - w[-2] <= 1e-6 * w[-1]:
+            return False
+        assert abs(np.vdot(u[:, -1], top)) >= 1.0 - 1e-12
+        return True
+
+    @pytest.mark.parametrize("beta", [0.0, 0.01, 0.5, 0.99, 1.0])
+    def test_matches_dense_eigh(self, beta):
+        # beta = 0 and 1 leave one weight zero, and so Omega's rank K or 1
+        compared = 0
+        for seed in range(20):
+            rng = np.random.default_rng([31, seed])
+            cfg = SceneConfig(beta=beta)
+            ch = make_channels(cfg, rng)
+            compared += self._check(cfg, ch, random_phases(rng, cfg.n_irs))
+        assert compared >= 10
+
+    def test_matches_dense_eigh_with_as_many_users_as_antennas(self):
+        # 1 + K rows for N columns: the Gram matrix is singular
+        compared = 0
+        for seed in range(20):
+            rng = np.random.default_rng([32, seed])
+            cfg, ch, _, theta = random_scene(rng, l_rows=2, l_cols=3, n_tx=4,
+                                             k=4)
+            compared += self._check(cfg, ch, theta)
+        assert compared >= 10
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_zero_channels(self, rng, beta):
+        # Omega = 0: no 0/0 (a RuntimeWarning fails the test), and the same
+        # S as the dense path, from its last unit eigenvector
+        cfg, ch, _, theta = random_scene(rng, n_tx=4, beta=beta)
+        zero = ChannelSet(g=np.zeros_like(ch.g), h=np.zeros_like(ch.h),
+                          f=np.zeros_like(ch.f), steer=ch.steer)
+        channels = effective_channels(theta, zero, cfg)
+        lam, top, norm = channels.top_eigenpair()
+        assert lam == 0.0 and norm == 0.0
+        np.testing.assert_array_equal(top, np.eye(cfg.n_tx)[-1])
+        r_d = default_beampattern_target(cfg)
+        s = solve_relaxed(channels, cfg, r_d)
+        dense = solve_relaxed(build_omega(theta, zero, cfg), cfg, r_d)
+        np.testing.assert_array_equal(s.s, dense.s)
+        assert s.dual_bound == dense.dual_bound == 0.0
 
 
 class TestDecomposeObjective:

@@ -3,8 +3,10 @@
 Scaling both noise powers by 2^k scales the objective, its matrix Omega
 and every surrogate by 2^-k, exactly in floating point; scaling P_T by 4^k
 and gamma by 16^k scales the covariances by 4^k and the precoder by 2^k.
-No rule of the solver steps compares against an absolute level, so the
-run takes the same steps and returns the same phases.  The same holds for
+Omega's top eigenpair comes from channel rows weighted by sqrt(d / d_max),
+which no noise scaling changes, odd k included.  No rule of the solver
+steps compares against an absolute level, so the run takes the same steps
+and returns the same phases.  The same holds for
 the ratio study under A -> 2^k A.
 """
 
@@ -28,7 +30,9 @@ SCENES = {"slack-beta0.5": {"beta": 0.5},
 SOLVERS = {"minorization-1": SolverOptions(inner_max=1),
            "minorization-20": SolverOptions(inner_max=20),
            "manifold-20": SolverOptions(inner_max=20, irs_method="manifold")}
-SCALINGS = {"noise": (-300, -150, 150), "power": (-60, 60)}
+# Odd noise exponents scale the square roots of the weights of Omega by an
+# irrational factor, so they catch any rounding that depends on the scale.
+SCALINGS = {"noise": (-300, -150, -149, 150, 151), "power": (-60, 60)}
 SEEDS = range(5)
 
 
