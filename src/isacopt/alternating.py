@@ -74,6 +74,8 @@ class RunTrace:
     snr_comm_per_outer: list[float] = field(default_factory=list)
     relaxed_bound_per_outer: list[float] = field(default_factory=list)
     precoder_obj_per_outer: list[float] = field(default_factory=list)
+    # seconds of "precoder", "recovery" and "irs" (the phase step, which
+    # also forms the effective channels at the new phases)
     wall_time_per_stage: list[dict[str, float]] = field(default_factory=list)
     precoder_dips: list[int] = field(default_factory=list)
     line_search_failures: list[int] = field(default_factory=list)

@@ -37,9 +37,14 @@ rho comes from the same eigenproblem compressed onto an orthonormal basis
 of that span, (2m) x (2m) with m <= K_u * K + 2 instead of 2L x 2L.  One
 inner iteration costs O(L (N + m^2)).
 
-``SurrogateFactors`` is built once per precoder and is the objective kernel
-of both phase solvers: each iterate is scored from the q_v, q_w and G P
-that the next linearization reuses, and the solvers report the score.
+``SurrogateFactors`` is built once per precoder.  Both phase solvers work
+from the effective channels (``objective.EffectiveChannels``): the channels
+at the start phases, with the incumbent's score there, come from the
+caller; each new phase vector gets its channels, which score it
+(``EffectiveChannels.snrs``) and whose t = G^T (theta o a) gives the quartic
+factors (P^T t, conj(G) t, ||P^T t||^2, ||t||^2) of the next linearization.
+The solvers return the channels at the returned phases, which the next
+outer iteration reads.
 
 ``build_quadratic_terms`` returns the dense U3, which the
 approximation-ratio study needs.  The dense quartic constructions
@@ -60,7 +65,7 @@ from .errors import ConfigError, MonotonicityError
 from .objective import (EffectiveChannels, IrsPhase, Precoder,
                         comm_coefficient, effective_channels, hermitize,
                         quartic_coefficient, quartic_kernels)
-# The solvers score iterates with SurrogateFactors.value; the name stays a
+# The solvers score iterates with EffectiveChannels.snrs; the name stays a
 # module attribute because perfbench's tracer wraps it here by name.
 from .objective import weighted_snr  # noqa: F401
 from .scene import ChannelSet, SceneConfig
@@ -95,22 +100,19 @@ class SurrogateFactors:
     """
 
     def __init__(self, p: Precoder, ch: ChannelSet, cfg: SceneConfig):
-        nonzero = np.any(p.p != 0, axis=0)
-        p_nz = p.p[:, nonzero]
-        cc = comm_coefficient(cfg)
+        self.p_nz = p_nz = p.p[:, np.any(p.p != 0, axis=0)]
+        self.cc = cc = comm_coefficient(cfg)
         self.c = quartic_coefficient(cfg)
         self.cfg = cfg
         self.ch = ch
         self.p = p.p
-        self.p_nz = p_nz
         self.steer = ch.steer
         self.g = ch.g
         self.gp = ch.g @ p_nz
-        self.fp = ch.f @ p_nz
-        self.cc = cc
         self.psi = (ch.h.T[:, :, None] * self.gp[:, None, :]
                     ).reshape(len(ch.steer), -1).conj()
-        self.mu = cc * np.sum(self.gp * (self.fp.conj().T @ ch.h).T, axis=1)
+        fp = ch.f @ p_nz
+        self.mu = cc * np.sum(self.gp * (fp.conj().T @ ch.h).T, axis=1)
 
     def at(self, theta: IrsPhase, start: tuple | None = None
            ) -> tuple[EffectiveChannels, tuple[float, float, float]]:
@@ -317,13 +319,15 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
                        ) -> tuple[IrsPhase, InnerTrace]:
     """Riemannian gradient ascent on the torus with Armijo backtracking.
 
-    Baseline solver: tangent projection of the conjugate gradient, an
-    unguarded renormalization (rgrad is tangent, so |theta_i + s rgrad_i|
-    >= 1), initial step 1/||grad||, contraction 0.5, and the minorization
-    solver's stop.  Accepted steps only, so the trace is monotone.  The
-    surrogate factors are built once; the effective channels of each
-    candidate score it and, once it is accepted, give the next gradient.
-    ``start`` is as for ``solve_irs_minorization``.
+    Baseline solver: tangent projection j theta Im(theta* grad) of the
+    conjugate gradient, an unguarded renormalization (rgrad is tangent, so
+    |theta_i + s rgrad_i| >= 1; in this form the rounding of rgrad is
+    relative to rgrad itself, not to grad), initial step 1/||grad||,
+    contraction 0.5, and the minorization solver's stop.  Accepted steps
+    only, so the trace is monotone.  The surrogate factors are built once;
+    the effective channels of each candidate score it and, once it is
+    accepted, give the next gradient.  ``start`` is as for
+    ``solve_irs_minorization``.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")

@@ -6,14 +6,17 @@ Without the beampattern ball the optimum over C = {S >= 0, tr(S) = P_T} is
 P_T u u^H with u the top eigenvector of the objective matrix, so whenever
 that matrix lies inside the ball ||S - R_D||_F^2 <= gamma_BP it is the exact
 optimum and its factor sqrt(P_T) u is an exact precoder: no iteration.
-When the ball binds, the KKT conditions put the optimum at
-S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t) meets the
-ball, so the solve is a bracketing root search on t (Chandrupatla's
-method), one eigendecomposition per step, and ``relaxed_dual_bound``
-certifies it.  The precoder is then recovered deterministically along the
-rank-K path S_K(t) = Pi_{C_K}(R_D + t Omega) (``factor_precoder``).  The
-Euclidean projection onto the feasible set, ``dykstra_project``, is the
-same search along M - R_D.
+The alternating loop hands Omega over as its effective channels, whose
+(1 + K) x (1 + K) Gram matrix gives u, lambda_max(Omega) and ||Omega||_F,
+and the certified bound ``slack_bound``; the dense Omega is formed only
+when the ball binds.  When the ball binds, the KKT conditions put the
+optimum at S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t)
+meets the ball, so the solve is a bracketing root search on t
+(Chandrupatla's method), one eigendecomposition per step, and
+``relaxed_dual_bound`` certifies it.  The precoder is then recovered
+deterministically along the rank-K path S_K(t) = Pi_{C_K}(R_D + t Omega)
+(``factor_precoder``).  The Euclidean projection onto the feasible set,
+``dykstra_project``, is the same search along M - R_D.
 
 The approximation-ratio study measures Gaussian randomization on the
 unit-modulus problem max x^H A x, against its unit-diagonal relaxation:
@@ -306,7 +309,8 @@ def slack_bound(lam_max: float, norm_omega: float, cfg: SceneConfig) -> float:
     return cfg.power_budget * (lam_max + err * norm_omega)
 
 
-def solve_relaxed(omega, cfg: SceneConfig, r_d: np.ndarray) -> RelaxedCovariance:
+def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
+                  r_d: np.ndarray) -> RelaxedCovariance:
     """Maximize tr(S Omega) over the feasible covariance set.
 
     ``omega`` is Omega as a dense matrix or as the ``EffectiveChannels`` it
@@ -370,7 +374,7 @@ def solve_relaxed(omega, cfg: SceneConfig, r_d: np.ndarray) -> RelaxedCovariance
         dual_bound=_dual_bound(omega, cfg, r_d, t_hi, s_hi, dist2))
 
 
-def _dense(omega) -> np.ndarray:
+def _dense(omega: np.ndarray | EffectiveChannels) -> np.ndarray:
     """The dense Omega of a dense matrix or of ``EffectiveChannels``."""
     return omega.omega if isinstance(omega, EffectiveChannels) else omega
 
@@ -385,7 +389,8 @@ def precoder_objective(p: Precoder, omega: np.ndarray) -> float:
     return float(np.real(np.vdot(p.p, omega @ p.p)))
 
 
-def factor_precoder(s: RelaxedCovariance, omega, cfg: SceneConfig,
+def factor_precoder(s: RelaxedCovariance,
+                    omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
                     r_d: np.ndarray) -> Precoder:
     """Recover a K-column precoder, K = ``cfg.n_users``, with no draws.
 
