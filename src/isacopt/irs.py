@@ -114,14 +114,10 @@ class SurrogateFactors:
         fp = ch.f @ p_nz
         self.mu = cc * np.sum(self.gp * (fp.conj().T @ ch.h).T, axis=1)
 
-    def at(self, theta: IrsPhase, start: tuple | None = None
+    def at(self, theta: IrsPhase
            ) -> tuple[EffectiveChannels, tuple[float, float, float]]:
         """(channels, snapshot) at theta: the effective channels there and
-        (g, SNR_R, SNR_C) of the precoder on them (``channels.snrs``).
-        ``start``, that pair where the caller has it, is returned as given.
-        """
-        if start is not None:
-            return start
+        (g, SNR_R, SNR_C) of the precoder on them (``channels.snrs``)."""
         channels = effective_channels(theta, self.ch, self.cfg)
         return channels, channels.snrs(self.p)
 
@@ -288,7 +284,7 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
-    channels, snapshot = factors.at(theta0, start)
+    channels, snapshot = start or factors.at(theta0)
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
         nu = factors.linearize(channels.theta.theta, factors.quartic(channels))
@@ -333,7 +329,7 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
-    channels, snapshot = factors.at(theta0, start)
+    channels, snapshot = start or factors.at(theta0)
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
         theta = channels.theta.theta
