@@ -31,11 +31,9 @@ import hashlib
 import json
 import logging
 import math
-import multiprocessing
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -44,8 +42,8 @@ import numpy as np
 from . import __version__ as _version
 from .alternating import IRS_METHODS, SolverOptions, run_alternating
 from .errors import ConfigError, require_finite, require_integer
-from .irs import (build_quadratic_terms, irs_phase_update,
-                  solve_irs_minorization)
+from .irs import (SurrogateFactors, ascent_anchor, build_quadratic_terms,
+                  irs_phase_update, solve_irs_minorization)
 from .objective import IrsPhase, Precoder, effective_channels
 from .precoder import (approximation_ratio_study, default_beampattern_target,
                        relaxed_dual_bound, relaxed_objective, slack_bound,
@@ -328,6 +326,8 @@ def _run_trials(worker, point_args: list[list[tuple]], threads: int
     flat = [args for args_of_point in point_args for args in args_of_point]
     guarded = functools.partial(_guarded, worker)
     if threads > 1:
+        import multiprocessing      # here: half of the module's import time
+        from concurrent.futures import ProcessPoolExecutor
         with _one_blas_thread(), ProcessPoolExecutor(
                 threads, mp_context=multiprocessing.get_context("spawn")) as pool:
             outcomes = list(pool.map(
@@ -575,12 +575,21 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
             lambda: solve_relaxed(form, scene, r_d), n), n))
 
     # One inner iteration of the phase solver on the paper's 6 x 6 surface
-    # and on a 16 x 16 one.
+    # and on a 16 x 16 one; on the 6 x 6 one, the relative distance of the
+    # step's anchor (Cholesky route) from the QR route's.
     for rows_, cols_ in ((6, 6), (16, 16)):
         cfg_l = replace(cfg, irs_rows=rows_, irs_cols=cols_)
         ch_l = make_channels(cfg_l, rng)
         p = _random_precoder(cfg_l, rng)
         theta = IrsPhase(np.exp(2j * np.pi * rng.random(cfg_l.n_irs)))
+        if cfg_l.n_irs == 36:
+            factors = SurrogateFactors(p, ch_l, cfg_l)
+            channels, _, y = factors.at(theta)
+            rho = factors.anchor(*factors.quartic(channels, y)[:2])
+            rho_qr = ascent_anchor(np.linalg.qr(factors.basis, mode="r").T,
+                                   factors.c, factors.cc)
+            check_rows.append(("solve_irs_minorization", 36, "anchor_route_rel_error",
+                               abs(rho - rho_qr) / rho_qr if rho_qr else rho))
         timing_rows.append((
             "solve_irs_minorization", cfg_l.n_irs, "inner_iteration",
             _median_time(lambda: solve_irs_minorization(

@@ -30,21 +30,20 @@ phase maximizes the linear minorizer, so the update needs no rule there.
 
 No L x L matrix is formed on the solver path.  R = a a^T is rank one, so
 X = b b^T with b = theta o a and every surrogate piece is low rank: the
-quartic matrices are U1 = c p q^T and U2 = conj(U1), the communication form
-is U3 = cc Psi Psi^H with K_u * rank(P) columns in Psi, and mu = diag(U4) is a
-row sum.  The anchor's displacement form vanishes off span{p, q, Psi}, so
-rho comes from the same eigenproblem compressed onto an orthonormal basis
-of that span, (2m) x (2m) with m <= K_u * K + 2 instead of 2L x 2L.  One
-inner iteration costs O(L (N + m^2)).
+quartic matrices are U1 = c p q^T and U2 = conj(U1), and the communication
+form is U3 = cc Psi Psi^H with K_u * rank(P) columns in Psi.  The anchor's
+displacement form vanishes off span M, M = [p, q, Psi], so rho comes from
+the (2m) x (2m) eigenproblem there (m <= K_u * K + 2), which the Cholesky
+factor of M^H M takes to constant coefficients by one congruence.  One
+inner iteration costs O(L N K + L m + m^3).
 
 ``SurrogateFactors`` is built once per precoder.  Both phase solvers work
-from the effective channels (``objective.EffectiveChannels``): the channels
-at the start phases, with the incumbent's score there, come from the
-caller; each new phase vector gets its channels, which score it
-(``EffectiveChannels.snrs``) and whose t = G^T (theta o a) gives the quartic
-factors (P^T t, conj(G) t, ||P^T t||^2, ||t||^2) of the next linearization.
-The solvers return the channels at the returned phases, which the next
-outer iteration reads.
+from the effective channels (``objective.EffectiveChannels``) and the
+products Y = W P that score the precoder there, from the caller's at the
+start phases on.  Y[0] = P^T t and t give the quartic factors (P^T t,
+conj(G) t, ||P^T t||^2, ||t||^2) and Y[1:] = C P the communication part
+of the gradient, so U3 and mu = diag(U4) are never formed.  The solvers
+return the channels at the returned phases for the next outer iteration.
 
 ``build_quadratic_terms`` returns the dense U3, which the
 approximation-ratio study needs.  The dense quartic constructions
@@ -65,7 +64,7 @@ from .errors import ConfigError, MonotonicityError
 from .objective import (EffectiveChannels, IrsPhase, Precoder,
                         comm_coefficient, effective_channels, hermitize,
                         quartic_coefficient, quartic_kernels)
-# The solvers score iterates with EffectiveChannels.snrs; the name stays a
+# The solvers score iterates with EffectiveChannels.scores; the name stays a
 # module attribute because perfbench's tracer wraps it here by name.
 from .objective import weighted_snr  # noqa: F401
 from .scene import ChannelSet, SceneConfig
@@ -90,95 +89,73 @@ class InnerTrace:
 class SurrogateFactors:
     """Objective and surrogate pieces for one precoder, in low-rank factors.
 
-    GP = G P and FP = F P over the nonzero columns of P (dropping zero
-    columns leaves P P^H unchanged), so V b = conj(GP) (P^T t) and
-    W b = conj(G) t for b = theta o a and t = G^T b.  The communication
-    form is U3 = cc Psi Psi^H, with column (k, j) of Psi equal to
-    conj(h_k o gp_j), and mu = diag(U4) = cc sum_j gp_j o ((FP)^H H)_j.
-    The weight cc multiplies the form, not Psi (as sqrt(cc)), so that noise
-    powers scaled by 2^k scale the surrogate exactly, odd k included.
+    GP = G P over the nonzero columns of P, which give the same P P^H.
+    With b = theta o a, t = G^T b and Y = W P: V b = conj(GP) Y[0], W b =
+    conj(G) t, and U3 = cc Psi Psi^H with column (k, j) of Psi equal to
+    conj(h_k o gp_j), written once into the anchor's basis M = [p, q, Psi].
+    cc weights the form, not Psi, so noise scaled by 2^k scales it exactly.
     """
 
     def __init__(self, p: Precoder, ch: ChannelSet, cfg: SceneConfig):
-        self.p_nz = p_nz = p.p[:, np.any(p.p != 0, axis=0)]
-        self.cc = cc = comm_coefficient(cfg)
-        self.c = quartic_coefficient(cfg)
-        self.cfg = cfg
-        self.ch = ch
-        self.p = p.p
-        self.steer = ch.steer
-        self.g = ch.g
-        self.gp = ch.g @ p_nz
-        self.psi = (ch.h.T[:, :, None] * self.gp[:, None, :]
-                    ).reshape(len(ch.steer), -1).conj()
-        fp = ch.f @ p_nz
-        self.mu = cc * np.sum(self.gp * (fp.conj().T @ ch.h).T, axis=1)
+        self.p_nz = p_nz = p.p.compress(p.p.any(axis=0), axis=1)
+        self.c, self.cc = quartic_coefficient(cfg), comm_coefficient(cfg)
+        self.cfg, self.ch = cfg, ch
+        self.gp = gp = ch.g @ p_nz
+        self.gp_conj, self.a_conj = gp.conj(), ch.steer.conj()
+        self.g_conj, self.h_adj = ch.g.conj(), ch.h.conj().T
+        psi_conj = (ch.h.T[:, :, None] * gp[:, None, :]).reshape(len(gp), -1)
+        m = 2 + psi_conj.shape[1]
+        self.basis = np.empty((len(gp), m), dtype=complex)
+        self.psi = np.conjugate(psi_conj, out=self.basis[:, 2:])
+        self.gram = np.empty((m, m), dtype=complex)   # M^T conj(M), lower
+        np.matmul(self.psi.T, psi_conj, out=self.gram[2:, 2:])
 
-    def at(self, theta: IrsPhase
-           ) -> tuple[EffectiveChannels, tuple[float, float, float]]:
-        """(channels, snapshot) at theta: the effective channels there and
-        (g, SNR_R, SNR_C) of the precoder on them (``channels.snrs``)."""
+    def at(self, theta: IrsPhase) -> tuple[
+            EffectiveChannels, tuple[float, float, float], np.ndarray]:
+        """(channels, snapshot, Y) at theta, Y = W P_nz giving the score."""
         channels = effective_channels(theta, self.ch, self.cfg)
-        return channels, channels.snrs(self.p)
+        y = channels.rows @ self.p_nz
+        return channels, channels.scores(y), y
 
-    def quartic(self, channels: EffectiveChannels
+    def quartic(self, channels: EffectiveChannels, y: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """(p, q, q_v, q_w) from t = G^T b of the channels: p = a* o V b and
-        q = a* o W b give U1 = c p q^T, and q_v = b^H V b = ||P^T t||^2 and
-        q_w = b^H W b = ||t||^2."""
-        t = channels.t
-        pt = self.p_nz.T @ t
-        vb = self.gp.conj() @ pt
-        wb = self.g.conj() @ t
-        a_conj = self.steer.conj()
-        return (a_conj * vb, a_conj * wb, float(np.vdot(pt, pt).real),
-                channels.q_w)
+        """(p, q, q_v, q_w): p = a* o V b and q = a* o W b give U1 = c p q^T,
+        q_v = b^H V b = ||P^T t||^2 and q_w = b^H W b = ||t||^2."""
+        pt = y[0]
+        return (self.a_conj * (self.gp_conj @ pt),
+                self.a_conj * (self.g_conj @ channels.t),
+                float(np.vdot(pt, pt).real), channels.q_w)
 
-    def comm(self, theta: np.ndarray) -> np.ndarray:
-        """U3 theta + mu*, the communication part of the gradient."""
-        return self.cc * (self.psi @ (self.psi.conj().T @ theta)) + self.mu.conj()
-
-    def gradient(self, theta: np.ndarray, pv: np.ndarray, qv: np.ndarray,
+    def gradient(self, y: np.ndarray, pv: np.ndarray, qv: np.ndarray,
                  q_v: float, q_w: float) -> np.ndarray:
-        """Wirtinger gradient from the quartic factors at theta."""
-        return self.c * (q_w * pv + q_v * qv) + self.comm(theta)
+        """Wirtinger gradient from the quartic factors and the products Y
+        there: U3 theta + mu* = cc sum_j conj(gp_j) o (H^H C p_j)."""
+        comm = (self.gp_conj * (self.h_adj @ y[1:])).sum(1)
+        return (self.c * q_w) * pv + (self.c * q_v) * qv + self.cc * comm
 
-    def linearize(self, theta: np.ndarray, quartic: tuple) -> np.ndarray:
-        """nu = grad g(theta) + rho theta, with the exact anchor rho and
-        ``quartic`` the quartic factors at theta."""
-        pv, qv, q_v, q_w = quartic
-        rho = self.anchor(pv, qv)
-        return self.gradient(theta, pv, qv, q_v, q_w) + rho * theta
+    def linearize(self, channels: EffectiveChannels, y: np.ndarray
+                  ) -> np.ndarray:
+        """nu = grad g(theta) + rho theta at the channels' phases, with the
+        exact anchor rho and Y the products there."""
+        quartic = self.quartic(channels, y)
+        rho = self.anchor(*quartic[:2])
+        return self.gradient(y, *quartic) + rho * channels.theta.theta
 
     def anchor(self, pv: np.ndarray, qv: np.ndarray) -> float:
-        """Exact ascent anchor, from the eigenproblem on span{p, q, Psi}.
-
-        With [p, q, Psi] = Q R, R holds the coordinates Q^H [p, q, Psi];
-        the displacement form is zero on the orthogonal complement, so
-        the compressed form has the same smallest negative eigenvalue.
-        """
-        r = np.linalg.qr(np.column_stack([pv, qv, self.psi]), mode="r")
-        pt, qt, psit = r[:, 0], r[:, 1], r[:, 2:]
-        u1_sym = 0.5 * self.c * (np.outer(pt, qt) + np.outer(qt, pt))
-        return ascent_anchor(u1_sym, self.cc * (psit @ psit.conj().T))
-
-
-def _kernel_factors(p: Precoder, ch: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
-    """V = (G P P^H G^H)^T and W = G* G^T, both Hermitian PSD."""
-    gp = ch.g @ p.p
-    v = hermitize((gp @ gp.conj().T).T)
-    w = hermitize(ch.g.conj() @ ch.g.T)
-    return v, w
-
-
-def _lifted_kernels(theta_t: IrsPhase, p: Precoder, ch: ChannelSet
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X_t = Theta_t R Theta_t and its kernels (Y, Z), as dense L x L."""
-    v, w = _kernel_factors(p, ch)
-    th = theta_t.theta
-    x_t = (th[:, None] * np.outer(ch.steer, ch.steer)) * th[None, :]
-    y, z = quartic_kernels(x_t, v, w)
-    return x_t, y, z
+        """Exact ascent anchor for (p, q), completing M: from the Cholesky
+        factor of M^T conj(M), or R^T from M's QR where that is singular by
+        its shape (L < m) or not positive definite (``ascent_anchor``)."""
+        basis, gram, factor_conj = self.basis, self.gram, None
+        basis[:, 0], basis[:, 1] = pv, qv
+        if basis.shape[0] >= basis.shape[1]:
+            np.matmul(basis.T, basis[:, :2].conj(), out=gram[:, :2])
+            try:
+                factor_conj = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                pass
+        if factor_conj is None:
+            factor_conj = np.linalg.qr(basis, mode="r").T
+        return ascent_anchor(factor_conj, self.c, self.cc)
 
 
 def build_quartic_surrogate(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
@@ -188,16 +165,18 @@ def build_quartic_surrogate(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
     Dense quartic construction, kept for the tracer: the solver uses the
     rank-one factors of ``SurrogateFactors`` instead.  U1 = c (R^H o Y^T)
     and U2 = c (R o Z^T) with c = beta |alpha|^2 / sigma_R^2 and (Y, Z) the
-    kernels at X_t = Theta_t R Theta_t.  The surrogate theta^H U1 theta* +
-    theta^T U2 theta minorizes the quartic term after restoring the dropped
-    constant c * vec(X_t)^H Q vec(X_t).
+    kernels at X_t = Theta_t R Theta_t of V = (G P P^H G^H)^T and
+    W = G* G^T.  The surrogate theta^H U1 theta* + theta^T U2 theta
+    minorizes the quartic term after restoring the dropped constant
+    c * vec(X_t)^H Q vec(X_t).
     """
-    _, y, z = _lifted_kernels(theta_t, p, ch)
-    c = quartic_coefficient(cfg)
+    gp, th = ch.g @ p.p, theta_t.theta
     r = np.outer(ch.steer, ch.steer)
-    u1 = c * (r.conj() * y.T)
-    u2 = c * (r * z.T)
-    return u1, u2
+    y, z = quartic_kernels(th[:, None] * r * th[None, :],
+                           hermitize((gp @ gp.conj().T).T),
+                           hermitize(ch.g.conj() @ ch.g.T))
+    c = quartic_coefficient(cfg)
+    return c * (r.conj() * y.T), c * (r * z.T)
 
 
 def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
@@ -205,9 +184,9 @@ def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
     """Dense quadratic form U3 (Hermitian PSD by the Schur product theorem)
     and linear coefficient mu = diag(U4) of the communication terms.
 
-    The approximation-ratio study needs U3 as a matrix.  The solver uses the
-    factor ``SurrogateFactors.psi`` and the row-sum ``SurrogateFactors.mu``,
-    for which this is the reference.
+    The approximation-ratio study needs U3 as a matrix.  The solver uses
+    the factor ``SurrogateFactors.psi`` and forms neither U3 nor mu: the
+    products C P give U3 theta + mu*.
     """
     cc = comm_coefficient(cfg)
     gp = ch.g @ p.p
@@ -243,21 +222,27 @@ def irs_phase_update(nu: np.ndarray) -> IrsPhase:
     return IrsPhase(np.exp(1j * np.angle(nu)))
 
 
-def ascent_anchor(u1_sym: np.ndarray, u3: np.ndarray) -> float:
+def ascent_anchor(factor_conj: np.ndarray, c: float, cc: float) -> float:
     """Smallest rho >= 0 making the surrogate's real quadratic form convex.
 
-    The displacement form is 2 Re{d^H U1s d*} + d^H U3 d; its real
-    representation is assembled blockwise and rho = max(0, -lambda_min).
+    With M = [p, q, Psi] (L x m) the displacement form 2c Re{(d^H p)(d^H q)}
+    + cc ||Psi^H d||^2 sees d only in span M.  In orthonormal coordinates x
+    there, w = M^H d = F x for any F F^H = M^H M, and the form is constant
+    in w: Phi = 2c Re(w_1 w_2) + cc ||w_{3:}||^2.  So rho =
+    max(0, -lambda_min(T^T Phi T)), T the real image of F: one product and
+    one ``eigvalsh`` from ``factor_conj`` = conj(F).  rho = 0 for c = 0.
     """
-    m = u3.shape[0]
-    x2, y2 = 2.0 * u1_sym.real, 2.0 * u1_sym.imag
-    h = np.empty((2 * m, 2 * m))
-    np.add(x2, u3.real, out=h[:m, :m])
-    np.subtract(y2, u3.imag, out=h[:m, m:])
-    h[m:, :m] = h[:m, m:].T
-    np.subtract(u3.real, x2, out=h[m:, m:])
-    lam_min = float(np.linalg.eigvalsh(0.5 * (h + h.T))[0])
-    return max(0.0, -lam_min) * (1.0 + 1e-9)
+    if c == 0.0:
+        return 0.0
+    m = factor_conj.shape[0]
+    t = np.empty((2 * m, factor_conj.shape[1]), dtype=complex)
+    t[:m] = factor_conj
+    np.multiply(factor_conj, 1j, out=t[m:])
+    t = t.view(float)   # rows Re w, Im w; columns Re x_1, Im x_1, Re x_2, ...
+    phi_t = cc * t      # Phi T: Phi swaps w_1 and w_2, times c and -c
+    np.multiply(t[1::-1], c, out=phi_t[:2])
+    np.multiply(t[m + 1:m - 1:-1], -c, out=phi_t[m:m + 2])
+    return max(0.0, -float(np.linalg.eigvalsh(t.T @ phi_t)[0])) * (1 + 1e-9)
 
 
 # Relative objective gain at which both phase solvers stop.
@@ -284,21 +269,20 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
-    channels, snapshot = start or factors.at(theta0)
+    channels, snapshot = start or factors.at(theta0)[:2]
+    y = channels.rows @ factors.p_nz
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
-        nu = factors.linearize(channels.theta.theta, factors.quartic(channels))
-        new_channels, new_snapshot = factors.at(irs_phase_update(nu))
-
-        g_prev, g_new = snapshot[0], new_snapshot[0]
+        g_prev = snapshot[0]
+        channels, snapshot, y = factors.at(
+            irs_phase_update(factors.linearize(channels, y)))
+        g_new = snapshot[0]
         if g_new < g_prev - 1e-9 * abs(g_prev):
             raise MonotonicityError(
                 f"objective decreased from {g_prev:.12g} to {g_new:.12g} "
                 f"in the inner phase update")
         trace.objectives.append(g_new)
-        done = abs(g_new - g_prev) <= _INNER_TOL * abs(g_prev)
-        channels, snapshot = new_channels, new_snapshot
-        if done:
+        if abs(g_new - g_prev) <= _INNER_TOL * abs(g_prev):
             break
     trace.snapshot, trace.channels = snapshot, channels
     return channels.theta, trace
@@ -329,11 +313,12 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
-    channels, snapshot = start or factors.at(theta0)
+    channels, snapshot = start or factors.at(theta0)[:2]
+    y = channels.rows @ factors.p_nz
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
         theta = channels.theta.theta
-        grad = factors.gradient(theta, *factors.quartic(channels))
+        grad = factors.gradient(y, *factors.quartic(channels, y))
         rgrad = 1j * theta * np.imag(grad * theta.conj())
         norm2 = float(np.real(np.vdot(rgrad, rgrad)))
         if norm2 == 0.0:
@@ -352,7 +337,7 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
             trace.line_search_failed = True
             break
         g_prev = snapshot[0]
-        channels, snapshot = cand_at
+        channels, snapshot, y = cand_at
         trace.objectives.append(snapshot[0])
         if abs(snapshot[0] - g_prev) <= _INNER_TOL * abs(g_prev):
             break

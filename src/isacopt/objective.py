@@ -9,10 +9,10 @@ Omega has rank <= 1 + K.  With t = G^T (theta o a), the round-trip radar
 channel is alpha t t^T, the downlink channel is C = F + (H o theta^T) G,
 and Omega = W^H diag(d) W over the rows W = [t^T; C] with weights
 d = (beta |alpha|^2 ||t||^2 / sigma_R^2, (1 - beta) / sigma_C^2, ...).
-``EffectiveChannels`` holds t and C for one theta and is what an outer
-iteration works from: it scores precoders, gives Omega's top eigenpair
-from the (1 + K) x (1 + K) Gram matrix of its weighted rows, forms the
-dense Omega for the binding ball, and gives the phase step its start.
+``EffectiveChannels`` holds W at one theta and is what an outer iteration
+works from: it scores precoders from the products W P, gives Omega's top
+eigenpair from the (1 + K) x (1 + K) Gram matrix of its weighted rows,
+forms the dense Omega for the binding ball, and starts the phase step.
 ``build_omega`` is its dense Omega; ``weighted_snr``, ``snr_radar`` and
 ``snr_comm`` evaluate the objective from the dense channel matrices.
 ``quartic_kernels`` gives the lifted quartic term's kernels densely.
@@ -117,30 +117,32 @@ def build_omega(theta: IrsPhase, ch: ChannelSet, cfg: SceneConfig) -> np.ndarray
 class EffectiveChannels:
     """The effective channels at one phase vector theta.
 
-    ``t`` = G^T (theta o a), so the radar channel is alpha t t^T, and
-    ``comm`` = C = F + (H o theta^T) G.  Omega = W^H diag(d) W with rows
-    W = [t^T; C] and weights d = (c ||t||^2, cc, ..., cc),
+    ``rows`` is W = [t^T; C]: views ``t`` = G^T (theta o a), so the radar
+    channel is alpha t t^T, and ``comm`` = C = F + (H o theta^T) G.
+    Omega = W^H diag(d) W with weights d = (c ||t||^2, cc, ..., cc),
     c = ``quartic_coefficient`` and cc = ``comm_coefficient``.
     """
 
     theta: IrsPhase
-    t: np.ndarray
-    comm: np.ndarray
+    rows: np.ndarray
     cfg: SceneConfig
+    t: np.ndarray = field(init=False)
+    comm: np.ndarray = field(init=False)
     q_w: float = field(init=False)      # ||t||^2
 
     def __post_init__(self):
+        self.t, self.comm = self.rows[0], self.rows[1:]
         self.q_w = float(np.vdot(self.t, self.t).real)
 
     def snrs(self, p: np.ndarray) -> tuple[float, float, float]:
-        """(g, SNR_R, SNR_C) of the precoder p: g = ||diag(sqrt d) W p||_F^2.
+        """(g, SNR_R, SNR_C) of the precoder p: g = ||diag(sqrt d) W p||_F^2."""
+        return self.scores(self.rows @ p)
 
-        SNR_R = |alpha|^2 ||p^T t||^2 ||t||^2 / sigma_R^2 and
-        SNR_C = ||C p||^2 / sigma_C^2, with g = beta SNR_R + (1 - beta) SNR_C.
-        """
+    def scores(self, y: np.ndarray) -> tuple[float, float, float]:
+        """(g, SNR_R, SNR_C) from Y = W P: SNR_R = |alpha|^2 ||Y[0]||^2 ||t||^2
+        / sigma_R^2, SNR_C = ||Y[1:]||^2 / sigma_C^2 (Y[0] = P^T t, Y[1:] = C P)."""
         cfg = self.cfg
-        pt = p.T @ self.t
-        cp = self.comm @ p
+        pt, cp = y[0], y[1:]
         q_v = float(np.vdot(pt, pt).real)
         s_r = abs(cfg.alpha) ** 2 * q_v * self.q_w / cfg.sigma2_radar
         s_c = float(np.vdot(cp, cp).real) / cfg.sigma2_comm
@@ -161,8 +163,8 @@ class EffectiveChannels:
         d_c = comm_coefficient(self.cfg)
         d_max = max(d_r, d_c)
         if d_max > 0.0:
-            m = np.vstack((math.sqrt(d_r / d_max) * self.t,
-                           math.sqrt(d_c / d_max) * self.comm))
+            m = self.rows * math.sqrt(d_c / d_max)
+            np.multiply(self.t, math.sqrt(d_r / d_max), out=m[0])
             gram = m @ m.conj().T
             w, v = np.linalg.eigh(gram)
             if w[-1] > 0.0:
@@ -186,10 +188,14 @@ class EffectiveChannels:
 
 def effective_channels(theta: IrsPhase, ch: ChannelSet,
                        cfg: SceneConfig) -> EffectiveChannels:
-    """t = G^T (theta o a) and C = F + (H o theta^T) G at theta."""
-    comm = effective_comm_channel(theta, ch)
-    return EffectiveChannels(theta, ch.g.T @ (theta.theta * ch.steer), comm,
-                             cfg)
+    """t = G^T (theta o a) and C = (H o theta^T) G + F at theta, in place."""
+    th = theta.theta
+    _check_dims(th, ch)
+    rows = np.empty((1 + ch.f.shape[0], ch.g.shape[1]), dtype=complex)
+    np.matmul(ch.g.T, th * ch.steer, out=rows[0])
+    np.matmul(ch.h * th, ch.g, out=rows[1:])
+    rows[1:] += ch.f
+    return EffectiveChannels(theta, rows, cfg)
 
 
 def quartic_coefficient(cfg: SceneConfig) -> float:

@@ -10,12 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from isacopt.errors import ConfigError
-from isacopt.irs import (SurrogateFactors, _lifted_kernels, ascent_anchor,
-                         build_quadratic_terms, build_quartic_surrogate,
-                         linear_surrogate_vectors)
+from isacopt.irs import (SurrogateFactors, build_quadratic_terms,
+                         build_quartic_surrogate, linear_surrogate_vectors)
 from isacopt.objective import (IrsPhase, Precoder, _check_dims,
                                comm_coefficient, hermitize,
-                               quartic_coefficient)
+                               quartic_coefficient, quartic_kernels)
 from isacopt.precoder import RandomizationReport, unit_diag_dual_bound
 from isacopt.scene import ChannelSet, SceneConfig, complex_normal
 
@@ -75,12 +74,39 @@ def quartic_kernels_reference(x: np.ndarray, v: np.ndarray, w: np.ndarray
     return y, z
 
 
+def lifted_kernels(theta_t: IrsPhase, p: Precoder, ch: ChannelSet
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X_t = Theta_t R Theta_t and its kernels (Y, Z), as dense L x L, for
+    V = (G P P^H G^H)^T and W = G* G^T (``build_quartic_surrogate``)."""
+    gp, th = ch.g @ p.p, theta_t.theta
+    x_t = (th[:, None] * np.outer(ch.steer, ch.steer)) * th[None, :]
+    y, z = quartic_kernels(x_t, hermitize((gp @ gp.conj().T).T),
+                           hermitize(ch.g.conj() @ ch.g.T))
+    return x_t, y, z
+
+
 def quartic_surrogate_constant(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
                                cfg: SceneConfig) -> float:
     """Dropped constant c * vec(X_t)^H Q vec(X_t) of the quartic surrogate;
     equals g4(theta_t)."""
-    x_t, y, _ = _lifted_kernels(theta_t, p, ch)
+    x_t, y, _ = lifted_kernels(theta_t, p, ch)
     return quartic_coefficient(cfg) * float(np.real(np.vdot(x_t, y)))
+
+
+def dense_ascent_anchor(u1_sym: np.ndarray, u3: np.ndarray) -> float:
+    """Reference for ``ascent_anchor``: the smallest rho >= 0 making the
+    displacement form 2 Re{d^H U1s d*} + d^H U3 d + rho ||d||^2 convex,
+    from its real representation assembled blockwise, rho =
+    max(0, -lambda_min) with the same 1e-9 relative margin."""
+    m = u3.shape[0]
+    x2, y2 = 2.0 * u1_sym.real, 2.0 * u1_sym.imag
+    h = np.empty((2 * m, 2 * m))
+    np.add(x2, u3.real, out=h[:m, :m])
+    np.subtract(y2, u3.imag, out=h[:m, m:])
+    h[m:, :m] = h[:m, m:].T
+    np.subtract(u3.real, x2, out=h[m:, m:])
+    lam_min = float(np.linalg.eigvalsh(0.5 * (h + h.T))[0])
+    return max(0.0, -lam_min) * (1.0 + 1e-9)
 
 
 def dense_linearization(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
@@ -89,9 +115,9 @@ def dense_linearization(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
     """(nu, eta, rho) at theta_t from the dense L x L surrogate pieces.
 
     Reference for ``SurrogateFactors.linearize`` (``safeguard`` set: the
-    quartic surrogate symmetrized and anchored by ``ascent_anchor`` on the
-    full 2L x 2L form, then linearized) and for ``plain_linearization``
-    (unset).
+    quartic surrogate symmetrized and anchored by ``dense_ascent_anchor``
+    on the full 2L x 2L form, then linearized) and for
+    ``plain_linearization`` (unset).
     """
     u1, u2 = build_quartic_surrogate(theta_t, p, ch, cfg)
     u3, mu = build_quadratic_terms(p, ch, cfg)
@@ -99,15 +125,44 @@ def dense_linearization(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
     if safeguard:
         u1 = 0.5 * (u1 + u1.T)
         u2 = 0.5 * (u2 + u2.T)
-        rho = ascent_anchor(u1, u3)
+        rho = dense_ascent_anchor(u1, u3)
         u3 = u3 + rho * np.eye(len(theta_t))
     nu, eta = linear_surrogate_vectors(theta_t, u1, u2, u3, mu)
     return nu, eta, rho
 
 
+def products_at(factors: SurrogateFactors, theta: np.ndarray) -> tuple:
+    """(channels, Y) of ``factors`` at phases theta: the effective channels
+    and the products Y = W P_nz there."""
+    channels, _, y = factors.at(IrsPhase(theta))
+    return channels, y
+
+
 def quartic_at(factors: SurrogateFactors, theta: np.ndarray) -> tuple:
     """The quartic factors (p, q, q_v, q_w) of ``factors`` at phases theta."""
-    return factors.quartic(factors.at(IrsPhase(theta))[0])
+    return factors.quartic(*products_at(factors, theta))
+
+
+def gradient_at(factors: SurrogateFactors, theta: np.ndarray) -> np.ndarray:
+    """``factors.gradient`` at phases theta."""
+    channels, y = products_at(factors, theta)
+    return factors.gradient(y, *factors.quartic(channels, y))
+
+
+def factors_mu(factors: SurrogateFactors) -> np.ndarray:
+    """mu = diag(U4) = cc sum_j gp_j o ((FP)^H H)_j as a row sum over the
+    factors' nonzero precoder columns (``build_quadratic_terms`` forms U4)."""
+    fp = factors.ch.f @ factors.p_nz
+    return factors.cc * np.sum(factors.gp * (fp.conj().T @ factors.ch.h).T,
+                               axis=1)
+
+
+def comm_gradient(factors: SurrogateFactors, theta: np.ndarray) -> np.ndarray:
+    """U3 theta + mu* from Psi and mu: the communication part of the
+    gradient, which ``SurrogateFactors.gradient`` takes from C P."""
+    psi = factors.psi
+    return (factors.cc * (psi @ (psi.conj().T @ theta))
+            + factors_mu(factors).conj())
 
 
 def plain_linearization(factors: SurrogateFactors, theta: np.ndarray
@@ -116,7 +171,7 @@ def plain_linearization(factors: SurrogateFactors, theta: np.ndarray
     U1 = c p q^T with no anchor: nu = 2 c q_v q + U3 theta + mu*.  It is
     not ascent-safe on radar-weighted scenes."""
     _, qv, q_v, _ = quartic_at(factors, theta)
-    return 2.0 * factors.c * q_v * qv + factors.comm(theta)
+    return 2.0 * factors.c * q_v * qv + comm_gradient(factors, theta)
 
 
 def anchored_surrogate_value(factors: SurrogateFactors, theta: np.ndarray,
@@ -129,7 +184,7 @@ def anchored_surrogate_value(factors: SurrogateFactors, theta: np.ndarray,
     coords = factors.psi.conj().T @ theta
     quad = (factors.cc * np.vdot(coords, coords).real
             + rho * np.vdot(theta, theta).real)
-    lin = 2.0 * np.real(theta @ factors.mu)
+    lin = 2.0 * np.real(theta @ factors_mu(factors))
     return float(quartic + quad + lin)
 
 
@@ -138,12 +193,11 @@ def wirtinger_gradient(theta: IrsPhase, p: Precoder, ch: ChannelSet,
     """Conjugate-coordinate gradient of the true objective at theta.
 
     For real objective g, dg = 2 Re{grad^H d theta}.  The communication
-    terms contribute mu* + U3 theta; the quartic term is the product of the
-    two PSD forms q_v q_w in b = theta o a, so the product rule gives
-    a* o (c (q_w V b + q_v W b)) = c (q_w p + q_v q).
+    terms contribute mu* + U3 theta (``comm_gradient``); the quartic term
+    is the product of the two PSD forms q_v q_w in b = theta o a, so the
+    product rule gives a* o (c (q_w V b + q_v W b)) = c (q_w p + q_v q).
     """
-    factors = SurrogateFactors(p, ch, cfg)
-    return factors.gradient(theta.theta, *quartic_at(factors, theta.theta))
+    return gradient_at(SurrogateFactors(p, ch, cfg), theta.theta)
 
 
 def objective_snapshot(p: Precoder, theta: IrsPhase, ch: ChannelSet,

@@ -155,10 +155,11 @@ class TestRunAlternating:
 
         cfg, ch = tiny_scene()
 
-        def constant_snapshot(self, p):
+        def constant_snapshot(self, y):
             return 42.0, 42.0, 42.0
 
-        monkeypatch.setattr(EffectiveChannels, "snrs", constant_snapshot)
+        # snrs and the phase step both score through scores
+        monkeypatch.setattr(EffectiveChannels, "scores", constant_snapshot)
         _, _, trace = alt.run_alternating(ch, cfg, opts=SolverOptions(t_max=9))
         assert trace.terminated_by == "tolerance"
         assert len(trace.objective_per_outer) == 2

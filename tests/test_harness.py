@@ -414,6 +414,11 @@ class TestBench:
         top = [float(r[3]) for r in rows
                if r[0] == "solve_relaxed" and r[2] == "slack_top_eig_rel_error"]
         assert len(top) == 1 and 0.0 <= top[0] <= 1e-13
+        route = [(int(r[1]), float(r[3])) for r in rows
+                 if (r[0], r[2]) == ("solve_irs_minorization",
+                                     "anchor_route_rel_error")]
+        assert len(route) == 1 and route[0][0] == 36
+        assert 0.0 <= route[0][1] <= 1e-12
         t_header, t_rows = read_csv_rows(out / "bench_timing.csv")
         assert all(float(r[3]) > 0 for r in t_rows)
         paths = {(r[0], r[2]) for r in t_rows}

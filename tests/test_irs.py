@@ -17,8 +17,10 @@ from isacopt.scene import ChannelSet, complex_normal
 
 from conftest import random_phases, random_scene, small_config
 from reference import (anchored_surrogate_value, decompose_objective,
-                       dense_linearization, plain_linearization, quartic_at,
-                       quartic_surrogate_constant, wirtinger_gradient)
+                       dense_ascent_anchor, dense_linearization, factors_mu,
+                       gradient_at, plain_linearization, products_at,
+                       quartic_at, quartic_surrogate_constant,
+                       wirtinger_gradient)
 
 
 def surrogate_value(theta, u1, u2):
@@ -207,7 +209,7 @@ class TestMinorizationSolver:
             ch = ChannelSet(g=g, h=h, f=ch.f, steer=ch.steer)
             factors = SurrogateFactors(p, ch, cfg)
             th = theta0.theta
-            assert factors.gradient(th, *quartic_at(factors, th))[2] == 0.0
+            assert gradient_at(factors, th)[2] == 0.0
             theta, trace = solve_irs_minorization(theta0, p, ch, cfg,
                                                   inner_max=60)
             assert np.max(np.abs(np.abs(theta.theta) - 1.0)) <= 1e-15
@@ -281,7 +283,7 @@ class TestMinorizationSolver:
             quartic = quartic_at(factors, th)
             pv, qv = quartic[:2]
             rho = factors.anchor(pv, qv)
-            nu = factors.linearize(th, quartic)
+            nu = factors.linearize(*products_at(factors, th))
             new = irs_phase_update(nu).theta
             lifted = anchored_surrogate_value(factors, th, pv, qv, rho) \
                 + 2.0 * float(np.real(np.vdot(new - th, nu)))
@@ -300,18 +302,106 @@ class TestAscentAnchor:
     def test_zero_for_psd_quadratic(self, rng):
         u3 = complex_normal(rng, 5, 5)
         u3 = u3 @ u3.conj().T
-        assert ascent_anchor(np.zeros((5, 5), dtype=complex), u3) == 0.0
+        assert dense_ascent_anchor(np.zeros((5, 5), dtype=complex), u3) == 0.0
 
     def test_positive_for_indefinite_part(self, rng):
         u1 = complex_normal(rng, 5, 5)
         u1 = 0.5 * (u1 + u1.T)
-        rho = ascent_anchor(u1, np.zeros((5, 5), dtype=complex))
+        rho = dense_ascent_anchor(u1, np.zeros((5, 5), dtype=complex))
         assert rho > 0
         # loaded displacement form must be PSD: sample random directions
         for _ in range(300):
             d = complex_normal(rng, 5)
             val = 2 * np.real(d.conj() @ u1 @ d.conj()) + rho * np.vdot(d, d).real
             assert val >= -1e-9 * max(1.0, abs(val))
+
+    @staticmethod
+    def _anchors(factors, pv, qv):
+        """(solver's rho, QR route's rho, dense oracle's rho) for (p, q)."""
+        rho = factors.anchor(pv, qv)
+        rho_qr = ascent_anchor(np.linalg.qr(factors.basis, mode="r").T,
+                               factors.c, factors.cc)
+        u1 = 0.5 * factors.c * (np.outer(pv, qv) + np.outer(qv, pv))
+        u3 = factors.cc * (factors.psi @ factors.psi.conj().T)
+        return rho, rho_qr, dense_ascent_anchor(u1, u3)
+
+    @pytest.mark.parametrize("near_dependent", [False, True])
+    @pytest.mark.parametrize("nonzero_cols", [1, 3])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6, 6), (16, 16)])
+    def test_congruence_matches_dense_oracle(self, shape, nonzero_cols,
+                                             near_dependent):
+        # L = 4, and L = 9 with 3 columns, have L < m = 2 + 3 r, where
+        # M^H M is singular and QR factors it; the others take its Cholesky
+        # factor, or QR where it is not positive definite or withheld.  A
+        # nearly dependent basis has p within 1e-8 of a column of Psi.
+        for seed in range(6):
+            rng = np.random.default_rng([88, *shape, nonzero_cols,
+                                         near_dependent, seed])
+            cfg, ch, p, theta = random_scene(
+                rng, l_rows=shape[0], l_cols=shape[1], n_tx=4, k=3,
+                beta=float(rng.uniform(0.9, 0.99)), alpha=1.0 + 0.0j)
+            pp = p.p.copy()
+            pp[:, nonzero_cols:] = 0.0
+            factors = SurrogateFactors(Precoder(pp), ch, cfg)
+            pv, qv = quartic_at(factors, theta.theta)[:2]
+            if near_dependent:
+                col = factors.psi[:, 0]
+                pv = (col * (np.linalg.norm(pv) / np.linalg.norm(col))
+                      + 1e-8 * np.linalg.norm(pv) / np.sqrt(len(pv))
+                      * complex_normal(rng, len(pv)))
+            rho, rho_qr, rho_d = self._anchors(factors, pv, qv)
+            assert rho_d > 0.0
+            assert abs(rho - rho_d) <= 1e-10 * rho_d
+            assert abs(rho_qr - rho_d) <= 1e-10 * rho_d
+            # the anchored displacement form is PSD
+            u1 = 0.5 * factors.c * (np.outer(pv, qv) + np.outer(qv, pv))
+            u3 = factors.cc * (factors.psi @ factors.psi.conj().T)
+            for _ in range(20):
+                d = complex_normal(rng, cfg.n_irs)
+                val = (2.0 * np.real(d.conj() @ u1 @ d.conj())
+                       + np.real(d.conj() @ u3 @ d) + rho * np.vdot(d, d).real)
+                assert val >= -1e-9 * rho * np.vdot(d, d).real
+
+    def test_routes(self, rng, monkeypatch):
+        # the Cholesky factor where M^H M is positive definite, QR where it
+        # is not (a user with no reflected channel leaves zero columns in
+        # Psi), where L < m makes it singular, or where it is withheld
+        calls = []
+        cholesky, qr = np.linalg.cholesky, np.linalg.qr
+
+        def spy_cholesky(a):
+            try:
+                out = cholesky(a)
+            except np.linalg.LinAlgError:
+                calls.append("cholesky failed")
+                raise
+            calls.append("cholesky")
+            return out
+
+        def spy_qr(a, mode):
+            calls.append("qr")
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
+        monkeypatch.setattr(np.linalg, "qr", spy_qr)
+        for l_cols, dead_user, want in (
+                (6, False, ["cholesky", "qr"]),
+                (6, True, ["cholesky failed", "qr", "qr"]),
+                (2, False, ["qr", "qr"])):
+            cfg, ch, p, theta = random_scene(rng, l_rows=2, l_cols=l_cols,
+                                             n_tx=4, k=2, beta=0.9)
+            if dead_user:
+                h = ch.h.copy()
+                h[0] = 0.0
+                ch = ChannelSet(g=ch.g, h=h, f=ch.f, steer=ch.steer)
+            factors = SurrogateFactors(p, ch, cfg)     # m = 2 + 2 * 2 = 6
+            pv, qv = quartic_at(factors, theta.theta)[:2]
+            calls.clear()
+            rho, rho_qr, rho_d = self._anchors(factors, pv, qv)
+            assert calls == want
+            assert rho_d > 0.0
+            assert abs(rho - rho_d) <= 1e-10 * rho_d
+            assert abs(rho_qr - rho_d) <= 1e-10 * rho_d
 
 
 def _rel_err(got, want):
@@ -339,13 +429,13 @@ class TestSurrogateFactors:
             factors = SurrogateFactors(p, ch, cfg)
             quartic = quartic_at(factors, theta.theta)
             if safeguard:
-                nu = factors.linearize(theta.theta, quartic)
+                nu = factors.linearize(*products_at(factors, theta.theta))
                 rho = factors.anchor(*quartic[:2])
             else:
                 nu, rho = plain_linearization(factors, theta.theta), 0.0
             assert _rel_err(nu, nu_d) <= 1e-10
             assert _rel_err(nu.conj(), eta_d) <= 1e-10
-            assert _rel_err(factors.mu, mu_d) <= 1e-10
+            assert _rel_err(factors_mu(factors), mu_d) <= 1e-10
             assert abs(rho - rho_d) <= 1e-10 * max(rho_d, 1e-300)
             active += rho_d > 0.0
         # the anchor comparison must not hold only because rho vanishes
@@ -424,9 +514,12 @@ class TestWirtingerGradient:
                     assert analytic == pytest.approx(
                         fd, rel=1e-5, abs=1e-6 * max(1.0, abs(fd)))
 
-    def test_matches_dense_formula(self, rng):
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_matches_dense_formula(self, rng, k):
+        # the communication part comes from C P, one term per column of P
         for _ in range(5):
-            cfg, ch, p, theta = random_scene(rng, l_rows=3, l_cols=3)
+            cfg, ch, p, theta = random_scene(rng, l_rows=3, l_cols=3, n_tx=6,
+                                             k=k)
             u3, mu = build_quadratic_terms(p, ch, cfg)
             gp = ch.g @ p.p
             v = (gp @ gp.conj().T).T

@@ -149,6 +149,20 @@ class TestEffectiveChannels:
             compared += self._check(cfg, ch, theta)
         assert compared >= 10
 
+    def test_rows_are_the_channels(self, rng):
+        # one (1 + K) x N array, bit-equal to the channels formed apart
+        for _ in range(5):
+            cfg, ch, _, theta = random_scene(rng, l_rows=2, l_cols=3, n_tx=4,
+                                             k=3)
+            channels = effective_channels(theta, ch, cfg)
+            assert channels.rows.shape == (1 + cfg.n_users, cfg.n_tx)
+            np.testing.assert_array_equal(channels.t,
+                                          ch.g.T @ (theta.theta * ch.steer))
+            np.testing.assert_array_equal(
+                channels.comm, ch.f + (ch.h * theta.theta) @ ch.g)
+            assert np.shares_memory(channels.t, channels.rows)
+            assert np.shares_memory(channels.comm, channels.rows)
+
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_zero_channels(self, rng, beta):
         # Omega = 0: no 0/0 (a RuntimeWarning fails the test), and the same
