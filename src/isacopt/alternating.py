@@ -5,9 +5,10 @@ phases (``objective.EffectiveChannels``): it solves the relaxed precoder
 problem from them, recovers a K-column precoder deterministically
 (``factor_precoder``), scores it and the previous precoder on them, then
 updates the phases with the ascent-safeguarded closed-form step, which
-starts from those channels and that score and returns the channels at the
-new phases for the next outer iteration.  A recovered precoder that scores
-below the previous one is dropped for it (``RunTrace.precoder_dips``).
+starts from those channels, that score and the products W P that gave it,
+and returns the channels at the new phases for the next outer iteration.
+A recovered precoder that scores below the previous one is dropped for it
+(``RunTrace.precoder_dips``).
 Termination follows the relative-change rule |g(t+1) - g(t)| / g(t) <=
 eps_rel, checked from the second outer iteration on, with a hard iteration
 cap.
@@ -112,9 +113,10 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
     channels = effective_channels(theta, ch, cfg)
     trace = RunTrace()
     precoder: Precoder | None = None
-    # (g, SNR_R, SNR_C) of the incumbent precoder on the current channels:
-    # the phase step scored it there
+    # (g, SNR_R, SNR_C) of the incumbent precoder on the current channels,
+    # and its products W P_nz there: the phase step scored it there
     incumbent: tuple[float, ...] = (-math.inf,)
+    incumbent_y: np.ndarray | None = None
 
     for t in range(1, opts.t_max + 1):
         times: dict[str, float] = {}
@@ -125,13 +127,14 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
 
             tic = time.perf_counter()
             candidate = factor_precoder(relaxed, channels, cfg, r_d)
-            snapshot = channels.snrs(candidate.p)
+            y = channels.rows @ candidate.p
+            snapshot = channels.scores(y)
             if incumbent[0] > snapshot[0]:
                 # the recovered precoder fell short of the incumbent; keep it
                 trace.precoder_dips.append(t)
                 log.debug("outer %d: recovered precoder scored below the "
                           "previous one; keeping the incumbent", t)
-                snapshot = incumbent
+                snapshot, y = incumbent, incumbent_y
             else:
                 precoder = candidate
             times["recovery"] = time.perf_counter() - tic
@@ -142,12 +145,13 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
                          else solve_irs_manifold)
             theta, inner = solve_irs(theta, precoder, ch, cfg,
                                      inner_max=opts.inner_max,
-                                     start=(channels, snapshot))
+                                     start=(channels, snapshot, y))
             if inner.line_search_failed:
                 trace.line_search_failures.append(t)
                 log.warning("outer %d: the Armijo line search found no "
                             "ascent step; the phase step ended early", t)
             channels, incumbent = inner.channels, inner.snapshot
+            incumbent_y = inner.products
             times["irs"] = time.perf_counter() - tic
         except SolverError as exc:
             exc.args = (f"outer iteration {t}: {exc.args[0] if exc.args else exc}",

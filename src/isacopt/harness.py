@@ -545,9 +545,11 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     # The relaxed precoder solve on one channel draw, once with a ball no
     # two trace-P_T covariances can leave (closed form, from the channel
     # rows as a run takes it) and once with a ball a quarter of the
-    # closed-form point's distance from R_D (KKT search), with the relative
-    # gap of each to its certified bound, and the error of the rows' top
-    # eigenvalue against the dense one.
+    # closed-form point's distance from R_D (KKT search, from the dense
+    # Omega and from the rows), with the relative gap of each to its
+    # certified bound, the error of the rows' top eigenvalue against the
+    # dense one, and that of the rows' binding objective against the dense
+    # Omega's (whose search runs on the form of one N x N eigh).
     ch = make_channels(cfg, rng)
     channels = effective_channels(IrsPhase(np.ones(cfg.n_irs, dtype=complex)),
                                   ch, cfg)
@@ -567,10 +569,14 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     check_rows.append((
         "solve_relaxed", cfg.n_tx, "binding_certificate_gap",
         (relaxed_dual_bound(omega, binding, r_d, kkt.kkt_scale) - value) / value))
+    rows_value = relaxed_objective(solve_relaxed(channels, binding, r_d), omega)
+    check_rows.append(("solve_relaxed", cfg.n_tx, "binding_rows_rel_error",
+                       abs(rows_value - value) / value))
     for path_name, form, scene, n in (
             ("closed_form", omega, slack, reps),
             ("closed_form_rows", channels, slack, reps),
-            ("binding", omega, binding, 20)):
+            ("binding", omega, binding, 20),
+            ("binding_rows", channels, binding, 20)):
         timing_rows.append(("solve_relaxed", cfg.n_tx, path_name, _median_time(
             lambda: solve_relaxed(form, scene, r_d), n), n))
 

@@ -12,7 +12,8 @@ d = (beta |alpha|^2 ||t||^2 / sigma_R^2, (1 - beta) / sigma_C^2, ...).
 ``EffectiveChannels`` holds W at one theta and is what an outer iteration
 works from: it scores precoders from the products W P, gives Omega's top
 eigenpair from the (1 + K) x (1 + K) Gram matrix of its weighted rows,
-forms the dense Omega for the binding ball, and starts the phase step.
+gives the binding ball's search its rows and weights, and starts the phase
+step.  Its dense Omega serves the tests and the bench.
 ``build_omega`` is its dense Omega; ``weighted_snr``, ``snr_radar`` and
 ``snr_comm`` evaluate the objective from the dense channel matrices.
 ``quartic_kernels`` gives the lifted quartic term's kernels densely.
@@ -42,6 +43,14 @@ class IrsPhase:
             raise ConfigError("theta must be a vector")
         if np.max(np.abs(np.abs(self.theta) - 1.0)) > 1e-12:
             raise ConfigError("theta entries must have unit modulus")
+
+    @classmethod
+    def from_angles(cls, angles: np.ndarray) -> "IrsPhase":
+        """exp(j angles) for a vector of angles, unit-modulus by
+        construction, so its modulus is not checked again."""
+        phase = cls.__new__(cls)
+        phase.theta = np.exp(1j * angles)
+        return phase
 
     def __len__(self) -> int:
         return self.theta.size
@@ -134,10 +143,6 @@ class EffectiveChannels:
         self.t, self.comm = self.rows[0], self.rows[1:]
         self.q_w = float(np.vdot(self.t, self.t).real)
 
-    def snrs(self, p: np.ndarray) -> tuple[float, float, float]:
-        """(g, SNR_R, SNR_C) of the precoder p: g = ||diag(sqrt d) W p||_F^2."""
-        return self.scores(self.rows @ p)
-
     def scores(self, y: np.ndarray) -> tuple[float, float, float]:
         """(g, SNR_R, SNR_C) from Y = W P: SNR_R = |alpha|^2 ||Y[0]||^2 ||t||^2
         / sigma_R^2, SNR_C = ||Y[1:]||^2 / sigma_C^2 (Y[0] = P^T t, Y[1:] = C P)."""
@@ -147,6 +152,11 @@ class EffectiveChannels:
         s_r = abs(cfg.alpha) ** 2 * q_v * self.q_w / cfg.sigma2_radar
         s_c = float(np.vdot(cp, cp).real) / cfg.sigma2_comm
         return cfg.beta * s_r + (1.0 - cfg.beta) * s_c, s_r, s_c
+
+    def weights(self) -> tuple[float, float]:
+        """(c ||t||^2, cc): the weight of the radar row in Omega = W^H diag(d) W
+        and that of each downlink row."""
+        return quartic_coefficient(self.cfg) * self.q_w, comm_coefficient(self.cfg)
 
     def top_eigenpair(self) -> tuple[float, np.ndarray, float]:
         """(lambda_max(Omega), a unit top eigenvector u, ||Omega||_F).
@@ -159,8 +169,7 @@ class EffectiveChannels:
         scales only d_max, exactly.  For Omega = 0, u is the last unit
         vector, as a dense ``eigh`` gives.
         """
-        d_r = quartic_coefficient(self.cfg) * self.q_w
-        d_c = comm_coefficient(self.cfg)
+        d_r, d_c = self.weights()
         d_max = max(d_r, d_c)
         if d_max > 0.0:
             m = self.rows * math.sqrt(d_c / d_max)

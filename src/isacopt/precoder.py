@@ -8,15 +8,18 @@ that matrix lies inside the ball ||S - R_D||_F^2 <= gamma_BP it is the exact
 optimum and its factor sqrt(P_T) u is an exact precoder: no iteration.
 The alternating loop hands Omega over as its effective channels, whose
 (1 + K) x (1 + K) Gram matrix gives u, lambda_max(Omega) and ||Omega||_F,
-and the certified bound ``slack_bound``; the dense Omega is formed only
-when the ball binds.  When the ball binds, the KKT conditions put the
-optimum at S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t)
-meets the ball, so the solve is a bracketing root search on t
-(Chandrupatla's method), one eigendecomposition per step, and
-``relaxed_dual_bound`` certifies it.  The precoder is then recovered
+and the certified bound ``slack_bound``; no N x N Omega is formed.  When
+the ball binds, the KKT conditions put the optimum at
+S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t) meets the
+ball, so the solve is a bracketing root search on t (Chandrupatla's
+method), and ``relaxed_dual_bound`` certifies it.  R_D = c I + d b b^H and
+Omega has rank <= 1 + K, so R_D + t Omega is c I plus a form on a space of
+dimension r <= K + 2 (``KktForm``, from one thin QR of [b, W^H] over the
+channel rows W): each tested t costs one r x r eigendecomposition, and
+S(t) is formed densely once, at the end.  The precoder is then recovered
 deterministically along the rank-K path S_K(t) = Pi_{C_K}(R_D + t Omega)
-(``factor_precoder``).  The Euclidean projection onto the feasible set,
-``dykstra_project``, is the same search along M - R_D.
+(``factor_precoder``) on the same form.  The Euclidean projection onto the
+feasible set, ``dykstra_project``, is the same search along M - R_D.
 
 The approximation-ratio study measures Gaussian randomization on the
 unit-modulus problem max x^H A x, against its unit-diagonal relaxation:
@@ -29,6 +32,7 @@ of eigenpairs of R* above rounding level.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -63,8 +67,8 @@ class RelaxedCovariance:
     binds, is the scale t of the KKT point the solve stopped at, and
     ``dual_bound`` is ``relaxed_dual_bound`` at that scale.
     ``in_ball_scale``, set whenever the KKT search ran, is the largest scale
-    at which S(t) was tested inside the ball; ``factor_precoder`` starts its
-    search there.
+    at which S(t) was tested inside the ball, and ``form`` the ``KktForm``
+    it ran on; ``factor_precoder`` starts its search there, on that form.
     """
 
     s: np.ndarray
@@ -72,6 +76,7 @@ class RelaxedCovariance:
     kkt_scale: float | None = None
     in_ball_scale: float | None = None
     dual_bound: float | None = None
+    form: KktForm | None = None
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=complex)
@@ -124,39 +129,51 @@ def project_ball(m: np.ndarray, center: np.ndarray, radius2: float) -> np.ndarra
     return center + math.sqrt(radius2 / dist2) * diff
 
 
-def _simplex_scaled(w: np.ndarray, target: float) -> np.ndarray:
-    """Project a real vector onto {v >= 0, sum v = target}.
+def _simplex_scaled(w: np.ndarray, target: float, copies: int = 0
+                    ) -> tuple[np.ndarray, float]:
+    """Project the real vector of ``w`` (ascending, as ``eigh`` returns it)
+    and ``copies`` zeros onto {v >= 0, sum v = target}: (v, v0), v0 the
+    entry of each zero (0 where there are none).
 
-    The projection is invariant to a common shift of ``w``; shifting the
-    largest entry to 0 keeps the partial sums, and so the sum of the
-    output, accurate when the entries are large against ``target``.
+    The projection is max(x - tau, 0), and its support is a prefix of the
+    entries in descending order: an entry joins while it exceeds the tau
+    of the entries before it, so equal entries join together and the
+    zeros count as one entry of weight ``copies``.  The projection is
+    invariant to a common shift of the entries; shifting the largest to 0
+    keeps the partial sums, and so the sum of the output, accurate when
+    the entries are large against ``target``.
     """
-    w = w - w.max()
-    mu = np.sort(w)[::-1]
-    cssv = np.cumsum(mu) - target
-    ind = np.arange(1, w.size + 1)
-    support = ind[mu - cssv / ind > 0][-1]
-    tau = cssv[support - 1] / support
-    return np.maximum(w - tau, 0.0)
-
-
-def _projected_spectrum(m: np.ndarray, target: float, k: int | None = None):
-    """(v, U) of the projection of M onto {S >= 0, tr S = target, rank S <= k}
-    (no rank limit for k=None): the top k eigenpairs, their eigenvalues
-    projected onto the scaled simplex (exact; Kyrillidis et al., ICML 2013)."""
-    w, u = np.linalg.eigh(hermitize(m))
-    if k is not None and k < w.size:
-        w, u = w[-k:], u[:, -k:]
-    return _simplex_scaled(w, target), u
+    vals, counts = w.tolist(), [1] * w.size
+    shift = max(vals[-1], 0.0) if copies else vals[-1]
+    if copies:
+        at = bisect.bisect_right(vals, 0.0)
+        vals.insert(at, 0.0)
+        counts.insert(at, copies)
+    excess, size = -target, 0        # the support's sum less target, its size
+    for x, count in zip(reversed(vals), reversed(counts)):
+        x -= shift
+        if size and x * size <= excess:
+            break
+        excess, size = excess + count * x, size + count
+    tau = shift + excess / size
+    return np.maximum(w - tau, 0.0), max(-tau, 0.0) if copies else 0.0
 
 
 def project_spectrahedron(m: np.ndarray, target: float) -> np.ndarray:
     """Exact Frobenius projection onto {S >= 0, tr S = target}.
 
-    Eigendecompose and project the spectrum onto the scaled simplex.
+    Eigendecompose and project the spectrum onto the scaled simplex
+    (exact; Kyrillidis et al., ICML 2013).
     """
-    v, u = _projected_spectrum(m, target)
+    w, u = np.linalg.eigh(hermitize(m))
+    v, _ = _simplex_scaled(w, target)
     return hermitize((u * v) @ u.conj().T)
+
+
+def _beam(cfg: SceneConfig) -> np.ndarray:
+    """b, the unit transmit steering vector toward the surface."""
+    b = ula_steering(cfg.radar_irs_azimuth, cfg.n_tx, cfg.spacing_over_lambda)
+    return b / np.linalg.norm(b)
 
 
 def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
@@ -168,8 +185,7 @@ def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
     construction.
     """
     n, p_t, mix = cfg.n_tx, cfg.power_budget, cfg.beampattern_mix
-    b = ula_steering(cfg.radar_irs_azimuth, n, cfg.spacing_over_lambda)
-    b = b / np.linalg.norm(b)
+    b = _beam(cfg)
     return (1.0 - mix) * (p_t / n) * np.eye(n) + mix * p_t * np.outer(b, b.conj())
 
 
@@ -190,18 +206,171 @@ def validate_beampattern_target(cfg: SceneConfig):
     """
     r_d = default_beampattern_target(cfg)
     check_beampattern_target(r_d, cfg)
-    # a covariance with no factor or in-ball scale is recovered as S_K(0)
-    factor_precoder(RelaxedCovariance(r_d), r_d, cfg, r_d)
+    # a covariance with no factor or in-ball scale is recovered as S_K(0),
+    # which does not depend on Omega
+    factor_precoder(RelaxedCovariance(r_d), np.zeros_like(r_d), cfg, r_d)
 
 
-def _kkt_point(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
-               t: float) -> tuple[np.ndarray, float]:
-    """S(t) = Pi_C(R_D + t Omega) and its squared distance from R_D."""
-    s = project_spectrahedron(r_d + t * omega, cfg.power_budget)
-    return s, float(np.sum(np.abs(s - r_d) ** 2))
+class KktForm:
+    """R_D + t Omega = c I + Q (A0 + t A1) Q^H, the form the KKT searches
+    run on.
+
+    R_D = c I + d b b^H (``default_beampattern_target`` of ``cfg``) and
+    Omega = X^H diag(w) X over rows X, so R_D + t Omega is c I plus a form
+    on span{b, X^H}.  With Q (N x r) an orthonormal basis of that span,
+    b = Q beta and X^H = Q Y: A0 = d beta beta^H and A1 = Y diag(w) Y^H.
+    ``from_channels`` takes Q from the thin QR of [b, X^H] over the 1 + K
+    rows of the effective channels (r <= K + 2, A0 + t A1 >= 0);
+    ``from_eigh`` takes Q = U from a dense Omega = U diag(w) U^H, signed
+    weights allowed (r = N).  On the complement of span Q, R_D + t Omega
+    is c I.
+
+    A point is (V, v, v0): A0 + t A1 = V diag(lam) V^H, and the point is
+    Q V diag(v) V^H Q^H + v0 (I - Q Q^H).  Testing a scale t costs one
+    r x r ``eigh``; ``dense`` forms the N x N matrix of a point.
+    """
+
+    def __init__(self, q: np.ndarray, beta: np.ndarray, a1: np.ndarray,
+                 cfg: SceneConfig):
+        n = q.shape[0]
+        p_t, mix = cfg.power_budget, cfg.beampattern_mix
+        self.q, self.beta, self.a1, self.cfg = q, beta, a1, cfg
+        self.copies = n - q.shape[1]          # the complement's dimension
+        self.c, self.d = (1.0 - mix) * (p_t / n), mix * p_t
+        self.beta_conj = beta.conj()
+        self.a0 = self.d * np.outer(beta, self.beta_conj)
+        self.norm_omega = math.sqrt(float(np.vdot(a1, a1).real))
+        self.norm_r_d = math.sqrt(n * self.c ** 2 + 2.0 * self.c * self.d
+                                  + self.d ** 2)
+        self.err = 4.0 * n * float(np.finfo(float).eps)
+
+    @classmethod
+    def from_channels(cls, channels: EffectiveChannels, cfg: SceneConfig
+                      ) -> "KktForm":
+        rows = channels.rows
+        span = np.empty((rows.shape[1], 1 + rows.shape[0]), dtype=complex)
+        span[:, 0] = _beam(cfg)
+        np.conjugate(rows.T, out=span[:, 1:])
+        q, r1 = np.linalg.qr(span)
+        d_r, d_c = channels.weights()
+        y = r1[:, 1:]
+        yw = y * d_c
+        yw[:, 0] = y[:, 0] * d_r
+        return cls(q, r1[:, 0], hermitize(yw @ y.conj().T), cfg)
+
+    @classmethod
+    def from_eigh(cls, w: np.ndarray, u: np.ndarray, cfg: SceneConfig
+                  ) -> "KktForm":
+        return cls(u, u.conj().T @ _beam(cfg), np.diag(w), cfg)
+
+    @classmethod
+    def of(cls, omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
+           ) -> "KktForm":
+        """The form of Omega, given as its effective channels or dense."""
+        if isinstance(omega, EffectiveChannels):
+            return cls.from_channels(omega, cfg)
+        return cls.from_eigh(*np.linalg.eigh(hermitize(omega)), cfg)
+
+    def start_scale(self) -> float:
+        """t* = sqrt(gamma) / ||Omega_0||_F, Omega_0 = Omega - (tr Omega / N) I,
+        or 1 where Omega_0 = 0.  Pi_C is nonexpansive and invariant to shifts
+        by I, so ||S(t) - R_D|| <= t ||Omega_0|| and S(t*) lies in the ball;
+        where S(t*) has full support it is R_D + t* Omega_0, on the sphere."""
+        tr = float(np.trace(self.a1).real)
+        norm2 = self.norm_omega ** 2 - tr * tr / self.q.shape[0]
+        return (math.sqrt(self.cfg.beampattern_tol) / math.sqrt(norm2)
+                if norm2 > 0.0 else 1.0)
+
+    def point(self, t: float) -> tuple[tuple, float]:
+        """S(t) = Pi_C(R_D + t Omega) and its squared distance from R_D:
+        the eigenvalues c + lam and the complement's c, projected onto the
+        simplex together."""
+        lam, vec = np.linalg.eigh(self.a0 + t * self.a1)
+        v, v0 = _simplex_scaled(lam, self.cfg.power_budget, self.copies)
+        return (vec, v, v0), self._dist2(vec, v, v0)
+
+    def rank_point(self, t: float, k: int) -> tuple[tuple, float]:
+        """S_K(t) = Pi_{C_K}(R_D + t Omega), C_K = {S >= 0, tr S = P_T,
+        rank S <= k}, and its squared distance from R_D: the top k
+        eigenpairs, their eigenvalues projected onto the simplex.  They lie
+        in span Q: k <= r, and the complement's c is below every c + lam
+        where A0 + t A1 >= 0, or absent (r = N).  At t = 0 the distance is
+        ``_nearest_rank_dist2``."""
+        lam, vec = np.linalg.eigh(self.a0 + t * self.a1)
+        v = np.zeros(lam.size)
+        v[-min(k, lam.size):], _ = _simplex_scaled(lam[-k:],
+                                                   self.cfg.power_budget)
+        if t == 0.0:
+            return (vec, v, 0.0), self._nearest_rank_dist2(k)
+        return (vec, v, 0.0), self._dist2(vec, v, 0.0)
+
+    def _nearest_rank_dist2(self, k: int) -> float:
+        """||S_K(0) - R_D||^2 in closed form, the same for every form of a
+        scene, so the test ``validate_beampattern_target`` makes when a
+        config loads is the one recovery makes: R_D has eigenvalues c + d
+        (on b) and c, and S_K(0) projects its top k onto the simplex."""
+        n = self.q.shape[0]
+        lam = np.full(min(k, n), self.c)
+        lam[-1] += self.d
+        v, _ = _simplex_scaled(lam, self.cfg.power_budget)
+        return float(np.sum((v - lam) ** 2)) + (n - lam.size) * self.c ** 2
+
+    def _dist2(self, vec: np.ndarray, v: np.ndarray, v0: float) -> float:
+        """||point - R_D||^2 = ||diag(v - c) - d g g^H||^2 + (N - r)(v0 - c)^2
+        with g = V^H beta."""
+        g = self.beta_conj @ vec          # conj(g), which gives the same norm
+        m = g[:, np.newaxis] * (-self.d * g.conj())
+        m.reshape(-1)[::g.size + 1] += v - self.c
+        return float(np.vdot(m, m).real) + self.copies * (v0 - self.c) ** 2
+
+    def trace(self, x: tuple) -> float:
+        """tr(Omega S) of a point, sum_i v_i (V^H A1 V)_ii."""
+        vec, v, _ = x
+        half = vec * np.sqrt(v)
+        return float(np.vdot(half, self.a1 @ half).real)
+
+    def dense(self, x: tuple) -> np.ndarray:
+        """A point as an N x N matrix, U diag(v - v0) U^H + v0 I, U = Q V."""
+        vec, v, v0 = x
+        u = self.q @ vec
+        s = (u * (v - v0)) @ u.conj().T
+        s.flat[::s.shape[0] + 1] += v0
+        return hermitize(s)
+
+    def factor(self, x: tuple, k: int) -> np.ndarray:
+        """F (N x k, zero-padded) with F F^H a ``rank_point``."""
+        vec, v, _ = x
+        f = np.zeros((self.q.shape[0], k), dtype=complex)
+        m = min(k, v.size)
+        f[:, :m] = (self.q @ vec[:, -m:]) * np.sqrt(v[-m:])
+        return f
+
+    def _error(self, t: float) -> float:
+        """e = 4 N eps (||R_D|| + t ||Omega||), the rounding of a computed S(t)."""
+        return self.err * (self.norm_r_d + t * self.norm_omega)
+
+    def slack(self, t: float, dist2: float) -> float:
+        """Rounding allowance of a computed d(t): e^2 + 2 e sqrt(d) for the
+        error e of S(t), plus 4 N eps (gamma + d) for evaluating it, as in
+        ``dual_bound``."""
+        e = self._error(t)
+        return (e * (e + 2.0 * math.sqrt(dist2))
+                + self.err * (self.cfg.beampattern_tol + dist2))
+
+    def dual_bound(self, t: float, x: tuple, dist2: float) -> float:
+        """``relaxed_dual_bound`` at t from the point S(t) = x and d(t).
+
+        For the error e of S(t), the Lagrangian value drops by up to about
+        e^2 / (2t) plus e ||Omega||, and evaluating it adds 4 N eps
+        ((gamma + d) / (2t) + P_T ||Omega||).
+        """
+        err, e, gamma = self.err, self._error(t), self.cfg.beampattern_tol
+        return (self.trace(x) + (gamma - dist2) / (2.0 * t)
+                + (e * e + err * (gamma + dist2)) / (2.0 * t)
+                + (e + err * self.cfg.power_budget) * self.norm_omega)
 
 
-def _kkt_root(point, gamma: float, lo, hi, floor: float = 0.0):
+def _kkt_root(point, gamma: float, lo, hi, floor: float = 0.0, slack=None):
     """Find where the nondecreasing d(t) crosses gamma by Chandrupatla's
     bracketing method (Adv. Eng. Softw. 28, 1997), ``point(t)`` giving
     (x, d(t)), x's squared distance from R_D.  The ends are tested points
@@ -211,11 +380,16 @@ def _kkt_root(point, gamma: float, lo, hi, floor: float = 0.0):
     else the midpoint, and keeps the trial half the stopping width inside
     either end, so the bracket closes from both sides.  The search stops at
     a width of 1e-13 * t_hi, or ``floor`` if wider; the final (lo, hi).  It
-    also stops at adjacent floats, so t_hi stays positive when no t > 0
-    tests inside the ball (a gamma at the rounding level of the distance).
+    also stops once d at both ends is within ``slack(t, d)`` of gamma (the
+    rounding allowance ``KktForm.slack``; where gamma nears the rounding
+    level of the distance, d is rounding noise), and at adjacent floats.
     """
+    def settled(end):
+        return slack is not None and abs(end[2] - gamma) <= slack(end[0], end[2])
+
     a, b, c = hi, lo, None     # a: the end tested last; c: the end dropped last
-    while hi[0] - lo[0] > (tol := max(_KKT_REL_WIDTH * hi[0], floor)):
+    while (hi[0] - lo[0] > (tol := max(_KKT_REL_WIDTH * hi[0], floor))
+           and not (settled(lo) and settled(hi))):
         fa, fb = a[2] - gamma, b[2] - gamma
         if c is None:
             step = fa / (fa - fb)    # a first step by linear interpolation
@@ -248,53 +422,43 @@ def dykstra_project(m: np.ndarray, cfg: SceneConfig, r_d: np.ndarray) -> np.ndar
 
     By KKT the projection of M is Pi_C(R_D + s (M - R_D)) with s = 1/(1 + mu),
     mu the ball's multiplier: s = 1 if that point lies in the ball, else the
-    root search of ``solve_relaxed`` finds s.  Nothing in the library calls
-    it; it is kept for the tracer, under the name of the Dykstra iteration
-    it replaced.
+    root search of ``solve_relaxed`` on the ``KktForm`` of M - R_D finds s.
+    R_D must be the scene's ``default_beampattern_target``.  Nothing in the
+    library calls it; it is kept for the tracer, under the name of the
+    Dykstra iteration it replaced.
     """
     check_beampattern_target(r_d, cfg)
-    direction = hermitize(m) - r_d
-    s, dist2 = _kkt_point(direction, cfg, r_d, 1.0)
-    if dist2 <= cfg.beampattern_tol:
-        return s
-    # S(0) = Pi_C(R_D) = R_D
-    _, (_, s, _) = _kkt_root(lambda t: _kkt_point(direction, cfg, r_d, t),
-                             cfg.beampattern_tol, (0.0, r_d, 0.0),
-                             (1.0, s, dist2))
-    return project_ball(s, r_d, cfg.beampattern_tol)
+    gamma = cfg.beampattern_tol
+    form = KktForm.of(m - r_d, cfg)
+    x, dist2 = form.point(1.0)
+    if dist2 > gamma:
+        # S(0) = Pi_C(R_D) = R_D
+        _, (_, x, _) = _kkt_root(form.point, gamma, (0.0, None, 0.0),
+                                 (1.0, x, dist2), slack=form.slack)
+    return project_ball(form.dense(x), r_d, gamma)
 
 
-def relaxed_dual_bound(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
-                       t: float) -> float:
+def relaxed_dual_bound(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
+                       r_d: np.ndarray, t: float) -> float:
     """Upper bound on max tr(S Omega) over the feasible covariance set.
 
     For any t > 0 the Lagrangian with multiplier 1/(2t) on the ball is,
     after completing the square, maximized over C = {S >= 0, tr S = P_T}
     by S(t) = Pi_C(R_D + t Omega); its value
     tr(Omega S(t)) + (gamma - ||S(t) - R_D||^2) / (2t) bounds the optimum
-    by weak duality.  The bound adds an allowance for rounding: for the
-    error e of the computed S(t), which lowers that value by up to about
-    e^2 / (2t) plus e ||Omega||, and for the error of evaluating it.  The
-    allowance is near 1e-14 relative for the scenes of the experiments,
-    and dominates only when gamma nears the rounding level of the distance.
+    by weak duality.  The bound adds an allowance for rounding
+    (``KktForm.slack``): for the error e of the computed S(t), which lowers
+    that value by up to about e^2 / (2t) plus e ||Omega||, and for the
+    error of evaluating it.  The allowance is near 1e-14 relative for the
+    scenes of the experiments, and dominates only when gamma nears the
+    rounding level of the distance.  ``omega`` is Omega, dense or as its
+    ``EffectiveChannels``; R_D is the scene's ``default_beampattern_target``,
+    which the form reads from ``cfg``.
     """
     if not t > 0:
         raise ConfigError(f"dual scale must be positive, got t={t}")
-    omega = hermitize(omega)
-    return _dual_bound(omega, cfg, r_d, t, *_kkt_point(omega, cfg, r_d, t))
-
-
-def _dual_bound(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
-                t: float, s: np.ndarray, dist2: float) -> float:
-    """``relaxed_dual_bound`` from S(t) = s and its squared distance from
-    R_D, for a Hermitian Omega."""
-    gamma, norm_omega = cfg.beampattern_tol, float(np.linalg.norm(omega))
-    err = 4.0 * s.shape[0] * float(np.finfo(float).eps)
-    e = err * (float(np.linalg.norm(r_d)) + t * norm_omega)   # error of S(t)
-    rounding = (e * e / (2.0 * t) + err * (gamma + dist2) / (2.0 * t)
-                + (e + err * cfg.power_budget) * norm_omega)
-    return (float(np.real(np.vdot(omega, s)))
-            + (gamma - dist2) / (2.0 * t) + rounding)
+    form = KktForm.of(omega, cfg)
+    return form.dual_bound(t, *form.point(t))
 
 
 def slack_bound(lam_max: float, norm_omega: float, cfg: SceneConfig) -> float:
@@ -315,33 +479,40 @@ def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
 
     ``omega`` is Omega as a dense matrix or as the ``EffectiveChannels`` it
     is built from; from the channels the top eigenpair comes from their
-    (1 + K) x (1 + K) Gram matrix, and the dense Omega is formed only when
-    the ball binds.  If S = P_T u u^H (u the top eigenvector of Omega) lies
-    inside the beampattern ball it is returned with its factor
-    sqrt(P_T) u: it attains the bound P_T * lambda_max(Omega) of the
-    ball-free problem, so it is exact, and ``dual_bound`` is
-    ``slack_bound``.  Otherwise the ball binds, and by the KKT conditions
-    the optimum is S(t) = Pi_C(R_D + t Omega) at the t where
-    ||S(t) - R_D||^2 = gamma; that distance is nondecreasing in t, so t is
-    found by doubling from sqrt(gamma) / ||Omega||_F until S(t) leaves the
-    ball, then closing that bracket with ``_kkt_root`` to a relative width
-    of 1e-13.  The result is the ball projection of the outer end S(t_hi),
-    a convex combination of two points of C, so it is feasible by
-    construction; ``kkt_scale`` keeps t_hi, ``dual_bound`` the
-    ``relaxed_dual_bound`` there (from the S(t_hi) at hand) and
-    ``in_ball_scale`` keeps t_lo.  A point S(t) inside the ball that
-    attains P_T * lambda_max(Omega) to 1e-12 relative is returned as it
-    is, with in-ball scale t and ``slack_bound`` (a repeated top
-    eigenvalue can leave S(t) inside the ball for every t); SolverError if
-    neither happens within a fixed number of doublings.  R_D is checked
-    when a config loads (``validate_beampattern_target``), not here.
+    (1 + K) x (1 + K) Gram matrix, and no N x N Omega is formed.  If
+    S = P_T u u^H (u the top eigenvector of Omega) lies inside the
+    beampattern ball it is returned with its factor sqrt(P_T) u: it
+    attains the bound P_T * lambda_max(Omega) of the ball-free problem, so
+    it is exact, and ``dual_bound`` is ``slack_bound``.  Otherwise the ball
+    binds, and by the KKT conditions the optimum is
+    S(t) = Pi_C(R_D + t Omega) at the t where ||S(t) - R_D||^2 = gamma.
+    The search runs on the ``KktForm`` of R_D + t Omega, built once (from
+    the QR of [b, channel rows^H], or from the dense Omega's ``eigh``), so
+    each tested t costs one r x r ``eigh``, r <= K + 2 from the channels.
+    That distance is nondecreasing in t, so t is found by doubling from
+    t* = sqrt(gamma) / ||Omega_0||_F (``KktForm.start_scale``, inside the
+    ball) until S(t) leaves the ball, then closing that bracket with
+    ``_kkt_root`` to a relative width of 1e-13.  The result is the ball
+    projection of the outer end S(t_hi), formed densely once, a convex
+    combination of two points of C, so it is feasible by construction;
+    ``kkt_scale`` keeps t_hi, ``dual_bound`` the ``relaxed_dual_bound``
+    there (from the S(t_hi) at hand), ``in_ball_scale`` keeps t_lo and
+    ``form`` the form, for ``factor_precoder``.  A point S(t) inside the
+    ball that attains P_T * lambda_max(Omega) to 1e-12 relative is
+    returned as it is, with in-ball scale t and ``slack_bound`` (a repeated
+    top eigenvalue can leave S(t) inside the ball for every t); SolverError
+    if neither happens within a fixed number of doublings.  R_D is the
+    scene's ``default_beampattern_target``, whose structure the form reads
+    from ``cfg``; it is checked when a config loads
+    (``validate_beampattern_target``), not here.
     """
     if isinstance(omega, EffectiveChannels):
         lam, top, norm_omega = omega.top_eigenpair()
     else:
         omega = hermitize(omega)
-        w, u = np.linalg.eigh(omega)
-        lam, top, norm_omega = float(w[-1]), u[:, -1], float(np.linalg.norm(omega))
+        eig = np.linalg.eigh(omega)
+        lam, top, norm_omega = (float(eig[0][-1]), eig[1][:, -1],
+                                float(np.linalg.norm(omega)))
     top = top[:, np.newaxis]
     s = cfg.power_budget * (top @ top.conj().T)
     bound = slack_bound(lam, norm_omega, cfg)
@@ -349,34 +520,31 @@ def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
     if float(np.vdot(diff, diff).real) <= cfg.beampattern_tol:
         return RelaxedCovariance(s, factor=math.sqrt(cfg.power_budget) * top,
                                  dual_bound=bound)
-    omega = _dense(omega)
+    form = (KktForm.from_channels(omega, cfg)
+            if isinstance(omega, EffectiveChannels)
+            else KktForm.from_eigh(*eig, cfg))
     gamma = cfg.beampattern_tol
     attainable = cfg.power_budget * lam
-    scale = float(np.linalg.norm(omega))
-    t = math.sqrt(gamma) / scale if scale > 0.0 else 1.0
-    lo = (0.0, r_d, 0.0)     # S(0) = Pi_C(R_D) = R_D
+    t = form.start_scale()
+    lo = (0.0, None, 0.0)     # S(0) = Pi_C(R_D) = R_D
     for _ in range(_KKT_MAX_DOUBLINGS):
-        hi = (t, *_kkt_point(omega, cfg, r_d, t))
+        hi = (t, *form.point(t))
         if hi[2] > gamma:
             break
-        if (float(np.real(np.vdot(omega, hi[1])))
-                >= attainable - 1e-12 * abs(attainable)):
-            return RelaxedCovariance(hi[1], in_ball_scale=t, dual_bound=bound)
+        if form.trace(hi[1]) >= attainable - 1e-12 * abs(attainable):
+            return RelaxedCovariance(form.dense(hi[1]), in_ball_scale=t,
+                                     dual_bound=bound, form=form)
         lo, t = hi, 2.0 * t
     else:
         raise SolverError(
             f"KKT search: S(t) stayed inside the beampattern ball below its "
             f"optimum after {_KKT_MAX_DOUBLINGS} doublings of t")
-    lo, (t_hi, s_hi, dist2) = _kkt_root(
-        lambda t: _kkt_point(omega, cfg, r_d, t), gamma, lo, hi)
+    lo, (t_hi, x_hi, dist2) = _kkt_root(form.point, gamma, lo, hi,
+                                        slack=form.slack)
     return RelaxedCovariance(
-        project_ball(s_hi, r_d, gamma), kkt_scale=t_hi, in_ball_scale=lo[0],
-        dual_bound=_dual_bound(omega, cfg, r_d, t_hi, s_hi, dist2))
-
-
-def _dense(omega: np.ndarray | EffectiveChannels) -> np.ndarray:
-    """The dense Omega of a dense matrix or of ``EffectiveChannels``."""
-    return omega.omega if isinstance(omega, EffectiveChannels) else omega
+        project_ball(form.dense(x_hi), r_d, gamma), kkt_scale=t_hi,
+        in_ball_scale=lo[0], dual_bound=form.dual_bound(t_hi, x_hi, dist2),
+        form=form)
 
 
 def relaxed_objective(s: RelaxedCovariance, omega: np.ndarray) -> float:
@@ -404,10 +572,15 @@ def factor_precoder(s: RelaxedCovariance,
     which keeps its tested in-ball end.
     (S_K(t) minimizes ||S - R_D||^2 - 2t tr(Omega S) over C_K, so both terms
     are nondecreasing in t; returning only tested points guards against
-    rounding.)  S_K(0) is the point ``validate_beampattern_target`` tests,
-    and the answer when S has neither a factor nor an in-ball scale.
-    ``omega`` is Omega, dense or as its ``EffectiveChannels``; only the
-    rank-K search reads it.
+    rounding, up to that of the tested distance, which the form computes in
+    r x r terms: the dense ||F F^H - R_D||^2 agrees to about
+    2 sqrt(gamma) e, e the rounding of F F^H.)  S_K(0) is the point
+    ``validate_beampattern_target`` tests, and the answer when S has
+    neither a factor nor an in-ball scale.  The search runs on S's
+    ``KktForm`` (``KktForm.rank_point``), or on the form of ``omega``,
+    Omega dense or as its ``EffectiveChannels``, where S has none; R_D is
+    the scene's ``default_beampattern_target``, which the form reads from
+    ``cfg``.
     """
     gamma, k = cfg.beampattern_tol, cfg.n_users
     if s.factor is not None and s.factor.shape[1] <= k:
@@ -416,28 +589,26 @@ def factor_precoder(s: RelaxedCovariance,
         return Precoder(
             p * math.sqrt(cfg.power_budget / float(np.vdot(p, p).real)))
 
-    def point(t):
-        """F (N x k, zero-padded) with F F^H = S_K(t), and ||F F^H - R_D||^2."""
-        v, u = _projected_spectrum(r_d + t * omega if t > 0.0 else r_d,
-                                   cfg.power_budget, k)
-        f = np.zeros((u.shape[0], k), dtype=complex)
-        f[:, : v.size] = u * np.sqrt(v)
-        return f, float(np.sum(np.abs(f @ f.conj().T - r_d) ** 2))
+    form = s.form or KktForm.of(omega, cfg)
 
-    omega = _dense(omega)
+    def point(t):
+        return form.rank_point(t, k)
+
     t_in = s.in_ball_scale or 0.0
-    p, dist2 = point(t_in)
+    x, dist2 = point(t_in)
     if dist2 > gamma and t_in > 0.0:
-        hi = (t_in, p, dist2)
-        p, dist2 = point(0.0)
-        if dist2 <= gamma:
-            (_, p, dist2), _ = _kkt_root(point, gamma, (0.0, p, dist2), hi,
-                                         _KKT_REL_WIDTH * t_in)
+        hi = (t_in, x, dist2)
+        x, dist2 = point(0.0)
+        # on the sphere, S_K(0) is kept: nearer t, d_K(t) is gamma up to
+        # rounding, and the top K of R_D's tied eigenvalues are picked by it
+        if dist2 < gamma:
+            (_, x, dist2), _ = _kkt_root(point, gamma, (0.0, x, dist2), hi,
+                                         _KKT_REL_WIDTH * t_in, form.slack)
     if dist2 > gamma:
         raise ConfigError(f"beampattern ball too tight: the nearest {k}-column "
                           f"precoder to R_D is at squared distance {dist2:.6g} "
                           f"> {gamma:.6g}")
-    return Precoder(p)
+    return Precoder(form.factor(x, k))
 
 
 def unit_diag_dual_bound(a: np.ndarray, r: np.ndarray) -> float:

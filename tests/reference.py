@@ -15,7 +15,8 @@ from isacopt.irs import (SurrogateFactors, build_quadratic_terms,
 from isacopt.objective import (IrsPhase, Precoder, _check_dims,
                                comm_coefficient, hermitize,
                                quartic_coefficient, quartic_kernels)
-from isacopt.precoder import RandomizationReport, unit_diag_dual_bound
+from isacopt.precoder import (_KKT_MAX_DOUBLINGS, RandomizationReport,
+                              _kkt_root, project_ball, unit_diag_dual_bound)
 from isacopt.scene import ChannelSet, SceneConfig, complex_normal
 
 
@@ -213,6 +214,54 @@ def project_trace(m: np.ndarray, target: float) -> np.ndarray:
     (``project_spectrahedron`` fuses it with the cone)."""
     n = m.shape[0]
     return m + ((target - np.trace(m)) / n) * np.eye(n)
+
+
+def simplex_projection(w: np.ndarray, target: float) -> np.ndarray:
+    """Projection of a real vector onto {v >= 0, sum v = target} by sorting
+    (Held et al. 1974), the oracle for ``precoder._simplex_scaled``."""
+    w = w - w.max()
+    mu = np.sort(w)[::-1]
+    cssv = np.cumsum(mu) - target
+    ind = np.arange(1, w.size + 1)
+    support = ind[mu - cssv / ind > 0][-1]
+    return np.maximum(w - cssv[support - 1] / support, 0.0)
+
+
+def kkt_point(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
+              t: float) -> tuple[np.ndarray, float]:
+    """S(t) = Pi_C(R_D + t Omega) from a dense N x N ``eigh``, and its
+    squared distance from R_D: the oracle for ``KktForm.point``."""
+    w, u = np.linalg.eigh(hermitize(r_d + t * omega))
+    s = hermitize((u * simplex_projection(w, cfg.power_budget)) @ u.conj().T)
+    return s, float(np.sum(np.abs(s - r_d) ** 2))
+
+
+def rank_k_point(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
+                 t: float, k: int) -> tuple[np.ndarray, float]:
+    """F (N x min(k, N)) with F F^H = S_K(t) = Pi_{C_K}(R_D + t Omega), the
+    top k eigenpairs of a dense ``eigh`` with their eigenvalues projected
+    onto the simplex, and ||F F^H - R_D||^2: the oracle for
+    ``KktForm.rank_point``."""
+    w, u = np.linalg.eigh(hermitize(r_d + t * omega))
+    f = u[:, -k:] * np.sqrt(simplex_projection(w[-k:], cfg.power_budget))
+    return f, float(np.sum(np.abs(f @ f.conj().T - r_d) ** 2))
+
+
+def dense_kkt_search(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray
+                     ) -> tuple[np.ndarray, float]:
+    """The binding solve on dense points (``kkt_point``), for a ball that
+    binds: doubling t from sqrt(gamma) / ||Omega||_F until S(t) leaves the
+    ball, then ``_kkt_root`` on the bracket.  (ball projection of S(t_hi),
+    t_hi): the oracle for ``solve_relaxed``'s search."""
+    gamma = cfg.beampattern_tol
+    t, lo = math.sqrt(gamma) / float(np.linalg.norm(omega)), (0.0, r_d, 0.0)
+    for _ in range(_KKT_MAX_DOUBLINGS):
+        hi = (t, *kkt_point(omega, cfg, r_d, t))
+        if hi[2] > gamma:
+            break
+        lo, t = hi, 2.0 * t
+    _, hi = _kkt_root(lambda t: kkt_point(omega, cfg, r_d, t), gamma, lo, hi)
+    return project_ball(hi[1], r_d, gamma), hi[0]
 
 
 def feasibility_residuals(cfg: SceneConfig, r_d: np.ndarray):

@@ -414,6 +414,9 @@ class TestBench:
         top = [float(r[3]) for r in rows
                if r[0] == "solve_relaxed" and r[2] == "slack_top_eig_rel_error"]
         assert len(top) == 1 and 0.0 <= top[0] <= 1e-13
+        rows_err = [float(r[3]) for r in rows
+                    if r[0] == "solve_relaxed" and r[2] == "binding_rows_rel_error"]
+        assert len(rows_err) == 1 and 0.0 <= rows_err[0] <= 1e-12
         route = [(int(r[1]), float(r[3])) for r in rows
                  if (r[0], r[2]) == ("solve_irs_minorization",
                                      "anchor_route_rel_error")]
@@ -424,7 +427,8 @@ class TestBench:
         paths = {(r[0], r[2]) for r in t_rows}
         assert {("solve_relaxed", "closed_form"),
                 ("solve_relaxed", "closed_form_rows"),
-                ("solve_relaxed", "binding")} <= paths
+                ("solve_relaxed", "binding"),
+                ("solve_relaxed", "binding_rows")} <= paths
         assert not any(op == "dykstra_project" for op, _ in paths)
         inner = {int(r[1]) for r in t_rows
                  if (r[0], r[2]) == ("solve_irs_minorization", "inner_iteration")}

@@ -164,6 +164,7 @@ class TestPhaseUpdate:
         nu = complex_normal(rng, 50)
         out = irs_phase_update(nu)
         assert np.max(np.abs(np.abs(out.theta) - 1.0)) <= 1e-15
+        assert out.theta.tobytes() == np.exp(1j * np.angle(nu)).tobytes()
 
     def test_scale_free(self, rng):
         # no absolute cut-off: nu and 2^k nu give the same bits

@@ -303,6 +303,16 @@ class TestIrsPhaseType:
     def test_accepts_constructed_phases(self, rng):
         IrsPhase(np.exp(2j * np.pi * rng.random(7)))
 
+    def test_non_unit_phase_still_raises(self, rng):
+        # from_angles skips the check (exp(j angles) is unit-modulus by
+        # construction); phases from anywhere else are still checked
+        angles = 2 * np.pi * rng.random(7)
+        trusted = IrsPhase.from_angles(angles)
+        assert trusted.theta.tobytes() == np.exp(1j * angles).tobytes()
+        IrsPhase(trusted.theta)
+        with pytest.raises(ConfigError, match="unit modulus"):
+            IrsPhase(trusted.theta * (1.0 + 1e-9))
+
 
 class TestPrecoderType:
     def test_power(self, rng):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,14 +16,15 @@ from isacopt import (ConfigError, IrsPhase, RelaxedCovariance, SolverOptions,
                      scene_config_from_dict, solve_relaxed,
                      solve_unit_diag_relaxation, unit_diag_dual_bound)
 from isacopt import precoder
-from isacopt.objective import hermitize
+from isacopt.objective import effective_channels, hermitize
 from isacopt.precoder import validate_beampattern_target
 from isacopt.scene import SceneConfig, complex_normal
 
 from conftest import random_hermitian, random_psd, small_config
-from reference import (dense_power_method, dense_ratio_study,
-                       feasibility_residuals, mixing_method_relaxation,
-                       project_trace)
+from reference import (dense_kkt_search, dense_power_method,
+                       dense_ratio_study, feasibility_residuals, kkt_point,
+                       mixing_method_relaxation, project_trace, rank_k_point,
+                       simplex_projection)
 
 
 class TestProjectPsd:
@@ -371,7 +373,7 @@ class TestKktRoot:
         t_hi = s.kkt_scale
 
         def phi(t):
-            return precoder._kkt_point(omega, cfg, r_d, t)[1] - cfg.beampattern_tol
+            return kkt_point(omega, cfg, r_d, t)[1] - cfg.beampattern_tol
 
         root = brentq(phi, 0.0, 2.0 * t_hi, xtol=1e-300, rtol=1e-15)
         assert abs(root - t_hi) <= 1e-12 * t_hi
@@ -384,7 +386,7 @@ class TestKktRoot:
         tested = {}
 
         def point(t):
-            x, dist2 = precoder._kkt_point(omega, cfg, r_d, t)
+            x, dist2 = kkt_point(omega, cfg, r_d, t)
             tested[t] = (x, dist2)
             return x, dist2
 
@@ -408,60 +410,232 @@ class TestKktRoot:
         s = solve_relaxed(omega, cfg, r_d)
         assert 0.0 < s.in_ball_scale < s.kkt_scale
         assert s.kkt_scale - s.in_ball_scale <= 1e-13 * s.kkt_scale
-        hermitian = 0.5 * (omega + omega.conj().T)
-        assert precoder._kkt_point(hermitian, cfg, r_d, s.in_ball_scale)[1] <= gamma
-        s_hi, dist2 = precoder._kkt_point(hermitian, cfg, r_d, s.kkt_scale)
+        # the ends are tested points of the form the solve ran on ...
+        assert s.form.point(s.in_ball_scale)[1] <= gamma
+        x_hi, dist2 = s.form.point(s.kkt_scale)
         assert dist2 > gamma
-        np.testing.assert_array_equal(s.s, project_ball(s_hi, r_d, gamma))
+        np.testing.assert_array_equal(
+            s.s, project_ball(s.form.dense(x_hi), r_d, gamma))
+        # ... and of the dense oracle, up to rounding
+        s_hi, dense2 = kkt_point(omega, cfg, r_d, s.kkt_scale)
+        assert dense2 == pytest.approx(dist2, rel=1e-13)
+        np.testing.assert_allclose(s.s, project_ball(s_hi, r_d, gamma),
+                                   rtol=0, atol=1e-14)
         # the recovered precoder is a tested in-ball point of the rank-K path
         p = factor_precoder(s, omega, cfg, r_d)
         assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) <= gamma
 
-    def test_adjacent_floats_stop(self, rng):
-        # gamma below the rounding level of ||S(t) - R_D||^2: no t > 0 tests
-        # inside the ball, so the search ends where t_hi has no float
-        # between it and t_lo = 0, and t_hi stays positive
-        cfg = small_config(n_tx=4, k=4, beampattern_tol=1e-40)
+    @pytest.mark.parametrize("gamma", [1e-40, 1e-33, 1e-31, 1e-25, 1e-20])
+    def test_gamma_at_rounding_level_stops_within_allowance(self, rng,
+                                                            monkeypatch, gamma):
+        # d(t) is rounding noise where gamma nears the rounding level of the
+        # distance; the search stops once d at both ends is within the
+        # rounding of the computed distance (it took 27-42 points for gamma
+        # from 1e-31 to 1e-20, and 950-990 below, where it bisected down to
+        # t_hi = 5e-324), and the output stays feasible and certified
+        calls = {"kkt": 0}
+        kkt_point_ = precoder.KktForm.point
+
+        def counted(*args):
+            calls["kkt"] += 1
+            return kkt_point_(*args)
+
+        monkeypatch.setattr(precoder.KktForm, "point", counted)
+        cfg = small_config(n_tx=4, k=4, beampattern_tol=gamma)
         r_d = default_beampattern_target(cfg)
         omega = random_psd(rng, 4)
         s = solve_relaxed(omega, cfg, r_d)
-        assert s.in_ball_scale == 0.0
-        assert s.kkt_scale > 0.0 and s.kkt_scale / 2.0 in (0.0, s.kkt_scale)
+        assert calls["kkt"] <= 12
+        assert s.kkt_scale > 0.0
+        for res in feasibility_residuals(cfg, r_d):
+            assert res(s.s) <= 1e-12
+        np.testing.assert_allclose(s.s, r_d, rtol=0,
+                                   atol=math.sqrt(gamma) + 1e-14)
+        monkeypatch.undo()
         assert s.dual_bound == relaxed_dual_bound(omega, cfg, r_d, s.kkt_scale)
         assert s.dual_bound >= relaxed_objective(s, omega)
-        np.testing.assert_allclose(s.s, r_d, atol=1e-14)
+        assert s.dual_bound >= float(np.real(np.vdot(omega, r_d)))
         np.testing.assert_allclose(
             dykstra_project(r_d + omega, cfg, r_d), r_d, atol=1e-14)
 
     def test_evaluation_counts_bounded(self, monkeypatch):
         # the beampattern config's ball (gamma = 0.1) binds on every draw;
         # the bisection this search replaced took about 46 and 44
-        calls = {"kkt": 0, "spectrum": 0}
-        kkt_point, spectrum = precoder._kkt_point, precoder._projected_spectrum
+        calls = {"point": 0, "rank_point": 0}
+        for name in calls:
+            method = getattr(precoder.KktForm, name)
 
-        def counted_kkt_point(*args):
-            calls["kkt"] += 1
-            return kkt_point(*args)
+            def counted(*args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(*args)
 
-        def counted_spectrum(*args):
-            calls["spectrum"] += 1
-            return spectrum(*args)
-
-        monkeypatch.setattr(precoder, "_kkt_point", counted_kkt_point)
-        monkeypatch.setattr(precoder, "_projected_spectrum", counted_spectrum)
+            monkeypatch.setattr(precoder.KktForm, name, counted)
         searched = 0
         for seed in range(3):
             for beta in (0.01, 0.5, 0.99):
                 cfg, r_d, omega = paper_binding_instance(seed, beta=beta)
-                calls["kkt"] = 0
+                calls["point"] = 0
                 s = solve_relaxed(omega, cfg, r_d)
                 assert s.kkt_scale is not None
-                assert calls["kkt"] <= 16
-                calls["spectrum"] = 0
+                assert calls["point"] <= 16
+                calls["rank_point"] = 0
                 factor_precoder(s, omega, cfg, r_d)
-                assert calls["spectrum"] <= 16
-                searched += calls["spectrum"] > 1   # S(t_in) had rank > K
+                assert calls["rank_point"] <= 16
+                searched += calls["rank_point"] > 1   # S(t_in) had rank > K
         assert searched >= 6
+
+
+# Scenes for the factored form against the dense oracle: the paper scene
+# (r = K + 2 = 7 < N), N <= K + 1 (r = N, no complement), the two ends of
+# beampattern_mix (d = 0, c = 0) and of beta (one weight zero).
+FORM_SCENES = {
+    "paper": dict(),
+    "n_le_k_plus_1": dict(n_tx=4, n_rx=4, n_users=3),
+    "mix_0": dict(beampattern_mix=0.0),
+    "mix_1": dict(beampattern_mix=1.0),
+    "beta_0": dict(beta=0.0),
+    "beta_1": dict(beta=1.0),
+}
+
+
+def form_scene(name, seed=7, **kwargs):
+    """(cfg, R_D, channels) at random phases for a ``FORM_SCENES`` entry."""
+    cfg = SceneConfig(**{"beta": 0.5, **FORM_SCENES[name], **kwargs})
+    rng = np.random.default_rng(seed)
+    ch = make_channels(cfg, rng)
+    theta = IrsPhase(np.exp(2j * np.pi * rng.random(cfg.n_irs)))
+    return cfg, default_beampattern_target(cfg), effective_channels(theta, ch, cfg)
+
+
+class TestKktForm:
+    """The factored form of R_D + t Omega against the dense N x N oracle."""
+
+    @pytest.mark.parametrize("copies", [0, 1, 9])
+    def test_simplex_with_copies_matches_sorting(self, rng, copies):
+        # the copies of the complement's eigenvalue join the support as one
+        # entry, wherever they fall among w (ties included)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(200):
+                w = scale * rng.standard_normal(int(rng.integers(1, 9)))
+                if rng.random() < 0.3:
+                    w[: w.size // 2] = 0.0
+                w.sort()
+                v, v0 = precoder._simplex_scaled(w, 1.0, copies)
+                want = simplex_projection(
+                    np.concatenate((w, np.zeros(copies))), 1.0)
+                atol = 8 * np.finfo(float).eps * (1.0 + scale) * (w.size + copies)
+                np.testing.assert_allclose(v, want[: w.size], rtol=0, atol=atol)
+                np.testing.assert_allclose(v0, want[w.size:] if copies else 0.0,
+                                           rtol=0, atol=atol)
+                assert v.sum() + copies * v0 == pytest.approx(1.0, abs=atol)
+
+    @pytest.mark.parametrize("name", list(FORM_SCENES))
+    def test_points_match_dense_oracle(self, name):
+        cfg, r_d, channels = form_scene(name)
+        omega, k = channels.omega, cfg.n_users
+        rows_form = precoder.KktForm.from_channels(channels, cfg)
+        assert rows_form.q.shape[1] == min(cfg.n_tx, cfg.n_users + 2)
+        t_star = rows_form.start_scale()
+        for form in (rows_form, precoder.KktForm.of(omega, cfg)):
+            for t in (0.5 * t_star, t_star, 4.0 * t_star, 100.0 * t_star):
+                x, dist2 = form.point(t)
+                s, dense2 = kkt_point(omega, cfg, r_d, t)
+                # measured <= 5.3e-15 on d(t) and d_K(t), <= 2.5e-15 on
+                # tr(Omega S) and <= 1.1e-15 on S and F F^H (entrywise,
+                # against ||S||), over seeds 7 to 16 of these scenes
+                assert dist2 == pytest.approx(dense2, rel=1e-13)
+                np.testing.assert_allclose(form.dense(x), s, rtol=0,
+                                           atol=1e-13 * np.linalg.norm(s))
+                assert form.trace(x) == pytest.approx(
+                    float(np.vdot(omega, s).real), rel=1e-13)
+                x, dist2 = form.rank_point(t, k)
+                f, dense2 = rank_k_point(omega, cfg, r_d, t, k)
+                assert dist2 == pytest.approx(dense2, rel=1e-13)
+                g = form.factor(x, k)
+                assert g.shape == (cfg.n_tx, k)
+                np.testing.assert_allclose(
+                    g @ g.conj().T, f @ f.conj().T, rtol=0,
+                    atol=1e-12 * np.linalg.norm(f))
+
+    @pytest.mark.parametrize("name", list(FORM_SCENES))
+    def test_search_matches_dense_oracle(self, name):
+        # R_D = (P_T / N) I (mix 0) is 0.1375 from every rank-5 covariance
+        cfg, r_d, channels = form_scene(name, beampattern_tol=0.2)
+        omega = channels.omega
+        s = solve_relaxed(channels, cfg, r_d)
+        assert s.kkt_scale is not None
+        s_dense, t_hi = dense_kkt_search(omega, cfg, r_d)
+        assert s.kkt_scale == pytest.approx(t_hi, rel=1e-12)
+        value = relaxed_objective(s, omega)
+        assert value == pytest.approx(float(np.vdot(omega, s_dense).real),
+                                      rel=1e-12)
+        for res in feasibility_residuals(cfg, r_d):
+            assert res(s.s) <= 1e-12
+        assert 0.0 <= (s.dual_bound - value) / value <= 1e-12
+        p = factor_precoder(s, channels, cfg, r_d)
+        assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) <= \
+            cfg.beampattern_tol * (1 + 1e-12)
+        assert precoder_objective(p, omega) <= s.dual_bound
+
+    def test_zero_omega(self):
+        # Omega = 0: S(t) = R_D for every t, which attains the optimum 0
+        cfg, r_d, channels = form_scene("paper", beampattern_tol=0.1)
+        channels.rows[:] = 0.0
+        form = precoder.KktForm.from_channels(channels, cfg)
+        assert form.start_scale() == 1.0
+        x, dist2 = form.point(3.0)
+        assert dist2 <= 1e-30 and form.trace(x) == 0.0
+        np.testing.assert_allclose(form.dense(x), r_d, rtol=0, atol=1e-15)
+        s = solve_relaxed(channels, cfg, r_d)
+        assert s.kkt_scale is None and s.dual_bound == 0.0
+        np.testing.assert_allclose(s.s, r_d, rtol=0, atol=1e-15)
+        p = factor_precoder(s, channels, cfg, r_d)
+        f, _ = rank_k_point(np.zeros_like(r_d), cfg, r_d, 0.0, cfg.n_users)
+        assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) == pytest.approx(
+            np.sum(np.abs(f @ f.conj().T - r_d) ** 2), rel=1e-12)
+
+    def test_full_support_face_start_is_the_root(self):
+        # R_D + t Omega_0 >= c I - t (tr Omega / N) I, so below
+        # t = c N / tr Omega the affine point is PSD, S(t) has full support,
+        # and t* = sqrt(gamma) / ||Omega_0|| is the KKT scale itself
+        cfg, r_d, channels = form_scene("paper")
+        omega = channels.omega
+        n, tr = cfg.n_tx, float(np.trace(omega).real)
+        omega_0 = omega - (tr / n) * np.eye(n)
+        c = (1.0 - cfg.beampattern_mix) * cfg.power_budget / n
+        t_star = 0.5 * c * n / tr
+        gamma = (t_star * np.linalg.norm(omega_0)) ** 2
+        cfg = replace(cfg, beampattern_tol=gamma)
+        form = precoder.KktForm.from_channels(channels, cfg)
+        assert form.start_scale() == pytest.approx(t_star, rel=1e-13)
+        s = solve_relaxed(channels, cfg, r_d)
+        assert s.kkt_scale == pytest.approx(t_star, rel=1e-12)
+        assert s.in_ball_scale == pytest.approx(t_star, rel=1e-12)
+        affine = r_d + t_star * omega_0
+        assert np.linalg.eigvalsh(affine)[0] > 0.0
+        np.testing.assert_allclose(s.s, affine, rtol=0,
+                                   atol=1e-13 * np.linalg.norm(affine))
+
+    def test_dual_bound_valid_where_affine_point_is_not_psd(self):
+        # at t* the affine point R_D + t* Omega_0 is off C (not PSD); it
+        # maximizes the Lagrangian over the trace hyperplane, which contains
+        # C, so its value bounds the one at S(t*), which bounds the optimum
+        cfg, r_d, channels = form_scene("paper", beampattern_tol=0.1)
+        omega = channels.omega
+        n = cfg.n_tx
+        omega_0 = omega - (float(np.trace(omega).real) / n) * np.eye(n)
+        t_star = precoder.KktForm.from_channels(channels, cfg).start_scale()
+        affine = r_d + t_star * omega_0
+        assert np.linalg.eigvalsh(affine)[0] < 0.0
+        gamma = cfg.beampattern_tol
+        hyperplane = (float(np.vdot(omega, affine).real)
+                      + (gamma - np.sum(np.abs(affine - r_d) ** 2)) / (2 * t_star))
+        bound = relaxed_dual_bound(channels, cfg, r_d, t_star)
+        value = relaxed_objective(solve_relaxed(channels, cfg, r_d), omega)
+        assert hyperplane >= bound * (1 - 1e-12)
+        assert bound >= value
+        # S(t*) is inside the ball, as it must be at the start of the search
+        assert precoder.KktForm.from_channels(channels, cfg).point(t_star)[1] <= gamma
 
 
 class TestFactorPrecoder:
@@ -533,9 +707,12 @@ class TestFactorPrecoder:
         omega = random_psd(rng, n)
         cfg = small_config(n_tx=n, k=k)   # a slack ball
         r_d = default_beampattern_target(cfg)
-        # recovered with neither a factor nor an in-ball scale: S_K(0)
+        # recovered with neither a factor nor an in-ball scale: S_K(0), at
+        # the distance recovery tests it at
         f0 = factor_precoder(RelaxedCovariance(r_d), omega, cfg, r_d).p
-        near2 = float(np.sum(np.abs(f0 @ f0.conj().T - r_d) ** 2))
+        near2 = precoder.KktForm.of(omega, cfg).rank_point(0.0, k)[1]
+        assert near2 == pytest.approx(
+            float(np.sum(np.abs(f0 @ f0.conj().T - r_d) ** 2)), rel=1e-12)
         top = np.linalg.eigh(omega)[1][:, -1]
         slack2 = float(np.sum(np.abs(
             cfg.power_budget * np.outer(top, top.conj()) - r_d) ** 2))
@@ -547,11 +724,17 @@ class TestFactorPrecoder:
         p = factor_precoder(s, omega, cfg, r_d)
         assert p.p.shape == (n, k)
         assert abs(p.power() - cfg.power_budget) <= 1e-12 * cfg.power_budget
-        # tested inside the ball on the KKT path; on the slack path the
-        # factor's Gram matrix is S, which is inside, up to rounding
+        # tested inside the ball on the KKT path, by the factored distance,
+        # which the dense one matches up to its rounding 2 sqrt(d) e + e^2,
+        # e the rounding of F F^H (it decides where gamma is near that
+        # level: the nearest rank-N covariance to R_D is R_D, at 0); on the
+        # slack path the factor's Gram matrix is S, inside up to rounding
         gram = p.p @ p.p.conj().T
-        slack = 1e-12 if s.factor is not None else 0.0
-        assert np.sum(np.abs(gram - r_d) ** 2) <= cfg.beampattern_tol * (1 + slack)
+        form = precoder.KktForm.of(omega, cfg)
+        e = form.err * (form.norm_r_d + (s.in_ball_scale or 0.0)
+                        * form.norm_omega)
+        assert np.sum(np.abs(gram - r_d) ** 2) <= cfg.beampattern_tol * (
+            1 + 1e-12) + 2.0 * math.sqrt(cfg.beampattern_tol) * e + e * e
         value = precoder_objective(p, omega)
         assert value >= float(np.real(np.vdot(f0, omega @ f0))) * (1 - 1e-12)
         bound = (cfg.power_budget * np.linalg.eigvalsh(omega)[-1]
