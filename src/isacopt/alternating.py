@@ -5,10 +5,9 @@ phases (``objective.EffectiveChannels``): it solves the relaxed precoder
 problem from them, recovers a K-column precoder deterministically
 (``factor_precoder``), scores it and the previous precoder on them, then
 updates the phases with the ascent-safeguarded closed-form step, which
-starts from those channels, that score and the products W P that gave it,
-and returns the channels at the new phases for the next outer iteration.
-A recovered precoder that scores below the previous one is dropped for it
-(``RunTrace.precoder_dips``).
+starts from those channels and that score and returns the channels at the
+new phases for the next outer iteration.  A recovered precoder that scores
+below the previous one is dropped for it (``RunTrace.precoder_dips``).
 Termination follows the relative-change rule |g(t+1) - g(t)| / g(t) <=
 eps_rel, checked from the second outer iteration on, with a hard iteration
 cap.
@@ -30,9 +29,11 @@ from .objective import IrsPhase, Precoder, effective_channels
 # Unused here since the loop scores on the effective channels; kept for
 # the tracer, which wraps them here by name.
 from .objective import build_omega, snr_comm, snr_radar  # noqa: F401
-from .precoder import (default_beampattern_target, factor_precoder,
-                       solve_relaxed)
-from .precoder import precoder_objective, relaxed_objective  # noqa: F401
+from .precoder import factor_precoder, solve_relaxed
+# Unused here since the solvers read R_D from the scene and the loop scores
+# on the effective channels; kept for the tracer, which wraps them by name.
+from .precoder import (default_beampattern_target,  # noqa: F401
+                       precoder_objective, relaxed_objective)
 from .scene import ChannelSet, SceneConfig
 
 log = logging.getLogger(__name__)
@@ -106,35 +107,32 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
     for a K-column precoder raises ConfigError from the precoder stage.
     """
     opts = opts or SolverOptions()
-    r_d = default_beampattern_target(cfg)
     rng = rng if rng is not None else np.random.default_rng(0)
 
     theta = initial_phases(cfg, opts, rng)
     channels = effective_channels(theta, ch, cfg)
     trace = RunTrace()
     precoder: Precoder | None = None
-    # (g, SNR_R, SNR_C) of the incumbent precoder on the current channels,
-    # and its products W P_nz there: the phase step scored it there
+    # (g, SNR_R, SNR_C) of the incumbent precoder on the current channels:
+    # the phase step scored it there
     incumbent: tuple[float, ...] = (-math.inf,)
-    incumbent_y: np.ndarray | None = None
 
     for t in range(1, opts.t_max + 1):
         times: dict[str, float] = {}
         try:
             tic = time.perf_counter()
-            relaxed = solve_relaxed(channels, cfg, r_d)
+            relaxed = solve_relaxed(channels, cfg)
             times["precoder"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
-            candidate = factor_precoder(relaxed, channels, cfg, r_d)
-            y = channels.rows @ candidate.p
-            snapshot = channels.scores(y)
+            candidate = factor_precoder(relaxed, channels, cfg)
+            snapshot = channels.snrs(candidate.p)
             if incumbent[0] > snapshot[0]:
                 # the recovered precoder fell short of the incumbent; keep it
                 trace.precoder_dips.append(t)
                 log.debug("outer %d: recovered precoder scored below the "
                           "previous one; keeping the incumbent", t)
-                snapshot, y = incumbent, incumbent_y
+                snapshot = incumbent
             else:
                 precoder = candidate
             times["recovery"] = time.perf_counter() - tic
@@ -145,13 +143,12 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
                          else solve_irs_manifold)
             theta, inner = solve_irs(theta, precoder, ch, cfg,
                                      inner_max=opts.inner_max,
-                                     start=(channels, snapshot, y))
+                                     start=(channels, snapshot))
             if inner.line_search_failed:
                 trace.line_search_failures.append(t)
                 log.warning("outer %d: the Armijo line search found no "
                             "ascent step; the phase step ended early", t)
             channels, incumbent = inner.channels, inner.snapshot
-            incumbent_y = inner.products
             times["irs"] = time.perf_counter() - tic
         except SolverError as exc:
             exc.args = (f"outer iteration {t}: {exc.args[0] if exc.args else exc}",

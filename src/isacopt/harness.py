@@ -555,7 +555,7 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
                                   ch, cfg)
     omega = channels.omega
     slack = replace(cfg, beampattern_tol=2.0 * cfg.power_budget ** 2)
-    closed = solve_relaxed(channels, slack, r_d)
+    closed = solve_relaxed(channels, slack)
     check_rows.append(("solve_relaxed", cfg.n_tx, "closed_form_gap",
                        _closed_form_gap(omega, cfg,
                                         relaxed_objective(closed, omega))))
@@ -564,12 +564,12 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
                        abs(channels.top_eigenpair()[0] - dense_top) / dense_top))
     binding = replace(cfg, beampattern_tol=0.25 * float(
         np.sum(np.abs(closed.s - r_d) ** 2)))
-    kkt = solve_relaxed(omega, binding, r_d)
+    kkt = solve_relaxed(omega, binding)
     value = relaxed_objective(kkt, omega)
     check_rows.append((
         "solve_relaxed", cfg.n_tx, "binding_certificate_gap",
-        (relaxed_dual_bound(omega, binding, r_d, kkt.kkt_scale) - value) / value))
-    rows_value = relaxed_objective(solve_relaxed(channels, binding, r_d), omega)
+        (relaxed_dual_bound(omega, binding, kkt.kkt_scale) - value) / value))
+    rows_value = relaxed_objective(solve_relaxed(channels, binding), omega)
     check_rows.append(("solve_relaxed", cfg.n_tx, "binding_rows_rel_error",
                        abs(rows_value - value) / value))
     for path_name, form, scene, n in (
@@ -578,7 +578,7 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
             ("binding", omega, binding, 20),
             ("binding_rows", channels, binding, 20)):
         timing_rows.append(("solve_relaxed", cfg.n_tx, path_name, _median_time(
-            lambda: solve_relaxed(form, scene, r_d), n), n))
+            lambda: solve_relaxed(form, scene), n), n))
 
     # One inner iteration of the phase solver on the paper's 6 x 6 surface
     # and on a 16 x 16 one; on the 6 x 6 one, the relative distance of the

@@ -76,14 +76,13 @@ class InnerTrace:
 
     ``objectives`` is the weighted SNR at the start and after each accepted
     update; ``snapshot`` is (g, SNR_R, SNR_C) at the returned phases, so
-    ``snapshot[0] == objectives[-1]``, ``channels`` are the effective
-    channels there and ``products`` the Y = W P_nz there, which scored them.
+    ``snapshot[0] == objectives[-1]``, and ``channels`` are the effective
+    channels there, which scored them.
     """
 
     objectives: list[float] = field(default_factory=list)
     snapshot: tuple[float, float, float] = (math.nan, math.nan, math.nan)
     channels: EffectiveChannels | None = None
-    products: np.ndarray | None = None
     line_search_failed: bool = False
 
 
@@ -117,16 +116,6 @@ class SurrogateFactors:
         channels = effective_channels(theta, self.ch, self.cfg)
         y = channels.rows @ self.p_nz
         return channels, channels.scores(y), y
-
-    def products(self, channels: EffectiveChannels, y: np.ndarray
-                 ) -> np.ndarray:
-        """Y = W P_nz at the channels: ``y`` where it has a column per
-        nonzero column of P (W P_nz, or W P for P with none zero), else
-        formed here, because W P over the zero columns too rounds
-        differently in the nonzero ones."""
-        if y.shape[1] == self.p_nz.shape[1]:
-            return y
-        return channels.rows @ self.p_nz
 
     def quartic(self, channels: EffectiveChannels, y: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -273,16 +262,15 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
     ``_INNER_TOL`` |g_prev| or after ``inner_max`` iterations.  The
     recorded objective sequence is the true weighted SNR and must be
     nondecreasing (guaranteed by the anchor); a dip beyond 1e-9 relative
-    slack raises.  ``start`` is (channels, snapshot, Y) at theta0 where
-    the caller has them (``SurrogateFactors.at``), Y = W P_nz or W P that
-    scored P (``SurrogateFactors.products``).
+    slack raises.  ``start`` is (channels, snapshot) at theta0 where the
+    caller has them (``SurrogateFactors.at``).
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
-    channels, snapshot, y = start or factors.at(theta0)
-    y = factors.products(channels, y)
+    channels, snapshot = start or factors.at(theta0)[:2]
+    y = channels.rows @ factors.p_nz
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
         g_prev = snapshot[0]
@@ -296,7 +284,7 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         trace.objectives.append(g_new)
         if abs(g_new - g_prev) <= _INNER_TOL * abs(g_prev):
             break
-    trace.snapshot, trace.channels, trace.products = snapshot, channels, y
+    trace.snapshot, trace.channels = snapshot, channels
     return channels.theta, trace
 
 
@@ -325,8 +313,8 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
-    channels, snapshot, y = start or factors.at(theta0)
-    y = factors.products(channels, y)
+    channels, snapshot = start or factors.at(theta0)[:2]
+    y = channels.rows @ factors.p_nz
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
         theta = channels.theta.theta
@@ -353,5 +341,5 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         trace.objectives.append(snapshot[0])
         if abs(snapshot[0] - g_prev) <= _INNER_TOL * abs(g_prev):
             break
-    trace.snapshot, trace.channels, trace.products = snapshot, channels, y
+    trace.snapshot, trace.channels = snapshot, channels
     return channels.theta, trace

@@ -143,6 +143,10 @@ class EffectiveChannels:
         self.t, self.comm = self.rows[0], self.rows[1:]
         self.q_w = float(np.vdot(self.t, self.t).real)
 
+    def snrs(self, p: np.ndarray) -> tuple[float, float, float]:
+        """(g, SNR_R, SNR_C) of the precoder p: g = ||diag(sqrt d) W p||_F^2."""
+        return self.scores(self.rows @ p)
+
     def scores(self, y: np.ndarray) -> tuple[float, float, float]:
         """(g, SNR_R, SNR_C) from Y = W P: SNR_R = |alpha|^2 ||Y[0]||^2 ||t||^2
         / sigma_R^2, SNR_C = ||Y[1:]||^2 / sigma_C^2 (Y[0] = P^T t, Y[1:] = C P)."""

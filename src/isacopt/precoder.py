@@ -33,6 +33,7 @@ of eigenpairs of R* above rounding level.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -170,10 +171,23 @@ def project_spectrahedron(m: np.ndarray, target: float) -> np.ndarray:
     return hermitize((u * v) @ u.conj().T)
 
 
-def _beam(cfg: SceneConfig) -> np.ndarray:
-    """b, the unit transmit steering vector toward the surface."""
-    b = ula_steering(cfg.radar_irs_azimuth, cfg.n_tx, cfg.spacing_over_lambda)
-    return b / np.linalg.norm(b)
+def _target(cfg: SceneConfig) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(c, d, b, R_D) of the scene's target R_D = c I + d b b^H
+    (``default_beampattern_target``), b and R_D read-only."""
+    return _target_of(cfg.n_tx, cfg.power_budget, cfg.beampattern_mix,
+                      cfg.radar_irs_azimuth, cfg.spacing_over_lambda)
+
+
+# solve_relaxed reads R_D every outer iteration; it depends on five scalars
+@functools.lru_cache(maxsize=16)
+def _target_of(n: int, p_t: float, mix: float, azimuth: float,
+               spacing: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    b = ula_steering(azimuth, n, spacing)
+    b = b / np.linalg.norm(b)
+    c, d = (1.0 - mix) * (p_t / n), mix * p_t
+    r_d = c * np.eye(n) + d * np.outer(b, b.conj())
+    b.flags.writeable = r_d.flags.writeable = False
+    return c, d, b, r_d
 
 
 def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
@@ -182,11 +196,9 @@ def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
     R_D = (1 - mix) * (P_T/N) I + mix * P_T b b^H with b the normalized
     transmit steering vector toward the surface: a convex combination of
     two PSD matrices of trace P_T (mix lies in [0, 1]), so feasible by
-    construction.
+    construction.  Every solver reads this target from the scene.
     """
-    n, p_t, mix = cfg.n_tx, cfg.power_budget, cfg.beampattern_mix
-    b = _beam(cfg)
-    return (1.0 - mix) * (p_t / n) * np.eye(n) + mix * p_t * np.outer(b, b.conj())
+    return _target(cfg)[3].copy()
 
 
 def check_beampattern_target(r_d: np.ndarray, cfg: SceneConfig):
@@ -208,7 +220,7 @@ def validate_beampattern_target(cfg: SceneConfig):
     check_beampattern_target(r_d, cfg)
     # a covariance with no factor or in-ball scale is recovered as S_K(0),
     # which does not depend on Omega
-    factor_precoder(RelaxedCovariance(r_d), np.zeros_like(r_d), cfg, r_d)
+    factor_precoder(RelaxedCovariance(r_d), r_d, cfg)
 
 
 class KktForm:
@@ -227,16 +239,16 @@ class KktForm:
 
     A point is (V, v, v0): A0 + t A1 = V diag(lam) V^H, and the point is
     Q V diag(v) V^H Q^H + v0 (I - Q Q^H).  Testing a scale t costs one
-    r x r ``eigh``; ``dense`` forms the N x N matrix of a point.
+    r x r ``eigh``; ``dense`` forms the N x N matrix of a point, and
+    ``rank_factor`` the N x K factor of a rank-K point.
     """
 
     def __init__(self, q: np.ndarray, beta: np.ndarray, a1: np.ndarray,
                  cfg: SceneConfig):
         n = q.shape[0]
-        p_t, mix = cfg.power_budget, cfg.beampattern_mix
         self.q, self.beta, self.a1, self.cfg = q, beta, a1, cfg
         self.copies = n - q.shape[1]          # the complement's dimension
-        self.c, self.d = (1.0 - mix) * (p_t / n), mix * p_t
+        self.c, self.d = _target(cfg)[:2]
         self.beta_conj = beta.conj()
         self.a0 = self.d * np.outer(beta, self.beta_conj)
         self.norm_omega = math.sqrt(float(np.vdot(a1, a1).real))
@@ -249,7 +261,7 @@ class KktForm:
                       ) -> "KktForm":
         rows = channels.rows
         span = np.empty((rows.shape[1], 1 + rows.shape[0]), dtype=complex)
-        span[:, 0] = _beam(cfg)
+        span[:, 0] = _target(cfg)[2]
         np.conjugate(rows.T, out=span[:, 1:])
         q, r1 = np.linalg.qr(span)
         d_r, d_c = channels.weights()
@@ -261,7 +273,7 @@ class KktForm:
     @classmethod
     def from_eigh(cls, w: np.ndarray, u: np.ndarray, cfg: SceneConfig
                   ) -> "KktForm":
-        return cls(u, u.conj().T @ _beam(cfg), np.diag(w), cfg)
+        return cls(u, u.conj().T @ _target(cfg)[2], np.diag(w), cfg)
 
     @classmethod
     def of(cls, omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
@@ -289,31 +301,18 @@ class KktForm:
         v, v0 = _simplex_scaled(lam, self.cfg.power_budget, self.copies)
         return (vec, v, v0), self._dist2(vec, v, v0)
 
-    def rank_point(self, t: float, k: int) -> tuple[tuple, float]:
-        """S_K(t) = Pi_{C_K}(R_D + t Omega), C_K = {S >= 0, tr S = P_T,
-        rank S <= k}, and its squared distance from R_D: the top k
-        eigenpairs, their eigenvalues projected onto the simplex.  They lie
-        in span Q: k <= r, and the complement's c is below every c + lam
-        where A0 + t A1 >= 0, or absent (r = N).  At t = 0 the distance is
-        ``_nearest_rank_dist2``."""
+    def rank_factor(self, t: float, k: int) -> np.ndarray:
+        """F (N x k, zero-padded) with F F^H = S_K(t) = Pi_{C_K}(R_D + t Omega),
+        C_K = {S >= 0, tr S = P_T, rank S <= k}: the top k eigenpairs, their
+        eigenvalues projected onto the simplex.  They lie in span Q: k <= r,
+        and the complement's c is below every c + lam where A0 + t A1 >= 0,
+        or absent (r = N)."""
         lam, vec = np.linalg.eigh(self.a0 + t * self.a1)
-        v = np.zeros(lam.size)
-        v[-min(k, lam.size):], _ = _simplex_scaled(lam[-k:],
-                                                   self.cfg.power_budget)
-        if t == 0.0:
-            return (vec, v, 0.0), self._nearest_rank_dist2(k)
-        return (vec, v, 0.0), self._dist2(vec, v, 0.0)
-
-    def _nearest_rank_dist2(self, k: int) -> float:
-        """||S_K(0) - R_D||^2 in closed form, the same for every form of a
-        scene, so the test ``validate_beampattern_target`` makes when a
-        config loads is the one recovery makes: R_D has eigenvalues c + d
-        (on b) and c, and S_K(0) projects its top k onto the simplex."""
-        n = self.q.shape[0]
-        lam = np.full(min(k, n), self.c)
-        lam[-1] += self.d
-        v, _ = _simplex_scaled(lam, self.cfg.power_budget)
-        return float(np.sum((v - lam) ** 2)) + (n - lam.size) * self.c ** 2
+        m = min(k, lam.size)
+        v, _ = _simplex_scaled(lam[-m:], self.cfg.power_budget)
+        f = np.zeros((self.q.shape[0], k), dtype=complex)
+        f[:, :m] = (self.q @ vec[:, -m:]) * np.sqrt(v)
+        return f
 
     def _dist2(self, vec: np.ndarray, v: np.ndarray, v0: float) -> float:
         """||point - R_D||^2 = ||diag(v - c) - d g g^H||^2 + (N - r)(v0 - c)^2
@@ -336,14 +335,6 @@ class KktForm:
         s = (u * (v - v0)) @ u.conj().T
         s.flat[::s.shape[0] + 1] += v0
         return hermitize(s)
-
-    def factor(self, x: tuple, k: int) -> np.ndarray:
-        """F (N x k, zero-padded) with F F^H a ``rank_point``."""
-        vec, v, _ = x
-        f = np.zeros((self.q.shape[0], k), dtype=complex)
-        m = min(k, v.size)
-        f[:, :m] = (self.q @ vec[:, -m:]) * np.sqrt(v[-m:])
-        return f
 
     def _error(self, t: float) -> float:
         """e = 4 N eps (||R_D|| + t ||Omega||), the rounding of a computed S(t)."""
@@ -370,7 +361,7 @@ class KktForm:
                 + (e + err * self.cfg.power_budget) * self.norm_omega)
 
 
-def _kkt_root(point, gamma: float, lo, hi, floor: float = 0.0, slack=None):
+def _kkt_root(point, gamma: float, lo, hi, slack, floor: float = 0.0):
     """Find where the nondecreasing d(t) crosses gamma by Chandrupatla's
     bracketing method (Adv. Eng. Softw. 28, 1997), ``point(t)`` giving
     (x, d(t)), x's squared distance from R_D.  The ends are tested points
@@ -385,7 +376,7 @@ def _kkt_root(point, gamma: float, lo, hi, floor: float = 0.0, slack=None):
     level of the distance, d is rounding noise), and at adjacent floats.
     """
     def settled(end):
-        return slack is not None and abs(end[2] - gamma) <= slack(end[0], end[2])
+        return abs(end[2] - gamma) <= slack(end[0], end[2])
 
     a, b, c = hi, lo, None     # a: the end tested last; c: the end dropped last
     while (hi[0] - lo[0] > (tol := max(_KKT_REL_WIDTH * hi[0], floor))
@@ -417,29 +408,28 @@ def _kkt_root(point, gamma: float, lo, hi, floor: float = 0.0, slack=None):
     return lo, hi
 
 
-def dykstra_project(m: np.ndarray, cfg: SceneConfig, r_d: np.ndarray) -> np.ndarray:
-    """Project onto {PSD} n {tr = P_T} n {Frobenius ball around R_D}.
+def dykstra_project(m: np.ndarray, cfg: SceneConfig) -> np.ndarray:
+    """Project onto {PSD} n {tr = P_T} n {Frobenius ball around R_D}, R_D
+    the scene's ``default_beampattern_target``.
 
     By KKT the projection of M is Pi_C(R_D + s (M - R_D)) with s = 1/(1 + mu),
     mu the ball's multiplier: s = 1 if that point lies in the ball, else the
     root search of ``solve_relaxed`` on the ``KktForm`` of M - R_D finds s.
-    R_D must be the scene's ``default_beampattern_target``.  Nothing in the
-    library calls it; it is kept for the tracer, under the name of the
-    Dykstra iteration it replaced.
+    Nothing in the library calls it; it is kept for the tracer, under the
+    name of the Dykstra iteration it replaced.
     """
-    check_beampattern_target(r_d, cfg)
-    gamma = cfg.beampattern_tol
+    r_d, gamma = _target(cfg)[3], cfg.beampattern_tol
     form = KktForm.of(m - r_d, cfg)
     x, dist2 = form.point(1.0)
     if dist2 > gamma:
         # S(0) = Pi_C(R_D) = R_D
         _, (_, x, _) = _kkt_root(form.point, gamma, (0.0, None, 0.0),
-                                 (1.0, x, dist2), slack=form.slack)
+                                 (1.0, x, dist2), form.slack)
     return project_ball(form.dense(x), r_d, gamma)
 
 
 def relaxed_dual_bound(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
-                       r_d: np.ndarray, t: float) -> float:
+                       t: float) -> float:
     """Upper bound on max tr(S Omega) over the feasible covariance set.
 
     For any t > 0 the Lagrangian with multiplier 1/(2t) on the ball is,
@@ -452,8 +442,7 @@ def relaxed_dual_bound(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
     error of evaluating it.  The allowance is near 1e-14 relative for the
     scenes of the experiments, and dominates only when gamma nears the
     rounding level of the distance.  ``omega`` is Omega, dense or as its
-    ``EffectiveChannels``; R_D is the scene's ``default_beampattern_target``,
-    which the form reads from ``cfg``.
+    ``EffectiveChannels``; R_D is the scene's ``default_beampattern_target``.
     """
     if not t > 0:
         raise ConfigError(f"dual scale must be positive, got t={t}")
@@ -473,8 +462,8 @@ def slack_bound(lam_max: float, norm_omega: float, cfg: SceneConfig) -> float:
     return cfg.power_budget * (lam_max + err * norm_omega)
 
 
-def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
-                  r_d: np.ndarray) -> RelaxedCovariance:
+def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
+                  ) -> RelaxedCovariance:
     """Maximize tr(S Omega) over the feasible covariance set.
 
     ``omega`` is Omega as a dense matrix or as the ``EffectiveChannels`` it
@@ -502,8 +491,7 @@ def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
     returned as it is, with in-ball scale t and ``slack_bound`` (a repeated
     top eigenvalue can leave S(t) inside the ball for every t); SolverError
     if neither happens within a fixed number of doublings.  R_D is the
-    scene's ``default_beampattern_target``, whose structure the form reads
-    from ``cfg``; it is checked when a config loads
+    scene's ``default_beampattern_target``, checked when a config loads
     (``validate_beampattern_target``), not here.
     """
     if isinstance(omega, EffectiveChannels):
@@ -513,17 +501,17 @@ def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
         eig = np.linalg.eigh(omega)
         lam, top, norm_omega = (float(eig[0][-1]), eig[1][:, -1],
                                 float(np.linalg.norm(omega)))
+    r_d, gamma = _target(cfg)[3], cfg.beampattern_tol
     top = top[:, np.newaxis]
     s = cfg.power_budget * (top @ top.conj().T)
     bound = slack_bound(lam, norm_omega, cfg)
     diff = s - r_d
-    if float(np.vdot(diff, diff).real) <= cfg.beampattern_tol:
+    if float(np.vdot(diff, diff).real) <= gamma:
         return RelaxedCovariance(s, factor=math.sqrt(cfg.power_budget) * top,
                                  dual_bound=bound)
     form = (KktForm.from_channels(omega, cfg)
             if isinstance(omega, EffectiveChannels)
             else KktForm.from_eigh(*eig, cfg))
-    gamma = cfg.beampattern_tol
     attainable = cfg.power_budget * lam
     t = form.start_scale()
     lo = (0.0, None, 0.0)     # S(0) = Pi_C(R_D) = R_D
@@ -539,8 +527,7 @@ def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
         raise SolverError(
             f"KKT search: S(t) stayed inside the beampattern ball below its "
             f"optimum after {_KKT_MAX_DOUBLINGS} doublings of t")
-    lo, (t_hi, x_hi, dist2) = _kkt_root(form.point, gamma, lo, hi,
-                                        slack=form.slack)
+    lo, (t_hi, x_hi, dist2) = _kkt_root(form.point, gamma, lo, hi, form.slack)
     return RelaxedCovariance(
         project_ball(form.dense(x_hi), r_d, gamma), kkt_scale=t_hi,
         in_ball_scale=lo[0], dual_bound=form.dual_bound(t_hi, x_hi, dist2),
@@ -557,9 +544,36 @@ def precoder_objective(p: Precoder, omega: np.ndarray) -> float:
     return float(np.real(np.vdot(p.p, omega @ p.p)))
 
 
+def _distance2(f: np.ndarray, r_d: np.ndarray) -> float:
+    """||F F^H - R_D||^2, formed densely."""
+    return float(np.sum(np.abs(f @ f.conj().T - r_d) ** 2))
+
+
+def _nearest_rank_dist2(cfg: SceneConfig, k: int) -> float:
+    """||S_K(0) - R_D||^2 in closed form, S_K(0) = Pi_{C_K}(R_D) the
+    nearest rank-k covariance to R_D: R_D has eigenvalues c + d (on b) and
+    c, and S_K(0) projects its top k onto the simplex."""
+    c, d, b, _ = _target(cfg)
+    lam = np.full(min(k, b.size), c)
+    lam[-1] += d
+    v, _ = _simplex_scaled(lam, cfg.power_budget)
+    return float(np.sum((v - lam) ** 2)) + (b.size - lam.size) * c ** 2
+
+
+def _nearest_rank_factor(cfg: SceneConfig, k: int) -> np.ndarray:
+    """F (N x k, zero-padded) with F F^H = S_K(0), from a dense ``eigh`` of
+    R_D, whose ties it breaks as that ``eigh`` does."""
+    r_d = _target(cfg)[3]
+    w, u = np.linalg.eigh(r_d)
+    f = np.zeros((r_d.shape[0], k), dtype=complex)
+    f[:, :min(k, w.size)] = u[:, -k:] * np.sqrt(
+        _simplex_scaled(w[-k:], cfg.power_budget)[0])
+    return f
+
+
 def factor_precoder(s: RelaxedCovariance,
-                    omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
-                    r_d: np.ndarray) -> Precoder:
+                    omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
+                    ) -> Precoder:
     """Recover a K-column precoder, K = ``cfg.n_users``, with no draws.
 
     An exact factor of at most K columns (slack ball), zero-padded and
@@ -568,19 +582,19 @@ def factor_precoder(s: RelaxedCovariance,
     the factor of S_K(t) = Pi_{C_K}(R_D + t Omega), C_K = {S >= 0,
     tr S = P_T, rank S <= K}, at the largest t tested inside the ball: S's
     in-ball scale t_in, where S_K = S if rank S(t_in) <= K, else the root
-    search of ``solve_relaxed`` on [0, t_in], to a width of 1e-13 t_in,
-    which keeps its tested in-ball end.
+    search of ``solve_relaxed`` on [0, t_in], to a width of 1e-13 t_in.
     (S_K(t) minimizes ||S - R_D||^2 - 2t tr(Omega S) over C_K, so both terms
-    are nondecreasing in t; returning only tested points guards against
-    rounding, up to that of the tested distance, which the form computes in
-    r x r terms: the dense ||F F^H - R_D||^2 agrees to about
-    2 sqrt(gamma) e, e the rounding of F F^H.)  S_K(0) is the point
-    ``validate_beampattern_target`` tests, and the answer when S has
-    neither a factor nor an in-ball scale.  The search runs on S's
-    ``KktForm`` (``KktForm.rank_point``), or on the form of ``omega``,
-    Omega dense or as its ``EffectiveChannels``, where S has none; R_D is
-    the scene's ``default_beampattern_target``, which the form reads from
-    ``cfg``.
+    are nondecreasing in t.)  The search runs on S's ``KktForm``
+    (``KktForm.rank_factor``, one r x r ``eigh``), or on the form of
+    ``omega``, Omega dense or as its ``EffectiveChannels``, where S has
+    none, and tests each factor F by the dense ||F F^H - R_D||^2, so the
+    precoder returned lies inside the ball as computed.  S_K(0), the
+    nearest rank-K covariance to R_D (from a dense ``eigh`` of R_D), is the
+    answer when S has neither a factor nor an in-ball scale, where it lies
+    on the sphere (a search from there picks among R_D's tied eigenvectors
+    by rounding), and where no t > 0 tests inside; it is the point
+    ``validate_beampattern_target`` tests, and ConfigError if it lies
+    outside.  R_D is the scene's ``default_beampattern_target``.
     """
     gamma, k = cfg.beampattern_tol, cfg.n_users
     if s.factor is not None and s.factor.shape[1] <= k:
@@ -589,26 +603,34 @@ def factor_precoder(s: RelaxedCovariance,
         return Precoder(
             p * math.sqrt(cfg.power_budget / float(np.vdot(p, p).real)))
 
-    form = s.form or KktForm.of(omega, cfg)
-
-    def point(t):
-        return form.rank_point(t, k)
-
+    r_d = _target(cfg)[3]
     t_in = s.in_ball_scale or 0.0
-    x, dist2 = point(t_in)
-    if dist2 > gamma and t_in > 0.0:
-        hi = (t_in, x, dist2)
-        x, dist2 = point(0.0)
+    if t_in > 0.0:
+        form = s.form or KktForm.of(omega, cfg)
+
+        def point(t):
+            f = form.rank_factor(t, k)
+            return f, _distance2(f, r_d)
+
+        f, dist2 = point(t_in)
+        if dist2 <= gamma:
+            return Precoder(f)
+        near2 = _nearest_rank_dist2(cfg, k)
         # on the sphere, S_K(0) is kept: nearer t, d_K(t) is gamma up to
         # rounding, and the top K of R_D's tied eigenvalues are picked by it
-        if dist2 < gamma:
-            (_, x, dist2), _ = _kkt_root(point, gamma, (0.0, x, dist2), hi,
-                                         _KKT_REL_WIDTH * t_in, form.slack)
+        if near2 < gamma:
+            (t, f, _), _ = _kkt_root(point, gamma, (0.0, None, near2),
+                                     (t_in, f, dist2), form.slack,
+                                     _KKT_REL_WIDTH * t_in)
+            if t > 0.0:
+                return Precoder(f)
+    f = _nearest_rank_factor(cfg, k)
+    dist2 = _distance2(f, r_d)
     if dist2 > gamma:
         raise ConfigError(f"beampattern ball too tight: the nearest {k}-column "
                           f"precoder to R_D is at squared distance {dist2:.6g} "
                           f"> {gamma:.6g}")
-    return Precoder(form.factor(x, k))
+    return Precoder(f)
 
 
 def unit_diag_dual_bound(a: np.ndarray, r: np.ndarray) -> float:

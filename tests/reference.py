@@ -241,7 +241,7 @@ def rank_k_point(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray,
     """F (N x min(k, N)) with F F^H = S_K(t) = Pi_{C_K}(R_D + t Omega), the
     top k eigenpairs of a dense ``eigh`` with their eigenvalues projected
     onto the simplex, and ||F F^H - R_D||^2: the oracle for
-    ``KktForm.rank_point``."""
+    ``KktForm.rank_factor``."""
     w, u = np.linalg.eigh(hermitize(r_d + t * omega))
     f = u[:, -k:] * np.sqrt(simplex_projection(w[-k:], cfg.power_budget))
     return f, float(np.sum(np.abs(f @ f.conj().T - r_d) ** 2))
@@ -260,7 +260,8 @@ def dense_kkt_search(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray
         if hi[2] > gamma:
             break
         lo, t = hi, 2.0 * t
-    _, hi = _kkt_root(lambda t: kkt_point(omega, cfg, r_d, t), gamma, lo, hi)
+    _, hi = _kkt_root(lambda t: kkt_point(omega, cfg, r_d, t), gamma, lo, hi,
+                      lambda t, d: 0.0)
     return project_ball(hi[1], r_d, gamma), hi[0]
 
 

@@ -200,7 +200,7 @@ def test_criterion_06_convex_subproblem_optimality():
         r_d = default_beampattern_target(cfg)
         m = complex_normal(rng, n, n)
         omega = m @ m.conj().T
-        s = solve_relaxed(omega, cfg, r_d)
+        s = solve_relaxed(omega, cfg)
         target = cfg.power_budget * float(np.linalg.eigvalsh(omega)[-1])
         worst_gap = max(worst_gap,
                         abs(relaxed_objective(s, omega) - target) / target)

@@ -158,43 +158,11 @@ class TestRunAlternating:
         def constant_snapshot(self, y):
             return 42.0, 42.0, 42.0
 
-        # the loop and the phase step both score through scores
+        # snrs and the phase step both score through scores
         monkeypatch.setattr(EffectiveChannels, "scores", constant_snapshot)
         _, _, trace = alt.run_alternating(ch, cfg, opts=SolverOptions(t_max=9))
         assert trace.terminated_by == "tolerance"
         assert len(trace.objective_per_outer) == 2
-
-    @pytest.mark.parametrize("method", ["minorization", "manifold"])
-    def test_phase_step_starts_from_the_scoring_products(self, monkeypatch,
-                                                         method):
-        # the loop hands the phase step the products that scored the
-        # precoder it passes: W P for a recovered one, the phase step's own
-        # W P_nz for the incumbent after a dip; the step works from
-        # W P_nz at its start channels either way, bit for bit
-        cfg = SceneConfig(beta=0.5, beampattern_tol=0.1)
-        ch = make_channels(cfg, np.random.default_rng(0))
-        name = f"solve_irs_{method}"
-        solver, factor = getattr(alternating, name), alternating.factor_precoder
-        reused = []
-
-        def spy(theta, p, ch_, cfg_, inner_max, start):
-            factors = irs.SurrogateFactors(p, ch_, cfg_)
-            y = factors.products(start[0], start[2])
-            np.testing.assert_array_equal(y, start[0].rows @ factors.p_nz)
-            reused.append(y is start[2])
-            return solver(theta, p, ch_, cfg_, inner_max=inner_max, start=start)
-
-        def halved_second(relaxed, *args):
-            p = factor(relaxed, *args)
-            return type(p)(0.5 * p.p) if len(reused) == 1 else p
-
-        monkeypatch.setattr(alternating, name, spy)
-        monkeypatch.setattr(alternating, "factor_precoder", halved_second)
-        _, _, trace = run_alternating(ch, cfg, opts=SolverOptions(
-            eps_rel=1e-9, t_max=4, irs_method=method))
-        assert 2 in trace.precoder_dips
-        # binding recoveries have K nonzero columns, and a dip brings W P_nz
-        assert reused == [True] * len(trace.objective_per_outer)
 
     def test_power_budget_met(self):
         cfg, ch = tiny_scene()

@@ -463,7 +463,7 @@ class TestBench:
         for seed in range(200):
             ch = make_channels(cfg, np.random.default_rng(seed))
             omega = build_omega(ones, ch, cfg)
-            closed = solve_relaxed(omega, slack, r_d)
+            closed = solve_relaxed(omega, slack)
             gaps.append(harness._closed_form_gap(
                 omega, cfg, relaxed_objective(closed, omega)))
         assert 0.0 <= min(gaps) and max(gaps) <= 1e-12

@@ -175,8 +175,8 @@ class TestEffectiveChannels:
         assert lam == 0.0 and norm == 0.0
         np.testing.assert_array_equal(top, np.eye(cfg.n_tx)[-1])
         r_d = default_beampattern_target(cfg)
-        s = solve_relaxed(channels, cfg, r_d)
-        dense = solve_relaxed(build_omega(theta, zero, cfg), cfg, r_d)
+        s = solve_relaxed(channels, cfg)
+        dense = solve_relaxed(build_omega(theta, zero, cfg), cfg)
         np.testing.assert_array_equal(s.s, dense.s)
         assert s.dual_bound == dense.dual_bound == 0.0
 

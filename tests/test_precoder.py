@@ -166,14 +166,14 @@ class TestDykstraProject:
     def test_feasible_input_fixed_point(self, rng):
         cfg = small_config()
         r_d = default_beampattern_target(cfg)
-        out = dykstra_project(r_d, cfg, r_d)
+        out = dykstra_project(r_d, cfg)
         assert np.linalg.norm(out - r_d) <= 1e-8 * max(1.0, np.linalg.norm(r_d))
 
     def test_large_perturbation_becomes_feasible(self, rng):
         cfg = small_config()
         r_d = default_beampattern_target(cfg)
         m = r_d + random_psd(rng, cfg.n_tx, scale=5.0)
-        out = dykstra_project(m, cfg, r_d)
+        out = dykstra_project(m, cfg)
         w = np.linalg.eigvalsh(out)
         assert w[0] >= -1e-8 * max(1.0, abs(w).max())
         assert abs(np.trace(out).real - cfg.power_budget) <= 1e-8
@@ -183,7 +183,7 @@ class TestDykstraProject:
         cfg = small_config(beampattern_tol=1e-10)
         r_d = default_beampattern_target(cfg)
         m = r_d + random_hermitian(rng, cfg.n_tx)
-        out = dykstra_project(m, cfg, r_d)
+        out = dykstra_project(m, cfg)
         assert np.linalg.norm(out - r_d) <= 1e-4
 
     def test_agrees_with_cyclic_projection(self, rng):
@@ -195,7 +195,7 @@ class TestDykstraProject:
                  lambda v: project_ball(v, r_d, cfg.beampattern_tol)]
         for _ in range(3):
             m = r_d + random_hermitian(rng, 3, scale=2.0)
-            out = dykstra_project(m, cfg, r_d)
+            out = dykstra_project(m, cfg)
             assert np.sum(np.abs(out - r_d) ** 2) == pytest.approx(
                 cfg.beampattern_tol, rel=1e-12)
             x = m.copy()
@@ -216,9 +216,9 @@ class TestDykstraProject:
         cfg = small_config(n_tx=4, beampattern_tol=0.2)
         r_d = default_beampattern_target(cfg)
         omega = random_psd(rng, 4)
-        s = solve_relaxed(omega, cfg, r_d).s
+        s = solve_relaxed(omega, cfg).s
         for eps in (1e-2, 1.0, 1e2):
-            out = dykstra_project(s + eps * omega, cfg, r_d)
+            out = dykstra_project(s + eps * omega, cfg)
             assert np.linalg.norm(out - s) <= 1e-12 * np.linalg.norm(s)
 
 
@@ -226,7 +226,7 @@ class TestSolveRelaxed:
     def test_identity_objective_gives_budget(self, rng):
         cfg = small_config()
         r_d = default_beampattern_target(cfg)
-        s = solve_relaxed(np.eye(cfg.n_tx, dtype=complex), cfg, r_d)
+        s = solve_relaxed(np.eye(cfg.n_tx, dtype=complex), cfg)
         assert relaxed_objective(s, np.eye(cfg.n_tx)) == pytest.approx(
             cfg.power_budget, rel=1e-8)
 
@@ -236,7 +236,7 @@ class TestSolveRelaxed:
             cfg = small_config(n_tx=n, beampattern_tol=1e6)
             r_d = default_beampattern_target(cfg)
             omega = random_psd(rng, n)
-            s = solve_relaxed(omega, cfg, r_d)
+            s = solve_relaxed(omega, cfg)
             target = cfg.power_budget * np.linalg.eigvalsh(omega)[-1]
             assert relaxed_objective(s, omega) == pytest.approx(target,
                                                                 rel=1e-6)
@@ -246,7 +246,7 @@ class TestSolveRelaxed:
         cfg = small_config(n_tx=4)
         r_d = default_beampattern_target(cfg)
         omega = random_psd(rng, 4)
-        s = solve_relaxed(omega, cfg, r_d)
+        s = solve_relaxed(omega, cfg)
         assert relaxed_objective(s, omega) >= float(
             np.real(np.vdot(omega, r_d))) - 1e-9
 
@@ -254,7 +254,7 @@ class TestSolveRelaxed:
         cfg = SceneConfig()   # 16 transmit antennas, 10 dB beampattern ball
         r_d = default_beampattern_target(cfg)
         omega = random_psd(rng, cfg.n_tx)
-        s = solve_relaxed(omega, cfg, r_d)
+        s = solve_relaxed(omega, cfg)
         assert relaxed_objective(s, omega) >= float(
             np.real(np.vdot(omega, r_d))) * (1 - 1e-12)
 
@@ -262,7 +262,7 @@ class TestSolveRelaxed:
         cfg = small_config()
         r_d = default_beampattern_target(cfg)
         omega = random_psd(rng, cfg.n_tx)
-        s = solve_relaxed(omega, cfg, r_d).s
+        s = solve_relaxed(omega, cfg).s
         w = np.linalg.eigvalsh(s)
         assert w[0] >= -1e-8
         assert np.trace(s).real == pytest.approx(cfg.power_budget, rel=1e-8)
@@ -272,7 +272,7 @@ class TestSolveRelaxed:
         cfg = SceneConfig()   # P_T = 1 and gamma = 10: the ball cannot bind
         r_d = default_beampattern_target(cfg)
         omega = random_psd(rng, cfg.n_tx)
-        s = solve_relaxed(omega, cfg, r_d)
+        s = solve_relaxed(omega, cfg)
         w, u = np.linalg.eigh(omega)
         top = u[:, -1]
         np.testing.assert_allclose(
@@ -291,7 +291,7 @@ class TestSolveRelaxed:
         w, u = np.linalg.eigh(omega)
         closed = cfg.power_budget * np.outer(u[:, -1], u[:, -1].conj())
         assert np.sum(np.abs(closed - r_d) ** 2) > cfg.beampattern_tol
-        s = solve_relaxed(omega, cfg, r_d)
+        s = solve_relaxed(omega, cfg)
         assert s.factor is None
         assert np.linalg.norm(s.s - closed) > 1e-3
         for res in feasibility_residuals(cfg, r_d):
@@ -300,18 +300,18 @@ class TestSolveRelaxed:
         assert value >= float(np.real(np.vdot(omega, r_d)))
         assert value <= cfg.power_budget * w[-1]
         # the dual bound at the scale the search stopped at certifies it
-        gap = (relaxed_dual_bound(omega, cfg, r_d, s.kkt_scale) - value) / value
+        gap = (relaxed_dual_bound(omega, cfg, s.kkt_scale) - value) / value
         assert -1e-12 <= gap <= 1e-12
 
     def test_dual_bound_holds_at_any_scale(self, rng):
         cfg = small_config(n_tx=4, beampattern_tol=0.2)
         r_d = default_beampattern_target(cfg)
         omega = random_psd(rng, 4)
-        value = relaxed_objective(solve_relaxed(omega, cfg, r_d), omega)
+        value = relaxed_objective(solve_relaxed(omega, cfg), omega)
         for t in (1e-3, 0.1, 1.0, 10.0, 1e3):
-            assert relaxed_dual_bound(omega, cfg, r_d, t) >= value * (1 - 1e-12)
+            assert relaxed_dual_bound(omega, cfg, t) >= value * (1 - 1e-12)
         with pytest.raises(ConfigError):
-            relaxed_dual_bound(omega, cfg, r_d, 0.0)
+            relaxed_dual_bound(omega, cfg, 0.0)
 
     def test_repeated_top_eigenvalue_face_meets_ball(self, rng):
         # Omega's top eigenvalue is double, every P_T u u^H on its eigenspace
@@ -331,7 +331,7 @@ class TestSolveRelaxed:
                      * np.linalg.eigvalsh(v.conj().T @ r_d @ v)[-1])
         assert face_dist2 < top_dist2
         cfg = small_config(n_tx=4, beampattern_tol=0.5 * (face_dist2 + top_dist2))
-        s = solve_relaxed(omega, cfg, r_d)
+        s = solve_relaxed(omega, cfg)
         for res in feasibility_residuals(cfg, r_d):
             assert res(s.s) <= 1e-12
         assert relaxed_objective(s, omega) == pytest.approx(
@@ -354,13 +354,13 @@ class TestKktRoot:
     def test_stored_dual_bound_is_relaxed_dual_bound(self, rng):
         for seed in (7, 8):
             cfg, r_d, omega = paper_binding_instance(seed)
-            s = solve_relaxed(omega, cfg, r_d)
+            s = solve_relaxed(omega, cfg)
             assert s.kkt_scale is not None
-            assert s.dual_bound == relaxed_dual_bound(omega, cfg, r_d,
+            assert s.dual_bound == relaxed_dual_bound(omega, cfg,
                                                       s.kkt_scale)
         cfg = SceneConfig()   # slack ball: no KKT point, the slack bound
         omega = random_psd(rng, cfg.n_tx)
-        s = solve_relaxed(omega, cfg, default_beampattern_target(cfg))
+        s = solve_relaxed(omega, cfg)
         assert s.kkt_scale is None
         assert s.dual_bound == precoder.slack_bound(
             float(np.linalg.eigh(omega)[0][-1]), float(np.linalg.norm(omega)),
@@ -369,7 +369,7 @@ class TestKktRoot:
     def test_root_agrees_with_brentq(self):
         brentq = pytest.importorskip("scipy.optimize").brentq
         cfg, r_d, omega = paper_binding_instance(7)
-        s = solve_relaxed(omega, cfg, r_d)
+        s = solve_relaxed(omega, cfg)
         t_hi = s.kkt_scale
 
         def phi(t):
@@ -395,7 +395,8 @@ class TestKktRoot:
                                               *point(1e3 * t_small))
         assert lo[2] <= gamma < hi[2]
         floor = floor_frac * hi[0]
-        new_lo, new_hi = precoder._kkt_root(point, gamma, lo, hi, floor)
+        new_lo, new_hi = precoder._kkt_root(point, gamma, lo, hi,
+                                            lambda t, d: 0.0, floor)
         assert lo[0] <= new_lo[0] < new_hi[0] <= hi[0]
         for (t, x, dist2), inside in ((new_lo, True), (new_hi, False)):
             assert tested[t][0] is x and tested[t][1] == dist2
@@ -407,7 +408,7 @@ class TestKktRoot:
     def test_solve_keeps_the_tested_bracket(self):
         cfg, r_d, omega = paper_binding_instance(8, beta=0.99)
         gamma = cfg.beampattern_tol
-        s = solve_relaxed(omega, cfg, r_d)
+        s = solve_relaxed(omega, cfg)
         assert 0.0 < s.in_ball_scale < s.kkt_scale
         assert s.kkt_scale - s.in_ball_scale <= 1e-13 * s.kkt_scale
         # the ends are tested points of the form the solve ran on ...
@@ -422,7 +423,7 @@ class TestKktRoot:
         np.testing.assert_allclose(s.s, project_ball(s_hi, r_d, gamma),
                                    rtol=0, atol=1e-14)
         # the recovered precoder is a tested in-ball point of the rank-K path
-        p = factor_precoder(s, omega, cfg, r_d)
+        p = factor_precoder(s, omega, cfg)
         assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) <= gamma
 
     @pytest.mark.parametrize("gamma", [1e-40, 1e-33, 1e-31, 1e-25, 1e-20])
@@ -444,7 +445,7 @@ class TestKktRoot:
         cfg = small_config(n_tx=4, k=4, beampattern_tol=gamma)
         r_d = default_beampattern_target(cfg)
         omega = random_psd(rng, 4)
-        s = solve_relaxed(omega, cfg, r_d)
+        s = solve_relaxed(omega, cfg)
         assert calls["kkt"] <= 12
         assert s.kkt_scale > 0.0
         for res in feasibility_residuals(cfg, r_d):
@@ -452,16 +453,16 @@ class TestKktRoot:
         np.testing.assert_allclose(s.s, r_d, rtol=0,
                                    atol=math.sqrt(gamma) + 1e-14)
         monkeypatch.undo()
-        assert s.dual_bound == relaxed_dual_bound(omega, cfg, r_d, s.kkt_scale)
+        assert s.dual_bound == relaxed_dual_bound(omega, cfg, s.kkt_scale)
         assert s.dual_bound >= relaxed_objective(s, omega)
         assert s.dual_bound >= float(np.real(np.vdot(omega, r_d)))
         np.testing.assert_allclose(
-            dykstra_project(r_d + omega, cfg, r_d), r_d, atol=1e-14)
+            dykstra_project(r_d + omega, cfg), r_d, atol=1e-14)
 
     def test_evaluation_counts_bounded(self, monkeypatch):
         # the beampattern config's ball (gamma = 0.1) binds on every draw;
         # the bisection this search replaced took about 46 and 44
-        calls = {"point": 0, "rank_point": 0}
+        calls = {"point": 0, "rank_factor": 0}
         for name in calls:
             method = getattr(precoder.KktForm, name)
 
@@ -475,13 +476,13 @@ class TestKktRoot:
             for beta in (0.01, 0.5, 0.99):
                 cfg, r_d, omega = paper_binding_instance(seed, beta=beta)
                 calls["point"] = 0
-                s = solve_relaxed(omega, cfg, r_d)
+                s = solve_relaxed(omega, cfg)
                 assert s.kkt_scale is not None
                 assert calls["point"] <= 16
-                calls["rank_point"] = 0
-                factor_precoder(s, omega, cfg, r_d)
-                assert calls["rank_point"] <= 16
-                searched += calls["rank_point"] > 1   # S(t_in) had rank > K
+                calls["rank_factor"] = 0
+                factor_precoder(s, omega, cfg)
+                assert calls["rank_factor"] <= 16
+                searched += calls["rank_factor"] > 1   # S(t_in) had rank > K
         assert searched >= 6
 
 
@@ -548,10 +549,10 @@ class TestKktForm:
                                            atol=1e-13 * np.linalg.norm(s))
                 assert form.trace(x) == pytest.approx(
                     float(np.vdot(omega, s).real), rel=1e-13)
-                x, dist2 = form.rank_point(t, k)
+                g = form.rank_factor(t, k)
                 f, dense2 = rank_k_point(omega, cfg, r_d, t, k)
-                assert dist2 == pytest.approx(dense2, rel=1e-13)
-                g = form.factor(x, k)
+                assert precoder._distance2(g, r_d) == pytest.approx(
+                    dense2, rel=1e-13)
                 assert g.shape == (cfg.n_tx, k)
                 np.testing.assert_allclose(
                     g @ g.conj().T, f @ f.conj().T, rtol=0,
@@ -562,7 +563,7 @@ class TestKktForm:
         # R_D = (P_T / N) I (mix 0) is 0.1375 from every rank-5 covariance
         cfg, r_d, channels = form_scene(name, beampattern_tol=0.2)
         omega = channels.omega
-        s = solve_relaxed(channels, cfg, r_d)
+        s = solve_relaxed(channels, cfg)
         assert s.kkt_scale is not None
         s_dense, t_hi = dense_kkt_search(omega, cfg, r_d)
         assert s.kkt_scale == pytest.approx(t_hi, rel=1e-12)
@@ -572,9 +573,8 @@ class TestKktForm:
         for res in feasibility_residuals(cfg, r_d):
             assert res(s.s) <= 1e-12
         assert 0.0 <= (s.dual_bound - value) / value <= 1e-12
-        p = factor_precoder(s, channels, cfg, r_d)
-        assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) <= \
-            cfg.beampattern_tol * (1 + 1e-12)
+        p = factor_precoder(s, channels, cfg)
+        assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) <= cfg.beampattern_tol
         assert precoder_objective(p, omega) <= s.dual_bound
 
     def test_zero_omega(self):
@@ -586,10 +586,10 @@ class TestKktForm:
         x, dist2 = form.point(3.0)
         assert dist2 <= 1e-30 and form.trace(x) == 0.0
         np.testing.assert_allclose(form.dense(x), r_d, rtol=0, atol=1e-15)
-        s = solve_relaxed(channels, cfg, r_d)
+        s = solve_relaxed(channels, cfg)
         assert s.kkt_scale is None and s.dual_bound == 0.0
         np.testing.assert_allclose(s.s, r_d, rtol=0, atol=1e-15)
-        p = factor_precoder(s, channels, cfg, r_d)
+        p = factor_precoder(s, channels, cfg)
         f, _ = rank_k_point(np.zeros_like(r_d), cfg, r_d, 0.0, cfg.n_users)
         assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) == pytest.approx(
             np.sum(np.abs(f @ f.conj().T - r_d) ** 2), rel=1e-12)
@@ -608,7 +608,7 @@ class TestKktForm:
         cfg = replace(cfg, beampattern_tol=gamma)
         form = precoder.KktForm.from_channels(channels, cfg)
         assert form.start_scale() == pytest.approx(t_star, rel=1e-13)
-        s = solve_relaxed(channels, cfg, r_d)
+        s = solve_relaxed(channels, cfg)
         assert s.kkt_scale == pytest.approx(t_star, rel=1e-12)
         assert s.in_ball_scale == pytest.approx(t_star, rel=1e-12)
         affine = r_d + t_star * omega_0
@@ -630,8 +630,8 @@ class TestKktForm:
         gamma = cfg.beampattern_tol
         hyperplane = (float(np.vdot(omega, affine).real)
                       + (gamma - np.sum(np.abs(affine - r_d) ** 2)) / (2 * t_star))
-        bound = relaxed_dual_bound(channels, cfg, r_d, t_star)
-        value = relaxed_objective(solve_relaxed(channels, cfg, r_d), omega)
+        bound = relaxed_dual_bound(channels, cfg, t_star)
+        value = relaxed_objective(solve_relaxed(channels, cfg), omega)
         assert hyperplane >= bound * (1 - 1e-12)
         assert bound >= value
         # S(t*) is inside the ball, as it must be at the start of the search
@@ -643,9 +643,9 @@ class TestFactorPrecoder:
         cfg = SceneConfig()
         r_d = default_beampattern_target(cfg)
         omega = random_psd(rng, cfg.n_tx)
-        s = solve_relaxed(omega, cfg, r_d)
+        s = solve_relaxed(omega, cfg)
         state = rng.bit_generator.state
-        p = factor_precoder(s, omega, cfg, r_d)
+        p = factor_precoder(s, omega, cfg)
         assert rng.bit_generator.state == state
         assert p.p.shape == (cfg.n_tx, cfg.n_users)
         assert p.power() == pytest.approx(cfg.power_budget, rel=1e-12)
@@ -664,8 +664,8 @@ class TestFactorPrecoder:
         u = complex_normal(rng, 4)
         u = u / np.linalg.norm(u)
         omega = np.outer(u, u.conj())
-        s = solve_relaxed(omega, cfg, r_d)
-        p = factor_precoder(s, omega, cfg, r_d)
+        s = solve_relaxed(omega, cfg)
+        p = factor_precoder(s, omega, cfg)
         # optimal column is sqrt(P_T) u up to a global phase
         overlap = abs(np.vdot(u, p.p[:, 0])) / np.linalg.norm(p.p[:, 0])
         assert overlap == pytest.approx(1.0, abs=1e-9)
@@ -676,8 +676,8 @@ class TestFactorPrecoder:
             cfg = small_config(n_tx=5, k=3)
             r_d = default_beampattern_target(cfg)
             omega = random_psd(rng, 5)
-            s = solve_relaxed(omega, cfg, r_d)
-            p = factor_precoder(s, omega, cfg, r_d)
+            s = solve_relaxed(omega, cfg)
+            p = factor_precoder(s, omega, cfg)
             assert p.power() == pytest.approx(cfg.power_budget, rel=1e-10)
             gram = p.p @ p.p.conj().T
             assert np.sum(np.abs(gram - r_d) ** 2) <= cfg.beampattern_tol
@@ -693,7 +693,7 @@ class TestFactorPrecoder:
             validate_beampattern_target(cfg)
         s = RelaxedCovariance(np.eye(3, dtype=complex) / 3)
         with pytest.raises(ConfigError):
-            factor_precoder(s, omega, cfg, r_d)
+            factor_precoder(s, omega, cfg)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 8), k_frac=st.floats(0.0, 1.0),
@@ -707,12 +707,9 @@ class TestFactorPrecoder:
         omega = random_psd(rng, n)
         cfg = small_config(n_tx=n, k=k)   # a slack ball
         r_d = default_beampattern_target(cfg)
-        # recovered with neither a factor nor an in-ball scale: S_K(0), at
-        # the distance recovery tests it at
-        f0 = factor_precoder(RelaxedCovariance(r_d), omega, cfg, r_d).p
-        near2 = precoder.KktForm.of(omega, cfg).rank_point(0.0, k)[1]
-        assert near2 == pytest.approx(
-            float(np.sum(np.abs(f0 @ f0.conj().T - r_d) ** 2)), rel=1e-12)
+        # recovered with neither a factor nor an in-ball scale: S_K(0)
+        f0 = factor_precoder(RelaxedCovariance(r_d), omega, cfg).p
+        near2 = float(np.sum(np.abs(f0 @ f0.conj().T - r_d) ** 2))
         top = np.linalg.eigh(omega)[1][:, -1]
         slack2 = float(np.sum(np.abs(
             cfg.power_budget * np.outer(top, top.conj()) - r_d) ** 2))
@@ -720,26 +717,20 @@ class TestFactorPrecoder:
         if not 0.0 < gamma < slack2:
             return
         cfg = small_config(n_tx=n, k=k, beampattern_tol=gamma)
-        s = solve_relaxed(omega, cfg, r_d)
-        p = factor_precoder(s, omega, cfg, r_d)
+        s = solve_relaxed(omega, cfg)
+        p = factor_precoder(s, omega, cfg)
         assert p.p.shape == (n, k)
         assert abs(p.power() - cfg.power_budget) <= 1e-12 * cfg.power_budget
-        # tested inside the ball on the KKT path, by the factored distance,
-        # which the dense one matches up to its rounding 2 sqrt(d) e + e^2,
-        # e the rounding of F F^H (it decides where gamma is near that
-        # level: the nearest rank-N covariance to R_D is R_D, at 0); on the
-        # slack path the factor's Gram matrix is S, inside up to rounding
+        # tested inside the ball on the KKT path; on the slack path the
+        # factor's Gram matrix is S, which is inside, up to rounding
         gram = p.p @ p.p.conj().T
-        form = precoder.KktForm.of(omega, cfg)
-        e = form.err * (form.norm_r_d + (s.in_ball_scale or 0.0)
-                        * form.norm_omega)
-        assert np.sum(np.abs(gram - r_d) ** 2) <= cfg.beampattern_tol * (
-            1 + 1e-12) + 2.0 * math.sqrt(cfg.beampattern_tol) * e + e * e
+        slack = 1e-12 if s.factor is not None else 0.0
+        assert np.sum(np.abs(gram - r_d) ** 2) <= cfg.beampattern_tol * (1 + slack)
         value = precoder_objective(p, omega)
         assert value >= float(np.real(np.vdot(f0, omega @ f0))) * (1 - 1e-12)
         bound = (cfg.power_budget * np.linalg.eigvalsh(omega)[-1]
                  if s.kkt_scale is None
-                 else relaxed_dual_bound(omega, cfg, r_d, s.kkt_scale))
+                 else relaxed_dual_bound(omega, cfg, s.kkt_scale))
         assert value <= bound * (1 + 1e-12)
         w = np.linalg.eigvalsh(s.s)
         if np.count_nonzero(w > 1e-12 * cfg.power_budget) <= k:
@@ -1035,6 +1026,16 @@ class TestLowRankStudy:
 class TestBeampatternTarget:
     def test_default_target_feasible(self):
         validate_beampattern_target(SceneConfig())
+
+    def test_cached_target_is_shared_read_only(self):
+        # the solvers read one cached R_D per scene; callers get a copy
+        cfg = SceneConfig()
+        r_d = default_beampattern_target(cfg)
+        r_d[:] = 0.0
+        shared = precoder._target(cfg)[3]
+        assert not shared.flags.writeable
+        np.testing.assert_array_equal(default_beampattern_target(cfg), shared)
+        assert float(np.trace(shared).real) == pytest.approx(cfg.power_budget)
 
     @pytest.mark.parametrize("p_t", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("n", [1, 4, 16, 64])
