@@ -1,13 +1,18 @@
 """Alternating optimization of the precoder and the surface phases.
 
-One outer iteration works from the effective channels at the current
-phases (``objective.EffectiveChannels``): it solves the relaxed precoder
-problem from them, recovers a K-column precoder deterministically
-(``factor_precoder``), scores it and the previous precoder on them, then
-updates the phases with the ascent-safeguarded closed-form step, which
-starts from those channels and that score and returns the channels at the
-new phases for the next outer iteration.  A recovered precoder that scores
-below the previous one is dropped for it (``RunTrace.precoder_dips``).
+The channel constants that do not change during a run (G^T, conj(G),
+H^H, conj(a) and the objective's weights; ``objective.ChannelConstants``)
+are formed once per run, not cached on the ``ChannelSet``, so an outer
+iteration does only the theta- and P-dependent work.  It works from the
+effective channels at the current phases (``objective.EffectiveChannels``):
+it solves the relaxed precoder problem from them, recovers a K-column
+precoder deterministically (``factor_precoder``, which hands over its
+nonzero columns P_nz), scores it by the products Y = W P_nz, then updates
+the phases with the ascent-safeguarded closed-form step, which starts from
+those channels, that score and those products, and returns all three at
+the new phases for the next outer iteration.  A recovered precoder that
+scores below the previous one is dropped for it, with the previous
+precoder's score and products (``RunTrace.precoder_dips``).
 Termination follows the relative-change rule |g(t+1) - g(t)| / g(t) <=
 eps_rel, checked from the second outer iteration on, with a hard iteration
 cap.
@@ -25,7 +30,8 @@ import numpy as np
 from .errors import (ConfigError, SolverError, require_finite,
                      require_integer)
 from .irs import solve_irs_manifold, solve_irs_minorization
-from .objective import IrsPhase, Precoder, effective_channels
+from .objective import (ChannelConstants, IrsPhase, Precoder,
+                        effective_channels)
 # Unused here since the loop scores on the effective channels; kept for
 # the tracer, which wraps them here by name.
 from .objective import build_omega, snr_comm, snr_radar  # noqa: F401
@@ -110,12 +116,14 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
     rng = rng if rng is not None else np.random.default_rng(0)
 
     theta = initial_phases(cfg, opts, rng)
-    channels = effective_channels(theta, ch, cfg)
+    consts = ChannelConstants(ch, cfg)
+    channels = effective_channels(theta, consts, cfg)
     trace = RunTrace()
     precoder: Precoder | None = None
-    # (g, SNR_R, SNR_C) of the incumbent precoder on the current channels:
-    # the phase step scored it there
+    # (g, SNR_R, SNR_C) of the incumbent precoder on the current channels
+    # and the products Y = W P_nz that scored it there, in the phase step
     incumbent: tuple[float, ...] = (-math.inf,)
+    incumbent_y = None
 
     for t in range(1, opts.t_max + 1):
         times: dict[str, float] = {}
@@ -126,13 +134,14 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
 
             tic = time.perf_counter()
             candidate = factor_precoder(relaxed, channels, cfg)
-            snapshot = channels.snrs(candidate.p)
+            y = channels.rows @ candidate.nonzero_columns()
+            snapshot = channels.scores(y)
             if incumbent[0] > snapshot[0]:
                 # the recovered precoder fell short of the incumbent; keep it
                 trace.precoder_dips.append(t)
                 log.debug("outer %d: recovered precoder scored below the "
                           "previous one; keeping the incumbent", t)
-                snapshot = incumbent
+                snapshot, y = incumbent, incumbent_y
             else:
                 precoder = candidate
             times["recovery"] = time.perf_counter() - tic
@@ -141,14 +150,15 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             solve_irs = (solve_irs_minorization
                          if opts.irs_method == "minorization"
                          else solve_irs_manifold)
-            theta, inner = solve_irs(theta, precoder, ch, cfg,
+            theta, inner = solve_irs(theta, precoder, consts, cfg,
                                      inner_max=opts.inner_max,
-                                     start=(channels, snapshot))
+                                     start=(channels, snapshot, y))
             if inner.line_search_failed:
                 trace.line_search_failures.append(t)
                 log.warning("outer %d: the Armijo line search found no "
                             "ascent step; the phase step ended early", t)
             channels, incumbent = inner.channels, inner.snapshot
+            incumbent_y = inner.products
             times["irs"] = time.perf_counter() - tic
         except SolverError as exc:
             exc.args = (f"outer iteration {t}: {exc.args[0] if exc.args else exc}",

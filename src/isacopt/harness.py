@@ -47,7 +47,8 @@ from .irs import (SurrogateFactors, ascent_anchor, build_quadratic_terms,
 from .objective import IrsPhase, Precoder, effective_channels
 from .precoder import (approximation_ratio_study, default_beampattern_target,
                        relaxed_dual_bound, relaxed_objective, slack_bound,
-                       solve_relaxed, solve_unit_diag_relaxation,
+                       slack_distance, solve_relaxed,
+                       solve_unit_diag_relaxation,
                        unit_diag_dual_bound, validate_beampattern_target)
 from .scene import (ChannelSet, SceneConfig, complex_normal,
                     convert_suffixed, make_channels, scene_config_from_dict)
@@ -548,8 +549,9 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     # closed-form point's distance from R_D (KKT search, from the dense
     # Omega and from the rows), with the relative gap of each to its
     # certified bound, the error of the rows' top eigenvalue against the
-    # dense one, and that of the rows' binding objective against the dense
-    # Omega's (whose search runs on the form of one N x N eigh).
+    # dense one, the O(N) distance of the slack test less the dense one
+    # over P_T^2, and the error of the rows' binding objective against the
+    # dense Omega's (whose search runs on the form of one N x N eigh).
     ch = make_channels(cfg, rng)
     channels = effective_channels(IrsPhase(np.ones(cfg.n_irs, dtype=complex)),
                                   ch, cfg)
@@ -560,10 +562,14 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
                        _closed_form_gap(omega, cfg,
                                         relaxed_objective(closed, omega))))
     dense_top = float(np.linalg.eigvalsh(omega)[-1])
+    top_eig, top, _ = channels.top_eigenpair()
     check_rows.append(("solve_relaxed", cfg.n_tx, "slack_top_eig_rel_error",
-                       abs(channels.top_eigenpair()[0] - dense_top) / dense_top))
-    binding = replace(cfg, beampattern_tol=0.25 * float(
-        np.sum(np.abs(closed.s - r_d) ** 2)))
+                       abs(top_eig - dense_top) / dense_top))
+    dense_dist2 = float(np.sum(np.abs(closed.s - r_d) ** 2))
+    check_rows.append(("solve_relaxed", cfg.n_tx, "slack_ball_dist_error",
+                       (slack_distance(top, cfg)[0] - dense_dist2)
+                       / cfg.power_budget ** 2))
+    binding = replace(cfg, beampattern_tol=0.25 * dense_dist2)
     kkt = solve_relaxed(omega, binding)
     value = relaxed_objective(kkt, omega)
     check_rows.append((

@@ -37,13 +37,17 @@ the (2m) x (2m) eigenproblem there (m <= K_u * K + 2), which the Cholesky
 factor of M^H M takes to constant coefficients by one congruence.  One
 inner iteration costs O(L N K + L m + m^3).
 
-``SurrogateFactors`` is built once per precoder.  Both phase solvers work
-from the effective channels (``objective.EffectiveChannels``) and the
-products Y = W P that score the precoder there, from the caller's at the
-start phases on.  Y[0] = P^T t and t give the quartic factors (P^T t,
-conj(G) t, ||P^T t||^2, ||t||^2) and Y[1:] = C P the communication part
-of the gradient, so U3 and mu = diag(U4) are never formed.  The solvers
-return the channels at the returned phases for the next outer iteration.
+``SurrogateFactors`` is built once per precoder, from its nonzero columns
+P_nz and the run's channel constants (``objective.ChannelConstants``), so
+it forms only what depends on P.  Both phase solvers work from the
+effective channels (``objective.EffectiveChannels``) and the products
+Y = W P_nz that score the precoder there, from the caller's at the start
+phases on.  Y[0] = P^T t and t give the quartic factors (P^T t, conj(G) t,
+||P^T t||^2, ||t||^2) and Y[1:] = C P the communication part of the
+gradient, so U3 and mu = diag(U4) are never formed.  The solvers return
+the channels and the products at the returned phases for the next outer
+iteration.  A slack outer iteration's phase step takes one 7 x 7
+``cholesky`` and one 14 x 14 ``eigvalsh`` at the paper size (K = 5).
 
 ``build_quadratic_terms`` returns the dense U3, which the
 approximation-ratio study needs.  The dense quartic constructions
@@ -61,8 +65,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, MonotonicityError
-from .objective import (EffectiveChannels, IrsPhase, Precoder,
-                        comm_coefficient, effective_channels, hermitize,
+from .objective import (ChannelConstants, EffectiveChannels, IrsPhase,
+                        Precoder, comm_coefficient, hermitize,
                         quartic_coefficient, quartic_kernels)
 # The solvers score iterates with EffectiveChannels.scores; the name stays a
 # module attribute because perfbench's tracer wraps it here by name.
@@ -76,44 +80,52 @@ class InnerTrace:
 
     ``objectives`` is the weighted SNR at the start and after each accepted
     update; ``snapshot`` is (g, SNR_R, SNR_C) at the returned phases, so
-    ``snapshot[0] == objectives[-1]``, and ``channels`` are the effective
-    channels there, which scored them.
+    ``snapshot[0] == objectives[-1]``, ``channels`` are the effective
+    channels there, and ``products`` the Y = W P_nz there, which scored
+    them.
     """
 
     objectives: list[float] = field(default_factory=list)
     snapshot: tuple[float, float, float] = (math.nan, math.nan, math.nan)
     channels: EffectiveChannels | None = None
+    products: np.ndarray | None = None
     line_search_failed: bool = False
 
 
 class SurrogateFactors:
     """Objective and surrogate pieces for one precoder, in low-rank factors.
 
-    GP = G P over the nonzero columns of P, which give the same P P^H.
-    With b = theta o a, t = G^T b and Y = W P: V b = conj(GP) Y[0], W b =
-    conj(G) t, and U3 = cc Psi Psi^H with column (k, j) of Psi equal to
-    conj(h_k o gp_j), written once into the anchor's basis M = [p, q, Psi].
-    cc weights the form, not Psi, so noise scaled by 2^k scales it exactly.
+    GP = G P_nz over the nonzero columns of P (``Precoder.nonzero_columns``),
+    which give the same P P^H.  With b = theta o a, t = G^T b and
+    Y = W P_nz: V b = conj(GP) Y[0], W b = conj(G) t, and U3 = cc Psi Psi^H
+    with column (k, j) of Psi equal to conj(h_k o gp_j), written once into
+    the anchor's basis M = [p, q, Psi].  cc weights the form, not Psi, so
+    noise scaled by 2^k scales it exactly.  The channel-side constants
+    (conj(G), H^H, conj(a), c, cc) come from the run's ``ChannelConstants``
+    where ``ch`` is one, so a phase step forms only what depends on P.
     """
 
-    def __init__(self, p: Precoder, ch: ChannelSet, cfg: SceneConfig):
-        self.p_nz = p_nz = p.p.compress(p.p.any(axis=0), axis=1)
-        self.c, self.cc = quartic_coefficient(cfg), comm_coefficient(cfg)
-        self.cfg, self.ch = cfg, ch
-        self.gp = gp = ch.g @ p_nz
-        self.gp_conj, self.a_conj = gp.conj(), ch.steer.conj()
-        self.g_conj, self.h_adj = ch.g.conj(), ch.h.conj().T
-        psi_conj = (ch.h.T[:, :, None] * gp[:, None, :]).reshape(len(gp), -1)
+    def __init__(self, p: Precoder, ch: ChannelSet | ChannelConstants,
+                 cfg: SceneConfig):
+        self.ch = consts = ChannelConstants.of(ch, cfg)
+        self.p_nz = p_nz = p.nonzero_columns()
+        self.c, self.cc = consts.c, consts.cc
+        self.gp = gp = consts.g @ p_nz
+        self.gp_conj = gp.conj()
+        psi_conj = (consts.h_t[:, :, None] * gp[:, None, :]).reshape(len(gp), -1)
         m = 2 + psi_conj.shape[1]
-        self.basis = np.empty((len(gp), m), dtype=complex)
-        self.psi = np.conjugate(psi_conj, out=self.basis[:, 2:])
-        self.gram = np.empty((m, m), dtype=complex)   # M^T conj(M), lower
-        np.matmul(self.psi.T, psi_conj, out=self.gram[2:, 2:])
+        self.basis = basis = np.empty((len(gp), m), dtype=complex)
+        self.psi = np.conjugate(psi_conj, out=basis[:, 2:])
+        self.gram = gram = np.empty((m, m), dtype=complex)  # M^T conj(M), lower
+        np.matmul(self.psi.T, psi_conj, out=gram[2:, 2:])
+        # the views each anchor writes and reads; Cholesky needs L >= m
+        self._pq, self._gram_pq = basis[:, :2], gram[:, :2]
+        self._cholesky = len(gp) >= m
 
     def at(self, theta: IrsPhase) -> tuple[
             EffectiveChannels, tuple[float, float, float], np.ndarray]:
         """(channels, snapshot, Y) at theta, Y = W P_nz giving the score."""
-        channels = effective_channels(theta, self.ch, self.cfg)
+        channels = self.ch.channels(theta)
         y = channels.rows @ self.p_nz
         return channels, channels.scores(y), y
 
@@ -121,16 +133,16 @@ class SurrogateFactors:
                 ) -> tuple[np.ndarray, np.ndarray, float, float]:
         """(p, q, q_v, q_w): p = a* o V b and q = a* o W b give U1 = c p q^T,
         q_v = b^H V b = ||P^T t||^2 and q_w = b^H W b = ||t||^2."""
-        pt = y[0]
-        return (self.a_conj * (self.gp_conj @ pt),
-                self.a_conj * (self.g_conj @ channels.t),
+        pt, a_conj = y[0], self.ch.a_conj
+        return (a_conj * (self.gp_conj @ pt),
+                a_conj * (self.ch.g_conj @ channels.t),
                 float(np.vdot(pt, pt).real), channels.q_w)
 
     def gradient(self, y: np.ndarray, pv: np.ndarray, qv: np.ndarray,
                  q_v: float, q_w: float) -> np.ndarray:
         """Wirtinger gradient from the quartic factors and the products Y
         there: U3 theta + mu* = cc sum_j conj(gp_j) o (H^H C p_j)."""
-        comm = (self.gp_conj * (self.h_adj @ y[1:])).sum(1)
+        comm = (self.gp_conj * (self.ch.h_adj @ y[1:])).sum(1)
         return (self.c * q_w) * pv + (self.c * q_v) * qv + self.cc * comm
 
     def linearize(self, channels: EffectiveChannels, y: np.ndarray
@@ -145,12 +157,12 @@ class SurrogateFactors:
         """Exact ascent anchor for (p, q), completing M: from the Cholesky
         factor of M^T conj(M), or R^T from M's QR where that is singular by
         its shape (L < m) or not positive definite (``ascent_anchor``)."""
-        basis, gram, factor_conj = self.basis, self.gram, None
-        basis[:, 0], basis[:, 1] = pv, qv
-        if basis.shape[0] >= basis.shape[1]:
-            np.matmul(basis.T, basis[:, :2].conj(), out=gram[:, :2])
+        basis, pq, factor_conj = self.basis, self._pq, None
+        pq[:, 0], pq[:, 1] = pv, qv
+        if self._cholesky:
+            np.matmul(basis.T, pq.conj(), out=self._gram_pq)
             try:
-                factor_conj = np.linalg.cholesky(gram)
+                factor_conj = np.linalg.cholesky(self.gram)
             except np.linalg.LinAlgError:
                 pass
         if factor_conj is None:
@@ -218,8 +230,9 @@ def irs_phase_update(nu: np.ndarray) -> IrsPhase:
     """Torus maximizer of Re{theta^H nu}: exp(j arg nu), scale-free.
 
     Where nu_i = 0 every phase maximizes; arg fixes one (1 for nu_i = +0).
+    arg is ``np.angle``'s arctan2 of the parts, called directly.
     """
-    return IrsPhase.from_angles(np.angle(nu))
+    return IrsPhase.from_angles(np.arctan2(nu.imag, nu.real))
 
 
 def ascent_anchor(factor_conj: np.ndarray, c: float, cc: float) -> float:
@@ -249,8 +262,8 @@ def ascent_anchor(factor_conj: np.ndarray, c: float, cc: float) -> float:
 _INNER_TOL = 1e-6
 
 
-def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
-                           cfg: SceneConfig, inner_max: int = 200,
+def solve_irs_minorization(theta0: IrsPhase, p: Precoder,
+                           ch: ChannelSet | ChannelConstants, cfg: SceneConfig, inner_max: int = 200,
                            start: tuple | None = None
                            ) -> tuple[IrsPhase, InnerTrace]:
     """Iterate the closed-form double-minorization update to convergence.
@@ -262,15 +275,15 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
     ``_INNER_TOL`` |g_prev| or after ``inner_max`` iterations.  The
     recorded objective sequence is the true weighted SNR and must be
     nondecreasing (guaranteed by the anchor); a dip beyond 1e-9 relative
-    slack raises.  ``start`` is (channels, snapshot) at theta0 where the
-    caller has them (``SurrogateFactors.at``).
+    slack raises.  ``start`` is (channels, snapshot, Y) at theta0 where the
+    caller has them (``SurrogateFactors.at``: Y = W P_nz scored the
+    snapshot); ``ch`` is the channels or the run's ``ChannelConstants``.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
-    channels, snapshot = start or factors.at(theta0)[:2]
-    y = channels.rows @ factors.p_nz
+    channels, snapshot, y = start or factors.at(theta0)
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
         g_prev = snapshot[0]
@@ -284,7 +297,7 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         trace.objectives.append(g_new)
         if abs(g_new - g_prev) <= _INNER_TOL * abs(g_prev):
             break
-    trace.snapshot, trace.channels = snapshot, channels
+    trace.snapshot, trace.channels, trace.products = snapshot, channels, y
     return channels.theta, trace
 
 
@@ -293,8 +306,8 @@ _ARMIJO_SLOPE = 1e-4
 _MAX_HALVINGS = 50
 
 
-def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
-                       cfg: SceneConfig, inner_max: int = 200,
+def solve_irs_manifold(theta0: IrsPhase, p: Precoder,
+                       ch: ChannelSet | ChannelConstants, cfg: SceneConfig, inner_max: int = 200,
                        start: tuple | None = None
                        ) -> tuple[IrsPhase, InnerTrace]:
     """Riemannian gradient ascent on the torus with Armijo backtracking.
@@ -313,8 +326,7 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, ch, cfg)
     trace = InnerTrace()
-    channels, snapshot = start or factors.at(theta0)[:2]
-    y = channels.rows @ factors.p_nz
+    channels, snapshot, y = start or factors.at(theta0)
     trace.objectives.append(snapshot[0])
     for _ in range(inner_max):
         theta = channels.theta.theta
@@ -341,5 +353,5 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder, ch: ChannelSet,
         trace.objectives.append(snapshot[0])
         if abs(snapshot[0] - g_prev) <= _INNER_TOL * abs(g_prev):
             break
-    trace.snapshot, trace.channels = snapshot, channels
+    trace.snapshot, trace.channels, trace.products = snapshot, channels, y
     return channels.theta, trace

@@ -10,13 +10,17 @@ channel is alpha t t^T, the downlink channel is C = F + (H o theta^T) G,
 and Omega = W^H diag(d) W over the rows W = [t^T; C] with weights
 d = (beta |alpha|^2 ||t||^2 / sigma_R^2, (1 - beta) / sigma_C^2, ...).
 ``EffectiveChannels`` holds W at one theta and is what an outer iteration
-works from: it scores precoders from the products W P, gives Omega's top
+works from: it scores precoders from the products W P_nz over their
+nonzero columns (``Precoder.nonzero_columns``), gives Omega's top
 eigenpair from the (1 + K) x (1 + K) Gram matrix of its weighted rows,
 gives the binding ball's search its rows and weights, and starts the phase
 step.  Its dense Omega serves the tests and the bench.
 ``build_omega`` is its dense Omega; ``weighted_snr``, ``snr_radar`` and
 ``snr_comm`` evaluate the objective from the dense channel matrices.
 ``quartic_kernels`` gives the lifted quartic term's kernels densely.
+``ChannelConstants`` holds what a run reads at every theta (G^T, conj(G),
+H^T, H^H, conj(a), the weights), formed once per run and carried by the
+channels it forms; nothing is cached on the ``ChannelSet``.
 """
 
 from __future__ import annotations
@@ -61,11 +65,22 @@ class Precoder:
     """Transmit precoder, one column per served user."""
 
     p: np.ndarray
+    # the nonzero columns of p as a contiguous array, where its maker hands
+    # them over (factor_precoder); they must change with p
+    nonzero: np.ndarray | None = field(default=None, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=complex)
         if self.p.ndim != 2:
             raise ConfigError("precoder must be a matrix")
+
+    def nonzero_columns(self) -> np.ndarray:
+        """P_nz, the nonzero columns of p, which give the same P P^H: as
+        handed over, or selected from p."""
+        if self.nonzero is None:
+            return self.p.compress(self.p.any(axis=0), axis=1)
+        return self.nonzero
 
     def power(self) -> float:
         """tr(P P^H), the total transmit power."""
@@ -122,7 +137,44 @@ def build_omega(theta: IrsPhase, ch: ChannelSet, cfg: SceneConfig) -> np.ndarray
     return effective_channels(theta, ch, cfg).omega
 
 
-@dataclass
+class ChannelConstants:
+    """What every outer iteration of one run reads of the channels: G, G^T,
+    conj(G), H, H^T, H^H, F, a, conj(a) and the weights c and cc.
+
+    Built once per run and carried by the ``EffectiveChannels`` it forms;
+    never cached on the ``ChannelSet``, which callers keep.  The channel
+    dimensions are checked here, once.  ``g``, ``h``, ``f`` and ``steer``
+    keep the ``ChannelSet``'s names, so the phase solvers take either.
+    """
+
+    def __init__(self, ch: ChannelSet, cfg: SceneConfig):
+        _check_dims(ch.steer, ch)
+        self.cfg = cfg
+        self.g, self.h, self.f, self.steer = ch.g, ch.h, ch.f, ch.steer
+        self.g_t, self.g_conj = ch.g.T, ch.g.conj()
+        self.h_t, self.h_adj = ch.h.T, ch.h.conj().T
+        self.a_conj = ch.steer.conj()
+        self.c, self.cc = quartic_coefficient(cfg), comm_coefficient(cfg)
+        self.alpha2 = abs(cfg.alpha) ** 2
+
+    @classmethod
+    def of(cls, ch: "ChannelSet | ChannelConstants", cfg: SceneConfig
+           ) -> "ChannelConstants":
+        """``ch`` itself if it is already the constants of a run."""
+        return ch if isinstance(ch, cls) else cls(ch, cfg)
+
+    def channels(self, theta: IrsPhase) -> "EffectiveChannels":
+        """t = G^T (theta o a) and C = (H o theta^T) G + F at theta, written
+        in place into the rows W = [t^T; C]."""
+        th = theta.theta
+        rows = np.empty((1 + self.h.shape[0], self.g.shape[1]), dtype=complex)
+        np.matmul(self.g_t, th * self.steer, out=rows[0])
+        comm = rows[1:]
+        np.matmul(self.h * th, self.g, out=comm)
+        comm += self.f
+        return EffectiveChannels(theta, rows, self)
+
+
 class EffectiveChannels:
     """The effective channels at one phase vector theta.
 
@@ -130,37 +182,33 @@ class EffectiveChannels:
     channel is alpha t t^T, and ``comm`` = C = F + (H o theta^T) G.
     Omega = W^H diag(d) W with weights d = (c ||t||^2, cc, ..., cc),
     c = ``quartic_coefficient`` and cc = ``comm_coefficient``.
+    ``consts`` are the run's ``ChannelConstants`` that formed them.
     """
 
-    theta: IrsPhase
-    rows: np.ndarray
-    cfg: SceneConfig
-    t: np.ndarray = field(init=False)
-    comm: np.ndarray = field(init=False)
-    q_w: float = field(init=False)      # ||t||^2
-
-    def __post_init__(self):
-        self.t, self.comm = self.rows[0], self.rows[1:]
-        self.q_w = float(np.vdot(self.t, self.t).real)
-
-    def snrs(self, p: np.ndarray) -> tuple[float, float, float]:
-        """(g, SNR_R, SNR_C) of the precoder p: g = ||diag(sqrt d) W p||_F^2."""
-        return self.scores(self.rows @ p)
+    def __init__(self, theta: IrsPhase, rows: np.ndarray,
+                 consts: ChannelConstants):
+        self.theta, self.rows, self.consts = theta, rows, consts
+        self.cfg = consts.cfg
+        self.t = t = rows[0]
+        self.comm = rows[1:]
+        self.q_w = float(np.vdot(t, t).real)      # ||t||^2
 
     def scores(self, y: np.ndarray) -> tuple[float, float, float]:
-        """(g, SNR_R, SNR_C) from Y = W P: SNR_R = |alpha|^2 ||Y[0]||^2 ||t||^2
-        / sigma_R^2, SNR_C = ||Y[1:]||^2 / sigma_C^2 (Y[0] = P^T t, Y[1:] = C P)."""
+        """(g, SNR_R, SNR_C) of a precoder P from Y = W P: g =
+        ||diag(sqrt d) Y||_F^2, SNR_R = |alpha|^2 ||Y[0]||^2 ||t||^2 /
+        sigma_R^2, SNR_C = ||Y[1:]||^2 / sigma_C^2 (Y[0] = P^T t, Y[1:] =
+        C P)."""
         cfg = self.cfg
-        pt, cp = y[0], y[1:]
-        q_v = float(np.vdot(pt, pt).real)
-        s_r = abs(cfg.alpha) ** 2 * q_v * self.q_w / cfg.sigma2_radar
-        s_c = float(np.vdot(cp, cp).real) / cfg.sigma2_comm
+        pt = y[0]
+        s_r = (self.consts.alpha2 * float(np.vdot(pt, pt).real) * self.q_w
+               / cfg.sigma2_radar)
+        s_c = float(np.vdot(y[1:], y[1:]).real) / cfg.sigma2_comm
         return cfg.beta * s_r + (1.0 - cfg.beta) * s_c, s_r, s_c
 
     def weights(self) -> tuple[float, float]:
         """(c ||t||^2, cc): the weight of the radar row in Omega = W^H diag(d) W
         and that of each downlink row."""
-        return quartic_coefficient(self.cfg) * self.q_w, comm_coefficient(self.cfg)
+        return self.consts.c * self.q_w, self.consts.cc
 
     def top_eigenpair(self) -> tuple[float, np.ndarray, float]:
         """(lambda_max(Omega), a unit top eigenvector u, ||Omega||_F).
@@ -178,12 +226,14 @@ class EffectiveChannels:
         if d_max > 0.0:
             m = self.rows * math.sqrt(d_c / d_max)
             np.multiply(self.t, math.sqrt(d_r / d_max), out=m[0])
-            gram = m @ m.conj().T
+            m_h = m.conj().T
+            gram = m @ m_h
             w, v = np.linalg.eigh(gram)
-            if w[-1] > 0.0:
-                u = m.conj().T @ v[:, -1]
+            lam = float(w[-1])
+            if lam > 0.0:
+                u = m_h @ v[:, -1]
                 u /= math.sqrt(np.vdot(u, u).real)
-                return (d_max * float(w[-1]), u,
+                return (d_max * lam, u,
                         d_max * math.sqrt(np.vdot(gram, gram).real))
         u = np.zeros(self.t.size, dtype=complex)
         u[-1] = 1.0
@@ -199,16 +249,12 @@ class EffectiveChannels:
         return hermitize(omega)
 
 
-def effective_channels(theta: IrsPhase, ch: ChannelSet,
+def effective_channels(theta: IrsPhase, ch: ChannelSet | ChannelConstants,
                        cfg: SceneConfig) -> EffectiveChannels:
-    """t = G^T (theta o a) and C = (H o theta^T) G + F at theta, in place."""
-    th = theta.theta
-    _check_dims(th, ch)
-    rows = np.empty((1 + ch.f.shape[0], ch.g.shape[1]), dtype=complex)
-    np.matmul(ch.g.T, th * ch.steer, out=rows[0])
-    np.matmul(ch.h * th, ch.g, out=rows[1:])
-    rows[1:] += ch.f
-    return EffectiveChannels(theta, rows, cfg)
+    """t = G^T (theta o a) and C = (H o theta^T) G + F at theta, in place,
+    from the channels or from a run's ``ChannelConstants``."""
+    _check_dims(theta.theta, ch)
+    return ChannelConstants.of(ch, cfg).channels(theta)
 
 
 def quartic_coefficient(cfg: SceneConfig) -> float:

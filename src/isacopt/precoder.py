@@ -8,7 +8,11 @@ that matrix lies inside the ball ||S - R_D||_F^2 <= gamma_BP it is the exact
 optimum and its factor sqrt(P_T) u is an exact precoder: no iteration.
 The alternating loop hands Omega over as its effective channels, whose
 (1 + K) x (1 + K) Gram matrix gives u, lambda_max(Omega) and ||Omega||_F,
-and the certified bound ``slack_bound``; no N x N Omega is formed.  When
+and the certified bound ``slack_bound``; no N x N Omega is formed.  The
+ball test takes ||P_T u u^H - R_D||_F^2 in O(N) from b^H u
+(``slack_distance``), and the dense distance only within its rounding
+band of gamma; S = P_T u u^H itself is formed only when read, and the
+precoder hands its nonzero columns over to the phase step.  When
 the ball binds, the KKT conditions put the optimum at
 S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t) meets the
 ball, so the solve is a bracketing root search on t (Chandrupatla's
@@ -57,36 +61,59 @@ _UNIT_DIAG_TOL = 1e-12
 _UNIT_DIAG_MAX_STEPS = 10_000
 # Relative asymmetry above which project_psd rejects its input.
 _HERM_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
-@dataclass
 class RelaxedCovariance:
     """Optimizer of the relaxed (covariance-level) precoder problem.
 
-    ``factor``, when set, is an exact factor F with S = F F^H (one column
-    per nonzero eigenvalue).  ``kkt_scale``, set when the beampattern ball
-    binds, is the scale t of the KKT point the solve stopped at, and
-    ``dual_bound`` is ``relaxed_dual_bound`` at that scale.
-    ``in_ball_scale``, set whenever the KKT search ran, is the largest scale
-    at which S(t) was tested inside the ball, and ``form`` the ``KktForm``
-    it ran on; ``factor_precoder`` starts its search there, on that form.
+    ``s`` is S, N x N.  ``factor``, when set, is an exact factor F with
+    S = F F^H (one column per nonzero eigenvalue, so no column is zero).
+    ``kkt_scale``, set when the beampattern ball binds, is the scale t of
+    the KKT point the solve stopped at, and ``dual_bound`` is
+    ``relaxed_dual_bound`` at that scale.  ``in_ball_scale``, set whenever
+    the KKT search ran, is the largest scale at which S(t) was tested
+    inside the ball, and ``form`` the ``KktForm`` it ran on;
+    ``factor_precoder`` starts its search there, on that form.  The slack
+    optimum P_T u u^H (``slack``) forms ``s`` only when it is first read:
+    the alternating loop reads its factor and bound only.
     """
 
-    s: np.ndarray
-    factor: np.ndarray | None = None
-    kkt_scale: float | None = None
-    in_ball_scale: float | None = None
-    dual_bound: float | None = None
-    form: KktForm | None = None
+    # unset on the slack path, which sets only the factor and the bound
+    kkt_scale = in_ball_scale = form = None
 
-    def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=complex)
-        if self.s.ndim != 2 or self.s.shape[0] != self.s.shape[1]:
+    def __init__(self, s: np.ndarray, factor: np.ndarray | None = None,
+                 kkt_scale: float | None = None,
+                 in_ball_scale: float | None = None,
+                 dual_bound: float | None = None,
+                 form: KktForm | None = None):
+        s = np.asarray(s, dtype=complex)
+        if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ConfigError("relaxed covariance must be square")
-        if self.factor is not None:
-            self.factor = np.asarray(self.factor, dtype=complex)
-            if self.factor.ndim != 2 or self.factor.shape[0] != self.s.shape[0]:
+        if factor is not None:
+            factor = np.asarray(factor, dtype=complex)
+            if factor.ndim != 2 or factor.shape[0] != s.shape[0]:
                 raise ConfigError("factor must have one row per antenna")
+        self._s, self.factor = s, factor
+        self.kkt_scale, self.in_ball_scale = kkt_scale, in_ball_scale
+        self.dual_bound, self.form = dual_bound, form
+
+    @classmethod
+    def slack(cls, top: np.ndarray, power: float, dual_bound: float
+              ) -> "RelaxedCovariance":
+        """S = P_T u u^H for the unit vector u = ``top``, with the factor
+        sqrt(P_T) u; S itself is formed on first use."""
+        out = cls.__new__(cls)
+        out._s, out._top, out._power = None, top[:, np.newaxis], power
+        out.factor, out.dual_bound = math.sqrt(power) * out._top, dual_bound
+        return out
+
+    @property
+    def s(self) -> np.ndarray:
+        if self._s is None:
+            top = self._top
+            self._s = self._power * (top @ top.conj().T)
+        return self._s
 
 
 @dataclass
@@ -171,9 +198,11 @@ def project_spectrahedron(m: np.ndarray, target: float) -> np.ndarray:
     return hermitize((u * v) @ u.conj().T)
 
 
-def _target(cfg: SceneConfig) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """(c, d, b, R_D) of the scene's target R_D = c I + d b b^H
-    (``default_beampattern_target``), b and R_D read-only."""
+def _target(cfg: SceneConfig
+            ) -> tuple[float, float, np.ndarray, np.ndarray, float, float]:
+    """(c, d, b, R_D, ||R_D||_F^2, band) of the scene's target
+    R_D = c I + d b b^H (``default_beampattern_target``), b and R_D
+    read-only, and the rounding band of ``slack_distance``."""
     return _target_of(cfg.n_tx, cfg.power_budget, cfg.beampattern_mix,
                       cfg.radar_irs_azimuth, cfg.spacing_over_lambda)
 
@@ -181,13 +210,16 @@ def _target(cfg: SceneConfig) -> tuple[float, float, np.ndarray, np.ndarray]:
 # solve_relaxed reads R_D every outer iteration; it depends on five scalars
 @functools.lru_cache(maxsize=16)
 def _target_of(n: int, p_t: float, mix: float, azimuth: float,
-               spacing: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+               spacing: float
+               ) -> tuple[float, float, np.ndarray, np.ndarray, float, float]:
     b = ula_steering(azimuth, n, spacing)
     b = b / np.linalg.norm(b)
     c, d = (1.0 - mix) * (p_t / n), mix * p_t
     r_d = c * np.eye(n) + d * np.outer(b, b.conj())
     b.flags.writeable = r_d.flags.writeable = False
-    return c, d, b, r_d
+    norm2 = n * c ** 2 + 2.0 * c * d + d ** 2
+    band = 4.0 * (n + 2) ** 2 * _EPS * (p_t + math.sqrt(norm2)) ** 2
+    return c, d, b, r_d, norm2, band
 
 
 def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
@@ -248,13 +280,12 @@ class KktForm:
         n = q.shape[0]
         self.q, self.beta, self.a1, self.cfg = q, beta, a1, cfg
         self.copies = n - q.shape[1]          # the complement's dimension
-        self.c, self.d = _target(cfg)[:2]
+        self.c, self.d, _, _, norm2_r_d, _ = _target(cfg)
         self.beta_conj = beta.conj()
         self.a0 = self.d * np.outer(beta, self.beta_conj)
         self.norm_omega = math.sqrt(float(np.vdot(a1, a1).real))
-        self.norm_r_d = math.sqrt(n * self.c ** 2 + 2.0 * self.c * self.d
-                                  + self.d ** 2)
-        self.err = 4.0 * n * float(np.finfo(float).eps)
+        self.norm_r_d = math.sqrt(norm2_r_d)
+        self.err = 4.0 * n * _EPS
 
     @classmethod
     def from_channels(cls, channels: EffectiveChannels, cfg: SceneConfig
@@ -458,8 +489,30 @@ def slack_bound(lam_max: float, norm_omega: float, cfg: SceneConfig) -> float:
     rounding of the computed eigenvalue and of a computed tr(S Omega) or
     precoder objective, as in ``relaxed_dual_bound``.
     """
-    err = 4.0 * cfg.n_tx * float(np.finfo(float).eps)
+    err = 4.0 * cfg.n_tx * _EPS
     return cfg.power_budget * (lam_max + err * norm_omega)
+
+
+def slack_distance(top: np.ndarray, cfg: SceneConfig) -> tuple[float, float]:
+    """(||P_T u u^H - R_D||_F^2, its rounding band) for a unit vector u, in
+    O(N) from b^H u.
+
+    R_D = c I + d b b^H with ||b|| = 1, so the distance is
+    P_T^2 ||u||^4 - 2 P_T (c ||u||^2 + d |b^H u|^2) + ||R_D||_F^2, taken
+    at ||u|| = 1.  Each of its terms is at most (P_T + ||R_D||_F)^2, as is
+    the distance.  The band bounds its distance from the dense sum of
+    N^2 squares of P_T u u^H - R_D: that sum carries up to about N^2 eps
+    of the distance, and the form here O(N) eps of (P_T + ||R_D||_F)^2,
+    from ||u||^2 = 1 + O(N eps), b and R_D as rounded and its three terms.
+    So band = 4 (N + 2)^2 eps (P_T + ||R_D||_F)^2; within it of gamma, the
+    slack test takes the dense distance instead.
+    """
+    c, d, b, _, norm2_r_d, band = _target(cfg)
+    p_t = cfg.power_budget
+    bu = complex(np.vdot(b, top))
+    return (p_t * p_t - 2.0 * p_t * (c + d * (bu.real * bu.real
+                                              + bu.imag * bu.imag))
+            + norm2_r_d), band
 
 
 def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
@@ -470,9 +523,13 @@ def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
     is built from; from the channels the top eigenpair comes from their
     (1 + K) x (1 + K) Gram matrix, and no N x N Omega is formed.  If
     S = P_T u u^H (u the top eigenvector of Omega) lies inside the
-    beampattern ball it is returned with its factor sqrt(P_T) u: it
+    beampattern ball it is returned with its factor sqrt(P_T) u, and S
+    itself is formed only when read (``RelaxedCovariance.slack``): it
     attains the bound P_T * lambda_max(Omega) of the ball-free problem, so
-    it is exact, and ``dual_bound`` is ``slack_bound``.  Otherwise the ball
+    it is exact, and ``dual_bound`` is ``slack_bound``.  The ball test
+    takes the distance in O(N) from b^H u (``slack_distance``), and the
+    dense ||S - R_D||_F^2 only within its rounding band of gamma, so it
+    decides as the dense test does.  Otherwise the ball
     binds, and by the KKT conditions the optimum is
     S(t) = Pi_C(R_D + t Omega) at the t where ||S(t) - R_D||^2 = gamma.
     The search runs on the ``KktForm`` of R_D + t Omega, built once (from
@@ -501,14 +558,16 @@ def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
         eig = np.linalg.eigh(omega)
         lam, top, norm_omega = (float(eig[0][-1]), eig[1][:, -1],
                                 float(np.linalg.norm(omega)))
-    r_d, gamma = _target(cfg)[3], cfg.beampattern_tol
-    top = top[:, np.newaxis]
-    s = cfg.power_budget * (top @ top.conj().T)
+    gamma = cfg.beampattern_tol
     bound = slack_bound(lam, norm_omega, cfg)
-    diff = s - r_d
-    if float(np.vdot(diff, diff).real) <= gamma:
-        return RelaxedCovariance(s, factor=math.sqrt(cfg.power_budget) * top,
-                                 dual_bound=bound)
+    slack = RelaxedCovariance.slack(top, cfg.power_budget, bound)
+    dist2, band = slack_distance(top, cfg)
+    if abs(dist2 - gamma) <= band:
+        diff = slack.s - _target(cfg)[3]
+        dist2 = float(np.vdot(diff, diff).real)
+    if dist2 <= gamma:
+        return slack
+    r_d = _target(cfg)[3]
     form = (KktForm.from_channels(omega, cfg)
             if isinstance(omega, EffectiveChannels)
             else KktForm.from_eigh(*eig, cfg))
@@ -553,7 +612,7 @@ def _nearest_rank_dist2(cfg: SceneConfig, k: int) -> float:
     """||S_K(0) - R_D||^2 in closed form, S_K(0) = Pi_{C_K}(R_D) the
     nearest rank-k covariance to R_D: R_D has eigenvalues c + d (on b) and
     c, and S_K(0) projects its top k onto the simplex."""
-    c, d, b, _ = _target(cfg)
+    c, d, b = _target(cfg)[:3]
     lam = np.full(min(k, b.size), c)
     lam[-1] += d
     v, _ = _simplex_scaled(lam, cfg.power_budget)
@@ -578,7 +637,9 @@ def factor_precoder(s: RelaxedCovariance,
 
     An exact factor of at most K columns (slack ball), zero-padded and
     rescaled to the power budget, is the precoder; its Gram matrix is S,
-    which passed the ball test, up to rounding.  Otherwise the precoder is
+    which passed the ball test, up to rounding, and its leading columns
+    are handed over as its nonzero ones (``Precoder.nonzero_columns``).
+    Otherwise the precoder is
     the factor of S_K(t) = Pi_{C_K}(R_D + t Omega), C_K = {S >= 0,
     tr S = P_T, rank S <= K}, at the largest t tested inside the ball: S's
     in-ball scale t_in, where S_K = S if rank S(t_in) <= K, else the root
@@ -598,10 +659,11 @@ def factor_precoder(s: RelaxedCovariance,
     """
     gamma, k = cfg.beampattern_tol, cfg.n_users
     if s.factor is not None and s.factor.shape[1] <= k:
-        p = np.zeros((s.s.shape[0], k), dtype=complex)
-        p[:, : s.factor.shape[1]] = s.factor
-        return Precoder(
-            p * math.sqrt(cfg.power_budget / float(np.vdot(p, p).real)))
+        n, r = s.factor.shape
+        p = np.zeros((n, k), dtype=complex)
+        p[:, :r] = s.factor
+        p *= math.sqrt(cfg.power_budget / float(np.vdot(p, p).real))
+        return Precoder(p, p[:, :r].copy())
 
     r_d = _target(cfg)[3]
     t_in = s.in_ball_scale or 0.0
@@ -651,7 +713,7 @@ def unit_diag_dual_bound(a: np.ndarray, r: np.ndarray) -> float:
     y = np.real(np.sum(a * r.T, axis=1))
     dual = np.diag(y) - a
     lam = float(np.linalg.eigvalsh(dual)[0])
-    rounding = (4.0 * (n + 1) * float(np.finfo(float).eps)
+    rounding = (4.0 * (n + 1) * _EPS
                 * (float(np.sum(np.abs(a))) + n * float(np.linalg.norm(dual))))
     return float(np.sum(y)) + n * max(0.0, -lam) + rounding
 
@@ -731,7 +793,7 @@ def _unit_modulus(x: np.ndarray) -> np.ndarray:
 
 def _above_rounding(w: np.ndarray) -> np.ndarray:
     """Mask of the eigenvalues w above rounding level, L eps max(w)."""
-    return w > w.size * float(np.finfo(float).eps) * float(w.max(initial=0.0))
+    return w > w.size * _EPS * float(w.max(initial=0.0))
 
 
 def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:

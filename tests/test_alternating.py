@@ -1,12 +1,15 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import isacopt.irs as irs
-from isacopt import (ConfigError, SceneConfig, SolverOptions, alternating,
-                     default_beampattern_target, make_channels,
-                     run_alternating, weighted_snr)
+from isacopt import (ConfigError, IrsPhase, SceneConfig, SolverOptions,
+                     alternating, default_beampattern_target,
+                     factor_precoder, make_channels, run_alternating,
+                     solve_irs_minorization, solve_relaxed, weighted_snr)
+from isacopt.objective import ChannelConstants, effective_channels
 
 from conftest import random_scene, small_config
 from reference import objective_snapshot
@@ -158,7 +161,7 @@ class TestRunAlternating:
         def constant_snapshot(self, y):
             return 42.0, 42.0, 42.0
 
-        # snrs and the phase step both score through scores
+        # the loop and the phase step both score through scores
         monkeypatch.setattr(EffectiveChannels, "scores", constant_snapshot)
         _, _, trace = alt.run_alternating(ch, cfg, opts=SolverOptions(t_max=9))
         assert trace.terminated_by == "tolerance"
@@ -236,3 +239,94 @@ class TestRunAlternating:
         assert {name for name, _ in phase_solver_calls} == {
             "solve_irs_minorization", "solve_irs_manifold"}
         assert all(inner_max == 3 for _, inner_max in phase_solver_calls)
+
+
+class TestSlackOuterIteration:
+    """One outer iteration on the slack path does only the theta- and
+    P-dependent work: three small LAPACK calls and no dense matrix."""
+
+    def test_three_lapack_calls(self, monkeypatch):
+        # the (1 + K) x (1 + K) eigh of the top eigenpair, the Cholesky
+        # factor of the anchor's Gram matrix and the anchor's eigvalsh
+        cfg = SceneConfig()
+        ch = make_channels(cfg, np.random.default_rng(3))
+        calls = []
+        for name in ("eigh", "eigvalsh", "cholesky", "qr", "eig", "svd"):
+            fn = getattr(np.linalg, name)
+
+            def spy(*args, _fn=fn, _name=name, **kwargs):
+                calls.append((_name, args[0].shape))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        _, _, trace = run_alternating(ch, cfg, opts=SolverOptions(t_max=1))
+        m = 2 + cfg.n_users
+        assert sorted(calls) == [
+            ("cholesky", (m, m)), ("eigh", (1 + cfg.n_users,) * 2),
+            ("eigvalsh", (2 * m, 2 * m))]
+        assert len(trace.objective_per_outer) == 1
+
+    def test_no_dense_matrix(self):
+        # N = 96 antennas and L = 144 elements: no N x N, L x L or L x N
+        # array is formed in the precoder stage, the scoring or the phase
+        # step (the target R_D is cached per scene before the loop starts)
+        cfg = small_config(l_rows=12, l_cols=12, n_tx=96, k=2,
+                           beampattern_tol=10.0)
+        ch = make_channels(cfg, np.random.default_rng(5))
+        consts = ChannelConstants(ch, cfg)
+        theta = IrsPhase(np.exp(2j * np.pi * np.random.default_rng(6).random(
+            cfg.n_irs)))
+        channels = effective_channels(theta, consts, cfg)
+        default_beampattern_target(cfg)
+        tracemalloc.start()
+        try:
+            relaxed = solve_relaxed(channels, cfg)
+            p = factor_precoder(relaxed, channels, cfg)
+            y = channels.rows @ p.nonzero_columns()
+            solve_irs_minorization(theta, p, consts, cfg, inner_max=1,
+                                   start=(channels, channels.scores(y), y))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert relaxed.factor is not None          # the slack path
+        assert peak < cfg.n_tx ** 2 * 16 / 2
+
+    def test_covariance_formed_on_demand_is_bit_equal(self):
+        cfg = SceneConfig()
+        ch = make_channels(cfg, np.random.default_rng(7))
+        channels = effective_channels(
+            IrsPhase(np.ones(cfg.n_irs, dtype=complex)), ch, cfg)
+        relaxed = solve_relaxed(channels, cfg)
+        u = channels.top_eigenpair()[1][:, np.newaxis]
+        np.testing.assert_array_equal(
+            relaxed.s, cfg.power_budget * (u @ u.conj().T))
+        np.testing.assert_array_equal(
+            relaxed.factor, np.sqrt(cfg.power_budget) * u)
+
+    @pytest.mark.parametrize("gamma", [10.0, 0.3])
+    def test_leaves_no_cache_on_the_channels(self, gamma):
+        # the run's constants live in the run, not on the ChannelSet that
+        # callers keep (a cache there would grow with every kept input)
+        cfg = SceneConfig(beampattern_tol=gamma)
+        ch = make_channels(cfg, np.random.default_rng(8))
+        before = dict(vars(ch))
+        run_alternating(ch, cfg, opts=SolverOptions(t_max=3))
+        after = vars(ch)
+        assert after.keys() == before.keys()
+        assert all(after[k] is v for k, v in before.items())
+
+    def test_phase_step_starts_from_the_scoring_products(self):
+        # the products Y = W P_nz that scored the recovered precoder are the
+        # ones the phase step starts from, so the run's first objective is
+        # that of a phase solve started from scratch, bit for bit
+        cfg = SceneConfig(beta=0.5)
+        ch = make_channels(cfg, np.random.default_rng(9))
+        theta = IrsPhase(np.ones(cfg.n_irs, dtype=complex))
+        p, _, trace = run_alternating(ch, cfg, opts=SolverOptions(t_max=1))
+        channels = effective_channels(theta, ch, cfg)
+        own = factor_precoder(solve_relaxed(channels, cfg), channels, cfg)
+        np.testing.assert_array_equal(own.p, p.p)
+        _, inner = solve_irs_minorization(theta, own, ch, cfg, inner_max=1)
+        assert inner.snapshot[0] == trace.objective_per_outer[0]
+        y = channels.rows @ own.p.compress(own.p.any(axis=0), axis=1)
+        assert channels.scores(y)[0] == trace.precoder_obj_per_outer[0]

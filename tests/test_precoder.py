@@ -338,6 +338,42 @@ class TestSolveRelaxed:
             cfg.power_budget * np.linalg.eigvalsh(omega)[-1], rel=1e-12)
 
 
+class TestSlackDistance:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 64), mix=st.floats(0.0, 1.0),
+           p_t=st.sampled_from([1e-6, 1.0, 3.7, 1e5]),
+           aligned=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_within_band_of_dense(self, n, mix, p_t, aligned, seed):
+        # the O(N) distance stays inside its band of the dense sum, here
+        # with a margin of 10, also for u along the target's beam b
+        rng = np.random.default_rng(seed)
+        cfg = small_config(n_tx=n, k=1, power_budget=p_t, beampattern_mix=mix)
+        u = complex_normal(rng, n)
+        if aligned:
+            u = precoder._target(cfg)[2] + 1e-3 * u
+        u /= np.linalg.norm(u)
+        dist2, band = precoder.slack_distance(u, cfg)
+        diff = p_t * np.outer(u, u.conj()) - default_beampattern_target(cfg)
+        dense = float(np.vdot(diff, diff).real)
+        assert abs(dist2 - dense) <= band / 10
+
+    def test_decides_as_the_dense_test_at_the_edge(self, rng):
+        # gamma at the dense distance and one float either side: inside the
+        # band, the dense test decides, exactly as before
+        cfg = SceneConfig()
+        omega = random_psd(rng, cfg.n_tx)
+        top = np.linalg.eigh(omega)[1][:, -1:]
+        s = cfg.power_budget * (top @ top.conj().T)
+        diff = s - default_beampattern_target(cfg)
+        dense = float(np.vdot(diff, diff).real)
+        for gamma, slack in ((dense, True), (np.nextafter(dense, 0.0), False),
+                             (np.nextafter(dense, np.inf), True)):
+            out = solve_relaxed(omega, replace(cfg, beampattern_tol=gamma))
+            assert (out.factor is not None) == slack
+            if slack:
+                np.testing.assert_array_equal(out.s, s)
+
+
 def paper_binding_instance(seed, beta=0.5, gamma=0.1):
     """The paper's scene (N=16, K=5, L=36, P_T=1) with the ball of the
     beampattern config, and Omega at unit phases for one channel draw."""
