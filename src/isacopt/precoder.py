@@ -28,10 +28,13 @@ feasible set, ``dykstra_project``, is the same search along M - R_D.
 The approximation-ratio study measures Gaussian randomization on the
 unit-modulus problem max x^H A x, against its unit-diagonal relaxation:
 the same minorization step (a generalized power method) for the
-relaxation, run on coordinates in the eigenbasis of A at its rank, a dual
-certificate for the bound, and draws and scores formed at the rank of R*
-and of A: each sample count takes 2 r n_g standard normals, r the number
-of eigenpairs of R* above rounding level.
+relaxation, run on coordinates in the eigenbasis of A at its rank in
+guarded SQUAREM cycles (``squarem.squarem_ascent``, shared with the phase
+step) until the fixed-point residual falls to 1e-10, a dual certificate
+for the bound, and draws and scores formed at the rank of R* and of A:
+each sample count takes 2 r n_g standard normals, r the number of
+eigenpairs of R* above rounding level.  Where r = 1 every candidate is
+one vector up to a phase, and no candidate pass runs.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .objective import EffectiveChannels, Precoder, hermitize
 from .scene import SceneConfig, ula_steering
+from .squarem import squarem_ascent
 # Unused since the ratio study draws at the rank of R*; kept for the tracer,
 # which counts calls to it here by name.
 from .scene import complex_normal  # noqa: F401
@@ -56,8 +60,9 @@ _KKT_REL_WIDTH = 1e-13
 _KKT_MAX_DOUBLINGS = 200
 # Candidate columns the ratio study forms at a time, which bounds its memory.
 _RATIO_CHUNK = 512
-# Relative gain at which the unit-diagonal ascent stops, and its step cap.
-_UNIT_DIAG_TOL = 1e-12
+# Fixed-point residual ||F(Z) - Z||_F / ||Z||_F at which the unit-diagonal
+# ascent stops, and its cap on maps.
+_UNIT_DIAG_TOL = 1e-10
 _UNIT_DIAG_MAX_STEPS = 10_000
 # Relative asymmetry above which project_psd rejects its input.
 _HERM_TOL = 1e-10
@@ -735,6 +740,10 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     by ``_unit_modulus`` (the masked divide up to the sign of a zero
     part), are ranked by sum_i mu_i |e_i^H x|^2 over the eigenpairs
     (mu_i, e_i) of A above rounding level, the first best one winning.
+    Where R* has rank one (r = 1, the relaxation tight) and no draw is
+    zero, every candidate is u / |u| times the phase of its draw (R*'s unit
+    diagonal makes |u_i| = 1), so all score alike up to rounding and the
+    first wins without the pass; the draws are still taken.
     The reported value is the winner's dense x^H A x, an exact
     unit-modulus value, so the ratio cannot exceed 1 whatever R* is: the
     bound is at least the relaxation optimum, which is at least every
@@ -751,6 +760,7 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     mu, e = np.linalg.eigh(a)
     cols = _above_rounding(np.abs(mu))
     mu, e_h = mu[cols], e[:, cols].conj().T
+    tied = half.shape[1] == 1
     reports = []
     for n_g in n_g_grid:
         if n_g < 1:
@@ -758,15 +768,18 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
         z = np.empty((half.shape[1], int(n_g)), dtype=complex)
         z.real = rng.standard_normal(z.shape)
         z.imag = rng.standard_normal(z.shape)
-        best_score, best_x = None, None
-        for j in range(0, int(n_g), _RATIO_CHUNK):
-            x = _unit_modulus(half @ z[:, j:j + _RATIO_CHUNK])
-            proj = (e_h @ x).view(float)             # Re, Im interleaved
-            np.square(proj, out=proj)
-            score = mu @ (proj[:, 0::2] + proj[:, 1::2])
-            i = int(np.argmax(score))
-            if best_x is None or score[i] > best_score:   # first index wins
-                best_score, best_x = score[i], x[:, i]
+        if tied and z.all():
+            best_x = _unit_modulus(half @ z[:, :1])[:, 0]
+        else:
+            best_score, best_x = None, None
+            for j in range(0, int(n_g), _RATIO_CHUNK):
+                x = _unit_modulus(half @ z[:, j:j + _RATIO_CHUNK])
+                proj = (e_h @ x).view(float)             # Re, Im interleaved
+                np.square(proj, out=proj)
+                score = mu @ (proj[:, 0::2] + proj[:, 1::2])
+                i = int(np.argmax(score))
+                if best_x is None or score[i] > best_score:   # first wins
+                    best_score, best_x = score[i], x[:, i]
         best = float(np.real(np.vdot(best_x, a @ best_x)))
         reports.append(RandomizationReport(
             n_samples=int(n_g), best_objective=best, sdp_objective=sdp_obj,
@@ -782,8 +795,12 @@ def _unit_modulus(x: np.ndarray) -> np.ndarray:
     (re + im 0, im - re 0) * (1 / |x|), except for the sign of an
     exactly-zero real or imaginary part, which the two can set
     differently and no later sum or comparison sees; and it is cheaper.
+    The masks run only where some entry is zero.
     """
     mag = np.abs(x)
+    if mag.all():
+        x *= np.reciprocal(mag, out=mag)
+        return x
     zero = mag == 0.0
     mag[zero] = 1.0
     x *= np.reciprocal(mag, out=mag)
@@ -796,32 +813,58 @@ def _above_rounding(w: np.ndarray) -> np.ndarray:
     return w > w.size * _EPS * float(w.max(initial=0.0))
 
 
+def _unit_columns(g: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """g with every column scaled to unit norm, in place; a zero column
+    takes ``near``'s instead.  The norms come from |g|^2 summed down the
+    columns, and the masked path runs only where a column is zero."""
+    norms = np.abs(g)
+    norms *= norms
+    norms = norms.sum(axis=0)
+    np.sqrt(norms, out=norms)
+    if norms.all():
+        g /= norms
+        return g
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    g /= norms
+    g[:, zero] = near[:, zero]
+    return g
+
+
 def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
     """Maximize tr(A R) over {R >= 0, diag(R) = 1}.
 
     The generalized power method (Journee et al., JMLR 2010) on R = V^H V
     with unit-norm columns, which is the minorization step of the phase
-    update applied to this set.  With B = A + sigma I, sigma =
+    update applied to this set, accelerated by guarded SQUAREM cycles
+    (``squarem.squarem_ascent``).  With B = A + sigma I, sigma =
     max(0, -lambda_min(A)), tr(A R) = tr(V B V^H) - L sigma on the set and
     tr(V B V^H) is convex in V, so its linearization at V minorizes it;
-    V <- V B with every column normalized maximizes that linearization in
-    closed form, so the steps ascend monotonically.  The iterate is PSD
-    with unit diagonal by construction (where a column of V B is 0, V keeps
-    its column).  From V = I, steps stop once |f_new - f| <= 1e-12 |f|, or
-    after a fixed number of steps, so A and 2^k A give the same bits.
-    Optimality is certified separately by ``unit_diag_dual_bound``.
+    the map V <- V B with every column normalized maximizes that
+    linearization in closed form, so it ascends monotonically, and a cycle
+    keeps its extrapolated point only where that point beats two plain
+    maps.  The iterate is PSD with unit diagonal by construction (where a
+    column of V B or of the extrapolation is 0, V keeps its column).  From
+    V = I, the first map, then cycles of three maps.  They stop once a map
+    between kept iterates moves Z by at most 1e-10 of ||Z||_F (the
+    fixed-point residual, which measures stationarity, as the dual
+    certificate does; a gain in tr(A R) is second order in it and reaches
+    rounding level first), or after a fixed number of maps; every rule is
+    relative, so A and 2^k A give the same bits.  Optimality is certified
+    separately by ``unit_diag_dual_bound``.
 
-    The steps run at the rank of B.  One ``eigh`` gives B = E M E^H over
+    The maps run at the rank of B.  One ``eigh`` gives B = E M E^H over
     its r eigenvalues above rounding level (r = 5 for the ratio study's
-    A = U3; r = L - 1 or so for an indefinite A).  After the first step
-    every column of V lies in span(E), so V = E Z and a step is
+    A = U3; r = L - 1 or so for an indefinite A).  After the first map
+    every column of V lies in span(E), so V = E Z and a map is
     Z <- normalize_cols((Z E M) E^H) on the r x L coordinates, O(r^2 L)
-    where V B is O(L^3).  R = Z^H Z.  A coordinate whose column of A is
+    where V B is O(L^3); the product also gives tr(A R) at Z, and is
+    normalized in place.  R = Z^H Z.  A coordinate whose column of A is
     zero keeps its e_i (Z's column is 0 there and R_ii = 1); the ``eigh``
     leaves such coordinates out, so E is exactly zero on them (an ``eigh``
     of all of A leaves rounding noise there, which normalizing amplifies).
-    Dropping B's eigenvalues below rounding level moves R at rounding
-    level against the dense V <- V B (``tests/reference.py``).
+    The plain map, run alone, moves R at rounding level against the dense
+    V <- V B; both are test oracles (``tests/reference.py``).
     """
     a = hermitize(a)
     n = a.shape[0]
@@ -834,21 +877,26 @@ def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
     e_h = np.zeros((m.size, n), dtype=complex)
     e_h[:, live] = u[:, keep].conj().T
     g = m[:, np.newaxis] * e_h             # V B at V = I, in the basis E
-    f = float(np.real(np.trace(a)))        # tr(A R) at R = I
-    norms = np.linalg.norm(g, axis=0)
-    fixed = norms == 0.0                   # V keeps e_i there, Z's column 0
+    z = _unit_columns(g, np.zeros_like(g))
+    fixed = ~z.any(axis=0)                 # V keeps e_i there, Z's column 0
     em = e_h.conj().T * m                  # E M
     offset = np.count_nonzero(~fixed) * shift
-    z = np.zeros_like(g)
-    np.divide(g, norms, out=z, where=~fixed)
-    for _ in range(_UNIT_DIAG_MAX_STEPS - 1):
+
+    def point(z):
         g = (z @ em) @ e_h
-        f_new = float(np.real(np.vdot(z, g))) - offset     # tr(A Z^H Z)
-        if abs(f_new - f) <= _UNIT_DIAG_TOL * abs(f):
-            break
-        f = f_new
-        norms = np.linalg.norm(g, axis=0)
-        np.divide(g, norms, out=z, where=norms != 0.0)
+        return z, float(np.vdot(z, g).real) - offset, g   # tr(A Z^H Z)
+
+    # ||Z||_F^2 is the number of moving columns
+    stop2 = _UNIT_DIAG_TOL ** 2 * np.count_nonzero(~fixed)
+
+    def converged(prev, new):
+        diff = new[0] - prev[0]
+        return np.vdot(diff, diff).real <= stop2
+
+    (z, _, _), _ = squarem_ascent(
+        point(z), lambda p: point(_unit_columns(p[2], p[0])),
+        lambda x, near: point(_unit_columns(x, near[0])), converged,
+        _UNIT_DIAG_MAX_STEPS - 1)
     r = z.conj().T @ z
     r[fixed, fixed] = 1.0
     return hermitize(r)

@@ -9,14 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from isacopt.errors import ConfigError
-from isacopt.irs import (SurrogateFactors, build_quadratic_terms,
-                         build_quartic_surrogate, linear_surrogate_vectors)
+from isacopt import irs, precoder
+from isacopt.errors import ConfigError, MonotonicityError
+from isacopt.irs import (InnerTrace, SurrogateFactors, build_quadratic_terms,
+                         build_quartic_surrogate, irs_phase_update,
+                         linear_surrogate_vectors)
 from isacopt.objective import (IrsPhase, Precoder, _check_dims,
                                comm_coefficient, hermitize,
                                quartic_coefficient, quartic_kernels)
 from isacopt.precoder import (_KKT_MAX_DOUBLINGS, RandomizationReport,
-                              _kkt_root, project_ball, unit_diag_dual_bound)
+                              _above_rounding, _kkt_root, project_ball,
+                              unit_diag_dual_bound)
 from isacopt.scene import ChannelSet, SceneConfig, complex_normal
 
 
@@ -310,6 +313,86 @@ def mixing_method_relaxation(a: np.ndarray, max_sweeps: int = 1000,
             break
         f = f_new
     return hermitize(v.conj().T @ v)
+
+
+def plain_unit_diag_relaxation(a: np.ndarray, max_steps: int | None = None,
+                               tol: float = 1e-12) -> np.ndarray:
+    """Reference for ``solve_unit_diag_relaxation``: the same map at the
+    rank of B, Z <- normalize_cols((Z E M) E^H), iterated alone from V = I
+    until one map gains at most ``tol`` relative or after ``max_steps``
+    maps (``precoder._UNIT_DIAG_MAX_STEPS`` by default), with no
+    extrapolation: the library's ascent before it took SQUAREM cycles and
+    stopped on the fixed-point residual."""
+    if max_steps is None:
+        max_steps = precoder._UNIT_DIAG_MAX_STEPS
+    a = hermitize(a)
+    n = a.shape[0]
+    live = np.any(a != 0.0, axis=0)
+    w, u = np.linalg.eigh(a[np.ix_(live, live)])
+    shift = max(0.0, -float(w.min(initial=0.0)))
+    m = w + shift
+    keep = _above_rounding(m)
+    m = m[keep]
+    e_h = np.zeros((m.size, n), dtype=complex)
+    e_h[:, live] = u[:, keep].conj().T
+    g = m[:, np.newaxis] * e_h             # V B at V = I, in the basis E
+    f = float(np.real(np.trace(a)))        # tr(A R) at R = I
+    norms = np.linalg.norm(g, axis=0)
+    fixed = norms == 0.0                   # V keeps e_i there, Z's column 0
+    em = e_h.conj().T * m                  # E M
+    offset = np.count_nonzero(~fixed) * shift
+    z = np.zeros_like(g)
+    np.divide(g, norms, out=z, where=~fixed)
+    for _ in range(max_steps - 1):
+        g = (z @ em) @ e_h
+        f_new = float(np.real(np.vdot(z, g))) - offset     # tr(A Z^H Z)
+        if abs(f_new - f) <= tol * abs(f):
+            break
+        f = f_new
+        norms = np.linalg.norm(g, axis=0)
+        np.divide(g, norms, out=z, where=norms != 0.0)
+    r = z.conj().T @ z
+    r[fixed, fixed] = 1.0
+    return hermitize(r)
+
+
+def plain_minorization(theta0: IrsPhase, p: Precoder, ch, cfg: SceneConfig,
+                       inner_max: int = 200, start: tuple | None = None
+                       ) -> tuple[IrsPhase, InnerTrace]:
+    """Reference for ``solve_irs_minorization``: the same phase map
+    exp(j arg nu) iterated alone until one map gains at most
+    ``irs._INNER_TOL`` relative or after ``inner_max`` maps, with no
+    extrapolation; the library's loop before it took SQUAREM cycles."""
+    factors = SurrogateFactors(p, ch, cfg)
+    trace = InnerTrace()
+    channels, snapshot, y = start or factors.at(theta0)
+    trace.objectives.append(snapshot[0])
+    for _ in range(inner_max):
+        g_prev = snapshot[0]
+        channels, snapshot, y = factors.at(
+            irs_phase_update(factors.linearize(channels, y)))
+        g_new = snapshot[0]
+        if g_new < g_prev - 1e-9 * abs(g_prev):
+            raise MonotonicityError(
+                f"objective decreased from {g_prev:.12g} to {g_new:.12g} "
+                f"in the inner phase update")
+        trace.objectives.append(g_new)
+        if abs(g_new - g_prev) <= irs._INNER_TOL * abs(g_prev):
+            break
+    trace.snapshot, trace.channels, trace.products = snapshot, channels, y
+    return channels.theta, trace
+
+
+def rejecting_extrapolations(squarem_ascent):
+    """``squarem_ascent`` with every extrapolated point forced back to the
+    start of the ascent, whose map lies below two maps taken later, so the
+    guard rejects it: each cycle keeps its two plain maps."""
+    def ascent(start, step, project, converged, max_maps):
+        x0 = start[0].copy()
+        return squarem_ascent(start, step,
+                              lambda x, near: project(x0.copy(), near),
+                              converged, max_maps)
+    return ascent
 
 
 def dense_power_method(a: np.ndarray, max_steps: int = 10_000,

@@ -441,7 +441,8 @@ class TestBench:
         assert set(unit_diag) == {(l, m) for l in (8, 36) for m in (
             "unit_diag_certificate_gap", "lambda_min")}
         for l in (8, 36):
-            assert 0.0 <= unit_diag[(l, "unit_diag_certificate_gap")] <= 1e-6
+            # the bound of CI's bench step: measured 2.5e-14 and 8.3e-12
+            assert 0.0 <= unit_diag[(l, "unit_diag_certificate_gap")] <= 1e-10
             assert unit_diag[(l, "lambda_min")] >= -1e-12 * l
         ascent = {int(r[1]) for r in t_rows
                   if (r[0], r[2]) == ("solve_unit_diag_relaxation",

@@ -18,9 +18,9 @@ from isacopt.scene import ChannelSet, complex_normal
 from conftest import random_phases, random_scene, small_config
 from reference import (anchored_surrogate_value, decompose_objective,
                        dense_ascent_anchor, dense_linearization, factors_mu,
-                       gradient_at, plain_linearization, products_at,
-                       quartic_at, quartic_surrogate_constant,
-                       wirtinger_gradient)
+                       gradient_at, plain_linearization, plain_minorization,
+                       products_at, quartic_at, quartic_surrogate_constant,
+                       rejecting_extrapolations, wirtinger_gradient)
 
 
 def surrogate_value(theta, u1, u2):
@@ -276,7 +276,7 @@ class TestMinorizationSolver:
 
     def test_surrogate_gaps_nonnegative_with_safeguard(self, rng, monkeypatch):
         # the anchored surrogate lies above its linearization at each of the
-        # solver's 60 iterates, which are replayed here step by step
+        # plain map's 60 iterates, which are replayed here step by step
         cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
         factors = SurrogateFactors(p, ch, cfg)
         th, gaps = theta0.theta, []
@@ -292,11 +292,82 @@ class TestMinorizationSolver:
                         - lifted)
             th = new
         monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
-        theta, trace = solve_irs_minorization(theta0, p, ch, cfg, inner_max=60)
+        theta, trace = plain_minorization(theta0, p, ch, cfg, inner_max=60)
         assert len(trace.objectives) == 61
         assert np.array_equal(theta.theta, th)
         assert len(gaps) == 60
         assert all(gap >= -1e-9 for gap in gaps)
+
+    @pytest.mark.parametrize("inner_max", [1, 2])
+    @pytest.mark.parametrize("beta", [0.5, 0.9])
+    def test_caps_one_and_two_run_the_plain_map(self, inner_max, beta):
+        # no room for a cycle: the phases, objectives, channels and products
+        # are the plain map's, bit for bit
+        for k in range(5):
+            cfg, ch, p, theta0 = random_scene(np.random.default_rng([71, k]),
+                                              beta=beta)
+            theta, trace = solve_irs_minorization(theta0, p, ch, cfg,
+                                                  inner_max=inner_max)
+            want, ref = plain_minorization(theta0, p, ch, cfg,
+                                           inner_max=inner_max)
+            assert theta.theta.tobytes() == want.theta.tobytes()
+            assert trace.objectives == ref.objectives
+            assert trace.snapshot == ref.snapshot
+            assert trace.products.tobytes() == ref.products.tobytes()
+            assert (trace.channels.rows.tobytes()
+                    == ref.channels.rows.tobytes())
+
+    def test_monotone_at_every_cap(self, monkeypatch):
+        # each cap runs cycles of three maps and plain maps after them; the
+        # kept objectives never fall, and one more map never ends lower
+        monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
+        for k in range(4):
+            cfg, ch, p, theta0 = random_scene(np.random.default_rng([72, k]),
+                                              l_rows=2, l_cols=3, beta=0.9)
+            finals = []
+            for cap in range(1, 31):
+                _, trace = solve_irs_minorization(theta0, p, ch, cfg,
+                                                  inner_max=cap)
+                objs = trace.objectives
+                assert all(b >= a - 1e-9 * abs(a) for a, b in zip(objs, objs[1:]))
+                assert len(objs) - 1 <= cap
+                finals.append(objs[-1])
+            assert all(b >= a - 1e-9 * abs(a)
+                       for a, b in zip(finals, finals[1:]))
+
+    def test_rejected_extrapolations_keep_the_plain_maps(self, monkeypatch):
+        # every extrapolated point forced back to theta0, whose map lies
+        # below two maps further on: each cycle keeps its two plain maps,
+        # so a cap of 3c + s keeps the plain map's first 2c + s iterates
+        monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
+        monkeypatch.setattr(irs, "squarem_ascent",
+                            rejecting_extrapolations(irs.squarem_ascent))
+        for k in range(4):
+            cfg, ch, p, theta0 = random_scene(np.random.default_rng([73, k]),
+                                              l_rows=2, l_cols=3, beta=0.9)
+            for cap in (3, 4, 5, 30, 31, 32):
+                theta, trace = solve_irs_minorization(theta0, p, ch, cfg,
+                                                      inner_max=cap)
+                cycles, plain = divmod(cap, 3)
+                want, ref = plain_minorization(theta0, p, ch, cfg,
+                                               inner_max=2 * cycles + plain)
+                assert theta.theta.tobytes() == want.theta.tobytes()
+                assert trace.objectives == ref.objectives
+
+    def test_accelerated_ends_at_least_near_the_plain_map(self):
+        # both stop once a map from the current phases gains at most
+        # _INNER_TOL = 1e-6 relative, which bounds how far below the plain
+        # solve the accelerated one may end; measured here, it ends 2.6e-7
+        # to 6.7e-2 relative above
+        ratios = []
+        for k in range(20):
+            cfg, ch, p, theta0 = random_scene(np.random.default_rng([74, k]),
+                                              l_rows=2, l_cols=3)
+            _, trace = solve_irs_minorization(theta0, p, ch, cfg,
+                                              inner_max=200)
+            _, ref = plain_minorization(theta0, p, ch, cfg, inner_max=200)
+            ratios.append(trace.objectives[-1] / ref.objectives[-1])
+        assert min(ratios) >= 1.0 - irs._INNER_TOL
 
 
 class TestAscentAnchor:

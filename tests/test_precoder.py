@@ -23,7 +23,8 @@ from isacopt.scene import SceneConfig, complex_normal
 from conftest import random_hermitian, random_psd, small_config
 from reference import (dense_kkt_search, dense_power_method,
                        dense_ratio_study, feasibility_residuals, kkt_point,
-                       mixing_method_relaxation, project_trace, rank_k_point,
+                       mixing_method_relaxation, plain_unit_diag_relaxation,
+                       project_trace, rank_k_point, rejecting_extrapolations,
                        simplex_projection)
 
 
@@ -789,9 +790,12 @@ class TestApproximationRatio:
             assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_ratio_grows_with_samples(self, rng):
+        # an indefinite A: a random PSD one of this size has a rank-one R*,
+        # where every draw is the same unit-modulus vector
         l = 16
-        a = random_psd(rng, l)
+        a = random_hermitian(rng, l)
         r_star = solve_unit_diag_relaxation(a)
+        assert kept_rank_at_rounding_level(r_star) > 1
         grid = [4, 64, 1024]
         means = np.zeros(len(grid))
         for trial in range(30):
@@ -842,9 +846,13 @@ class TestUnitDiagRelaxation:
         np.testing.assert_allclose(np.diagonal(r).real, 1.0, atol=1e-12)
         assert r[3, 3] == 1.0
         assert not np.any(np.delete(r[3], 3)) and not np.any(np.delete(r[:, 3], 3))
-        # measured 7.1e-15 against the dense ascent
-        np.testing.assert_allclose(r, dense_power_method(a), rtol=0,
+        # the plain map measured 7.1e-15 against the dense ascent; the
+        # accelerated ascent ends at least as high
+        plain = plain_unit_diag_relaxation(a)
+        np.testing.assert_allclose(plain, dense_power_method(a), rtol=0,
                                    atol=1e-12)
+        want = float(np.real(np.vdot(a, plain)))
+        assert float(np.real(np.vdot(a, r))) >= want - 1e-12 * abs(want)
 
 
 def ratio_study_matrix(l_rows, l_cols, seed):
@@ -922,6 +930,15 @@ class TestUnitDiagCertificate:
                                          _ZeroNormal())
         assert rep.best_objective == pytest.approx(np.sum(a).real, rel=1e-12)
 
+    def test_zero_draw_at_rank_one_runs_the_pass(self, rng):
+        # a rank-one R* skips the pass only where no draw is zero: a zero
+        # draw maps to the all-ones vector, not to a phase of R*'s factor
+        a = random_psd(rng, 5)
+        x0 = np.exp(2j * np.pi * rng.random(5))
+        rep, = approximation_ratio_study(a, np.outer(x0, x0.conj()), [3],
+                                         _ZeroNormal())
+        assert rep.best_objective == pytest.approx(np.sum(a).real, rel=1e-12)
+
 
 class TestLowRankStudy:
     """The minorization step and the rank-r study against the mixing
@@ -975,13 +992,26 @@ class TestLowRankStudy:
         assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
         assert got.tobytes() != want.tobytes()
 
+    def test_mask_free_normalization_is_the_masked_divide(self, rng):
+        # no entry is zero, so the masks are skipped: the same bits as the
+        # masked divide up to the sign of an exactly-zero part
+        x = complex_normal(rng, 6, 4000)
+        x[1, :2] = [complex(-0.0, 1.0), complex(2.0, -0.0)]
+        want = x.copy()
+        mag = np.abs(want)
+        np.divide(want, mag, out=want, where=mag > 0.0)
+        assert mag.all()
+        assert (precoder._unit_modulus(x) + 0.0).tobytes() == (
+            want + 0.0).tobytes()
+
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_chunked_pass_matches_one_block(self, monkeypatch, chunk):
         # the candidates of one block formed in column chunks: the same
         # winner (the first best one), so the same value up to the rounding
-        # of a one-column product
-        a = ratio_study_matrix(2, 4, seed=33)
+        # of a one-column product; R* of rank 2, so the pass runs
+        a = ratio_study_matrix(6, 6, seed=33)
         r = solve_unit_diag_relaxation(a)
+        assert kept_rank_at_rounding_level(r) == 2
         monkeypatch.setattr(precoder, "_RATIO_CHUNK", 10 ** 9)
         whole = approximation_ratio_study(a, r, [10, 2500],
                                           np.random.default_rng(4))
@@ -1015,31 +1045,28 @@ class TestLowRankStudy:
     def test_identity_keeps_every_eigenpair(self):
         assert kept_rank_at_rounding_level(np.eye(36, dtype=complex)) == 36
 
-    # The ascent at the rank of B against the dense V <- V B: R* agrees to
-    # 2.5e-14 at most over these inputs, every step cap and convergence
+    # The plain map at the rank of B against the dense V <- V B: R* agrees
+    # to 2.5e-14 at most over these inputs, every step cap and convergence
     # (measured), hence the bound of 1e-12.  (6, 6, 104) is a slow input
-    # (1396 steps); the random ones are full rank, r = L or L - 1.
+    # (1396 plain maps); the random ones are full rank, r = L or L - 1.
     @pytest.mark.parametrize("source", [(2, 4, 33), (6, 6, 33), (6, 6, 5),
                                         (6, 6, 104), "psd", "indefinite"])
-    def test_factored_ascent_matches_dense_reference(self, rng, monkeypatch,
-                                                     source):
+    def test_factored_ascent_matches_dense_reference(self, rng, source):
         if source == "psd":
             a = random_psd(rng, 36)
         elif source == "indefinite":
             a = random_hermitian(rng, 36)
         else:
             a = ratio_study_matrix(*source)
-        np.testing.assert_allclose(solve_unit_diag_relaxation(a),
+        np.testing.assert_allclose(plain_unit_diag_relaxation(a),
                                    dense_power_method(a), rtol=0, atol=1e-12)
         for steps in range(1, 41):
-            monkeypatch.setattr(precoder, "_UNIT_DIAG_MAX_STEPS", steps)
-            np.testing.assert_allclose(solve_unit_diag_relaxation(a),
+            np.testing.assert_allclose(plain_unit_diag_relaxation(a, steps),
                                        dense_power_method(a, steps),
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["psd", "indefinite"])
-    def test_ascent_monotone_and_certified_at_l36(self, rng, kind,
-                                                  monkeypatch):
+    def test_ascent_monotone_and_certified_at_l36(self, rng, kind):
         a = (random_psd if kind == "psd" else random_hermitian)(rng, 36)
         r = solve_unit_diag_relaxation(a)
         value = float(np.real(np.vdot(a, r)))
@@ -1047,7 +1074,48 @@ class TestLowRankStudy:
         assert 0.0 <= (bound - value) / abs(bound) <= 1e-6
         reference = float(np.real(np.vdot(a, mixing_method_relaxation(a))))
         assert abs(value - reference) <= 1e-6 * abs(bound)
-        # the first steps, one cap at a time: tr(A R) never falls
+        # the plain map's first steps, one cap at a time: tr(A R) never falls
+        values = []
+        for steps in range(1, 41):
+            r_k = plain_unit_diag_relaxation(a, steps)
+            np.testing.assert_allclose(r_k, dense_power_method(a, steps),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.diagonal(r_k).real, 1.0,
+                                       atol=1e-12)
+            values.append(float(np.real(np.vdot(a, r_k))))
+        assert np.all(np.diff(values) >= -1e-12 * abs(bound))
+        assert values[-1] > values[0]
+
+
+class TestAcceleratedUnitDiagAscent:
+    """The SQUAREM-accelerated ascent against the plain map it extrapolates
+    (``tests/reference.py``)."""
+
+    # Measured on these inputs: the objective 3e-14 to 4e-11 relative above
+    # the plain map's, the certified gap 4 to 1e5 times smaller.
+    @pytest.mark.parametrize("source", [(2, 4, 33), (6, 6, 33), (6, 6, 5),
+                                        (6, 6, 104), "psd", "indefinite"])
+    def test_at_least_the_plain_ascent(self, rng, source):
+        if source == "psd":
+            a = random_psd(rng, 36)
+        elif source == "indefinite":
+            a = random_hermitian(rng, 36)
+        else:
+            a = ratio_study_matrix(*source)
+        r, plain = solve_unit_diag_relaxation(a), plain_unit_diag_relaxation(a)
+        value = float(np.real(np.vdot(a, r)))
+        want = float(np.real(np.vdot(a, plain)))
+        assert value >= want - 1e-12 * abs(want)
+        assert (unit_diag_dual_bound(a, r) - value
+                <= unit_diag_dual_bound(a, plain) - want)
+        assert np.max(np.abs(np.diagonal(r) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("source", [(6, 6, 104), "indefinite"])
+    def test_monotone_at_every_cap(self, rng, monkeypatch, source):
+        # a cap of 1 + 3c + s maps ends after c cycles and s plain maps, so
+        # one more map never ends lower
+        a = (random_hermitian(rng, 36) if source == "indefinite"
+             else ratio_study_matrix(*source))
         values = []
         for steps in range(1, 41):
             monkeypatch.setattr(precoder, "_UNIT_DIAG_MAX_STEPS", steps)
@@ -1055,8 +1123,29 @@ class TestLowRankStudy:
             np.testing.assert_allclose(np.diagonal(r_k).real, 1.0,
                                        atol=1e-12)
             values.append(float(np.real(np.vdot(a, r_k))))
-        assert np.all(np.diff(values) >= -1e-12 * abs(bound))
+        assert np.all(np.diff(values) >= -1e-12 * abs(values[-1]))
         assert values[-1] > values[0]
+
+    @pytest.mark.parametrize("source", [(6, 6, 104), "indefinite"])
+    def test_rejected_extrapolations_keep_the_plain_maps(self, rng,
+                                                         monkeypatch, source):
+        # every extrapolated point forced back to the start, whose map lies
+        # below two maps further on: each cycle keeps its two plain maps, so
+        # a cap of 1 + 3c + s keeps 1 + 2c + s maps of the plain ascent
+        a = (random_hermitian(rng, 36) if source == "indefinite"
+             else ratio_study_matrix(*source))
+        monkeypatch.setattr(precoder, "squarem_ascent",
+                            rejecting_extrapolations(precoder.squarem_ascent))
+        values = []
+        for steps in range(1, 41):
+            monkeypatch.setattr(precoder, "_UNIT_DIAG_MAX_STEPS", steps)
+            r_k = solve_unit_diag_relaxation(a)
+            cycles, plain = divmod(steps - 1, 3)
+            np.testing.assert_allclose(
+                r_k, plain_unit_diag_relaxation(a, 1 + 2 * cycles + plain),
+                rtol=0, atol=1e-12)
+            values.append(float(np.real(np.vdot(a, r_k))))
+        assert np.all(np.diff(values) >= -1e-12 * abs(values[-1]))
 
 
 class TestBeampatternTarget:

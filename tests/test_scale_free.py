@@ -7,7 +7,11 @@ Omega's top eigenpair comes from channel rows weighted by sqrt(d / d_max),
 which no noise scaling changes, odd k included.  No rule of the solver
 steps compares against an absolute level, so the run takes the same steps
 and returns the same phases.  The same holds for
-the ratio study under A -> 2^k A.
+the ratio study under A -> 2^k A.  The SQUAREM cycles of both
+minorization loops (``inner_max`` >= 3, and the unit-diagonal ascent) are
+scale-free too: the steplength is a ratio of norms of phase or column
+differences, which no scaling touches, the guard compares two objectives
+and the stops are relative.
 """
 
 from dataclasses import replace
@@ -27,7 +31,10 @@ SCENE = {"n_tx": 16, "n_rx": 16, "n_users": 5, "irs_rows": 6, "irs_cols": 6,
 SCENES = {"slack-beta0.5": {"beta": 0.5},
           "slack-beta0.99": {"beta": 0.99},
           "binding-gamma0.1": {"beta": 0.5, "beampattern_tol": 0.1}}
+# inner_max 1 runs the plain map, 3 one SQUAREM cycle, 20 cycles and
+# plain maps after them
 SOLVERS = {"minorization-1": SolverOptions(inner_max=1),
+           "minorization-3": SolverOptions(inner_max=3),
            "minorization-20": SolverOptions(inner_max=20),
            "manifold-20": SolverOptions(inner_max=20, irs_method="manifold")}
 # Odd noise exponents scale the square roots of the weights of Omega by an
