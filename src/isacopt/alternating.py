@@ -133,7 +133,7 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             times["precoder"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
-            candidate = factor_precoder(relaxed, channels, cfg)
+            candidate = factor_precoder(relaxed, cfg)
             y = channels.rows @ candidate.nonzero_columns()
             snapshot = channels.scores(y)
             if incumbent[0] > snapshot[0]:

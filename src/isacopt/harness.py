@@ -44,7 +44,7 @@ from .alternating import IRS_METHODS, SolverOptions, run_alternating
 from .errors import ConfigError, require_finite, require_integer
 from .irs import (SurrogateFactors, ascent_anchor, build_quadratic_terms,
                   irs_phase_update, solve_irs_minorization)
-from .objective import IrsPhase, Precoder, effective_channels
+from .objective import IrsPhase, OmegaRows, Precoder, effective_channels
 from .precoder import (approximation_ratio_study, default_beampattern_target,
                        relaxed_dual_bound, relaxed_objective, slack_bound,
                        slack_distance, solve_relaxed,
@@ -544,18 +544,19 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     r_d = default_beampattern_target(cfg)
 
     # The relaxed precoder solve on one channel draw, once with a ball no
-    # two trace-P_T covariances can leave (closed form, from the channel
-    # rows as a run takes it) and once with a ball a quarter of the
-    # closed-form point's distance from R_D (KKT search, from the dense
-    # Omega and from the rows), with the relative gap of each to its
-    # certified bound, the error of the rows' top eigenvalue against the
-    # dense one, the O(N) distance of the slack test less the dense one
+    # two trace-P_T covariances can leave (closed form) and once with a
+    # ball a quarter of the closed-form point's distance from R_D (KKT
+    # search), each from the channel rows and from the dense Omega's model
+    # factor (N + K rows, a search at r = N), with the relative gap of each
+    # to its certified bound, the error of the rows' top eigenvalue against
+    # the dense one, the O(N) distance of the slack test less the dense one
     # over P_T^2, and the error of the rows' binding objective against the
-    # dense Omega's (whose search runs on the form of one N x N eigh).
+    # model factor's.
     ch = make_channels(cfg, rng)
     channels = effective_channels(IrsPhase(np.ones(cfg.n_irs, dtype=complex)),
                                   ch, cfg)
     omega = channels.omega
+    model = _model_rows(channels)
     slack = replace(cfg, beampattern_tol=2.0 * cfg.power_budget ** 2)
     closed = solve_relaxed(channels, slack)
     check_rows.append(("solve_relaxed", cfg.n_tx, "closed_form_gap",
@@ -570,18 +571,18 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
                        (slack_distance(top, cfg)[0] - dense_dist2)
                        / cfg.power_budget ** 2))
     binding = replace(cfg, beampattern_tol=0.25 * dense_dist2)
-    kkt = solve_relaxed(omega, binding)
+    kkt = solve_relaxed(model, binding)
     value = relaxed_objective(kkt, omega)
     check_rows.append((
         "solve_relaxed", cfg.n_tx, "binding_certificate_gap",
-        (relaxed_dual_bound(omega, binding, kkt.kkt_scale) - value) / value))
+        (relaxed_dual_bound(model, binding, kkt.kkt_scale) - value) / value))
     rows_value = relaxed_objective(solve_relaxed(channels, binding), omega)
     check_rows.append(("solve_relaxed", cfg.n_tx, "binding_rows_rel_error",
                        abs(rows_value - value) / value))
     for path_name, form, scene, n in (
-            ("closed_form", omega, slack, reps),
+            ("closed_form", model, slack, reps),
             ("closed_form_rows", channels, slack, reps),
-            ("binding", omega, binding, 20),
+            ("binding", model, binding, 20),
             ("binding_rows", channels, binding, 20)):
         timing_rows.append(("solve_relaxed", cfg.n_tx, path_name, _median_time(
             lambda: solve_relaxed(form, scene), n), n))
@@ -648,6 +649,16 @@ def _closed_form_gap(omega, cfg: SceneConfig, value: float) -> float:
     bound = slack_bound(float(np.linalg.eigvalsh(omega)[-1]),
                         float(np.linalg.norm(omega)), cfg)
     return (bound - value) / bound
+
+
+def _model_rows(channels) -> OmegaRows:
+    """The factor ``EffectiveChannels.omega`` is built from: the rows
+    [alpha t t^T; C], weighted beta / sigma_R^2 and (1 - beta) / sigma_C^2."""
+    cfg, t, comm = channels.cfg, channels.t, channels.comm
+    return OmegaRows(np.vstack((cfg.alpha * np.outer(t, t), comm)),
+                     np.repeat((cfg.beta / cfg.sigma2_radar,
+                                (1.0 - cfg.beta) / cfg.sigma2_comm),
+                               (t.size, comm.shape[0])))
 
 
 def _random_precoder(cfg: SceneConfig, rng: np.random.Generator) -> Precoder:

@@ -243,7 +243,7 @@ def irs_phase_update(nu: np.ndarray) -> IrsPhase:
     Where nu_i = 0 every phase maximizes; arg fixes one (1 for nu_i = +0).
     arg is ``np.angle``'s arctan2 of the parts, called directly.
     """
-    return IrsPhase.from_angles(np.arctan2(nu.imag, nu.real))
+    return IrsPhase.unit(np.exp(1j * np.arctan2(nu.imag, nu.real)))
 
 
 def ascent_anchor(factor_conj: np.ndarray, c: float, cc: float) -> float:
@@ -366,7 +366,7 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder,
         for _ in range(_MAX_HALVINGS):
             cand = theta + step * rgrad
             cand /= np.abs(cand)
-            cand_at = factors.at(IrsPhase(cand))
+            cand_at = factors.at(IrsPhase.unit(cand))
             if cand_at[1][0] >= snapshot[0] + _ARMIJO_SLOPE * step * norm2:
                 accepted = True
                 break

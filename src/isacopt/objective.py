@@ -9,12 +9,12 @@ Omega has rank <= 1 + K.  With t = G^T (theta o a), the round-trip radar
 channel is alpha t t^T, the downlink channel is C = F + (H o theta^T) G,
 and Omega = W^H diag(d) W over the rows W = [t^T; C] with weights
 d = (beta |alpha|^2 ||t||^2 / sigma_R^2, (1 - beta) / sigma_C^2, ...).
-``EffectiveChannels`` holds W at one theta and is what an outer iteration
-works from: it scores precoders from the products W P_nz over their
-nonzero columns (``Precoder.nonzero_columns``), gives Omega's top
-eigenpair from the (1 + K) x (1 + K) Gram matrix of its weighted rows,
-gives the binding ball's search its rows and weights, and starts the phase
-step.  Its dense Omega serves the tests and the bench.
+``OmegaRows`` (rows X, one weight each) is the one form of Omega the
+precoder stage takes; ``EffectiveChannels``, the ``OmegaRows`` of W at one
+theta, is what an outer iteration works from: it scores precoders from
+the products W P_nz over their nonzero columns
+(``Precoder.nonzero_columns``) and starts the phase step.  Its dense
+Omega serves the tests and the bench.
 ``build_omega`` is its dense Omega; ``weighted_snr``, ``snr_radar`` and
 ``snr_comm`` evaluate the objective from the dense channel matrices.
 ``quartic_kernels`` gives the lifted quartic term's kernels densely.
@@ -49,11 +49,11 @@ class IrsPhase:
             raise ConfigError("theta entries must have unit modulus")
 
     @classmethod
-    def from_angles(cls, angles: np.ndarray) -> "IrsPhase":
-        """exp(j angles) for a vector of angles, unit-modulus by
-        construction, so its modulus is not checked again."""
+    def unit(cls, theta: np.ndarray) -> "IrsPhase":
+        """theta as it is, unit-modulus by construction (as exp(j angles) or
+        x / |x| is), so its modulus is not checked again."""
         phase = cls.__new__(cls)
-        phase.theta = np.exp(1j * angles)
+        phase.theta = theta
         return phase
 
     def __len__(self) -> int:
@@ -175,23 +175,62 @@ class ChannelConstants:
         return EffectiveChannels(theta, rows, self)
 
 
-class EffectiveChannels:
+class OmegaRows:
+    """Omega = X^H diag(d) X over the r rows X (r x N), one real weight per
+    row: the effective channels (r = 1 + K), or a dense Hermitian
+    U diag(w) U^H as the rows U^H with the signed weights w (r = N)."""
+
+    def __init__(self, rows: np.ndarray, weights: np.ndarray):
+        self.rows, self.weights = rows, np.asarray(weights, dtype=float)
+
+    def top_eigenpair(self) -> tuple[float, np.ndarray, float]:
+        """(lambda_max(Omega), a unit top eigenvector u, ||Omega||_F), for
+        weights d >= 0.
+
+        From the r x r Gram matrix M M^H of the weighted rows M = D_r X,
+        D_r = diag(sqrt(d / d_max)): lambda_max(Omega) = d_max
+        lambda_max(M M^H), u is M^H v normalized (v the top eigenvector of
+        M M^H) and ||Omega||_F = d_max ||M M^H||_F.  The weights are
+        relative to d_max, so scaling them all by 2^k scales only d_max,
+        exactly.  For Omega = 0, u is the last unit vector, as a dense
+        ``eigh`` gives.
+        """
+        d_max = float(self.weights.max(initial=0.0))
+        if d_max > 0.0:
+            m = self.rows * np.sqrt(self.weights / d_max)[:, np.newaxis]
+            m_h = m.conj().T
+            gram = m @ m_h
+            w, v = np.linalg.eigh(gram)
+            lam = float(w[-1])
+            if lam > 0.0:
+                u = m_h @ v[:, -1]
+                u /= math.sqrt(np.vdot(u, u).real)
+                return (d_max * lam, u,
+                        d_max * math.sqrt(np.vdot(gram, gram).real))
+        u = np.zeros(self.rows.shape[1], dtype=complex)
+        u[-1] = 1.0
+        return 0.0, u, 0.0
+
+
+class EffectiveChannels(OmegaRows):
     """The effective channels at one phase vector theta.
 
     ``rows`` is W = [t^T; C]: views ``t`` = G^T (theta o a), so the radar
     channel is alpha t t^T, and ``comm`` = C = F + (H o theta^T) G.
-    Omega = W^H diag(d) W with weights d = (c ||t||^2, cc, ..., cc),
+    Omega = W^H diag(d) W with ``weights`` d = (c ||t||^2, cc, ..., cc),
     c = ``quartic_coefficient`` and cc = ``comm_coefficient``.
     ``consts`` are the run's ``ChannelConstants`` that formed them.
     """
 
     def __init__(self, theta: IrsPhase, rows: np.ndarray,
                  consts: ChannelConstants):
-        self.theta, self.rows, self.consts = theta, rows, consts
+        self.theta, self.consts = theta, consts
         self.cfg = consts.cfg
         self.t = t = rows[0]
         self.comm = rows[1:]
         self.q_w = float(np.vdot(t, t).real)      # ||t||^2
+        super().__init__(rows, np.full(rows.shape[0], consts.cc))
+        self.weights[0] = consts.c * self.q_w
 
     def scores(self, y: np.ndarray) -> tuple[float, float, float]:
         """(g, SNR_R, SNR_C) of a precoder P from Y = W P: g =
@@ -204,40 +243,6 @@ class EffectiveChannels:
                / cfg.sigma2_radar)
         s_c = float(np.vdot(y[1:], y[1:]).real) / cfg.sigma2_comm
         return cfg.beta * s_r + (1.0 - cfg.beta) * s_c, s_r, s_c
-
-    def weights(self) -> tuple[float, float]:
-        """(c ||t||^2, cc): the weight of the radar row in Omega = W^H diag(d) W
-        and that of each downlink row."""
-        return self.consts.c * self.q_w, self.consts.cc
-
-    def top_eigenpair(self) -> tuple[float, np.ndarray, float]:
-        """(lambda_max(Omega), a unit top eigenvector u, ||Omega||_F).
-
-        From the (1 + K) x (1 + K) Gram matrix M M^H of the weighted rows
-        M = D_r W, D_r = diag(sqrt(d / d_max)): lambda_max(Omega) =
-        d_max lambda_max(M M^H), u is M^H v normalized (v the top
-        eigenvector of M M^H) and ||Omega||_F = d_max ||M M^H||_F.  The
-        weights are relative to d_max, so scaling both noise powers by 2^k
-        scales only d_max, exactly.  For Omega = 0, u is the last unit
-        vector, as a dense ``eigh`` gives.
-        """
-        d_r, d_c = self.weights()
-        d_max = max(d_r, d_c)
-        if d_max > 0.0:
-            m = self.rows * math.sqrt(d_c / d_max)
-            np.multiply(self.t, math.sqrt(d_r / d_max), out=m[0])
-            m_h = m.conj().T
-            gram = m @ m_h
-            w, v = np.linalg.eigh(gram)
-            lam = float(w[-1])
-            if lam > 0.0:
-                u = m_h @ v[:, -1]
-                u /= math.sqrt(np.vdot(u, u).real)
-                return (d_max * lam, u,
-                        d_max * math.sqrt(np.vdot(gram, gram).real))
-        u = np.zeros(self.t.size, dtype=complex)
-        u[-1] = 1.0
-        return 0.0, u, 0.0
 
     @cached_property
     def omega(self) -> np.ndarray:

@@ -6,9 +6,10 @@ Without the beampattern ball the optimum over C = {S >= 0, tr(S) = P_T} is
 P_T u u^H with u the top eigenvector of the objective matrix, so whenever
 that matrix lies inside the ball ||S - R_D||_F^2 <= gamma_BP it is the exact
 optimum and its factor sqrt(P_T) u is an exact precoder: no iteration.
-The alternating loop hands Omega over as its effective channels, whose
-(1 + K) x (1 + K) Gram matrix gives u, lambda_max(Omega) and ||Omega||_F,
-and the certified bound ``slack_bound``; no N x N Omega is formed.  The
+Omega comes as ``objective.OmegaRows``, X^H diag(d) X over rows X: in a
+run, the 1 + K effective channels, whose Gram matrix gives u,
+lambda_max(Omega), ||Omega||_F and the certified bound ``slack_bound``;
+no N x N Omega is formed.  The
 ball test takes ||P_T u u^H - R_D||_F^2 in O(N) from b^H u
 (``slack_distance``), and the dense distance only within its rounding
 band of gamma; S = P_T u u^H itself is formed only when read, and the
@@ -18,9 +19,9 @@ S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t) meets the
 ball, so the solve is a bracketing root search on t (Chandrupatla's
 method), and ``relaxed_dual_bound`` certifies it.  R_D = c I + d b b^H and
 Omega has rank <= 1 + K, so R_D + t Omega is c I plus a form on a space of
-dimension r <= K + 2 (``KktForm``, from one thin QR of [b, W^H] over the
-channel rows W): each tested t costs one r x r eigendecomposition, and
-S(t) is formed densely once, at the end.  The precoder is then recovered
+dimension r <= K + 2 (``KktForm``, from one thin QR of [b, X^H] over the
+rows X): each tested t costs one r x r eigendecomposition, and S(t) is
+formed densely once, at the end.  The precoder is then recovered
 deterministically along the rank-K path S_K(t) = Pi_{C_K}(R_D + t Omega)
 (``factor_precoder``) on the same form.  The Euclidean projection onto the
 feasible set, ``dykstra_project``, is the same search along M - R_D.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .objective import EffectiveChannels, Precoder, hermitize
+from .objective import OmegaRows, Precoder, hermitize
 from .scene import SceneConfig, ula_steering
 from .squarem import squarem_ascent
 # Unused since the ratio study draws at the rank of R*; kept for the tracer,
@@ -99,6 +100,8 @@ class RelaxedCovariance:
             factor = np.asarray(factor, dtype=complex)
             if factor.ndim != 2 or factor.shape[0] != s.shape[0]:
                 raise ConfigError("factor must have one row per antenna")
+        if in_ball_scale is not None and form is None:
+            raise ConfigError("an in-ball scale needs the form it was tested on")
         self._s, self.factor = s, factor
         self.kkt_scale, self.in_ball_scale = kkt_scale, in_ball_scale
         self.dual_bound, self.form = dual_bound, form
@@ -132,7 +135,7 @@ class RandomizationReport:
 
     def __post_init__(self):
         if self.ratio > 1.0 + 1e-9:
-            raise ConfigError(
+            raise SolverError(
                 f"approximation ratio {self.ratio} exceeds 1: the reference "
                 f"objective is not an upper bound")
 
@@ -255,9 +258,8 @@ def validate_beampattern_target(cfg: SceneConfig):
     """
     r_d = default_beampattern_target(cfg)
     check_beampattern_target(r_d, cfg)
-    # a covariance with no factor or in-ball scale is recovered as S_K(0),
-    # which does not depend on Omega
-    factor_precoder(RelaxedCovariance(r_d), r_d, cfg)
+    # a covariance with no factor or in-ball scale is recovered as S_K(0)
+    factor_precoder(RelaxedCovariance(r_d), cfg)
 
 
 class KktForm:
@@ -265,14 +267,14 @@ class KktForm:
     run on.
 
     R_D = c I + d b b^H (``default_beampattern_target`` of ``cfg``) and
-    Omega = X^H diag(w) X over rows X, so R_D + t Omega is c I plus a form
-    on span{b, X^H}.  With Q (N x r) an orthonormal basis of that span,
-    b = Q beta and X^H = Q Y: A0 = d beta beta^H and A1 = Y diag(w) Y^H.
-    ``from_channels`` takes Q from the thin QR of [b, X^H] over the 1 + K
-    rows of the effective channels (r <= K + 2, A0 + t A1 >= 0);
-    ``from_eigh`` takes Q = U from a dense Omega = U diag(w) U^H, signed
-    weights allowed (r = N).  On the complement of span Q, R_D + t Omega
-    is c I.
+    Omega = X^H diag(w) X over the rows X of an ``OmegaRows``, so
+    R_D + t Omega is c I plus a form on span{b, X^H}.  ``of`` takes Q
+    (N x r), an orthonormal basis of that span, from the thin QR of
+    [b, X^H] = Q [beta, Y]: A0 = d beta beta^H and A1 = Y diag(w) Y^H.
+    From the 1 + K rows of the effective channels r <= K + 2 and
+    A0 + t A1 >= 0; from N or more rows, or signed weights (the form of
+    ``dykstra_project``), r = N.  On the complement of span Q,
+    R_D + t Omega is c I.
 
     A point is (V, v, v0): A0 + t A1 = V diag(lam) V^H, and the point is
     Q V diag(v) V^H Q^H + v0 (I - Q Q^H).  Testing a scale t costs one
@@ -293,31 +295,16 @@ class KktForm:
         self.err = 4.0 * n * _EPS
 
     @classmethod
-    def from_channels(cls, channels: EffectiveChannels, cfg: SceneConfig
-                      ) -> "KktForm":
-        rows = channels.rows
+    def of(cls, omega: OmegaRows, cfg: SceneConfig) -> "KktForm":
+        """The form of Omega = X^H diag(w) X, from one thin QR of [b, X^H]."""
+        rows = omega.rows
         span = np.empty((rows.shape[1], 1 + rows.shape[0]), dtype=complex)
         span[:, 0] = _target(cfg)[2]
         np.conjugate(rows.T, out=span[:, 1:])
         q, r1 = np.linalg.qr(span)
-        d_r, d_c = channels.weights()
         y = r1[:, 1:]
-        yw = y * d_c
-        yw[:, 0] = y[:, 0] * d_r
-        return cls(q, r1[:, 0], hermitize(yw @ y.conj().T), cfg)
-
-    @classmethod
-    def from_eigh(cls, w: np.ndarray, u: np.ndarray, cfg: SceneConfig
-                  ) -> "KktForm":
-        return cls(u, u.conj().T @ _target(cfg)[2], np.diag(w), cfg)
-
-    @classmethod
-    def of(cls, omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
-           ) -> "KktForm":
-        """The form of Omega, given as its effective channels or dense."""
-        if isinstance(omega, EffectiveChannels):
-            return cls.from_channels(omega, cfg)
-        return cls.from_eigh(*np.linalg.eigh(hermitize(omega)), cfg)
+        return cls(q, r1[:, 0], hermitize((y * omega.weights) @ y.conj().T),
+                   cfg)
 
     def start_scale(self) -> float:
         """t* = sqrt(gamma) / ||Omega_0||_F, Omega_0 = Omega - (tr Omega / N) I,
@@ -450,12 +437,14 @@ def dykstra_project(m: np.ndarray, cfg: SceneConfig) -> np.ndarray:
 
     By KKT the projection of M is Pi_C(R_D + s (M - R_D)) with s = 1/(1 + mu),
     mu the ball's multiplier: s = 1 if that point lies in the ball, else the
-    root search of ``solve_relaxed`` on the ``KktForm`` of M - R_D finds s.
+    root search of ``solve_relaxed`` finds s on the ``KktForm`` of
+    M - R_D = U diag(w) U^H, as the rows U^H with the signed weights w.
     Nothing in the library calls it; it is kept for the tracer, under the
     name of the Dykstra iteration it replaced.
     """
     r_d, gamma = _target(cfg)[3], cfg.beampattern_tol
-    form = KktForm.of(m - r_d, cfg)
+    w, u = np.linalg.eigh(hermitize(m - r_d))
+    form = KktForm.of(OmegaRows(u.conj().T, w), cfg)
     x, dist2 = form.point(1.0)
     if dist2 > gamma:
         # S(0) = Pi_C(R_D) = R_D
@@ -464,8 +453,8 @@ def dykstra_project(m: np.ndarray, cfg: SceneConfig) -> np.ndarray:
     return project_ball(form.dense(x), r_d, gamma)
 
 
-def relaxed_dual_bound(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
-                       t: float) -> float:
+def relaxed_dual_bound(omega: OmegaRows, cfg: SceneConfig, t: float
+                       ) -> float:
     """Upper bound on max tr(S Omega) over the feasible covariance set.
 
     For any t > 0 the Lagrangian with multiplier 1/(2t) on the ball is,
@@ -477,8 +466,8 @@ def relaxed_dual_bound(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig,
     that value by up to about e^2 / (2t) plus e ||Omega||, and for the
     error of evaluating it.  The allowance is near 1e-14 relative for the
     scenes of the experiments, and dominates only when gamma nears the
-    rounding level of the distance.  ``omega`` is Omega, dense or as its
-    ``EffectiveChannels``; R_D is the scene's ``default_beampattern_target``.
+    rounding level of the distance.  Omega is given as its ``OmegaRows``;
+    R_D is the scene's ``default_beampattern_target``.
     """
     if not t > 0:
         raise ConfigError(f"dual scale must be positive, got t={t}")
@@ -520,13 +509,12 @@ def slack_distance(top: np.ndarray, cfg: SceneConfig) -> tuple[float, float]:
             + norm2_r_d), band
 
 
-def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
-                  ) -> RelaxedCovariance:
+def solve_relaxed(omega: OmegaRows, cfg: SceneConfig) -> RelaxedCovariance:
     """Maximize tr(S Omega) over the feasible covariance set.
 
-    ``omega`` is Omega as a dense matrix or as the ``EffectiveChannels`` it
-    is built from; from the channels the top eigenpair comes from their
-    (1 + K) x (1 + K) Gram matrix, and no N x N Omega is formed.  If
+    Omega is given as its ``OmegaRows`` X with weights d >= 0 (the
+    effective channels, in a run); the top eigenpair comes from the r x r
+    Gram matrix of the weighted rows, and no N x N Omega is formed.  If
     S = P_T u u^H (u the top eigenvector of Omega) lies inside the
     beampattern ball it is returned with its factor sqrt(P_T) u, and S
     itself is formed only when read (``RelaxedCovariance.slack``): it
@@ -537,9 +525,9 @@ def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
     decides as the dense test does.  Otherwise the ball
     binds, and by the KKT conditions the optimum is
     S(t) = Pi_C(R_D + t Omega) at the t where ||S(t) - R_D||^2 = gamma.
-    The search runs on the ``KktForm`` of R_D + t Omega, built once (from
-    the QR of [b, channel rows^H], or from the dense Omega's ``eigh``), so
-    each tested t costs one r x r ``eigh``, r <= K + 2 from the channels.
+    The search runs on the ``KktForm`` of R_D + t Omega, built once from
+    the QR of [b, X^H], so each tested t costs one r x r ``eigh``, r <= K + 2
+    from the channels.
     That distance is nondecreasing in t, so t is found by doubling from
     t* = sqrt(gamma) / ||Omega_0||_F (``KktForm.start_scale``, inside the
     ball) until S(t) leaves the ball, then closing that bracket with
@@ -549,20 +537,16 @@ def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
     ``kkt_scale`` keeps t_hi, ``dual_bound`` the ``relaxed_dual_bound``
     there (from the S(t_hi) at hand), ``in_ball_scale`` keeps t_lo and
     ``form`` the form, for ``factor_precoder``.  A point S(t) inside the
-    ball that attains P_T * lambda_max(Omega) to 1e-12 relative is
-    returned as it is, with in-ball scale t and ``slack_bound`` (a repeated
-    top eigenvalue can leave S(t) inside the ball for every t); SolverError
+    ball that, scaled to trace P_T, attains P_T * lambda_max(Omega) to
+    1e-12 relative is returned so scaled, with in-ball scale t and
+    ``slack_bound`` (a repeated top eigenvalue can leave S(t) inside the
+    ball for every t; the t this takes is near 1e5, where the rounding of
+    the simplex threshold puts tr S(t) off P_T by about eps t); SolverError
     if neither happens within a fixed number of doublings.  R_D is the
     scene's ``default_beampattern_target``, checked when a config loads
     (``validate_beampattern_target``), not here.
     """
-    if isinstance(omega, EffectiveChannels):
-        lam, top, norm_omega = omega.top_eigenpair()
-    else:
-        omega = hermitize(omega)
-        eig = np.linalg.eigh(omega)
-        lam, top, norm_omega = (float(eig[0][-1]), eig[1][:, -1],
-                                float(np.linalg.norm(omega)))
+    lam, top, norm_omega = omega.top_eigenpair()
     gamma = cfg.beampattern_tol
     bound = slack_bound(lam, norm_omega, cfg)
     slack = RelaxedCovariance.slack(top, cfg.power_budget, bound)
@@ -572,10 +556,7 @@ def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
         dist2 = float(np.vdot(diff, diff).real)
     if dist2 <= gamma:
         return slack
-    r_d = _target(cfg)[3]
-    form = (KktForm.from_channels(omega, cfg)
-            if isinstance(omega, EffectiveChannels)
-            else KktForm.from_eigh(*eig, cfg))
+    form = KktForm.of(omega, cfg)
     attainable = cfg.power_budget * lam
     t = form.start_scale()
     lo = (0.0, None, 0.0)     # S(0) = Pi_C(R_D) = R_D
@@ -583,9 +564,12 @@ def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
         hi = (t, *form.point(t))
         if hi[2] > gamma:
             break
-        if form.trace(hi[1]) >= attainable - 1e-12 * abs(attainable):
-            return RelaxedCovariance(form.dense(hi[1]), in_ball_scale=t,
-                                     dual_bound=bound, form=form)
+        _, v, v0 = hi[1]
+        scale = cfg.power_budget / (float(v.sum()) + form.copies * v0)
+        if form.trace(hi[1]) * scale >= attainable - 1e-12 * abs(attainable):
+            return RelaxedCovariance(scale * form.dense(hi[1]),
+                                     in_ball_scale=t, dual_bound=bound,
+                                     form=form)
         lo, t = hi, 2.0 * t
     else:
         raise SolverError(
@@ -593,7 +577,7 @@ def solve_relaxed(omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
             f"optimum after {_KKT_MAX_DOUBLINGS} doublings of t")
     lo, (t_hi, x_hi, dist2) = _kkt_root(form.point, gamma, lo, hi, form.slack)
     return RelaxedCovariance(
-        project_ball(form.dense(x_hi), r_d, gamma), kkt_scale=t_hi,
+        project_ball(form.dense(x_hi), _target(cfg)[3], gamma), kkt_scale=t_hi,
         in_ball_scale=lo[0], dual_bound=form.dual_bound(t_hi, x_hi, dist2),
         form=form)
 
@@ -635,9 +619,7 @@ def _nearest_rank_factor(cfg: SceneConfig, k: int) -> np.ndarray:
     return f
 
 
-def factor_precoder(s: RelaxedCovariance,
-                    omega: np.ndarray | EffectiveChannels, cfg: SceneConfig
-                    ) -> Precoder:
+def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
     """Recover a K-column precoder, K = ``cfg.n_users``, with no draws.
 
     An exact factor of at most K columns (slack ball), zero-padded and
@@ -650,11 +632,11 @@ def factor_precoder(s: RelaxedCovariance,
     in-ball scale t_in, where S_K = S if rank S(t_in) <= K, else the root
     search of ``solve_relaxed`` on [0, t_in], to a width of 1e-13 t_in.
     (S_K(t) minimizes ||S - R_D||^2 - 2t tr(Omega S) over C_K, so both terms
-    are nondecreasing in t.)  The search runs on S's ``KktForm``
-    (``KktForm.rank_factor``, one r x r ``eigh``), or on the form of
-    ``omega``, Omega dense or as its ``EffectiveChannels``, where S has
-    none, and tests each factor F by the dense ||F F^H - R_D||^2, so the
-    precoder returned lies inside the ball as computed.  S_K(0), the
+    are nondecreasing in t.)  The search runs on the ``KktForm`` that
+    ``solve_relaxed`` set with the in-ball scale (``KktForm.rank_factor``,
+    one r x r ``eigh``), so Omega is not passed again, and tests each
+    factor F by the dense ||F F^H - R_D||^2, so the precoder returned lies
+    inside the ball as computed.  S_K(0), the
     nearest rank-K covariance to R_D (from a dense ``eigh`` of R_D), is the
     answer when S has neither a factor nor an in-ball scale, where it lies
     on the sphere (a search from there picks among R_D's tied eigenvectors
@@ -673,7 +655,7 @@ def factor_precoder(s: RelaxedCovariance,
     r_d = _target(cfg)[3]
     t_in = s.in_ball_scale or 0.0
     if t_in > 0.0:
-        form = s.form or KktForm.of(omega, cfg)
+        form = s.form
 
         def point(t):
             f = form.rank_factor(t, k)

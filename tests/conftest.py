@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from isacopt import (IrsPhase, Precoder, SceneConfig, alternating,
+from isacopt import (IrsPhase, OmegaRows, Precoder, SceneConfig, alternating,
                      make_channels)
+from isacopt.objective import hermitize
 from isacopt.scene import complex_normal
 
 
@@ -36,6 +37,27 @@ def random_hermitian(rng, n, scale=1.0):
 def random_psd(rng, n, scale=1.0):
     m = complex_normal(rng, n, n)
     return scale * (m @ m.conj().T)
+
+
+def omega_rows(rows, weights):
+    """(OmegaRows, dense Omega) of Omega = X^H diag(w) X over the rows X."""
+    weights = np.asarray(weights, dtype=float)
+    return (OmegaRows(rows, weights),
+            hermitize((rows.conj().T * weights) @ rows))
+
+
+def random_omega(rng, n, scale=1.0):
+    """The Omega of ``random_psd`` from the same draws, scale M M^H, as
+    (OmegaRows, dense Omega): the rows M^H, each of weight ``scale``."""
+    m = complex_normal(rng, n, n)
+    return omega_rows(m.conj().T, np.full(n, scale))
+
+
+def eigh_rows(omega):
+    """A dense Hermitian Omega = U diag(w) U^H as the rows U^H with the
+    weights w."""
+    w, u = np.linalg.eigh(hermitize(omega))
+    return OmegaRows(u.conj().T, w)
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 import isacopt.irs as irs
-from isacopt import (IrsPhase, Precoder, SceneConfig, build_omega,
+from isacopt import (IrsPhase, OmegaRows, Precoder, SceneConfig, build_omega,
                      build_quadratic_terms, build_quartic_surrogate,
                      default_beampattern_target, irs_phase_update,
                      linear_surrogate_vectors, load_experiment_spec,
@@ -200,7 +200,7 @@ def test_criterion_06_convex_subproblem_optimality():
         r_d = default_beampattern_target(cfg)
         m = complex_normal(rng, n, n)
         omega = m @ m.conj().T
-        s = solve_relaxed(omega, cfg)
+        s = solve_relaxed(OmegaRows(m.conj().T, np.ones(n)), cfg)
         target = cfg.power_budget * float(np.linalg.eigvalsh(omega)[-1])
         worst_gap = max(worst_gap,
                         abs(relaxed_objective(s, omega) - target) / target)

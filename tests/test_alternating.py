@@ -281,7 +281,7 @@ class TestSlackOuterIteration:
         tracemalloc.start()
         try:
             relaxed = solve_relaxed(channels, cfg)
-            p = factor_precoder(relaxed, channels, cfg)
+            p = factor_precoder(relaxed, cfg)
             y = channels.rows @ p.nonzero_columns()
             solve_irs_minorization(theta, p, consts, cfg, inner_max=1,
                                    start=(channels, channels.scores(y), y))
@@ -324,7 +324,7 @@ class TestSlackOuterIteration:
         theta = IrsPhase(np.ones(cfg.n_irs, dtype=complex))
         p, _, trace = run_alternating(ch, cfg, opts=SolverOptions(t_max=1))
         channels = effective_channels(theta, ch, cfg)
-        own = factor_precoder(solve_relaxed(channels, cfg), channels, cfg)
+        own = factor_precoder(solve_relaxed(channels, cfg), cfg)
         np.testing.assert_array_equal(own.p, p.p)
         _, inner = solve_irs_minorization(theta, own, ch, cfg, inner_max=1)
         assert inner.snapshot[0] == trace.objective_per_outer[0]

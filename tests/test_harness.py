@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isacopt import (ConfigError, IrsPhase, SceneConfig, alternating,
-                     build_omega, default_beampattern_target, harness,
+                     default_beampattern_target, effective_channels, harness,
                      load_experiment_spec, make_channels,
                      run_alternating, run_bench, run_convergence_experiment,
                      run_ratio_experiment, run_scaling_experiment,
@@ -463,8 +463,9 @@ class TestBench:
         gaps = []
         for seed in range(200):
             ch = make_channels(cfg, np.random.default_rng(seed))
-            omega = build_omega(ones, ch, cfg)
-            closed = solve_relaxed(omega, slack)
+            channels = effective_channels(ones, ch, cfg)
+            omega = channels.omega
+            closed = solve_relaxed(channels, slack)
             gaps.append(harness._closed_form_gap(
                 omega, cfg, relaxed_objective(closed, omega)))
         assert 0.0 <= min(gaps) and max(gaps) <= 1e-12

@@ -8,7 +8,8 @@ from isacopt import (ConfigError, IrsPhase, Precoder, SceneConfig, build_omega,
 from isacopt.objective import effective_channels
 from isacopt.scene import ChannelSet, complex_normal
 
-from conftest import random_phases, random_scene, small_config
+from conftest import (eigh_rows, omega_rows, random_phases, random_scene,
+                      small_config)
 from reference import decompose_objective, quartic_kernels_reference
 
 
@@ -112,13 +113,19 @@ class TestWeightedSnrAndOmega:
 
 
 class TestEffectiveChannels:
-    """Omega's top eigenpair from the channel rows against a dense eigh."""
+    """Omega's top eigenpair from its rows against a dense eigh."""
 
     @staticmethod
     def _check(cfg, ch, theta) -> bool:
         """Compare at one scene; True if the eigenvector was compared."""
-        lam, top, norm = effective_channels(theta, ch, cfg).top_eigenpair()
-        omega = build_omega(theta, ch, cfg)
+        return TestEffectiveChannels._check_rows(
+            effective_channels(theta, ch, cfg), build_omega(theta, ch, cfg))
+
+    @staticmethod
+    def _check_rows(rows, omega) -> bool:
+        """Compare an ``OmegaRows`` with its dense Omega; True if the
+        eigenvector was compared."""
+        lam, top, norm = rows.top_eigenpair()
         w, u = np.linalg.eigh(omega)
         assert abs(lam - w[-1]) <= 1e-13 * w[-1]
         assert abs(norm - np.linalg.norm(omega)) <= 1e-13 * np.linalg.norm(omega)
@@ -149,6 +156,31 @@ class TestEffectiveChannels:
             compared += self._check(cfg, ch, theta)
         assert compared >= 10
 
+    @pytest.mark.parametrize("case", ["random", "zero_rows", "zero_weight",
+                                      "zero"])
+    def test_omega_rows_match_dense_eigh(self, case):
+        # fewer rows than N, as many and more, with some rows or weights 0
+        compared = 0
+        for seed in range(20):
+            rng = np.random.default_rng([33, seed])
+            n, r = 6, int(rng.integers(1, 10))
+            x = complex_normal(rng, r, n)
+            d = rng.uniform(0.1, 10.0, r)
+            if case == "zero_rows":
+                x[rng.random(r) < 0.5] = 0.0
+            elif case == "zero_weight":
+                d[rng.integers(r)] = 0.0
+            elif case == "zero":
+                d[:] = 0.0
+            rows, omega = omega_rows(x, d)
+            compared += self._check_rows(rows, omega)
+        if case == "zero":
+            lam, top, norm = rows.top_eigenpair()
+            assert lam == norm == 0.0
+            np.testing.assert_array_equal(top, np.eye(n)[-1])
+        else:
+            assert compared >= 10
+
     def test_rows_are_the_channels(self, rng):
         # one (1 + K) x N array, bit-equal to the channels formed apart
         for _ in range(5):
@@ -166,7 +198,8 @@ class TestEffectiveChannels:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_zero_channels(self, rng, beta):
         # Omega = 0: no 0/0 (a RuntimeWarning fails the test), and the same
-        # S as the dense path, from its last unit eigenvector
+        # S as the dense Omega's eigh factor (the rows of I, weights 0), from
+        # its last unit eigenvector
         cfg, ch, _, theta = random_scene(rng, n_tx=4, beta=beta)
         zero = ChannelSet(g=np.zeros_like(ch.g), h=np.zeros_like(ch.h),
                           f=np.zeros_like(ch.f), steer=ch.steer)
@@ -176,7 +209,7 @@ class TestEffectiveChannels:
         np.testing.assert_array_equal(top, np.eye(cfg.n_tx)[-1])
         r_d = default_beampattern_target(cfg)
         s = solve_relaxed(channels, cfg)
-        dense = solve_relaxed(build_omega(theta, zero, cfg), cfg)
+        dense = solve_relaxed(eigh_rows(build_omega(theta, zero, cfg)), cfg)
         np.testing.assert_array_equal(s.s, dense.s)
         assert s.dual_bound == dense.dual_bound == 0.0
 
@@ -304,11 +337,12 @@ class TestIrsPhaseType:
         IrsPhase(np.exp(2j * np.pi * rng.random(7)))
 
     def test_non_unit_phase_still_raises(self, rng):
-        # from_angles skips the check (exp(j angles) is unit-modulus by
-        # construction); phases from anywhere else are still checked
+        # unit skips the check (exp(j angles) and x / |x| are unit-modulus
+        # by construction); phases from anywhere else are still checked
         angles = 2 * np.pi * rng.random(7)
-        trusted = IrsPhase.from_angles(angles)
-        assert trusted.theta.tobytes() == np.exp(1j * angles).tobytes()
+        unit = np.exp(1j * angles)
+        trusted = IrsPhase.unit(unit)
+        assert trusted.theta is unit
         IrsPhase(trusted.theta)
         with pytest.raises(ConfigError, match="unit modulus"):
             IrsPhase(trusted.theta * (1.0 + 1e-9))
