@@ -176,8 +176,9 @@ def _simplex_scaled(w: np.ndarray, target: float, copies: int = 0
     of the entries before it, so equal entries join together and the
     zeros count as one entry of weight ``copies``.  The projection is
     invariant to a common shift of the entries; shifting the largest to 0
-    keeps the partial sums, and so the sum of the output, accurate when
-    the entries are large against ``target``.
+    (in the output too, not only in tau) keeps the partial sums, and so
+    the sum of the output, accurate when the entries are large against
+    ``target``.
     """
     vals, counts = w.tolist(), [1] * w.size
     shift = max(vals[-1], 0.0) if copies else vals[-1]
@@ -191,8 +192,8 @@ def _simplex_scaled(w: np.ndarray, target: float, copies: int = 0
         if size and x * size <= excess:
             break
         excess, size = excess + count * x, size + count
-    tau = shift + excess / size
-    return np.maximum(w - tau, 0.0), max(-tau, 0.0) if copies else 0.0
+    w, tau = w - shift, excess / size
+    return np.maximum(w - tau, 0.0), max(-shift - tau, 0.0) if copies else 0.0
 
 
 def project_spectrahedron(m: np.ndarray, target: float) -> np.ndarray:

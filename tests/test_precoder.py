@@ -336,9 +336,14 @@ class TestSolveRelaxed:
         assert face_dist2 < top_dist2
         cfg = small_config(n_tx=4, beampattern_tol=0.5 * (face_dist2 + top_dist2))
         s = solve_relaxed(rows, cfg)
-        # S(t) is returned at t = 7.5e4, where tr S(t) is off P_T by 1.5e-11
-        # before it is scaled back
+        # S(t) stays in the ball, so the search returns it at a large t
+        # (1.5e5 here); the simplex threshold is subtracted from the
+        # shifted entries, so tr S(t) is P_T to rounding there, not to eps t
         assert s.in_ball_scale > 1e4
+        for t in [7.5e4, *np.linspace(1e4, s.in_ball_scale, 41)]:
+            (_, v, v0), _ = s.form.point(t)
+            assert float(np.sum(v)) + s.form.copies * v0 == pytest.approx(
+                cfg.power_budget, rel=1e-15, abs=0.0)
         for res in feasibility_residuals(cfg, r_d):
             assert res(s.s) <= 1e-12
         assert relaxed_objective(s, omega) == pytest.approx(
