@@ -5,6 +5,8 @@
     isac validate-config --config exp.json
     isac plotdata --csv results/convergence_beta0.5.csv
 
+``isac bench`` checks results; ``perfbench/run.py --trace 1`` times them.
+
 Exit codes: 0 success, 2 configuration error, 3 solver error.
 """
 
@@ -38,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--threads", type=int, help="worker process count")
 
     bench_p = sub.add_parser(
-        "bench", help="time the solver-path operations and check their results")
+        "bench", help="check the results of the solver-path operations")
     bench_p.add_argument("--out", default="bench_out", help="output directory")
 
     val_p = sub.add_parser("validate-config", help="check a config and print it resolved")

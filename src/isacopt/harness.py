@@ -8,9 +8,9 @@ Four experiment kinds:
   solvers as the surface size grows.
 * ``ratio``       - Gaussian-randomization approximation ratio versus the
   number of randomized samples, against the unit-diagonal relaxation bound.
-* ``bench``       - timings of the solver-path operations (phase update,
-  relaxed precoder solve, inner phase iteration, unit-diagonal relaxation,
-  ratio study) and checks of their results.
+* ``bench``       - checks of the solver-path operations' results (phase
+  update, relaxed precoder solve, phase-step anchor, unit-diagonal
+  relaxation); their wall times are perfbench's.
 
 Every primary CSV is deterministic for a fixed config and master seed,
 whatever the number of worker processes; wall-clock measurements are
@@ -43,7 +43,7 @@ from . import __version__ as _version
 from .alternating import IRS_METHODS, SolverOptions, run_alternating
 from .errors import ConfigError, require_finite, require_integer
 from .irs import (SurrogateFactors, ascent_anchor, build_quadratic_terms,
-                  irs_phase_update, solve_irs_minorization)
+                  irs_phase_update)
 from .objective import IrsPhase, OmegaRows, Precoder, effective_channels
 from .precoder import (approximation_ratio_study, default_beampattern_target,
                        relaxed_dual_bound, relaxed_objective, slack_bound,
@@ -525,20 +525,16 @@ def run_ratio_experiment(spec: ExperimentSpec) -> AggregateResult:
 
 
 def run_bench(spec: ExperimentSpec) -> AggregateResult:
-    """Timings of the solver-path operations, and checks of their results."""
+    """Checks of the solver-path operations' results; perfbench times them."""
     out_dir = Path(spec.output_dir)
     result = AggregateResult()
     rng = np.random.default_rng(spec.master_seed)
-    check_rows, timing_rows = [], []
-    reps = 100
+    check_rows = []
 
     l_irs = spec.scene.n_irs
-    nu = complex_normal(rng, l_irs)
-    updated = irs_phase_update(nu)
+    updated = irs_phase_update(complex_normal(rng, l_irs))
     check_rows.append(("irs_phase_update", l_irs, "max_modulus_error",
                        float(np.max(np.abs(np.abs(updated.theta) - 1.0)))))
-    timing_rows.append(("irs_phase_update", l_irs, "closed_form",
-                        _median_time(lambda: irs_phase_update(nu), reps), reps))
 
     cfg = spec.scene
     r_d = default_beampattern_target(cfg)
@@ -546,12 +542,12 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     # The relaxed precoder solve on one channel draw, once with a ball no
     # two trace-P_T covariances can leave (closed form) and once with a
     # ball a quarter of the closed-form point's distance from R_D (KKT
-    # search), each from the channel rows and from the dense Omega's model
-    # factor (N + K rows, a search at r = N), with the relative gap of each
-    # to its certified bound, the error of the rows' top eigenvalue against
-    # the dense one, the O(N) distance of the slack test less the dense one
-    # over P_T^2, and the error of the rows' binding objective against the
-    # model factor's.
+    # search on the dense Omega's model factor, N + K rows, a search at
+    # r = N), with the relative gap of each to its certified bound, the
+    # error of the rows' top eigenvalue against the dense one, the O(N)
+    # distance of the slack test less the dense one over P_T^2, and the
+    # error of the channel rows' binding objective against the model
+    # factor's.
     ch = make_channels(cfg, rng)
     channels = effective_channels(IrsPhase(np.ones(cfg.n_irs, dtype=complex)),
                                   ch, cfg)
@@ -579,40 +575,23 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     rows_value = relaxed_objective(solve_relaxed(channels, binding), omega)
     check_rows.append(("solve_relaxed", cfg.n_tx, "binding_rows_rel_error",
                        abs(rows_value - value) / value))
-    for path_name, form, scene, n in (
-            ("closed_form", model, slack, reps),
-            ("closed_form_rows", channels, slack, reps),
-            ("binding", model, binding, 20),
-            ("binding_rows", channels, binding, 20)):
-        timing_rows.append(("solve_relaxed", cfg.n_tx, path_name, _median_time(
-            lambda: solve_relaxed(form, scene), n), n))
 
-    # One inner iteration of the phase solver on the paper's 6 x 6 surface
-    # and on a 16 x 16 one; on the 6 x 6 one, the relative distance of the
-    # step's anchor (Cholesky route) from the QR route's.
-    for rows_, cols_ in ((6, 6), (16, 16)):
-        cfg_l = replace(cfg, irs_rows=rows_, irs_cols=cols_)
-        ch_l = make_channels(cfg_l, rng)
-        p = _random_precoder(cfg_l, rng)
-        theta = IrsPhase(np.exp(2j * np.pi * rng.random(cfg_l.n_irs)))
-        if cfg_l.n_irs == 36:
-            factors = SurrogateFactors(p, ch_l, cfg_l)
-            channels, _, y = factors.at(theta)
-            rho = factors.anchor(*factors.quartic(channels, y)[:2])
-            rho_qr = ascent_anchor(np.linalg.qr(factors.basis, mode="r").T,
-                                   factors.c, factors.cc)
-            check_rows.append(("solve_irs_minorization", 36, "anchor_route_rel_error",
-                               abs(rho - rho_qr) / rho_qr if rho_qr else rho))
-        timing_rows.append((
-            "solve_irs_minorization", cfg_l.n_irs, "inner_iteration",
-            _median_time(lambda: solve_irs_minorization(
-                theta, p, ch_l, cfg_l, inner_max=1), 20), 20))
+    # The relative distance of the phase step's anchor (Cholesky route)
+    # from the QR route's, on the paper's 6 x 6 surface.
+    cfg_l = replace(cfg, irs_rows=6, irs_cols=6)
+    ch_l = make_channels(cfg_l, rng)
+    factors = SurrogateFactors(_random_precoder(cfg_l, rng), ch_l, cfg_l)
+    theta = IrsPhase(np.exp(2j * np.pi * rng.random(cfg_l.n_irs)))
+    channels, _, y = factors.at(theta)
+    rho = factors.anchor(*factors.quartic(channels, y)[:2])
+    rho_qr = ascent_anchor(np.linalg.qr(factors.basis, mode="r").T,
+                           factors.c, factors.cc)
+    check_rows.append(("solve_irs_minorization", 36, "anchor_route_rel_error",
+                       abs(rho - rho_qr) / rho_qr if rho_qr else rho))
 
     # The ratio study's unit-diagonal relaxation on the communication form
     # U3 of a random precoder, at the ratio config's two surface sizes:
-    # the relative gap to its dual certificate and lambda_min(R*); and the
-    # study itself at n_g = 10^4 on the 6 x 6 surface, from its own
-    # generator so that the rows above do not depend on it.
+    # the relative gap to its dual certificate and lambda_min(R*).
     for rows_, cols_ in ((2, 4), (6, 6)):
         cfg_l = replace(cfg, irs_rows=rows_, irs_cols=cols_)
         ch_l = make_channels(cfg_l, rng)
@@ -625,22 +604,10 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
                            "unit_diag_certificate_gap", (bound - value) / bound))
         check_rows.append(("solve_unit_diag_relaxation", cfg_l.n_irs,
                            "lambda_min", float(np.linalg.eigvalsh(r_star)[0])))
-        timing_rows.append((
-            "solve_unit_diag_relaxation", cfg_l.n_irs, "power_method",
-            _median_time(lambda: solve_unit_diag_relaxation(a_mat), 20), 20))
-        if cfg_l.n_irs == 36:
-            timing_rows.append((
-                "approximation_ratio_study", cfg_l.n_irs, "n_g_10000",
-                _median_time(lambda: approximation_ratio_study(
-                    a_mat, r_star, [10_000], np.random.default_rng(0)), 5), 5))
 
     result.files.append(str(write_csv(
         out_dir / "bench.csv", ["op", "size", "metric", "value"],
         check_rows, spec)))
-    result.files.append(str(write_csv(
-        out_dir / "bench_timing.csv",
-        ["op", "size", "path", "median_seconds", "reps"],
-        timing_rows, spec)))
     return result
 
 
@@ -664,15 +631,6 @@ def _model_rows(channels) -> OmegaRows:
 def _random_precoder(cfg: SceneConfig, rng: np.random.Generator) -> Precoder:
     p = complex_normal(rng, cfg.n_tx, cfg.n_users)
     return Precoder(p * math.sqrt(cfg.power_budget / np.sum(np.abs(p) ** 2)))
-
-
-def _median_time(fn, reps: int) -> float:
-    samples = []
-    for _ in range(reps):
-        tic = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - tic)
-    return float(np.median(samples))
 
 
 def run_experiment(spec: ExperimentSpec) -> AggregateResult:

@@ -109,7 +109,7 @@ class ChannelSet:
     steer: np.ndarray    # length L
 
     def __post_init__(self):
-        if not np.allclose(np.abs(self.steer), 1.0, atol=1e-12):
+        if not np.max(np.abs(np.abs(self.steer) - 1.0)) <= 1e-12:
             raise ConfigError("steering vector entries must have unit modulus")
 
 

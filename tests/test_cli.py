@@ -185,8 +185,9 @@ class TestBench:
         out = tmp_path / "bench"
         code = main(["bench", "--out", str(out)])
         assert code == 0
-        assert (out / "bench.csv").exists()
-        assert (out / "bench_timing.csv").exists()
+        assert capsys.readouterr().out.splitlines() == [str(out / "bench.csv")]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "bench.csv", "bench.csv.meta.json"]
 
 
 class TestPlotdata:

@@ -6,7 +6,8 @@ import pytest
 from isacopt import (ConfigError, SceneConfig, db_to_linear, dbm_to_watts,
                      make_channels, rician_channel, ula_spacing_check,
                      upa_steering)
-from isacopt.scene import complex_normal, scene_config_from_dict, ula_steering
+from isacopt.scene import (ChannelSet, complex_normal, scene_config_from_dict,
+                           ula_steering)
 
 
 class TestDbConversions:
@@ -110,6 +111,17 @@ class TestMakeChannels:
         assert np.array_equal(a.g, b.g)
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.f, b.f)
+
+    def test_steering_modulus_checked_to_1e12(self, rng):
+        # the modulus check is absolute: an entry of modulus 1 + 5e-6 is
+        # within numpy's default allclose tolerance, but not within 1e-12
+        ch = make_channels(SceneConfig(irs_rows=16, irs_cols=16), rng)
+        assert ChannelSet(ch.g, ch.h, ch.f, ch.steer).steer is ch.steer
+        for bad in (1.0 + 5e-6, 1.0 - 2e-12, np.nan):
+            steer = ch.steer.copy()
+            steer[3] *= bad
+            with pytest.raises(ConfigError, match="unit modulus"):
+                ChannelSet(ch.g, ch.h, ch.f, steer)
 
 
 class TestSceneConfigValidation:
