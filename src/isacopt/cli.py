@@ -102,8 +102,8 @@ def _cmd_plotdata(args) -> int:
     from .harness import read_csv_rows
 
     src = Path(args.csv)
-    if not src.exists():
-        raise ConfigError(f"no such CSV: {src}")
+    if not src.is_file():
+        raise ConfigError(f"no such CSV file: {src}")
     header, rows = read_csv_rows(src)
     out = Path(args.out) if args.out else src.with_suffix(".dat")
     with open(out, "w", encoding="utf-8") as fh:
@@ -127,9 +127,6 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

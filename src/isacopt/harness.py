@@ -12,12 +12,15 @@ Four experiment kinds:
   update, relaxed precoder solve, phase-step anchor, unit-diagonal
   relaxation); their wall times are perfbench's.
 
-Every primary CSV is deterministic for a fixed config and master seed,
-whatever the number of worker processes; wall-clock measurements are
-written to separate ``*_timing.csv`` files that are excluded from the
-determinism contract.  Each CSV gets a ``.meta.json`` sidecar with the
-fully resolved configuration, the hash of its scientific fields and the
-trials behind it that raised, which are skipped rather than fatal.
+Each trial returns the raw CSV rows it contributes; an experiment prefixes
+them with the sweep key and takes each aggregate over a column of them, so
+a sweep point whose every trial raised adds no aggregate row.  Every
+primary CSV is deterministic for a fixed config and master seed, whatever
+the number of worker processes; wall-clock measurements are written to
+separate ``*_timing.csv`` files that are excluded from the determinism
+contract.  Each CSV gets a ``.meta.json`` sidecar with the fully resolved
+configuration, the hash of its scientific fields and the trials behind it
+that raised, which are skipped rather than fatal.
 """
 
 from __future__ import annotations
@@ -117,11 +120,13 @@ class AggregateResult:
 def load_experiment_spec(source: str | Path | dict) -> ExperimentSpec:
     """Build an ExperimentSpec from a JSON file or a parsed dict."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{source}: not valid JSON ({exc})") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{source}: not valid JSON ({exc})") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{source}: cannot be read ({exc})") from exc
     else:
         raw = dict(source)
     if not isinstance(raw, dict):
@@ -178,28 +183,32 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows, spec: ExperimentSpec,
-              trial_errors: list[dict] | tuple = ()) -> Path:
-    """Write the CSV and its sidecar; ``trial_errors`` are the records of
-    the trials behind the rows that raised and were skipped."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+def write_tables(spec: ExperimentSpec, tables: list[tuple[str, list[str], list]],
+                 trial_errors: list[dict] | tuple = ()) -> list[str]:
+    """Write each (name, header, rows) table to ``<output_dir>/<name>.csv``
+    with its sidecar; ``trial_errors`` are the records of the trials
+    behind the rows that raised and were skipped.  Returns the CSV paths."""
+    out_dir = Path(spec.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     meta = {
-        "columns": header,
         "config": resolved_spec_dict(spec),
         "config_sha256": config_hash(spec),
         "package": f"isacopt {_version}",
         "trial_errors": list(trial_errors),
     }
-    meta_path = path.with_suffix(path.suffix + ".meta.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    paths = []
+    for name, header, rows in tables:
+        path = out_dir / f"{name}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([format_cell(v) for v in row])
+        with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
+            json.dump({**meta, "columns": header}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        paths.append(str(path))
+    return paths
 
 
 def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -232,27 +241,29 @@ def near_square_grid(l_total: int) -> tuple[int, int]:
     return rows, l_total // rows
 
 
+# Each trial worker returns the CSV rows it contributes, in column order and
+# without the sweep key; a trial's rows come in a fixed number and order
+# wherever one row per method, stage or sample count is returned.
+
 def _convergence_trial(args):
+    """(trial, iteration, g, SNR_R, SNR_C) per outer iteration, and
+    (stage, seconds) per stage, summed over the outer iterations."""
     cfg, opts, master_seed, point, trial = args
     cfg, ch, rng = _trial_inputs(cfg, master_seed, point, trial)
     _, _, trace = run_alternating(ch, cfg, opts=opts, rng=rng)
-    stage_totals: dict[str, float] = {}
-    for stage_times in trace.wall_time_per_stage:
-        for stage, seconds in stage_times.items():
-            stage_totals[stage] = stage_totals.get(stage, 0.0) + seconds
-    return {
-        "trial": trial,
-        "objectives": trace.objective_per_outer,
-        "snr_radar": trace.snr_radar_per_outer,
-        "snr_comm": trace.snr_comm_per_outer,
-        "stage_totals": stage_totals,
-    }
+    scores = zip(trace.objective_per_outer, trace.snr_radar_per_outer,
+                 trace.snr_comm_per_outer)
+    times = trace.wall_time_per_stage
+    return ([(trial, i, *score) for i, score in enumerate(scores, 1)],
+            [(stage, sum(t[stage] for t in times)) for stage in sorted(times[0])])
 
 
 def _scaling_trial(args):
+    """(method, trial, final g, outer iterations, phase-stage seconds, its
+    share per outer iteration, total seconds) per phase solver."""
     cfg, opts, master_seed, point, trial = args
     cfg, ch, rng = _trial_inputs(cfg, master_seed, point, trial)
-    out = {}
+    rows = []
     for method in IRS_METHODS:
         # paired comparison: both methods start from one generator state
         method_opts = replace(opts, irs_method=method)
@@ -260,30 +271,23 @@ def _scaling_trial(args):
         _, _, trace = run_alternating(ch, cfg, opts=method_opts,
                                       rng=copy.deepcopy(rng))
         total = time.perf_counter() - tic
-        irs_time = sum(t.get("irs", 0.0) for t in trace.wall_time_per_stage)
-        out[method] = {
-            "trial": trial,
-            "final_objective": trace.objective_per_outer[-1],
-            "outer_iterations": len(trace.objective_per_outer),
-            "irs_time": irs_time,
-            "irs_time_per_outer": irs_time / len(trace.objective_per_outer),
-            "total_time": total,
-        }
-    return out
+        outer = len(trace.objective_per_outer)
+        irs = sum(t["irs"] for t in trace.wall_time_per_stage)
+        rows.append((method, trial, trace.objective_per_outer[-1], outer,
+                     irs, irs / outer, total))
+    return rows
 
 
 def _ratio_trial(args):
+    """(n_g, trial, ratio, best objective, relaxation bound) per sample
+    count."""
     cfg, opts, n_g_grid, master_seed, point, trial = args
     cfg, ch, rng = _trial_inputs(cfg, master_seed, point, trial)
     precoder, _, _ = run_alternating(ch, cfg, opts=opts, rng=rng)
     a_mat, _ = build_quadratic_terms(precoder, ch, cfg)
     r_star = solve_unit_diag_relaxation(a_mat)
-    reports = approximation_ratio_study(a_mat, r_star, n_g_grid, rng)
-    return {
-        "trial": trial,
-        "reports": [(r.n_samples, r.ratio, r.best_objective, r.sdp_objective)
-                    for r in reports],
-    }
+    return [(r.n_samples, trial, r.ratio, r.best_objective, r.sdp_objective)
+            for r in approximation_ratio_study(a_mat, r_star, n_g_grid, rng)]
 
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -317,7 +321,7 @@ def _point_args(spec: ExperimentSpec, cfgs: list[SceneConfig], *extra
 
 
 def _run_trials(worker, point_args: list[list[tuple]], threads: int
-                ) -> tuple[list[list[dict]], list[dict]]:
+                ) -> tuple[list[list], list[dict]]:
     """Run the trials of every sweep point, here or in ``threads`` spawned
     worker processes, which take them in chunks from one pool.
 
@@ -346,7 +350,7 @@ def _run_trials(worker, point_args: list[list[tuple]], threads: int
     return results, errors
 
 
-def _guarded(worker, args) -> tuple[dict | None, dict | None]:
+def _guarded(worker, args) -> tuple[object, dict | None]:
     """Run one trial: (result, None), or (None, record) if it raised.
 
     A failing trial is skipped, not fatal; its record holds the
@@ -362,6 +366,8 @@ def _guarded(worker, args) -> tuple[dict | None, dict | None]:
 
 
 # --- aggregation (shared by writers and verification) -----------------------
+#
+# A sweep point with no surviving trial adds no aggregate row.
 
 def aggregate_convergence(curves: list[list[float]]) -> list[tuple]:
     """Per-iteration mean/variance/std with last-value carry-forward padding.
@@ -380,9 +386,10 @@ def aggregate_convergence(curves: list[list[float]]) -> list[tuple]:
             for i in range(t_max)]
 
 
-def aggregate_mean_var(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.var())
+def _column(rows, index: int) -> np.ndarray:
+    """Column ``index`` of ``rows`` as one 1-D float array; each aggregate
+    is its mean or variance."""
+    return np.array([row[index] for row in rows], dtype=float)
 
 
 # --- experiments ------------------------------------------------------------
@@ -394,46 +401,31 @@ def _surface_scenes(spec: ExperimentSpec) -> list[SceneConfig]:
 
 
 def run_convergence_experiment(spec: ExperimentSpec) -> AggregateResult:
-    """Objective trajectories per radar weight; one CSV pair per weight."""
-    out_dir = Path(spec.output_dir)
-    result = AggregateResult()
+    """Objective trajectories per radar weight; one CSV triple per weight."""
     cfgs = [replace(spec.scene, beta=float(beta)) for beta in spec.beta_values]
-    per_point, result.trial_errors = _run_trials(
+    per_point, errors = _run_trials(
         _convergence_trial, _point_args(spec, cfgs), spec.threads)
+    result = AggregateResult(trial_errors=errors)
     for point, (beta, trials) in enumerate(zip(spec.beta_values, per_point)):
-        errors = [e for e in result.trial_errors if e["point"] == point]
         tag = f"beta{beta:g}"
-
-        raw_rows = []
-        for tr in trials:
-            for i, (g, sr, sc) in enumerate(zip(tr["objectives"],
-                                                tr["snr_radar"],
-                                                tr["snr_comm"])):
-                raw_rows.append((tr["trial"], i + 1, g, sr, sc))
-        raw_path = write_csv(
-            out_dir / f"convergence_raw_{tag}.csv",
-            ["trial", "iteration", "objective", "snr_radar", "snr_comm"],
-            raw_rows, spec, errors)
-
-        agg_rows = aggregate_convergence([tr["objectives"] for tr in trials])
-        agg_path = write_csv(
-            out_dir / f"convergence_{tag}.csv",
-            ["iteration", "mean_objective", "var_objective", "std_objective",
-             "n_trials"],
-            agg_rows, spec, errors)
-
-        stages = sorted({s for tr in trials for s in tr["stage_totals"]})
-        timing_rows = []
-        for stage in stages:
-            mean, var = aggregate_mean_var(
-                [tr["stage_totals"].get(stage, 0.0) for tr in trials])
-            timing_rows.append((stage, mean, var, len(trials)))
-        timing_path = write_csv(
-            out_dir / f"convergence_timing_{tag}.csv",
-            ["stage", "mean_seconds", "var_seconds", "n_trials"],
-            timing_rows, spec, errors)
-
-        result.files += [str(raw_path), str(agg_path), str(timing_path)]
+        timing = []
+        # one stage's row of each trial
+        for stages in zip(*(totals for _, totals in trials)):
+            seconds = _column(stages, 1)
+            timing.append((stages[0][0], seconds.mean(), seconds.var(),
+                           len(stages)))
+        result.files += write_tables(spec, [
+            (f"convergence_raw_{tag}",
+             ["trial", "iteration", "objective", "snr_radar", "snr_comm"],
+             [row for rows, _ in trials for row in rows]),
+            (f"convergence_{tag}",
+             ["iteration", "mean_objective", "var_objective", "std_objective",
+              "n_trials"],
+             aggregate_convergence([[row[2] for row in rows]
+                                    for rows, _ in trials])),
+            (f"convergence_timing_{tag}",
+             ["stage", "mean_seconds", "var_seconds", "n_trials"], timing),
+        ], [e for e in errors if e["point"] == point])
         log.info("convergence beta=%g: %d/%d trials ok", beta, len(trials),
                  spec.trials)
     return result
@@ -442,92 +434,64 @@ def run_convergence_experiment(spec: ExperimentSpec) -> AggregateResult:
 def run_scaling_experiment(spec: ExperimentSpec) -> AggregateResult:
     """Both phase solvers inside the full loop as the surface size grows;
     ``solver.irs_method`` is not read."""
-    out_dir = Path(spec.output_dir)
-    result = AggregateResult()
-    raw_rows, raw_timing_rows, agg_rows, timing_rows = [], [], [], []
+    raw, agg, timing = [], [], []
     l0 = float(spec.l_values[0])
-    per_point, result.trial_errors = _run_trials(
+    per_point, errors = _run_trials(
         _scaling_trial, _point_args(spec, _surface_scenes(spec)), spec.threads)
     for l_total, trials in zip(spec.l_values, per_point):
-        ipm_ref = (float(l_total) / l0) ** 3.5
-        for method in IRS_METHODS:
-            per = [tr[method] for tr in trials]
-            for rec in per:
-                raw_rows.append((l_total, method, rec["trial"],
-                                 rec["final_objective"], rec["outer_iterations"]))
-                raw_timing_rows.append((l_total, method, rec["trial"],
-                                        rec["irs_time"], rec["irs_time_per_outer"],
-                                        rec["total_time"]))
-            mean_obj, var_obj = aggregate_mean_var(
-                [r["final_objective"] for r in per])
-            mean_outer, _ = aggregate_mean_var(
-                [r["outer_iterations"] for r in per])
-            agg_rows.append((l_total, method, mean_obj, var_obj, mean_outer,
-                             len(per), ipm_ref))
-            mean_irs, var_irs = aggregate_mean_var([r["irs_time"] for r in per])
-            mean_per_outer, _ = aggregate_mean_var(
-                [r["irs_time_per_outer"] for r in per])
-            mean_total, _ = aggregate_mean_var([r["total_time"] for r in per])
-            timing_rows.append((l_total, method, mean_irs, var_irs,
-                                mean_per_outer, mean_total, len(per)))
+        for rows in zip(*trials):       # one phase solver's row of each trial
+            method, n = rows[0][0], len(rows)
+            raw += [(l_total, *row) for row in rows]
+            g, outer, irs, irs_per_outer, total = (_column(rows, i)
+                                                  for i in range(2, 7))
+            agg.append((l_total, method, g.mean(), g.var(), outer.mean(), n,
+                        (float(l_total) / l0) ** 3.5))
+            timing.append((l_total, method, irs.mean(), irs.var(),
+                           irs_per_outer.mean(), total.mean(), n))
         log.info("scaling L=%d: %d/%d trials ok", l_total, len(trials),
                  spec.trials)
-    result.files.append(str(write_csv(
-        out_dir / "scaling_raw.csv",
-        ["l", "method", "trial", "final_objective", "outer_iterations"],
-        raw_rows, spec, result.trial_errors)))
-    result.files.append(str(write_csv(
-        out_dir / "scaling.csv",
-        ["l", "method", "mean_final_objective", "var_final_objective",
-         "mean_outer_iterations", "n_trials", "ipm_cost_ref_l35"],
-        agg_rows, spec, result.trial_errors)))
-    result.files.append(str(write_csv(
-        out_dir / "scaling_raw_timing.csv",
-        ["l", "method", "trial", "irs_seconds", "irs_seconds_per_outer",
-         "total_seconds"],
-        raw_timing_rows, spec, result.trial_errors)))
-    result.files.append(str(write_csv(
-        out_dir / "scaling_timing.csv",
-        ["l", "method", "mean_irs_seconds", "var_irs_seconds",
-         "mean_irs_seconds_per_outer", "mean_total_seconds", "n_trials"],
-        timing_rows, spec, result.trial_errors)))
-    return result
+    return AggregateResult(write_tables(spec, [
+        ("scaling_raw",
+         ["l", "method", "trial", "final_objective", "outer_iterations"],
+         [row[:5] for row in raw]),
+        ("scaling",
+         ["l", "method", "mean_final_objective", "var_final_objective",
+          "mean_outer_iterations", "n_trials", "ipm_cost_ref_l35"], agg),
+        ("scaling_raw_timing",
+         ["l", "method", "trial", "irs_seconds", "irs_seconds_per_outer",
+          "total_seconds"], [row[:3] + row[5:] for row in raw]),
+        ("scaling_timing",
+         ["l", "method", "mean_irs_seconds", "var_irs_seconds",
+          "mean_irs_seconds_per_outer", "mean_total_seconds", "n_trials"],
+         timing),
+    ], errors), errors)
 
 
 def run_ratio_experiment(spec: ExperimentSpec) -> AggregateResult:
     """Randomization approximation ratio over the sample-count grid."""
-    out_dir = Path(spec.output_dir)
-    result = AggregateResult()
-    raw_rows, agg_rows = [], []
-    per_point, result.trial_errors = _run_trials(
+    raw, agg = [], []
+    per_point, errors = _run_trials(
         _ratio_trial,
         _point_args(spec, _surface_scenes(spec), list(spec.n_g_grid)),
         spec.threads)
     for l_total, trials in zip(spec.l_values, per_point):
-        for tr in trials:
-            for n_g, ratio, best, sdp in tr["reports"]:
-                raw_rows.append((l_total, n_g, tr["trial"], ratio, best, sdp))
-        for gi, n_g in enumerate(spec.n_g_grid):
-            ratios = [tr["reports"][gi][1] for tr in trials]
-            mean, var = aggregate_mean_var(ratios)
-            agg_rows.append((l_total, int(n_g), mean, var, len(ratios)))
+        raw += [(l_total, *row) for rows in trials for row in rows]
+        for rows in zip(*trials):       # one sample count's row of each trial
+            ratio = _column(rows, 2)
+            agg.append((l_total, rows[0][0], ratio.mean(), ratio.var(),
+                        len(rows)))
         log.info("ratio L=%d: %d/%d trials ok", l_total, len(trials),
                  spec.trials)
-    result.files.append(str(write_csv(
-        out_dir / "ratio_raw.csv",
-        ["l", "n_g", "trial", "ratio", "best_objective", "sdp_objective"],
-        raw_rows, spec, result.trial_errors)))
-    result.files.append(str(write_csv(
-        out_dir / "ratio.csv",
-        ["l", "n_g", "mean_ratio", "var_ratio", "n_trials"],
-        agg_rows, spec, result.trial_errors)))
-    return result
+    return AggregateResult(write_tables(spec, [
+        ("ratio_raw",
+         ["l", "n_g", "trial", "ratio", "best_objective", "sdp_objective"],
+         raw),
+        ("ratio", ["l", "n_g", "mean_ratio", "var_ratio", "n_trials"], agg),
+    ], errors), errors)
 
 
 def run_bench(spec: ExperimentSpec) -> AggregateResult:
     """Checks of the solver-path operations' results; perfbench times them."""
-    out_dir = Path(spec.output_dir)
-    result = AggregateResult()
     rng = np.random.default_rng(spec.master_seed)
     check_rows = []
 
@@ -605,10 +569,8 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
         check_rows.append(("solve_unit_diag_relaxation", cfg_l.n_irs,
                            "lambda_min", float(np.linalg.eigvalsh(r_star)[0])))
 
-    result.files.append(str(write_csv(
-        out_dir / "bench.csv", ["op", "size", "metric", "value"],
-        check_rows, spec)))
-    return result
+    return AggregateResult(write_tables(
+        spec, [("bench", ["op", "size", "metric", "value"], check_rows)]))
 
 
 def _closed_form_gap(omega, cfg: SceneConfig, value: float) -> float:

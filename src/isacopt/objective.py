@@ -45,7 +45,7 @@ class IrsPhase:
         self.theta = np.asarray(self.theta, dtype=complex)
         if self.theta.ndim != 1:
             raise ConfigError("theta must be a vector")
-        if np.max(np.abs(np.abs(self.theta) - 1.0)) > 1e-12:
+        if not np.max(np.abs(np.abs(self.theta) - 1.0)) <= 1e-12:
             raise ConfigError("theta entries must have unit modulus")
 
     @classmethod

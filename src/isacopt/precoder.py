@@ -134,10 +134,10 @@ class RandomizationReport:
     ratio: float
 
     def __post_init__(self):
-        if self.ratio > 1.0 + 1e-9:
+        if not self.ratio <= 1.0 + 1e-9:
             raise SolverError(
-                f"approximation ratio {self.ratio} exceeds 1: the reference "
-                f"objective is not an upper bound")
+                f"approximation ratio {self.ratio} exceeds 1 or is NaN: the "
+                f"reference objective is not an upper bound")
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
@@ -732,7 +732,7 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     bound is at least the relaxation optimum, which is at least every
     unit-modulus value.
     """
-    if np.max(np.abs(np.diagonal(r_star) - 1.0)) > 1e-6:
+    if not np.max(np.abs(np.diagonal(r_star) - 1.0)) <= 1e-6:
         raise ConfigError("reference covariance must have unit diagonal")
     a = hermitize(a)
     sdp_obj = unit_diag_dual_bound(a, r_star)

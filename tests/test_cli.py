@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -70,6 +71,52 @@ class TestRun:
         _, rows = read_csv_rows(out / "convergence_raw_beta0.9.csv")
         assert sorted({int(row[0]) for row in rows}) == [0, 1, 2]
 
+    # per kind: the overrides of a two-point sweep, and the CSVs whose
+    # sidecars record the failures of its first point
+    ALL_FAIL = {
+        "convergence": ({"beta_values": [0.5, 0.9]},
+                        ["convergence_beta0.5", "convergence_raw_beta0.5",
+                         "convergence_timing_beta0.5"]),
+        "scaling": ({"beta_values": [], "l_values": [4, 9],
+                     "solver": {"t_max": 2, "inner_max": 20}},
+                    ["scaling", "scaling_raw", "scaling_timing",
+                     "scaling_raw_timing"]),
+        "ratio": ({"beta_values": [], "l_values": [4, 9], "n_g_grid": [5],
+                   "solver": {"t_max": 2}},
+                  ["ratio", "ratio_raw"]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ALL_FAIL))
+    def test_point_whose_every_trial_fails_has_no_aggregate_row(
+            self, tmp_path, capsys, monkeypatch, kind):
+        worker = getattr(harness, f"_{kind}_trial")
+
+        def fails_on_point0(args):
+            if args[-2] == 0:
+                raise ValueError("injected failure")
+            return worker(args)
+
+        monkeypatch.setattr(harness, f"_{kind}_trial", fails_on_point0)
+        overrides, recording = self.ALL_FAIL[kind]
+        config = write_config(tmp_path, kind=kind, **overrides)
+        out = tmp_path / "results"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "2 trial(s) failed" in capsys.readouterr().err
+        for name in recording:
+            meta = json.loads((out / f"{name}.csv.meta.json").read_text())
+            assert [(e["point"], e["trial"])
+                    for e in meta["trial_errors"]] == [(0, 0), (0, 1)]
+        # every aggregate row left is the second point's, over both trials
+        n_trials = []
+        for path in out.glob("*.csv"):
+            header, rows = read_csv_rows(path)
+            if "n_trials" in header:
+                n_trials += [row[header.index("n_trials")] for row in rows]
+        assert n_trials and set(n_trials) == {"2"}
+
     def test_seed_and_trials_override(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "results"
@@ -86,8 +133,17 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_missing_file_exits_2(self, tmp_path, capsys):
-        assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+    @pytest.mark.parametrize("command", ["run", "validate-config"])
+    @pytest.mark.parametrize("config", ["missing", "directory", "latin-1"])
+    def test_missing_file_exits_2(self, tmp_path, capsys, command, config):
+        path = tmp_path / config
+        if config == "directory":
+            path.mkdir()
+        elif config == "latin-1":
+            path.write_bytes('{"kind": "ratio", "output_dir": "é"}'
+                             .encode("latin-1"))
+        assert main([command, "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_unknown_scene_key_exits_2(self, tmp_path):
         config = write_config(tmp_path, scene={"n_tx": 3, "n_rx": 3,
@@ -201,8 +257,9 @@ class TestPlotdata:
         assert dat[0].startswith("# iteration mean_objective")
         assert len(dat[1].split()) == 5
 
-    def test_missing_csv_exits_2(self, tmp_path):
-        assert main(["plotdata", "--csv", str(tmp_path / "nope.csv")]) == 2
+    @pytest.mark.parametrize("name", ["nope.csv", "."])
+    def test_missing_csv_exits_2(self, tmp_path, name):
+        assert main(["plotdata", "--csv", str(tmp_path / name)]) == 2
 
 
 class TestValidateConfig:

@@ -12,8 +12,8 @@ from isacopt import (ConfigError, IrsPhase, SceneConfig, alternating,
                      default_beampattern_target, effective_channels, harness,
                      load_experiment_spec, make_channels,
                      run_alternating, run_bench, run_convergence_experiment,
-                     run_ratio_experiment, run_scaling_experiment,
-                     solve_relaxed)
+                     run_experiment, run_ratio_experiment,
+                     run_scaling_experiment, solve_relaxed)
 from isacopt.alternating import initial_phases
 from isacopt.precoder import relaxed_objective
 from isacopt.harness import (aggregate_convergence, config_hash, format_cell,
@@ -245,16 +245,6 @@ class TestConvergenceExperiment:
         assert (tmp_path / "a" / raw).read_bytes() \
             == (tmp_path / "b" / raw).read_bytes()
 
-    def test_parallel_trials_match_serial(self, tmp_path):
-        serial = make_spec(tmp_path, output_dir=str(tmp_path / "s"))
-        parallel = make_spec(tmp_path, output_dir=str(tmp_path / "p"),
-                             threads=2)
-        run_convergence_experiment(serial)
-        run_convergence_experiment(parallel)
-        name = "convergence_raw_beta0.5.csv"
-        assert (tmp_path / "s" / name).read_bytes() \
-            == (tmp_path / "p" / name).read_bytes()
-
 
 def _blas_env(args):
     """Trial worker reporting its BLAS thread variables; module-level so
@@ -263,6 +253,24 @@ def _blas_env(args):
 
 
 class TestWorkers:
+    @pytest.mark.parametrize("overrides", [
+        {"kind": "convergence"},
+        {"kind": "scaling", "beta_values": [], "l_values": [4, 9],
+         "solver": {"t_max": 3, "inner_max": 30}},
+        {"kind": "ratio", "beta_values": [], "l_values": [4, 9],
+         "n_g_grid": [5, 20], "solver": {"t_max": 2}},
+    ], ids=lambda overrides: overrides["kind"])
+    def test_parallel_trials_match_serial(self, tmp_path, overrides):
+        for out, threads in (("s", 1), ("p", 2)):
+            run_experiment(make_spec(tmp_path, output_dir=str(tmp_path / out),
+                                     threads=threads, **overrides))
+        names = sorted(p.name for p in (tmp_path / "s").glob("*.csv")
+                       if "_timing" not in p.name)
+        assert len(names) == 2
+        for name in names:
+            assert (tmp_path / "s" / name).read_bytes() \
+                == (tmp_path / "p" / name).read_bytes(), name
+
     def test_spawned_workers_start_with_one_blas_thread(self, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "7")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

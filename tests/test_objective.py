@@ -346,6 +346,8 @@ class TestIrsPhaseType:
         IrsPhase(trusted.theta)
         with pytest.raises(ConfigError, match="unit modulus"):
             IrsPhase(trusted.theta * (1.0 + 1e-9))
+        with pytest.raises(ConfigError, match="unit modulus"):
+            IrsPhase([1.0, np.nan])
 
 
 class TestPrecoderType:

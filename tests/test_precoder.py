@@ -807,6 +807,8 @@ class TestApproximationRatio:
         with pytest.raises(SolverError, match="exceeds 1") as info:
             RandomizationReport(4, 1.5, 1.0, 1.5)
         assert not isinstance(info.value, ConfigError)
+        with pytest.raises(SolverError, match="NaN"):
+            RandomizationReport(4, np.nan, 1.0, np.nan)
 
     def test_scalar_case_is_exact(self, rng):
         a = np.array([[2.5 + 0j]])
@@ -839,10 +841,11 @@ class TestApproximationRatio:
         assert np.all(means <= 1 + 1e-9)
         assert means[-1] > means[0]
 
-    def test_rejects_non_unit_diagonal(self, rng):
+    @pytest.mark.parametrize("diagonal", [2.0, np.nan])
+    def test_rejects_non_unit_diagonal(self, rng, diagonal):
         a = random_psd(rng, 3)
-        with pytest.raises(ConfigError):
-            approximation_ratio_study(a, 2.0 * np.eye(3), [4], rng)
+        with pytest.raises(ConfigError, match="unit diagonal"):
+            approximation_ratio_study(a, diagonal * np.eye(3), [4], rng)
 
 
 class TestUnitDiagRelaxation:
