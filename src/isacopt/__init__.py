@@ -9,10 +9,9 @@ from .errors import ConfigError, MonotonicityError, SolverError
 from .scene import (ChannelSet, SceneConfig, db_to_linear, dbm_to_watts,
                     make_channels, rician_channel, scene_config_from_dict,
                     ula_spacing_check, ula_steering, upa_steering)
-from .objective import (EffectiveChannels, IrsPhase, OmegaRows, Precoder,
-                        build_omega, effective_channels, effective_comm_channel,
-                        effective_radar_channel, quartic_kernels, snr_comm,
-                        snr_radar, weighted_snr)
+from .objective import (ChannelConstants, EffectiveChannels, IrsPhase,
+                        OmegaRows, Precoder, build_omega, quartic_kernels,
+                        snr_comm, snr_radar, weighted_snr)
 from .precoder import (RandomizationReport, RelaxedCovariance,
                        approximation_ratio_study, default_beampattern_target,
                        dykstra_project, factor_precoder, precoder_objective,

@@ -1,9 +1,10 @@
 """Alternating optimization of the precoder and the surface phases.
 
 The channel constants that do not change during a run (G^T, conj(G),
-H^H, conj(a) and the objective's weights; ``objective.ChannelConstants``)
-are formed once per run, not cached on the ``ChannelSet``, so an outer
-iteration does only the theta- and P-dependent work.  It works from the
+H^H, conj(a) and the objective's weights; ``objective.ChannelConstants``,
+the phase step's channel input) are formed once per run, not cached on
+the ``ChannelSet``, so an outer iteration does only the theta- and
+P-dependent work.  It works from the
 effective channels at the current phases (``objective.EffectiveChannels``):
 it solves the relaxed precoder problem from them, recovers a K-column
 precoder deterministically (``factor_precoder``, which hands over its
@@ -30,8 +31,7 @@ import numpy as np
 from .errors import (ConfigError, SolverError, require_finite,
                      require_integer)
 from .irs import solve_irs_manifold, solve_irs_minorization
-from .objective import (ChannelConstants, IrsPhase, Precoder,
-                        effective_channels)
+from .objective import ChannelConstants, IrsPhase, Precoder
 # Unused here since the loop scores on the effective channels; kept for
 # the tracer, which wraps them here by name.
 from .objective import build_omega, snr_comm, snr_radar  # noqa: F401
@@ -110,14 +110,15 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
     draws only the initial phases of ``theta_init="random"``; without one,
     they come from ``np.random.default_rng(0)``.  Sub-solver failures
     propagate as SolverError with the failing stage named; a ball too tight
-    for a K-column precoder raises ConfigError from the precoder stage.
+    for a K-column precoder raises ConfigError from the precoder stage, and
+    channels whose shapes do not fit the scene raise it before the first.
     """
     opts = opts or SolverOptions()
     rng = rng if rng is not None else np.random.default_rng(0)
 
     theta = initial_phases(cfg, opts, rng)
     consts = ChannelConstants(ch, cfg)
-    channels = effective_channels(theta, consts, cfg)
+    channels = consts.channels(theta)
     trace = RunTrace()
     precoder: Precoder | None = None
     # (g, SNR_R, SNR_C) of the incumbent precoder on the current channels
@@ -150,7 +151,7 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             solve_irs = (solve_irs_minorization
                          if opts.irs_method == "minorization"
                          else solve_irs_manifold)
-            theta, inner = solve_irs(theta, precoder, consts, cfg,
+            theta, inner = solve_irs(theta, precoder, consts,
                                      inner_max=opts.inner_max,
                                      start=(channels, snapshot, y))
             if inner.line_search_failed:

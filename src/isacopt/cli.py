@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, SolverError
-from .harness import (ExperimentSpec, load_experiment_spec,
-                      resolved_spec_dict, run_bench, run_experiment)
+from .harness import (ExperimentSpec, load_experiment_spec, read_csv_rows,
+                      resolved_spec_dict, run_experiment)
 from .scene import ula_spacing_check
 
 
@@ -81,7 +81,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    result = run_bench(ExperimentSpec(kind="bench", output_dir=args.out))
+    result = run_experiment(ExperimentSpec(kind="bench", output_dir=args.out))
     for path in result.files:
         print(path)
     return 0
@@ -99,11 +99,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    from .harness import read_csv_rows
-
     src = Path(args.csv)
-    if not src.is_file():
-        raise ConfigError(f"no such CSV file: {src}")
     header, rows = read_csv_rows(src)
     out = Path(args.out) if args.out else src.with_suffix(".dat")
     with open(out, "w", encoding="utf-8") as fh:

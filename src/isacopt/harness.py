@@ -47,7 +47,7 @@ from .alternating import IRS_METHODS, SolverOptions, run_alternating
 from .errors import ConfigError, require_finite, require_integer
 from .irs import (SurrogateFactors, ascent_anchor, build_quadratic_terms,
                   irs_phase_update)
-from .objective import IrsPhase, OmegaRows, Precoder, effective_channels
+from .objective import ChannelConstants, IrsPhase, OmegaRows, Precoder
 from .precoder import (approximation_ratio_study, default_beampattern_target,
                        relaxed_dual_bound, relaxed_objective, slack_bound,
                        slack_distance, solve_relaxed,
@@ -212,10 +212,13 @@ def write_tables(spec: ExperimentSpec, tables: list[tuple[str, list[str], list]]
 
 
 def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [row for row in reader]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            return next(reader), list(reader)
+    except (OSError, UnicodeDecodeError, StopIteration) as exc:
+        raise ConfigError(f"{path}: not a UTF-8 CSV file with a header "
+                          f"({type(exc).__name__}: {exc})") from exc
 
 
 # --- per-trial machinery ----------------------------------------------------
@@ -513,8 +516,8 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     # error of the channel rows' binding objective against the model
     # factor's.
     ch = make_channels(cfg, rng)
-    channels = effective_channels(IrsPhase(np.ones(cfg.n_irs, dtype=complex)),
-                                  ch, cfg)
+    channels = ChannelConstants(ch, cfg).channels(
+        IrsPhase(np.ones(cfg.n_irs, dtype=complex)))
     omega = channels.omega
     model = _model_rows(channels)
     slack = replace(cfg, beampattern_tol=2.0 * cfg.power_budget ** 2)
@@ -544,7 +547,8 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     # from the QR route's, on the paper's 6 x 6 surface.
     cfg_l = replace(cfg, irs_rows=6, irs_cols=6)
     ch_l = make_channels(cfg_l, rng)
-    factors = SurrogateFactors(_random_precoder(cfg_l, rng), ch_l, cfg_l)
+    factors = SurrogateFactors(_random_precoder(cfg_l, rng),
+                               ChannelConstants(ch_l, cfg_l))
     theta = IrsPhase(np.exp(2j * np.pi * rng.random(cfg_l.n_irs)))
     channels, _, y = factors.at(theta)
     rho = factors.anchor(*factors.quartic(channels, y)[:2])
@@ -583,7 +587,7 @@ def _closed_form_gap(omega, cfg: SceneConfig, value: float) -> float:
 def _model_rows(channels) -> OmegaRows:
     """The factor ``EffectiveChannels.omega`` is built from: the rows
     [alpha t t^T; C], weighted beta / sigma_R^2 and (1 - beta) / sigma_C^2."""
-    cfg, t, comm = channels.cfg, channels.t, channels.comm
+    cfg, t, comm = channels.consts.cfg, channels.t, channels.comm
     return OmegaRows(np.vstack((cfg.alpha * np.outer(t, t), comm)),
                      np.repeat((cfg.beta / cfg.sigma2_radar,
                                 (1.0 - cfg.beta) / cfg.sigma2_comm),
@@ -596,7 +600,12 @@ def _random_precoder(cfg: SceneConfig, rng: np.random.Generator) -> Precoder:
 
 
 def run_experiment(spec: ExperimentSpec) -> AggregateResult:
-    """Dispatch on the experiment kind."""
+    """Dispatch on the experiment kind, once the output directory is made:
+    a path that cannot be one fails before the first trial."""
+    try:
+        Path(spec.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir {spec.output_dir}: {exc}") from exc
     runner = {
         "convergence": run_convergence_experiment,
         "scaling": run_scaling_experiment,

@@ -48,8 +48,9 @@ factor of M^H M takes to constant coefficients by one congruence.  One
 inner iteration costs O(L N K + L m + m^3).
 
 ``SurrogateFactors`` is built once per precoder, from its nonzero columns
-P_nz and the run's channel constants (``objective.ChannelConstants``), so
-it forms only what depends on P.  Both phase solvers work from the
+P_nz and the run's channel constants (``objective.ChannelConstants``, the
+phase stage's one channel input), so it forms only what depends on P.
+Both phase solvers work from the
 effective channels (``objective.EffectiveChannels``) and the products
 Y = W P_nz that score the precoder there, from the caller's at the start
 phases on.  Y[0] = P^T t and t give the quartic factors (P^T t, conj(G) t,
@@ -112,13 +113,12 @@ class SurrogateFactors:
     with column (k, j) of Psi equal to conj(h_k o gp_j), written once into
     the anchor's basis M = [p, q, Psi].  cc weights the form, not Psi, so
     noise scaled by 2^k scales it exactly.  The channel-side constants
-    (conj(G), H^H, conj(a), c, cc) come from the run's ``ChannelConstants``
-    where ``ch`` is one, so a phase step forms only what depends on P.
+    (conj(G), H^H, conj(a), c, cc) come from the run's ``consts``, so a
+    phase step forms only what depends on P.
     """
 
-    def __init__(self, p: Precoder, ch: ChannelSet | ChannelConstants,
-                 cfg: SceneConfig):
-        self.ch = consts = ChannelConstants.of(ch, cfg)
+    def __init__(self, p: Precoder, consts: ChannelConstants):
+        self.consts = consts
         self.p_nz = p_nz = p.nonzero_columns()
         self.c, self.cc = consts.c, consts.cc
         self.gp = gp = consts.g @ p_nz
@@ -136,7 +136,7 @@ class SurrogateFactors:
     def at(self, theta: IrsPhase) -> tuple[
             EffectiveChannels, tuple[float, float, float], np.ndarray]:
         """(channels, snapshot, Y) at theta, Y = W P_nz giving the score."""
-        channels = self.ch.channels(theta)
+        channels = self.consts.channels(theta)
         y = channels.rows @ self.p_nz
         return channels, channels.scores(y), y
 
@@ -144,16 +144,16 @@ class SurrogateFactors:
                 ) -> tuple[np.ndarray, np.ndarray, float, float]:
         """(p, q, q_v, q_w): p = a* o V b and q = a* o W b give U1 = c p q^T,
         q_v = b^H V b = ||P^T t||^2 and q_w = b^H W b = ||t||^2."""
-        pt, a_conj = y[0], self.ch.a_conj
+        pt, a_conj = y[0], self.consts.a_conj
         return (a_conj * (self.gp_conj @ pt),
-                a_conj * (self.ch.g_conj @ channels.t),
+                a_conj * (self.consts.g_conj @ channels.t),
                 float(np.vdot(pt, pt).real), channels.q_w)
 
     def gradient(self, y: np.ndarray, pv: np.ndarray, qv: np.ndarray,
                  q_v: float, q_w: float) -> np.ndarray:
         """Wirtinger gradient from the quartic factors and the products Y
         there: U3 theta + mu* = cc sum_j conj(gp_j) o (H^H C p_j)."""
-        comm = (self.gp_conj * (self.ch.h_adj @ y[1:])).sum(1)
+        comm = (self.gp_conj * (self.consts.h_adj @ y[1:])).sum(1)
         return (self.c * q_w) * pv + (self.c * q_v) * qv + self.cc * comm
 
     def linearize(self, channels: EffectiveChannels, y: np.ndarray
@@ -274,7 +274,7 @@ _INNER_TOL = 1e-6
 
 
 def solve_irs_minorization(theta0: IrsPhase, p: Precoder,
-                           ch: ChannelSet | ChannelConstants, cfg: SceneConfig, inner_max: int = 200,
+                           consts: ChannelConstants, inner_max: int = 200,
                            start: tuple | None = None
                            ) -> tuple[IrsPhase, InnerTrace]:
     """Iterate the closed-form double-minorization update to convergence.
@@ -294,12 +294,13 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder,
     (each map is guaranteed by the anchor, an extrapolation by the guard);
     a map that dips beyond 1e-9 relative slack raises.  ``start`` is
     (channels, snapshot, Y) at theta0 where the caller has them
-    (``SurrogateFactors.at``: Y = W P_nz scored the snapshot); ``ch`` is
-    the channels or the run's ``ChannelConstants``.
+    (``SurrogateFactors.at``: Y = W P_nz scored the snapshot); ``consts``
+    are the run's ``ChannelConstants``, ``ChannelConstants(ch, cfg)``
+    outside a run.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
-    factors = SurrogateFactors(p, ch, cfg)
+    factors = SurrogateFactors(p, consts)
 
     def point(theta):
         # (theta, g, channels, snapshot, Y) at the phases theta
@@ -333,7 +334,7 @@ _MAX_HALVINGS = 50
 
 
 def solve_irs_manifold(theta0: IrsPhase, p: Precoder,
-                       ch: ChannelSet | ChannelConstants, cfg: SceneConfig, inner_max: int = 200,
+                       consts: ChannelConstants, inner_max: int = 200,
                        start: tuple | None = None
                        ) -> tuple[IrsPhase, InnerTrace]:
     """Riemannian gradient ascent on the torus with Armijo backtracking.
@@ -345,12 +346,12 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder,
     contraction 0.5, and the minorization solver's stop.  Accepted steps
     only, so the trace is monotone.  The surrogate factors are built once;
     the effective channels of each candidate score it and, once it is
-    accepted, give the next gradient.  ``start`` is as for
+    accepted, give the next gradient.  ``consts`` and ``start`` are as for
     ``solve_irs_minorization``.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
-    factors = SurrogateFactors(p, ch, cfg)
+    factors = SurrogateFactors(p, consts)
     trace = InnerTrace()
     channels, snapshot, y = start or factors.at(theta0)
     trace.objectives.append(snapshot[0])

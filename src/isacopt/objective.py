@@ -18,9 +18,10 @@ Omega serves the tests and the bench.
 ``build_omega`` is its dense Omega; ``weighted_snr``, ``snr_radar`` and
 ``snr_comm`` evaluate the objective from the dense channel matrices.
 ``quartic_kernels`` gives the lifted quartic term's kernels densely.
-``ChannelConstants`` holds what a run reads at every theta (G^T, conj(G),
-H^T, H^H, conj(a), the weights), formed once per run and carried by the
-channels it forms; nothing is cached on the ``ChannelSet``.
+``ChannelConstants``, the phase solvers' one channel input, holds what a
+run reads at every theta (G^T, conj(G), H^T, H^H, conj(a), the weights),
+formed once per run from the channels and their scene ``cfg``; nothing is
+cached on the ``ChannelSet``.
 """
 
 from __future__ import annotations
@@ -93,35 +94,22 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def _check_dims(theta: np.ndarray, ch: ChannelSet):
-    l, n_t = ch.g.shape
+    l = ch.g.shape[0]
     if theta.size != l:
         raise ConfigError(f"theta length {theta.size} does not match surface size {l}")
-    if ch.h.shape[1] != l or ch.f.shape[1] != n_t or ch.h.shape[0] != ch.f.shape[0]:
-        raise ConfigError("channel dimensions are inconsistent")
-
-
-def effective_radar_channel(theta: IrsPhase, ch: ChannelSet,
-                            cfg: SceneConfig) -> np.ndarray:
-    """Round-trip radar channel alpha * G^T Theta a a^T Theta G (rank <= 1)."""
-    _check_dims(theta.theta, ch)
-    b = theta.theta * ch.steer
-    t = ch.g.T @ b
-    return cfg.alpha * np.outer(t, t)
-
-
-def effective_comm_channel(theta: IrsPhase, ch: ChannelSet) -> np.ndarray:
-    """Downlink channel F + H Theta G."""
-    _check_dims(theta.theta, ch)
-    return ch.f + (ch.h * theta.theta[np.newaxis, :]) @ ch.g
 
 
 def snr_radar(p: Precoder, theta: IrsPhase, ch: ChannelSet, cfg: SceneConfig) -> float:
-    c_r = effective_radar_channel(theta, ch, cfg)
+    _check_dims(theta.theta, ch)
+    b = theta.theta * ch.steer
+    t = ch.g.T @ b
+    c_r = cfg.alpha * np.outer(t, t)
     return float(np.sum(np.abs(c_r @ p.p) ** 2) / cfg.sigma2_radar)
 
 
 def snr_comm(p: Precoder, theta: IrsPhase, ch: ChannelSet, cfg: SceneConfig) -> float:
-    c_c = effective_comm_channel(theta, ch)
+    _check_dims(theta.theta, ch)
+    c_c = ch.f + (ch.h * theta.theta[np.newaxis, :]) @ ch.g
     return float(np.sum(np.abs(c_c @ p.p) ** 2) / cfg.sigma2_comm)
 
 
@@ -134,21 +122,26 @@ def weighted_snr(p: Precoder, theta: IrsPhase, ch: ChannelSet,
 
 def build_omega(theta: IrsPhase, ch: ChannelSet, cfg: SceneConfig) -> np.ndarray:
     """Hermitian PSD matrix with tr(P P^H Omega) equal to the weighted SNR."""
-    return effective_channels(theta, ch, cfg).omega
+    _check_dims(theta.theta, ch)
+    return ChannelConstants(ch, cfg).channels(theta).omega
 
 
 class ChannelConstants:
     """What every outer iteration of one run reads of the channels: G, G^T,
     conj(G), H, H^T, H^H, F, a, conj(a) and the weights c and cc.
 
-    Built once per run and carried by the ``EffectiveChannels`` it forms;
-    never cached on the ``ChannelSet``, which callers keep.  The channel
-    dimensions are checked here, once.  ``g``, ``h``, ``f`` and ``steer``
-    keep the ``ChannelSet``'s names, so the phase solvers take either.
+    Built once per run from the channels and their scene ``cfg``, and
+    carried by the ``EffectiveChannels`` it forms; never cached on the
+    ``ChannelSet``, which callers keep.  The channel shapes are checked
+    here, once, against the scene's L, N and K.
     """
 
     def __init__(self, ch: ChannelSet, cfg: SceneConfig):
-        _check_dims(ch.steer, ch)
+        l, n, k = cfg.n_irs, cfg.n_tx, cfg.n_users
+        shapes = ch.g.shape, ch.h.shape, ch.f.shape, ch.steer.shape
+        if shapes != ((l, n), (k, l), (k, n), (l,)):
+            raise ConfigError(f"channel dimensions are inconsistent: G, H, F, "
+                              f"a are {shapes} for (L, N, K) = {(l, n, k)}")
         self.cfg = cfg
         self.g, self.h, self.f, self.steer = ch.g, ch.h, ch.f, ch.steer
         self.g_t, self.g_conj = ch.g.T, ch.g.conj()
@@ -156,12 +149,6 @@ class ChannelConstants:
         self.a_conj = ch.steer.conj()
         self.c, self.cc = quartic_coefficient(cfg), comm_coefficient(cfg)
         self.alpha2 = abs(cfg.alpha) ** 2
-
-    @classmethod
-    def of(cls, ch: "ChannelSet | ChannelConstants", cfg: SceneConfig
-           ) -> "ChannelConstants":
-        """``ch`` itself if it is already the constants of a run."""
-        return ch if isinstance(ch, cls) else cls(ch, cfg)
 
     def channels(self, theta: IrsPhase) -> "EffectiveChannels":
         """t = G^T (theta o a) and C = (H o theta^T) G + F at theta, written
@@ -219,13 +206,13 @@ class EffectiveChannels(OmegaRows):
     channel is alpha t t^T, and ``comm`` = C = F + (H o theta^T) G.
     Omega = W^H diag(d) W with ``weights`` d = (c ||t||^2, cc, ..., cc),
     c = ``quartic_coefficient`` and cc = ``comm_coefficient``.
-    ``consts`` are the run's ``ChannelConstants`` that formed them.
+    ``consts`` are the run's ``ChannelConstants`` that formed them, with
+    the scene ``consts.cfg``.
     """
 
     def __init__(self, theta: IrsPhase, rows: np.ndarray,
                  consts: ChannelConstants):
         self.theta, self.consts = theta, consts
-        self.cfg = consts.cfg
         self.t = t = rows[0]
         self.comm = rows[1:]
         self.q_w = float(np.vdot(t, t).real)      # ||t||^2
@@ -237,7 +224,7 @@ class EffectiveChannels(OmegaRows):
         ||diag(sqrt d) Y||_F^2, SNR_R = |alpha|^2 ||Y[0]||^2 ||t||^2 /
         sigma_R^2, SNR_C = ||Y[1:]||^2 / sigma_C^2 (Y[0] = P^T t, Y[1:] =
         C P)."""
-        cfg = self.cfg
+        cfg = self.consts.cfg
         pt = y[0]
         s_r = (self.consts.alpha2 * float(np.vdot(pt, pt).real) * self.q_w
                / cfg.sigma2_radar)
@@ -247,19 +234,11 @@ class EffectiveChannels(OmegaRows):
     @cached_property
     def omega(self) -> np.ndarray:
         """The dense Omega, Hermitian PSD, formed on first use."""
-        cfg = self.cfg
+        cfg = self.consts.cfg
         c_r = cfg.alpha * np.outer(self.t, self.t)
         omega = (cfg.beta / cfg.sigma2_radar) * (c_r.conj().T @ c_r) \
             + ((1.0 - cfg.beta) / cfg.sigma2_comm) * (self.comm.conj().T @ self.comm)
         return hermitize(omega)
-
-
-def effective_channels(theta: IrsPhase, ch: ChannelSet | ChannelConstants,
-                       cfg: SceneConfig) -> EffectiveChannels:
-    """t = G^T (theta o a) and C = (H o theta^T) G + F at theta, in place,
-    from the channels or from a run's ``ChannelConstants``."""
-    _check_dims(theta.theta, ch)
-    return ChannelConstants.of(ch, cfg).channels(theta)
 
 
 def quartic_coefficient(cfg: SceneConfig) -> float:

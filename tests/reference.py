@@ -14,8 +14,8 @@ from isacopt.errors import ConfigError, MonotonicityError
 from isacopt.irs import (InnerTrace, SurrogateFactors, build_quadratic_terms,
                          build_quartic_surrogate, irs_phase_update,
                          linear_surrogate_vectors)
-from isacopt.objective import (IrsPhase, Precoder, _check_dims,
-                               comm_coefficient, hermitize,
+from isacopt.objective import (ChannelConstants, IrsPhase, Precoder,
+                               _check_dims, comm_coefficient, hermitize,
                                quartic_coefficient, quartic_kernels)
 from isacopt.precoder import (_KKT_MAX_DOUBLINGS, RandomizationReport,
                               _above_rounding, _kkt_root, project_ball,
@@ -32,6 +32,23 @@ class ObjectiveBreakdown:
     g2: float
     g4: float
     total: float
+
+
+def effective_radar_channel(theta: IrsPhase, ch: ChannelSet,
+                            cfg: SceneConfig) -> np.ndarray:
+    """Round-trip radar channel alpha * G^T Theta a a^T Theta G (rank <= 1),
+    as a dense N x N matrix; the run keeps only t = G^T (theta o a)
+    (``EffectiveChannels.t``)."""
+    _check_dims(theta.theta, ch)
+    b = theta.theta * ch.steer
+    t = ch.g.T @ b
+    return cfg.alpha * np.outer(t, t)
+
+
+def effective_comm_channel(theta: IrsPhase, ch: ChannelSet) -> np.ndarray:
+    """Downlink channel F + H Theta G (``EffectiveChannels.comm``)."""
+    _check_dims(theta.theta, ch)
+    return ch.f + (ch.h * theta.theta[np.newaxis, :]) @ ch.g
 
 
 def decompose_objective(p: Precoder, theta: IrsPhase, ch: ChannelSet,
@@ -156,9 +173,9 @@ def gradient_at(factors: SurrogateFactors, theta: np.ndarray) -> np.ndarray:
 def factors_mu(factors: SurrogateFactors) -> np.ndarray:
     """mu = diag(U4) = cc sum_j gp_j o ((FP)^H H)_j as a row sum over the
     factors' nonzero precoder columns (``build_quadratic_terms`` forms U4)."""
-    fp = factors.ch.f @ factors.p_nz
-    return factors.cc * np.sum(factors.gp * (fp.conj().T @ factors.ch.h).T,
-                               axis=1)
+    consts = factors.consts
+    fp = consts.f @ factors.p_nz
+    return factors.cc * np.sum(factors.gp * (fp.conj().T @ consts.h).T, axis=1)
 
 
 def comm_gradient(factors: SurrogateFactors, theta: np.ndarray) -> np.ndarray:
@@ -201,14 +218,15 @@ def wirtinger_gradient(theta: IrsPhase, p: Precoder, ch: ChannelSet,
     is the product of the two PSD forms q_v q_w in b = theta o a, so the
     product rule gives a* o (c (q_w V b + q_v W b)) = c (q_w p + q_v q).
     """
-    return gradient_at(SurrogateFactors(p, ch, cfg), theta.theta)
+    return gradient_at(SurrogateFactors(p, ChannelConstants(ch, cfg)),
+                       theta.theta)
 
 
 def objective_snapshot(p: Precoder, theta: IrsPhase, ch: ChannelSet,
                        cfg: SceneConfig) -> tuple[float, float, float]:
     """(weighted objective, radar SNR, communication SNR) at (P, theta),
     from the same kernel that scores the phase solvers' iterates."""
-    factors = SurrogateFactors(p, ch, cfg)
+    factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
     return factors.at(theta)[1]
 
 
@@ -363,7 +381,7 @@ def plain_minorization(theta0: IrsPhase, p: Precoder, ch, cfg: SceneConfig,
     exp(j arg nu) iterated alone until one map gains at most
     ``irs._INNER_TOL`` relative or after ``inner_max`` maps, with no
     extrapolation; the library's loop before it took SQUAREM cycles."""
-    factors = SurrogateFactors(p, ch, cfg)
+    factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
     trace = InnerTrace()
     channels, snapshot, y = start or factors.at(theta0)
     trace.objectives.append(snapshot[0])

@@ -12,8 +12,9 @@ import pytest
 from scipy import stats
 
 import isacopt.irs as irs
-from isacopt import (IrsPhase, OmegaRows, Precoder, SceneConfig, build_omega,
-                     build_quadratic_terms, build_quartic_surrogate,
+from isacopt import (ChannelConstants, IrsPhase, OmegaRows, Precoder,
+                     SceneConfig, build_omega, build_quadratic_terms,
+                     build_quartic_surrogate,
                      default_beampattern_target, irs_phase_update,
                      linear_surrogate_vectors, load_experiment_spec,
                      make_channels, quartic_kernels, run_bench,
@@ -117,7 +118,8 @@ def test_criterion_03_double_minorization_tangency_and_ascent(monkeypatch):
                              abs((lin_at_t - dropped) - quad_at_t) / scale_q)
 
         # ascent over 200 forced inner iterations, slack 1e-9 relative
-        _, trace = solve_irs_minorization(theta_t, p, ch, cfg, inner_max=200)
+        _, trace = solve_irs_minorization(
+            theta_t, p, ChannelConstants(ch, cfg), inner_max=200)
         for a, b in zip(trace.objectives, trace.objectives[1:]):
             if b < a - 1e-9 * abs(a):
                 violations += 1
@@ -300,8 +302,8 @@ def test_criterion_08_method_comparison(method_comparison, monkeypatch):
         samples = []
         for _ in range(5):
             tic = time.perf_counter()
-            _, trace = solve_irs_minorization(theta0, p, ch, cfg,
-                                              inner_max=20)
+            _, trace = solve_irs_minorization(
+                theta0, p, ChannelConstants(ch, cfg), inner_max=20)
             samples.append((time.perf_counter() - tic)
                            / (len(trace.objectives) - 1))
         per_inner.append(float(np.median(samples)))

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import tracemalloc
 
@@ -9,7 +10,7 @@ from isacopt import (ConfigError, IrsPhase, SceneConfig, SolverOptions,
                      alternating, default_beampattern_target,
                      factor_precoder, make_channels, run_alternating,
                      solve_irs_minorization, solve_relaxed, weighted_snr)
-from isacopt.objective import ChannelConstants, effective_channels
+from isacopt.objective import ChannelConstants
 
 from conftest import random_scene, small_config
 from reference import objective_snapshot
@@ -79,6 +80,29 @@ class TestObjectiveSnapshot:
 
 
 class TestRunAlternating:
+    @pytest.mark.parametrize("name, cut", [
+        ("g", np.s_[:3]), ("h", np.s_[:, :3]), ("f", np.s_[:1]),
+        ("steer", np.s_[:3])])
+    def test_inconsistent_channel_shapes_raise(self, name, cut):
+        # the one check of the channels' shapes on the solver path, in
+        # ChannelConstants, which the run forms before its first iteration
+        cfg, ch = tiny_scene()
+        bad = dataclasses.replace(ch, **{name: getattr(ch, name)[cut]})
+        with pytest.raises(ConfigError,
+                           match="channel dimensions are inconsistent"):
+            ChannelConstants(bad, cfg)
+        with pytest.raises(ConfigError,
+                           match="channel dimensions are inconsistent"):
+            run_alternating(bad, cfg, opts=SolverOptions(t_max=1))
+
+    def test_channels_of_another_scene_raise(self):
+        cfg, _ = tiny_scene()
+        other = make_channels(small_config(l_rows=3, l_cols=2),
+                              np.random.default_rng(0))
+        with pytest.raises(ConfigError,
+                           match="channel dimensions are inconsistent"):
+            run_alternating(other, cfg, opts=SolverOptions(t_max=1))
+
     def test_single_iteration_when_t_max_one(self):
         cfg, ch = tiny_scene()
         p, theta, trace = run_alternating(ch, cfg, opts=SolverOptions(t_max=1))
@@ -276,14 +300,14 @@ class TestSlackOuterIteration:
         consts = ChannelConstants(ch, cfg)
         theta = IrsPhase(np.exp(2j * np.pi * np.random.default_rng(6).random(
             cfg.n_irs)))
-        channels = effective_channels(theta, consts, cfg)
+        channels = consts.channels(theta)
         default_beampattern_target(cfg)
         tracemalloc.start()
         try:
             relaxed = solve_relaxed(channels, cfg)
             p = factor_precoder(relaxed, cfg)
             y = channels.rows @ p.nonzero_columns()
-            solve_irs_minorization(theta, p, consts, cfg, inner_max=1,
+            solve_irs_minorization(theta, p, consts, inner_max=1,
                                    start=(channels, channels.scores(y), y))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -294,8 +318,8 @@ class TestSlackOuterIteration:
     def test_covariance_formed_on_demand_is_bit_equal(self):
         cfg = SceneConfig()
         ch = make_channels(cfg, np.random.default_rng(7))
-        channels = effective_channels(
-            IrsPhase(np.ones(cfg.n_irs, dtype=complex)), ch, cfg)
+        channels = ChannelConstants(ch, cfg).channels(
+            IrsPhase(np.ones(cfg.n_irs, dtype=complex)))
         relaxed = solve_relaxed(channels, cfg)
         u = channels.top_eigenpair()[1][:, np.newaxis]
         np.testing.assert_array_equal(
@@ -323,10 +347,11 @@ class TestSlackOuterIteration:
         ch = make_channels(cfg, np.random.default_rng(9))
         theta = IrsPhase(np.ones(cfg.n_irs, dtype=complex))
         p, _, trace = run_alternating(ch, cfg, opts=SolverOptions(t_max=1))
-        channels = effective_channels(theta, ch, cfg)
+        consts = ChannelConstants(ch, cfg)
+        channels = consts.channels(theta)
         own = factor_precoder(solve_relaxed(channels, cfg), cfg)
         np.testing.assert_array_equal(own.p, p.p)
-        _, inner = solve_irs_minorization(theta, own, ch, cfg, inner_max=1)
+        _, inner = solve_irs_minorization(theta, own, consts, inner_max=1)
         assert inner.snapshot[0] == trace.objective_per_outer[0]
         y = channels.rows @ own.p.compress(own.p.any(axis=0), axis=1)
         assert channels.scores(y)[0] == trace.precoder_obj_per_outer[0]

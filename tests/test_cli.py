@@ -128,6 +128,18 @@ class TestRun:
         assert meta["config"]["master_seed"] == 9
         assert meta["config"]["trials"] == 1
 
+    def test_output_path_that_is_a_file_exits_2_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_convergence_trial", calls.append)
+        config = write_config(tmp_path)
+        out = tmp_path / "results"
+        out.write_text("taken")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert calls == []
+        assert out.read_text() == "taken"
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, kind="unheard-of")
         assert main(["run", "--config", str(config)]) == 2
@@ -245,6 +257,16 @@ class TestBench:
         assert sorted(p.name for p in out.iterdir()) == [
             "bench.csv", "bench.csv.meta.json"]
 
+    def test_output_path_that_is_a_file_exits_2_before_the_checks(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_bench", calls.append)
+        out = tmp_path / "bench"
+        out.write_text("taken")
+        assert main(["bench", "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestPlotdata:
     def test_emits_gnuplot_columns(self, tmp_path, capsys):
@@ -257,9 +279,17 @@ class TestPlotdata:
         assert dat[0].startswith("# iteration mean_objective")
         assert len(dat[1].split()) == 5
 
-    @pytest.mark.parametrize("name", ["nope.csv", "."])
-    def test_missing_csv_exits_2(self, tmp_path, name):
+    # files written before the call, by name; the others are not there
+    CSV_BYTES = {"latin-1.csv": "caf\u00e9,x\n1,2\n".encode("latin-1"),
+                 "empty.csv": b""}
+
+    @pytest.mark.parametrize("name", ["nope.csv", ".", "latin-1.csv",
+                                      "empty.csv"])
+    def test_missing_csv_exits_2(self, tmp_path, capsys, name):
+        if name in self.CSV_BYTES:
+            (tmp_path / name).write_bytes(self.CSV_BYTES[name])
         assert main(["plotdata", "--csv", str(tmp_path / name)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestValidateConfig:

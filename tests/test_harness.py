@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isacopt import (ConfigError, IrsPhase, SceneConfig, alternating,
-                     default_beampattern_target, effective_channels, harness,
+from isacopt import (ChannelConstants, ConfigError, IrsPhase, SceneConfig,
+                     alternating, default_beampattern_target, harness,
                      load_experiment_spec, make_channels,
                      run_alternating, run_bench, run_convergence_experiment,
                      run_experiment, run_ratio_experiment,
@@ -407,9 +407,10 @@ class TestRatioExperiment:
         assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)
 
 
-# CI's bounds on the rows of bench.csv (.github/workflows/tests.yml), by
-# (op, metric); a negative certificate gap would mean the dual bound is not
-# an upper bound, and R* = V^H V is PSD by construction
+# The bounds on the rows of bench.csv, by (op, metric), for these tests and
+# for CI's "Bench checks within bounds" step (.github/workflows/tests.yml),
+# which imports them; a negative certificate gap would mean the dual bound
+# is not an upper bound, and R* = V^H V is PSD by construction
 BENCH_BOUNDS = {
     ("irs_phase_update", "max_modulus_error"): (0.0, 1e-12),
     ("solve_relaxed", "closed_form_gap"): (0.0, 1e-12),
@@ -418,6 +419,8 @@ BENCH_BOUNDS = {
     ("solve_relaxed", "binding_certificate_gap"): (0.0, 1e-12),
     ("solve_relaxed", "binding_rows_rel_error"): (0.0, 1e-12),
     ("solve_irs_minorization", "anchor_route_rel_error"): (0.0, 1e-12),
+    # the accelerated ascent gives 2.5e-14 at L = 8 and up to 1.2e-11 at
+    # L = 36 (seeds 0 and 5); 1e-10 leaves a margin of 8x
     ("solve_unit_diag_relaxation", "unit_diag_certificate_gap"): (0.0, 1e-10),
     ("solve_unit_diag_relaxation", "lambda_min"): (-1e-12, float("inf")),
 }
@@ -463,7 +466,7 @@ class TestBench:
         gaps = []
         for seed in range(200):
             ch = make_channels(cfg, np.random.default_rng(seed))
-            channels = effective_channels(ones, ch, cfg)
+            channels = ChannelConstants(ch, cfg).channels(ones)
             omega = channels.omega
             closed = solve_relaxed(channels, slack)
             gaps.append(harness._closed_form_gap(

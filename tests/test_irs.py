@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isacopt.irs as irs
-from isacopt import (IrsPhase, Precoder, build_quadratic_terms,
+from isacopt import (ChannelConstants, IrsPhase, Precoder,
+                     build_quadratic_terms,
                      build_quartic_surrogate, irs_phase_update,
                      linear_surrogate_vectors, make_channels,
                      solve_irs_manifold, solve_irs_minorization, weighted_snr)
@@ -188,8 +189,8 @@ class TestMinorizationSolver:
         monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
         for _ in range(8):
             cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
-            _, trace = solve_irs_minorization(theta0, p, ch, cfg,
-                                              inner_max=100)
+            _, trace = solve_irs_minorization(
+                theta0, p, ChannelConstants(ch, cfg), inner_max=100)
             objs = trace.objectives
             for a, b in zip(objs, objs[1:]):
                 assert b >= a - 1e-9 * abs(a)
@@ -208,11 +209,11 @@ class TestMinorizationSolver:
             g, h = ch.g.copy(), ch.h.copy()
             g[2], h[:, 2] = 0.0, 0.0
             ch = ChannelSet(g=g, h=h, f=ch.f, steer=ch.steer)
-            factors = SurrogateFactors(p, ch, cfg)
+            factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
             th = theta0.theta
             assert gradient_at(factors, th)[2] == 0.0
-            theta, trace = solve_irs_minorization(theta0, p, ch, cfg,
-                                                  inner_max=60)
+            theta, trace = solve_irs_minorization(
+                theta0, p, ChannelConstants(ch, cfg), inner_max=60)
             assert np.max(np.abs(np.abs(theta.theta) - 1.0)) <= 1e-15
             for a, b in zip(trace.objectives, trace.objectives[1:]):
                 assert b >= a - 1e-9 * abs(a)
@@ -227,7 +228,7 @@ class TestMinorizationSolver:
             local = np.random.default_rng([99, k])
             cfg, ch, p, theta0 = random_scene(local, l_rows=2, l_cols=3,
                                               beta=0.97, alpha=1.0 + 0.0j)
-            factors = SurrogateFactors(p, ch, cfg)
+            factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
             th = theta0.theta
             g = factors.at(IrsPhase(th))[1][0]
             for _ in range(150):
@@ -244,16 +245,16 @@ class TestMinorizationSolver:
     def test_fixed_point_terminates_immediately(self, rng, monkeypatch):
         monkeypatch.setattr(irs, "_INNER_TOL", 1e-9)
         cfg, ch, p, theta0 = random_scene(rng)
-        theta_star, _ = solve_irs_minorization(theta0, p, ch, cfg,
-                                               inner_max=300)
-        _, trace = solve_irs_minorization(theta_star, p, ch, cfg,
-                                          inner_max=300)
+        theta_star, _ = solve_irs_minorization(
+            theta0, p, ChannelConstants(ch, cfg), inner_max=300)
+        _, trace = solve_irs_minorization(
+            theta_star, p, ChannelConstants(ch, cfg), inner_max=300)
         assert len(trace.objectives) <= 3
 
     def test_beats_random_search(self, rng):
         cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
-        theta, trace = solve_irs_minorization(theta0, p, ch, cfg,
-                                              inner_max=300)
+        theta, trace = solve_irs_minorization(
+            theta0, p, ChannelConstants(ch, cfg), inner_max=300)
         best = max(weighted_snr(p, random_phases(rng, cfg.n_irs), ch, cfg)
                    for _ in range(100_000))
         assert trace.objectives[-1] >= best
@@ -269,7 +270,8 @@ class TestMinorizationSolver:
                         steer=steer)
         p = Precoder(np.array([[1.0 + 0.0j]]))
         theta, trace = solve_irs_minorization(
-            IrsPhase(np.ones(4, dtype=complex)), p, ch, cfg, inner_max=300)
+            IrsPhase(np.ones(4, dtype=complex)), p, ChannelConstants(ch, cfg),
+            inner_max=300)
         aligned = IrsPhase(np.exp(-1j * (np.angle(h[0]) + np.angle(g[:, 0]))))
         optimum = weighted_snr(p, aligned, ch, cfg)
         assert trace.objectives[-1] >= optimum * (1 - 1e-6)
@@ -278,7 +280,7 @@ class TestMinorizationSolver:
         # the anchored surrogate lies above its linearization at each of the
         # plain map's 60 iterates, which are replayed here step by step
         cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
-        factors = SurrogateFactors(p, ch, cfg)
+        factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
         th, gaps = theta0.theta, []
         for _ in range(60):
             quartic = quartic_at(factors, th)
@@ -306,8 +308,8 @@ class TestMinorizationSolver:
         for k in range(5):
             cfg, ch, p, theta0 = random_scene(np.random.default_rng([71, k]),
                                               beta=beta)
-            theta, trace = solve_irs_minorization(theta0, p, ch, cfg,
-                                                  inner_max=inner_max)
+            theta, trace = solve_irs_minorization(
+                theta0, p, ChannelConstants(ch, cfg), inner_max=inner_max)
             want, ref = plain_minorization(theta0, p, ch, cfg,
                                            inner_max=inner_max)
             assert theta.theta.tobytes() == want.theta.tobytes()
@@ -326,8 +328,8 @@ class TestMinorizationSolver:
                                               l_rows=2, l_cols=3, beta=0.9)
             finals = []
             for cap in range(1, 31):
-                _, trace = solve_irs_minorization(theta0, p, ch, cfg,
-                                                  inner_max=cap)
+                _, trace = solve_irs_minorization(
+                    theta0, p, ChannelConstants(ch, cfg), inner_max=cap)
                 objs = trace.objectives
                 assert all(b >= a - 1e-9 * abs(a) for a, b in zip(objs, objs[1:]))
                 assert len(objs) - 1 <= cap
@@ -346,8 +348,8 @@ class TestMinorizationSolver:
             cfg, ch, p, theta0 = random_scene(np.random.default_rng([73, k]),
                                               l_rows=2, l_cols=3, beta=0.9)
             for cap in (3, 4, 5, 30, 31, 32):
-                theta, trace = solve_irs_minorization(theta0, p, ch, cfg,
-                                                      inner_max=cap)
+                theta, trace = solve_irs_minorization(
+                    theta0, p, ChannelConstants(ch, cfg), inner_max=cap)
                 cycles, plain = divmod(cap, 3)
                 want, ref = plain_minorization(theta0, p, ch, cfg,
                                                inner_max=2 * cycles + plain)
@@ -363,8 +365,8 @@ class TestMinorizationSolver:
         for k in range(20):
             cfg, ch, p, theta0 = random_scene(np.random.default_rng([74, k]),
                                               l_rows=2, l_cols=3)
-            _, trace = solve_irs_minorization(theta0, p, ch, cfg,
-                                              inner_max=200)
+            _, trace = solve_irs_minorization(
+                theta0, p, ChannelConstants(ch, cfg), inner_max=200)
             _, ref = plain_minorization(theta0, p, ch, cfg, inner_max=200)
             ratios.append(trace.objectives[-1] / ref.objectives[-1])
         assert min(ratios) >= 1.0 - irs._INNER_TOL
@@ -414,7 +416,7 @@ class TestAscentAnchor:
                 beta=float(rng.uniform(0.9, 0.99)), alpha=1.0 + 0.0j)
             pp = p.p.copy()
             pp[:, nonzero_cols:] = 0.0
-            factors = SurrogateFactors(Precoder(pp), ch, cfg)
+            factors = SurrogateFactors(Precoder(pp), ChannelConstants(ch, cfg))
             pv, qv = quartic_at(factors, theta.theta)[:2]
             if near_dependent:
                 col = factors.psi[:, 0]
@@ -466,7 +468,8 @@ class TestAscentAnchor:
                 h = ch.h.copy()
                 h[0] = 0.0
                 ch = ChannelSet(g=ch.g, h=h, f=ch.f, steer=ch.steer)
-            factors = SurrogateFactors(p, ch, cfg)     # m = 2 + 2 * 2 = 6
+            # m = 2 + 2 * 2 = 6
+            factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
             pv, qv = quartic_at(factors, theta.theta)[:2]
             calls.clear()
             rho, rho_qr, rho_d = self._anchors(factors, pv, qv)
@@ -498,7 +501,7 @@ class TestSurrogateFactors:
             nu_d, eta_d, rho_d = dense_linearization(theta, p, ch, cfg,
                                                      safeguard)
             _, mu_d = build_quadratic_terms(p, ch, cfg)
-            factors = SurrogateFactors(p, ch, cfg)
+            factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
             quartic = quartic_at(factors, theta.theta)
             if safeguard:
                 nu = factors.linearize(*products_at(factors, theta.theta))
@@ -515,7 +518,7 @@ class TestSurrogateFactors:
 
     def test_surrogate_value_matches_dense(self, rng):
         cfg, ch, p, theta_t = random_scene(rng, l_rows=2, l_cols=3)
-        factors = SurrogateFactors(p, ch, cfg)
+        factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
         pv, qv, _, _ = quartic_at(factors, theta_t.theta)
         u1, u2 = build_quartic_surrogate(theta_t, p, ch, cfg)
         u3, mu = build_quadratic_terms(p, ch, cfg)
@@ -540,7 +543,7 @@ class TestSurrogateFactors:
         pp = p.p.copy()
         pp[:, 3 - zero_cols:] = 0.0
         p = Precoder(pp)
-        factors = SurrogateFactors(p, ch, cfg)
+        factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
         g, s_r, s_c = factors.at(theta)[1]
         assert g == pytest.approx(weighted_snr(p, theta, ch, cfg), rel=1e-12)
         assert s_r == pytest.approx(snr_radar(p, theta, ch, cfg), rel=1e-12)
@@ -556,7 +559,8 @@ class TestSurrogateFactors:
         monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
         tracemalloc.start()
         try:
-            solve_irs_minorization(theta, p, ch, cfg, inner_max=2)
+            solve_irs_minorization(
+                theta, p, ChannelConstants(ch, cfg), inner_max=2)
             wirtinger_gradient(theta, p, ch, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -634,18 +638,20 @@ def _g_offcircle(theta_vec, p, ch, cfg):
 class TestManifoldSolver:
     def test_zero_gradient_terminates(self, rng):
         cfg, ch, p, theta = random_scene(rng, beta=1.0, alpha=0.0)
-        out, trace = solve_irs_manifold(theta, p, ch, cfg)
+        out, trace = solve_irs_manifold(theta, p, ChannelConstants(ch, cfg))
         assert len(trace.objectives) == 1
         np.testing.assert_array_equal(out.theta, theta.theta)
 
     def test_unit_modulus_every_step(self, rng):
         cfg, ch, p, theta = random_scene(rng)
-        out, _ = solve_irs_manifold(theta, p, ch, cfg, inner_max=50)
+        out, _ = solve_irs_manifold(
+            theta, p, ChannelConstants(ch, cfg), inner_max=50)
         assert np.max(np.abs(np.abs(out.theta) - 1.0)) <= 1e-12
 
     def test_monotone(self, rng):
         cfg, ch, p, theta = random_scene(rng)
-        _, trace = solve_irs_manifold(theta, p, ch, cfg, inner_max=100)
+        _, trace = solve_irs_manifold(
+            theta, p, ChannelConstants(ch, cfg), inner_max=100)
         for a, b in zip(trace.objectives, trace.objectives[1:]):
             assert b >= a - 1e-12 * abs(a)
 
@@ -668,7 +674,8 @@ class TestManifoldSolver:
             kwargs = {} if beta is None else {"beta": beta}
             cfg, ch, p, theta = random_scene(rng, l_rows=2, l_cols=3,
                                              **kwargs)
-            solve_irs_manifold(theta, p, ch, cfg, inner_max=50)
+            solve_irs_manifold(
+                theta, p, ChannelConstants(ch, cfg), inner_max=50)
         assert len(moduli) >= 100
         eps = np.finfo(float).eps
         assert min(float(m.min()) for m in moduli) >= 1.0 - 4.0 * eps
@@ -684,7 +691,8 @@ class TestManifoldSolver:
         monkeypatch.setattr(irs, "SurrogateFactors", Counted)
         monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
         cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
-        _, trace = solve_irs_manifold(theta0, p, ch, cfg, inner_max=20)
+        _, trace = solve_irs_manifold(
+            theta0, p, ChannelConstants(ch, cfg), inner_max=20)
         assert len(trace.objectives) > 2
         assert len(built) == 1
 
@@ -693,9 +701,9 @@ class TestManifoldSolver:
         for k in range(20):
             local = np.random.default_rng([55, k])
             cfg, ch, p, theta0 = random_scene(local, l_rows=2, l_cols=3)
-            t_mm, tr_mm = solve_irs_minorization(theta0, p, ch, cfg,
-                                                 inner_max=300)
-            t_rg, tr_rg = solve_irs_manifold(theta0, p, ch, cfg,
-                                             inner_max=300)
+            t_mm, tr_mm = solve_irs_minorization(
+                theta0, p, ChannelConstants(ch, cfg), inner_max=300)
+            t_rg, tr_rg = solve_irs_manifold(
+                theta0, p, ChannelConstants(ch, cfg), inner_max=300)
             gaps.append(tr_mm.objectives[-1] / max(tr_rg.objectives[-1], 1e-300))
         assert np.median(gaps) >= 0.95

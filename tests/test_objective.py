@@ -1,23 +1,35 @@
 import numpy as np
 import pytest
 
-from isacopt import (ConfigError, IrsPhase, Precoder, SceneConfig, build_omega,
-                     default_beampattern_target, effective_comm_channel,
-                     effective_radar_channel, make_channels, quartic_kernels,
-                     solve_relaxed, weighted_snr)
-from isacopt.objective import effective_channels
+from isacopt import (ChannelConstants, ConfigError, IrsPhase, Precoder,
+                     SceneConfig, build_omega, default_beampattern_target,
+                     make_channels, quartic_kernels, snr_radar, solve_relaxed,
+                     weighted_snr)
 from isacopt.scene import ChannelSet, complex_normal
 
 from conftest import (eigh_rows, omega_rows, random_phases, random_scene,
                       small_config)
-from reference import decompose_objective, quartic_kernels_reference
+from reference import (decompose_objective, effective_comm_channel,
+                       effective_radar_channel, quartic_kernels_reference)
+
+
+def run_rows(theta, ch, cfg):
+    """The effective channels a run forms at theta."""
+    return ChannelConstants(ch, cfg).channels(theta)
+
+
+def run_radar_channel(theta, ch, cfg):
+    """alpha t t^T from the row t the run forms at theta."""
+    t = run_rows(theta, ch, cfg).t
+    return cfg.alpha * np.outer(t, t)
 
 
 class TestEffectiveRadarChannel:
     def test_zero_alpha_gives_zero(self, rng):
         cfg, ch, p, theta = random_scene(rng, alpha=0.0)
-        np.testing.assert_array_equal(effective_radar_channel(theta, ch, cfg),
-                                      np.zeros((cfg.n_tx, cfg.n_tx)))
+        for c_r in (run_radar_channel(theta, ch, cfg),
+                    effective_radar_channel(theta, ch, cfg)):
+            np.testing.assert_array_equal(c_r, np.zeros((cfg.n_tx, cfg.n_tx)))
 
     def test_scalar_case(self, rng):
         cfg = small_config(l_rows=1, l_cols=1, n_tx=1, k=1, alpha=0.3 + 0.1j)
@@ -27,21 +39,23 @@ class TestEffectiveRadarChannel:
                         steer=steer)
         phi = 0.77
         theta = IrsPhase(np.array([np.exp(1j * phi)]))
-        c_r = effective_radar_channel(theta, ch, cfg)
         expected = cfg.alpha * g[0, 0] ** 2 * np.exp(2j * phi)
-        assert c_r[0, 0] == pytest.approx(expected, rel=1e-12)
+        for c_r in (run_radar_channel(theta, ch, cfg),
+                    effective_radar_channel(theta, ch, cfg)):
+            assert c_r[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_five_factor_product(self, rng):
         cfg, ch, p, theta = random_scene(rng, l_rows=2, l_cols=2, n_tx=2)
         th_mat = np.diag(theta.theta)
         r_mat = np.outer(ch.steer, ch.steer)
         brute = cfg.alpha * ch.g.T @ th_mat @ r_mat @ th_mat @ ch.g
-        np.testing.assert_allclose(effective_radar_channel(theta, ch, cfg),
-                                   brute, rtol=1e-12, atol=1e-14)
+        for c_r in (run_radar_channel(theta, ch, cfg),
+                    effective_radar_channel(theta, ch, cfg)):
+            np.testing.assert_allclose(c_r, brute, rtol=1e-12, atol=1e-14)
 
     def test_rank_at_most_one(self, rng):
         cfg, ch, p, theta = random_scene(rng)
-        s = np.linalg.svd(effective_radar_channel(theta, ch, cfg),
+        s = np.linalg.svd(run_radar_channel(theta, ch, cfg),
                           compute_uv=False)
         assert s[1] <= 1e-12 * max(s[0], 1.0)
 
@@ -49,25 +63,29 @@ class TestEffectiveRadarChannel:
         cfg, ch, p, theta = random_scene(rng)
         bad = IrsPhase(np.ones(cfg.n_irs + 1, dtype=complex))
         with pytest.raises(ConfigError):
-            effective_radar_channel(bad, ch, cfg)
+            snr_radar(p, bad, ch, cfg)
 
 
 class TestEffectiveCommChannel:
     def test_zero_h_gives_f(self, rng):
         cfg, ch, p, theta = random_scene(rng)
         ch.h = np.zeros_like(ch.h)
-        np.testing.assert_allclose(effective_comm_channel(theta, ch), ch.f)
+        for c_c in (run_rows(theta, ch, cfg).comm,
+                    effective_comm_channel(theta, ch)):
+            np.testing.assert_allclose(c_c, ch.f)
 
     def test_identity_phases_zero_f(self, rng):
         cfg, ch, p, theta = random_scene(rng)
         ch.f = np.zeros_like(ch.f)
         ones = IrsPhase(np.ones(cfg.n_irs, dtype=complex))
-        np.testing.assert_allclose(effective_comm_channel(ones, ch),
-                                   ch.h @ ch.g, rtol=1e-12)
+        for c_c in (run_rows(ones, ch, cfg).comm,
+                    effective_comm_channel(ones, ch)):
+            np.testing.assert_allclose(c_c, ch.h @ ch.g, rtol=1e-12)
 
     def test_matches_triple_loop(self, rng):
         cfg, ch, p, theta = random_scene(rng, l_rows=2, l_cols=2)
-        out = effective_comm_channel(theta, ch)
+        out = run_rows(theta, ch, cfg).comm
+        np.testing.assert_array_equal(out, effective_comm_channel(theta, ch))
         k, n = ch.f.shape
         for i in range(k):
             for j in range(n):
@@ -119,7 +137,7 @@ class TestEffectiveChannels:
     def _check(cfg, ch, theta) -> bool:
         """Compare at one scene; True if the eigenvector was compared."""
         return TestEffectiveChannels._check_rows(
-            effective_channels(theta, ch, cfg), build_omega(theta, ch, cfg))
+            run_rows(theta, ch, cfg), build_omega(theta, ch, cfg))
 
     @staticmethod
     def _check_rows(rows, omega) -> bool:
@@ -186,7 +204,7 @@ class TestEffectiveChannels:
         for _ in range(5):
             cfg, ch, _, theta = random_scene(rng, l_rows=2, l_cols=3, n_tx=4,
                                              k=3)
-            channels = effective_channels(theta, ch, cfg)
+            channels = run_rows(theta, ch, cfg)
             assert channels.rows.shape == (1 + cfg.n_users, cfg.n_tx)
             np.testing.assert_array_equal(channels.t,
                                           ch.g.T @ (theta.theta * ch.steer))
@@ -203,7 +221,7 @@ class TestEffectiveChannels:
         cfg, ch, _, theta = random_scene(rng, n_tx=4, beta=beta)
         zero = ChannelSet(g=np.zeros_like(ch.g), h=np.zeros_like(ch.h),
                           f=np.zeros_like(ch.f), steer=ch.steer)
-        channels = effective_channels(theta, zero, cfg)
+        channels = run_rows(theta, zero, cfg)
         lam, top, norm = channels.top_eigenpair()
         assert lam == 0.0 and norm == 0.0
         np.testing.assert_array_equal(top, np.eye(cfg.n_tx)[-1])

@@ -16,7 +16,7 @@ from isacopt import (ConfigError, IrsPhase, RandomizationReport,
                      scene_config_from_dict, solve_relaxed,
                      solve_unit_diag_relaxation, unit_diag_dual_bound)
 from isacopt import harness, precoder
-from isacopt.objective import effective_channels, hermitize
+from isacopt.objective import ChannelConstants, hermitize
 from isacopt.precoder import validate_beampattern_target
 from isacopt.scene import SceneConfig, complex_normal
 
@@ -392,8 +392,8 @@ def paper_binding_instance(seed, beta=0.5, gamma=0.1):
     (cfg, R_D, the effective channels, the dense Omega)."""
     cfg = SceneConfig(beta=beta, beampattern_tol=gamma)
     ch = make_channels(cfg, np.random.default_rng(seed))
-    channels = effective_channels(IrsPhase(np.ones(cfg.n_irs, dtype=complex)),
-                                  ch, cfg)
+    channels = ChannelConstants(ch, cfg).channels(
+        IrsPhase(np.ones(cfg.n_irs, dtype=complex)))
     return cfg, default_beampattern_target(cfg), channels, channels.omega
 
 
@@ -553,7 +553,8 @@ def form_scene(name, seed=7, **kwargs):
     rng = np.random.default_rng(seed)
     ch = make_channels(cfg, rng)
     theta = IrsPhase(np.exp(2j * np.pi * rng.random(cfg.n_irs)))
-    return cfg, default_beampattern_target(cfg), effective_channels(theta, ch, cfg)
+    return (cfg, default_beampattern_target(cfg),
+            ChannelConstants(ch, cfg).channels(theta))
 
 
 class TestKktForm:
