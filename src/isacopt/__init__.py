@@ -1,6 +1,6 @@
 """Alternating precoder / surface-phase design for sensing-and-communication.
 
-Library core plus an experiment harness with a CLI front end (``isac``).
+Library core plus a lazily loaded experiment harness with a CLI (``isac``).
 """
 
 __version__ = "0.1.0"
@@ -23,8 +23,16 @@ from .irs import (InnerTrace, build_quadratic_terms, build_quartic_surrogate,
                   irs_phase_update, linear_surrogate_vectors,
                   solve_irs_manifold, solve_irs_minorization)
 from .alternating import RunTrace, SolverOptions, run_alternating
-from .harness import (AggregateResult, ExperimentSpec, load_experiment_spec,
-                      run_bench, run_convergence_experiment, run_experiment,
-                      run_ratio_experiment, run_scaling_experiment)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_HARNESS_NAMES = ("AggregateResult", "ExperimentSpec", "load_experiment_spec",
+                  "run_bench", "run_convergence_experiment", "run_experiment",
+                  "run_ratio_experiment", "run_scaling_experiment")
+
+__all__ = [n for n in dir() if not n.startswith("_")] + list(_HARNESS_NAMES)
+
+
+def __getattr__(name):
+    if name in _HARNESS_NAMES:
+        from . import harness
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -93,8 +93,8 @@ class RunTrace:
 def initial_phases(cfg: SceneConfig, opts: SolverOptions,
                    rng: np.random.Generator) -> IrsPhase:
     if opts.theta_init == "ones":
-        return IrsPhase(np.ones(cfg.n_irs, dtype=complex))
-    return IrsPhase(np.exp(2j * np.pi * rng.random(cfg.n_irs)))
+        return IrsPhase.unit(np.ones(cfg.n_irs, dtype=complex))
+    return IrsPhase.unit(np.exp(2j * np.pi * rng.random(cfg.n_irs)))
 
 
 def run_alternating(ch: ChannelSet, cfg: SceneConfig,
@@ -116,6 +116,8 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
     opts = opts or SolverOptions()
     rng = rng if rng is not None else np.random.default_rng(0)
 
+    solve_irs = (solve_irs_minorization if opts.irs_method == "minorization"
+                 else solve_irs_manifold)
     theta = initial_phases(cfg, opts, rng)
     consts = ChannelConstants(ch, cfg)
     channels = consts.channels(theta)
@@ -148,9 +150,6 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             times["recovery"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
-            solve_irs = (solve_irs_minorization
-                         if opts.irs_method == "minorization"
-                         else solve_irs_manifold)
             theta, inner = solve_irs(theta, precoder, consts,
                                      inner_max=opts.inner_max,
                                      start=(channels, snapshot, y))

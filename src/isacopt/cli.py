@@ -102,10 +102,13 @@ def _cmd_plotdata(args) -> int:
     src = Path(args.csv)
     header, rows = read_csv_rows(src)
     out = Path(args.out) if args.out else src.with_suffix(".dat")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("# " + " ".join(header) + "\n")
-        for row in rows:
-            fh.write(" ".join(row) + "\n")
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write("# " + " ".join(header) + "\n")
+            for row in rows:
+                fh.write(" ".join(row) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc}") from exc
     print(out)
     return 0
 

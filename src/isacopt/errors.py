@@ -22,21 +22,25 @@ def _named_values(owner, names):
 
 def require_finite(owner, names) -> None:
     """Raise ConfigError unless every named attribute or list entry is a
-    finite number (complex values need finite real and imaginary parts)."""
+    finite number (complex values need finite real and imaginary parts).
+    Exact int, float and complex values skip the ``numbers`` checks."""
     for name, value in _named_values(owner, names):
-        ok = isinstance(value, numbers.Number) and not isinstance(value, bool)
-        if ok:
-            z = complex(value)
-            ok = math.isfinite(z.real) and math.isfinite(z.imag)
-        if not ok:
+        ok = type(value) in (float, int, complex) or (
+            isinstance(value, numbers.Number) and not isinstance(value, bool))
+        try:
+            z = complex(value) if ok else math.nan
+        except OverflowError:       # an integer too large for a float
+            z = math.nan
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def require_integer(owner, names) -> None:
     """Raise ConfigError unless every named attribute or list entry is an
-    integer."""
+    integer.  Exact ints skip the slower ``numbers`` check."""
     for name, value in _named_values(owner, names):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if type(value) is not int and (isinstance(value, bool) or
+                                       not isinstance(value, numbers.Integral)):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 

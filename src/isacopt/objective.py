@@ -212,12 +212,13 @@ class EffectiveChannels(OmegaRows):
 
     def __init__(self, theta: IrsPhase, rows: np.ndarray,
                  consts: ChannelConstants):
-        self.theta, self.consts = theta, consts
+        self.theta, self.consts, self.rows = theta, consts, rows
         self.t = t = rows[0]
         self.comm = rows[1:]
         self.q_w = float(np.vdot(t, t).real)      # ||t||^2
-        super().__init__(rows, np.full(rows.shape[0], consts.cc))
-        self.weights[0] = consts.c * self.q_w
+        self.weights = weights = np.empty(rows.shape[0])
+        weights[0] = consts.c * self.q_w
+        weights[1:] = consts.cc
 
     def scores(self, y: np.ndarray) -> tuple[float, float, float]:
         """(g, SNR_R, SNR_C) of a precoder P from Y = W P: g =

@@ -10,6 +10,7 @@ into the round-trip coefficient and the noise powers.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, require_finite, require_integer
 
 TWO_PI = 2.0 * np.pi
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def db_to_linear(x_db: float) -> float:
@@ -70,8 +72,7 @@ class SceneConfig:
 
     def __post_init__(self):
         require_integer(self, _SCENE_COUNTS)
-        require_finite(self, [f.name for f in fields(self)
-                              if f.name not in _SCENE_COUNTS])
+        require_finite(self, _SCENE_REALS)
         if self.n_rx != self.n_tx:
             raise ConfigError(
                 f"receive antenna count must equal transmit count "
@@ -99,9 +100,14 @@ class SceneConfig:
         return self.irs_rows * self.irs_cols
 
 
+_SCENE_REALS = tuple(f.name for f in fields(SceneConfig)
+                     if f.name not in _SCENE_COUNTS)
+
+
 @dataclass
 class ChannelSet:
-    """One realization of all channels plus the target steering data."""
+    """One realization of all channels plus the target steering data
+    (``make_channels`` gives every draw of a scene one read-only ``steer``)."""
 
     g: np.ndarray        # L x N_T, radar -> surface
     h: np.ndarray        # K x L, surface -> users
@@ -133,7 +139,7 @@ def upa_steering(psi_a: float, psi_e: float, l_x: int, l_y: int,
     inc_x = TWO_PI * d_over_lambda * math.sin(psi_a) * math.sin(psi_e)
     a_y = np.exp(1j * inc_y * np.arange(l_y))
     a_x = np.exp(1j * inc_x * np.arange(l_x))
-    return np.kron(a_y, a_x)
+    return np.outer(a_y, a_x).ravel()
 
 
 def ula_steering(angle: float, n: int, d_over_lambda: float) -> np.ndarray:
@@ -144,8 +150,12 @@ def ula_steering(angle: float, n: int, d_over_lambda: float) -> np.ndarray:
 
 
 def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Standard circular complex Gaussian entries, unit variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Standard circular complex Gaussian entries, unit variance per entry:
+    (x + jy) / sqrt(2), whose parts numpy forms as x and y times 1/sqrt(2)."""
+    z = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), _SQRT_HALF, out=z.real)
+    np.multiply(rng.standard_normal(shape), _SQRT_HALF, out=z.imag)
+    return z
 
 
 def rician_channel(rows: int, cols: int, k_factor: float, los: np.ndarray,
@@ -161,11 +171,25 @@ def rician_channel(rows: int, cols: int, k_factor: float, los: np.ndarray,
         raise ConfigError(f"LOS shape {los.shape} does not match ({rows}, {cols})")
     w_los = math.sqrt(k_factor / (1.0 + k_factor))
     w_nlos = math.sqrt(1.0 / (1.0 + k_factor))
-    return w_los * los + w_nlos * complex_normal(rng, rows, cols)
+    out = complex_normal(rng, rows, cols)
+    out *= w_nlos
+    return np.add(out, w_los * los, out=out)
 
 
 def random_phase_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(1j * TWO_PI * rng.random(n))
+
+
+@functools.lru_cache(maxsize=16)
+def _scene_vectors(azimuth: float, elevation: float, l_x: int, l_y: int,
+                   d_over_lambda: float, radar_azimuth: float, n_tx: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The target steering vector and the radar-side ULA factor of the LOS
+    of G: they depend on the scene alone, and every draw shares them."""
+    steer = upa_steering(azimuth, elevation, l_x, l_y, d_over_lambda)
+    ula = ula_steering(radar_azimuth, n_tx, d_over_lambda)
+    steer.flags.writeable = ula.flags.writeable = False
+    return steer, ula
 
 
 def make_channels(cfg: SceneConfig, rng: np.random.Generator) -> ChannelSet:
@@ -175,15 +199,16 @@ def make_channels(cfg: SceneConfig, rng: np.random.Generator) -> ChannelSet:
     (random arrival angles on the surface side, the configured departure
     angle on the radar side); the surface->user and direct links get
     random-phase rank-one LOS components since their scattered part
-    dominates anyway.
+    dominates anyway.  The target steering vector depends on the scene
+    alone, so every draw of one scene shares it, read-only.
     """
     lx, ly, d = cfg.irs_cols, cfg.irs_rows, cfg.spacing_over_lambda
-    steer = upa_steering(cfg.target_azimuth, cfg.target_elevation, lx, ly, d)
+    steer, ula = _scene_vectors(cfg.target_azimuth, cfg.target_elevation,
+                                lx, ly, d, cfg.radar_irs_azimuth, cfg.n_tx)
 
     az = rng.uniform(0.0, TWO_PI)
     el = rng.uniform(0.0, np.pi)
-    los_g = np.outer(upa_steering(az, el, lx, ly, d),
-                     ula_steering(cfg.radar_irs_azimuth, cfg.n_tx, d))
+    los_g = np.outer(upa_steering(az, el, lx, ly, d), ula)
     g = rician_channel(cfg.n_irs, cfg.n_tx, cfg.rician_g, los_g, rng)
 
     los_h = np.outer(random_phase_vector(rng, cfg.n_users),

@@ -5,6 +5,7 @@ the ones that replaced them, and thin wrappers that only tests call.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,8 @@ from isacopt.objective import (ChannelConstants, IrsPhase, Precoder,
 from isacopt.precoder import (_KKT_MAX_DOUBLINGS, RandomizationReport,
                               _above_rounding, _kkt_root, project_ball,
                               unit_diag_dual_bound)
-from isacopt.scene import ChannelSet, SceneConfig, complex_normal
+from isacopt.scene import (TWO_PI, ChannelSet, SceneConfig, complex_normal,
+                           random_phase_vector, ula_steering)
 
 
 @dataclass
@@ -460,3 +462,84 @@ def dense_ratio_study(a: np.ndarray, r_star: np.ndarray, n_g_grid,
             n_samples=int(n_g), best_objective=best, sdp_objective=sdp_obj,
             ratio=best / sdp_obj))
     return reports
+
+
+# --- the channel draw, as first written -------------------------------------
+#
+# The library draws the same entries with the same generator calls; it
+# shares one read-only steering vector per scene, forms the planar steering
+# vector as a flattened outer product and writes the Gaussian parts in
+# place.
+
+
+def kron_upa_steering(psi_a: float, psi_e: float, l_x: int, l_y: int,
+                      d_over_lambda: float) -> np.ndarray:
+    """Reference for ``scene.upa_steering``: ``np.kron`` of the row and
+    column factors."""
+    inc_y = TWO_PI * d_over_lambda * math.cos(psi_a) * math.sin(psi_e)
+    inc_x = TWO_PI * d_over_lambda * math.sin(psi_a) * math.sin(psi_e)
+    a_y = np.exp(1j * inc_y * np.arange(l_y))
+    a_x = np.exp(1j * inc_x * np.arange(l_x))
+    return np.kron(a_y, a_x)
+
+
+def reference_complex_normal(rng: np.random.Generator, *shape: int
+                             ) -> np.ndarray:
+    """Reference for ``scene.complex_normal``: (x + jy) / sqrt(2)."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        / np.sqrt(2.0)
+
+
+def reference_rician_channel(rows: int, cols: int, k_factor: float,
+                             los: np.ndarray, rng: np.random.Generator
+                             ) -> np.ndarray:
+    """Reference for ``scene.rician_channel``."""
+    w_los = math.sqrt(k_factor / (1.0 + k_factor))
+    w_nlos = math.sqrt(1.0 / (1.0 + k_factor))
+    return w_los * los + w_nlos * reference_complex_normal(rng, rows, cols)
+
+
+def reference_make_channels(cfg: SceneConfig, rng: np.random.Generator
+                            ) -> ChannelSet:
+    """Reference for ``scene.make_channels``: every vector formed afresh
+    on every draw."""
+    lx, ly, d = cfg.irs_cols, cfg.irs_rows, cfg.spacing_over_lambda
+    steer = kron_upa_steering(cfg.target_azimuth, cfg.target_elevation,
+                              lx, ly, d)
+    az = rng.uniform(0.0, TWO_PI)
+    el = rng.uniform(0.0, np.pi)
+    los_g = np.outer(kron_upa_steering(az, el, lx, ly, d),
+                     ula_steering(cfg.radar_irs_azimuth, cfg.n_tx, d))
+    g = reference_rician_channel(cfg.n_irs, cfg.n_tx, cfg.rician_g, los_g,
+                                 rng)
+    los_h = np.outer(random_phase_vector(rng, cfg.n_users),
+                     random_phase_vector(rng, cfg.n_irs))
+    h = reference_rician_channel(cfg.n_users, cfg.n_irs, cfg.rician_h, los_h,
+                                 rng)
+    los_f = np.outer(random_phase_vector(rng, cfg.n_users),
+                     random_phase_vector(rng, cfg.n_tx))
+    f = reference_rician_channel(cfg.n_users, cfg.n_tx, cfg.rician_f, los_f,
+                                 rng)
+    return ChannelSet(g=g, h=h, f=f, steer=steer)
+
+
+# --- the config checks, through the ``numbers`` ABCs alone ------------------
+
+
+def abc_is_finite(value) -> bool:
+    """Reference verdict of ``errors.require_finite``, with no exact-type
+    path."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        return False
+    try:
+        z = complex(value)
+    except OverflowError:
+        return False
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
+def abc_is_integer(value) -> bool:
+    """Reference verdict of ``errors.require_integer``, with no exact-type
+    path."""
+    return not isinstance(value, bool) and isinstance(value,
+                                                      numbers.Integral)

@@ -37,7 +37,8 @@ class TestSolverOptions:
             SolverOptions(irs_method="magic")
 
     @pytest.mark.parametrize("field,value", [
-        ("eps_rel", float("nan")), ("eps_rel", float("inf"))])
+        ("eps_rel", float("nan")), ("eps_rel", float("inf")),
+        ("eps_rel", 10 ** 400)])
     def test_rejects_non_finite_floats(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SolverOptions(**{field: value})

@@ -228,6 +228,8 @@ MALFORMED = {
     "dbm_bool": {"scene": {"power_budget_dbm": True}},
     "output_dir_number": {"output_dir": 5},
     "dbm_overflow": {"scene": {"power_budget_dbm": 1e308}},
+    "scene_int_overflow": {"scene": {"beampattern_tol": 10 ** 400}},
+    "solver_int_overflow": {"solver": {"eps_rel": 10 ** 400}},
     "scalar_as_list": {"scene": {"beta": [0.5]}},
     "negative_master_seed": {"master_seed": -1},
     "not_json": "{not json",
@@ -290,6 +292,15 @@ class TestPlotdata:
             (tmp_path / name).write_bytes(self.CSV_BYTES[name])
         assert main(["plotdata", "--csv", str(tmp_path / name)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "table.csv"
+        csv_path.write_text("a,b\n1,2\n")
+        out = tmp_path / "missing" / "table.dat"
+        assert main(["plotdata", "--csv", str(csv_path),
+                     "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.parent.exists()
 
 
 class TestValidateConfig:

@@ -59,6 +59,8 @@ class TestSpecLoading:
             make_spec(tmp_path, kind="scaling", l_values=[4.7])
         with pytest.raises(ConfigError, match="beta_values"):
             make_spec(tmp_path, beta_values=[1.5])
+        with pytest.raises(ConfigError, match=r"beta_values\[1\]"):
+            make_spec(tmp_path, beta_values=[0.5, 10 ** 400])
 
     def test_eps_rel_db_suffix(self):
         opts = solver_options_from_dict({"eps_rel_db": -20})

@@ -8,6 +8,8 @@ from isacopt import (ConfigError, SceneConfig, db_to_linear, dbm_to_watts,
                      upa_steering)
 from isacopt.scene import (ChannelSet, complex_normal, scene_config_from_dict,
                            ula_steering)
+from reference import (kron_upa_steering, reference_complex_normal,
+                       reference_make_channels, reference_rician_channel)
 
 
 class TestDbConversions:
@@ -124,6 +126,65 @@ class TestMakeChannels:
                 ChannelSet(ch.g, ch.h, ch.f, steer)
 
 
+# scenes of the draw oracle: surface shapes, a smaller radar array and a
+# target off the default azimuth
+ORACLE_SCENES = {
+    "6x6": {}, "16x16": {"irs_rows": 16, "irs_cols": 16},
+    "2x4": {"irs_rows": 2, "irs_cols": 4}, "3x5": {"irs_rows": 3, "irs_cols": 5},
+    "n_tx8": {"n_tx": 8, "n_rx": 8},
+    "azimuth": {"target_azimuth": 1.1, "target_elevation": 0.4},
+}
+
+
+class TestDrawOracle:
+    """The draws equal the reference draw bit for bit, and leave the
+    generator where it leaves it."""
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("scene", list(ORACLE_SCENES))
+    def test_make_channels(self, scene, seed):
+        cfg = SceneConfig(**ORACLE_SCENES[scene])
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):   # later draws reuse the scene's steering vector
+            ch, want = make_channels(cfg, ours), reference_make_channels(cfg, ref)
+            for name in ("g", "h", "f", "steer"):
+                self.assert_same_bits(getattr(ch, name), getattr(want, name))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("k_factor", [0.0, 0.1, 1.0, 10.0])
+    def test_rician_channel_and_complex_normal(self, k_factor):
+        ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+        los = np.exp(2j * np.pi * np.random.default_rng(4).random((5, 12)))
+        self.assert_same_bits(rician_channel(5, 12, k_factor, los, ours),
+                              reference_rician_channel(5, 12, k_factor, los, ref))
+        self.assert_same_bits(complex_normal(ours, 7, 3),
+                              reference_complex_normal(ref, 7, 3))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_upa_steering(self, rng):
+        for l_x, l_y in ((1, 1), (4, 2), (5, 3), (16, 16)):
+            psi_a, psi_e = rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi)
+            self.assert_same_bits(upa_steering(psi_a, psi_e, l_x, l_y, 0.5),
+                                  kron_upa_steering(psi_a, psi_e, l_x, l_y, 0.5))
+
+    def test_shared_steering_vector_is_read_only(self, rng):
+        cfg = SceneConfig(irs_rows=3, irs_cols=5)
+        first, second = make_channels(cfg, rng), make_channels(cfg, rng)
+        assert second.steer is first.steer
+        assert not first.steer.flags.writeable
+        before = first.steer.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            first.steer[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            first.steer *= 1j
+        self.assert_same_bits(make_channels(cfg, rng).steer, before)
+
+
 class TestSceneConfigValidation:
     def test_rejects_rx_tx_mismatch(self):
         with pytest.raises(ConfigError):
@@ -145,7 +206,8 @@ class TestSceneConfigValidation:
         ("power_budget", float("nan")), ("power_budget", float("inf")),
         ("sigma2_comm", float("inf")), ("sigma2_radar", float("nan")),
         ("alpha", complex(float("nan"), 0.0)), ("alpha", complex(0.0, float("inf"))),
-        ("beampattern_tol", float("inf")), ("target_azimuth", float("nan"))])
+        ("beampattern_tol", float("inf")), ("target_azimuth", float("nan")),
+        ("beampattern_tol", 10 ** 400), ("target_azimuth", -10 ** 400)])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SceneConfig(**{field: value})
