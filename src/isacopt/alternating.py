@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, SolverError, require_finite,
-                     require_integer)
+from .errors import (COUNT, POSITIVE, ConfigError, SolverError,
+                     require_finite, require_integer)
 from .irs import solve_irs_manifold, solve_irs_minorization
 from .objective import ChannelConstants, IrsPhase, Precoder
 # Unused here since the loop scores on the effective channels; kept for
@@ -59,14 +59,8 @@ class SolverOptions:
     theta_init: str = "ones"
 
     def __post_init__(self):
-        require_finite(self, ("eps_rel",))
-        require_integer(self, ("t_max", "inner_max"))
-        if self.eps_rel <= 0:
-            raise ConfigError(f"eps_rel must be positive, got {self.eps_rel}")
-        if self.t_max < 1:
-            raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
-        if self.inner_max < 1:
-            raise ConfigError(f"inner_max must be >= 1, got {self.inner_max}")
+        require_finite(self, {"eps_rel": POSITIVE})
+        require_integer(self, {"t_max": COUNT, "inner_max": COUNT})
         if self.irs_method not in IRS_METHODS:
             raise ConfigError(f"irs_method must be one of {IRS_METHODS}")
         if self.theta_init not in THETA_INITS:

@@ -44,10 +44,12 @@ import numpy as np
 
 from . import __version__ as _version
 from .alternating import IRS_METHODS, SolverOptions, run_alternating
-from .errors import ConfigError, require_finite, require_integer
+from .errors import (COUNT, NON_NEGATIVE, UNIT, ConfigError, require_finite,
+                     require_integer)
 from .irs import (SurrogateFactors, ascent_anchor, build_quadratic_terms,
                   irs_phase_update)
-from .objective import ChannelConstants, IrsPhase, OmegaRows, Precoder
+from .objective import (ChannelConstants, IrsPhase, OmegaRows, Precoder,
+                        _dense_channels, build_omega)
 from .precoder import (approximation_ratio_study, default_beampattern_target,
                        relaxed_dual_bound, relaxed_objective, slack_bound,
                        slack_distance, solve_relaxed,
@@ -77,28 +79,16 @@ class ExperimentSpec:
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("beta_values", "l_values", "n_g_grid"):
-            if not isinstance(getattr(self, name), list):
-                raise ConfigError(f"{name} must be a list")
-        require_integer(self, ("trials", "master_seed", "threads",
-                               "l_values[]", "n_g_grid[]"))
-        require_finite(self, ("beta_values[]",))
+        require_integer(self, {
+            "trials": COUNT, "threads": COUNT, "l_values[]": COUNT,
+            "n_g_grid[]": COUNT, "master_seed": NON_NEGATIVE})
+        require_finite(self, {"beta_values[]": UNIT})
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, "
                               f"got {self.output_dir!r}")
-        if not all(0.0 <= beta <= 1.0 for beta in self.beta_values):
-            raise ConfigError(f"beta_values must lie in [0, 1], "
-                              f"got {self.beta_values}")
-        for name in ("l_values", "n_g_grid"):
-            if min(getattr(self, name), default=1) < 1:
-                raise ConfigError(f"{name} must be >= 1, "
-                                  f"got {getattr(self, name)}")
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(
                 f"kind must be one of {EXPERIMENT_KINDS}, got '{self.kind}'")
-        for name, low in (("trials", 1), ("threads", 1), ("master_seed", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.kind == "convergence" and not self.beta_values:
             raise ConfigError("convergence experiment needs a non-empty beta_values sweep")
         if self.kind in ("scaling", "ratio") and not self.l_values:
@@ -516,9 +506,9 @@ def run_bench(spec: ExperimentSpec) -> AggregateResult:
     # error of the channel rows' binding objective against the model
     # factor's.
     ch = make_channels(cfg, rng)
-    channels = ChannelConstants(ch, cfg).channels(
-        IrsPhase(np.ones(cfg.n_irs, dtype=complex)))
-    omega = channels.omega
+    ones = IrsPhase(np.ones(cfg.n_irs, dtype=complex))
+    channels = ChannelConstants(ch, cfg).channels(ones)
+    omega = build_omega(ones, ch, cfg)
     model = _model_rows(channels)
     slack = replace(cfg, beampattern_tol=2.0 * cfg.power_budget ** 2)
     closed = solve_relaxed(channels, slack)
@@ -585,13 +575,14 @@ def _closed_form_gap(omega, cfg: SceneConfig, value: float) -> float:
 
 
 def _model_rows(channels) -> OmegaRows:
-    """The factor ``EffectiveChannels.omega`` is built from: the rows
-    [alpha t t^T; C], weighted beta / sigma_R^2 and (1 - beta) / sigma_C^2."""
-    cfg, t, comm = channels.consts.cfg, channels.t, channels.comm
-    return OmegaRows(np.vstack((cfg.alpha * np.outer(t, t), comm)),
+    """The factor ``build_omega`` forms Omega from: the rows [alpha t t^T; C]
+    at ``channels``, weighted beta / sigma_R^2 and (1 - beta) / sigma_C^2."""
+    consts, cfg = channels.consts, channels.consts.cfg
+    c_r, c_c = _dense_channels(channels.theta.theta, consts, cfg.alpha)
+    return OmegaRows(np.vstack((c_r, c_c)),
                      np.repeat((cfg.beta / cfg.sigma2_radar,
                                 (1.0 - cfg.beta) / cfg.sigma2_comm),
-                               (t.size, comm.shape[0])))
+                               (c_r.shape[0], c_c.shape[0])))
 
 
 def _random_precoder(cfg: SceneConfig, rng: np.random.Generator) -> Precoder:

@@ -13,10 +13,10 @@ d = (beta |alpha|^2 ||t||^2 / sigma_R^2, (1 - beta) / sigma_C^2, ...).
 precoder stage takes; ``EffectiveChannels``, the ``OmegaRows`` of W at one
 theta, is what an outer iteration works from: it scores precoders from
 the products W P_nz over their nonzero columns
-(``Precoder.nonzero_columns``) and starts the phase step.  Its dense
-Omega serves the tests and the bench.
-``build_omega`` is its dense Omega; ``weighted_snr``, ``snr_radar`` and
-``snr_comm`` evaluate the objective from the dense channel matrices.
+(``Precoder.nonzero_columns``) and starts the phase step.
+``build_omega`` (the dense Omega the tests and the bench check against),
+``weighted_snr``, ``snr_radar`` and ``snr_comm`` evaluate the objective
+from the dense channels alpha t t^T and C, formed in one helper.
 ``quartic_kernels`` gives the lifted quartic term's kernels densely.
 ``ChannelConstants``, the phase solvers' one channel input, holds what a
 run reads at every theta (G^T, conj(G), H^T, H^H, conj(a), the weights),
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -99,17 +98,23 @@ def _check_dims(theta: np.ndarray, ch: ChannelSet):
         raise ConfigError(f"theta length {theta.size} does not match surface size {l}")
 
 
+def _dense_channels(theta: np.ndarray, ch, alpha: complex
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The round-trip radar channel alpha t t^T, t = G^T (theta o a), and the
+    downlink channel C = F + (H o theta^T) G, from the G, H, F and a of
+    ``ch``: a ``ChannelSet``, or the ``ChannelConstants`` formed from one."""
+    _check_dims(theta, ch)
+    t = ch.g.T @ (theta * ch.steer)
+    return alpha * np.outer(t, t), ch.f + (ch.h * theta) @ ch.g
+
+
 def snr_radar(p: Precoder, theta: IrsPhase, ch: ChannelSet, cfg: SceneConfig) -> float:
-    _check_dims(theta.theta, ch)
-    b = theta.theta * ch.steer
-    t = ch.g.T @ b
-    c_r = cfg.alpha * np.outer(t, t)
+    c_r = _dense_channels(theta.theta, ch, cfg.alpha)[0]
     return float(np.sum(np.abs(c_r @ p.p) ** 2) / cfg.sigma2_radar)
 
 
 def snr_comm(p: Precoder, theta: IrsPhase, ch: ChannelSet, cfg: SceneConfig) -> float:
-    _check_dims(theta.theta, ch)
-    c_c = ch.f + (ch.h * theta.theta[np.newaxis, :]) @ ch.g
+    c_c = _dense_channels(theta.theta, ch, cfg.alpha)[1]
     return float(np.sum(np.abs(c_c @ p.p) ** 2) / cfg.sigma2_comm)
 
 
@@ -122,8 +127,10 @@ def weighted_snr(p: Precoder, theta: IrsPhase, ch: ChannelSet,
 
 def build_omega(theta: IrsPhase, ch: ChannelSet, cfg: SceneConfig) -> np.ndarray:
     """Hermitian PSD matrix with tr(P P^H Omega) equal to the weighted SNR."""
-    _check_dims(theta.theta, ch)
-    return ChannelConstants(ch, cfg).channels(theta).omega
+    c_r, c_c = _dense_channels(theta.theta, ch, cfg.alpha)
+    return hermitize((cfg.beta / cfg.sigma2_radar) * (c_r.conj().T @ c_r)
+                     + ((1.0 - cfg.beta) / cfg.sigma2_comm)
+                     * (c_c.conj().T @ c_c))
 
 
 class ChannelConstants:
@@ -231,15 +238,6 @@ class EffectiveChannels(OmegaRows):
                / cfg.sigma2_radar)
         s_c = float(np.vdot(y[1:], y[1:]).real) / cfg.sigma2_comm
         return cfg.beta * s_r + (1.0 - cfg.beta) * s_c, s_r, s_c
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        """The dense Omega, Hermitian PSD, formed on first use."""
-        cfg = self.consts.cfg
-        c_r = cfg.alpha * np.outer(self.t, self.t)
-        omega = (cfg.beta / cfg.sigma2_radar) * (c_r.conj().T @ c_r) \
-            + ((1.0 - cfg.beta) / cfg.sigma2_comm) * (self.comm.conj().T @ self.comm)
-        return hermitize(omega)
 
 
 def quartic_coefficient(cfg: SceneConfig) -> float:

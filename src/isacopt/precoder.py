@@ -269,8 +269,9 @@ class KktForm:
 
     R_D = c I + d b b^H (``default_beampattern_target`` of ``cfg``) and
     Omega = X^H diag(w) X over the rows X of an ``OmegaRows``, so
-    R_D + t Omega is c I plus a form on span{b, X^H}.  ``of`` takes Q
-    (N x r), an orthonormal basis of that span, from the thin QR of
+    R_D + t Omega is c I plus a form on span{b, X^H}.  The form of
+    ``omega`` takes Q (N x r), an orthonormal basis of that span, from one
+    thin QR of
     [b, X^H] = Q [beta, Y]: A0 = d beta beta^H and A1 = Y diag(w) Y^H.
     From the 1 + K rows of the effective channels r <= K + 2 and
     A0 + t A1 >= 0; from N or more rows, or signed weights (the form of
@@ -283,29 +284,22 @@ class KktForm:
     ``rank_factor`` the N x K factor of a rank-K point.
     """
 
-    def __init__(self, q: np.ndarray, beta: np.ndarray, a1: np.ndarray,
-                 cfg: SceneConfig):
-        n = q.shape[0]
-        self.q, self.beta, self.a1, self.cfg = q, beta, a1, cfg
-        self.copies = n - q.shape[1]          # the complement's dimension
-        self.c, self.d, _, _, norm2_r_d, _ = _target(cfg)
-        self.beta_conj = beta.conj()
-        self.a0 = self.d * np.outer(beta, self.beta_conj)
+    def __init__(self, omega: OmegaRows, cfg: SceneConfig):
+        self.c, self.d, b, _, norm2_r_d, _ = _target(cfg)
+        rows, self.cfg = omega.rows, cfg
+        n = rows.shape[1]
+        span = np.empty((n, 1 + rows.shape[0]), dtype=complex)
+        span[:, 0] = b
+        np.conjugate(rows.T, out=span[:, 1:])
+        self.q, r1 = np.linalg.qr(span)
+        self.beta, y = r1[:, 0], r1[:, 1:]
+        self.a1 = a1 = hermitize((y * omega.weights) @ y.conj().T)
+        self.copies = n - self.q.shape[1]     # the complement's dimension
+        self.beta_conj = self.beta.conj()
+        self.a0 = self.d * np.outer(self.beta, self.beta_conj)
         self.norm_omega = math.sqrt(float(np.vdot(a1, a1).real))
         self.norm_r_d = math.sqrt(norm2_r_d)
         self.err = 4.0 * n * _EPS
-
-    @classmethod
-    def of(cls, omega: OmegaRows, cfg: SceneConfig) -> "KktForm":
-        """The form of Omega = X^H diag(w) X, from one thin QR of [b, X^H]."""
-        rows = omega.rows
-        span = np.empty((rows.shape[1], 1 + rows.shape[0]), dtype=complex)
-        span[:, 0] = _target(cfg)[2]
-        np.conjugate(rows.T, out=span[:, 1:])
-        q, r1 = np.linalg.qr(span)
-        y = r1[:, 1:]
-        return cls(q, r1[:, 0], hermitize((y * omega.weights) @ y.conj().T),
-                   cfg)
 
     def start_scale(self) -> float:
         """t* = sqrt(gamma) / ||Omega_0||_F, Omega_0 = Omega - (tr Omega / N) I,
@@ -445,7 +439,7 @@ def dykstra_project(m: np.ndarray, cfg: SceneConfig) -> np.ndarray:
     """
     r_d, gamma = _target(cfg)[3], cfg.beampattern_tol
     w, u = np.linalg.eigh(hermitize(m - r_d))
-    form = KktForm.of(OmegaRows(u.conj().T, w), cfg)
+    form = KktForm(OmegaRows(u.conj().T, w), cfg)
     x, dist2 = form.point(1.0)
     if dist2 > gamma:
         # S(0) = Pi_C(R_D) = R_D
@@ -472,7 +466,7 @@ def relaxed_dual_bound(omega: OmegaRows, cfg: SceneConfig, t: float
     """
     if not t > 0:
         raise ConfigError(f"dual scale must be positive, got t={t}")
-    form = KktForm.of(omega, cfg)
+    form = KktForm(omega, cfg)
     return form.dual_bound(t, *form.point(t))
 
 
@@ -557,7 +551,7 @@ def solve_relaxed(omega: OmegaRows, cfg: SceneConfig) -> RelaxedCovariance:
         dist2 = float(np.vdot(diff, diff).real)
     if dist2 <= gamma:
         return slack
-    form = KktForm.of(omega, cfg)
+    form = KktForm(omega, cfg)
     attainable = cfg.power_budget * lam
     t = form.start_scale()
     lo = (0.0, None, 0.0)     # S(0) = Pi_C(R_D) = R_D

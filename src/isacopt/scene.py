@@ -13,11 +13,13 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, require_finite, require_integer
+from .errors import (COUNT, NON_NEGATIVE, POSITIVE, REAL, UNIT, ConfigError,
+                     require_finite, require_integer)
 
 TWO_PI = 2.0 * np.pi
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -33,7 +35,16 @@ def dbm_to_watts(x_dbm: float) -> float:
     return float(10.0 ** ((x_dbm - 30.0) / 10.0))
 
 
-_SCENE_COUNTS = ("n_tx", "n_rx", "n_users", "irs_rows", "irs_cols")
+_SCENE_COUNTS = dict.fromkeys(
+    ("n_tx", "n_rx", "n_users", "irs_rows", "irs_cols"), COUNT)
+# The range of each real field; alpha is complex and only finite.
+_SCENE_REALS = {
+    "spacing_over_lambda": POSITIVE, "beta": UNIT, "sigma2_radar": POSITIVE,
+    "sigma2_comm": POSITIVE, "alpha": None, "power_budget": POSITIVE,
+    "beampattern_tol": POSITIVE, "rician_g": NON_NEGATIVE,
+    "rician_h": NON_NEGATIVE, "rician_f": NON_NEGATIVE, "target_azimuth": REAL,
+    "target_elevation": REAL, "radar_irs_azimuth": REAL,
+    "beampattern_mix": UNIT}
 
 
 @dataclass
@@ -79,29 +90,15 @@ class SceneConfig:
                 f"(n_rx={self.n_rx}, n_tx={self.n_tx}): the round-trip "
                 f"return channel is the transpose of the forward one"
             )
-        if min(self.n_tx, self.n_users, self.irs_rows, self.irs_cols) < 1:
-            raise ConfigError("antenna, user and surface-element counts must be >= 1")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
-        if not 0.0 <= self.beampattern_mix <= 1.0:
-            raise ConfigError(f"beampattern_mix must lie in [0, 1], got {self.beampattern_mix}")
-        for name in ("sigma2_radar", "sigma2_comm", "power_budget",
-                     "beampattern_tol", "spacing_over_lambda"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be strictly positive")
-        for name in ("rician_g", "rician_h", "rician_f"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+        if self.n_irs > sys.maxsize:
+            raise ConfigError(f"surface size L = irs_rows * irs_cols = "
+                              f"{self.n_irs} must be <= {sys.maxsize}")
         self.alpha = complex(self.alpha)
 
     @property
     def n_irs(self) -> int:
         """Total surface element count L."""
         return self.irs_rows * self.irs_cols
-
-
-_SCENE_REALS = tuple(f.name for f in fields(SceneConfig)
-                     if f.name not in _SCENE_COUNTS)
 
 
 @dataclass

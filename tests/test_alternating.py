@@ -38,13 +38,15 @@ class TestSolverOptions:
 
     @pytest.mark.parametrize("field,value", [
         ("eps_rel", float("nan")), ("eps_rel", float("inf")),
-        ("eps_rel", 10 ** 400)])
+        ("eps_rel", 10 ** 400), ("eps_rel", 0.01 + 0j)])
     def test_rejects_non_finite_floats(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SolverOptions(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("t_max", 2.5), ("inner_max", True)])
+        ("t_max", 2.5), ("inner_max", True),
+        ("t_max", 10 ** 400), ("t_max", 2 ** 63),
+        ("inner_max", 10 ** 400), ("inner_max", 2 ** 63)])
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SolverOptions(**{field: value})

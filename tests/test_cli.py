@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import isacopt
 from isacopt import harness
 from isacopt.cli import main
 from isacopt.harness import read_csv_rows
@@ -217,6 +222,37 @@ class TestBadSweeps:
         assert not out.exists()
 
 
+# Counts numpy cannot index, by the field the error names; an l_values
+# entry that passed loading would hang the run in near_square_grid
+HUGE_COUNTS = {
+    "n_tx": {"scene": {"n_tx": 10 ** 400, "n_rx": 10 ** 400}},
+    "irs_rows": {"scene": {"irs_rows": 10 ** 400}},
+    "l_values[1]": {"kind": "ratio", "beta_values": [],
+                    "l_values": [8, 10 ** 400], "n_g_grid": [5]},
+    "n_g_grid[1]": {"kind": "ratio", "beta_values": [], "l_values": [4],
+                    "n_g_grid": [10, 10 ** 400]},
+}
+
+
+class TestHugeCounts:
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    @pytest.mark.parametrize("field", list(HUGE_COUNTS))
+    def test_exits_2_on_load(self, tmp_path, command, field):
+        # in a child process with a timeout, so that a hang fails the test
+        config = write_config(tmp_path, **HUGE_COUNTS[field])
+        out = tmp_path / "results"
+        src = str(Path(isacopt.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "isacopt.cli", command, "--config",
+             str(config)] + (["--out", str(out)] if command == "run" else []),
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert f"config error: {field} must be an integer" in done.stderr
+        assert not out.exists()
+
+
 # Configs of the wrong JSON shape or type: overrides of the valid config,
 # or the text of the whole file.
 MALFORMED = {
@@ -258,6 +294,19 @@ class TestBench:
         assert capsys.readouterr().out.splitlines() == [str(out / "bench.csv")]
         assert sorted(p.name for p in out.iterdir()) == [
             "bench.csv", "bench.csv.meta.json"]
+
+    def test_bench_config_runs(self, tmp_path, capsys):
+        # a bench config at a seed other than `isac bench`'s 0
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({"kind": "bench", "master_seed": 5}))
+        out = tmp_path / "bench"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [str(out / "bench.csv")]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "bench.csv", "bench.csv.meta.json"]
+        meta = json.loads((out / "bench.csv.meta.json").read_text())
+        assert meta["config"]["master_seed"] == 5
+        assert meta["columns"] == ["op", "size", "metric", "value"]
 
     def test_output_path_that_is_a_file_exits_2_before_the_checks(
             self, tmp_path, capsys, monkeypatch):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isacopt import (ChannelConstants, ConfigError, IrsPhase, SceneConfig,
-                     alternating, default_beampattern_target, harness,
-                     load_experiment_spec, make_channels,
+                     alternating, build_omega, default_beampattern_target,
+                     harness, load_experiment_spec, make_channels,
                      run_alternating, run_bench, run_convergence_experiment,
                      run_experiment, run_ratio_experiment,
                      run_scaling_experiment, solve_relaxed)
@@ -61,6 +61,23 @@ class TestSpecLoading:
             make_spec(tmp_path, beta_values=[1.5])
         with pytest.raises(ConfigError, match=r"beta_values\[1\]"):
             make_spec(tmp_path, beta_values=[0.5, 10 ** 400])
+
+    # a count must be an index numpy can take, at most 2**63 - 1
+    @pytest.mark.parametrize("field", ["trials", "threads", "l_values",
+                                       "n_g_grid"])
+    @pytest.mark.parametrize("value", [0, 10 ** 400, 2 ** 63],
+                             ids=["0", "10**400", "2**63"])
+    def test_rejects_count_out_of_range(self, tmp_path, field, value):
+        sweep = field in ("l_values", "n_g_grid")
+        spec = {"kind": "ratio", "l_values": [4], "n_g_grid": [5],
+                field: [4, value] if sweep else value}
+        name = rf"{field}\[1\]" if sweep else field
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            make_spec(tmp_path, **spec)
+
+    def test_master_seed_has_no_upper_bound(self, tmp_path):
+        assert make_spec(tmp_path, master_seed=10 ** 400).master_seed \
+            == 10 ** 400
 
     def test_eps_rel_db_suffix(self):
         opts = solver_options_from_dict({"eps_rel_db": -20})
@@ -409,10 +426,9 @@ class TestRatioExperiment:
         assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)
 
 
-# The bounds on the rows of bench.csv, by (op, metric), for these tests and
-# for CI's "Bench checks within bounds" step (.github/workflows/tests.yml),
-# which imports them; a negative certificate gap would mean the dual bound
-# is not an upper bound, and R* = V^H V is PSD by construction
+# The bounds on the rows of bench.csv, by (op, metric); a negative
+# certificate gap would mean the dual bound is not an upper bound, and
+# R* = V^H V is PSD by construction
 BENCH_BOUNDS = {
     ("irs_phase_update", "max_modulus_error"): (0.0, 1e-12),
     ("solve_relaxed", "closed_form_gap"): (0.0, 1e-12),
@@ -431,7 +447,7 @@ BENCH_BOUNDS = {
 class TestBench:
     @pytest.mark.parametrize("seed", [0, 3, 5])
     def test_outputs(self, tmp_path, seed):
-        # the default scene, as `isac bench` and CI's bench config run it
+        # the default scene, as `isac bench` and a bench config run it
         spec = load_experiment_spec({"kind": "bench", "master_seed": seed,
                                      "output_dir": str(tmp_path / "out")})
         result = run_bench(spec)
@@ -469,7 +485,7 @@ class TestBench:
         for seed in range(200):
             ch = make_channels(cfg, np.random.default_rng(seed))
             channels = ChannelConstants(ch, cfg).channels(ones)
-            omega = channels.omega
+            omega = build_omega(ones, ch, cfg)
             closed = solve_relaxed(channels, slack)
             gaps.append(harness._closed_form_gap(
                 omega, cfg, relaxed_objective(closed, omega)))

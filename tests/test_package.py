@@ -90,3 +90,8 @@ def test_both_validator_paths_agree(value, finite, integer):
 def test_list_entries_are_named():
     with pytest.raises(ConfigError, match=r"values\[1\] must be a finite"):
         require_finite(SimpleNamespace(values=[0.5, 10 ** 400]), ("values[]",))
+
+
+def test_list_field_that_is_not_a_list_is_rejected():
+    with pytest.raises(ConfigError, match="values must be a list"):
+        require_integer(SimpleNamespace(values=3), ("values[]",))

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isacopt import (ConfigError, IrsPhase, RandomizationReport,
+from isacopt import (ChannelSet, ConfigError, IrsPhase, RandomizationReport,
                      RelaxedCovariance, SolverError, SolverOptions,
-                     approximation_ratio_study, build_quadratic_terms,
+                     approximation_ratio_study, build_omega,
+                     build_quadratic_terms,
                      default_beampattern_target, dykstra_project,
                      factor_precoder, make_channels, precoder_objective, project_ball,
                      project_psd, project_spectrahedron,
@@ -392,9 +393,10 @@ def paper_binding_instance(seed, beta=0.5, gamma=0.1):
     (cfg, R_D, the effective channels, the dense Omega)."""
     cfg = SceneConfig(beta=beta, beampattern_tol=gamma)
     ch = make_channels(cfg, np.random.default_rng(seed))
-    channels = ChannelConstants(ch, cfg).channels(
-        IrsPhase(np.ones(cfg.n_irs, dtype=complex)))
-    return cfg, default_beampattern_target(cfg), channels, channels.omega
+    ones = IrsPhase(np.ones(cfg.n_irs, dtype=complex))
+    channels = ChannelConstants(ch, cfg).channels(ones)
+    return (cfg, default_beampattern_target(cfg), channels,
+            build_omega(ones, ch, cfg))
 
 
 class TestKktRoot:
@@ -557,6 +559,14 @@ def form_scene(name, seed=7, **kwargs):
             ChannelConstants(ch, cfg).channels(theta))
 
 
+def dense_omega(channels):
+    """``build_omega`` at the phases of the effective ``channels``, from the
+    channels they were formed from."""
+    c = channels.consts
+    return build_omega(channels.theta, ChannelSet(c.g, c.h, c.f, c.steer),
+                       c.cfg)
+
+
 class TestKktForm:
     """The factored form of R_D + t Omega against the dense N x N oracle."""
 
@@ -587,8 +597,8 @@ class TestKktForm:
         # eigenvalues of Omega_0 = Omega - (tr Omega / N) I for weights, as
         # dykstra_project forms them (r = N)
         cfg, r_d, channels = form_scene(name)
-        omega, k = channels.omega, cfg.n_users
-        t_star = precoder.KktForm.of(channels, cfg).start_scale()
+        omega, k = dense_omega(channels), cfg.n_users
+        t_star = precoder.KktForm(channels, cfg).start_scale()
         rows, rank = channels, min(cfg.n_tx, cfg.n_users + 2)
         if factor == "model":
             rows, rank = harness._model_rows(channels), cfg.n_tx
@@ -597,7 +607,7 @@ class TestKktForm:
             omega = omega - (np.trace(omega).real / cfg.n_tx) * np.eye(cfg.n_tx)
             rows, rank = eigh_rows(omega), cfg.n_tx
             assert rows.weights.min() < 0.0 < rows.weights.max()
-        form = precoder.KktForm.of(rows, cfg)
+        form = precoder.KktForm(rows, cfg)
         assert form.q.shape[1] == rank
         for t in (0.5 * t_star, t_star, 4.0 * t_star, 100.0 * t_star):
             x, dist2 = form.point(t)
@@ -624,7 +634,7 @@ class TestKktForm:
     def test_search_matches_dense_oracle(self, name):
         # R_D = (P_T / N) I (mix 0) is 0.1375 from every rank-5 covariance
         cfg, r_d, channels = form_scene(name, beampattern_tol=0.2)
-        omega = channels.omega
+        omega = dense_omega(channels)
         s = solve_relaxed(channels, cfg)
         assert s.kkt_scale is not None
         s_dense, t_hi = dense_kkt_search(omega, cfg, r_d)
@@ -643,7 +653,7 @@ class TestKktForm:
         # Omega = 0: S(t) = R_D for every t, which attains the optimum 0
         cfg, r_d, channels = form_scene("paper", beampattern_tol=0.1)
         channels.rows[:] = 0.0
-        form = precoder.KktForm.of(channels, cfg)
+        form = precoder.KktForm(channels, cfg)
         assert form.start_scale() == 1.0
         x, dist2 = form.point(3.0)
         assert dist2 <= 1e-30 and form.trace(x) == 0.0
@@ -661,14 +671,14 @@ class TestKktForm:
         # t = c N / tr Omega the affine point is PSD, S(t) has full support,
         # and t* = sqrt(gamma) / ||Omega_0|| is the KKT scale itself
         cfg, r_d, channels = form_scene("paper")
-        omega = channels.omega
+        omega = dense_omega(channels)
         n, tr = cfg.n_tx, float(np.trace(omega).real)
         omega_0 = omega - (tr / n) * np.eye(n)
         c = (1.0 - cfg.beampattern_mix) * cfg.power_budget / n
         t_star = 0.5 * c * n / tr
         gamma = (t_star * np.linalg.norm(omega_0)) ** 2
         cfg = replace(cfg, beampattern_tol=gamma)
-        form = precoder.KktForm.of(channels, cfg)
+        form = precoder.KktForm(channels, cfg)
         assert form.start_scale() == pytest.approx(t_star, rel=1e-13)
         s = solve_relaxed(channels, cfg)
         assert s.kkt_scale == pytest.approx(t_star, rel=1e-12)
@@ -683,10 +693,10 @@ class TestKktForm:
         # maximizes the Lagrangian over the trace hyperplane, which contains
         # C, so its value bounds the one at S(t*), which bounds the optimum
         cfg, r_d, channels = form_scene("paper", beampattern_tol=0.1)
-        omega = channels.omega
+        omega = dense_omega(channels)
         n = cfg.n_tx
         omega_0 = omega - (float(np.trace(omega).real) / n) * np.eye(n)
-        t_star = precoder.KktForm.of(channels, cfg).start_scale()
+        t_star = precoder.KktForm(channels, cfg).start_scale()
         affine = r_d + t_star * omega_0
         assert np.linalg.eigvalsh(affine)[0] < 0.0
         gamma = cfg.beampattern_tol
@@ -697,7 +707,7 @@ class TestKktForm:
         assert hyperplane >= bound * (1 - 1e-12)
         assert bound >= value
         # S(t*) is inside the ball, as it must be at the start of the search
-        assert precoder.KktForm.of(channels, cfg).point(t_star)[1] <= gamma
+        assert precoder.KktForm(channels, cfg).point(t_star)[1] <= gamma
 
 
 class TestFactorPrecoder:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from isacopt import (ConfigError, SceneConfig, db_to_linear, dbm_to_watts,
                      make_channels, rician_channel, ula_spacing_check,
                      upa_steering)
-from isacopt.scene import (ChannelSet, complex_normal, scene_config_from_dict,
+from isacopt.scene import (_SCENE_COUNTS, _SCENE_REALS, ChannelSet,
+                           complex_normal, scene_config_from_dict,
                            ula_steering)
 from reference import (kron_upa_steering, reference_complex_normal,
                        reference_make_channels, reference_rician_channel)
@@ -207,14 +209,34 @@ class TestSceneConfigValidation:
         ("sigma2_comm", float("inf")), ("sigma2_radar", float("nan")),
         ("alpha", complex(float("nan"), 0.0)), ("alpha", complex(0.0, float("inf"))),
         ("beampattern_tol", float("inf")), ("target_azimuth", float("nan")),
-        ("beampattern_tol", 10 ** 400), ("target_azimuth", -10 ** 400)])
-    def test_rejects_non_finite(self, field, value):
+        ("beampattern_tol", 10 ** 400), ("target_azimuth", -10 ** 400),
+        # a real field takes no complex value, even a zero imaginary part
+        ("beta", 0.5 + 0j), ("sigma2_radar", 1e-3 + 0j),
+        ("target_azimuth", 1 + 1j)])
+    def test_rejects_non_finite_or_non_real(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SceneConfig(**{field: value})
 
-    def test_rejects_non_integer_counts(self):
-        with pytest.raises(ConfigError, match="irs_rows"):
-            SceneConfig(irs_rows=2.5)
+    def test_every_field_is_checked(self):
+        assert set(_SCENE_COUNTS) | set(_SCENE_REALS) \
+            == {f.name for f in fields(SceneConfig)}
+
+    def test_accepts_complex_alpha(self):
+        assert SceneConfig(alpha=0.01 + 0.02j).alpha == 0.01 + 0.02j
+
+    # a count must be an index numpy can take, at most 2**63 - 1
+    @pytest.mark.parametrize("field,value", [
+        ("irs_rows", 2.5), ("irs_rows", 10 ** 400), ("irs_rows", 2 ** 63),
+        ("n_tx", 10 ** 400), ("n_tx", 2 ** 63)])
+    def test_rejects_non_integer_counts(self, field, value):
+        both = {"n_rx": value} if field == "n_tx" else {}
+        with pytest.raises(ConfigError, match=field):
+            SceneConfig(**{field: value, **both})
+
+    def test_rejects_surface_size_beyond_index_range(self):
+        # each factor is a count, their product L is not
+        with pytest.raises(ConfigError, match=r"L = irs_rows \* irs_cols"):
+            SceneConfig(irs_rows=2 ** 32, irs_cols=2 ** 32)
 
 
 class TestJsonLoading:
