@@ -16,16 +16,15 @@ from .precoder import (RandomizationReport, RelaxedCovariance,
                        approximation_ratio_study, default_beampattern_target,
                        dykstra_project, factor_precoder, precoder_objective,
                        project_ball, project_psd, project_spectrahedron,
-                       relaxed_dual_bound, relaxed_objective, slack_bound,
-                       solve_relaxed, solve_unit_diag_relaxation,
-                       unit_diag_dual_bound)
+                       relaxed_objective, slack_bound, solve_relaxed,
+                       solve_unit_diag_relaxation, unit_diag_dual_bound)
 from .irs import (InnerTrace, build_quadratic_terms, build_quartic_surrogate,
                   irs_phase_update, linear_surrogate_vectors,
                   solve_irs_manifold, solve_irs_minorization)
 from .alternating import RunTrace, SolverOptions, run_alternating
 
 _HARNESS_NAMES = ("AggregateResult", "ExperimentSpec", "load_experiment_spec",
-                  "run_bench", "run_convergence_experiment", "run_experiment",
+                  "run_convergence_experiment", "run_experiment",
                   "run_ratio_experiment", "run_scaling_experiment")
 
 __all__ = [n for n in dir() if not n.startswith("_")] + list(_HARNESS_NAMES)

@@ -1,11 +1,8 @@
 """Command-line front end.
 
     isac run --config exp.json --out results/ [--seed N] [--trials N] [--threads N]
-    isac bench [--out dir]
     isac validate-config --config exp.json
     isac plotdata --csv results/convergence_beta0.5.csv
-
-``isac bench`` checks results; ``perfbench/run.py --trace 1`` times them.
 
 Exit codes: 0 success, 2 configuration error, 3 solver error.
 """
@@ -38,10 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="master seed override")
     run_p.add_argument("--trials", type=int, help="trial count override")
     run_p.add_argument("--threads", type=int, help="worker process count")
-
-    bench_p = sub.add_parser(
-        "bench", help="check the results of the solver-path operations")
-    bench_p.add_argument("--out", default="bench_out", help="output directory")
 
     val_p = sub.add_parser("validate-config", help="check a config and print it resolved")
     val_p.add_argument("--config", required=True, help="experiment JSON file")
@@ -80,13 +73,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    result = run_experiment(ExperimentSpec(kind="bench", output_dir=args.out))
-    for path in result.files:
-        print(path)
-    return 0
-
-
 def _cmd_validate(args) -> int:
     spec = load_experiment_spec(args.config)
     print(json.dumps(resolved_spec_dict(spec), indent=2, sort_keys=True))
@@ -116,8 +102,8 @@ def _cmd_plotdata(args) -> int:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
-    handler = {"run": _cmd_run, "bench": _cmd_bench,
-               "validate-config": _cmd_validate, "plotdata": _cmd_plotdata}[args.command]
+    handler = {"run": _cmd_run, "validate-config": _cmd_validate,
+               "plotdata": _cmd_plotdata}[args.command]
     try:
         return handler(args)
     except ConfigError as exc:

@@ -1,6 +1,6 @@
 """Experiment harness: seeded studies with CSV output and JSON sidecars.
 
-Four experiment kinds:
+Three experiment kinds:
 
 * ``convergence`` - objective trajectories of the alternating loop over a
   sweep of radar weights, aggregated over seeded trials.
@@ -8,9 +8,6 @@ Four experiment kinds:
   solvers as the surface size grows.
 * ``ratio``       - Gaussian-randomization approximation ratio versus the
   number of randomized samples, against the unit-diagonal relaxation bound.
-* ``bench``       - checks of the solver-path operations' results (phase
-  update, relaxed precoder solve, phase-step anchor, unit-diagonal
-  relaxation); their wall times are perfbench's.
 
 Each trial returns the raw CSV rows it contributes; an experiment prefixes
 them with the sweep key and takes each aggregate over a column of them, so
@@ -46,21 +43,15 @@ from . import __version__ as _version
 from .alternating import IRS_METHODS, SolverOptions, run_alternating
 from .errors import (COUNT, NON_NEGATIVE, UNIT, ConfigError, require_finite,
                      require_integer)
-from .irs import (SurrogateFactors, ascent_anchor, build_quadratic_terms,
-                  irs_phase_update)
-from .objective import (ChannelConstants, IrsPhase, OmegaRows, Precoder,
-                        _dense_channels, build_omega)
-from .precoder import (approximation_ratio_study, default_beampattern_target,
-                       relaxed_dual_bound, relaxed_objective, slack_bound,
-                       slack_distance, solve_relaxed,
-                       solve_unit_diag_relaxation,
-                       unit_diag_dual_bound, validate_beampattern_target)
-from .scene import (ChannelSet, SceneConfig, complex_normal,
-                    convert_suffixed, make_channels, scene_config_from_dict)
+from .irs import build_quadratic_terms
+from .precoder import (approximation_ratio_study, solve_unit_diag_relaxation,
+                       validate_beampattern_target)
+from .scene import (ChannelSet, SceneConfig, convert_suffixed, make_channels,
+                    scene_config_from_dict)
 
 log = logging.getLogger(__name__)
 
-EXPERIMENT_KINDS = ("convergence", "scaling", "ratio", "bench")
+EXPERIMENT_KINDS = ("convergence", "scaling", "ratio")
 
 
 @dataclass
@@ -96,7 +87,13 @@ class ExperimentSpec:
         if self.kind == "ratio" and not self.n_g_grid:
             raise ConfigError("ratio experiment needs a non-empty n_g_grid")
         # R_D depends on no swept field: one check covers every trial
-        validate_beampattern_target(self.scene)
+        try:
+            validate_beampattern_target(self.scene)
+        except MemoryError as exc:
+            raise ConfigError(
+                f"n_tx = {self.scene.n_tx}, n_users = {self.scene.n_users}: "
+                f"the beampattern check's n_tx x n_tx target and n_tx x "
+                f"n_users precoder do not fit in memory ({exc})") from exc
 
 
 @dataclass
@@ -483,113 +480,6 @@ def run_ratio_experiment(spec: ExperimentSpec) -> AggregateResult:
     ], errors), errors)
 
 
-def run_bench(spec: ExperimentSpec) -> AggregateResult:
-    """Checks of the solver-path operations' results; perfbench times them."""
-    rng = np.random.default_rng(spec.master_seed)
-    check_rows = []
-
-    l_irs = spec.scene.n_irs
-    updated = irs_phase_update(complex_normal(rng, l_irs))
-    check_rows.append(("irs_phase_update", l_irs, "max_modulus_error",
-                       float(np.max(np.abs(np.abs(updated.theta) - 1.0)))))
-
-    cfg = spec.scene
-    r_d = default_beampattern_target(cfg)
-
-    # The relaxed precoder solve on one channel draw, once with a ball no
-    # two trace-P_T covariances can leave (closed form) and once with a
-    # ball a quarter of the closed-form point's distance from R_D (KKT
-    # search on the dense Omega's model factor, N + K rows, a search at
-    # r = N), with the relative gap of each to its certified bound, the
-    # error of the rows' top eigenvalue against the dense one, the O(N)
-    # distance of the slack test less the dense one over P_T^2, and the
-    # error of the channel rows' binding objective against the model
-    # factor's.
-    ch = make_channels(cfg, rng)
-    ones = IrsPhase(np.ones(cfg.n_irs, dtype=complex))
-    channels = ChannelConstants(ch, cfg).channels(ones)
-    omega = build_omega(ones, ch, cfg)
-    model = _model_rows(channels)
-    slack = replace(cfg, beampattern_tol=2.0 * cfg.power_budget ** 2)
-    closed = solve_relaxed(channels, slack)
-    check_rows.append(("solve_relaxed", cfg.n_tx, "closed_form_gap",
-                       _closed_form_gap(omega, cfg,
-                                        relaxed_objective(closed, omega))))
-    dense_top = float(np.linalg.eigvalsh(omega)[-1])
-    top_eig, top, _ = channels.top_eigenpair()
-    check_rows.append(("solve_relaxed", cfg.n_tx, "slack_top_eig_rel_error",
-                       abs(top_eig - dense_top) / dense_top))
-    dense_dist2 = float(np.sum(np.abs(closed.s - r_d) ** 2))
-    check_rows.append(("solve_relaxed", cfg.n_tx, "slack_ball_dist_error",
-                       (slack_distance(top, cfg)[0] - dense_dist2)
-                       / cfg.power_budget ** 2))
-    binding = replace(cfg, beampattern_tol=0.25 * dense_dist2)
-    kkt = solve_relaxed(model, binding)
-    value = relaxed_objective(kkt, omega)
-    check_rows.append((
-        "solve_relaxed", cfg.n_tx, "binding_certificate_gap",
-        (relaxed_dual_bound(model, binding, kkt.kkt_scale) - value) / value))
-    rows_value = relaxed_objective(solve_relaxed(channels, binding), omega)
-    check_rows.append(("solve_relaxed", cfg.n_tx, "binding_rows_rel_error",
-                       abs(rows_value - value) / value))
-
-    # The relative distance of the phase step's anchor (Cholesky route)
-    # from the QR route's, on the paper's 6 x 6 surface.
-    cfg_l = replace(cfg, irs_rows=6, irs_cols=6)
-    ch_l = make_channels(cfg_l, rng)
-    factors = SurrogateFactors(_random_precoder(cfg_l, rng),
-                               ChannelConstants(ch_l, cfg_l))
-    theta = IrsPhase(np.exp(2j * np.pi * rng.random(cfg_l.n_irs)))
-    channels, _, y = factors.at(theta)
-    rho = factors.anchor(*factors.quartic(channels, y)[:2])
-    rho_qr = ascent_anchor(np.linalg.qr(factors.basis, mode="r").T,
-                           factors.c, factors.cc)
-    check_rows.append(("solve_irs_minorization", 36, "anchor_route_rel_error",
-                       abs(rho - rho_qr) / rho_qr if rho_qr else rho))
-
-    # The ratio study's unit-diagonal relaxation on the communication form
-    # U3 of a random precoder, at the ratio config's two surface sizes:
-    # the relative gap to its dual certificate and lambda_min(R*).
-    for rows_, cols_ in ((2, 4), (6, 6)):
-        cfg_l = replace(cfg, irs_rows=rows_, irs_cols=cols_)
-        ch_l = make_channels(cfg_l, rng)
-        a_mat, _ = build_quadratic_terms(_random_precoder(cfg_l, rng), ch_l,
-                                         cfg_l)
-        r_star = solve_unit_diag_relaxation(a_mat)
-        bound = unit_diag_dual_bound(a_mat, r_star)
-        value = float(np.real(np.vdot(a_mat, r_star)))
-        check_rows.append(("solve_unit_diag_relaxation", cfg_l.n_irs,
-                           "unit_diag_certificate_gap", (bound - value) / bound))
-        check_rows.append(("solve_unit_diag_relaxation", cfg_l.n_irs,
-                           "lambda_min", float(np.linalg.eigvalsh(r_star)[0])))
-
-    return AggregateResult(write_tables(
-        spec, [("bench", ["op", "size", "metric", "value"], check_rows)]))
-
-
-def _closed_form_gap(omega, cfg: SceneConfig, value: float) -> float:
-    """Relative gap of ``value`` below ``slack_bound`` of the dense Omega."""
-    bound = slack_bound(float(np.linalg.eigvalsh(omega)[-1]),
-                        float(np.linalg.norm(omega)), cfg)
-    return (bound - value) / bound
-
-
-def _model_rows(channels) -> OmegaRows:
-    """The factor ``build_omega`` forms Omega from: the rows [alpha t t^T; C]
-    at ``channels``, weighted beta / sigma_R^2 and (1 - beta) / sigma_C^2."""
-    consts, cfg = channels.consts, channels.consts.cfg
-    c_r, c_c = _dense_channels(channels.theta.theta, consts, cfg.alpha)
-    return OmegaRows(np.vstack((c_r, c_c)),
-                     np.repeat((cfg.beta / cfg.sigma2_radar,
-                                (1.0 - cfg.beta) / cfg.sigma2_comm),
-                               (c_r.shape[0], c_c.shape[0])))
-
-
-def _random_precoder(cfg: SceneConfig, rng: np.random.Generator) -> Precoder:
-    p = complex_normal(rng, cfg.n_tx, cfg.n_users)
-    return Precoder(p * math.sqrt(cfg.power_budget / np.sum(np.abs(p) ** 2)))
-
-
 def run_experiment(spec: ExperimentSpec) -> AggregateResult:
     """Dispatch on the experiment kind, once the output directory is made:
     a path that cannot be one fails before the first trial."""
@@ -601,6 +491,5 @@ def run_experiment(spec: ExperimentSpec) -> AggregateResult:
         "convergence": run_convergence_experiment,
         "scaling": run_scaling_experiment,
         "ratio": run_ratio_experiment,
-        "bench": run_bench,
     }[spec.kind]
     return runner(spec)

@@ -14,7 +14,7 @@ precoder stage takes; ``EffectiveChannels``, the ``OmegaRows`` of W at one
 theta, is what an outer iteration works from: it scores precoders from
 the products W P_nz over their nonzero columns
 (``Precoder.nonzero_columns``) and starts the phase step.
-``build_omega`` (the dense Omega the tests and the bench check against),
+``build_omega`` (the dense Omega the tests check against),
 ``weighted_snr``, ``snr_radar`` and ``snr_comm`` evaluate the objective
 from the dense channels alpha t t^T and C, formed in one helper.
 ``quartic_kernels`` gives the lifted quartic term's kernels densely.

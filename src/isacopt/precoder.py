@@ -17,7 +17,7 @@ precoder hands its nonzero columns over to the phase step.  When
 the ball binds, the KKT conditions put the optimum at
 S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t) meets the
 ball, so the solve is a bracketing root search on t (Chandrupatla's
-method), and ``relaxed_dual_bound`` certifies it.  R_D = c I + d b b^H and
+method), and ``KktForm.dual_bound`` certifies it.  R_D = c I + d b b^H and
 Omega has rank <= 1 + K, so R_D + t Omega is c I plus a form on a space of
 dimension r <= K + 2 (``KktForm``, from one thin QR of [b, X^H] over the
 rows X): each tested t costs one r x r eigendecomposition, and S(t) is
@@ -77,7 +77,7 @@ class RelaxedCovariance:
     S = F F^H (one column per nonzero eigenvalue, so no column is zero).
     ``kkt_scale``, set when the beampattern ball binds, is the scale t of
     the KKT point the solve stopped at, and ``dual_bound`` is
-    ``relaxed_dual_bound`` at that scale.  ``in_ball_scale``, set whenever
+    ``KktForm.dual_bound`` at that scale.  ``in_ball_scale``, set whenever
     the KKT search ran, is the largest scale at which S(t) was tested
     inside the ball, and ``form`` the ``KktForm`` it ran on;
     ``factor_precoder`` starts its search there, on that form.  The slack
@@ -367,11 +367,19 @@ class KktForm:
                 + self.err * (self.cfg.beampattern_tol + dist2))
 
     def dual_bound(self, t: float, x: tuple, dist2: float) -> float:
-        """``relaxed_dual_bound`` at t from the point S(t) = x and d(t).
+        """Upper bound on max tr(S Omega) over the feasible covariance set,
+        from the point S(t) = x and d(t) at a scale t > 0.
 
-        For the error e of S(t), the Lagrangian value drops by up to about
+        The Lagrangian with multiplier 1/(2t) on the ball is, after
+        completing the square, maximized over C = {S >= 0, tr S = P_T} by
+        S(t) = Pi_C(R_D + t Omega); its value
+        tr(Omega S(t)) + (gamma - d(t)) / (2t) bounds the optimum by weak
+        duality.  The bound adds an allowance for rounding: for the error e
+        of the computed S(t), the Lagrangian value drops by up to about
         e^2 / (2t) plus e ||Omega||, and evaluating it adds 4 N eps
-        ((gamma + d) / (2t) + P_T ||Omega||).
+        ((gamma + d) / (2t) + P_T ||Omega||).  The allowance is near 1e-14
+        relative for the scenes of the experiments, and dominates only when
+        gamma nears the rounding level of the distance.
         """
         err, e, gamma = self.err, self._error(t), self.cfg.beampattern_tol
         return (self.trace(x) + (gamma - dist2) / (2.0 * t)
@@ -448,35 +456,13 @@ def dykstra_project(m: np.ndarray, cfg: SceneConfig) -> np.ndarray:
     return project_ball(form.dense(x), r_d, gamma)
 
 
-def relaxed_dual_bound(omega: OmegaRows, cfg: SceneConfig, t: float
-                       ) -> float:
-    """Upper bound on max tr(S Omega) over the feasible covariance set.
-
-    For any t > 0 the Lagrangian with multiplier 1/(2t) on the ball is,
-    after completing the square, maximized over C = {S >= 0, tr S = P_T}
-    by S(t) = Pi_C(R_D + t Omega); its value
-    tr(Omega S(t)) + (gamma - ||S(t) - R_D||^2) / (2t) bounds the optimum
-    by weak duality.  The bound adds an allowance for rounding
-    (``KktForm.slack``): for the error e of the computed S(t), which lowers
-    that value by up to about e^2 / (2t) plus e ||Omega||, and for the
-    error of evaluating it.  The allowance is near 1e-14 relative for the
-    scenes of the experiments, and dominates only when gamma nears the
-    rounding level of the distance.  Omega is given as its ``OmegaRows``;
-    R_D is the scene's ``default_beampattern_target``.
-    """
-    if not t > 0:
-        raise ConfigError(f"dual scale must be positive, got t={t}")
-    form = KktForm(omega, cfg)
-    return form.dual_bound(t, *form.point(t))
-
-
 def slack_bound(lam_max: float, norm_omega: float, cfg: SceneConfig) -> float:
     """Certified upper bound P_T lambda_max(Omega) + 4 N eps P_T ||Omega||_F.
 
     P_T lambda_max(Omega) is the optimum of tr(S Omega) over C = {S >= 0,
     tr S = P_T}, which contains the feasible set; the allowance covers the
     rounding of the computed eigenvalue and of a computed tr(S Omega) or
-    precoder objective, as in ``relaxed_dual_bound``.
+    precoder objective, as in ``KktForm.dual_bound``.
     """
     err = 4.0 * cfg.n_tx * _EPS
     return cfg.power_budget * (lam_max + err * norm_omega)
@@ -529,7 +515,7 @@ def solve_relaxed(omega: OmegaRows, cfg: SceneConfig) -> RelaxedCovariance:
     ``_kkt_root`` to a relative width of 1e-13.  The result is the ball
     projection of the outer end S(t_hi), formed densely once, a convex
     combination of two points of C, so it is feasible by construction;
-    ``kkt_scale`` keeps t_hi, ``dual_bound`` the ``relaxed_dual_bound``
+    ``kkt_scale`` keeps t_hi, ``dual_bound`` the ``KktForm.dual_bound``
     there (from the S(t_hi) at hand), ``in_ball_scale`` keeps t_lo and
     ``form`` the form, for ``factor_precoder``.  A point S(t) inside the
     ball that, scaled to trace P_T, attains P_T * lambda_max(Omega) to

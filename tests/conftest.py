@@ -25,6 +25,14 @@ def random_scene(rng, l_rows=2, l_cols=2, n_tx=3, k=2, **kwargs):
     return cfg, ch, Precoder(p), theta
 
 
+def paper_scene(rng, l_rows=6, l_cols=6):
+    """``random_scene`` on the paper's scene, ``SceneConfig()`` (N = 16,
+    K = 5), with an l_rows x l_cols surface (L = 36 by default)."""
+    paper = SceneConfig()
+    return random_scene(rng, l_rows, l_cols, n_tx=paper.n_tx, k=paper.n_users,
+                        beta=paper.beta, alpha=paper.alpha)
+
+
 def random_phases(rng, l):
     return IrsPhase(np.exp(2j * np.pi * rng.random(l)))
 

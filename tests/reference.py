@@ -15,8 +15,9 @@ from isacopt.errors import ConfigError, MonotonicityError
 from isacopt.irs import (InnerTrace, SurrogateFactors, build_quadratic_terms,
                          build_quartic_surrogate, irs_phase_update,
                          linear_surrogate_vectors)
-from isacopt.objective import (ChannelConstants, IrsPhase, Precoder,
-                               _check_dims, comm_coefficient, hermitize,
+from isacopt.objective import (ChannelConstants, IrsPhase, OmegaRows,
+                               Precoder, _check_dims, _dense_channels,
+                               comm_coefficient, hermitize,
                                quartic_coefficient, quartic_kernels)
 from isacopt.precoder import (_KKT_MAX_DOUBLINGS, RandomizationReport,
                               _above_rounding, _kkt_root, project_ball,
@@ -286,6 +287,27 @@ def dense_kkt_search(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray
     _, hi = _kkt_root(lambda t: kkt_point(omega, cfg, r_d, t), gamma, lo, hi,
                       lambda t, d: 0.0)
     return project_ball(hi[1], r_d, gamma), hi[0]
+
+
+def relaxed_dual_bound(omega: OmegaRows, cfg: SceneConfig, t: float
+                       ) -> float:
+    """``KktForm.dual_bound`` at a scale t > 0 on a form built afresh from
+    ``omega``: the certified bound ``solve_relaxed`` stores at its KKT
+    scale, here at any scale and for any factor of Omega."""
+    form = precoder.KktForm(omega, cfg)
+    return form.dual_bound(t, *form.point(t))
+
+
+def model_rows(channels) -> OmegaRows:
+    """The factor ``build_omega`` forms Omega from: the rows [alpha t t^T; C]
+    at the phases of the effective ``channels``, weighted beta / sigma_R^2
+    and (1 - beta) / sigma_C^2 (N + K rows, against the channels' 1 + K)."""
+    consts, cfg = channels.consts, channels.consts.cfg
+    c_r, c_c = _dense_channels(channels.theta.theta, consts, cfg.alpha)
+    return OmegaRows(np.vstack((c_r, c_c)),
+                     np.repeat((cfg.beta / cfg.sigma2_radar,
+                                (1.0 - cfg.beta) / cfg.sigma2_comm),
+                               (c_r.shape[0], c_c.shape[0])))
 
 
 def feasibility_residuals(cfg: SceneConfig, r_d: np.ndarray):

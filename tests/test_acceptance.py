@@ -17,7 +17,7 @@ from isacopt import (ChannelConstants, IrsPhase, OmegaRows, Precoder,
                      build_quartic_surrogate,
                      default_beampattern_target, irs_phase_update,
                      linear_surrogate_vectors, load_experiment_spec,
-                     make_channels, quartic_kernels, run_bench,
+                     make_channels, quartic_kernels,
                      run_convergence_experiment, run_ratio_experiment,
                      run_scaling_experiment, snr_comm, snr_radar,
                      solve_irs_minorization, solve_relaxed)
@@ -364,8 +364,7 @@ def test_criterion_10_determinism(tmp_path):
     ok = True
     for kind, extra in (("convergence", {"beta_values": [0.3, 0.9]}),
                         ("ratio", {"l_values": [4], "n_g_grid": [5, 25]}),
-                        ("scaling", {"l_values": [4]}),
-                        ("bench", {})):
+                        ("scaling", {"l_values": [4]})):
         outputs = []
         for run in ("a", "b"):
             spec = load_experiment_spec({
@@ -373,8 +372,7 @@ def test_criterion_10_determinism(tmp_path):
                 "output_dir": str(tmp_path / f"{kind}_{run}")})
             {"convergence": run_convergence_experiment,
              "ratio": run_ratio_experiment,
-             "scaling": run_scaling_experiment,
-             "bench": run_bench}[kind](spec)
+             "scaling": run_scaling_experiment}[kind](spec)
             outputs.append(sorted(
                 p for p in (tmp_path / f"{kind}_{run}").iterdir()
                 if p.suffix == ".csv" and "timing" not in p.name))

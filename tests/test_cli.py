@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ import pytest
 
 import isacopt
 from isacopt import harness
-from isacopt.cli import main
+from isacopt.cli import _build_parser, main
 from isacopt.harness import read_csv_rows
 
 _CONVERGENCE_TRIAL = harness._convergence_trial
@@ -234,22 +235,48 @@ HUGE_COUNTS = {
 }
 
 
+def _limit_address_space():
+    """Cap the child's address space at 2 GiB: an allocation the size of
+    a huge count fails at once, and none is ever made."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 class TestHugeCounts:
-    @pytest.mark.parametrize("command", ["validate-config", "run"])
-    @pytest.mark.parametrize("field", list(HUGE_COUNTS))
-    def test_exits_2_on_load(self, tmp_path, command, field):
-        # in a child process with a timeout, so that a hang fails the test
-        config = write_config(tmp_path, **HUGE_COUNTS[field])
+    @staticmethod
+    def _cli(tmp_path, command, config, **kwargs):
+        """Run ``command`` on ``config`` in a child process with a timeout,
+        so that a hang fails the test: (completed process, --out dir)."""
         out = tmp_path / "results"
         src = str(Path(isacopt.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = {**os.environ, **dict.fromkeys(harness.BLAS_THREAD_VARS, "1"),
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run(
             [sys.executable, "-m", "isacopt.cli", command, "--config",
              str(config)] + (["--out", str(out)] if command == "run" else []),
-            env=env, capture_output=True, text=True, timeout=60)
+            env=env, capture_output=True, text=True, timeout=60, **kwargs)
+        return done, out
+
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    @pytest.mark.parametrize("field", list(HUGE_COUNTS))
+    def test_exits_2_on_load(self, tmp_path, command, field):
+        config = write_config(tmp_path, **HUGE_COUNTS[field])
+        done, out = self._cli(tmp_path, command, config)
         assert done.returncode == 2, done.stderr
         assert f"config error: {field} must be an integer" in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_antennas_memory_cannot_hold_exit_2_on_load(self, tmp_path,
+                                                        command):
+        # numpy indexes 2^20 antennas, but R_D alone takes 8 TiB
+        config = write_config(tmp_path, scene={"n_tx": 2 ** 20,
+                                               "n_rx": 2 ** 20})
+        done, out = self._cli(tmp_path, command, config,
+                              preexec_fn=_limit_address_space)
+        assert done.returncode == 2, done.stderr
+        assert "config error: n_tx = 1048576" in done.stderr
+        assert "do not fit in memory" in done.stderr
         assert not out.exists()
 
 
@@ -286,37 +313,36 @@ class TestMalformedConfig:
         assert not (tmp_path / "default_out").exists()
 
 
-class TestBench:
-    def test_bench_runs(self, tmp_path, capsys):
-        out = tmp_path / "bench"
-        code = main(["bench", "--out", str(out)])
-        assert code == 0
-        assert capsys.readouterr().out.splitlines() == [str(out / "bench.csv")]
-        assert sorted(p.name for p in out.iterdir()) == [
-            "bench.csv", "bench.csv.meta.json"]
+class TestRemovedBench:
+    def test_bench_command_exits_2(self, capsys):
+        # argparse's exit for a subcommand it does not offer
+        with pytest.raises(SystemExit) as info:
+            main(["bench"])
+        assert info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
-    def test_bench_config_runs(self, tmp_path, capsys):
-        # a bench config at a seed other than `isac bench`'s 0
+    def test_bench_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bench.json"
-        config.write_text(json.dumps({"kind": "bench", "master_seed": 5}))
+        config.write_text(json.dumps({"kind": "bench"}))
         out = tmp_path / "bench"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-        assert capsys.readouterr().out.splitlines() == [str(out / "bench.csv")]
-        assert sorted(p.name for p in out.iterdir()) == [
-            "bench.csv", "bench.csv.meta.json"]
-        meta = json.loads((out / "bench.csv.meta.json").read_text())
-        assert meta["config"]["master_seed"] == 5
-        assert meta["columns"] == ["op", "size", "metric", "value"]
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert ("config error: kind must be one of ('convergence', "
+                "'scaling', 'ratio')") in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_output_path_that_is_a_file_exits_2_before_the_checks(
-            self, tmp_path, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(harness, "run_bench", calls.append)
-        out = tmp_path / "bench"
-        out.write_text("taken")
-        assert main(["bench", "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert calls == []
+
+def test_readme_commands_parse():
+    # every command of the README's "Command line" block, parsed only: a
+    # subcommand or flag that is gone cannot stay documented
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("isac ")]
+    assert len(commands) >= 3
+    parser = _build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 class TestPlotdata:

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isacopt import (ChannelConstants, ConfigError, IrsPhase, SceneConfig,
-                     alternating, build_omega, default_beampattern_target,
-                     harness, load_experiment_spec, make_channels,
-                     run_alternating, run_bench, run_convergence_experiment,
-                     run_experiment, run_ratio_experiment,
-                     run_scaling_experiment, solve_relaxed)
+from isacopt import (ConfigError, SceneConfig, alternating,
+                     default_beampattern_target, harness,
+                     load_experiment_spec, make_channels, run_alternating,
+                     run_convergence_experiment, run_experiment,
+                     run_ratio_experiment, run_scaling_experiment)
 from isacopt.alternating import initial_phases
-from isacopt.precoder import relaxed_objective
 from isacopt.harness import (aggregate_convergence, config_hash, format_cell,
                              near_square_grid, read_csv_rows,
                              solver_options_from_dict)
@@ -86,10 +84,10 @@ class TestSpecLoading:
     def test_from_file(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({
-            "kind": "bench", "scene": small_scene_dict(),
+            "kind": "scaling", "scene": small_scene_dict(), "l_values": [4],
             "output_dir": str(tmp_path)}))
         spec = load_experiment_spec(path)
-        assert spec.kind == "bench"
+        assert spec.kind == "scaling"
         assert spec.scene.n_tx == 3
 
     def test_config_hash_stable_and_sensitive(self, tmp_path):
@@ -424,79 +422,3 @@ class TestRatioExperiment:
         run_ratio_experiment(spec)
         _, rows = read_csv_rows(Path(spec.output_dir) / "ratio.csv")
         assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)
-
-
-# The bounds on the rows of bench.csv, by (op, metric); a negative
-# certificate gap would mean the dual bound is not an upper bound, and
-# R* = V^H V is PSD by construction
-BENCH_BOUNDS = {
-    ("irs_phase_update", "max_modulus_error"): (0.0, 1e-12),
-    ("solve_relaxed", "closed_form_gap"): (0.0, 1e-12),
-    ("solve_relaxed", "slack_top_eig_rel_error"): (0.0, 1e-13),
-    ("solve_relaxed", "slack_ball_dist_error"): (-1e-13, 1e-13),
-    ("solve_relaxed", "binding_certificate_gap"): (0.0, 1e-12),
-    ("solve_relaxed", "binding_rows_rel_error"): (0.0, 1e-12),
-    ("solve_irs_minorization", "anchor_route_rel_error"): (0.0, 1e-12),
-    # the accelerated ascent gives 2.5e-14 at L = 8 and up to 1.2e-11 at
-    # L = 36 (seeds 0 and 5); 1e-10 leaves a margin of 8x
-    ("solve_unit_diag_relaxation", "unit_diag_certificate_gap"): (0.0, 1e-10),
-    ("solve_unit_diag_relaxation", "lambda_min"): (-1e-12, float("inf")),
-}
-
-
-class TestBench:
-    @pytest.mark.parametrize("seed", [0, 3, 5])
-    def test_outputs(self, tmp_path, seed):
-        # the default scene, as `isac bench` and a bench config run it
-        spec = load_experiment_spec({"kind": "bench", "master_seed": seed,
-                                     "output_dir": str(tmp_path / "out")})
-        result = run_bench(spec)
-        out = Path(spec.output_dir)
-        assert [Path(f).name for f in result.files] == ["bench.csv"]
-        assert sorted(p.name for p in out.iterdir()) == [
-            "bench.csv", "bench.csv.meta.json"]
-        header, rows = read_csv_rows(out / "bench.csv")
-        assert header == ["op", "size", "metric", "value"]
-        # one row per check, at the sizes of the paper's scene (N = 16,
-        # L = 36) and of the ratio config (L = 8 and 36)
-        assert sorted((r[0], int(r[1]), r[2]) for r in rows) == sorted([
-            ("irs_phase_update", 36, "max_modulus_error"),
-            ("solve_relaxed", 16, "closed_form_gap"),
-            ("solve_relaxed", 16, "slack_top_eig_rel_error"),
-            ("solve_relaxed", 16, "slack_ball_dist_error"),
-            ("solve_relaxed", 16, "binding_certificate_gap"),
-            ("solve_relaxed", 16, "binding_rows_rel_error"),
-            ("solve_irs_minorization", 36, "anchor_route_rel_error"),
-            *((("solve_unit_diag_relaxation", l, m) for l in (8, 36)
-               for m in ("unit_diag_certificate_gap", "lambda_min")))])
-        for op, size, metric, value in rows:
-            lo, hi = BENCH_BOUNDS[(op, metric)]
-            assert lo <= float(value) <= hi, (op, size, metric, value)
-
-    def test_closed_form_gap_is_certified(self):
-        # tr(S Omega) and P_T lambda_max(Omega) are two roundings of one
-        # number; against the bare eigenvalue the gap is negative on 97 of
-        # these draws, and the rounding allowance makes it >= 0 on all
-        cfg = SceneConfig()
-        r_d = default_beampattern_target(cfg)
-        slack = replace(cfg, beampattern_tol=2.0 * cfg.power_budget ** 2)
-        ones = IrsPhase(np.ones(cfg.n_irs, dtype=complex))
-        gaps = []
-        for seed in range(200):
-            ch = make_channels(cfg, np.random.default_rng(seed))
-            channels = ChannelConstants(ch, cfg).channels(ones)
-            omega = build_omega(ones, ch, cfg)
-            closed = solve_relaxed(channels, slack)
-            gaps.append(harness._closed_form_gap(
-                omega, cfg, relaxed_objective(closed, omega)))
-        assert 0.0 <= min(gaps) and max(gaps) <= 1e-12
-
-    def test_primary_csv_deterministic(self, tmp_path):
-        a = make_spec(tmp_path, kind="bench", beta_values=[],
-                      output_dir=str(tmp_path / "a"))
-        b = make_spec(tmp_path, kind="bench", beta_values=[],
-                      output_dir=str(tmp_path / "b"))
-        run_bench(a)
-        run_bench(b)
-        assert (tmp_path / "a" / "bench.csv").read_bytes() \
-            == (tmp_path / "b" / "bench.csv").read_bytes()

@@ -16,7 +16,7 @@ from isacopt.objective import (comm_coefficient, quartic_coefficient,
                                snr_comm, snr_radar)
 from isacopt.scene import ChannelSet, complex_normal
 
-from conftest import random_phases, random_scene, small_config
+from conftest import paper_scene, random_phases, random_scene, small_config
 from reference import (anchored_surrogate_value, decompose_objective,
                        dense_ascent_anchor, dense_linearization, factors_mu,
                        gradient_at, plain_linearization, plain_minorization,
@@ -162,10 +162,11 @@ class TestPhaseUpdate:
             assert value <= attained + 1e-9
 
     def test_exact_unit_modulus(self, rng):
-        nu = complex_normal(rng, 50)
-        out = irs_phase_update(nu)
-        assert np.max(np.abs(np.abs(out.theta) - 1.0)) <= 1e-15
-        assert out.theta.tobytes() == np.exp(1j * np.angle(nu)).tobytes()
+        for l in (36, 50):      # 36: the paper's surface
+            nu = complex_normal(rng, l)
+            out = irs_phase_update(nu)
+            assert np.max(np.abs(np.abs(out.theta) - 1.0)) <= 1e-15
+            assert out.theta.tobytes() == np.exp(1j * np.angle(nu)).tobytes()
 
     def test_scale_free(self, rng):
         # no absolute cut-off: nu and 2^k nu give the same bits
@@ -427,6 +428,7 @@ class TestAscentAnchor:
             assert rho_d > 0.0
             assert abs(rho - rho_d) <= 1e-10 * rho_d
             assert abs(rho_qr - rho_d) <= 1e-10 * rho_d
+            assert abs(rho - rho_qr) <= 1e-12 * rho_qr
             # the anchored displacement form is PSD
             u1 = 0.5 * factors.c * (np.outer(pv, qv) + np.outer(qv, pv))
             u3 = factors.cc * (factors.psi @ factors.psi.conj().T)
@@ -458,17 +460,21 @@ class TestAscentAnchor:
 
         monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
         monkeypatch.setattr(np.linalg, "qr", spy_qr)
+        # the last case is the paper's scene (N = 16, K = 5, L = 36)
         for l_cols, dead_user, want in (
                 (6, False, ["cholesky", "qr"]),
                 (6, True, ["cholesky failed", "qr", "qr"]),
-                (2, False, ["qr", "qr"])):
-            cfg, ch, p, theta = random_scene(rng, l_rows=2, l_cols=l_cols,
-                                             n_tx=4, k=2, beta=0.9)
+                (2, False, ["qr", "qr"]),
+                (None, False, ["cholesky", "qr"])):
+            cfg, ch, p, theta = (
+                paper_scene(rng) if l_cols is None else
+                random_scene(rng, l_rows=2, l_cols=l_cols, n_tx=4, k=2,
+                             beta=0.9))
             if dead_user:
                 h = ch.h.copy()
                 h[0] = 0.0
                 ch = ChannelSet(g=ch.g, h=h, f=ch.f, steer=ch.steer)
-            # m = 2 + 2 * 2 = 6
+            # m = 2 + 2 K: 6, and 12 in the paper's scene
             factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
             pv, qv = quartic_at(factors, theta.theta)[:2]
             calls.clear()
@@ -477,6 +483,7 @@ class TestAscentAnchor:
             assert rho_d > 0.0
             assert abs(rho - rho_d) <= 1e-10 * rho_d
             assert abs(rho_qr - rho_d) <= 1e-10 * rho_d
+            assert abs(rho - rho_qr) <= 1e-12 * rho_qr
 
 
 def _rel_err(got, want):
