@@ -10,15 +10,14 @@ Exit codes: 0 success, 2 configuration error, 3 solver error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, SolverError
-from .harness import (ExperimentSpec, load_experiment_spec, read_csv_rows,
-                      resolved_spec_dict, run_experiment)
+from .harness import (load_experiment_spec, read_csv_rows, resolved_spec_dict,
+                      run_experiment)
 from .scene import ula_spacing_check
 
 
@@ -46,21 +45,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    updates = {}
-    if args.out:
-        updates["output_dir"] = args.out
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.threads is not None:
-        updates["threads"] = args.threads
-    return dataclasses.replace(spec, **updates) if updates else spec
-
-
 def _cmd_run(args) -> int:
-    spec = _apply_overrides(load_experiment_spec(args.config), args)
+    # an absent flag, or an empty --out, keeps the config's value
+    overrides = {"output_dir": args.out or None, "master_seed": args.seed,
+                 "trials": args.trials, "threads": args.threads}
+    spec = load_experiment_spec(
+        args.config, {k: v for k, v in overrides.items() if v is not None})
     result = run_experiment(spec)
     for path in result.files:
         print(path)

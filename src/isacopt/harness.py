@@ -56,7 +56,14 @@ EXPERIMENT_KINDS = ("convergence", "scaling", "ratio")
 
 @dataclass
 class ExperimentSpec:
-    """One experiment: kind, scene, solver knobs, sweeps and bookkeeping."""
+    """One experiment: kind, scene, solver knobs, sweeps and bookkeeping.
+
+    Every field is checked here, once: its type and range, the sweeps the
+    kind needs, distinct file tags of ``beta_values`` (``beta_tag``), and
+    a beampattern ball that holds a K-column precoder
+    (``validate_beampattern_target``, which also turns a target too large
+    for memory into a ConfigError).
+    """
 
     kind: str
     scene: SceneConfig = field(default_factory=SceneConfig)
@@ -86,14 +93,16 @@ class ExperimentSpec:
             raise ConfigError(f"{self.kind} experiment needs a non-empty l_values sweep")
         if self.kind == "ratio" and not self.n_g_grid:
             raise ConfigError("ratio experiment needs a non-empty n_g_grid")
+        tags = {}
+        for i, beta in enumerate(self.beta_values):
+            j = tags.setdefault(beta_tag(beta), i)
+            if j != i:
+                raise ConfigError(
+                    f"beta_values[{j}] = {self.beta_values[j]!r} and "
+                    f"beta_values[{i}] = {beta!r} share the file tag "
+                    f"'{beta_tag(beta)}'")
         # R_D depends on no swept field: one check covers every trial
-        try:
-            validate_beampattern_target(self.scene)
-        except MemoryError as exc:
-            raise ConfigError(
-                f"n_tx = {self.scene.n_tx}, n_users = {self.scene.n_users}: "
-                f"the beampattern check's n_tx x n_tx target and n_tx x "
-                f"n_users precoder do not fit in memory ({exc})") from exc
+        validate_beampattern_target(self.scene)
 
 
 @dataclass
@@ -104,8 +113,16 @@ class AggregateResult:
     trial_errors: list[dict] = field(default_factory=list)
 
 
-def load_experiment_spec(source: str | Path | dict) -> ExperimentSpec:
-    """Build an ExperimentSpec from a JSON file or a parsed dict."""
+def beta_tag(beta: float) -> str:
+    """The file-name tag of a radar weight in the convergence CSV names."""
+    return f"beta{beta:g}"
+
+
+def load_experiment_spec(source: str | Path | dict,
+                         overrides: dict | None = None) -> ExperimentSpec:
+    """Build an ExperimentSpec from a JSON file or a parsed dict, with the
+    top-level fields in ``overrides`` set over the config's before it is
+    checked."""
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8") as fh:
@@ -118,11 +135,10 @@ def load_experiment_spec(source: str | Path | dict) -> ExperimentSpec:
         raw = dict(source)
     if not isinstance(raw, dict):
         raise ConfigError("experiment spec must be a JSON object")
-    known = {f.name for f in fields(ExperimentSpec)}
-    unknown = set(raw) - known
+    kwargs = {**raw, **(overrides or {})}
+    unknown = set(kwargs) - {f.name for f in fields(ExperimentSpec)}
     if unknown:
         raise ConfigError(f"experiment spec: unknown keys {sorted(unknown)}")
-    kwargs = dict(raw)
     if "scene" in kwargs:
         kwargs["scene"] = scene_config_from_dict(kwargs["scene"])
     if "solver" in kwargs:
@@ -137,10 +153,11 @@ def solver_options_from_dict(raw: dict) -> SolverOptions:
 
 
 def resolved_spec_dict(spec: ExperimentSpec) -> dict:
-    """Plain-JSON view of the fully resolved experiment configuration."""
+    """Plain-JSON view of the fully resolved experiment configuration, which
+    loads back as a spec of the same numbers: alpha is written as its
+    magnitude ``alpha_mag``, since each trial draws its phase."""
     out = dataclasses.asdict(spec)
-    alpha = out["scene"]["alpha"]
-    out["scene"]["alpha"] = [alpha.real, alpha.imag]
+    out["scene"]["alpha_mag"] = abs(out["scene"].pop("alpha"))
     return out
 
 
@@ -397,7 +414,7 @@ def run_convergence_experiment(spec: ExperimentSpec) -> AggregateResult:
         _convergence_trial, _point_args(spec, cfgs), spec.threads)
     result = AggregateResult(trial_errors=errors)
     for point, (beta, trials) in enumerate(zip(spec.beta_values, per_point)):
-        tag = f"beta{beta:g}"
+        tag = beta_tag(beta)
         timing = []
         # one stage's row of each trial
         for stages in zip(*(totals for _, totals in trials)):

@@ -242,25 +242,18 @@ def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
     return _target(cfg)[3].copy()
 
 
-def check_beampattern_target(r_d: np.ndarray, cfg: SceneConfig):
-    """The target must itself be a feasible covariance: PSD with trace P_T."""
-    w = np.linalg.eigvalsh(hermitize(r_d))
-    if w[0] < -1e-8 * float(np.abs(w).max()):
-        raise ConfigError("desired covariance R_D is not positive semidefinite")
-    if abs(float(np.real(np.trace(r_d))) - cfg.power_budget) > 1e-8 * cfg.power_budget:
-        raise ConfigError("desired covariance R_D does not meet the power budget")
-
-
 def validate_beampattern_target(cfg: SceneConfig):
-    """The scene's target R_D (``default_beampattern_target``) must be
-    feasible, and the ball must hold a K-column precoder (K =
-    ``cfg.n_users``): S_K(0) = Pi_{C_K}(R_D), the nearest rank-K covariance
-    to R_D and ``factor_precoder``'s last resort, must lie in it.
-    """
-    r_d = default_beampattern_target(cfg)
-    check_beampattern_target(r_d, cfg)
-    # a covariance with no factor or in-ball scale is recovered as S_K(0)
-    factor_precoder(RelaxedCovariance(r_d), cfg)
+    """ConfigError unless the ball holds a K-column precoder: S_K(0), the
+    nearest rank-K covariance to R_D and ``factor_precoder``'s last resort
+    (``_nearest_rank_precoder``), must lie in it.  A MemoryError of its
+    N x N and N x K arrays is a ConfigError too."""
+    try:
+        _nearest_rank_precoder(cfg)
+    except MemoryError as exc:
+        raise ConfigError(
+            f"n_tx = {cfg.n_tx}, n_users = {cfg.n_users}: the beampattern "
+            f"check's n_tx x n_tx target and n_tx x n_users precoder do not "
+            f"fit in memory ({exc})") from exc
 
 
 class KktForm:
@@ -589,15 +582,23 @@ def _nearest_rank_dist2(cfg: SceneConfig, k: int) -> float:
     return float(np.sum((v - lam) ** 2)) + (b.size - lam.size) * c ** 2
 
 
-def _nearest_rank_factor(cfg: SceneConfig, k: int) -> np.ndarray:
-    """F (N x k, zero-padded) with F F^H = S_K(0), from a dense ``eigh`` of
-    R_D, whose ties it breaks as that ``eigh`` does."""
+def _nearest_rank_precoder(cfg: SceneConfig) -> Precoder:
+    """S_K(0) = Pi_{C_K}(R_D), the nearest rank-K covariance to R_D, as the
+    precoder F (N x K, zero-padded) with F F^H = S_K(0), from a dense
+    ``eigh`` of R_D, whose ties it breaks as that ``eigh`` does; ConfigError
+    if its dense ||F F^H - R_D||^2 exceeds gamma."""
+    gamma, k = cfg.beampattern_tol, cfg.n_users
     r_d = _target(cfg)[3]
     w, u = np.linalg.eigh(r_d)
     f = np.zeros((r_d.shape[0], k), dtype=complex)
     f[:, :min(k, w.size)] = u[:, -k:] * np.sqrt(
         _simplex_scaled(w[-k:], cfg.power_budget)[0])
-    return f
+    dist2 = _distance2(f, r_d)
+    if dist2 > gamma:
+        raise ConfigError(f"beampattern ball too tight: the nearest {k}-column "
+                          f"precoder to R_D is at squared distance {dist2:.6g} "
+                          f"> {gamma:.6g}")
+    return Precoder(f)
 
 
 def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
@@ -618,11 +619,11 @@ def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
     one r x r ``eigh``), so Omega is not passed again, and tests each
     factor F by the dense ||F F^H - R_D||^2, so the precoder returned lies
     inside the ball as computed.  S_K(0), the
-    nearest rank-K covariance to R_D (from a dense ``eigh`` of R_D), is the
+    nearest rank-K covariance to R_D (``_nearest_rank_precoder``), is the
     answer when S has neither a factor nor an in-ball scale, where it lies
     on the sphere (a search from there picks among R_D's tied eigenvectors
-    by rounding), and where no t > 0 tests inside; it is the point
-    ``validate_beampattern_target`` tests, and ConfigError if it lies
+    by rounding), and where no t > 0 tests inside; the same routine is
+    ``validate_beampattern_target``'s test, and ConfigError if it lies
     outside.  R_D is the scene's ``default_beampattern_target``.
     """
     gamma, k = cfg.beampattern_tol, cfg.n_users
@@ -633,10 +634,9 @@ def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
         p *= math.sqrt(cfg.power_budget / float(np.vdot(p, p).real))
         return Precoder(p, p[:, :r].copy())
 
-    r_d = _target(cfg)[3]
     t_in = s.in_ball_scale or 0.0
     if t_in > 0.0:
-        form = s.form
+        form, r_d = s.form, _target(cfg)[3]
 
         def point(t):
             f = form.rank_factor(t, k)
@@ -654,13 +654,7 @@ def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
                                      _KKT_REL_WIDTH * t_in)
             if t > 0.0:
                 return Precoder(f)
-    f = _nearest_rank_factor(cfg, k)
-    dist2 = _distance2(f, r_d)
-    if dist2 > gamma:
-        raise ConfigError(f"beampattern ball too tight: the nearest {k}-column "
-                          f"precoder to R_D is at squared distance {dist2:.6g} "
-                          f"> {gamma:.6g}")
-    return Precoder(f)
+    return _nearest_rank_precoder(cfg)
 
 
 def unit_diag_dual_bound(a: np.ndarray, r: np.ndarray) -> float:

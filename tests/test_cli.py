@@ -134,6 +134,54 @@ class TestRun:
         assert meta["config"]["master_seed"] == 9
         assert meta["config"]["trials"] == 1
 
+    def test_overrides_build_the_spec_once(self, tmp_path, monkeypatch):
+        checks = []
+        monkeypatch.setattr(harness, "validate_beampattern_target",
+                            checks.append)
+        config = write_config(tmp_path, threads=3)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--seed", "9", "--trials", "1", "--threads", "1"]) == 0
+        assert len(checks) == 1
+        meta = json.loads(
+            (out / "convergence_beta0.5.csv.meta.json").read_text())
+        assert (meta["config"]["output_dir"], meta["config"]["master_seed"],
+                meta["config"]["trials"], meta["config"]["threads"]) == (
+                    str(out), 9, 1, 1)
+
+    @pytest.mark.parametrize("flags", [[], ["--out", ""]],
+                             ids=["absent", "empty_out"])
+    def test_absent_flag_keeps_config_value(self, tmp_path, flags):
+        config = write_config(tmp_path, trials=1)
+        assert main(["run", "--config", str(config)] + flags) == 0
+        meta = json.loads((tmp_path / "default_out"
+                           / "convergence_beta0.5.csv.meta.json").read_text())
+        assert (meta["config"]["master_seed"], meta["config"]["trials"],
+                meta["config"]["threads"]) == (1, 1, 1)
+
+    def test_zero_trials_override_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--trials", "0"]) == 2
+        assert "config error: trials must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("betas", [[0.1, 0.1000001], [0.5, 0.5]],
+                             ids=["same_tag", "repeated"])
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_beta_values_sharing_a_file_tag_exit_2(self, tmp_path, capsys,
+                                                   command, betas):
+        config = write_config(tmp_path, beta_values=[0.9, *betas])
+        out = tmp_path / "results"
+        assert main([command, "--config", str(config)]
+                    + (["--out", str(out)] if command == "run" else [])) == 2
+        err = capsys.readouterr().err
+        assert (f"config error: beta_values[1] = {betas[0]!r} and "
+                f"beta_values[2] = {betas[1]!r} share the file tag "
+                f"'beta{betas[0]:g}'") in err
+        assert not out.exists()
+
     def test_output_path_that_is_a_file_exits_2_before_any_trial(
             self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -386,6 +434,33 @@ class TestValidateConfig:
         assert "config ok" in captured.err
         resolved = json.loads(captured.out)
         assert resolved["scene"]["n_tx"] == 3
+
+    @pytest.mark.parametrize("name", ["beampattern", "convergence", "ratio",
+                                      "scaling"])
+    def test_resolved_config_loads_back(self, tmp_path, capsys, name):
+        config = Path(__file__).resolve().parents[1] / f"configs/{name}.json"
+        assert main(["validate-config", "--config", str(config)]) == 0
+        resolved = capsys.readouterr().out
+        assert "alpha_mag" in json.loads(resolved)["scene"]
+        again = tmp_path / "resolved.json"
+        again.write_text(resolved)
+        assert main(["validate-config", "--config", str(again)]) == 0
+        assert capsys.readouterr().out == resolved
+
+    def test_sidecar_config_loads_back(self, tmp_path):
+        # the same hash, and the same primary CSVs
+        config = write_config(tmp_path, trials=1)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["run", "--config", str(config), "--out", str(first)]) == 0
+        sidecar = first / "convergence_beta0.5.csv.meta.json"
+        config.write_text(json.dumps(json.loads(sidecar.read_text())
+                                     ["config"]))
+        assert main(["run", "--config", str(config), "--out", str(again)]) == 0
+        assert (json.loads((again / sidecar.name).read_text())["config_sha256"]
+                == json.loads(sidecar.read_text())["config_sha256"])
+        for csv in first.glob("convergence_*.csv"):
+            if "timing" not in csv.name:
+                assert (again / csv.name).read_bytes() == csv.read_bytes()
 
     def test_spacing_warning(self, tmp_path, capsys):
         config = write_config(
