@@ -110,28 +110,29 @@ class SurrogateFactors:
     GP = G P_nz over the nonzero columns of P (``Precoder.nonzero_columns``),
     which give the same P P^H.  With b = theta o a, t = G^T b and
     Y = W P_nz: V b = conj(GP) Y[0], W b = conj(G) t, and U3 = cc Psi Psi^H
-    with column (k, j) of Psi equal to conj(h_k o gp_j), written once into
-    the anchor's basis M = [p, q, Psi].  cc weights the form, not Psi, so
-    noise scaled by 2^k scales it exactly.  The channel-side constants
-    (conj(G), H^H, conj(a), c, cc) come from the run's ``consts``, so a
-    phase step forms only what depends on P.
+    with column (k, j) of Psi equal to conj(h_k o gp_j).  ``rows`` is M^T,
+    M = [p, q, Psi] (L x m, m = 2 + K K' for K' nonzero columns): rows 0
+    and 1 are p and q, written at each linearization, and row 2 + k K' + j
+    is conj(h_k o gp_j), written once per precoder with Psi's block of the
+    Gram matrix M^T conj(M).  cc weights the form, not Psi, so noise
+    scaled by 2^k scales it exactly.  The channel-side constants (conj(G),
+    conj(H), conj(a), c, cc) come from the run's ``consts``, so a phase
+    step forms only what depends on P.
     """
 
     def __init__(self, p: Precoder, consts: ChannelConstants):
         self.consts = consts
         self.p_nz = p_nz = p.nonzero_columns()
         self.c, self.cc = consts.c, consts.cc
-        self.gp = gp = consts.g @ p_nz
-        self.gp_conj = gp.conj()
-        psi_conj = (consts.h_t[:, :, None] * gp[:, None, :]).reshape(len(gp), -1)
-        m = 2 + psi_conj.shape[1]
-        self.basis = basis = np.empty((len(gp), m), dtype=complex)
-        self.psi = np.conjugate(psi_conj, out=basis[:, 2:])
+        self.gp_conj = gp_conj = (consts.g @ p_nz).conj()
+        (k, l), kp = consts.h_conj.shape, p_nz.shape[1]
+        m = 2 + k * kp
+        self.rows = rows = np.empty((m, l), dtype=complex)     # M^T
+        np.multiply(consts.h_conj[:, None], gp_conj.T,
+                    out=rows[2:].reshape(k, kp, l))
         self.gram = gram = np.empty((m, m), dtype=complex)  # M^T conj(M), lower
-        np.matmul(self.psi.T, psi_conj, out=gram[2:, 2:])
-        # the views each anchor writes and reads; Cholesky needs L >= m
-        self._pq, self._gram_pq = basis[:, :2], gram[:, :2]
-        self._cholesky = len(gp) >= m
+        np.matmul(rows[2:], rows[2:].conj().T, out=gram[2:, 2:])
+        self._cholesky = l >= m     # M^T conj(M) is singular where L < m
 
     def at(self, theta: IrsPhase) -> tuple[
             EffectiveChannels, tuple[float, float, float], np.ndarray]:
@@ -168,16 +169,16 @@ class SurrogateFactors:
         """Exact ascent anchor for (p, q), completing M: from the Cholesky
         factor of M^T conj(M), or R^T from M's QR where that is singular by
         its shape (L < m) or not positive definite (``ascent_anchor``)."""
-        basis, pq, factor_conj = self.basis, self._pq, None
-        pq[:, 0], pq[:, 1] = pv, qv
+        rows, factor_conj = self.rows, None
+        rows[0], rows[1] = pv, qv
         if self._cholesky:
-            np.matmul(basis.T, pq.conj(), out=self._gram_pq)
+            np.matmul(rows, rows[:2].conj().T, out=self.gram[:, :2])
             try:
                 factor_conj = np.linalg.cholesky(self.gram)
             except np.linalg.LinAlgError:
                 pass
         if factor_conj is None:
-            factor_conj = np.linalg.qr(basis, mode="r").T
+            factor_conj = np.linalg.qr(rows.T, mode="r").T
         return ascent_anchor(factor_conj, self.c, self.cc)
 
 
@@ -208,8 +209,8 @@ def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
     and linear coefficient mu = diag(U4) of the communication terms.
 
     The approximation-ratio study needs U3 as a matrix.  The solver uses
-    the factor ``SurrogateFactors.psi`` and forms neither U3 nor mu: the
-    products C P give U3 theta + mu*.
+    its factor Psi (``SurrogateFactors.rows``) and forms neither U3 nor mu:
+    the products C P give U3 theta + mu*.
     """
     cc = comm_coefficient(cfg)
     gp = ch.g @ p.p

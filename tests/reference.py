@@ -178,13 +178,13 @@ def factors_mu(factors: SurrogateFactors) -> np.ndarray:
     factors' nonzero precoder columns (``build_quadratic_terms`` forms U4)."""
     consts = factors.consts
     fp = consts.f @ factors.p_nz
-    return factors.cc * np.sum(factors.gp * (fp.conj().T @ consts.h).T, axis=1)
+    return factors.cc * np.sum(factors.gp_conj.conj() * (fp.conj().T @ consts.h).T, axis=1)
 
 
 def comm_gradient(factors: SurrogateFactors, theta: np.ndarray) -> np.ndarray:
     """U3 theta + mu* from Psi and mu: the communication part of the
     gradient, which ``SurrogateFactors.gradient`` takes from C P."""
-    psi = factors.psi
+    psi = factors.rows[2:].T
     return (factors.cc * (psi @ (psi.conj().T @ theta))
             + factors_mu(factors).conj())
 
@@ -205,7 +205,7 @@ def anchored_surrogate_value(factors: SurrogateFactors, theta: np.ndarray,
     taken, at theta, from the factors."""
     quartic = 2.0 * factors.c * np.real(np.vdot(theta, pv)
                                         * np.vdot(theta, qv))
-    coords = factors.psi.conj().T @ theta
+    coords = factors.rows[2:].conj() @ theta
     quad = (factors.cc * np.vdot(coords, coords).real
             + rho * np.vdot(theta, theta).real)
     lin = 2.0 * np.real(theta @ factors_mu(factors))

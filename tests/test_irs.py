@@ -394,10 +394,10 @@ class TestAscentAnchor:
     def _anchors(factors, pv, qv):
         """(solver's rho, QR route's rho, dense oracle's rho) for (p, q)."""
         rho = factors.anchor(pv, qv)
-        rho_qr = ascent_anchor(np.linalg.qr(factors.basis, mode="r").T,
+        rho_qr = ascent_anchor(np.linalg.qr(factors.rows.T, mode="r").T,
                                factors.c, factors.cc)
         u1 = 0.5 * factors.c * (np.outer(pv, qv) + np.outer(qv, pv))
-        u3 = factors.cc * (factors.psi @ factors.psi.conj().T)
+        u3 = factors.cc * (factors.rows[2:].T @ factors.rows[2:].conj())
         return rho, rho_qr, dense_ascent_anchor(u1, u3)
 
     @pytest.mark.parametrize("near_dependent", [False, True])
@@ -420,7 +420,7 @@ class TestAscentAnchor:
             factors = SurrogateFactors(Precoder(pp), ChannelConstants(ch, cfg))
             pv, qv = quartic_at(factors, theta.theta)[:2]
             if near_dependent:
-                col = factors.psi[:, 0]
+                col = factors.rows[2]
                 pv = (col * (np.linalg.norm(pv) / np.linalg.norm(col))
                       + 1e-8 * np.linalg.norm(pv) / np.sqrt(len(pv))
                       * complex_normal(rng, len(pv)))
@@ -431,7 +431,7 @@ class TestAscentAnchor:
             assert abs(rho - rho_qr) <= 1e-12 * rho_qr
             # the anchored displacement form is PSD
             u1 = 0.5 * factors.c * (np.outer(pv, qv) + np.outer(qv, pv))
-            u3 = factors.cc * (factors.psi @ factors.psi.conj().T)
+            u3 = factors.cc * (factors.rows[2:].T @ factors.rows[2:].conj())
             for _ in range(20):
                 d = complex_normal(rng, cfg.n_irs)
                 val = (2.0 * np.real(d.conj() @ u1 @ d.conj())
