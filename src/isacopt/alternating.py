@@ -1,7 +1,7 @@
 """Alternating optimization of the precoder and the surface phases.
 
 The channel constants that do not change during a run (G^T, conj(G),
-H^H, conj(a) and the objective's weights; ``objective.ChannelConstants``,
+conj(H), conj(a) and the objective's weights; ``objective.ChannelConstants``,
 the phase step's channel input) are formed once per run, not cached on
 the ``ChannelSet``, so an outer iteration does only the theta- and
 P-dependent work.  It works from the

@@ -50,15 +50,16 @@ inner iteration costs O(L N K + L m + m^3).
 ``SurrogateFactors`` is built once per precoder, from its nonzero columns
 P_nz and the run's channel constants (``objective.ChannelConstants``, the
 phase stage's one channel input), so it forms only what depends on P.
-Both phase solvers work from the
-effective channels (``objective.EffectiveChannels``) and the products
-Y = W P_nz that score the precoder there, from the caller's at the start
-phases on.  Y[0] = P^T t and t give the quartic factors (P^T t, conj(G) t,
-||P^T t||^2, ||t||^2) and Y[1:] = C P the communication part of the
-gradient, so U3 and mu = diag(U4) are never formed.  The solvers return
-the channels and the products at the returned phases for the next outer
-iteration.  A slack outer iteration's phase step takes one 7 x 7
-``cholesky`` and one 14 x 14 ``eigvalsh`` at the paper size (K = 5).
+Both phase solvers work from the effective channels
+(``objective.EffectiveChannels``) and the products Y = W P_nz that score
+the precoder there, from the caller's at the start phases on.  Y[0] =
+P^T t and t give the quartic factors (P^T t, conj(G) t, ||P^T t||^2,
+||t||^2), and U3 theta + mu* = cc Psi vec(Y[1:]), so the gradient is one
+product over M^T, the block the anchor's Gram matrix comes from, and U3
+and mu = diag(U4) are never formed.  The solvers return the channels and
+the products at the returned phases for the next outer iteration.  A
+slack outer iteration's phase step takes one 7 x 7 ``cholesky`` and one
+14 x 14 ``eigvalsh`` at the paper size (K = 5).
 
 ``build_quadratic_terms`` returns the dense U3, which the
 approximation-ratio study needs.  The dense quartic constructions
@@ -109,15 +110,12 @@ class SurrogateFactors:
 
     GP = G P_nz over the nonzero columns of P (``Precoder.nonzero_columns``),
     which give the same P P^H.  With b = theta o a, t = G^T b and
-    Y = W P_nz: V b = conj(GP) Y[0], W b = conj(G) t, and U3 = cc Psi Psi^H
-    with column (k, j) of Psi equal to conj(h_k o gp_j).  ``rows`` is M^T,
-    M = [p, q, Psi] (L x m, m = 2 + K K' for K' nonzero columns): rows 0
-    and 1 are p and q, written at each linearization, and row 2 + k K' + j
-    is conj(h_k o gp_j), written once per precoder with Psi's block of the
-    Gram matrix M^T conj(M).  cc weights the form, not Psi, so noise
-    scaled by 2^k scales it exactly.  The channel-side constants (conj(G),
-    conj(H), conj(a), c, cc) come from the run's ``consts``, so a phase
-    step forms only what depends on P.
+    Y = W P_nz: V b = conj(GP) Y[0], W b = conj(G) t, and U3 = cc Psi Psi^H.
+    ``rows`` = M^T, M = [p, q, Psi], is read by the anchor and the gradient:
+    rows 0 and 1 are p and q, written at each call, and row 2 + k K' + j is
+    column (k, j) of Psi, conj(h_k o gp_j), written once.  cc weights the
+    form, not Psi, so noise scaled by 2^k scales it exactly.  conj(G),
+    conj(H), conj(a), c and cc come from the run's ``consts``.
     """
 
     def __init__(self, p: Precoder, consts: ChannelConstants):
@@ -127,10 +125,10 @@ class SurrogateFactors:
         self.gp_conj = gp_conj = (consts.g @ p_nz).conj()
         (k, l), kp = consts.h_conj.shape, p_nz.shape[1]
         m = 2 + k * kp
-        self.rows = rows = np.empty((m, l), dtype=complex)     # M^T
+        self.rows = rows = np.empty((m, l), dtype=complex)  # M^T
         np.multiply(consts.h_conj[:, None], gp_conj.T,
                     out=rows[2:].reshape(k, kp, l))
-        self.gram = gram = np.empty((m, m), dtype=complex)  # M^T conj(M), lower
+        self.gram = gram = np.empty((m, m), dtype=complex)  # M^T conj(M)
         np.matmul(rows[2:], rows[2:].conj().T, out=gram[2:, 2:])
         self._cholesky = l >= m     # M^T conj(M) is singular where L < m
 
@@ -152,10 +150,11 @@ class SurrogateFactors:
 
     def gradient(self, y: np.ndarray, pv: np.ndarray, qv: np.ndarray,
                  q_v: float, q_w: float) -> np.ndarray:
-        """Wirtinger gradient from the quartic factors and the products Y
-        there: U3 theta + mu* = cc sum_j conj(gp_j) o (H^H C p_j)."""
-        comm = (self.gp_conj * (self.consts.h_adj @ y[1:])).sum(1)
-        return (self.c * q_w) * pv + (self.c * q_v) * qv + self.cc * comm
+        """Wirtinger gradient from the quartic factors and the products Y:
+        [c q_w, c q_v, cc vec(CP)] M^T, as U3 theta + mu* = cc Psi vec(CP)."""
+        self.rows[0], self.rows[1] = pv, qv
+        return np.concatenate(((self.c * q_w, self.c * q_v),
+                               self.cc * y[1:].ravel())) @ self.rows
 
     def linearize(self, channels: EffectiveChannels, y: np.ndarray
                   ) -> np.ndarray:

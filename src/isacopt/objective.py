@@ -19,7 +19,7 @@ the products W P_nz over their nonzero columns
 from the dense channels alpha t t^T and C, formed in one helper.
 ``quartic_kernels`` gives the lifted quartic term's kernels densely.
 ``ChannelConstants``, the phase solvers' one channel input, holds what a
-run reads at every theta (G^T, conj(G), conj(H), H^H, conj(a), the weights),
+run reads at every theta (G^T, conj(G), conj(H), conj(a), the weights),
 formed once per run from the channels and their scene ``cfg``; nothing is
 cached on the ``ChannelSet``.
 """
@@ -135,7 +135,7 @@ def build_omega(theta: IrsPhase, ch: ChannelSet, cfg: SceneConfig) -> np.ndarray
 
 class ChannelConstants:
     """What every outer iteration of one run reads of the channels: G, G^T,
-    conj(G), H, conj(H), H^H, F, a, conj(a) and the weights c and cc.
+    conj(G), H, conj(H), F, a, conj(a) and the weights c and cc.
 
     Built once per run from the channels and their scene ``cfg``, and
     carried by the ``EffectiveChannels`` it forms; never cached on the
@@ -153,7 +153,6 @@ class ChannelConstants:
         self.g, self.h, self.f, self.steer = ch.g, ch.h, ch.f, ch.steer
         self.g_t, self.g_conj = ch.g.T, ch.g.conj()
         self.h_conj = ch.h.conj()
-        self.h_adj = self.h_conj.T
         self.a_conj = ch.steer.conj()
         self.c, self.cc = quartic_coefficient(cfg), comm_coefficient(cfg)
         self.alpha2 = abs(cfg.alpha) ** 2
