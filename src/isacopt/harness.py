@@ -62,7 +62,8 @@ class ExperimentSpec:
     kind needs, distinct file tags of ``beta_values`` (``beta_tag``), and
     a beampattern ball that holds a K-column precoder
     (``validate_beampattern_target``, which also turns a target too large
-    for memory into a ConfigError).
+    for memory into a ConfigError), and surfaces whose per-trial arrays
+    memory can hold.
     """
 
     kind: str
@@ -103,6 +104,19 @@ class ExperimentSpec:
                     f"'{beta_tag(beta)}'")
         # R_D depends on no swept field: one check covers every trial
         validate_beampattern_target(self.scene)
+        # each surface's largest per-trial arrays, the L x n_tx channel and
+        # the ratio study's L x L matrix, must fit in memory
+        surfaces = ({"irs_rows * irs_cols": self.scene.n_irs}
+                    if self.kind == "convergence" else
+                    {f"l_values[{i}]": l for i, l in enumerate(self.l_values)})
+        for name, l in surfaces.items():
+            try:
+                np.empty((l, self.scene.n_tx), dtype=complex)
+                if self.kind == "ratio":
+                    np.empty((l, l), dtype=complex)
+            except (MemoryError, ValueError) as exc:
+                raise ConfigError(f"{name} = {l}: the surface's arrays do not "
+                                  f"fit in memory ({exc})") from exc
 
 
 @dataclass

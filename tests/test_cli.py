@@ -283,6 +283,17 @@ HUGE_COUNTS = {
 }
 
 
+# Shipped configs with a surface numpy can index but memory cannot hold,
+# by the field the error names: (config, overrides of its fields).  The
+# third takes 256 MiB for its channel but 16 TiB for the L x L matrix.
+HUGE_SURFACES = {
+    "l_values[1]": ("ratio", {"l_values": [8, 2 ** 62]}),
+    "irs_rows * irs_cols": ("convergence", {"scene": {"irs_rows": 2 ** 31,
+                                                      "irs_cols": 2 ** 31}}),
+    "l_values[0]": ("ratio", {"l_values": [2 ** 20]}),
+}
+
+
 def _limit_address_space():
     """Cap the child's address space at 2 GiB: an allocation the size of
     a huge count fails at once, and none is ever made."""
@@ -324,6 +335,24 @@ class TestHugeCounts:
                               preexec_fn=_limit_address_space)
         assert done.returncode == 2, done.stderr
         assert "config error: n_tx = 1048576" in done.stderr
+        assert "do not fit in memory" in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    @pytest.mark.parametrize("field", list(HUGE_SURFACES))
+    def test_surface_memory_cannot_hold_exit_2_on_load(self, tmp_path,
+                                                        command, field):
+        name, overrides = HUGE_SURFACES[field]
+        shipped = Path(__file__).resolve().parents[1] / f"configs/{name}.json"
+        raw = json.loads(shipped.read_text())
+        for key, value in overrides.items():
+            raw[key] = {**raw[key], **value} if key == "scene" else value
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(raw))
+        done, out = self._cli(tmp_path, command, config,
+                              preexec_fn=_limit_address_space)
+        assert done.returncode == 2, done.stderr
+        assert f"config error: {field} = " in done.stderr
         assert "do not fit in memory" in done.stderr
         assert not out.exists()
 
