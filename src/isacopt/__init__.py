@@ -12,15 +12,16 @@ from .scene import (ChannelSet, SceneConfig, db_to_linear, dbm_to_watts,
 from .objective import (ChannelConstants, EffectiveChannels, IrsPhase,
                         OmegaRows, Precoder, build_omega, quartic_kernels,
                         snr_comm, snr_radar, weighted_snr)
-from .precoder import (RandomizationReport, RelaxedCovariance,
-                       approximation_ratio_study, default_beampattern_target,
+from .precoder import (RelaxedCovariance, default_beampattern_target,
                        dykstra_project, factor_precoder, precoder_objective,
                        project_ball, project_psd, project_spectrahedron,
-                       relaxed_objective, slack_bound, solve_relaxed,
-                       solve_unit_diag_relaxation, unit_diag_dual_bound)
-from .irs import (InnerTrace, build_quadratic_terms, build_quartic_surrogate,
-                  irs_phase_update, linear_surrogate_vectors,
-                  solve_irs_manifold, solve_irs_minorization)
+                       relaxed_objective, slack_bound, solve_relaxed)
+from .irs import (InnerTrace, build_quartic_surrogate, irs_phase_update,
+                  linear_surrogate_vectors, solve_irs_manifold,
+                  solve_irs_minorization)
+from .ratio import (RandomizationReport, approximation_ratio_study,
+                    build_quadratic_terms, solve_unit_diag_relaxation,
+                    unit_diag_dual_bound)
 from .alternating import RunTrace, SolverOptions, run_alternating
 
 _HARNESS_NAMES = ("AggregateResult", "ExperimentSpec", "load_experiment_spec",

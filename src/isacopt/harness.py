@@ -43,9 +43,9 @@ from . import __version__ as _version
 from .alternating import IRS_METHODS, SolverOptions, run_alternating
 from .errors import (COUNT, NON_NEGATIVE, UNIT, ConfigError, require_finite,
                      require_integer)
-from .irs import build_quadratic_terms
-from .precoder import (approximation_ratio_study, solve_unit_diag_relaxation,
-                       validate_beampattern_target)
+from .precoder import validate_beampattern_target
+from .ratio import (approximation_ratio_study, build_quadratic_terms,
+                    solve_unit_diag_relaxation)
 from .scene import (ChannelSet, SceneConfig, convert_suffixed, make_channels,
                     scene_config_from_dict)
 

@@ -28,7 +28,7 @@ The update is a monotone fixed-point map, and it converges linearly, at
 L = 16 often slowly (125 maps per solve on the scaling config, 24 of 62
 solves at the cap of 200).  ``solve_irs_minorization`` therefore runs
 it in guarded SQUAREM cycles (``squarem.squarem_ascent``, shared with the
-unit-diagonal ascent of ``precoder``): two maps, an extrapolation along
+unit-diagonal ascent of ``ratio``): two maps, an extrapolation along
 them projected back onto the torus, one map there, kept only where it ends
 above the two maps.  A cycle needs three maps, so ``inner_max`` 1 and 2,
 the paper's setting and every config but ``scaling``, run the plain update
@@ -61,12 +61,11 @@ the products at the returned phases for the next outer iteration.  A
 slack outer iteration's phase step takes one 7 x 7 ``cholesky`` and one
 14 x 14 ``eigvalsh`` at the paper size (K = 5).
 
-``build_quadratic_terms`` returns the dense U3, which the
-approximation-ratio study needs.  The dense quartic constructions
-(``quartic_kernels``, ``build_quartic_surrogate``,
-``linear_surrogate_vectors``) run on no solver path and form R = a a^T
-from the steering vector themselves; they stay here, under these names,
-because perfbench's tracer wraps them in this module.
+The dense quartic constructions (``quartic_kernels``,
+``build_quartic_surrogate``, ``linear_surrogate_vectors``) run on no
+solver path and form R = a a^T from the steering vector themselves; they
+stay here, under these names, because perfbench's tracer wraps them in
+this module.
 """
 
 from __future__ import annotations
@@ -78,11 +77,13 @@ import numpy as np
 
 from .errors import ConfigError, MonotonicityError
 from .objective import (ChannelConstants, EffectiveChannels, IrsPhase,
-                        Precoder, comm_coefficient, hermitize,
-                        quartic_coefficient, quartic_kernels)
+                        Precoder, hermitize, quartic_coefficient,
+                        quartic_kernels)
 # The solvers score iterates with EffectiveChannels.scores; the name stays a
 # module attribute because perfbench's tracer wraps it here by name.
 from .objective import weighted_snr  # noqa: F401
+# The ratio study's U3, kept for perfbench, which wraps and calls it here.
+from .ratio import build_quadratic_terms  # noqa: F401
 from .scene import ChannelSet, SceneConfig
 from .squarem import squarem_ascent
 
@@ -200,23 +201,6 @@ def build_quartic_surrogate(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
                            hermitize(ch.g.conj() @ ch.g.T))
     c = quartic_coefficient(cfg)
     return c * (r.conj() * y.T), c * (r * z.T)
-
-
-def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense quadratic form U3 (Hermitian PSD by the Schur product theorem)
-    and linear coefficient mu = diag(U4) of the communication terms.
-
-    The approximation-ratio study needs U3 as a matrix.  The solver uses
-    its factor Psi (``SurrogateFactors.rows``) and forms neither U3 nor mu:
-    the products C P give U3 theta + mu*.
-    """
-    cc = comm_coefficient(cfg)
-    gp = ch.g @ p.p
-    m = gp @ gp.conj().T
-    u3 = hermitize(cc * ((ch.h.conj().T @ ch.h) * m.T))
-    u4 = cc * (gp @ (ch.f @ p.p).conj().T @ ch.h)
-    return u3, np.diagonal(u4).copy()
 
 
 def linear_surrogate_vectors(theta_t: IrsPhase, u1: np.ndarray, u2: np.ndarray,

@@ -3,7 +3,7 @@
 Both closed-form minorization loops iterate a map F that never lowers
 their objective f: the phase step F(theta) = exp(j arg nu(theta)) of
 ``irs.solve_irs_minorization`` and the unit-diagonal step
-F(Z) = normalize_cols(Z E M E^H) of ``precoder.solve_unit_diag_relaxation``.
+F(Z) = normalize_cols(Z E M E^H) of ``ratio.solve_unit_diag_relaxation``.
 Both converge linearly, and slowly where F contracts weakly.  A SQUAREM
 cycle (Varadhan & Roland, Scand. J. Stat. 35, 2008; with MM for
 unit-modulus design, Song, Babu & Palomar, IEEE TSP 63, 2015) takes two

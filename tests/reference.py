@@ -10,18 +10,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from isacopt import irs, precoder
+from isacopt import irs, precoder, ratio
 from isacopt.errors import ConfigError, MonotonicityError
-from isacopt.irs import (InnerTrace, SurrogateFactors, build_quadratic_terms,
+from isacopt.irs import (InnerTrace, SurrogateFactors,
                          build_quartic_surrogate, irs_phase_update,
                          linear_surrogate_vectors)
 from isacopt.objective import (ChannelConstants, IrsPhase, OmegaRows,
                                Precoder, _check_dims, _dense_channels,
                                comm_coefficient, hermitize,
                                quartic_coefficient, quartic_kernels)
-from isacopt.precoder import (_KKT_MAX_DOUBLINGS, RandomizationReport,
-                              _above_rounding, _kkt_root, project_ball,
-                              unit_diag_dual_bound)
+from isacopt.precoder import _KKT_MAX_DOUBLINGS, _kkt_root, project_ball
+from isacopt.ratio import (RandomizationReport, _above_rounding,
+                           build_quadratic_terms, unit_diag_dual_bound)
 from isacopt.scene import (TWO_PI, ChannelSet, SceneConfig, complex_normal,
                            random_phase_vector, ula_steering)
 
@@ -362,11 +362,11 @@ def plain_unit_diag_relaxation(a: np.ndarray, max_steps: int | None = None,
     """Reference for ``solve_unit_diag_relaxation``: the same map at the
     rank of B, Z <- normalize_cols((Z E M) E^H), iterated alone from V = I
     until one map gains at most ``tol`` relative or after ``max_steps``
-    maps (``precoder._UNIT_DIAG_MAX_STEPS`` by default), with no
+    maps (``ratio._UNIT_DIAG_MAX_STEPS`` by default), with no
     extrapolation: the library's ascent before it took SQUAREM cycles and
     stopped on the fixed-point residual."""
     if max_steps is None:
-        max_steps = precoder._UNIT_DIAG_MAX_STEPS
+        max_steps = ratio._UNIT_DIAG_MAX_STEPS
     a = hermitize(a)
     n = a.shape[0]
     live = np.any(a != 0.0, axis=0)

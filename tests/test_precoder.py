@@ -6,28 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isacopt import (ChannelSet, ConfigError, IrsPhase, RandomizationReport,
-                     RelaxedCovariance, SolverError, SolverOptions,
-                     approximation_ratio_study, build_omega,
-                     build_quadratic_terms,
-                     default_beampattern_target, dykstra_project,
-                     factor_precoder, make_channels, precoder_objective, project_ball,
-                     project_psd, project_spectrahedron,
-                     relaxed_objective, run_alternating,
-                     scene_config_from_dict, solve_relaxed,
-                     solve_unit_diag_relaxation, unit_diag_dual_bound)
+from isacopt import (ChannelSet, ConfigError, IrsPhase, RelaxedCovariance,
+                     build_omega, default_beampattern_target, dykstra_project,
+                     factor_precoder, make_channels, precoder_objective,
+                     project_ball, project_psd, project_spectrahedron,
+                     relaxed_objective, solve_relaxed)
 from isacopt import precoder
 from isacopt.objective import ChannelConstants, hermitize
 from isacopt.precoder import validate_beampattern_target
 from isacopt.scene import SceneConfig, complex_normal
 
-from conftest import (eigh_rows, omega_rows, paper_scene, random_hermitian,
-                      random_omega, random_psd, small_config)
-from reference import (dense_kkt_search, dense_power_method,
-                       dense_ratio_study, feasibility_residuals, kkt_point,
-                       mixing_method_relaxation, model_rows,
-                       plain_unit_diag_relaxation, project_trace,
-                       rank_k_point, rejecting_extrapolations,
+from conftest import (eigh_rows, omega_rows, random_hermitian, random_omega,
+                      random_psd, small_config)
+from reference import (dense_kkt_search, feasibility_residuals, kkt_point,
+                       model_rows, project_trace, rank_k_point,
                        relaxed_dual_bound, simplex_projection)
 
 
@@ -839,404 +831,6 @@ class TestFactorPrecoder:
         w = np.linalg.eigvalsh(s.s)
         if np.count_nonzero(w > 1e-12 * cfg.power_budget) <= k:
             assert value == pytest.approx(relaxed_objective(s, omega), rel=1e-9)
-
-
-class TestApproximationRatio:
-    def test_ratio_above_one_is_a_solver_error(self):
-        # a reference objective below a unit-modulus value is a numerical
-        # fault, not a config fault: SolverError (exit 3), not ConfigError
-        RandomizationReport(4, 1.0, 1.0, 1.0 + 1e-9)
-        with pytest.raises(SolverError, match="exceeds 1") as info:
-            RandomizationReport(4, 1.5, 1.0, 1.5)
-        assert not isinstance(info.value, ConfigError)
-        with pytest.raises(SolverError, match="NaN"):
-            RandomizationReport(4, np.nan, 1.0, np.nan)
-
-    def test_scalar_case_is_exact(self, rng):
-        a = np.array([[2.5 + 0j]])
-        r = np.array([[1.0 + 0j]])
-        for rep in approximation_ratio_study(a, r, [1, 10, 100], rng):
-            assert rep.ratio == pytest.approx(1.0, abs=1e-12)
-
-    def test_identity_pair_is_exact(self, rng):
-        l = 6
-        reports = approximation_ratio_study(np.eye(l, dtype=complex),
-                                            np.eye(l, dtype=complex),
-                                            [4, 16], rng)
-        for rep in reports:
-            assert rep.ratio == pytest.approx(1.0, abs=1e-12)
-
-    def test_ratio_grows_with_samples(self, rng):
-        # an indefinite A: a random PSD one of this size has a rank-one R*,
-        # where every draw is the same unit-modulus vector
-        l = 16
-        a = random_hermitian(rng, l)
-        r_star = solve_unit_diag_relaxation(a)
-        assert kept_rank_at_rounding_level(r_star) > 1
-        grid = [4, 64, 1024]
-        means = np.zeros(len(grid))
-        for trial in range(30):
-            reports = approximation_ratio_study(
-                a, r_star, grid, np.random.default_rng([7, trial]))
-            means += [rep.ratio for rep in reports]
-        means /= 30
-        assert np.all(means <= 1 + 1e-9)
-        assert means[-1] > means[0]
-
-    @pytest.mark.parametrize("diagonal", [2.0, np.nan])
-    def test_rejects_non_unit_diagonal(self, rng, diagonal):
-        a = random_psd(rng, 3)
-        with pytest.raises(ConfigError, match="unit diagonal"):
-            approximation_ratio_study(a, diagonal * np.eye(3), [4], rng)
-
-
-class TestUnitDiagRelaxation:
-    def test_result_feasible_and_beats_identity(self, rng):
-        for l in (4, 8):
-            a = random_psd(rng, l)
-            r = solve_unit_diag_relaxation(a)
-            w = np.linalg.eigvalsh(r)
-            assert w[0] >= -1e-7 * max(1.0, abs(w).max())
-            np.testing.assert_allclose(np.diagonal(r).real, 1.0, atol=1e-7)
-            assert float(np.real(np.vdot(a, r))) >= float(
-                np.real(np.trace(a))) - 1e-7
-
-    def test_diagonal_a_has_trace_optimum(self, rng):
-        # for diagonal A >= 0 the optimum of tr(A R) with unit diagonal is tr(A)
-        a = np.diag(rng.uniform(0.5, 2.0, size=5)).astype(complex)
-        r = solve_unit_diag_relaxation(a)
-        got = float(np.real(np.vdot(a, r)))
-        assert got <= np.trace(a).real * (1 + 1e-7)
-        assert got >= np.trace(a).real * (1 - 1e-6)
-
-    @pytest.mark.parametrize("a", [np.zeros((4, 4)),
-                                   np.diag([1.0, 0.0, 2.0, 3.0])],
-                             ids=["zero", "diagonal-with-zero"])
-    def test_zero_column_keeps_its_unit_vector(self, a):
-        # V B has a zero column wherever A has one, and V keeps e_i there
-        np.testing.assert_array_equal(solve_unit_diag_relaxation(a),
-                                      np.eye(4))
-
-    def test_zeroed_coordinate_stays_decoupled(self, rng):
-        a = random_psd(rng, 8)
-        a[3, :] = a[:, 3] = 0.0
-        r = solve_unit_diag_relaxation(a)
-        np.testing.assert_allclose(np.diagonal(r).real, 1.0, atol=1e-12)
-        assert r[3, 3] == 1.0
-        assert not np.any(np.delete(r[3], 3)) and not np.any(np.delete(r[:, 3], 3))
-        # the plain map measured 7.1e-15 against the dense ascent; the
-        # accelerated ascent ends at least as high
-        plain = plain_unit_diag_relaxation(a)
-        np.testing.assert_allclose(plain, dense_power_method(a), rtol=0,
-                                   atol=1e-12)
-        want = float(np.real(np.vdot(a, plain)))
-        assert float(np.real(np.vdot(a, r))) >= want - 1e-12 * abs(want)
-
-
-def ratio_study_matrix(l_rows, l_cols, seed):
-    """U3 at the precoder of one ratio-study trial (the shipped scene)."""
-    cfg = scene_config_from_dict({
-        "n_tx": 16, "n_rx": 16, "n_users": 5, "beta": 0.9,
-        "power_budget_dbm": 30, "sigma2_radar_dbm": 0, "sigma2_comm_dbm": 0,
-        "alpha_mag_db": -20, "irs_rows": l_rows, "irs_cols": l_cols})
-    rng = np.random.default_rng(seed)
-    ch = make_channels(cfg, rng)
-    p, _, _ = run_alternating(ch, cfg, opts=SolverOptions(eps_rel=0.01,
-                                                           t_max=10), rng=rng)
-    return build_quadratic_terms(p, ch, cfg)[0]
-
-
-def kept_rank_at_rounding_level(r):
-    """r, the number of eigenpairs of R* the ratio study keeps, once
-    ||R* - U_r Lambda_r U_r^H||_F <= L eps lambda_max is checked."""
-    w, u = np.linalg.eigh(r)
-    keep = precoder._above_rounding(w)
-    kept = (u[:, keep] * w[keep]) @ u[:, keep].conj().T
-    assert np.linalg.norm(r - kept) <= w.size * np.finfo(float).eps * w.max()
-    return int(keep.sum())
-
-
-class _ZeroNormal:
-    """Generator stand-in whose Gaussian draws are all zero."""
-
-    def standard_normal(self, shape):
-        return np.zeros(shape)
-
-
-class TestUnitDiagCertificate:
-    @pytest.mark.parametrize("l", [4, 8, 36])
-    def test_psd_with_exact_unit_diagonal(self, rng, l):
-        a = random_psd(rng, l)
-        r = solve_unit_diag_relaxation(a)
-        assert np.linalg.eigvalsh(r)[0] >= -1e-12 * np.linalg.norm(a)
-        assert np.max(np.abs(np.diagonal(r) - 1.0)) <= 1e-12
-
-    @pytest.mark.parametrize("kind", ["psd", "indefinite"])
-    def test_bound_dominates_relaxation_and_random_points(self, rng, kind):
-        l = 8
-        a = (random_psd if kind == "psd" else random_hermitian)(rng, l)
-        r = solve_unit_diag_relaxation(a)
-        bound = unit_diag_dual_bound(a, r)
-        assert bound >= float(np.real(np.vdot(a, r)))
-        x = np.exp(2j * np.pi * rng.random((l, 10_000)))
-        values = np.real(np.sum(x.conj() * (a @ x), axis=0))
-        assert bound >= values.max()
-
-    # U3 at the precoder of a ratio-study trial, and at a random precoder of
-    # the paper's scene on the ratio config's two surfaces: the gap measured
-    # 2.5e-13 on the first, 2.4e-14 at L = 8 and 1.7e-11 at L = 36 (the
-    # most of seeds 0 to 7 there, at seed 1); R* = V^H V is PSD by
-    # construction, so lambda_min is rounding
-    @pytest.mark.parametrize("scene,rows,cols,seed", [
-        ("shipped", 6, 6, 21), ("paper", 2, 4, 0), ("paper", 6, 6, 0),
-        ("paper", 6, 6, 1)])
-    def test_gap_on_ratio_study_matrix(self, scene, rows, cols, seed):
-        if scene == "shipped":
-            a = ratio_study_matrix(rows, cols, seed)
-        else:
-            cfg, ch, p, _ = paper_scene(np.random.default_rng(seed), rows, cols)
-            a = build_quadratic_terms(p, ch, cfg)[0]
-        r = solve_unit_diag_relaxation(a)
-        value = float(np.real(np.vdot(a, r)))
-        bound = unit_diag_dual_bound(a, r)
-        assert 0.0 <= (bound - value) / bound <= 1e-10
-        assert np.linalg.eigvalsh(r)[0] >= -1e-12
-
-    def test_ratio_at_most_one_for_suboptimal_reference(self, rng):
-        # R* = I is feasible but far from optimal: tr(A I) lies below the
-        # best draws, the dual bound does not
-        a = random_psd(rng, 16)
-        reports = approximation_ratio_study(a, np.eye(16, dtype=complex),
-                                            [10, 1000], rng)
-        for rep in reports:
-            assert rep.best_objective > np.trace(a).real
-            assert 0.0 < rep.ratio <= 1.0
-            assert rep.sdp_objective == pytest.approx(
-                unit_diag_dual_bound(a, np.eye(16)), rel=1e-12)
-
-    def test_zero_draw_maps_to_unit_modulus(self, rng):
-        # every xi is 0, so every entry of x must become 1
-        a = random_psd(rng, 5)
-        rep, = approximation_ratio_study(a, np.eye(5, dtype=complex), [3],
-                                         _ZeroNormal())
-        assert rep.best_objective == pytest.approx(np.sum(a).real, rel=1e-12)
-
-    def test_zero_draw_at_rank_one_runs_the_pass(self, rng):
-        # a rank-one R* skips the pass only where no draw is zero: a zero
-        # draw maps to the all-ones vector, not to a phase of R*'s factor
-        a = random_psd(rng, 5)
-        x0 = np.exp(2j * np.pi * rng.random(5))
-        rep, = approximation_ratio_study(a, np.outer(x0, x0.conj()), [3],
-                                         _ZeroNormal())
-        assert rep.best_objective == pytest.approx(np.sum(a).real, rel=1e-12)
-
-
-class TestLowRankStudy:
-    """The minorization step and the rank-r study against the mixing
-    method and the dense study they replaced (``tests/reference.py``)."""
-
-    # The same draws shaped by the same eigenpairs: the ratios agree to
-    # 4.5e-16 relative on these inputs, with only the ranking's rounding
-    # between them.
-    @pytest.mark.parametrize("rows,cols,seed", [(2, 4, 33), (6, 6, 33),
-                                                (6, 6, 5)])
-    def test_ratios_match_dense_reference(self, rows, cols, seed):
-        a = ratio_study_matrix(rows, cols, seed=seed)
-        r = solve_unit_diag_relaxation(a)
-        grid = [10, 100, 1000, 10_000]
-        rng_new, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-        new = approximation_ratio_study(a, r, grid, rng_new)
-        ref = dense_ratio_study(a, r, grid, rng_ref)
-        for got, want in zip(new, ref):
-            assert got.n_samples == want.n_samples
-            assert got.sdp_objective == want.sdp_objective
-            assert got.ratio == pytest.approx(want.ratio, rel=1e-12)
-        # the same draws, so the generators end in the same state
-        assert rng_new.random() == rng_ref.random()
-
-    def test_best_objective_is_a_unit_modulus_value(self, rng):
-        # R* = x0 x0^H: every draw is x0 up to a phase, so the best value
-        # is x0^H A x0, for an indefinite A too
-        l = 12
-        a = random_hermitian(rng, l)
-        x0 = np.exp(2j * np.pi * rng.random(l))
-        for rep in approximation_ratio_study(a, np.outer(x0, x0.conj()),
-                                             [1, 50], rng):
-            assert rep.best_objective == pytest.approx(
-                float(np.real(np.vdot(x0, a @ x0))), rel=1e-12)
-
-    def test_reciprocal_normalization_is_the_masked_divide(self, rng):
-        x = complex_normal(rng, 6, 4000)
-        x[2, :5] = 0.0
-        x[4, 9] = 1e-300
-        x[1, :6] = [complex(re, im) for re, im in
-                    [(-0.0, 1.0), (2.0, -0.0), (-2.0, -0.0), (-0.0, -3.0),
-                     (0.0, -1.0), (-2.0, 0.0)]]
-        want = x.copy()
-        mag = np.abs(want)
-        np.divide(want, mag, out=want, where=mag > 0.0)
-        want[mag == 0.0] = 1.0
-        got = precoder._unit_modulus(x)
-        # bit-equal up to the sign of an exactly-zero real or imaginary
-        # part, which the divide sets as (re + im 0, im - re 0) / |x| and
-        # the product keeps; adding +0.0 clears that sign alone
-        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
-        assert got.tobytes() != want.tobytes()
-
-    def test_mask_free_normalization_is_the_masked_divide(self, rng):
-        # no entry is zero, so the masks are skipped: the same bits as the
-        # masked divide up to the sign of an exactly-zero part
-        x = complex_normal(rng, 6, 4000)
-        x[1, :2] = [complex(-0.0, 1.0), complex(2.0, -0.0)]
-        want = x.copy()
-        mag = np.abs(want)
-        np.divide(want, mag, out=want, where=mag > 0.0)
-        assert mag.all()
-        assert (precoder._unit_modulus(x) + 0.0).tobytes() == (
-            want + 0.0).tobytes()
-
-    @pytest.mark.parametrize("chunk", [1, 7, 1000])
-    def test_chunked_pass_matches_one_block(self, monkeypatch, chunk):
-        # the candidates of one block formed in column chunks: the same
-        # winner (the first best one), so the same value up to the rounding
-        # of a one-column product; R* of rank 2, so the pass runs
-        a = ratio_study_matrix(6, 6, seed=33)
-        r = solve_unit_diag_relaxation(a)
-        assert kept_rank_at_rounding_level(r) == 2
-        monkeypatch.setattr(precoder, "_RATIO_CHUNK", 10 ** 9)
-        whole = approximation_ratio_study(a, r, [10, 2500],
-                                          np.random.default_rng(4))
-        monkeypatch.setattr(precoder, "_RATIO_CHUNK", chunk)
-        chunked = approximation_ratio_study(a, r, [10, 2500],
-                                            np.random.default_rng(4))
-        for got, want in zip(chunked, whole):
-            assert got.best_objective == pytest.approx(want.best_objective,
-                                                       rel=1e-14)
-
-    def test_full_rank_reference_scores_densely(self, rng):
-        # with R* = I all L eigenpairs are kept (r = L), so the candidates
-        # are the reference's; the winner is reported by its dense value
-        a = random_hermitian(rng, 9)
-        new = approximation_ratio_study(a, np.eye(9, dtype=complex),
-                                        [7, 300], np.random.default_rng(2))
-        ref = dense_ratio_study(a, np.eye(9, dtype=complex), [7, 300],
-                                np.random.default_rng(2))
-        for got, want in zip(new, ref):
-            assert got.best_objective == pytest.approx(want.best_objective,
-                                                       rel=1e-12)
-
-    # The draws see R* only through U_r Lambda_r^(1/2), the eigenpairs above
-    # rounding level, so U_r Lambda_r U_r^H must be R* to rounding level.
-    @pytest.mark.parametrize("rows,cols,seed", [(2, 4, 33), (6, 6, 33),
-                                                (6, 6, 5)])
-    def test_kept_eigenpairs_reproduce_relaxation(self, rows, cols, seed):
-        r = solve_unit_diag_relaxation(ratio_study_matrix(rows, cols, seed))
-        assert kept_rank_at_rounding_level(r) < rows * cols
-
-    def test_identity_keeps_every_eigenpair(self):
-        assert kept_rank_at_rounding_level(np.eye(36, dtype=complex)) == 36
-
-    # The plain map at the rank of B against the dense V <- V B: R* agrees
-    # to 2.5e-14 at most over these inputs, every step cap and convergence
-    # (measured), hence the bound of 1e-12.  (6, 6, 104) is a slow input
-    # (1396 plain maps); the random ones are full rank, r = L or L - 1.
-    @pytest.mark.parametrize("source", [(2, 4, 33), (6, 6, 33), (6, 6, 5),
-                                        (6, 6, 104), "psd", "indefinite"])
-    def test_factored_ascent_matches_dense_reference(self, rng, source):
-        if source == "psd":
-            a = random_psd(rng, 36)
-        elif source == "indefinite":
-            a = random_hermitian(rng, 36)
-        else:
-            a = ratio_study_matrix(*source)
-        np.testing.assert_allclose(plain_unit_diag_relaxation(a),
-                                   dense_power_method(a), rtol=0, atol=1e-12)
-        for steps in range(1, 41):
-            np.testing.assert_allclose(plain_unit_diag_relaxation(a, steps),
-                                       dense_power_method(a, steps),
-                                       rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("kind", ["psd", "indefinite"])
-    def test_ascent_monotone_and_certified_at_l36(self, rng, kind):
-        a = (random_psd if kind == "psd" else random_hermitian)(rng, 36)
-        r = solve_unit_diag_relaxation(a)
-        value = float(np.real(np.vdot(a, r)))
-        bound = unit_diag_dual_bound(a, r)
-        assert 0.0 <= (bound - value) / abs(bound) <= 1e-6
-        reference = float(np.real(np.vdot(a, mixing_method_relaxation(a))))
-        assert abs(value - reference) <= 1e-6 * abs(bound)
-        # the plain map's first steps, one cap at a time: tr(A R) never falls
-        values = []
-        for steps in range(1, 41):
-            r_k = plain_unit_diag_relaxation(a, steps)
-            np.testing.assert_allclose(r_k, dense_power_method(a, steps),
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(np.diagonal(r_k).real, 1.0,
-                                       atol=1e-12)
-            values.append(float(np.real(np.vdot(a, r_k))))
-        assert np.all(np.diff(values) >= -1e-12 * abs(bound))
-        assert values[-1] > values[0]
-
-
-class TestAcceleratedUnitDiagAscent:
-    """The SQUAREM-accelerated ascent against the plain map it extrapolates
-    (``tests/reference.py``)."""
-
-    # Measured on these inputs: the objective 3e-14 to 4e-11 relative above
-    # the plain map's, the certified gap 4 to 1e5 times smaller.
-    @pytest.mark.parametrize("source", [(2, 4, 33), (6, 6, 33), (6, 6, 5),
-                                        (6, 6, 104), "psd", "indefinite"])
-    def test_at_least_the_plain_ascent(self, rng, source):
-        if source == "psd":
-            a = random_psd(rng, 36)
-        elif source == "indefinite":
-            a = random_hermitian(rng, 36)
-        else:
-            a = ratio_study_matrix(*source)
-        r, plain = solve_unit_diag_relaxation(a), plain_unit_diag_relaxation(a)
-        value = float(np.real(np.vdot(a, r)))
-        want = float(np.real(np.vdot(a, plain)))
-        assert value >= want - 1e-12 * abs(want)
-        assert (unit_diag_dual_bound(a, r) - value
-                <= unit_diag_dual_bound(a, plain) - want)
-        assert np.max(np.abs(np.diagonal(r) - 1.0)) <= 1e-12
-
-    @pytest.mark.parametrize("source", [(6, 6, 104), "indefinite"])
-    def test_monotone_at_every_cap(self, rng, monkeypatch, source):
-        # a cap of 1 + 3c + s maps ends after c cycles and s plain maps, so
-        # one more map never ends lower
-        a = (random_hermitian(rng, 36) if source == "indefinite"
-             else ratio_study_matrix(*source))
-        values = []
-        for steps in range(1, 41):
-            monkeypatch.setattr(precoder, "_UNIT_DIAG_MAX_STEPS", steps)
-            r_k = solve_unit_diag_relaxation(a)
-            np.testing.assert_allclose(np.diagonal(r_k).real, 1.0,
-                                       atol=1e-12)
-            values.append(float(np.real(np.vdot(a, r_k))))
-        assert np.all(np.diff(values) >= -1e-12 * abs(values[-1]))
-        assert values[-1] > values[0]
-
-    @pytest.mark.parametrize("source", [(6, 6, 104), "indefinite"])
-    def test_rejected_extrapolations_keep_the_plain_maps(self, rng,
-                                                         monkeypatch, source):
-        # every extrapolated point forced back to the start, whose map lies
-        # below two maps further on: each cycle keeps its two plain maps, so
-        # a cap of 1 + 3c + s keeps 1 + 2c + s maps of the plain ascent
-        a = (random_hermitian(rng, 36) if source == "indefinite"
-             else ratio_study_matrix(*source))
-        monkeypatch.setattr(precoder, "squarem_ascent",
-                            rejecting_extrapolations(precoder.squarem_ascent))
-        values = []
-        for steps in range(1, 41):
-            monkeypatch.setattr(precoder, "_UNIT_DIAG_MAX_STEPS", steps)
-            r_k = solve_unit_diag_relaxation(a)
-            cycles, plain = divmod(steps - 1, 3)
-            np.testing.assert_allclose(
-                r_k, plain_unit_diag_relaxation(a, 1 + 2 * cycles + plain),
-                rtol=0, atol=1e-12)
-            values.append(float(np.real(np.vdot(a, r_k))))
-        assert np.all(np.diff(values) >= -1e-12 * abs(values[-1]))
 
 
 class TestBeampatternTarget:
