@@ -45,7 +45,7 @@ from .errors import (COUNT, NON_NEGATIVE, UNIT, ConfigError, require_finite,
                      require_integer)
 from .precoder import validate_beampattern_target
 from .ratio import (approximation_ratio_study, build_quadratic_terms,
-                    solve_unit_diag_relaxation)
+                    solve_unit_diag_relaxation, study_bytes)
 from .scene import (ChannelSet, SceneConfig, convert_suffixed, make_channels,
                     scene_config_from_dict)
 
@@ -62,8 +62,8 @@ class ExperimentSpec:
     kind needs, distinct file tags of ``beta_values`` (``beta_tag``), and
     a beampattern ball that holds a K-column precoder
     (``validate_beampattern_target``, which also turns a target too large
-    for memory into a ConfigError), and surfaces whose per-trial arrays
-    memory can hold.
+    for memory into a ConfigError), and surfaces whose per-trial arrays,
+    counted from their shapes, fit in physical memory.
     """
 
     kind: str
@@ -104,19 +104,26 @@ class ExperimentSpec:
                     f"'{beta_tag(beta)}'")
         # R_D depends on no swept field: one check covers every trial
         validate_beampattern_target(self.scene)
-        # each surface's largest per-trial arrays, the L x n_tx channel and
-        # the ratio study's L x L matrix, must fit in memory
+        # each surface's per-trial bytes, counted from the shapes: the
+        # L x n_tx channel (16 bytes an entry) and, for ratio, the study's
         surfaces = ({"irs_rows * irs_cols": self.scene.n_irs}
                     if self.kind == "convergence" else
                     {f"l_values[{i}]": l for i, l in enumerate(self.l_values)})
+        memory = _physical_memory()
         for name, l in surfaces.items():
-            try:
-                np.empty((l, self.scene.n_tx), dtype=complex)
-                if self.kind == "ratio":
-                    np.empty((l, l), dtype=complex)
-            except (MemoryError, ValueError) as exc:
-                raise ConfigError(f"{name} = {l}: the surface's arrays do not "
-                                  f"fit in memory ({exc})") from exc
+            need = 16 * l * self.scene.n_tx
+            if self.kind == "ratio":
+                need += study_bytes(l)
+            if need > memory:
+                raise ConfigError(
+                    f"{name} = {l}: the surface's arrays take "
+                    f"{need / 2 ** 30:.4g} GiB and do not fit in memory "
+                    f"({memory / 2 ** 30:.4g} GiB)")
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass

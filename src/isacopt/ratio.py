@@ -55,21 +55,34 @@ class RandomizationReport:
                 f"reference objective is not an upper bound")
 
 
+def study_bytes(l: int) -> int:
+    """Bytes one ratio trial holds at its peak beyond its channels, on a
+    surface of L elements: 10 L x L complex arrays and two
+    L x ``_RATIO_CHUNK`` candidate blocks.  Measured as the growth of a
+    fresh process's peak resident set over one trial of
+    ``configs/ratio.json``, LAPACK's workspace included: 9.3, 10.1 and 8.6
+    L x L arrays' worth at L = 512, 1024 and 1536 (one BLAS thread, numpy
+    2.4.6, OpenBLAS 0.3.31, x86-64)."""
+    return 16 * l * (10 * l + 2 * _RATIO_CHUNK)
+
+
 def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Dense quadratic form U3 (Hermitian PSD by the Schur product theorem)
     and linear coefficient mu = diag(U4) of the communication terms.
 
-    The approximation-ratio study needs U3 as a matrix.  The solver uses
-    its factor Psi (``SurrogateFactors.rows``) and forms neither U3 nor mu:
-    the products C P give U3 theta + mu*.
+    The approximation-ratio study needs U3 as a matrix.  mu is the row
+    sums of cc (GP (FP)^H) o H^T, O(L K K_u), so the L x L U4 =
+    cc GP (FP)^H H is not formed.  The solver uses U3's factor Psi
+    (``SurrogateFactors.rows``) and forms neither U3 nor mu: the products
+    C P give U3 theta + mu*.
     """
     cc = comm_coefficient(cfg)
     gp = ch.g @ p.p
     m = gp @ gp.conj().T
     u3 = hermitize(cc * ((ch.h.conj().T @ ch.h) * m.T))
-    u4 = cc * (gp @ (ch.f @ p.p).conj().T @ ch.h)
-    return u3, np.diagonal(u4).copy()
+    mu = cc * np.sum((gp @ (ch.f @ p.p).conj().T) * ch.h.T, axis=1)
+    return u3, mu
 
 
 def unit_diag_dual_bound(a: np.ndarray, r: np.ndarray) -> float:

@@ -175,7 +175,8 @@ def gradient_at(factors: SurrogateFactors, theta: np.ndarray) -> np.ndarray:
 
 def factors_mu(factors: SurrogateFactors) -> np.ndarray:
     """mu = diag(U4) = cc sum_j gp_j o ((FP)^H H)_j as a row sum over the
-    factors' nonzero precoder columns (``build_quadratic_terms`` forms U4)."""
+    factors' nonzero precoder columns (``build_quadratic_terms`` takes
+    the row sums of cc (GP (FP)^H) o H^T instead)."""
     consts = factors.consts
     fp = consts.f @ factors.p_nz
     return factors.cc * np.sum(factors.gp_conj.conj() * (fp.conj().T @ consts.h).T, axis=1)

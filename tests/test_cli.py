@@ -300,19 +300,40 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def write_shipped(tmp_path, name, overrides):
+    """A shipped config with top-level fields, or scene fields under
+    "scene", replaced by ``overrides``: its path under ``tmp_path``."""
+    shipped = Path(__file__).resolve().parents[1] / f"configs/{name}.json"
+    raw = json.loads(shipped.read_text())
+    for key, value in overrides.items():
+        raw[key] = {**raw[key], **value} if key == "scene" else value
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(raw))
+    return config
+
+
+# The CLI with the physical memory figure patched to its argument, in bytes.
+_PATCHED_MEMORY_CLI = ("import sys; from isacopt import cli, harness; "
+                       "harness._physical_memory = lambda: int(sys.argv[1]); "
+                       "sys.exit(cli.main(sys.argv[2:]))")
+
+
 class TestHugeCounts:
     @staticmethod
-    def _cli(tmp_path, command, config, **kwargs):
+    def _cli(tmp_path, command, config, memory=None, **kwargs):
         """Run ``command`` on ``config`` in a child process with a timeout,
-        so that a hang fails the test: (completed process, --out dir)."""
+        so that a hang fails the test, and with ``memory`` bytes of
+        physical memory where given: (completed process, --out dir)."""
         out = tmp_path / "results"
         src = str(Path(isacopt.__file__).resolve().parent.parent)
         env = {**os.environ, **dict.fromkeys(harness.BLAS_THREAD_VARS, "1"),
                "PYTHONPATH": os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cli = (["-m", "isacopt.cli"] if memory is None else
+               ["-c", _PATCHED_MEMORY_CLI, str(memory)])
         done = subprocess.run(
-            [sys.executable, "-m", "isacopt.cli", command, "--config",
-             str(config)] + (["--out", str(out)] if command == "run" else []),
+            [sys.executable, *cli, command, "--config", str(config)]
+            + (["--out", str(out)] if command == "run" else []),
             env=env, capture_output=True, text=True, timeout=60, **kwargs)
         return done, out
 
@@ -342,19 +363,34 @@ class TestHugeCounts:
     @pytest.mark.parametrize("field", list(HUGE_SURFACES))
     def test_surface_memory_cannot_hold_exit_2_on_load(self, tmp_path,
                                                         command, field):
-        name, overrides = HUGE_SURFACES[field]
-        shipped = Path(__file__).resolve().parents[1] / f"configs/{name}.json"
-        raw = json.loads(shipped.read_text())
-        for key, value in overrides.items():
-            raw[key] = {**raw[key], **value} if key == "scene" else value
-        config = tmp_path / f"{name}.json"
-        config.write_text(json.dumps(raw))
+        config = write_shipped(tmp_path, *HUGE_SURFACES[field])
         done, out = self._cli(tmp_path, command, config,
                               preexec_fn=_limit_address_space)
         assert done.returncode == 2, done.stderr
         assert f"config error: {field} = " in done.stderr
         assert "do not fit in memory" in done.stderr
         assert not out.exists()
+
+    # On 8 GiB, a ratio trial at L = 20000 (about 60 GiB by
+    # ratio.study_bytes) is rejected, though an overcommitting kernel
+    # grants an L x L array that is never touched.  Only run is capped:
+    # were the surface to load, its trials must fail, not fill memory.
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_surface_counted_past_memory_exits_2(self, tmp_path, command):
+        config = write_shipped(tmp_path, "ratio", {"l_values": [8, 20000]})
+        done, out = self._cli(
+            tmp_path, command, config, memory=8 << 30,
+            preexec_fn=_limit_address_space if command == "run" else None)
+        assert done.returncode == 2, done.stderr
+        assert "config error: l_values[1] = 20000: " in done.stderr
+        assert "do not fit in memory (8 GiB)" in done.stderr
+        assert not out.exists()
+
+    def test_surfaces_counted_within_memory_load(self, tmp_path):
+        config = write_shipped(tmp_path, "ratio", {"l_values": [8, 36]})
+        done, _ = self._cli(tmp_path, "validate-config", config,
+                            memory=8 << 30)
+        assert done.returncode == 0, done.stderr
 
 
 # Configs of the wrong JSON shape or type: overrides of the valid config,

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +12,7 @@ from isacopt import (ConfigError, RandomizationReport, SolverError,
                      build_quadratic_terms, make_channels, run_alternating,
                      scene_config_from_dict, solve_unit_diag_relaxation,
                      unit_diag_dual_bound)
-from isacopt import ratio
+from isacopt import harness, ratio
 from isacopt.scene import complex_normal
 
 from conftest import paper_scene, random_hermitian, random_psd
@@ -411,3 +417,49 @@ class TestAcceleratedUnitDiagAscent:
                 rtol=0, atol=1e-12)
             values.append(float(np.real(np.vdot(a, r_k))))
         assert np.all(np.diff(values) >= -1e-12 * abs(values[-1]))
+
+
+# One ratio trial of the shipped config at L = 512 in a fresh process,
+# after a warm-up trial at L = 8, so that the interpreter's and BLAS's
+# one-time buffers are not counted: the growth of its peak resident set.
+# That peak is VmHWM, the high-water mark of this process's own memory;
+# ru_maxrss would start at the RSS of the pytest process it was spawned
+# from.
+_TRIAL_PEAK = """
+import json, sys
+from isacopt import harness
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(1024 * int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+
+spec = harness.load_experiment_spec(sys.argv[1], {"l_values": [8, 512]})
+grid = list(spec.n_g_grid)
+for point, cfg in enumerate(harness._surface_scenes(spec)):
+    before = peak()
+    harness._ratio_trial((cfg, spec.solver, grid, spec.master_seed, point, 0))
+print(json.dumps({"n_tx": spec.scene.n_tx, "grown_bytes": peak() - before}))
+"""
+
+
+class TestStudyBytes:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads VmHWM from /proc")
+    def test_trial_stays_within_the_counted_bytes(self):
+        # the load-time count of a ratio surface, its L x n_tx channel and
+        # study_bytes, is 48.1 MiB at L = 512; the trial measured 37.7 MiB.
+        # The resident set sees LAPACK's workspace, which tracemalloc
+        # misses.  Half the count bounds it below: the count is not loose.
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(ratio.__file__).resolve().parent.parent)
+        env = {**os.environ, **dict.fromkeys(harness.BLAS_THREAD_VARS, "1"),
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", _TRIAL_PEAK,
+             str(root / "configs/ratio.json")],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        out = json.loads(done.stdout)
+        counted = 16 * 512 * out["n_tx"] + ratio.study_bytes(512)
+        assert counted / 2 <= out["grown_bytes"] <= counted
