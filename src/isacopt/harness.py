@@ -63,7 +63,8 @@ class ExperimentSpec:
     a beampattern ball that holds a K-column precoder
     (``validate_beampattern_target``, which also turns a target too large
     for memory into a ConfigError), and surfaces whose per-trial arrays,
-    counted from their shapes, fit in physical memory.
+    counted from their shapes, fit in physical memory, for ratio with the
+    draws of the largest sample count.
     """
 
     kind: str
@@ -105,18 +106,24 @@ class ExperimentSpec:
         # R_D depends on no swept field: one check covers every trial
         validate_beampattern_target(self.scene)
         # each surface's per-trial bytes, counted from the shapes: the
-        # L x n_tx channel (16 bytes an entry) and, for ratio, the study's
+        # L x n_tx channel (16 bytes an entry) and, for ratio, the study's;
+        # then, for ratio, the largest surface with the largest sample count
         surfaces = ({"irs_rows * irs_cols": self.scene.n_irs}
                     if self.kind == "convergence" else
                     {f"l_values[{i}]": l for i, l in enumerate(self.l_values)})
+        counted = [(name, l, l, 0) for name, l in surfaces.items()]
+        if self.kind == "ratio":
+            i = max(range(len(self.n_g_grid)), key=self.n_g_grid.__getitem__)
+            counted.append((f"n_g_grid[{i}]", self.n_g_grid[i],
+                            max(self.l_values), self.n_g_grid[i]))
         memory = _physical_memory()
-        for name, l in surfaces.items():
+        for name, value, l, n_g in counted:
             need = 16 * l * self.scene.n_tx
             if self.kind == "ratio":
-                need += study_bytes(l)
+                need += study_bytes(l, n_g, self.scene.n_users)
             if need > memory:
                 raise ConfigError(
-                    f"{name} = {l}: the surface's arrays take "
+                    f"{name} = {value}: a trial's arrays take "
                     f"{need / 2 ** 30:.4g} GiB and do not fit in memory "
                     f"({memory / 2 ** 30:.4g} GiB)")
 

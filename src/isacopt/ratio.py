@@ -14,13 +14,18 @@ fixed-point residual falls to 1e-10 (``solve_unit_diag_relaxation``).  A
 dual certificate bounds the relaxation (``unit_diag_dual_bound``), and
 draws and scores are formed at the rank of R* and of A
 (``approximation_ratio_study``): each sample count takes 2 r n_g standard
-normals, r the number of eigenpairs of R* above rounding level.  Where
-r = 1 every candidate is one vector up to a phase, and no candidate pass
-runs.
+normals, r the number of eigenpairs of R* above rounding level.  The
+candidates are ranked in single precision, each score with a derived
+bound on its distance from the double-precision one (``_Screen``), and
+only those the bounds cannot rule out are scored again in double
+precision, so the winner is the one a double-precision pass over every
+candidate picks.  Where r = 1 every candidate is one vector up to a
+phase, and no candidate pass runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +42,38 @@ _RATIO_CHUNK = 512
 _UNIT_DIAG_TOL = 1e-10
 _UNIT_DIAG_MAX_STEPS = 10_000
 _EPS = float(np.finfo(float).eps)
+# Unit roundoffs of single and double precision.
+_U32 = 2.0 ** -24
+_U64 = 2.0 ** -53
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u), which bounds the relative error
+    of n roundings to unit roundoff u (*Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., SIAM 2002, Lemma 3.1)."""
+    return n * u / (1.0 - n * u)
+
+
+def _unit_diag_allowance(n: int) -> float:
+    """How far a computed R* = Z^H Z with unit-norm columns, Z with n
+    columns of at most n rows, may leave the unit diagonal: gamma_{3n+6}
+    at double precision.  Normalizing a column (|g_k| squared and summed,
+    a square root, a divide) leaves ||z||^2 = 1 + theta_{n+6}, and the
+    Gram product's diagonal, a sum of 2n nonnegative terms, adds
+    theta_{2n}; ``hermitize`` keeps a real diagonal entry exactly.  It is
+    1.3e-14 at n = 36."""
+    return _gamma(3 * n + 6, _U64)
 
 
 @dataclass
 class RandomizationReport:
-    """Outcome of one Gaussian-randomization batch."""
+    """Outcome of one Gaussian-randomization batch.
+
+    The ratio must be at most 1 exactly: the reported objective is at most
+    the reference in floating point (``unit_diag_dual_bound`` covers the
+    rounding of both), and a rounded quotient a / b with a <= b, b > 0, is
+    at most 1, since rounding is monotone.
+    """
 
     n_samples: int
     best_objective: float
@@ -49,21 +81,29 @@ class RandomizationReport:
     ratio: float
 
     def __post_init__(self):
-        if not self.ratio <= 1.0 + 1e-9:
+        if not self.ratio <= 1.0:
             raise SolverError(
                 f"approximation ratio {self.ratio} exceeds 1 or is NaN: the "
                 f"reference objective is not an upper bound")
 
 
-def study_bytes(l: int) -> int:
+def study_bytes(l: int, n_g: int, n_users: int) -> int:
     """Bytes one ratio trial holds at its peak beyond its channels, on a
-    surface of L elements: 10 L x L complex arrays and two
-    L x ``_RATIO_CHUNK`` candidate blocks.  Measured as the growth of a
-    fresh process's peak resident set over one trial of
-    ``configs/ratio.json``, LAPACK's workspace included: 9.3, 10.1 and 8.6
-    L x L arrays' worth at L = 512, 1024 and 1536 (one BLAS thread, numpy
-    2.4.6, OpenBLAS 0.3.31, x86-64)."""
-    return 16 * l * (10 * l + 2 * _RATIO_CHUNK)
+    surface of L elements with sample counts up to n_g: 10 L x L complex
+    arrays, one L x ``_RATIO_CHUNK`` complex candidate block with its
+    magnitudes (the double-precision ranking; the single-precision screen's
+    2L x ``_RATIO_CHUNK`` block and its squares take less), and per sample
+    the draw block's 2r float64 rows, their float32 copy and eight float64
+    per-candidate values.  r, the rank of R*, is at most min(L, K^2) for
+    K = ``n_users``: R* = Z^H Z with Z at the rank of A = U3, which is at
+    most K rank(P) <= K^2 (a zero column of A adds one, and drawn channels
+    give none).  Measured as the growth of a fresh process's peak
+    resident set over one trial of ``configs/ratio.json``, LAPACK's
+    workspace included: 9.4, 10.1 and 8.6 L x L arrays' worth at L = 512,
+    1024 and 1536 (one BLAS thread, numpy 2.4.6, OpenBLAS 0.3.31,
+    x86-64)."""
+    rank = min(l, n_users ** 2)
+    return 16 * l * 10 * l + 24 * l * _RATIO_CHUNK + (24 * rank + 64) * n_g
 
 
 def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
@@ -116,60 +156,250 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     For each sample count, draw xi ~ CN(0, R*), map every draw to the
     unit-modulus vector xi / |xi| (an entry with xi = 0 becomes 1), and
     report the best quadratic-form value relative to the dual bound
-    ``unit_diag_dual_bound(A, R*)``.  Both matrices enter at their rank:
-    xi = U_r Lambda_r^(1/2) z over the r eigenpairs of R* above rounding
-    level (lambda_j > L eps lambda_max), with z ~ CN(0, I_r) drawn as two
-    r x n_g blocks of standard normals (real parts, then imaginary), so
-    the generator advances by 2 r n_g normals per sample count; and the
-    candidates, formed a fixed number of columns at a time and normalized
-    by ``_unit_modulus`` (the masked divide up to the sign of a zero
-    part), are ranked by sum_i mu_i |e_i^H x|^2 over the eigenpairs
-    (mu_i, e_i) of A above rounding level, the first best one winning.
+    ``unit_diag_dual_bound(A, R*)``.  R* must have a unit diagonal to
+    ``_unit_diag_allowance``.  Both matrices enter at their rank
+    (``_study_factors``): xi = U_r Lambda_r^(1/2) z over the r eigenpairs
+    of R* above rounding level (lambda_j > L eps lambda_max), with
+    z ~ CN(0, I_r) drawn as one 2r x n_g block of standard normals (real
+    parts, then imaginary), so the generator advances by 2 r n_g normals
+    per sample count; and candidates x are scored by
+    sum_i mu_i |e_i^H x|^2 over the eigenpairs (mu_i, e_i) of A above
+    rounding level, the first best one in draw order winning.  The scores
+    are screened in single precision, and the candidates whose bounds
+    overlap the best one are ranked again in double precision
+    (``_best_candidate``).
     Where R* has rank one (r = 1, the relaxation tight) and no draw is
     zero, every candidate is u / |u| times the phase of its draw (R*'s unit
     diagonal makes |u_i| = 1), so all score alike up to rounding and the
     first wins without the pass; the draws are still taken.
-    The reported value is the winner's dense x^H A x, an exact
-    unit-modulus value, so the ratio cannot exceed 1 whatever R* is: the
-    bound is at least the relaxation optimum, which is at least every
-    unit-modulus value.
+    The reported value is the winner's dense x^H A x, with x formed from
+    its draw alone, an exact unit-modulus value, so the ratio cannot
+    exceed 1 whatever R* is: the bound is at least the relaxation optimum,
+    which is at least every unit-modulus value.
     """
-    if not np.max(np.abs(np.diagonal(r_star) - 1.0)) <= 1e-6:
+    off = np.max(np.abs(np.diagonal(r_star) - 1.0))
+    if not off <= _unit_diag_allowance(r_star.shape[0]):
         raise ConfigError("reference covariance must have unit diagonal")
     a = hermitize(a)
     sdp_obj = unit_diag_dual_bound(a, r_star)
+    half, mu, e_h = _study_factors(a, r_star)
+    screen = None
+    reports = []
+    for n_g in n_g_grid:
+        if n_g < 1:
+            raise ConfigError(f"sample count must be >= 1, got {n_g}")
+        draws = rng.standard_normal((2 * half.shape[1], int(n_g)))
+        if half.shape[1] == 1 and draws.any(axis=0).all():
+            best = 0
+        else:
+            if screen is None:
+                screen = _Screen(half, mu, e_h)
+            best = _best_candidate(screen, draws)
+        best_x = _unit_modulus(half @ _complex_draws(draws, [best]))[:, 0]
+        value = float(np.real(np.vdot(best_x, a @ best_x)))
+        reports.append(RandomizationReport(
+            n_samples=int(n_g), best_objective=value, sdp_objective=sdp_obj,
+            ratio=value / sdp_obj))
+    return reports
+
+
+def _study_factors(a: np.ndarray, r_star: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U_r Lambda_r^(1/2), mu, E^H): R*'s factor over its eigenpairs above
+    rounding level, and the eigenvalues mu_i of a Hermitian A above
+    rounding level with their eigenvectors as the rows of E^H."""
     w, u = np.linalg.eigh(hermitize(r_star))
     rows = _above_rounding(w)
     # scale-free: the 1/sqrt(2) of CN(0, 1) cancels in xi / |xi|
     half = u[:, rows] * np.sqrt(w[rows])
     mu, e = np.linalg.eigh(a)
     cols = _above_rounding(np.abs(mu))
-    mu, e_h = mu[cols], e[:, cols].conj().T
-    tied = half.shape[1] == 1
-    reports = []
-    for n_g in n_g_grid:
-        if n_g < 1:
-            raise ConfigError(f"sample count must be >= 1, got {n_g}")
-        z = np.empty((half.shape[1], int(n_g)), dtype=complex)
-        z.real = rng.standard_normal(z.shape)
-        z.imag = rng.standard_normal(z.shape)
-        if tied and z.all():
-            best_x = _unit_modulus(half @ z[:, :1])[:, 0]
-        else:
-            best_score, best_x = None, None
-            for j in range(0, int(n_g), _RATIO_CHUNK):
-                x = _unit_modulus(half @ z[:, j:j + _RATIO_CHUNK])
-                proj = (e_h @ x).view(float)             # Re, Im interleaved
-                np.square(proj, out=proj)
-                score = mu @ (proj[:, 0::2] + proj[:, 1::2])
-                i = int(np.argmax(score))
-                if best_x is None or score[i] > best_score:   # first wins
-                    best_score, best_x = score[i], x[:, i]
-        best = float(np.real(np.vdot(best_x, a @ best_x)))
-        reports.append(RandomizationReport(
-            n_samples=int(n_g), best_objective=best, sdp_objective=sdp_obj,
-            ratio=best / sdp_obj))
-    return reports
+    return half, mu[cols], e[:, cols].conj().T
+
+
+def _complex_draws(draws: np.ndarray, cols) -> np.ndarray:
+    """The complex draws z of columns ``cols`` of the 2r x n block of real
+    parts over imaginary parts."""
+    r = draws.shape[0] // 2
+    z = np.empty((r, len(cols)), dtype=complex)
+    z.real = draws[:r, cols]
+    z.imag = draws[r:, cols]
+    return z
+
+
+def _best_candidate(screen: "_Screen", draws: np.ndarray) -> int:
+    """Index of the first best candidate of the draw block in double
+    precision: the one a double-precision pass over every candidate picks.
+
+    The screen's scores s_j lie within b_j of the double-precision ones, so
+    a candidate with s_j + b_j below max_i (s_i - b_i) cannot be the best,
+    and the rest (the survivors, in draw order) are scored again in double
+    precision as x = ``_unit_modulus``(U_r Lambda_r^(1/2) z) and
+    mu @ |E^H x|^2.  Only scores that tie to their own rounding can rank
+    apart from that pass's: a BLAS product rounds a column by its place in
+    the block, which differs between the survivors and the whole pass.
+    """
+    s, b = screen.scores(draws)
+    survivors = np.flatnonzero(s + b >= np.max(s - b))
+    half, mu, e_h = screen.half, screen.mu, screen.e_h
+    best_score, best = None, None
+    for k in range(0, survivors.size, _RATIO_CHUNK):
+        cols = survivors[k:k + _RATIO_CHUNK]
+        x = _unit_modulus(half @ _complex_draws(draws, cols))
+        proj = (e_h @ x).view(float)                 # Re, Im interleaved
+        np.square(proj, out=proj)
+        score = mu @ (proj[:, 0::2] + proj[:, 1::2])
+        i = int(np.argmax(score))
+        if best is None or score[i] > best_score:     # first wins
+            best_score, best = score[i], int(cols[i])
+    return best
+
+
+class _Screen:
+    """Single-precision scores of the ratio study's candidates, each with
+    a bound on its distance from the double-precision score.
+
+    With H = U_r Lambda_r^(1/2) (L x r, rows h_l) and z a draw, the
+    double-precision pass scores S(x) = sum_i mu_i |e_i^H x|^2 at
+    x = ``_unit_modulus``(H z).  The screen forms u = H z, x = u / |u| and
+    P = E^H x on the real images [[Re M, -Im M], [Im M, Re M]] of H and
+    E^H cast to float32, with mu scaled by a power of two to a largest
+    |mu_i| in [1/2, 1) (so A and 2^k A screen alike); scores and bounds are
+    in that scale.  With m kept eigenpairs of A, T = sum_i |mu_i| (tr|A|
+    over them), e = max_i ||e_i||, gamma_n and gamma'_n Higham's bounds at
+    single and double precision, and u-hat the computed float32 u, the
+    score s_j of candidate j lies within
+
+        b_j = c0 + 2 T e rho D_j + T e^2 D_j^2
+
+    of the double-precision one, A indefinite too, where
+
+        D_j = 2 a ||z_j|| (sum_l ||h_l||^2 / |u-hat_l|^2)^(1/2)
+              + (gamma_8 + gamma'_6) sqrt(L) + 2 (a1 ||z_j|| + a0)
+
+    bounds ||x-hat - x||.  The steps:
+
+    - u: the casts and a real product of length 2r put the float32 u-hat
+      and the float64 u within a sum_k |h_lk| |z_k| <= a ||h_l|| ||z|| of
+      each other, a = sqrt(2) (gamma_{2r+2} + gamma'_{2r+2}) (Higham,
+      Section 3.1, and Section 3.6 for complex products).
+    - Phase: |v/|v| - w/|w|| <= 2 |v - w| / |v| for any v, w != 0, and the
+      normalizations add gamma_8 and gamma'_6, so
+      |x-hat_l - x_l| <= 2 a ||h_l|| ||z|| / |u-hat_l| + gamma_8
+      + gamma'_6; this holds where u_l = 0 and x_l = 1 too.  Summed in
+      squares over l, that is D_j, and ||x-hat - x|| <= D_j.
+    - Score of the perturbed candidate: S(x-hat) - S(x) =
+      sum_i mu_i (|e_i^H x-hat|^2 - |e_i^H x|^2), at most
+      T (2 e rho D_j + e^2 D_j^2) in size, with ||x||, ||x-hat|| <= rho / e
+      and rho = e sqrt(L) (1 + gamma_8).
+    - Rounding of each score: P is a real product of length 2L, within
+      kappa = sqrt(2) gamma_{2L+2} rho of E^H x-hat per entry, and the
+      weighted sum of squares adds gamma_{m+3}, so
+      c0 >= T ((2 rho + kappa) kappa + gamma_{m+3} (rho + kappa)^2), at
+      each precision, summed.
+
+    Only one pass beyond the scores is needed: the reduction
+    sum_l ||h_l||^2 / |u-hat_l|^2, taken from the reciprocals that
+    normalize x.  Underflow adds at most 2^-149 per operation to the
+    float32 results.  A candidate with some |u-hat_l| below 2^-49 is not
+    screened, so the underflow in u-hat_l, at most sqrt(2) 2^-149
+    (|h_l|_1 + |z|_1 + 2r), moves its phase by at most
+    a1 (||z|| + max_l ||h_l|| + sqrt(2r)) summed in squares, with
+    a1 = 2^-98 sqrt(2rL) and a0 = a1 (max_l ||h_l|| + sqrt(2r)); that of
+    P and the scores is in kappa and in the (T + m) 2^-147 of c0.  The
+    double-precision pass is not modeled with underflow.  c0 also holds
+    2 gamma'_1 max |s_j|, ||z_j|| carries its rounding gamma'_{2r+2}, and
+    every constant a factor 1 + gamma'_16: together they cover forming
+    b_j and s_j +- b_j in double precision.  A candidate not screened (a
+    non-finite score, or some |u-hat_l| too small, a zero draw among
+    them) gets b_j = inf and survives.
+    """
+
+    def __init__(self, half: np.ndarray, mu: np.ndarray, e_h: np.ndarray):
+        self.half, self.mu, self.e_h = half, mu, e_h
+        l, r = half.shape
+        m = mu.size
+        mu_max = float(np.max(np.abs(mu), initial=0.0))
+        self.scale = scale = math.ldexp(1.0, -math.frexp(mu_max)[1])
+        self.hb = _real_image(half).astype(np.float32)
+        self.eb = _real_image(e_h).astype(np.float32)
+        self.mu32 = (mu * scale).astype(np.float32)
+        hn2 = np.sum(np.abs(half) ** 2, axis=1)
+        # with ||h_l||^2 floored at 2^-40 the reduction is at least
+        # 2^-40 max_l 1/|u-hat_l|^2, so one at most 2^58 (screened) has
+        # every |u-hat_l| >= 2^-49
+        self.hn2 = np.maximum(hn2, 2.0 ** -40).astype(np.float32)
+        self.red_cap = 2.0 ** 58
+        # the reduction: hn2's cast, |u|^2 and its reciprocal, L products
+        # and sums, relative
+        self.red_factor = 1.0 / (1.0 - _gamma(l + 5, _U32))
+        t = float(np.sum(np.abs(mu))) * scale * (1.0 + _gamma(m + 1, _U64))
+        e = math.sqrt(float(np.max(np.sum(np.abs(e_h) ** 2, axis=1),
+                                   initial=0.0))) * (1.0 + _gamma(l + 2, _U64))
+        root_l = math.sqrt(l)
+        rho = e * root_l * (1.0 + _gamma(8, _U32))
+        kappa32 = (math.sqrt(2.0) * _gamma(2 * l + 2, _U32) * rho
+                   + math.sqrt(2.0) * l * 2.0 ** -147)
+        kappa64 = math.sqrt(2.0) * _gamma(2 * l + 2, _U64) * rho
+        rounding = sum(
+            t * ((2.0 * rho + k) * k + _gamma(m + 3, u) * (rho + k) ** 2)
+            for k, u in ((kappa32, _U32), (kappa64, _U64)))
+        top = t * (rho + kappa32) ** 2 * (1.0 + _gamma(m + 3, _U32))
+        slack = 1.0 + _gamma(16, _U64)
+        self.c0 = slack * (rounding + (t + m) * 2.0 ** -147
+                           + 2.0 * _gamma(1, _U64) * top)
+        self.c1 = slack * 2.0 * t * e * rho
+        self.c2 = slack * t * e * e
+        norm = 1.0 + _gamma(2 * r + 2, _U64)        # of ||z_j||
+        a = math.sqrt(2.0) * (_gamma(2 * r + 2, _U32)
+                              + _gamma(2 * r + 2, _U64))
+        under = 2.0 ** -98 * math.sqrt(2.0 * r * l)    # a1
+        h_max = math.sqrt(float(hn2.max(initial=0.0)))
+        # D_j = (2 a sqrt(reduction) + 2 a1) ||z_j|| + 2 a0 + normalizing
+        self.d_red = slack * 2.0 * a * norm
+        self.d_z = slack * 2.0 * under * norm
+        self.d_0 = slack * (2.0 * under * (h_max + math.sqrt(2.0 * r))
+                            + (_gamma(8, _U32) + _gamma(6, _U64)) * root_l)
+
+    def scores(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(s, b): the screened score of every candidate of the 2r x n
+        draw block and its bound, as float64 in the screen's scale;
+        b_j = inf for a candidate not screened."""
+        l, m = self.half.shape[0], self.mu.size
+        n = draws.shape[1]
+        s = np.empty(n, dtype=np.float32)
+        red = np.empty(n, dtype=np.float32)
+        z32 = draws.astype(np.float32)
+        with np.errstate(all="ignore"):              # unscreened: b = inf
+            for j in range(0, n, _RATIO_CHUNK):
+                u = self.hb @ z32[:, j:j + _RATIO_CHUNK]    # Re u over Im u
+                sq = np.square(u)
+                inv = np.add(sq[:l], sq[l:], out=sq[:l])    # |u|^2
+                np.reciprocal(inv, out=inv)
+                red[j:j + _RATIO_CHUNK] = self.hn2 @ inv
+                np.sqrt(inv, out=inv)
+                u[:l] *= inv
+                u[l:] *= inv                                 # x = u / |u|
+                p = self.eb @ u                              # E^H x
+                np.square(p, out=p)
+                s[j:j + _RATIO_CHUNK] = self.mu32 @ (p[:m] + p[m:])
+            s = s.astype(float)
+            red = red.astype(float)
+            znorm = np.sqrt(np.einsum("ij,ij->j", draws, draws))
+            d = ((self.d_red * np.sqrt(red * self.red_factor) + self.d_z)
+                 * znorm + self.d_0)
+            b = self.c0 + d * (self.c1 + self.c2 * d)
+        unscreened = ~((red <= self.red_cap) & np.isfinite(s))
+        if unscreened.any():
+            s[unscreened] = 0.0
+            b[unscreened] = np.inf
+        return s, b
+
+
+def _real_image(m: np.ndarray) -> np.ndarray:
+    """[[Re M, -Im M], [Im M, Re M]], which maps [Re v; Im v] to
+    [Re Mv; Im Mv]."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
 def _unit_modulus(x: np.ndarray) -> np.ndarray:

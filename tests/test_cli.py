@@ -386,6 +386,32 @@ class TestHugeCounts:
         assert "do not fit in memory (8 GiB)" in done.stderr
         assert not out.exists()
 
+    # The draws of a sample count numpy can index but memory cannot hold:
+    # 10^12 candidates of rank up to 25 take about 600 TiB
+    # (ratio.study_bytes).  Both commands are capped: a run that loaded
+    # would fail its trials, not fill memory.
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_sample_count_memory_cannot_hold_exits_2(self, tmp_path,
+                                                      command):
+        config = write_shipped(tmp_path, "ratio", {"n_g_grid": [10, 10 ** 12]})
+        done, out = self._cli(tmp_path, command, config,
+                              preexec_fn=_limit_address_space)
+        assert done.returncode == 2, done.stderr
+        assert "config error: n_g_grid[1] = 1000000000000: " in done.stderr
+        assert "do not fit in memory" in done.stderr
+        assert not out.exists()
+
+    # On 8 GiB, 10^7 draws at L = 36 are counted at 6.2 GiB and load;
+    # 10^8 are counted at 62 GiB and do not
+    @pytest.mark.parametrize("n_g,code", [(10 ** 7, 0), (10 ** 8, 2)])
+    def test_sample_count_counted_against_memory(self, tmp_path, n_g, code):
+        config = write_shipped(tmp_path, "ratio", {"n_g_grid": [n_g, 10]})
+        done, _ = self._cli(tmp_path, "validate-config", config,
+                            memory=8 << 30)
+        assert done.returncode == code, done.stderr
+        if code:
+            assert f"config error: n_g_grid[0] = {n_g}: " in done.stderr
+
     def test_surfaces_counted_within_memory_load(self, tmp_path):
         config = write_shipped(tmp_path, "ratio", {"l_values": [8, 36]})
         done, _ = self._cli(tmp_path, "validate-config", config,

@@ -17,6 +17,7 @@ from isacopt.scene import complex_normal
 
 from conftest import paper_scene, random_hermitian, random_psd
 from reference import (dense_power_method, dense_ratio_study,
+                       float64_ratio_study, float64_scores,
                        mixing_method_relaxation, plain_unit_diag_relaxation,
                        rejecting_extrapolations)
 
@@ -24,8 +25,12 @@ from reference import (dense_power_method, dense_ratio_study,
 class TestApproximationRatio:
     def test_ratio_above_one_is_a_solver_error(self):
         # a reference objective below a unit-modulus value is a numerical
-        # fault, not a config fault: SolverError (exit 3), not ConfigError
-        RandomizationReport(4, 1.0, 1.0, 1.0 + 1e-9)
+        # fault, not a config fault: SolverError (exit 3), not ConfigError.
+        # The check is exact: 1 passes, the next float above it does not.
+        RandomizationReport(4, 1.0, 1.0, 1.0)
+        above = float(np.nextafter(1.0, 2.0))
+        with pytest.raises(SolverError, match="exceeds 1"):
+            RandomizationReport(4, above, 1.0, above)
         with pytest.raises(SolverError, match="exceeds 1") as info:
             RandomizationReport(4, 1.5, 1.0, 1.5)
         assert not isinstance(info.value, ConfigError)
@@ -68,6 +73,24 @@ class TestApproximationRatio:
         a = random_psd(rng, 3)
         with pytest.raises(ConfigError, match="unit diagonal"):
             approximation_ratio_study(a, diagonal * np.eye(3), [4], rng)
+
+    @pytest.mark.parametrize("l", [8, 36])
+    def test_unit_diagonal_allowance(self, rng, l):
+        # R* from the relaxation lies within the derived allowance; an
+        # entry moved by half of it passes, one moved by twice it does not
+        a = random_psd(rng, l)
+        r = solve_unit_diag_relaxation(a)
+        tol = ratio._unit_diag_allowance(l)
+        assert np.max(np.abs(np.diagonal(r) - 1.0)) <= tol
+        for move, ok in ((0.5 * tol, True), (-0.5 * tol, True),
+                         (2.0 * tol, False), (-2.0 * tol, False)):
+            moved = r.copy()
+            moved[l // 2, l // 2] = 1.0 + move
+            if ok:
+                approximation_ratio_study(a, moved, [4], rng)
+            else:
+                with pytest.raises(ConfigError, match="unit diagonal"):
+                    approximation_ratio_study(a, moved, [4], rng)
 
 
 class TestUnitDiagRelaxation:
@@ -358,6 +381,129 @@ class TestLowRankStudy:
         assert values[-1] > values[0]
 
 
+def screen_against_float64(a, r_star, draws):
+    """(screened winner, double-precision winner, survivors) on a draw
+    block, after checking every screened score against its bound."""
+    half, mu, e_h = ratio._study_factors(a, r_star)
+    screen = ratio._Screen(half, mu, e_h)
+    s, b = screen.scores(draws)
+    # the pass with mu scaled by a power of two: the same bits, scaled
+    exact = float64_scores(half, mu, e_h, draws) * screen.scale
+    screened = np.isfinite(b)
+    assert np.all(np.abs(s - exact)[screened] <= b[screened])
+    survivors = np.count_nonzero(s + b >= np.max(s - b))
+    return (ratio._best_candidate(screen, draws), int(np.argmax(exact)),
+            survivors)
+
+
+def study_draws(a, r_star, n, seed):
+    """n draws of the study's shape for A and R*, from ``seed``."""
+    rank = ratio._study_factors(a, r_star)[0].shape[1]
+    return np.random.default_rng(seed).standard_normal((2 * rank, n))
+
+
+class TestSingleScreen:
+    """The single-precision screen with its exact ranking against the
+    double-precision pass over every candidate (``tests/reference.py``):
+    the same winner, and every screened score within its bound."""
+
+    # On the shipped scene R* has rank 1 or 2; at rank 1 every candidate
+    # scores alike up to rounding, all survive, and the ranking is the
+    # pass itself.  At rank 2 the screen keeps a few percent of the
+    # candidates (measured below).
+    @pytest.mark.parametrize("rows,cols", [(2, 4), (6, 6)])
+    def test_same_winner_over_seeds(self, rows, cols):
+        kept, screened = [], 0
+        for seed in range(200):
+            a = ratio_study_matrix(rows, cols, seed)
+            r = solve_unit_diag_relaxation(a)
+            draws = study_draws(a, r, 2000, seed)
+            got, want, survivors = screen_against_float64(a, r, draws)
+            assert got == want, seed
+            if draws.shape[0] > 2:
+                kept.append(survivors / 2000)
+        assert len(kept) >= 10 and np.mean(kept) <= 0.1, kept
+
+    @pytest.mark.parametrize("l,seeds", [(8, 100), (36, 20)])
+    def test_same_winner_on_indefinite_a(self, l, seeds):
+        for seed in range(seeds):
+            a = random_hermitian(np.random.default_rng([l, seed]), l)
+            for r in (solve_unit_diag_relaxation(a), np.eye(l)):
+                got, want, _ = screen_against_float64(
+                    a, r, study_draws(a, r, 1000, seed))
+                assert got == want, seed
+
+    def test_near_cancelling_entries(self):
+        # draws that nearly cancel entry l of u = H z, down to exactly:
+        # their bounds grow as 1/|u_l|, and the unscreened ones survive
+        a = ratio_study_matrix(6, 6, seed=33)
+        r = solve_unit_diag_relaxation(a)
+        half = ratio._study_factors(a, r)[0]
+        assert half.shape[1] == 2
+        rng = np.random.default_rng(8)
+        draws = rng.standard_normal((4, 3000))
+        for j, eps in enumerate([0.0, 1e-300, 1e-30, 1e-12, 1e-8, 1e-6,
+                                 1e-4, 1e-2] * 40):
+            l = j % half.shape[0]
+            z = np.array([half[l, 1], -half[l, 0]]) * rng.standard_normal()
+            z += eps * complex_normal(rng, 2)
+            draws[:, 7 * j] = np.concatenate([z.real, z.imag])
+        got, want, survivors = screen_against_float64(a, r, draws)
+        assert got == want
+        assert survivors < 3000
+
+    def test_flat_top(self):
+        # A = I + 1e-8 B: every score is L + O(1e-7), so the top hundreds
+        # tie within 1e-6 relative and the ranking falls to double precision
+        rng = np.random.default_rng(3)
+        l = 8
+        b = random_hermitian(rng, l)
+        a = np.eye(l) + 1e-8 * b / np.linalg.norm(b, 2)
+        r = np.eye(l, dtype=complex)
+        draws = study_draws(a, r, 3000, 4)
+        exact = float64_scores(*ratio._study_factors(a, r), draws)
+        assert np.count_nonzero(exact >= exact.max() * (1 - 1e-6)) >= 100
+        got, want, survivors = screen_against_float64(a, r, draws)
+        assert got == want and survivors >= 100
+
+    def test_zero_draws_survive(self):
+        # a zero draw maps to the all-ones candidate and is never screened;
+        # with every draw zero all survive, and the ranking is the pass
+        # itself, whose scores of one vector differ by the rounding of
+        # its column's place in the product on some BLAS kernels
+        a = ratio_study_matrix(6, 6, seed=33)
+        r = solve_unit_diag_relaxation(a)
+        zeros = np.zeros((4, 7))
+        half, mu, e_h = ratio._study_factors(a, r)
+        assert np.all(ratio._Screen(half, mu, e_h).scores(zeros)[1] == np.inf)
+        got, want, survivors = screen_against_float64(a, r, zeros)
+        assert got == want and survivors == 7
+        draws = study_draws(a, r, 600, 2)
+        draws[:, ::50] = 0.0
+        got, want, _ = screen_against_float64(a, r, draws)
+        assert got == want
+
+    @pytest.mark.parametrize("rows,cols,seed", [(2, 4, 33), (6, 6, 33),
+                                                (6, 6, 5)])
+    def test_reports_match_float64_pass(self, rows, cols, seed):
+        # the same winner, so the same bits: the reported value is formed
+        # from the winner's draw alone; and the generators end alike
+        a = ratio_study_matrix(rows, cols, seed=seed)
+        r = solve_unit_diag_relaxation(a)
+        grid = [1, 10, 100, 1000, 10_000]
+        rng_new, rng_ref = np.random.default_rng(6), np.random.default_rng(6)
+        new = approximation_ratio_study(a, r, grid, rng_new)
+        ref = float64_ratio_study(a, r, grid, rng_ref)
+        if kept_rank_at_rounding_level(r) == 1:
+            # the shortcut takes the first candidate, the pass the first
+            # best of candidates alike up to rounding
+            for got, want in zip(new, ref):
+                assert got.ratio == pytest.approx(want.ratio, rel=1e-14)
+        else:
+            assert new == ref
+        assert rng_new.random() == rng_ref.random()
+
+
 class TestAcceleratedUnitDiagAscent:
     """The SQUAREM-accelerated ascent against the plain map it extrapolates
     (``tests/reference.py``)."""
@@ -439,7 +585,8 @@ grid = list(spec.n_g_grid)
 for point, cfg in enumerate(harness._surface_scenes(spec)):
     before = peak()
     harness._ratio_trial((cfg, spec.solver, grid, spec.master_seed, point, 0))
-print(json.dumps({"n_tx": spec.scene.n_tx, "grown_bytes": peak() - before}))
+print(json.dumps({"n_tx": spec.scene.n_tx, "n_users": spec.scene.n_users,
+                  "n_g": max(grid), "grown_bytes": peak() - before}))
 """
 
 
@@ -448,7 +595,8 @@ class TestStudyBytes:
                         reason="reads VmHWM from /proc")
     def test_trial_stays_within_the_counted_bytes(self):
         # the load-time count of a ratio surface, its L x n_tx channel and
-        # study_bytes, is 48.1 MiB at L = 512; the trial measured 37.7 MiB.
+        # study_bytes with the config's n_g up to 10 000, is 52.5 MiB at
+        # L = 512; the trial measured 37.7 MiB.
         # The resident set sees LAPACK's workspace, which tracemalloc
         # misses.  Half the count bounds it below: the count is not loose.
         root = Path(__file__).resolve().parents[1]
@@ -461,5 +609,6 @@ class TestStudyBytes:
              str(root / "configs/ratio.json")],
             env=env, capture_output=True, text=True, timeout=120, check=True)
         out = json.loads(done.stdout)
-        counted = 16 * 512 * out["n_tx"] + ratio.study_bytes(512)
+        counted = 16 * 512 * out["n_tx"] + ratio.study_bytes(
+            512, out["n_g"], out["n_users"])
         assert counted / 2 <= out["grown_bytes"] <= counted
