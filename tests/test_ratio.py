@@ -300,9 +300,10 @@ class TestLowRankStudy:
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_chunked_pass_matches_one_block(self, monkeypatch, chunk):
-        # the candidates of one block formed in column chunks: the same
-        # winner (the first best one), so the same value up to the rounding
-        # of a one-column product; R* of rank 2, so the pass runs
+        # the candidates of one block screened and ranked in column chunks:
+        # the same winner (the first best one), and its value is formed
+        # from its draw alone, so the same bits; R* of rank 2, so the pass
+        # runs
         a = ratio_study_matrix(6, 6, seed=33)
         r = solve_unit_diag_relaxation(a)
         assert kept_rank_at_rounding_level(r) == 2
@@ -312,9 +313,7 @@ class TestLowRankStudy:
         monkeypatch.setattr(ratio, "_RATIO_CHUNK", chunk)
         chunked = approximation_ratio_study(a, r, [10, 2500],
                                             np.random.default_rng(4))
-        for got, want in zip(chunked, whole):
-            assert got.best_objective == pytest.approx(want.best_objective,
-                                                       rel=1e-14)
+        assert chunked == whole
 
     def test_full_rank_reference_scores_densely(self, rng):
         # with R* = I all L eigenpairs are kept (r = L), so the candidates
