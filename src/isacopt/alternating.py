@@ -8,12 +8,12 @@ P-dependent work.  It works from the
 effective channels at the current phases (``objective.EffectiveChannels``):
 it solves the relaxed precoder problem from them, recovers a K-column
 precoder deterministically (``factor_precoder``, which hands over its
-nonzero columns P_nz), scores it by the products Y = W P_nz, then updates
-the phases with the ascent-safeguarded closed-form step, which starts from
-those channels, that score and those products, and returns all three at
-the new phases for the next outer iteration.  A recovered precoder that
-scores below the previous one is dropped for it, with the previous
-precoder's score and products (``RunTrace.precoder_dips``).
+nonzero columns P_nz) and scores it there (``EffectiveChannels.score``),
+then updates the phases with the ascent-safeguarded closed-form step.  The
+step starts from that scored point (channels, (g, SNR_R, SNR_C), Y = W
+P_nz) and returns the one at the new phases, the incumbent, whose channels
+the next outer iteration works from.  A recovered precoder that scores
+below the incumbent is dropped for it (``RunTrace.precoder_dips``).
 Termination follows the relative-change rule |g(t+1) - g(t)| / g(t) <=
 eps_rel, checked from the second outer iteration on, with a hard iteration
 cap.
@@ -22,7 +22,6 @@ cap.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -117,10 +116,9 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
     channels = consts.channels(theta)
     trace = RunTrace()
     precoder: Precoder | None = None
-    # (g, SNR_R, SNR_C) of the incumbent precoder on the current channels
-    # and the products Y = W P_nz that scored it there, in the phase step
-    incumbent: tuple[float, ...] = (-math.inf,)
-    incumbent_y = None
+    # the incumbent precoder's scored point on the current channels, as the
+    # phase step returned it
+    incumbent = None
 
     for t in range(1, opts.t_max + 1):
         times: dict[str, float] = {}
@@ -131,40 +129,38 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
 
             tic = time.perf_counter()
             candidate = factor_precoder(relaxed, cfg)
-            y = channels.rows @ candidate.nonzero_columns()
-            snapshot = channels.scores(y)
-            if incumbent[0] > snapshot[0]:
+            scored = channels.score(candidate.nonzero_columns())
+            if incumbent is not None and incumbent[1][0] > scored[1][0]:
                 # the recovered precoder fell short of the incumbent; keep it
                 trace.precoder_dips.append(t)
                 log.debug("outer %d: recovered precoder scored below the "
                           "previous one; keeping the incumbent", t)
-                snapshot, y = incumbent, incumbent_y
+                scored = incumbent
             else:
                 precoder = candidate
             times["recovery"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
             theta, inner = solve_irs(theta, precoder, consts,
-                                     inner_max=opts.inner_max,
-                                     start=(channels, snapshot, y))
+                                     inner_max=opts.inner_max, start=scored)
             if inner.line_search_failed:
                 trace.line_search_failures.append(t)
                 log.warning("outer %d: the Armijo line search found no "
                             "ascent step; the phase step ended early", t)
-            channels, incumbent = inner.channels, inner.snapshot
-            incumbent_y = inner.products
+            incumbent = inner.end
+            channels = incumbent[0]
             times["irs"] = time.perf_counter() - tic
         except SolverError as exc:
             exc.args = (f"outer iteration {t}: {exc.args[0] if exc.args else exc}",
                         *exc.args[1:])
             raise
 
-        g, s_r, s_c = inner.snapshot
+        g, s_r, s_c = incumbent[1]
         trace.objective_per_outer.append(g)
         trace.snr_radar_per_outer.append(s_r)
         trace.snr_comm_per_outer.append(s_c)
         trace.relaxed_bound_per_outer.append(relaxed.dual_bound)
-        trace.precoder_obj_per_outer.append(snapshot[0])
+        trace.precoder_obj_per_outer.append(scored[1][0])
         trace.wall_time_per_stage.append(times)
 
         if t >= 2:

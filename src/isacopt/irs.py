@@ -50,16 +50,18 @@ inner iteration costs O(L N K + L m + m^3).
 ``SurrogateFactors`` is built once per precoder, from its nonzero columns
 P_nz and the run's channel constants (``objective.ChannelConstants``, the
 phase stage's one channel input), so it forms only what depends on P.
-Both phase solvers work from the effective channels
-(``objective.EffectiveChannels``) and the products Y = W P_nz that score
-the precoder there, from the caller's at the start phases on.  Y[0] =
-P^T t and t give the quartic factors (P^T t, conj(G) t, ||P^T t||^2,
-||t||^2), and U3 theta + mu* = cc Psi vec(Y[1:]), so the gradient is one
-product over M^T, the block the anchor's Gram matrix comes from, and U3
-and mu = diag(U4) are never formed.  The solvers return the channels and
-the products at the returned phases for the next outer iteration.  A
-slack outer iteration's phase step takes one 7 x 7 ``cholesky`` and one
-14 x 14 ``eigvalsh`` at the paper size (K = 5).
+Both phase solvers pass one value between their steps, the scored point
+(channels, (g, SNR_R, SNR_C), Y) of ``EffectiveChannels.score``: the
+effective channels at the phases, the precoder's scores there and the
+products Y = W P_nz that gave them.  They start from the caller's point
+and return the one at the returned phases (``InnerTrace.end``) for the
+next outer iteration.  Y[0] = P^T t and t give the quartic factors p =
+a* o conj(GP) P^T t and q = a* o conj(G) t, which the gradient writes
+into rows 0 and 1 of M^T once per map, and U3 theta + mu* = cc Psi
+vec(Y[1:]), so the gradient is one product over M^T, the block the
+anchor's Gram matrix comes from, and U3 and mu = diag(U4) are never
+formed.  A slack outer iteration's phase step takes one 7 x 7
+``cholesky`` and one 14 x 14 ``eigvalsh`` at the paper size (K = 5).
 
 The dense quartic constructions (``quartic_kernels``,
 ``build_quartic_surrogate``, ``linear_surrogate_vectors``) run on no
@@ -79,7 +81,7 @@ from .errors import ConfigError, MonotonicityError
 from .objective import (ChannelConstants, EffectiveChannels, IrsPhase,
                         Precoder, hermitize, quartic_coefficient,
                         quartic_kernels)
-# The solvers score iterates with EffectiveChannels.scores; the name stays a
+# The solvers score iterates with EffectiveChannels.score; the name stays a
 # module attribute because perfbench's tracer wraps it here by name.
 from .objective import weighted_snr  # noqa: F401
 # The ratio study's U3, kept for perfbench, which wraps and calls it here.
@@ -93,16 +95,13 @@ class InnerTrace:
     """Objective bookkeeping of one inner solve.
 
     ``objectives`` is the weighted SNR at the start and after each accepted
-    update; ``snapshot`` is (g, SNR_R, SNR_C) at the returned phases, so
-    ``snapshot[0] == objectives[-1]``, ``channels`` are the effective
-    channels there, and ``products`` the Y = W P_nz there, which scored
-    them.
+    update; ``end`` is the scored point (channels, (g, SNR_R, SNR_C), Y) at
+    the returned phases (``EffectiveChannels.score``), so
+    ``end[1][0] == objectives[-1]``.
     """
 
     objectives: list[float] = field(default_factory=list)
-    snapshot: tuple[float, float, float] = (math.nan, math.nan, math.nan)
-    channels: EffectiveChannels | None = None
-    products: np.ndarray | None = None
+    end: tuple | None = None
     line_search_failed: bool = False
 
 
@@ -113,10 +112,10 @@ class SurrogateFactors:
     which give the same P P^H.  With b = theta o a, t = G^T b and
     Y = W P_nz: V b = conj(GP) Y[0], W b = conj(G) t, and U3 = cc Psi Psi^H.
     ``rows`` = M^T, M = [p, q, Psi], is read by the anchor and the gradient:
-    rows 0 and 1 are p and q, written at each call, and row 2 + k K' + j is
-    column (k, j) of Psi, conj(h_k o gp_j), written once.  cc weights the
-    form, not Psi, so noise scaled by 2^k scales it exactly.  conj(G),
-    conj(H), conj(a), c and cc come from the run's ``consts``.
+    rows 0 and 1 are p and q, written by ``gradient`` once per map, and row
+    2 + k K' + j is column (k, j) of Psi, conj(h_k o gp_j), written once.
+    cc weights the form, not Psi, so noise scaled by 2^k scales it exactly.
+    conj(G), conj(H), conj(a), c and cc come from the run's ``consts``.
     """
 
     def __init__(self, p: Precoder, consts: ChannelConstants):
@@ -135,42 +134,39 @@ class SurrogateFactors:
 
     def at(self, theta: IrsPhase) -> tuple[
             EffectiveChannels, tuple[float, float, float], np.ndarray]:
-        """(channels, snapshot, Y) at theta, Y = W P_nz giving the score."""
-        channels = self.consts.channels(theta)
-        y = channels.rows @ self.p_nz
-        return channels, channels.scores(y), y
+        """The scored point (channels, (g, SNR_R, SNR_C), Y) at theta."""
+        return self.consts.channels(theta).score(self.p_nz)
 
-    def quartic(self, channels: EffectiveChannels, y: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """(p, q, q_v, q_w): p = a* o V b and q = a* o W b give U1 = c p q^T,
-        q_v = b^H V b = ||P^T t||^2 and q_w = b^H W b = ||t||^2."""
-        pt, a_conj = y[0], self.consts.a_conj
-        return (a_conj * (self.gp_conj @ pt),
-                a_conj * (self.consts.g_conj @ channels.t),
-                float(np.vdot(pt, pt).real), channels.q_w)
+    def gradient(self, channels: EffectiveChannels, y: np.ndarray
+                 ) -> np.ndarray:
+        """Wirtinger gradient at the channels' phases, Y the products there.
 
-    def gradient(self, y: np.ndarray, pv: np.ndarray, qv: np.ndarray,
-                 q_v: float, q_w: float) -> np.ndarray:
-        """Wirtinger gradient from the quartic factors and the products Y:
-        [c q_w, c q_v, cc vec(CP)] M^T, as U3 theta + mu* = cc Psi vec(CP)."""
-        self.rows[0], self.rows[1] = pv, qv
-        return np.concatenate(((self.c * q_w, self.c * q_v),
-                               self.cc * y[1:].ravel())) @ self.rows
+        Writes p = a* o V b and q = a* o W b (U1 = c p q^T) into rows 0 and
+        1 of M^T, then with q_v = b^H V b = ||P^T t||^2 and q_w = b^H W b =
+        ||t||^2 takes [c q_w, c q_v, cc vec(CP)] M^T, as U3 theta + mu* =
+        cc Psi vec(CP).
+        """
+        pt, a_conj, rows = y[0], self.consts.a_conj, self.rows
+        np.multiply(a_conj, self.gp_conj @ pt, out=rows[0])
+        np.multiply(a_conj, self.consts.g_conj @ channels.t, out=rows[1])
+        q_v = float(np.vdot(pt, pt).real)
+        return np.concatenate(((self.c * channels.q_w, self.c * q_v),
+                               self.cc * y[1:].ravel())) @ rows
 
     def linearize(self, channels: EffectiveChannels, y: np.ndarray
                   ) -> np.ndarray:
         """nu = grad g(theta) + rho theta at the channels' phases, with the
-        exact anchor rho and Y the products there."""
-        quartic = self.quartic(channels, y)
-        rho = self.anchor(*quartic[:2])
-        return self.gradient(y, *quartic) + rho * channels.theta.theta
+        exact anchor rho and Y the products there: the gradient writes p
+        and q, which the anchor then reads."""
+        return (self.gradient(channels, y)
+                + self.anchor() * channels.theta.theta)
 
-    def anchor(self, pv: np.ndarray, qv: np.ndarray) -> float:
-        """Exact ascent anchor for (p, q), completing M: from the Cholesky
-        factor of M^T conj(M), or R^T from M's QR where that is singular by
-        its shape (L < m) or not positive definite (``ascent_anchor``)."""
+    def anchor(self) -> float:
+        """Exact ascent anchor for the p and q in rows 0 and 1 of M^T: from
+        the Cholesky factor of M^T conj(M), or R^T from M's QR where that is
+        singular by its shape (L < m) or not positive definite
+        (``ascent_anchor``)."""
         rows, factor_conj = self.rows, None
-        rows[0], rows[1] = pv, qv
         if self._cholesky:
             np.matmul(rows, rows[:2].conj().T, out=self.gram[:, :2])
             try:
@@ -264,10 +260,10 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder,
     """Iterate the closed-form double-minorization update to convergence.
 
     Each map linearizes the surrogate at the current phases and applies
-    the phase-alignment update; the effective channels taken to score the
-    new phases give the quartic factors that the next linearization
-    expands around.  Up to ``inner_max`` maps run as guarded SQUAREM
-    cycles of three (``squarem.squarem_ascent``: two maps, one map at the
+    the phase-alignment update; the scored point of the new phases gives
+    the quartic factors that the next linearization expands around.  Up
+    to ``inner_max`` maps run as guarded SQUAREM cycles of three
+    (``squarem.squarem_ascent``: two maps, one map at the
     extrapolated phases exp(j arg(theta - 2 alpha r + alpha^2 v)), kept
     only where it beats the two), with plain maps where fewer than three
     are left, so ``inner_max`` 1 and 2 run the plain update alone.  The
@@ -276,40 +272,38 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder,
     keeps that loop as an oracle).  The recorded objective sequence
     is the true weighted SNR of the kept phases and must be nondecreasing
     (each map is guaranteed by the anchor, an extrapolation by the guard);
-    a map that dips beyond 1e-9 relative slack raises.  ``start`` is
-    (channels, snapshot, Y) at theta0 where the caller has them
-    (``SurrogateFactors.at``: Y = W P_nz scored the snapshot); ``consts``
-    are the run's ``ChannelConstants``, ``ChannelConstants(ch, cfg)``
-    outside a run.
+    a map that dips beyond 1e-9 relative slack raises.  ``start`` is the
+    scored point (channels, (g, SNR_R, SNR_C), Y) of p at theta0 where the
+    caller has it (``EffectiveChannels.score``), and the returned trace's
+    ``end`` is the one at the returned phases; ``consts`` are the run's
+    ``ChannelConstants``, ``ChannelConstants(ch, cfg)`` outside a run.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, consts)
 
-    def point(theta):
-        # (theta, g, channels, snapshot, Y) at the phases theta
-        channels, snapshot, y = factors.at(theta)
-        return theta.theta, snapshot[0], channels, snapshot, y
+    def point(scored):
+        # (theta, g, scored point), as squarem_ascent takes a point
+        return scored[0].theta.theta, scored[1][0], scored
+
+    def update(nu):
+        # the point at the phase-alignment update exp(j arg nu)
+        return point(factors.at(irs_phase_update(nu)))
 
     def step(prev):
-        new = point(irs_phase_update(factors.linearize(prev[2], prev[4])))
+        channels, _, y = prev[2]
+        new = update(factors.linearize(channels, y))
         if new[1] < prev[1] - 1e-9 * abs(prev[1]):
             raise MonotonicityError(
                 f"objective decreased from {prev[1]:.12g} to {new[1]:.12g} "
                 f"in the inner phase update")
         return new
 
-    if start is None:
-        first = point(theta0)
-    else:
-        first = (start[0].theta.theta, start[1][0], *start)
-    (_, _, channels, snapshot, y), values = squarem_ascent(
-        first, step, lambda x, near: point(irs_phase_update(x)),
+    (_, _, end), values = squarem_ascent(
+        point(start or factors.at(theta0)), step, lambda x, near: update(x),
         lambda prev, new: abs(new[1] - prev[1]) <= _INNER_TOL * abs(prev[1]),
         inner_max)
-    trace = InnerTrace(objectives=values, snapshot=snapshot,
-                       channels=channels, products=y)
-    return channels.theta, trace
+    return end[0].theta, InnerTrace(objectives=values, end=end)
 
 
 # Armijo sufficient-increase slope and backtracking cap of the manifold baseline.
@@ -329,19 +323,19 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder,
     relative to rgrad itself, not to grad), initial step 1/||grad||,
     contraction 0.5, and the minorization solver's stop.  Accepted steps
     only, so the trace is monotone.  The surrogate factors are built once;
-    the effective channels of each candidate score it and, once it is
-    accepted, give the next gradient.  ``consts`` and ``start`` are as for
-    ``solve_irs_minorization``.
+    each candidate's scored point scores it and, once it is accepted,
+    gives the next gradient.  ``consts``, ``start`` and the trace's
+    ``end`` are as for ``solve_irs_minorization``.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
     factors = SurrogateFactors(p, consts)
-    trace = InnerTrace()
-    channels, snapshot, y = start or factors.at(theta0)
-    trace.objectives.append(snapshot[0])
+    trace = InnerTrace(end=start or factors.at(theta0))
+    trace.objectives.append(trace.end[1][0])
     for _ in range(inner_max):
+        channels, (g_prev, _, _), y = trace.end
         theta = channels.theta.theta
-        grad = factors.gradient(y, *factors.quartic(channels, y))
+        grad = factors.gradient(channels, y)
         rgrad = 1j * theta * np.imag(grad * theta.conj())
         norm2 = float(np.real(np.vdot(rgrad, rgrad)))
         if norm2 == 0.0:
@@ -352,17 +346,16 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder,
             cand = theta + step * rgrad
             cand /= np.abs(cand)
             cand_at = factors.at(IrsPhase.unit(cand))
-            if cand_at[1][0] >= snapshot[0] + _ARMIJO_SLOPE * step * norm2:
+            if cand_at[1][0] >= g_prev + _ARMIJO_SLOPE * step * norm2:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             trace.line_search_failed = True
             break
-        g_prev = snapshot[0]
-        channels, snapshot, y = cand_at
-        trace.objectives.append(snapshot[0])
-        if abs(snapshot[0] - g_prev) <= _INNER_TOL * abs(g_prev):
+        trace.end = cand_at
+        g = cand_at[1][0]
+        trace.objectives.append(g)
+        if abs(g - g_prev) <= _INNER_TOL * abs(g_prev):
             break
-    trace.snapshot, trace.channels, trace.products = snapshot, channels, y
-    return channels.theta, trace
+    return trace.end[0].theta, trace

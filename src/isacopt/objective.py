@@ -11,9 +11,10 @@ and Omega = W^H diag(d) W over the rows W = [t^T; C] with weights
 d = (beta |alpha|^2 ||t||^2 / sigma_R^2, (1 - beta) / sigma_C^2, ...).
 ``OmegaRows`` (rows X, one weight each) is the one form of Omega the
 precoder stage takes; ``EffectiveChannels``, the ``OmegaRows`` of W at one
-theta, is what an outer iteration works from: it scores precoders from
-the products W P_nz over their nonzero columns
-(``Precoder.nonzero_columns``) and starts the phase step.
+theta, is what an outer iteration works from: it scores a precoder from
+the products Y = W P_nz over its nonzero columns
+(``Precoder.nonzero_columns``), and the scored point (channels, scores, Y)
+is what the phase step starts from and returns.
 ``build_omega`` (the dense Omega the tests check against),
 ``weighted_snr``, ``snr_radar`` and ``snr_comm`` evaluate the objective
 from the dense channels alpha t t^T and C, formed in one helper.
@@ -45,6 +46,8 @@ class IrsPhase:
         self.theta = np.asarray(self.theta, dtype=complex)
         if self.theta.ndim != 1:
             raise ConfigError("theta must be a vector")
+        if self.theta.size == 0:
+            raise ConfigError("theta must not be an empty vector")
         if not np.max(np.abs(np.abs(self.theta) - 1.0)) <= 1e-12:
             raise ConfigError("theta entries must have unit modulus")
 
@@ -227,17 +230,19 @@ class EffectiveChannels(OmegaRows):
         weights[0] = consts.c * self.q_w
         weights[1:] = consts.cc
 
-    def scores(self, y: np.ndarray) -> tuple[float, float, float]:
-        """(g, SNR_R, SNR_C) of a precoder P from Y = W P: g =
-        ||diag(sqrt d) Y||_F^2, SNR_R = |alpha|^2 ||Y[0]||^2 ||t||^2 /
-        sigma_R^2, SNR_C = ||Y[1:]||^2 / sigma_C^2 (Y[0] = P^T t, Y[1:] =
-        C P)."""
+    def score(self, p_nz: np.ndarray) -> tuple[
+            "EffectiveChannels", tuple[float, float, float], np.ndarray]:
+        """The scored point (self, (g, SNR_R, SNR_C), Y) of a precoder P
+        from its nonzero columns P_nz, Y = W P_nz: g = ||diag(sqrt d)
+        Y||_F^2, SNR_R = |alpha|^2 ||Y[0]||^2 ||t||^2 / sigma_R^2, SNR_C =
+        ||Y[1:]||^2 / sigma_C^2 (Y[0] = P_nz^T t, Y[1:] = C P_nz)."""
         cfg = self.consts.cfg
+        y = self.rows @ p_nz
         pt = y[0]
         s_r = (self.consts.alpha2 * float(np.vdot(pt, pt).real) * self.q_w
                / cfg.sigma2_radar)
         s_c = float(np.vdot(y[1:], y[1:]).real) / cfg.sigma2_comm
-        return cfg.beta * s_r + (1.0 - cfg.beta) * s_c, s_r, s_c
+        return self, (cfg.beta * s_r + (1.0 - cfg.beta) * s_c, s_r, s_c), y
 
 
 def quartic_coefficient(cfg: SceneConfig) -> float:

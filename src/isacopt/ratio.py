@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import COUNT, ConfigError, SolverError, require_integer
 from .objective import Precoder, comm_coefficient, hermitize
 from .scene import ChannelSet, SceneConfig
 from .squarem import squarem_ascent
@@ -175,8 +176,12 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     The reported value is the winner's dense x^H A x, with x formed from
     its draw alone, an exact unit-modulus value, so the ratio cannot
     exceed 1 whatever R* is: the bound is at least the relaxation optimum,
-    which is at least every unit-modulus value.
+    which is at least every unit-modulus value.  Every sample count must be
+    an integer >= 1, as ``n_g_grid`` of a config, and the whole grid is
+    checked before the first draw.
     """
+    n_g_grid = list(n_g_grid)
+    require_integer(SimpleNamespace(n_g_grid=n_g_grid), {"n_g_grid[]": COUNT})
     off = np.max(np.abs(np.diagonal(r_star) - 1.0))
     if not off <= _unit_diag_allowance(r_star.shape[0]):
         raise ConfigError("reference covariance must have unit diagonal")
@@ -186,8 +191,6 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     screen = None
     reports = []
     for n_g in n_g_grid:
-        if n_g < 1:
-            raise ConfigError(f"sample count must be >= 1, got {n_g}")
         draws = rng.standard_normal((2 * half.shape[1], int(n_g)))
         if half.shape[1] == 1 and draws.any(axis=0).all():
             best = 0

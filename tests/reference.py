@@ -163,14 +163,26 @@ def products_at(factors: SurrogateFactors, theta: np.ndarray) -> tuple:
 
 
 def quartic_at(factors: SurrogateFactors, theta: np.ndarray) -> tuple:
-    """The quartic factors (p, q, q_v, q_w) of ``factors`` at phases theta."""
-    return factors.quartic(*products_at(factors, theta))
+    """The quartic factors (p, q, q_v, q_w) of ``factors`` at phases theta:
+    p and q as ``gradient`` writes them into rows 0 and 1 of M^T, q_v =
+    ||P^T t||^2 and q_w = ||t||^2."""
+    channels, y = products_at(factors, theta)
+    factors.gradient(channels, y)
+    return (factors.rows[0].copy(), factors.rows[1].copy(),
+            float(np.vdot(y[0], y[0]).real), channels.q_w)
 
 
 def gradient_at(factors: SurrogateFactors, theta: np.ndarray) -> np.ndarray:
     """``factors.gradient`` at phases theta."""
-    channels, y = products_at(factors, theta)
-    return factors.gradient(y, *factors.quartic(channels, y))
+    return factors.gradient(*products_at(factors, theta))
+
+
+def anchor_for(factors: SurrogateFactors, pv: np.ndarray,
+               qv: np.ndarray) -> float:
+    """``factors.anchor`` for the given (p, q), written into rows 0 and 1
+    of M^T where ``gradient`` writes them."""
+    factors.rows[0], factors.rows[1] = pv, qv
+    return factors.anchor()
 
 
 def factors_mu(factors: SurrogateFactors) -> np.ndarray:
@@ -407,14 +419,13 @@ def plain_minorization(theta0: IrsPhase, p: Precoder, ch, cfg: SceneConfig,
     ``irs._INNER_TOL`` relative or after ``inner_max`` maps, with no
     extrapolation; the library's loop before it took SQUAREM cycles."""
     factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
-    trace = InnerTrace()
-    channels, snapshot, y = start or factors.at(theta0)
-    trace.objectives.append(snapshot[0])
+    trace = InnerTrace(end=start or factors.at(theta0))
+    trace.objectives.append(trace.end[1][0])
     for _ in range(inner_max):
-        g_prev = snapshot[0]
-        channels, snapshot, y = factors.at(
+        channels, (g_prev, _, _), y = trace.end
+        trace.end = factors.at(
             irs_phase_update(factors.linearize(channels, y)))
-        g_new = snapshot[0]
+        g_new = trace.end[1][0]
         if g_new < g_prev - 1e-9 * abs(g_prev):
             raise MonotonicityError(
                 f"objective decreased from {g_prev:.12g} to {g_new:.12g} "
@@ -422,8 +433,7 @@ def plain_minorization(theta0: IrsPhase, p: Precoder, ch, cfg: SceneConfig,
         trace.objectives.append(g_new)
         if abs(g_new - g_prev) <= irs._INNER_TOL * abs(g_prev):
             break
-    trace.snapshot, trace.channels, trace.products = snapshot, channels, y
-    return channels.theta, trace
+    return trace.end[0].theta, trace
 
 
 def rejecting_extrapolations(squarem_ascent):

@@ -185,11 +185,11 @@ class TestRunAlternating:
 
         cfg, ch = tiny_scene()
 
-        def constant_snapshot(self, y):
-            return 42.0, 42.0, 42.0
+        def constant_score(self, p_nz):
+            return self, (42.0, 42.0, 42.0), self.rows @ p_nz
 
-        # the loop and the phase step both score through scores
-        monkeypatch.setattr(EffectiveChannels, "scores", constant_snapshot)
+        # the loop and the phase step both score through score
+        monkeypatch.setattr(EffectiveChannels, "score", constant_score)
         _, _, trace = alt.run_alternating(ch, cfg, opts=SolverOptions(t_max=9))
         assert trace.terminated_by == "tolerance"
         assert len(trace.objective_per_outer) == 2
@@ -309,9 +309,8 @@ class TestSlackOuterIteration:
         try:
             relaxed = solve_relaxed(channels, cfg)
             p = factor_precoder(relaxed, cfg)
-            y = channels.rows @ p.nonzero_columns()
             solve_irs_minorization(theta, p, consts, inner_max=1,
-                                   start=(channels, channels.scores(y), y))
+                                   start=channels.score(p.nonzero_columns()))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -355,6 +354,6 @@ class TestSlackOuterIteration:
         own = factor_precoder(solve_relaxed(channels, cfg), cfg)
         np.testing.assert_array_equal(own.p, p.p)
         _, inner = solve_irs_minorization(theta, own, consts, inner_max=1)
-        assert inner.snapshot[0] == trace.objective_per_outer[0]
-        y = channels.rows @ own.p.compress(own.p.any(axis=0), axis=1)
-        assert channels.scores(y)[0] == trace.precoder_obj_per_outer[0]
+        assert inner.end[1][0] == trace.objective_per_outer[0]
+        p_nz = own.p.compress(own.p.any(axis=0), axis=1)
+        assert channels.score(p_nz)[1][0] == trace.precoder_obj_per_outer[0]

@@ -18,6 +18,9 @@ import pytest
 from golden.regenerate import GOLDEN, SHIPPED, primary_csvs, run_shipped
 from isacopt.harness import read_csv_rows
 
+# every answer here rounds with the BLAS kernels (``pytest -m kernels``)
+pytestmark = pytest.mark.kernels
+
 RTOL = 1.6e-12
 
 

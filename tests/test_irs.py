@@ -17,10 +17,11 @@ from isacopt.objective import (comm_coefficient, quartic_coefficient,
 from isacopt.scene import ChannelSet, complex_normal
 
 from conftest import paper_scene, random_phases, random_scene, small_config
-from reference import (anchored_surrogate_value, decompose_objective,
-                       dense_ascent_anchor, dense_linearization, factors_mu,
-                       gradient_at, plain_linearization, plain_minorization,
-                       products_at, quartic_at, quartic_surrogate_constant,
+from reference import (anchor_for, anchored_surrogate_value,
+                       decompose_objective, dense_ascent_anchor,
+                       dense_linearization, factors_mu, gradient_at,
+                       plain_linearization, plain_minorization, products_at,
+                       quartic_at, quartic_surrogate_constant,
                        rejecting_extrapolations, wirtinger_gradient)
 
 
@@ -167,6 +168,7 @@ class TestPhaseUpdate:
             value = float(np.real(theta.conj() @ nu))
             assert value <= attained + 1e-9
 
+    @pytest.mark.kernels
     def test_exact_unit_modulus(self, rng):
         for l in (36, 50):      # 36: the paper's surface
             nu = complex_normal(rng, l)
@@ -292,7 +294,7 @@ class TestMinorizationSolver:
         for _ in range(60):
             quartic = quartic_at(factors, th)
             pv, qv = quartic[:2]
-            rho = factors.anchor(pv, qv)
+            rho = anchor_for(factors, pv, qv)
             nu = factors.linearize(*products_at(factors, th))
             new = irs_phase_update(nu).theta
             lifted = anchored_surrogate_value(factors, th, pv, qv, rho) \
@@ -321,10 +323,10 @@ class TestMinorizationSolver:
                                            inner_max=inner_max)
             assert theta.theta.tobytes() == want.theta.tobytes()
             assert trace.objectives == ref.objectives
-            assert trace.snapshot == ref.snapshot
-            assert trace.products.tobytes() == ref.products.tobytes()
-            assert (trace.channels.rows.tobytes()
-                    == ref.channels.rows.tobytes())
+            assert trace.end[1] == ref.end[1]
+            assert trace.end[2].tobytes() == ref.end[2].tobytes()
+            assert (trace.end[0].rows.tobytes()
+                    == ref.end[0].rows.tobytes())
 
     def test_monotone_at_every_cap(self, monkeypatch):
         # each cap runs cycles of three maps and plain maps after them; the
@@ -399,13 +401,14 @@ class TestAscentAnchor:
     @staticmethod
     def _anchors(factors, pv, qv):
         """(solver's rho, QR route's rho, dense oracle's rho) for (p, q)."""
-        rho = factors.anchor(pv, qv)
+        rho = anchor_for(factors, pv, qv)
         rho_qr = ascent_anchor(np.linalg.qr(factors.rows.T, mode="r").T,
                                factors.c, factors.cc)
         u1 = 0.5 * factors.c * (np.outer(pv, qv) + np.outer(qv, pv))
         u3 = factors.cc * (factors.rows[2:].T @ factors.rows[2:].conj())
         return rho, rho_qr, dense_ascent_anchor(u1, u3)
 
+    @pytest.mark.kernels
     @pytest.mark.parametrize("near_dependent", [False, True])
     @pytest.mark.parametrize("nonzero_cols", [1, 3])
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6, 6), (16, 16)])
@@ -444,6 +447,7 @@ class TestAscentAnchor:
                        + np.real(d.conj() @ u3 @ d) + rho * np.vdot(d, d).real)
                 assert val >= -1e-9 * rho * np.vdot(d, d).real
 
+    @pytest.mark.kernels
     def test_routes(self, rng, monkeypatch):
         # the Cholesky factor where M^H M is positive definite, QR where it
         # is not (a user with no reflected channel leaves zero columns in
@@ -497,6 +501,7 @@ def _rel_err(got, want):
 
 
 class TestSurrogateFactors:
+    @pytest.mark.kernels
     @pytest.mark.parametrize("safeguard", [True, False])
     @pytest.mark.parametrize("nonzero_cols", [1, 3])
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6, 6)])
@@ -518,7 +523,7 @@ class TestSurrogateFactors:
             quartic = quartic_at(factors, theta.theta)
             if safeguard:
                 nu = factors.linearize(*products_at(factors, theta.theta))
-                rho = factors.anchor(*quartic[:2])
+                rho = anchor_for(factors, *quartic[:2])
             else:
                 nu, rho = plain_linearization(factors, theta.theta), 0.0
             assert _rel_err(nu, nu_d) <= 1e-10
@@ -628,6 +633,30 @@ class TestWirtingerGradient:
         g1 = wirtinger_gradient(theta, p, ch, cfg)
         g2 = wirtinger_gradient(theta, p, ch, cfg2)
         np.testing.assert_allclose(g2, 0.5 * g1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("solve, inner_max", [
+    (solve_irs_minorization, 1), (solve_irs_minorization, 5),
+    (solve_irs_manifold, 50)], ids=["plain", "squarem", "manifold"])
+def test_solvers_hand_over_the_scored_point_of_their_phases(
+        solve, inner_max, monkeypatch):
+    # trace.end is what the next outer iteration starts from: the returned
+    # phases, the products Y = W P_nz there and the scores Y gives.  With
+    # no stop every step runs and is kept, the cycle's extrapolated map at
+    # a cap of 5 too, so each cap ends as far along as it can.
+    monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
+    for k in range(4):
+        cfg, ch, p, theta0 = random_scene(np.random.default_rng([75, k]),
+                                          l_rows=2, l_cols=3, beta=0.9)
+        theta, trace = solve(theta0, p, ChannelConstants(ch, cfg),
+                             inner_max=inner_max)
+        channels, scores, y = trace.end
+        p_nz = p.nonzero_columns()
+        assert channels.theta is theta
+        assert len(trace.objectives) == inner_max + 1
+        assert y.tobytes() == (channels.rows @ p_nz).tobytes()
+        assert scores == channels.score(p_nz)[1]
+        assert scores[0] == trace.objectives[-1]
 
 
 def _g_offcircle(theta_vec, p, ch, cfg):

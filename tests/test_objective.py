@@ -153,6 +153,7 @@ class TestEffectiveChannels:
         assert abs(np.vdot(u[:, -1], top)) >= 1.0 - 1e-12
         return True
 
+    @pytest.mark.kernels
     @pytest.mark.parametrize("beta", [0.0, 0.01, 0.5, 0.99, 1.0])
     def test_matches_dense_eigh(self, beta):
         # beta = 0 and 1 leave one weight zero, and so Omega's rank K or 1
@@ -350,6 +351,10 @@ class TestIrsPhaseType:
     def test_rejects_non_unit_modulus(self):
         with pytest.raises(ConfigError):
             IrsPhase(np.array([1.0 + 0.0j, 0.5 + 0.0j]))
+
+    def test_rejects_an_empty_vector(self):
+        with pytest.raises(ConfigError, match="empty vector"):
+            IrsPhase(np.array([], dtype=complex))
 
     def test_accepts_constructed_phases(self, rng):
         IrsPhase(np.exp(2j * np.pi * rng.random(7)))

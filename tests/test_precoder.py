@@ -281,6 +281,7 @@ class TestSolveRelaxed:
         np.testing.assert_allclose(s.factor @ s.factor.conj().T, s.s,
                                    atol=1e-15)
 
+    @pytest.mark.kernels
     def test_closed_form_gap_is_certified(self):
         # tr(S Omega) and P_T lambda_max(Omega) are two roundings of one
         # number; against the bare eigenvalue the gap is negative on 97 of
@@ -298,6 +299,7 @@ class TestSolveRelaxed:
             assert 0.0 <= (bound - value) / bound <= 1e-12
 
     # small scenes, and the paper's (N = 16, K = 5, L = 36)
+    @pytest.mark.kernels
     @pytest.mark.parametrize("cfg", [
         small_config(n_tx=4, beampattern_tol=0.2),
         small_config(n_tx=16, beampattern_tol=0.2),
@@ -362,6 +364,7 @@ class TestSolveRelaxed:
 
 
 class TestSlackDistance:
+    @pytest.mark.kernels
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 64), mix=st.floats(0.0, 1.0),
            p_t=st.sampled_from([1e-6, 1.0, 3.7, 1e5]),
@@ -601,6 +604,7 @@ class TestKktForm:
                                            rtol=0, atol=atol)
                 assert v.sum() + copies * v0 == pytest.approx(1.0, abs=atol)
 
+    @pytest.mark.kernels
     @pytest.mark.parametrize("name", list(FORM_SCENES))
     @pytest.mark.parametrize("factor", ["channels", "model", "signed"])
     def test_points_match_dense_oracle(self, name, factor):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,21 @@ class TestApproximationRatio:
         with pytest.raises(ConfigError, match="unit diagonal"):
             approximation_ratio_study(a, diagonal * np.eye(3), [4], rng)
 
+    @pytest.mark.parametrize("grid, bad", [
+        ([10, 0], "n_g_grid[1]"), ([10.5], "n_g_grid[0]"),
+        ([True], "n_g_grid[0]"), ([4, -3, 8], "n_g_grid[1]"),
+        ([np.int64(4), 2 ** 63], "n_g_grid[1]")])
+    def test_rejects_a_bad_grid_before_any_draw(self, rng, grid, bad):
+        # the whole grid is checked as a config's n_g_grid is, so a bad
+        # entry after a good one leaves the generator where it was
+        a = random_psd(rng, 3)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError,
+                           match=rf"^{re.escape(bad)} must be an integer"):
+            approximation_ratio_study(a, np.eye(3, dtype=complex), grid, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.kernels
     @pytest.mark.parametrize("l", [8, 36])
     def test_unit_diagonal_allowance(self, rng, l):
         # R* from the relaxation lies within the derived allowance; an
@@ -190,6 +206,7 @@ class TestUnitDiagCertificate:
     # 2.5e-13 on the first, 2.4e-14 at L = 8 and 1.7e-11 at L = 36 (the
     # most of seeds 0 to 7 there, at seed 1); R* = V^H V is PSD by
     # construction, so lambda_min is rounding
+    @pytest.mark.kernels
     @pytest.mark.parametrize("scene,rows,cols,seed", [
         ("shipped", 6, 6, 21), ("paper", 2, 4, 0), ("paper", 6, 6, 0),
         ("paper", 6, 6, 1)])
@@ -401,6 +418,7 @@ def study_draws(a, r_star, n, seed):
     return np.random.default_rng(seed).standard_normal((2 * rank, n))
 
 
+@pytest.mark.kernels
 class TestSingleScreen:
     """The single-precision screen with its exact ranking against the
     double-precision pass over every candidate (``tests/reference.py``):
