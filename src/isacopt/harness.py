@@ -43,7 +43,7 @@ from . import __version__ as _version
 from .alternating import IRS_METHODS, SolverOptions, run_alternating
 from .errors import (COUNT, NON_NEGATIVE, UNIT, ConfigError, require_finite,
                      require_integer)
-from .precoder import validate_beampattern_target
+from .precoder import target_check_bytes, validate_beampattern_target
 from .ratio import (approximation_ratio_study, build_quadratic_terms,
                     solve_unit_diag_relaxation, study_bytes)
 from .scene import (ChannelSet, SceneConfig, convert_suffixed, make_channels,
@@ -54,17 +54,34 @@ log = logging.getLogger(__name__)
 EXPERIMENT_KINDS = ("convergence", "scaling", "ratio")
 
 
+def beta_tag(beta: float) -> str:
+    """The file-name tag of a radar weight in the convergence CSV names."""
+    return f"beta{beta:g}"
+
+
+# Each sweep with the key that tells its points apart and its name for it.
+SWEEP_KEYS = {"beta_values": (beta_tag, "the file tag"),
+              "l_values": (int, "the value"),
+              "n_g_grid": (int, "the value")}
+# The sweeps each kind reads; every other sweep must be empty.
+KIND_SWEEPS = {"convergence": ("beta_values",),
+               "scaling": ("l_values",),
+               "ratio": ("l_values", "n_g_grid")}
+
+
 @dataclass
 class ExperimentSpec:
     """One experiment: kind, scene, solver knobs, sweeps and bookkeeping.
 
-    Every field is checked here, once: its type and range, the sweeps the
-    kind needs, distinct file tags of ``beta_values`` (``beta_tag``), and
-    a beampattern ball that holds a K-column precoder
-    (``validate_beampattern_target``, which also turns a target too large
-    for memory into a ConfigError), and surfaces whose per-trial arrays,
-    counted from their shapes, fit in physical memory, for ratio with the
-    draws of the largest sample count.
+    Every field is checked here, once: its type and range; the sweeps the
+    kind reads (``KIND_SWEEPS``), each non-empty with points of distinct
+    keys (``SWEEP_KEYS``: the file tag of a radar weight, the value of a
+    count), and the others empty; a radar weight below 1 for ratio, whose
+    form A = U3 is zero at 1; the bytes of the beampattern check's arrays
+    (``target_check_bytes``) and of each surface's per-trial arrays, for
+    ratio with the draws of the largest sample count, counted from their
+    shapes against physical memory; and then a beampattern ball that holds
+    a K-column precoder (``validate_beampattern_target``).
     """
 
     kind: str
@@ -89,43 +106,68 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(
                 f"kind must be one of {EXPERIMENT_KINDS}, got '{self.kind}'")
-        if self.kind == "convergence" and not self.beta_values:
-            raise ConfigError("convergence experiment needs a non-empty beta_values sweep")
-        if self.kind in ("scaling", "ratio") and not self.l_values:
-            raise ConfigError(f"{self.kind} experiment needs a non-empty l_values sweep")
-        if self.kind == "ratio" and not self.n_g_grid:
-            raise ConfigError("ratio experiment needs a non-empty n_g_grid")
-        tags = {}
-        for i, beta in enumerate(self.beta_values):
-            j = tags.setdefault(beta_tag(beta), i)
-            if j != i:
+        reads = KIND_SWEEPS[self.kind]
+        for name in (*reads, *(n for n in SWEEP_KEYS if n not in reads)):
+            points, (key, words) = getattr(self, name), SWEEP_KEYS[name]
+            if name not in reads and points:
+                raise ConfigError(f"a {self.kind} experiment does not read "
+                                  f"{name}, which must be empty")
+            if name in reads and not points:
                 raise ConfigError(
-                    f"beta_values[{j}] = {self.beta_values[j]!r} and "
-                    f"beta_values[{i}] = {beta!r} share the file tag "
-                    f"'{beta_tag(beta)}'")
+                    f"{self.kind} experiment needs a non-empty {name} sweep")
+            seen = {}
+            for i, value in enumerate(points):
+                j = seen.setdefault(key(value), i)
+                if j != i:
+                    raise ConfigError(
+                        f"{name}[{j}] = {points[j]!r} and {name}[{i}] = "
+                        f"{value!r} share {words} {key(value)!r}")
+        if self.kind == "ratio" and self.scene.beta == 1.0:
+            raise ConfigError(
+                "scene.beta = 1: the ratio study's form A = U3 carries the "
+                "weight 1 - beta, so it is zero and bounds no ratio")
+        self._count_memory()
         # R_D depends on no swept field: one check covers every trial
         validate_beampattern_target(self.scene)
-        # each surface's per-trial bytes, counted from the shapes: the
-        # L x n_tx channel (16 bytes an entry) and, for ratio, the study's;
-        # then, for ratio, the largest surface with the largest sample count
+
+    def _count_memory(self):
+        """ConfigError unless the arrays of the beampattern check and of a
+        trial on each surface, counted from their shapes, fit in physical
+        memory; for ratio, the largest surface with the largest sample
+        count too."""
+        n, k, ratio = self.scene.n_tx, self.scene.n_users, self.kind == "ratio"
+
+        def trial(l, n_g=0):
+            return (_trial_bytes(l, n, k)
+                    + (study_bytes(l, n_g, k) if ratio else 0))
+
         surfaces = ({"irs_rows * irs_cols": self.scene.n_irs}
                     if self.kind == "convergence" else
                     {f"l_values[{i}]": l for i, l in enumerate(self.l_values)})
-        counted = [(name, l, l, 0) for name, l in surfaces.items()]
-        if self.kind == "ratio":
+        needs = [(f"n_tx = {n}, n_users = {k}: the beampattern check's arrays",
+                  target_check_bytes(n, k))]
+        arrays = f"a trial's arrays at n_tx = {n}, n_users = {k}"
+        needs += [(f"{name} = {l}: {arrays}", trial(l))
+                  for name, l in surfaces.items()]
+        if ratio:
             i = max(range(len(self.n_g_grid)), key=self.n_g_grid.__getitem__)
-            counted.append((f"n_g_grid[{i}]", self.n_g_grid[i],
-                            max(self.l_values), self.n_g_grid[i]))
+            needs.append((f"n_g_grid[{i}] = {self.n_g_grid[i]}: {arrays}",
+                          trial(max(self.l_values), self.n_g_grid[i])))
         memory = _physical_memory()
-        for name, value, l, n_g in counted:
-            need = 16 * l * self.scene.n_tx
-            if self.kind == "ratio":
-                need += study_bytes(l, n_g, self.scene.n_users)
+        for what, need in needs:
             if need > memory:
                 raise ConfigError(
-                    f"{name} = {value}: a trial's arrays take "
-                    f"{need / 2 ** 30:.4g} GiB and do not fit in memory "
-                    f"({memory / 2 ** 30:.4g} GiB)")
+                    f"{what} take {need / 2 ** 30:.4g} GiB and do not fit in "
+                    f"memory ({memory / 2 ** 30:.4g} GiB)")
+
+
+def _trial_bytes(l: int, n_tx: int, n_users: int) -> int:
+    """Bytes of a trial's arrays sized by the scene, 16 an entry: the
+    L x ``n_tx`` channel G, the ``n_users`` x L channel H, and the phase
+    step's m x L surrogate rows and their m x m Gram matrix, m = 2 +
+    ``n_users`` rank(P) <= 2 + ``n_users`` min(``n_users``, ``n_tx``)."""
+    m = 2 + n_users * min(n_users, n_tx)
+    return 16 * (l * (n_tx + n_users) + m * (l + m))
 
 
 def _physical_memory() -> int:
@@ -139,11 +181,6 @@ class AggregateResult:
 
     files: list[str] = field(default_factory=list)
     trial_errors: list[dict] = field(default_factory=list)
-
-
-def beta_tag(beta: float) -> str:
-    """The file-name tag of a radar weight in the convergence CSV names."""
-    return f"beta{beta:g}"
 
 
 def load_experiment_spec(source: str | Path | dict,

@@ -209,18 +209,26 @@ def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
     return _target(cfg)[3].copy()
 
 
+def target_check_bytes(n_tx: int, n_users: int) -> int:
+    """Bytes the beampattern check (``validate_beampattern_target``) holds
+    at its peak, N = ``n_tx`` and K = ``n_users``: six N x N complex arrays
+    (R_D, and in the dense ``eigh`` its input copy, eigenvectors and
+    LAPACK's complex and real workspace, with room for the allocator), two
+    N x K complex arrays (S_K(0)'s factor F and the F^H of its distance)
+    and 4 MiB for the first ``eigh`` of a process.  Measured as the growth
+    of a fresh process's peak resident set over the check: 2.3 MB at
+    N = 16, 83 and 81 bytes per N^2 at N = 1024 and 2000, and 18 bytes per
+    N K at N = 16, K = 2^20, where F's zero padding is never touched (one
+    BLAS thread, numpy 2.4.6, OpenBLAS 0.3.31, x86-64)."""
+    return 16 * (6 * n_tx * n_tx + 2 * n_tx * n_users) + (4 << 20)
+
+
 def validate_beampattern_target(cfg: SceneConfig):
     """ConfigError unless the ball holds a K-column precoder: S_K(0), the
     nearest rank-K covariance to R_D and ``factor_precoder``'s last resort
-    (``_nearest_rank_precoder``), must lie in it.  A MemoryError of its
-    N x N and N x K arrays is a ConfigError too."""
-    try:
-        _nearest_rank_precoder(cfg)
-    except MemoryError as exc:
-        raise ConfigError(
-            f"n_tx = {cfg.n_tx}, n_users = {cfg.n_users}: the beampattern "
-            f"check's n_tx x n_tx target and n_tx x n_users precoder do not "
-            f"fit in memory ({exc})") from exc
+    (``_nearest_rank``), must lie in it by its dense distance.  Its arrays
+    are counted (``target_check_bytes``) before it runs."""
+    _nearest_rank(cfg)
 
 
 class KktForm:
@@ -538,34 +546,34 @@ def _distance2(f: np.ndarray, r_d: np.ndarray) -> float:
     return float(np.sum(np.abs(f @ f.conj().T - r_d) ** 2))
 
 
-def _nearest_rank_dist2(cfg: SceneConfig, k: int) -> float:
-    """||S_K(0) - R_D||^2 in closed form, S_K(0) = Pi_{C_K}(R_D) the
-    nearest rank-k covariance to R_D: R_D has eigenvalues c + d (on b) and
-    c, and S_K(0) projects its top k onto the simplex."""
-    c, d, b = _target(cfg)[:3]
-    lam = np.full(min(k, b.size), c)
-    lam[-1] += d
-    v, _ = _simplex_scaled(lam, cfg.power_budget)
-    return float(np.sum((v - lam) ** 2)) + (b.size - lam.size) * c ** 2
-
-
-def _nearest_rank_precoder(cfg: SceneConfig) -> Precoder:
-    """S_K(0) = Pi_{C_K}(R_D), the nearest rank-K covariance to R_D, as the
-    precoder F (N x K, zero-padded) with F F^H = S_K(0), from a dense
-    ``eigh`` of R_D, whose ties it breaks as that ``eigh`` does; ConfigError
-    if its dense ||F F^H - R_D||^2 exceeds gamma."""
+def _nearest_rank(cfg: SceneConfig) -> tuple[np.ndarray, float]:
+    """(F, ||F F^H - R_D||^2) of S_K(0) = Pi_{C_K}(R_D), the nearest rank-K
+    covariance to R_D (``_nearest_rank_of``); ConfigError if its dense
+    distance exceeds gamma."""
     gamma, k = cfg.beampattern_tol, cfg.n_users
-    r_d = _target(cfg)[3]
-    w, u = np.linalg.eigh(r_d)
-    f = np.zeros((r_d.shape[0], k), dtype=complex)
-    f[:, :min(k, w.size)] = u[:, -k:] * np.sqrt(
-        _simplex_scaled(w[-k:], cfg.power_budget)[0])
-    dist2 = _distance2(f, r_d)
+    f, dist2 = _nearest_rank_of(cfg.n_tx, cfg.power_budget,
+                                cfg.beampattern_mix, cfg.radar_irs_azimuth,
+                                cfg.spacing_over_lambda, k)
     if dist2 > gamma:
         raise ConfigError(f"beampattern ball too tight: the nearest {k}-column "
                           f"precoder to R_D is at squared distance {dist2:.6g} "
                           f"> {gamma:.6g}")
-    return Precoder(f)
+    return f, dist2
+
+
+# one dense eigh of R_D per scene and K, as R_D is one per scene (_target_of)
+@functools.lru_cache(maxsize=16)
+def _nearest_rank_of(n: int, p_t: float, mix: float, azimuth: float,
+                     spacing: float, k: int) -> tuple[np.ndarray, float]:
+    """S_K(0) as the factor F (N x K, zero-padded, read-only) with
+    F F^H = S_K(0), from a dense ``eigh`` of R_D, whose ties it breaks as
+    that ``eigh`` does, and its dense squared distance from R_D."""
+    r_d = _target_of(n, p_t, mix, azimuth, spacing)[3]
+    w, u = np.linalg.eigh(r_d)
+    f = np.zeros((n, k), dtype=complex)
+    f[:, :min(k, n)] = u[:, -k:] * np.sqrt(_simplex_scaled(w[-k:], p_t)[0])
+    f.flags.writeable = False
+    return f, _distance2(f, r_d)
 
 
 def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
@@ -586,12 +594,14 @@ def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
     one r x r ``eigh``), so Omega is not passed again, and tests each
     factor F by the dense ||F F^H - R_D||^2, so the precoder returned lies
     inside the ball as computed.  S_K(0), the
-    nearest rank-K covariance to R_D (``_nearest_rank_precoder``), is the
-    answer when S has neither a factor nor an in-ball scale, where it lies
-    on the sphere (a search from there picks among R_D's tied eigenvectors
-    by rounding), and where no t > 0 tests inside; the same routine is
-    ``validate_beampattern_target``'s test, and ConfigError if it lies
-    outside.  R_D is the scene's ``default_beampattern_target``.
+    nearest rank-K covariance to R_D (``_nearest_rank``, formed once per
+    scene and read only after the test at t_in), is the search's t = 0
+    end, and the answer when S has neither a factor nor an in-ball scale,
+    where it lies on the sphere (a search from there picks among R_D's
+    tied eigenvectors by rounding), and where no t > 0 tests inside; the
+    same routine is ``validate_beampattern_target``'s test, and
+    ConfigError if it lies outside.  R_D is the scene's
+    ``default_beampattern_target``.
     """
     gamma, k = cfg.beampattern_tol, cfg.n_users
     if s.factor is not None and s.factor.shape[1] <= k:
@@ -609,16 +619,13 @@ def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
             f = form.rank_factor(t, k)
             return f, _distance2(f, r_d)
 
-        f, dist2 = point(t_in)
-        if dist2 <= gamma:
-            return Precoder(f)
-        near2 = _nearest_rank_dist2(cfg, k)
-        # on the sphere, S_K(0) is kept: nearer t, d_K(t) is gamma up to
-        # rounding, and the top K of R_D's tied eigenvalues are picked by it
-        if near2 < gamma:
-            (t, f, _), _ = _kkt_root(point, gamma, (0.0, None, near2),
-                                     (t_in, f, dist2), form.slack,
-                                     _KKT_REL_WIDTH * t_in)
-            if t > 0.0:
-                return Precoder(f)
-    return _nearest_rank_precoder(cfg)
+        hi = (t_in, *point(t_in))
+        if hi[2] <= gamma:
+            return Precoder(hi[1])
+    lo = (0.0, *_nearest_rank(cfg))
+    # on the sphere, S_K(0) is kept: nearer t, d_K(t) is gamma up to
+    # rounding, and the top K of R_D's tied eigenvalues are picked by it
+    if t_in > 0.0 and lo[2] < gamma:
+        lo, _ = _kkt_root(point, gamma, lo, hi, form.slack,
+                          _KKT_REL_WIDTH * t_in)
+    return Precoder(lo[1].copy())

@@ -178,7 +178,7 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     exceed 1 whatever R* is: the bound is at least the relaxation optimum,
     which is at least every unit-modulus value.  Every sample count must be
     an integer >= 1, as ``n_g_grid`` of a config, and the whole grid is
-    checked before the first draw.
+    checked before the first draw; a bound of 0 (A = 0) is a ConfigError.
     """
     n_g_grid = list(n_g_grid)
     require_integer(SimpleNamespace(n_g_grid=n_g_grid), {"n_g_grid[]": COUNT})
@@ -187,6 +187,9 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
         raise ConfigError("reference covariance must have unit diagonal")
     a = hermitize(a)
     sdp_obj = unit_diag_dual_bound(a, r_star)
+    if not sdp_obj > 0.0:
+        raise ConfigError(f"the relaxation bound is {sdp_obj!r}, so no ratio "
+                          f"is defined: A is zero, as U3 is at beta = 1")
     half, mu, e_h = _study_factors(a, r_star)
     screen = None
     reports = []

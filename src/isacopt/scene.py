@@ -222,32 +222,45 @@ def make_channels(cfg: SceneConfig, rng: np.random.Generator) -> ChannelSet:
 # --- JSON configuration loading -------------------------------------------
 #
 # dB-valued keys carry a "_db" suffix (plain ratio) or "_dbm" suffix (power
-# referenced to 1 mW) and are converted on load.  The round-trip coefficient
-# is configured through its magnitude as "alpha_mag" or "alpha_mag_db".
+# referenced to 1 mW) and are converted on load: a power takes either, a
+# power ratio "_db" only, and no other field a suffix.  The round-trip
+# coefficient is configured through its magnitude as "alpha_mag" or
+# "alpha_mag_db".
 
 _ALPHA_KEYS = {"alpha_mag": complex,
                "alpha_mag_db": lambda v: complex(db_to_linear(v))}
+_DB_UNITS = {"db": ("dB", db_to_linear), "dbm": ("dBm", dbm_to_watts)}
+# The suffixes each dB-valued field takes.
+DB_FIELDS = {
+    **dict.fromkeys(("power_budget", "sigma2_radar", "sigma2_comm"),
+                    ("db", "dbm")),
+    **dict.fromkeys(("rician_g", "rician_h", "rician_f", "eps_rel"),
+                    ("db",))}
 
 
 def convert_suffixed(raw: dict, valid_names: set[str], where: str) -> dict:
     """Map JSON-style keys onto field names, converting dB-suffixed values.
 
     Raises ConfigError for a section that is not an object, a key that
-    names no field in ``valid_names``, two keys that set the same field,
-    and a converted value that is not a real number.
+    names no field in ``valid_names``, a dB suffix on a field that does not
+    take it (``DB_FIELDS``), two keys that set the same field, and a
+    converted value that is not a real number.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
     out: dict = {}
     for key, value in raw.items():
+        base, _, suffix = key.rpartition("_")
         if key in _ALPHA_KEYS and "alpha" in valid_names:
             name, convert = "alpha", _ALPHA_KEYS[key]
-        elif key.endswith("_dbm") and key[:-4] in valid_names:
-            name, convert = key[:-4], dbm_to_watts
-        elif key.endswith("_db") and key[:-3] in valid_names:
-            name, convert = key[:-3], db_to_linear
         elif key in valid_names:
             name, convert = key, None
+        elif suffix in _DB_UNITS and base in valid_names:
+            unit, convert = _DB_UNITS[suffix]
+            if suffix not in DB_FIELDS.get(base, ()):
+                raise ConfigError(f"{where}: '{key}': {base} takes no value "
+                                  f"in {unit}")
+            name = base
         else:
             raise ConfigError(f"{where}: unknown key '{key}'")
         if name in out:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import logging
 import tracemalloc
 
@@ -6,14 +7,16 @@ import numpy as np
 import pytest
 
 import isacopt.irs as irs
-from isacopt import (ConfigError, IrsPhase, SceneConfig, SolverOptions,
-                     alternating, default_beampattern_target,
-                     factor_precoder, make_channels, run_alternating,
-                     solve_irs_minorization, solve_relaxed, weighted_snr)
+from isacopt import (ConfigError, IrsPhase, MonotonicityError, Precoder,
+                     SceneConfig, SolverOptions, alternating,
+                     default_beampattern_target, factor_precoder,
+                     load_experiment_spec, make_channels, run_alternating,
+                     run_experiment, solve_irs_minorization, solve_relaxed,
+                     weighted_snr)
 from isacopt.objective import ChannelConstants
 
 from conftest import random_scene, small_config
-from reference import objective_snapshot
+from reference import objective_snapshot, plain_linearization
 
 
 def tiny_scene(seed=0, **kwargs):
@@ -357,3 +360,71 @@ class TestSlackOuterIteration:
         assert inner.end[1][0] == trace.objective_per_outer[0]
         p_nz = own.p.compress(own.p.any(axis=0), axis=1)
         assert channels.score(p_nz)[1][0] == trace.precoder_obj_per_outer[0]
+
+
+class TestLoopGuards:
+    """The guards of the loop that shipped configs never trip: an inner
+    map that dips, and a recovered precoder that scores below the
+    incumbent."""
+
+    @staticmethod
+    def plain_maps(monkeypatch):
+        # the paper's plain linearization, with no anchor: not ascent-safe
+        # on radar-heavy scenes (TestMinorizationSolver hunts one)
+        monkeypatch.setattr(
+            irs.SurrogateFactors, "linearize",
+            lambda factors, channels, y: plain_linearization(
+                factors, channels.theta.theta))
+
+    def test_inner_dip_raises_through_the_loop(self, monkeypatch):
+        self.plain_maps(monkeypatch)
+        cfg, ch, p, theta0 = random_scene(np.random.default_rng([99, 1]),
+                                          l_rows=2, l_cols=3, beta=0.97,
+                                          alpha=1.0 + 0.0j)
+        with pytest.raises(MonotonicityError, match="^objective decreased"):
+            solve_irs_minorization(theta0, p, ChannelConstants(ch, cfg),
+                                   inner_max=150)
+        with pytest.raises(MonotonicityError,
+                           match="^outer iteration 1: objective decreased"):
+            run_alternating(ch, cfg, opts=SolverOptions(inner_max=150))
+
+    def test_inner_dip_lands_in_the_sidecar(self, tmp_path, monkeypatch):
+        self.plain_maps(monkeypatch)
+        spec = load_experiment_spec({
+            "kind": "convergence",
+            "scene": {"n_tx": 3, "n_rx": 3, "n_users": 2, "irs_rows": 2,
+                      "irs_cols": 3, "alpha_mag": 1.0},
+            "solver": {"t_max": 3, "inner_max": 150}, "beta_values": [0.97],
+            "trials": 2, "output_dir": str(tmp_path)})
+        result = run_experiment(spec)
+        meta = json.loads(
+            (tmp_path / "convergence_beta0.97.csv.meta.json").read_text())
+        assert meta["trial_errors"] == result.trial_errors
+        assert [(e["point"], e["trial"]) for e in meta["trial_errors"]] \
+            == [(0, 0), (0, 1)]
+        for error in meta["trial_errors"]:
+            assert error["error"].startswith(
+                "MonotonicityError: outer iteration 1: objective decreased")
+
+    def test_recovered_precoder_below_incumbent_is_dropped(self,
+                                                           monkeypatch):
+        # the second recovery returns its precoder at a millionth of its
+        # power, which scores below the incumbent
+        recovered = []
+
+        def weak_second(s, cfg):
+            p = factor_precoder(s, cfg)
+            recovered.append(p)
+            return Precoder(1e-3 * p.p) if len(recovered) == 2 else p
+
+        monkeypatch.setattr(alternating, "factor_precoder", weak_second)
+        cfg, ch = tiny_scene(seed=3)
+        p, _, trace = run_alternating(
+            ch, cfg, opts=SolverOptions(t_max=3, eps_rel=1e-12))
+        assert len(recovered) == 3
+        assert trace.precoder_dips == [2]
+        # the incumbent's score stands in for the dropped one
+        assert trace.precoder_obj_per_outer[1] == trace.objective_per_outer[0]
+        assert p is recovered[2]
+        g = trace.objective_per_outer
+        assert all(b >= a for a, b in zip(g, g[1:]))

@@ -412,6 +412,36 @@ class TestHugeCounts:
         if code:
             assert f"config error: n_g_grid[0] = {n_g}: " in done.stderr
 
+    # Each load-time check of the sweep table, the ratio study's radar
+    # weight and the beampattern check's count, by the text its error
+    # starts with: (shipped config, overrides of its fields).  The memory
+    # is patched to 8 GiB and the address space capped at 2 GiB, so a
+    # count that were missed would fail at once.
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    @pytest.mark.parametrize("message,case", [
+        ("l_values[0] = 8 and l_values[1] = 8 share the value 8",
+         ("ratio", {"l_values": [8, 8]})),
+        ("n_g_grid[0] = 10 and n_g_grid[1] = 10 share the value 10",
+         ("ratio", {"n_g_grid": [10, 10]})),
+        ("a ratio experiment does not read beta_values",
+         ("ratio", {"beta_values": [0.5]})),
+        ("a convergence experiment does not read l_values",
+         ("convergence", {"l_values": [36]})),
+        ("scene.beta = 1: ", ("ratio", {"scene": {"beta": 1}})),
+        ("n_tx = 12000, n_users = 5: the beampattern check's arrays take",
+         ("convergence", {"scene": {"n_tx": 12000, "n_rx": 12000}})),
+        ("n_tx = 16, n_users = 67108864: the beampattern check's arrays take",
+         ("convergence", {"scene": {"n_users": 2 ** 26}})),
+    ], ids=["l_repeated", "n_g_repeated", "ratio_beta_values",
+            "convergence_l_values", "ratio_beta_one", "n_tx", "n_users"])
+    def test_load_check_exits_2(self, tmp_path, command, message, case):
+        config = write_shipped(tmp_path, *case)
+        done, out = self._cli(tmp_path, command, config, memory=8 << 30,
+                              preexec_fn=_limit_address_space)
+        assert done.returncode == 2, done.stderr
+        assert f"config error: {message}" in done.stderr
+        assert not out.exists()
+
     def test_surfaces_counted_within_memory_load(self, tmp_path):
         config = write_shipped(tmp_path, "ratio", {"l_values": [8, 36]})
         done, _ = self._cli(tmp_path, "validate-config", config,

@@ -17,6 +17,7 @@ from isacopt.alternating import initial_phases
 from isacopt.harness import (aggregate_convergence, config_hash, format_cell,
                              near_square_grid, read_csv_rows,
                              solver_options_from_dict)
+from isacopt.precoder import target_check_bytes
 
 def small_scene_dict():
     return {"n_tx": 3, "n_rx": 3, "n_users": 2, "irs_rows": 2, "irs_cols": 2,
@@ -59,6 +60,66 @@ class TestSpecLoading:
             make_spec(tmp_path, beta_values=[1.5])
         with pytest.raises(ConfigError, match=r"beta_values\[1\]"):
             make_spec(tmp_path, beta_values=[0.5, 10 ** 400])
+
+    def test_every_kind_reads_named_sweeps(self):
+        assert set(harness.KIND_SWEEPS) == set(harness.EXPERIMENT_KINDS)
+        for reads in harness.KIND_SWEEPS.values():
+            assert reads and set(reads) <= set(harness.SWEEP_KEYS)
+
+    # each read sweep holds distinct points, and each other sweep is empty
+    @pytest.mark.parametrize("overrides,message", [
+        ({"kind": "scaling", "beta_values": [], "l_values": [8, 8]},
+         r"l_values\[0\] = 8 and l_values\[1\] = 8 share the value 8"),
+        ({"kind": "ratio", "beta_values": [], "l_values": [4],
+          "n_g_grid": [10, 20, 10]},
+         r"n_g_grid\[0\] = 10 and n_g_grid\[2\] = 10 share the value 10"),
+        ({"kind": "ratio", "l_values": [4], "n_g_grid": [10]},
+         "a ratio experiment does not read beta_values, which must be empty"),
+        ({"kind": "scaling", "beta_values": [], "l_values": [4],
+          "n_g_grid": [10]},
+         "a scaling experiment does not read n_g_grid"),
+        ({"l_values": [4]}, "a convergence experiment does not read l_values"),
+    ], ids=["l_repeated", "n_g_repeated", "ratio_beta", "scaling_n_g",
+            "convergence_l"])
+    def test_sweep_table(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            make_spec(tmp_path, **overrides)
+
+    def test_ratio_at_beta_one_rejected(self, tmp_path):
+        # A = U3 carries the weight 1 - beta, so its bound is 0 at beta = 1
+        scene = {**small_scene_dict(), "beta": 1}
+        with pytest.raises(ConfigError, match="scene.beta = 1: "):
+            make_spec(tmp_path, kind="ratio", beta_values=[], l_values=[4],
+                      n_g_grid=[5], scene=scene)
+        # the other studies take beta = 1
+        make_spec(tmp_path, beta_values=[1.0])
+        make_spec(tmp_path, kind="scaling", beta_values=[], l_values=[4],
+                  scene=scene)
+
+    def test_target_counted_before_its_check(self, tmp_path, monkeypatch):
+        checks = []
+        monkeypatch.setattr(harness, "validate_beampattern_target",
+                            checks.append)
+        need = target_check_bytes(3, 2)
+        monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ConfigError,
+                           match="n_tx = 3, n_users = 2: the beampattern "
+                                 "check's arrays take .* do not fit in"):
+            make_spec(tmp_path)
+        assert checks == []
+        monkeypatch.setattr(harness, "_physical_memory", lambda: need)
+        assert make_spec(tmp_path).scene in checks
+
+    def test_user_count_counted_in_a_trial(self, tmp_path, monkeypatch):
+        # the phase step's Gram matrix has side 2 + n_users min(n_users,
+        # n_tx): 2^14 users of 3 antennas take 36 GiB of it, though the
+        # beampattern check takes under 6 MiB
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 8 << 30)
+        scene = {**small_scene_dict(), "n_users": 2 ** 14}
+        with pytest.raises(ConfigError,
+                           match=r"irs_rows \* irs_cols = 4: a trial's arrays "
+                                 r"at n_tx = 3, n_users = 16384 take"):
+            make_spec(tmp_path, scene=scene)
 
     # a count must be an index numpy can take, at most 2**63 - 1
     @pytest.mark.parametrize("field", ["trials", "threads", "l_values",
@@ -153,6 +214,10 @@ class TestConfigProperty:
     def test_rejected_on_load_or_feasible(self, raw):
         # a config either fails when it loads, or every sweep point runs to
         # a finite precoder on the power budget and inside the ball
+        # the sweeps the kind does not read are left out, as they must be
+        raw = {key: value for key, value in raw.items()
+               if key not in harness.SWEEP_KEYS
+               or key in harness.KIND_SWEEPS[raw["kind"]]}
         scene = {**raw["scene"], "n_rx": raw["scene"]["n_tx"]}
         try:
             spec = load_experiment_spec({**raw, "scene": scene})

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from isacopt import (ChannelSet, ConfigError, IrsPhase, RelaxedCovariance,
                      factor_precoder, make_channels, precoder_objective,
                      project_ball, project_psd, project_spectrahedron,
                      relaxed_objective, solve_relaxed)
-from isacopt import precoder
+from isacopt import harness, precoder
 from isacopt.objective import ChannelConstants, hermitize
 from isacopt.precoder import validate_beampattern_target
 from isacopt.scene import SceneConfig, complex_normal
@@ -862,13 +867,75 @@ class TestBeampatternTarget:
         assert np.linalg.eigvalsh(hermitize(r_d))[0] >= -1e-15 * p_t
         assert abs(float(np.trace(r_d).real) - p_t) <= 1e-15 * p_t
 
-    def test_memory_error_is_config_error(self, monkeypatch):
-        # R_D, the first array S_K(0) reads, cannot be allocated
-        def no_memory(cfg):
-            raise MemoryError("stand-in")
-        monkeypatch.setattr(precoder, "_target", no_memory)
-        cfg = SceneConfig(n_tx=7, n_rx=7, n_users=3)
-        with pytest.raises(ConfigError,
-                           match="n_tx = 7, n_users = 3: .* do not fit in "
-                                 "memory \\(stand-in\\)"):
-            validate_beampattern_target(cfg)
+    def test_nearest_rank_formed_once_per_scene(self, monkeypatch):
+        # S_K(0)'s dense N x N eigh runs once for the scene, however many
+        # recoveries read it: the load check, the t = 0 end of each rank-K
+        # search and the last resort; the precoders they return are the
+        # callers' own
+        cfg = small_config(n_tx=12, k=5, beampattern_tol=0.1,
+                           beampattern_mix=0.37)
+        precoder._nearest_rank_of.cache_clear()
+        dense, reads, eigh = [], [], np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            if a.shape[-1] == cfg.n_tx:      # the forms' eigh are r <= K + 2
+                dense.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        nearest = precoder._nearest_rank
+        monkeypatch.setattr(precoder, "_nearest_rank",
+                            lambda c: reads.append(c) or nearest(c))
+        validate_beampattern_target(cfg)
+        rng = np.random.default_rng(11)
+        r_d = default_beampattern_target(cfg)
+        for _ in range(30):
+            # 1 + K rows, as the effective channels give them
+            rows, _ = omega_rows(complex_normal(rng, 1 + cfg.n_users, cfg.n_tx),
+                                 rng.uniform(0.5, 2.0, 1 + cfg.n_users))
+            p = factor_precoder(solve_relaxed(rows, cfg), cfg)
+            assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) \
+                <= cfg.beampattern_tol
+        last = factor_precoder(RelaxedCovariance(r_d), cfg)
+        assert last.p.flags.writeable
+        assert len(reads) > 10
+        assert dense == [(cfg.n_tx, cfg.n_tx)]
+
+
+_CHECK_PEAK = """
+import json, sys
+from isacopt import harness
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(1024 * int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+
+before = peak()
+spec = harness.load_experiment_spec(
+    sys.argv[1], {"scene": {"n_tx": 1024, "n_rx": 1024, "n_users": 5}})
+print(json.dumps({"n_tx": spec.scene.n_tx, "n_users": spec.scene.n_users,
+                  "grown_bytes": peak() - before}))
+"""
+
+
+class TestTargetCheckBytes:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads VmHWM from /proc")
+    def test_load_stays_within_the_counted_bytes(self):
+        # 1024 antennas load; the load's peak growth, almost all of it the
+        # beampattern check's, was 87 MB against the 105 MB counted.  Half
+        # the count bounds it below: the count is not loose.
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(precoder.__file__).resolve().parent.parent)
+        env = {**os.environ, **dict.fromkeys(harness.BLAS_THREAD_VARS, "1"),
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-c", _CHECK_PEAK,
+             str(root / "configs/convergence.json")],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        out = json.loads(done.stdout)
+        counted = precoder.target_check_bytes(out["n_tx"], out["n_users"])
+        assert out["n_tx"] == 1024
+        assert counted / 2 <= out["grown_bytes"] <= counted

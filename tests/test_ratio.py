@@ -24,6 +24,13 @@ from reference import (dense_power_method, dense_ratio_study,
 
 
 class TestApproximationRatio:
+    def test_zero_bound_is_a_config_error(self):
+        # at beta = 1 the weight 1 - beta of the communication terms zeroes
+        # A = U3, and with it the bound: no ratio, rather than 0 / 0
+        cfg = scene_config_from_dict({"beta": 1, "irs_rows": 2, "irs_cols": 4})
+        with pytest.raises(ConfigError, match=r"relaxation bound is 0\.0"):
+            harness._ratio_trial((cfg, SolverOptions(t_max=2), [10], 0, 0, 0))
+
     def test_ratio_above_one_is_a_solver_error(self):
         # a reference objective below a unit-modulus value is a numerical
         # fault, not a config fault: SolverError (exit 3), not ConfigError.

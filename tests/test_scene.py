@@ -4,11 +4,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from isacopt import (ConfigError, SceneConfig, db_to_linear, dbm_to_watts,
-                     make_channels, rician_channel, ula_spacing_check,
-                     upa_steering)
-from isacopt.scene import (_SCENE_COUNTS, _SCENE_REALS, ChannelSet,
-                           complex_normal, scene_config_from_dict,
+from isacopt import (ConfigError, SceneConfig, SolverOptions, db_to_linear,
+                     dbm_to_watts, make_channels, rician_channel,
+                     ula_spacing_check, upa_steering)
+from isacopt.scene import (_SCENE_COUNTS, _SCENE_REALS, DB_FIELDS,
+                           ChannelSet, complex_normal, scene_config_from_dict,
                            ula_steering)
 from reference import (kron_upa_steering, reference_complex_normal,
                        reference_make_channels, reference_rician_channel)
@@ -244,13 +244,34 @@ class TestJsonLoading:
         cfg = scene_config_from_dict({
             "power_budget_dbm": 30, "sigma2_radar_dbm": 0,
             "sigma2_comm_dbm": 0, "alpha_mag_db": -20,
-            "beampattern_tol_db": 10, "rician_g_db": 0,
+            "rician_g_db": 0, "rician_h_db": 10, "rician_f_db": -10,
         })
         assert cfg.power_budget == pytest.approx(1.0)
         assert cfg.sigma2_radar == pytest.approx(1e-3)
         assert abs(cfg.alpha) == pytest.approx(0.01)
-        assert cfg.beampattern_tol == pytest.approx(10.0)
         assert cfg.rician_g == pytest.approx(1.0)
+        assert cfg.rician_h == pytest.approx(10.0)
+        assert cfg.rician_f == pytest.approx(0.1)
+        # a power in dB is in watts
+        assert scene_config_from_dict(
+            {"power_budget_db": 10}).power_budget == pytest.approx(10.0)
+
+    # a suffix on a field that is no power (dB or dBm) or power ratio (dB)
+    # is named, not converted: each of these loaded as a number before
+    @pytest.mark.parametrize("key", [
+        "radar_irs_azimuth_db", "target_azimuth_dbm", "beta_db", "n_tx_db",
+        "beampattern_tol_db", "rician_g_dbm", "spacing_over_lambda_db"])
+    def test_suffix_on_other_field_rejected(self, key):
+        name, _, unit = key.rpartition("_")
+        unit = {"db": "dB", "dbm": "dBm"}[unit]
+        with pytest.raises(ConfigError,
+                           match=f"'{key}': {name} takes no value in {unit}"):
+            scene_config_from_dict({key: 1})
+
+    def test_db_fields_are_fields(self):
+        names = ({f.name for f in fields(SceneConfig)}
+                 | {f.name for f in fields(SolverOptions)})
+        assert set(DB_FIELDS) <= names
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
