@@ -356,10 +356,10 @@ def _ratio_trial(args):
     cfg, opts, n_g_grid, master_seed, point, trial = args
     cfg, ch, rng = _trial_inputs(cfg, master_seed, point, trial)
     precoder, _, _ = run_alternating(ch, cfg, opts=opts, rng=rng)
-    a_mat, _ = build_quadratic_terms(precoder, ch, cfg)
-    r_star = solve_unit_diag_relaxation(a_mat)
+    a, _ = build_quadratic_terms(precoder, ch, cfg)
+    r_star = solve_unit_diag_relaxation(a)
     return [(r.n_samples, trial, r.ratio, r.best_objective, r.sdp_objective)
-            for r in approximation_ratio_study(a_mat, r_star, n_g_grid, rng)]
+            for r in approximation_ratio_study(a, r_star, n_g_grid, rng)]
 
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

@@ -27,6 +27,7 @@ cached on the ``ChannelSet``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -159,6 +160,16 @@ class ChannelConstants:
         self.a_conj = ch.steer.conj()
         self.c, self.cc = quartic_coefficient(cfg), comm_coefficient(cfg)
         self.alpha2 = abs(cfg.alpha) ** 2
+
+    @functools.cached_property
+    def abs_channels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(|G|^T |a|, |F| + |H| |G|): t = G^T (theta o a) and C in
+        absolute value, the same at every theta, which bound the rounding
+        of a computed objective (``irs.SurrogateFactors.dip_allowance``);
+        formed on first use, once per run."""
+        g_abs = np.abs(self.g)
+        return (np.abs(self.steer) @ g_abs,
+                np.abs(self.h) @ g_abs + np.abs(self.f))
 
     def channels(self, theta: IrsPhase) -> "EffectiveChannels":
         """t = G^T (theta o a) and C = (H o theta^T) G + F at theta, written

@@ -3,24 +3,32 @@ unit-diagonal relaxation.
 
 The paper's closed-form phase update is the low-complexity alternative to
 a semidefinite relaxation; this study measures that trade.  At the
-precoder of an alternating run, the communication form U3 of the phase
-problem (``build_quadratic_terms``, dense, Hermitian PSD) is the matrix A
-of the unit-modulus problem max x^H A x.  Its unit-diagonal relaxation
-max tr(A R) over {R >= 0, diag(R) = 1} is solved by the same
-minorization step (a generalized power method), run on coordinates in
-the eigenbasis of A at its rank in guarded SQUAREM cycles
-(``squarem.squarem_ascent``, shared with the phase step) until the
-fixed-point residual falls to 1e-10 (``solve_unit_diag_relaxation``).  A
-dual certificate bounds the relaxation (``unit_diag_dual_bound``), and
-draws and scores are formed at the rank of R* and of A
-(``approximation_ratio_study``): each sample count takes 2 r n_g standard
-normals, r the number of eigenpairs of R* above rounding level.  The
-candidates are ranked in single precision, each score with a derived
+precoder of an alternating run, the communication form U3 = cc Psi Psi^H
+of the phase problem is the matrix A of the unit-modulus problem
+max x^H A x, and it travels as its m rows Psi^H with their weights
+(``build_quadratic_terms``, an ``objective.OmegaRows``; m = K K', 5 on the
+shipped scenes).  Its unit-diagonal relaxation max tr(A R) over
+{R >= 0, diag(R) = 1} is solved by the same minorization step (a
+generalized power method), run on coordinates in the eigenbasis of A at
+its rank in guarded SQUAREM cycles (``squarem.squarem_ascent``, shared
+with the phase step) until the fixed-point residual falls to 1e-10
+(``solve_unit_diag_relaxation``); A's eigenpairs come from a thin QR of
+the rows and one m x m ``eigh`` (``_form_eigenpairs``), and R* = Z^H Z
+travels as its factor Z (``GramFactor``, r x L), which reads as an L x L
+array only where a caller asks.  A dual certificate bounds the relaxation
+(``unit_diag_dual_bound``): lambda_min(Diag(y) - A) from m x m Schur
+complements in a safeguarded root search, and densely only where some
+y_i <= 0 or the search cannot certify.  Draws and scores are formed at
+the rank of R* and of A (``approximation_ratio_study``): R*'s eigenpairs
+come from the r x r Gram matrix Z Z^H, and each sample count takes 2 r n_g
+standard normals, r the number of eigenpairs of R* above rounding level.
+The candidates are ranked in single precision, each score with a derived
 bound on its distance from the double-precision one (``_Screen``), and
 only those the bounds cannot rule out are scored again in double
 precision, so the winner is the one a double-precision pass over every
 candidate picks.  Where r = 1 every candidate is one vector up to a
-phase, and no candidate pass runs.
+phase, and no candidate pass runs.  Where the certificate is factored, a
+trial decomposes no L x L matrix and forms no L x L array.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import COUNT, ConfigError, SolverError, require_integer
-from .objective import Precoder, comm_coefficient, hermitize
+from .objective import OmegaRows, Precoder, comm_coefficient, hermitize
 from .scene import ChannelSet, SceneConfig
 from .squarem import squarem_ascent
 
@@ -42,6 +50,9 @@ _RATIO_CHUNK = 512
 # ascent stops, and its cap on maps.
 _UNIT_DIAG_TOL = 1e-10
 _UNIT_DIAG_MAX_STEPS = 10_000
+# Newton steps of the factored certificate before it falls back to the
+# dense one.
+_SCHUR_MAX_STEPS = 60
 _EPS = float(np.finfo(float).eps)
 # Unit roundoffs of single and double precision.
 _U32 = 2.0 ** -24
@@ -56,13 +67,13 @@ def _gamma(n: int, u: float) -> float:
 
 
 def _unit_diag_allowance(n: int) -> float:
-    """How far a computed R* = Z^H Z with unit-norm columns, Z with n
-    columns of at most n rows, may leave the unit diagonal: gamma_{3n+6}
-    at double precision.  Normalizing a column (|g_k| squared and summed,
-    a square root, a divide) leaves ||z||^2 = 1 + theta_{n+6}, and the
-    Gram product's diagonal, a sum of 2n nonnegative terms, adds
-    theta_{2n}; ``hermitize`` keeps a real diagonal entry exactly.  It is
-    1.3e-14 at n = 36."""
+    """How far a computed squared column norm of R* = Z^H Z, Z with n
+    columns of at most n rows and unit-norm columns, may leave 1:
+    gamma_{3n+6} at double precision.  Normalizing a column (|g_k|
+    squared and summed, a square root, a divide) leaves ||z||^2 =
+    1 + theta_{n+6}, and its squared norm read back, a sum of 2n
+    nonnegative terms, adds theta_{2n}, as the diagonal of the dense Gram
+    product does.  It is 1.3e-14 at n = 36."""
     return _gamma(3 * n + 6, _U64)
 
 
@@ -90,66 +101,208 @@ class RandomizationReport:
 
 def study_bytes(l: int, n_g: int, n_users: int) -> int:
     """Bytes one ratio trial holds at its peak beyond its channels, on a
-    surface of L elements with sample counts up to n_g: 10 L x L complex
-    arrays, one L x ``_RATIO_CHUNK`` complex candidate block with its
-    magnitudes (the double-precision ranking; the single-precision screen's
-    2L x ``_RATIO_CHUNK`` block and its squares take less), and per sample
-    the draw block's 2r float64 rows, their float32 copy and eight float64
-    per-candidate values.  r, the rank of R*, is at most min(L, K^2) for
-    K = ``n_users``: R* = Z^H Z with Z at the rank of A = U3, which is at
-    most K rank(P) <= K^2 (a zero column of A adds one, and drawn channels
-    give none).  Measured as the growth of a fresh process's peak
-    resident set over one trial of ``configs/ratio.json``, LAPACK's
-    workspace included: 9.4, 10.1 and 8.6 L x L arrays' worth at L = 512,
-    1024 and 1536 (one BLAS thread, numpy 2.4.6, OpenBLAS 0.3.31,
-    x86-64)."""
+    surface of L elements with sample counts up to n_g.  The certificate
+    and the candidate pass run one after the other, so the peak is the
+    larger of the two, over what the trial keeps at rank:
+
+    - the dense certificate's fallback (``_dense_lambda``): two L x L
+      complex arrays, the matrix and ``eigvalsh``'s copy of it (the
+      factored certificate takes O(L m));
+    - the pass: one L x ``_RATIO_CHUNK`` complex candidate block with its
+      magnitudes (the double-precision ranking; the single-precision
+      screen's 2L x ``_RATIO_CHUNK`` block and its squares take less), and
+      per sample the draw block's 2r float64 rows, their float32 copy and
+      eight float64 per-candidate values;
+    - at rank, eight complex arrays of r x L at a time: A's rows, R*'s
+      factor and the basis E, with the relaxation's SQUAREM points and the
+      certificate's products.
+
+    r, the rank of A = U3 and of R*, is at most min(L, K^2) for K =
+    ``n_users``: U3 has K rank(P) <= K^2 rows, and R* = Z^H Z with Z at
+    the rank of U3 (a zero column of A adds one row, and drawn channels
+    give none).  Measured as the growth of a fresh process's peak resident
+    set over one trial of ``configs/ratio.json`` at L = 512, 1024 and
+    1536 (one BLAS thread, numpy 2.4.6, OpenBLAS 0.3.31, x86-64), where
+    the count is 14.6, 36.8 and 80.4 MB: 5.6, 14.9 and 22.2 MB with the
+    factored certificate, and 8.8, 35.0 and 78.3 MB with the dense
+    fallback forced."""
     rank = min(l, n_users ** 2)
-    return 16 * l * 10 * l + 24 * l * _RATIO_CHUNK + (24 * rank + 64) * n_g
+    certificate = 2 * 16 * l * l
+    candidates = 24 * l * _RATIO_CHUNK + (24 * rank + 64) * n_g
+    return max(certificate, candidates) + 8 * 16 * rank * l
 
 
 def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense quadratic form U3 (Hermitian PSD by the Schur product theorem)
-    and linear coefficient mu = diag(U4) of the communication terms.
+                          ) -> tuple[OmegaRows, np.ndarray]:
+    """U3 = cc Psi Psi^H (Hermitian PSD) as its ``OmegaRows``, and the
+    linear coefficient mu = diag(U4) of the communication terms.
 
-    The approximation-ratio study needs U3 as a matrix.  mu is the row
-    sums of cc (GP (FP)^H) o H^T, O(L K K_u), so the L x L U4 =
-    cc GP (FP)^H H is not formed.  The solver uses U3's factor Psi
-    (``SurrogateFactors.rows``) and forms neither U3 nor mu: the products
-    C P give U3 theta + mu*.
+    Psi has one column conj(h_k o gp_j) per user k and nonzero precoder
+    column j (``Precoder.nonzero_columns``), L x K K', so U3 is the rows
+    X = Psi^H, row k K' + j = h_k o gp_j, each of weight cc; no L x L U3
+    is formed.  mu is the row sums of cc (GP (FP)^H) o H^T, O(L K K_u),
+    so the L x L U4 = cc GP (FP)^H H is not formed either.  The solver
+    forms neither: it takes Psi^T as ``SurrogateFactors.rows[2:]``, and
+    the products C P give U3 theta + mu*.
     """
     cc = comm_coefficient(cfg)
-    gp = ch.g @ p.p
-    m = gp @ gp.conj().T
-    u3 = hermitize(cc * ((ch.h.conj().T @ ch.h) * m.T))
-    mu = cc * np.sum((gp @ (ch.f @ p.p).conj().T) * ch.h.T, axis=1)
-    return u3, mu
+    gp = ch.g @ p.nonzero_columns()
+    (k, l), kp = ch.h.shape, gp.shape[1]
+    rows = (ch.h[:, np.newaxis] * gp.T).reshape(k * kp, l)
+    gp_all = ch.g @ p.p
+    mu = cc * np.sum((gp_all @ (ch.f @ p.p).conj().T) * ch.h.T, axis=1)
+    return OmegaRows(rows, np.full(k * kp, cc)), mu
 
 
-def unit_diag_dual_bound(a: np.ndarray, r: np.ndarray) -> float:
+class GramFactor:
+    """R = Z^H Z held as its factor Z (r x L), as the unit-diagonal
+    relaxation returns R*: Z has unit-norm columns, one row per eigenpair
+    of B it kept and one unit row e_i^T per fixed coordinate i.
+
+    It reads as the L x L array Z^H Z, formed (and symmetrized) on each
+    read: ``np.asarray``, ``np.diagonal``, ``np.linalg.eigvalsh`` and
+    ``R + M`` for an array M all take it.  The ratio study reads Z alone.
+    The relaxation hands on the eigenpairs (w, E^H) of the A it solved,
+    ``form`` (``_form_eigenpairs``), which the study takes for that same
+    object instead of decomposing it again.
+    """
+
+    def __init__(self, z: np.ndarray, form: OmegaRows | None = None,
+                 pairs: tuple[np.ndarray, np.ndarray] | None = None):
+        self.z, self.form, self.pairs = z, form, pairs
+        self.shape = (z.shape[1], z.shape[1])
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("R = Z^H Z is formed from its factor: no view")
+        r = hermitize(self.z.conj().T @ self.z)
+        return r if dtype is None else r.astype(dtype, copy=False)
+
+
+def unit_diag_dual_bound(a: OmegaRows, r_star: GramFactor) -> float:
     """Certified upper bound on max tr(A R) over {R >= 0, diag(R) = 1}.
 
-    Any real y gives the bound sum(y) + L * max(0, -lambda_min(Diag(y) - A))
+    Any real y gives the bound sum(y) + L max(0, -lambda_min(Diag(y) - A))
     by weak duality (tr R = L on the feasible set).  With y = Re diag(A R)
     taken from a near-optimal R the bound is tight: it equals tr(A R) when
-    Diag(y) - A is PSD, and it is never below tr(A R).  The bound also
-    covers rounding: it adds an allowance for the floating-point error of
-    the sum and of the eigenvalue, and for that of a computed unit-modulus
-    value x^H A x, so a ratio against it stays <= 1 in floating point too
-    (the allowance is below 1e-12 relative for the matrices of the ratio
-    study).
+    Diag(y) - A is PSD, and it is never below tr(A R).  A = X^H diag(d) X
+    is given by its m rows X and R = Z^H Z by Z, and y comes from them as
+    the column sums of d o conj(X) o ((X Z^H) Z), O(L m r).
+
+    lambda_min enters through a lower bound lambda_c certified to hold in
+    exact arithmetic: where every d_a >= 0 and every y_i > 0, from m x m
+    Schur complements (``_schur_lambda``); elsewhere, or where that search
+    cannot certify, from the dense ``eigvalsh`` of Diag(y) - A formed from
+    the rows (``_dense_lambda``).  The bound adds gamma_{L+3} (sum |y_i| +
+    L max(0, -lambda_c)), which covers the rounding of the sum and of the
+    last two additions, and 4 gamma_{L+m+4} T, T = sum_a |d_a| ||x_a||_1^2,
+    which bounds how far a value x^H A x of a unit-modulus x computed as
+    sum_a d_a |x_a x|^2 (``_form_value``) may lie above the exact one: each
+    complex product x_a x is within sqrt(2) gamma_{L+2} ||x_a||_1 of its
+    value (Higham, Section 3.6), its square within 3 gamma_{L+2}
+    ||x_a||_1^2, and the weighted sum adds gamma_{m+2}.  So a ratio of such
+    a value against the bound stays <= 1 in floating point.
     """
-    a = hermitize(a)
-    n = a.shape[0]
-    y = np.real(np.sum(a * r.T, axis=1))
-    dual = np.diag(y) - a
+    x, d, z = a.rows, a.weights, r_star.z
+    n, m = z.shape[1], x.shape[0]
+    y = (d @ (x.conj() * ((x @ z.conj().T) @ z))).real
+    lam = None
+    if np.all(d >= 0.0) and np.all(y > 0.0):
+        lam = _schur_lambda(x * np.sqrt(d)[:, np.newaxis], y)
+    if lam is None:
+        lam = _dense_lambda(x, d, y)
+    deficit = n * max(0.0, -float(lam))
+    spread = float(np.abs(d) @ np.square(np.sum(np.abs(x), axis=1)))
+    rounding = (_gamma(n + 3, _U64) * (float(np.sum(np.abs(y))) + deficit)
+                + 4.0 * _gamma(n + m + 4, _U64) * spread)
+    return float(np.sum(y)) + deficit + rounding
+
+
+def _schur_lambda(f_h: np.ndarray, y: np.ndarray) -> float | None:
+    """A lower bound lambda_c <= 0 on lambda_min(Diag(y) - F F^H), y > 0,
+    F = f_h^H (L x m), certified in exact arithmetic from m x m problems;
+    None where the search does not certify one.
+
+    For lambda < min(y), D = Diag(y) - lambda I is positive definite, and
+    by the inertia of the Schur complements of [[D, F], [F^H, I]]
+    (Haynsworth, Linear Algebra Appl. 1, 1968) Diag(y) - F F^H - lambda I
+    is PSD exactly when S(lambda) = I - F^H D^-1 F is.  So lambda_min >=
+    lambda once s(lambda) = lambda_min(S(lambda)) >= 0.  s is decreasing
+    and concave in lambda (each 1/(y_i - lambda) is convex), with slope
+    -||D^-1 F v||^2 at its unit eigenvector v.  The computed s lies within
+
+        e(lambda) = sqrt(2) gamma_{L+12} tr(F^H D^-1 F)
+                    + 4 (m + 1) eps ||S||_F + eps
+
+    of the exact one: the products forming S (F from the rows and sqrt(d),
+    D^-1, the sums of L terms, I - K) err entrywise by at most
+    sqrt(2) gamma_{L+10} |F|^H D^-1 |F|, whose Frobenius norm is at most
+    its trace; ``eigh`` adds its backward error, as the dense certificate
+    counts it; and the slack covers forming e.  So lambda is certified
+    where the computed s exceeds e.  The search starts at lambda = 0,
+    where a certified s needs no more (the bound adds nothing), and takes
+    Newton steps toward s = 4 e: by concavity each lands on the right of
+    that level and they rise to it, so the first step with s > e
+    certifies, within about 4 e / |slope| of the root.  The dense
+    lambda_min of the shipped study's Diag(y) - A lies below 0 at rounding
+    level on most inputs, so one test at lambda = 0 does not suffice.  At
+    most ``_SCHUR_MAX_STEPS`` steps, each lambda <= 0 < min(y).
+    """
+    col = np.sum(np.square(f_h.real) + np.square(f_h.imag), axis=0)
+    lam = 0.0
+    for _ in range(_SCHUR_MAX_STEPS):
+        s, allow, rate = _schur_point(f_h, col, y, lam)
+        if s > allow:
+            return lam
+        if not (rate > 0.0 and math.isfinite(s)):
+            return None
+        lam -= (4.0 * allow - s) / rate
+    return None
+
+
+def _schur_point(f_h: np.ndarray, col: np.ndarray, y: np.ndarray,
+                 lam: float) -> tuple[float, float, float]:
+    """(s, e, rate) at lambda < min(y) for ``_schur_lambda``: the
+    computed s(lambda) = lambda_min(S(lambda)), its allowance e(lambda)
+    and rate = ||D^-1 F v||^2 = -ds/dlambda, with ``col`` the squared
+    column norms of f_h."""
+    n, m = f_h.shape[1], f_h.shape[0]
+    inv = 1.0 / (y - lam)
+    s = (f_h * inv) @ f_h.conj().T
+    np.negative(s, out=s)
+    s.flat[::m + 1] += 1.0                            # I - F^H D^-1 F
+    w, v = np.linalg.eigh(s)
+    allow = (math.sqrt(2.0) * _gamma(n + 12, _U64) * float(col @ inv)
+             + 4.0 * (m + 1) * _EPS * math.sqrt(np.vdot(s, s).real) + _EPS)
+    u = (v[:, 0] @ f_h.conj()) * inv                  # D^-1 F v
+    return float(w[0]), allow, float(np.vdot(u, u).real)
+
+
+def _dense_lambda(x: np.ndarray, d: np.ndarray, y: np.ndarray) -> float:
+    """A lower bound on lambda_min(Diag(y) - A), A = X^H diag(d) X, from
+    the dense L x L matrix formed from the rows: its computed ``eigvalsh``
+    less 4 (L + 1) eps ||Diag(y) - A||_F (the backward error, as the
+    dense certificate always counted it) and less gamma_{m+2} sum_a |d_a|
+    ||x_a||^2, which bounds the 2-norm of the rounding of the m-term
+    products forming A.  Two L x L complex arrays at a time: the matrix
+    and ``eigvalsh``'s copy."""
+    n, m = x.shape[1], x.shape[0]
+    dual = (x.conj().T * -d) @ x
+    dual.flat[::n + 1] += y
     lam = float(np.linalg.eigvalsh(dual)[0])
-    rounding = (4.0 * (n + 1) * _EPS
-                * (float(np.sum(np.abs(a))) + n * float(np.linalg.norm(dual))))
-    return float(np.sum(y)) + n * max(0.0, -lam) + rounding
+    trace = float(np.abs(d) @ np.sum(np.square(x.real) + np.square(x.imag),
+                                     axis=1))
+    return (lam - 4.0 * (n + 1) * _EPS * float(np.linalg.norm(dual))
+            - _gamma(m + 2, _U64) * trace)
 
 
-def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
+def _form_value(a: OmegaRows, x: np.ndarray) -> float:
+    """x^H A x = sum_a d_a |x_a x|^2 from the rows x_a of A."""
+    p = a.rows @ x
+    return float(a.weights @ (np.square(p.real) + np.square(p.imag)))
+
+
+def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
                               n_g_grid, rng: np.random.Generator
                               ) -> list[RandomizationReport]:
     """Measure the randomization quality ratio against a certified bound.
@@ -157,13 +310,14 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     For each sample count, draw xi ~ CN(0, R*), map every draw to the
     unit-modulus vector xi / |xi| (an entry with xi = 0 becomes 1), and
     report the best quadratic-form value relative to the dual bound
-    ``unit_diag_dual_bound(A, R*)``.  R* must have a unit diagonal to
-    ``_unit_diag_allowance``.  Both matrices enter at their rank
-    (``_study_factors``): xi = U_r Lambda_r^(1/2) z over the r eigenpairs
-    of R* above rounding level (lambda_j > L eps lambda_max), with
-    z ~ CN(0, I_r) drawn as one 2r x n_g block of standard normals (real
-    parts, then imaginary), so the generator advances by 2 r n_g normals
-    per sample count; and candidates x are scored by
+    ``unit_diag_dual_bound(A, R*)``.  A is given by its rows
+    (``OmegaRows``) and R* = Z^H Z by its factor (``GramFactor``), whose
+    columns must have unit norm to ``_unit_diag_allowance``.  Both enter
+    at their rank (``_study_factors``): xi = U_r Lambda_r^(1/2) z over the
+    r eigenpairs of R* above rounding level (lambda_j > L eps lambda_max),
+    with z ~ CN(0, I_r) drawn as one 2r x n_g block of standard normals
+    (real parts, then imaginary), so the generator advances by 2 r n_g
+    normals per sample count; and candidates x are scored by
     sum_i mu_i |e_i^H x|^2 over the eigenpairs (mu_i, e_i) of A above
     rounding level, the first best one in draw order winning.  The scores
     are screened in single precision, and the candidates whose bounds
@@ -173,19 +327,22 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
     zero, every candidate is u / |u| times the phase of its draw (R*'s unit
     diagonal makes |u_i| = 1), so all score alike up to rounding and the
     first wins without the pass; the draws are still taken.
-    The reported value is the winner's dense x^H A x, with x formed from
-    its draw alone, an exact unit-modulus value, so the ratio cannot
-    exceed 1 whatever R* is: the bound is at least the relaxation optimum,
-    which is at least every unit-modulus value.  Every sample count must be
-    an integer >= 1, as ``n_g_grid`` of a config, and the whole grid is
-    checked before the first draw; a bound of 0 (A = 0) is a ConfigError.
+    The reported value is the winner's x^H A x from the rows
+    (``_form_value``), with x formed from its draw alone, an exact
+    unit-modulus value, so the ratio cannot exceed 1 whatever R* is: the
+    bound is at least the relaxation optimum, which is at least every
+    unit-modulus value, and it covers the rounding of that value.  Every
+    sample count must be an integer >= 1, as ``n_g_grid`` of a config, and
+    the whole grid is checked before the first draw; a bound of 0 (A = 0)
+    is a ConfigError.
     """
     n_g_grid = list(n_g_grid)
     require_integer(SimpleNamespace(n_g_grid=n_g_grid), {"n_g_grid[]": COUNT})
-    off = np.max(np.abs(np.diagonal(r_star) - 1.0))
-    if not off <= _unit_diag_allowance(r_star.shape[0]):
+    z = r_star.z
+    norms = np.sum(np.square(z.real) + np.square(z.imag), axis=0)
+    off = np.max(np.abs(norms - 1.0))
+    if not off <= _unit_diag_allowance(z.shape[1]):
         raise ConfigError("reference covariance must have unit diagonal")
-    a = hermitize(a)
     sdp_obj = unit_diag_dual_bound(a, r_star)
     if not sdp_obj > 0.0:
         raise ConfigError(f"the relaxation bound is {sdp_obj!r}, so no ratio "
@@ -202,25 +359,34 @@ def approximation_ratio_study(a: np.ndarray, r_star: np.ndarray,
                 screen = _Screen(half, mu, e_h)
             best = _best_candidate(screen, draws)
         best_x = _unit_modulus(half @ _complex_draws(draws, [best]))[:, 0]
-        value = float(np.real(np.vdot(best_x, a @ best_x)))
+        value = _form_value(a, best_x)
         reports.append(RandomizationReport(
             n_samples=int(n_g), best_objective=value, sdp_objective=sdp_obj,
             ratio=value / sdp_obj))
     return reports
 
 
-def _study_factors(a: np.ndarray, r_star: np.ndarray
+def _study_factors(a: OmegaRows, r_star: GramFactor
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U_r Lambda_r^(1/2), mu, E^H): R*'s factor over its eigenpairs above
-    rounding level, and the eigenvalues mu_i of a Hermitian A above
-    rounding level with their eigenvectors as the rows of E^H."""
-    w, u = np.linalg.eigh(hermitize(r_star))
-    rows = _above_rounding(w)
+    rounding level, and the eigenvalues mu_i of A above rounding level with
+    their eigenvectors as the rows of E^H.  R*'s come from the r' x r'
+    Gram matrix Z Z^H = V diag(lambda) V^H of its factor: R* = Z^H Z has
+    the eigenvalues lambda_j with eigenvectors Z^H v_j / sqrt(lambda_j), so
+    its factor is Z^H V_r.  A's come from ``_form_eigenpairs``.  Both
+    keep the eigenvalues above L eps times the largest, L the surface
+    size."""
+    z = r_star.z
+    l = z.shape[1]
+    w, v = np.linalg.eigh(z @ z.conj().T)
     # scale-free: the 1/sqrt(2) of CN(0, 1) cancels in xi / |xi|
-    half = u[:, rows] * np.sqrt(w[rows])
-    mu, e = np.linalg.eigh(a)
-    cols = _above_rounding(np.abs(mu))
-    return half, mu[cols], e[:, cols].conj().T
+    half = z.conj().T @ v[:, _above_rounding(w, l)]
+    if r_star.form is a:
+        mu, e_h = r_star.pairs
+    else:
+        mu, e_h, _ = _form_eigenpairs(a)
+    cols = _above_rounding(np.abs(mu), l)
+    return half, mu[cols], e_h[cols]
 
 
 def _complex_draws(draws: np.ndarray, cols) -> np.ndarray:
@@ -247,18 +413,25 @@ def _best_candidate(screen: "_Screen", draws: np.ndarray) -> int:
     """
     s, b = screen.scores(draws)
     survivors = np.flatnonzero(s + b >= np.max(s - b))
-    half, mu, e_h = screen.half, screen.mu, screen.e_h
     best_score, best = None, None
     for k in range(0, survivors.size, _RATIO_CHUNK):
         cols = survivors[k:k + _RATIO_CHUNK]
-        x = _unit_modulus(half @ _complex_draws(draws, cols))
-        proj = (e_h @ x).view(float)                 # Re, Im interleaved
-        np.square(proj, out=proj)
-        score = mu @ (proj[:, 0::2] + proj[:, 1::2])
+        score = _double_scores(screen, draws, cols)
         i = int(np.argmax(score))
         if best is None or score[i] > best_score:     # first wins
             best_score, best = score[i], int(cols[i])
     return best
+
+
+def _double_scores(screen: "_Screen", draws: np.ndarray, cols) -> np.ndarray:
+    """mu @ |E^H x|^2 of the candidates x = ``_unit_modulus``(U_r
+    Lambda_r^(1/2) z) of columns ``cols`` of the draw block, in double
+    precision; the L x len(cols) block is freed on return, before the
+    next chunk's is formed."""
+    x = _unit_modulus(screen.half @ _complex_draws(draws, cols))
+    proj = (screen.e_h @ x).view(float)              # Re, Im interleaved
+    np.square(proj, out=proj)
+    return screen.mu @ (proj[:, 0::2] + proj[:, 1::2])
 
 
 class _Screen:
@@ -371,24 +544,14 @@ class _Screen:
         """(s, b): the screened score of every candidate of the 2r x n
         draw block and its bound, as float64 in the screen's scale;
         b_j = inf for a candidate not screened."""
-        l, m = self.half.shape[0], self.mu.size
         n = draws.shape[1]
         s = np.empty(n, dtype=np.float32)
         red = np.empty(n, dtype=np.float32)
         z32 = draws.astype(np.float32)
         with np.errstate(all="ignore"):              # unscreened: b = inf
             for j in range(0, n, _RATIO_CHUNK):
-                u = self.hb @ z32[:, j:j + _RATIO_CHUNK]    # Re u over Im u
-                sq = np.square(u)
-                inv = np.add(sq[:l], sq[l:], out=sq[:l])    # |u|^2
-                np.reciprocal(inv, out=inv)
-                red[j:j + _RATIO_CHUNK] = self.hn2 @ inv
-                np.sqrt(inv, out=inv)
-                u[:l] *= inv
-                u[l:] *= inv                                 # x = u / |u|
-                p = self.eb @ u                              # E^H x
-                np.square(p, out=p)
-                s[j:j + _RATIO_CHUNK] = self.mu32 @ (p[:m] + p[m:])
+                self._chunk(z32[:, j:j + _RATIO_CHUNK],
+                            s[j:j + _RATIO_CHUNK], red[j:j + _RATIO_CHUNK])
             s = s.astype(float)
             red = red.astype(float)
             znorm = np.sqrt(np.einsum("ij,ij->j", draws, draws))
@@ -400,6 +563,24 @@ class _Screen:
             s[unscreened] = 0.0
             b[unscreened] = np.inf
         return s, b
+
+
+    def _chunk(self, z32: np.ndarray, s: np.ndarray, red: np.ndarray):
+        """The float32 scores and reductions of one chunk of draws, into
+        ``s`` and ``red``; its 2L x chunk block is freed on return, before
+        the next chunk's is formed."""
+        l, m = self.half.shape[0], self.mu.size
+        u = self.hb @ z32                            # Re u over Im u
+        sq = np.square(u)
+        inv = np.add(sq[:l], sq[l:], out=sq[:l])    # |u|^2
+        np.reciprocal(inv, out=inv)
+        red[:] = self.hn2 @ inv
+        np.sqrt(inv, out=inv)
+        u[:l] *= inv
+        u[l:] *= inv                                 # x = u / |u|
+        p = self.eb @ u                              # E^H x
+        np.square(p, out=p)
+        s[:] = self.mu32 @ (p[:m] + p[m:])
 
 
 def _real_image(m: np.ndarray) -> np.ndarray:
@@ -429,9 +610,41 @@ def _unit_modulus(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _above_rounding(w: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvalues w above rounding level, L eps max(w)."""
-    return w > w.size * _EPS * float(w.max(initial=0.0))
+def _above_rounding(w: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the eigenvalues w above rounding level, n eps max(w), n
+    the surface size L."""
+    return w > n * _EPS * float(w.max(initial=0.0))
+
+
+def _form_eigenpairs(a: OmegaRows, complete: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray, int]:
+    """(w, E^H, null): eigenvalues of A = X^H diag(d) X with their
+    eigenvectors as the rows of E^H (k x L), from its m rows X, and the
+    number of live coordinates' directions E leaves out, where A is 0.
+
+    Rows of weight 0 are dropped, and the live coordinates are the
+    columns of X that are nonzero there.  A thin QR of the live rows,
+    X^H = Q R on those coordinates, gives A = Q (R D R^H) Q^H, so one
+    k x k ``eigh`` of R D R^H = V diag(w) V^H gives E = Q V, k = min(m,
+    L_live): O(L m^2), where an ``eigh`` of A is O(L^3).  E is exactly zero
+    off the live coordinates.  ``complete`` takes a complete QR instead and
+    adds the null directions, the rest of Q's columns, with eigenvalue 0:
+    all L_live eigenpairs, which the relaxation of an indefinite A needs
+    where its shift lifts them above rounding level.
+    """
+    use = a.weights != 0.0
+    x, d = a.rows[use], a.weights[use]
+    live = np.flatnonzero(np.any(x != 0.0, axis=0))
+    k = min(x.shape[0], live.size)
+    q, r = np.linalg.qr(x[:, live].conj().T,
+                        mode="complete" if complete else "reduced")
+    w, v = np.linalg.eigh((r[:k] * d) @ r[:k].conj().T)
+    e_h = np.zeros((q.shape[1], x.shape[1]), dtype=complex)
+    e_h[:k, live] = (q[:, :k] @ v).conj().T
+    if complete:
+        e_h[k:, live] = q[:, k:].conj().T
+        w = np.concatenate((w, np.zeros(live.size - k)))
+    return w, e_h, live.size - e_h.shape[0]
 
 
 def _unit_columns(g: np.ndarray, near: np.ndarray) -> np.ndarray:
@@ -452,7 +665,7 @@ def _unit_columns(g: np.ndarray, near: np.ndarray) -> np.ndarray:
     return g
 
 
-def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
+def solve_unit_diag_relaxation(a: OmegaRows) -> GramFactor:
     """Maximize tr(A R) over {R >= 0, diag(R) = 1}.
 
     The generalized power method (Journee et al., JMLR 2010) on R = V^H V
@@ -474,29 +687,35 @@ def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
     relative, so A and 2^k A give the same bits.  Optimality is certified
     separately by ``unit_diag_dual_bound``.
 
-    The maps run at the rank of B.  One ``eigh`` gives B = E M E^H over
-    its r eigenvalues above rounding level (r = 5 for the ratio study's
-    A = U3; r = L - 1 or so for an indefinite A).  After the first map
+    A is given by its rows (``OmegaRows``, signed weights allowed), and
+    the maps run at the rank of B.  ``_form_eigenpairs`` gives A's
+    eigenpairs from the QR of the rows and one m x m ``eigh``, and B =
+    E M E^H over its r eigenvalues above rounding level, L eps times the
+    largest (r = 5 for the ratio study's A = U3; r = L - 1 or so for a
+    full-rank indefinite A, whose shift also lifts A's null space in the
+    live coordinates, then taken from a complete QR).  After the first map
     every column of V lies in span(E), so V = E Z and a map is
     Z <- normalize_cols((Z E M) E^H) on the r x L coordinates, O(r^2 L)
     where V B is O(L^3); the product also gives tr(A R) at Z, and is
-    normalized in place.  R = Z^H Z.  A coordinate whose column of A is
-    zero keeps its e_i (Z's column is 0 there and R_ii = 1); the ``eigh``
-    leaves such coordinates out, so E is exactly zero on them (an ``eigh``
-    of all of A leaves rounding noise there, which normalizing amplifies).
+    normalized in place.  A coordinate whose column of A is zero keeps its
+    e_i (Z's column is 0 there, and the factor gains the row e_i^T); E is
+    exactly zero on such coordinates (an ``eigh`` of all of A leaves
+    rounding noise there, which normalizing amplifies).  R* = Z^H Z is
+    returned as its factor (``GramFactor``); no L x L array is formed.
     The plain map, run alone, moves R at rounding level against the dense
     V <- V B; both are test oracles (``tests/reference.py``).
     """
-    a = hermitize(a)
-    n = a.shape[0]
-    live = np.any(a != 0.0, axis=0)
-    w, u = np.linalg.eigh(a[np.ix_(live, live)])
+    n = a.rows.shape[1]
+    w, e_h, null = _form_eigenpairs(a)
     shift = max(0.0, -float(w.min(initial=0.0)))
     m = w + shift
-    keep = _above_rounding(m)
+    if null and _above_rounding(np.append(m, shift), n)[-1]:
+        w, e_h, _ = _form_eigenpairs(a, complete=True)
+        m = w + shift
+    pairs = w, e_h
+    keep = _above_rounding(m, n)
     m = m[keep]
-    e_h = np.zeros((m.size, n), dtype=complex)
-    e_h[:, live] = u[:, keep].conj().T
+    e_h = e_h[keep]
     g = m[:, np.newaxis] * e_h             # V B at V = I, in the basis E
     z = _unit_columns(g, np.zeros_like(g))
     fixed = ~z.any(axis=0)                 # V keeps e_i there, Z's column 0
@@ -518,6 +737,6 @@ def solve_unit_diag_relaxation(a: np.ndarray) -> np.ndarray:
         point(z), lambda p: point(_unit_columns(p[2], p[0])),
         lambda x, near: point(_unit_columns(x, near[0])), converged,
         _UNIT_DIAG_MAX_STEPS - 1)
-    r = z.conj().T @ z
-    r[fixed, fixed] = 1.0
-    return hermitize(r)
+    unit = np.zeros((np.count_nonzero(fixed), n), dtype=complex)
+    unit[np.arange(unit.shape[0]), np.flatnonzero(fixed)] = 1.0
+    return GramFactor(np.concatenate((z, unit)), a, pairs)

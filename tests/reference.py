@@ -20,7 +20,7 @@ from isacopt.objective import (ChannelConstants, IrsPhase, OmegaRows,
                                comm_coefficient, hermitize,
                                quartic_coefficient, quartic_kernels)
 from isacopt.precoder import _KKT_MAX_DOUBLINGS, _kkt_root, project_ball
-from isacopt.ratio import (RandomizationReport, _above_rounding,
+from isacopt.ratio import (GramFactor, RandomizationReport, _above_rounding,
                            build_quadratic_terms, unit_diag_dual_bound)
 from isacopt.scene import (TWO_PI, ChannelSet, SceneConfig, complex_normal,
                            random_phase_vector, ula_steering)
@@ -144,7 +144,7 @@ def dense_linearization(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
     ``plain_linearization`` (unset).
     """
     u1, u2 = build_quartic_surrogate(theta_t, p, ch, cfg)
-    u3, mu = build_quadratic_terms(p, ch, cfg)
+    u3, mu = dense_quadratic_terms(p, ch, cfg)
     rho = 0.0
     if safeguard:
         u1 = 0.5 * (u1 + u1.T)
@@ -223,6 +223,25 @@ def anchored_surrogate_value(factors: SurrogateFactors, theta: np.ndarray,
             + rho * np.vdot(theta, theta).real)
     lin = 2.0 * np.real(theta @ factors_mu(factors))
     return float(quartic + quad + lin)
+
+
+def extended_objective(factors: SurrogateFactors, theta: np.ndarray
+                       ) -> float:
+    """Reference for the rounding of ``EffectiveChannels.score``: g =
+    c ||P_nz^T t||^2 ||t||^2 + cc ||C P_nz||_F^2 at phases theta, every
+    product and sum in extended precision (``np.clongdouble``)."""
+    consts, ld = factors.consts, np.clongdouble
+    g, h, f, a = (x.astype(ld) for x in (consts.g, consts.h, consts.f,
+                                          consts.steer))
+    th, p_nz = theta.astype(ld), factors.p_nz.astype(ld)
+    t = g.T @ (th * a)
+    y_t, y_c = p_nz.T @ t, (f + (h * th) @ g) @ p_nz
+
+    def norm2(v):
+        return np.sum(np.square(v.real) + np.square(v.imag))
+
+    return float(np.longdouble(factors.c) * norm2(y_t) * norm2(t)
+                 + np.longdouble(factors.cc) * norm2(y_c))
 
 
 def wirtinger_gradient(theta: IrsPhase, p: Precoder, ch: ChannelSet,
@@ -343,6 +362,63 @@ def feasibility_residuals(cfg: SceneConfig, r_d: np.ndarray):
     return [res_psd, res_trace, res_ball]
 
 
+def form_rows(a: np.ndarray) -> OmegaRows:
+    """A dense Hermitian A as the ``OmegaRows`` the ratio study takes:
+    over its live coordinates (columns not all zero), the eigenvectors of
+    that block as rows, each weighted by its eigenvalue, so the rows are
+    exactly zero on the other coordinates.  This is the decomposition the
+    unit-diagonal relaxation took of a dense A before it took rows."""
+    a = hermitize(np.asarray(a, dtype=complex))
+    live = np.any(a != 0.0, axis=0)
+    w, u = np.linalg.eigh(a[np.ix_(live, live)])
+    rows = np.zeros((w.size, a.shape[0]), dtype=complex)
+    rows[:, live] = u.conj().T
+    return OmegaRows(rows, w)
+
+
+def dense_form(a: OmegaRows) -> np.ndarray:
+    """The dense Hermitian X^H diag(d) X of rows X with weights d."""
+    return hermitize((a.rows.conj().T * a.weights) @ a.rows)
+
+
+def dense_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """``build_quadratic_terms`` with U3 dense: (X^H diag(d) X of its
+    rows, mu)."""
+    a, mu = build_quadratic_terms(p, ch, cfg)
+    return dense_form(a), mu
+
+
+def hadamard_u3(p: Precoder, ch: ChannelSet, cfg: SceneConfig
+                ) -> np.ndarray:
+    """Reference for ``build_quadratic_terms``' rows: the dense U3 as it
+    was first formed, cc ((H^H H) o (GP (GP)^H)^T), symmetrized."""
+    gp = ch.g @ p.p
+    return hermitize(comm_coefficient(cfg)
+                     * ((ch.h.conj().T @ ch.h) * (gp @ gp.conj().T).T))
+
+
+def gram_factor(r: np.ndarray) -> GramFactor:
+    """A dense PSD R as its ``GramFactor`` Z, Z^H Z = R: sqrt(w_j) u_j^H
+    over its eigenpairs with w_j > 0; for a diagonal R, or one with a
+    NaN, the square roots of its diagonal (exact, and any value passes
+    through, NaN too)."""
+    r = np.asarray(r, dtype=complex)
+    if np.isnan(r).any() or not np.any(r[~np.eye(r.shape[0], dtype=bool)]):
+        return GramFactor(np.diag(np.sqrt(np.diagonal(r))))
+    w, u = np.linalg.eigh(hermitize(r))
+    keep = w > 0.0
+    return GramFactor(np.sqrt(w[keep])[:, np.newaxis] * u[:, keep].conj().T)
+
+
+def with_diagonal_entry(r: GramFactor, i: int, move: float) -> GramFactor:
+    """R with R_ii scaled by 1 + move: column i of its factor scaled by
+    sqrt(1 + move)."""
+    z = r.z.copy()
+    z[:, i] *= math.sqrt(1.0 + move)
+    return GramFactor(z)
+
+
 def mixing_method_relaxation(a: np.ndarray, max_sweeps: int = 1000,
                              tol: float = 1e-12) -> np.ndarray:
     """Maximize tr(A R) over {R >= 0, diag(R) = 1} by the mixing method.
@@ -386,7 +462,7 @@ def plain_unit_diag_relaxation(a: np.ndarray, max_steps: int | None = None,
     w, u = np.linalg.eigh(a[np.ix_(live, live)])
     shift = max(0.0, -float(w.min(initial=0.0)))
     m = w + shift
-    keep = _above_rounding(m)
+    keep = _above_rounding(m, n)
     m = m[keep]
     e_h = np.zeros((m.size, n), dtype=complex)
     e_h[:, live] = u[:, keep].conj().T
@@ -472,17 +548,22 @@ def dense_power_method(a: np.ndarray, max_steps: int = 10_000,
     return hermitize(v.conj().T @ v)
 
 
-def dense_ratio_study(a: np.ndarray, r_star: np.ndarray, n_g_grid,
+def dense_ratio_study(a: OmegaRows, r_star: GramFactor, n_g_grid,
                       rng: np.random.Generator) -> list[RandomizationReport]:
     """Reference for ``approximation_ratio_study``: the same draws from
     ``rng`` (z ~ CN(0, I_r), r the number of eigenpairs of R* above
-    L eps lambda_max), shaped by those eigenpairs and scored with the dense
-    quadratic form of every candidate."""
-    a = hermitize(a)
+    L eps lambda_max), shaped by those eigenpairs of the dense R* (with
+    the study's phases) and scored with the dense quadratic form of every
+    candidate."""
     sdp_obj = unit_diag_dual_bound(a, r_star)
-    w, u = np.linalg.eigh(hermitize(r_star))
+    w, u = np.linalg.eigh(np.asarray(r_star))
     keep = w > w.size * np.finfo(float).eps * w.max()
     half = u[:, keep] * np.sqrt(w[keep])
+    # an eigenvector's phase is arbitrary, and the draws see it: take the
+    # study's, from its factor of R*
+    phase = np.sum(half.conj() * ratio._study_factors(a, r_star)[0], axis=0)
+    half *= phase / np.abs(phase)
+    a = dense_form(a)
     reports = []
     for n_g in n_g_grid:
         xi = half @ complex_normal(rng, half.shape[1], int(n_g))
@@ -495,7 +576,6 @@ def dense_ratio_study(a: np.ndarray, r_star: np.ndarray, n_g_grid,
             n_samples=int(n_g), best_objective=best, sdp_objective=sdp_obj,
             ratio=best / sdp_obj))
     return reports
-
 
 
 def float64_scores(half: np.ndarray, mu: np.ndarray, e_h: np.ndarray,
@@ -517,13 +597,12 @@ def float64_scores(half: np.ndarray, mu: np.ndarray, e_h: np.ndarray,
     return np.concatenate(scores)
 
 
-def float64_ratio_study(a: np.ndarray, r_star: np.ndarray, n_g_grid,
+def float64_ratio_study(a: OmegaRows, r_star: GramFactor, n_g_grid,
                         rng: np.random.Generator
                         ) -> list[RandomizationReport]:
     """Reference for ``approximation_ratio_study``: the same draws and the
     same report, with the first best of every candidate's double-precision
     score (``float64_scores``) winning, and no rank-one shortcut."""
-    a = hermitize(a)
     sdp_obj = unit_diag_dual_bound(a, r_star)
     half, mu, e_h = ratio._study_factors(a, r_star)
     reports = []
@@ -531,7 +610,7 @@ def float64_ratio_study(a: np.ndarray, r_star: np.ndarray, n_g_grid,
         draws = rng.standard_normal((2 * half.shape[1], int(n_g)))
         best = int(np.argmax(float64_scores(half, mu, e_h, draws)))
         x = ratio._unit_modulus(half @ ratio._complex_draws(draws, [best]))
-        value = float(np.real(np.vdot(x[:, 0], a @ x[:, 0])))
+        value = ratio._form_value(a, x[:, 0])
         reports.append(RandomizationReport(
             n_samples=int(n_g), best_objective=value, sdp_objective=sdp_obj,
             ratio=value / sdp_obj))

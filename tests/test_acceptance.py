@@ -13,8 +13,7 @@ from scipy import stats
 
 import isacopt.irs as irs
 from isacopt import (ChannelConstants, IrsPhase, OmegaRows, Precoder,
-                     SceneConfig, build_omega, build_quadratic_terms,
-                     build_quartic_surrogate,
+                     SceneConfig, build_omega, build_quartic_surrogate,
                      default_beampattern_target, irs_phase_update,
                      linear_surrogate_vectors, load_experiment_spec,
                      make_channels, quartic_kernels,
@@ -27,9 +26,9 @@ from isacopt.precoder import relaxed_objective
 from isacopt.scene import complex_normal
 
 from conftest import random_scene
-from reference import (decompose_objective, feasibility_residuals,
-                       quartic_kernels_reference, quartic_surrogate_constant,
-                       wirtinger_gradient)
+from reference import (decompose_objective, dense_quadratic_terms,
+                       feasibility_residuals, quartic_kernels_reference,
+                       quartic_surrogate_constant, wirtinger_gradient)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -108,7 +107,7 @@ def test_criterion_03_double_minorization_tangency_and_ascent(monkeypatch):
 
         # layer 2 tangency: the linearization with constants restored
         # reproduces the quadratic surrogate at the expansion point
-        u3, mu = build_quadratic_terms(p, ch, cfg)
+        u3, mu = dense_quadratic_terms(p, ch, cfg)
         nu, eta = linear_surrogate_vectors(theta_t, u1, u2, u3, mu)
         lin_at_t = float(np.real(th.conj() @ nu + th @ eta))
         quad_at_t = quartic_form + float(np.real(th.conj() @ u3 @ th)) + br.g1

@@ -371,8 +371,9 @@ class TestHugeCounts:
         assert "do not fit in memory" in done.stderr
         assert not out.exists()
 
-    # On 8 GiB, a ratio trial at L = 20000 (about 60 GiB by
-    # ratio.study_bytes) is rejected, though an overcommitting kernel
+    # On 8 GiB, a ratio trial at L = 20000 (about 12 GiB by
+    # ratio.study_bytes, the two L x L arrays of the dense certificate's
+    # fallback) is rejected, though an overcommitting kernel
     # grants an L x L array that is never touched.  Only run is capped:
     # were the surface to load, its trials must fail, not fill memory.
     @pytest.mark.parametrize("command", ["validate-config", "run"])

@@ -11,6 +11,7 @@ from isacopt import (ChannelConstants, IrsPhase, Precoder,
                      build_quartic_surrogate, irs_phase_update,
                      linear_surrogate_vectors, make_channels,
                      solve_irs_manifold, solve_irs_minorization, weighted_snr)
+from isacopt.errors import MonotonicityError
 from isacopt.irs import SurrogateFactors, ascent_anchor
 from isacopt.objective import (comm_coefficient, quartic_coefficient,
                                snr_comm, snr_radar)
@@ -18,10 +19,11 @@ from isacopt.scene import ChannelSet, complex_normal
 
 from conftest import paper_scene, random_phases, random_scene, small_config
 from reference import (anchor_for, anchored_surrogate_value,
-                       decompose_objective, dense_ascent_anchor,
-                       dense_linearization, factors_mu, gradient_at,
-                       plain_linearization, plain_minorization, products_at,
-                       quartic_at, quartic_surrogate_constant,
+                       decompose_objective, dense_ascent_anchor, dense_form,
+                       dense_linearization, dense_quadratic_terms,
+                       extended_objective, factors_mu, gradient_at,
+                       hadamard_u3, plain_linearization, plain_minorization,
+                       products_at, quartic_at, quartic_surrogate_constant,
                        rejecting_extrapolations, wirtinger_gradient)
 
 
@@ -71,20 +73,36 @@ class TestQuarticSurrogate:
 class TestQuadraticTerms:
     def test_beta_one_vanishes(self, rng):
         cfg, ch, p, theta = random_scene(rng, beta=1.0)
-        u3, mu = build_quadratic_terms(p, ch, cfg)
+        u3, mu = dense_quadratic_terms(p, ch, cfg)
         assert not u3.any() and not mu.any()
+
+    def test_rows_match_the_hadamard_form(self, rng):
+        # U3 as rows h_k o gp_j over the nonzero precoder columns, each of
+        # weight cc, against cc (H^H H) o (GP (GP)^H)^T; a zero column of P
+        # adds no row
+        for zero_cols in (0, 1):
+            cfg, ch, p, _ = random_scene(rng, l_rows=2, l_cols=3, k=3)
+            pp = p.p.copy()
+            pp[:, :zero_cols] = 0.0
+            p = Precoder(pp)
+            a, _ = build_quadratic_terms(p, ch, cfg)
+            assert a.rows.shape == (3 * (3 - zero_cols), cfg.n_irs)
+            assert np.all(a.weights == comm_coefficient(cfg))
+            want = hadamard_u3(p, ch, cfg)
+            np.testing.assert_allclose(dense_form(a), want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
 
     def test_u3_hermitian_psd(self, rng):
         for _ in range(5):
             cfg, ch, p, _ = random_scene(rng)
-            u3, _ = build_quadratic_terms(p, ch, cfg)
+            u3, _ = dense_quadratic_terms(p, ch, cfg)
             np.testing.assert_allclose(u3, u3.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(u3)[0] >= -1e-10 * max(
                 1.0, np.linalg.norm(u3))
 
     def test_quadratic_form_matches_g2(self, rng):
         cfg, ch, p, _ = random_scene(rng)
-        u3, _ = build_quadratic_terms(p, ch, cfg)
+        u3, _ = dense_quadratic_terms(p, ch, cfg)
         for _ in range(100):
             theta = random_phases(rng, cfg.n_irs)
             form = float(np.real(theta.theta.conj() @ u3 @ theta.theta))
@@ -135,7 +153,7 @@ class TestLinearSurrogateVectors:
     def test_value_at_expansion_point(self, rng):
         cfg, ch, p, theta = random_scene(rng)
         u1, u2 = build_quartic_surrogate(theta, p, ch, cfg)
-        u3, mu = build_quadratic_terms(p, ch, cfg)
+        u3, mu = dense_quadratic_terms(p, ch, cfg)
         nu, eta = linear_surrogate_vectors(theta, u1, u2, u3, mu)
         th = theta.theta
         got = float(np.real(th.conj() @ nu + th @ eta))
@@ -500,6 +518,47 @@ def _rel_err(got, want):
     return float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
 
 
+@pytest.mark.kernels
+class TestDipAllowance:
+    """The inner ascent check's allowance, derived from the rounding of a
+    computed objective (``SurrogateFactors.dip_allowance``)."""
+
+    # measured: within 4.2e-6 of half the allowance over these draws, which
+    # is 0.9 to 1.6e-10 of g
+    def test_bounds_the_rounding_of_one_objective(self):
+        for seed in range(20):
+            cfg, ch, p, theta = paper_scene(np.random.default_rng(seed))
+            factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
+            allowance = factors.dip_allowance()
+            g = factors.at(theta)[1][0]
+            exact = extended_objective(factors, theta.theta)
+            assert abs(g - exact) <= allowance / 2
+            assert allowance <= 1e-9 * g
+
+    @pytest.mark.parametrize("dip, raises", [(0.5, False), (2.0, True)])
+    def test_dip_just_inside_and_beyond(self, rng, dip, raises):
+        # one map from theta0 ends at a computed g1; the same map restarted
+        # from theta0's point with its objective raised to g1 + dip *
+        # allowance dips by that much, with nothing else changed
+        cfg, ch, p, theta0 = paper_scene(rng)
+        consts = ChannelConstants(ch, cfg)
+        factors = SurrogateFactors(p, consts)
+        allowance = factors.dip_allowance()
+        start = factors.at(theta0)
+        _, trace = solve_irs_minorization(theta0, p, consts, inner_max=1,
+                                          start=start)
+        g1 = trace.objectives[1]
+        raised = (start[0], (g1 + dip * allowance, *start[1][1:]), start[2])
+        if raises:
+            with pytest.raises(MonotonicityError, match="decreased"):
+                solve_irs_minorization(theta0, p, consts, inner_max=1,
+                                       start=raised)
+        else:
+            _, again = solve_irs_minorization(theta0, p, consts, inner_max=1,
+                                              start=raised)
+            assert again.objectives[1] == g1
+
+
 class TestSurrogateFactors:
     @pytest.mark.kernels
     @pytest.mark.parametrize("safeguard", [True, False])
@@ -539,7 +598,7 @@ class TestSurrogateFactors:
         factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
         pv, qv, _, _ = quartic_at(factors, theta_t.theta)
         u1, u2 = build_quartic_surrogate(theta_t, p, ch, cfg)
-        u3, mu = build_quadratic_terms(p, ch, cfg)
+        u3, mu = dense_quadratic_terms(p, ch, cfg)
         rho = 0.3
         for _ in range(20):
             th = random_phases(rng, cfg.n_irs).theta
@@ -614,7 +673,7 @@ class TestWirtingerGradient:
         for _ in range(5):
             cfg, ch, p, theta = random_scene(rng, l_rows=3, l_cols=3, n_tx=6,
                                              k=k)
-            u3, mu = build_quadratic_terms(p, ch, cfg)
+            u3, mu = dense_quadratic_terms(p, ch, cfg)
             gp = ch.g @ p.p
             v = (gp @ gp.conj().T).T
             w = ch.g.conj() @ ch.g.T
