@@ -5,9 +5,9 @@ The paper's closed-form phase update is the low-complexity alternative to
 a semidefinite relaxation; this study measures that trade.  At the
 precoder of an alternating run, the communication form U3 = cc Psi Psi^H
 of the phase problem is the matrix A of the unit-modulus problem
-max x^H A x, and it travels as its m rows Psi^H with their weights
-(``build_quadratic_terms``, an ``objective.OmegaRows``; m = K K', 5 on the
-shipped scenes).  Its unit-diagonal relaxation max tr(A R) over
+max x^H A x, and it travels as its m rows Psi^H with their weights, each
+> 0 (``build_quadratic_terms``, an ``objective.OmegaRows``; m = K K', 5 on
+the shipped scenes; ``_require_psd_rows``).  Its relaxation max tr(A R) over
 {R >= 0, diag(R) = 1} is solved by the same minorization step (a
 generalized power method), run on coordinates in the eigenbasis of A at
 its rank in guarded SQUAREM cycles (``squarem.squarem_ascent``, shared
@@ -17,18 +17,18 @@ the rows and one m x m ``eigh`` (``_form_eigenpairs``), and R* = Z^H Z
 travels as its factor Z (``GramFactor``, r x L), which reads as an L x L
 array only where a caller asks.  A dual certificate bounds the relaxation
 (``unit_diag_dual_bound``): lambda_min(Diag(y) - A) from m x m Schur
-complements in a safeguarded root search, and densely only where some
-y_i <= 0 or the search cannot certify.  Draws and scores are formed at
-the rank of R* and of A (``approximation_ratio_study``): R*'s eigenpairs
-come from the r x r Gram matrix Z Z^H, and each sample count takes 2 r n_g
-standard normals, r the number of eigenpairs of R* above rounding level.
-The candidates are ranked in single precision, each score with a derived
-bound on its distance from the double-precision one (``_Screen``), and
-only those the bounds cannot rule out are scored again in double
-precision, so the winner is the one a double-precision pass over every
-candidate picks.  Where r = 1 every candidate is one vector up to a
-phase, and no candidate pass runs.  Where the certificate is factored, a
-trial decomposes no L x L matrix and forms no L x L array.
+complements in a safeguarded root search, and from Weyl's inequality
+where some y_i <= 0 or the search cannot certify.  Draws and scores are
+formed at the rank of R* and of A (``approximation_ratio_study``): R*'s
+eigenpairs come from the r x r Gram matrix Z Z^H, and each sample count
+takes 2 r n_g standard normals, r the number of eigenpairs of R* above
+rounding level.  The candidates are ranked in single precision, each
+score with a derived bound on its distance from the double-precision one
+(``_Screen``), and only those the bounds cannot rule out are scored again
+in double precision, so the winner is the one a double-precision pass
+over every candidate picks.  Where r = 1 every candidate is one vector up
+to a phase, and no candidate pass runs.  A trial decomposes no L x L
+matrix and forms no L x L array.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ _RATIO_CHUNK = 512
 # ascent stops, and its cap on maps.
 _UNIT_DIAG_TOL = 1e-10
 _UNIT_DIAG_MAX_STEPS = 10_000
-# Newton steps of the factored certificate before it falls back to the
-# dense one.
+# Newton steps of the factored certificate before it falls back to Weyl's
+# bound.
 _SCHUR_MAX_STEPS = 60
 _EPS = float(np.finfo(float).eps)
 # Unit roundoffs of single and double precision.
@@ -101,21 +101,15 @@ class RandomizationReport:
 
 def study_bytes(l: int, n_g: int, n_users: int) -> int:
     """Bytes one ratio trial holds at its peak beyond its channels, on a
-    surface of L elements with sample counts up to n_g.  The certificate
-    and the candidate pass run one after the other, so the peak is the
-    larger of the two, over what the trial keeps at rank:
-
-    - the dense certificate's fallback (``_dense_lambda``): two L x L
-      complex arrays, the matrix and ``eigvalsh``'s copy of it (the
-      factored certificate takes O(L m));
-    - the pass: one L x ``_RATIO_CHUNK`` complex candidate block with its
-      magnitudes (the double-precision ranking; the single-precision
-      screen's 2L x ``_RATIO_CHUNK`` block and its squares take less), and
-      per sample the draw block's 2r float64 rows, their float32 copy and
-      eight float64 per-candidate values;
-    - at rank, eight complex arrays of r x L at a time: A's rows, R*'s
-      factor and the basis E, with the relaxation's SQUAREM points and the
-      certificate's products.
+    surface of L elements with sample counts up to n_g: the candidate
+    pass, one L x ``_RATIO_CHUNK`` complex candidate block with its
+    magnitudes (the double-precision ranking; the single-precision
+    screen's 2L x ``_RATIO_CHUNK`` block and its squares take less) and
+    per sample the draw block's 2r float64 rows, their float32 copy and
+    eight float64 per-candidate values; and at rank, eight complex arrays
+    of r x L at a time: A's rows, R*'s factor and the basis E, with the
+    relaxation's SQUAREM points and the certificate's products (it takes
+    O(L m), Schur or Weyl, and runs before the pass).
 
     r, the rank of A = U3 and of R*, is at most min(L, K^2) for K =
     ``n_users``: U3 has K rank(P) <= K^2 rows, and R* = Z^H Z with Z at
@@ -123,13 +117,11 @@ def study_bytes(l: int, n_g: int, n_users: int) -> int:
     give none).  Measured as the growth of a fresh process's peak resident
     set over one trial of ``configs/ratio.json`` at L = 512, 1024 and
     1536 (one BLAS thread, numpy 2.4.6, OpenBLAS 0.3.31, x86-64), where
-    the count is 14.6, 36.8 and 80.4 MB: 5.6, 14.9 and 22.2 MB with the
-    factored certificate, and 8.8, 35.0 and 78.3 MB with the dense
-    fallback forced."""
+    the count is 14.6, 22.5 and 30.4 MB: 5.8, 15.1 and 22.4 MB with the
+    Schur certificate or Weyl's bound forced alike."""
     rank = min(l, n_users ** 2)
-    certificate = 2 * 16 * l * l
-    candidates = 24 * l * _RATIO_CHUNK + (24 * rank + 64) * n_g
-    return max(certificate, candidates) + 8 * 16 * rank * l
+    return (24 * l * _RATIO_CHUNK + (24 * rank + 64) * n_g
+            + 8 * 16 * rank * l)
 
 
 def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
@@ -157,7 +149,7 @@ def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
 class GramFactor:
     """R = Z^H Z held as its factor Z (r x L), as the unit-diagonal
     relaxation returns R*: Z has unit-norm columns, one row per eigenpair
-    of B it kept and one unit row e_i^T per fixed coordinate i.
+    of A it kept and one unit row e_i^T per fixed coordinate i.
 
     It reads as the L x L array Z^H Z, formed (and symmetrized) on each
     read: ``np.asarray``, ``np.diagonal``, ``np.linalg.eigvalsh`` and
@@ -186,36 +178,51 @@ def unit_diag_dual_bound(a: OmegaRows, r_star: GramFactor) -> float:
     by weak duality (tr R = L on the feasible set).  With y = Re diag(A R)
     taken from a near-optimal R the bound is tight: it equals tr(A R) when
     Diag(y) - A is PSD, and it is never below tr(A R).  A = X^H diag(d) X
-    is given by its m rows X and R = Z^H Z by Z, and y comes from them as
-    the column sums of d o conj(X) o ((X Z^H) Z), O(L m r).
+    is given by its m rows X with weights d > 0 (``_require_psd_rows``),
+    and R = Z^H Z by Z; y comes from them as the column sums of
+    d o conj(X) o ((X Z^H) Z), O(L m r).
 
     lambda_min enters through a lower bound lambda_c certified to hold in
-    exact arithmetic: where every d_a >= 0 and every y_i > 0, from m x m
-    Schur complements (``_schur_lambda``); elsewhere, or where that search
-    cannot certify, from the dense ``eigvalsh`` of Diag(y) - A formed from
-    the rows (``_dense_lambda``).  The bound adds gamma_{L+3} (sum |y_i| +
-    L max(0, -lambda_c)), which covers the rounding of the sum and of the
-    last two additions, and 4 gamma_{L+m+4} T, T = sum_a |d_a| ||x_a||_1^2,
-    which bounds how far a value x^H A x of a unit-modulus x computed as
-    sum_a d_a |x_a x|^2 (``_form_value``) may lie above the exact one: each
-    complex product x_a x is within sqrt(2) gamma_{L+2} ||x_a||_1 of its
-    value (Higham, Section 3.6), its square within 3 gamma_{L+2}
-    ||x_a||_1^2, and the weighted sum adds gamma_{m+2}.  So a ratio of such
-    a value against the bound stays <= 1 in floating point.
+    exact arithmetic.  A zero column i of A gives y_i = 0 and a zero row
+    and column of Diag(y) - A, which add nothing; on the other coordinates
+    lambda_c comes from m x m Schur complements where every y_i > 0
+    (``_schur_lambda``), else, or where that search cannot certify, from
+    Weyl's inequality (``_weyl_lambda``).  The bound adds gamma_{L+3}
+    (sum |y_i| + L max(0, -lambda_c)), which covers the rounding of the
+    sum, of the last two additions and of Weyl's subtraction, and
+    4 gamma_{L+m+4} T, T = sum_a d_a ||x_a||_1^2, which bounds how far a
+    value x^H A x of a unit-modulus x computed as sum_a d_a |x_a x|^2
+    (``_form_value``) may lie above the exact one: each complex product
+    x_a x is within sqrt(2) gamma_{L+2} ||x_a||_1 of its value (Higham,
+    Section 3.6), its square within 3 gamma_{L+2} ||x_a||_1^2, and the
+    weighted sum adds gamma_{m+2}.  So a ratio of such a value against the
+    bound stays <= 1 in floating point.
     """
+    _require_psd_rows(a)
     x, d, z = a.rows, a.weights, r_star.z
     n, m = z.shape[1], x.shape[0]
     y = (d @ (x.conj() * ((x @ z.conj().T) @ z))).real
-    lam = None
-    if np.all(d >= 0.0) and np.all(y > 0.0):
-        lam = _schur_lambda(x * np.sqrt(d)[:, np.newaxis], y)
+    live = np.any(x != 0.0, axis=0)
+    f_h, y_live = x[:, live] * np.sqrt(d)[:, np.newaxis], y[live]
+    lam = _schur_lambda(f_h, y_live) if np.all(y_live > 0.0) else None
     if lam is None:
-        lam = _dense_lambda(x, d, y)
+        lam = _weyl_lambda(f_h, y_live)
     deficit = n * max(0.0, -float(lam))
-    spread = float(np.abs(d) @ np.square(np.sum(np.abs(x), axis=1)))
+    spread = float(d @ np.square(np.sum(np.abs(x), axis=1)))
     rounding = (_gamma(n + 3, _U64) * (float(np.sum(np.abs(y))) + deficit)
                 + 4.0 * _gamma(n + m + 4, _U64) * spread)
     return float(np.sum(y)) + deficit + rounding
+
+
+def _require_psd_rows(a: OmegaRows) -> None:
+    """ConfigError unless A = X^H diag(d) X is nonzero with every d_a > 0."""
+    d = a.weights
+    if not (np.any(d) and np.any(a.rows)):
+        raise ConfigError("A is zero, as U3 is at beta = 1: no ratio")
+    bad = np.flatnonzero(~(d > 0.0))
+    if bad.size:
+        raise ConfigError(f"weights[{bad[0]}] = {float(d[bad[0]])!r}: A must "
+                          f"be PSD, every weight of its rows > 0")
 
 
 def _schur_lambda(f_h: np.ndarray, y: np.ndarray) -> float | None:
@@ -237,8 +244,8 @@ def _schur_lambda(f_h: np.ndarray, y: np.ndarray) -> float | None:
     of the exact one: the products forming S (F from the rows and sqrt(d),
     D^-1, the sums of L terms, I - K) err entrywise by at most
     sqrt(2) gamma_{L+10} |F|^H D^-1 |F|, whose Frobenius norm is at most
-    its trace; ``eigh`` adds its backward error, as the dense certificate
-    counts it; and the slack covers forming e.  So lambda is certified
+    its trace; ``eigh`` adds its backward error, the second term; and
+    the slack covers forming e.  So lambda is certified
     where the computed s exceeds e.  The search starts at lambda = 0,
     where a certified s needs no more (the bound adds nothing), and takes
     Newton steps toward s = 4 e: by concavity each lands on the right of
@@ -278,22 +285,17 @@ def _schur_point(f_h: np.ndarray, col: np.ndarray, y: np.ndarray,
     return float(w[0]), allow, float(np.vdot(u, u).real)
 
 
-def _dense_lambda(x: np.ndarray, d: np.ndarray, y: np.ndarray) -> float:
-    """A lower bound on lambda_min(Diag(y) - A), A = X^H diag(d) X, from
-    the dense L x L matrix formed from the rows: its computed ``eigvalsh``
-    less 4 (L + 1) eps ||Diag(y) - A||_F (the backward error, as the
-    dense certificate always counted it) and less gamma_{m+2} sum_a |d_a|
-    ||x_a||^2, which bounds the 2-norm of the rounding of the m-term
-    products forming A.  Two L x L complex arrays at a time: the matrix
-    and ``eigvalsh``'s copy."""
-    n, m = x.shape[1], x.shape[0]
-    dual = (x.conj().T * -d) @ x
-    dual.flat[::n + 1] += y
-    lam = float(np.linalg.eigvalsh(dual)[0])
-    trace = float(np.abs(d) @ np.sum(np.square(x.real) + np.square(x.imag),
-                                     axis=1))
-    return (lam - 4.0 * (n + 1) * _EPS * float(np.linalg.norm(dual))
-            - _gamma(m + 2, _U64) * trace)
+def _weyl_lambda(f_h: np.ndarray, y: np.ndarray) -> float:
+    """A lower bound on lambda_min(Diag(y) - F F^H), F = f_h^H (L x m), by
+    Weyl's inequality: min(y) - lambda_max(F F^H) >= min(y) - tr(F^H F).
+    The computed trace sums nonnegative terms |f_ai|^2, each within
+    theta_{L+m+4} of its value, so the exact one is at most 1 +
+    gamma_{2L+2m+8} times it; 1 + gamma_{2L+2m+12} covers the product's
+    rounding too.  No eigensolve, so no backward error."""
+    n, m = f_h.shape[1], f_h.shape[0]
+    col = np.sum(np.square(f_h.real) + np.square(f_h.imag), axis=0)
+    trace = (1.0 + _gamma(2 * (n + m) + 12, _U64)) * float(np.sum(col))
+    return float(np.min(y)) - trace
 
 
 def _form_value(a: OmegaRows, x: np.ndarray) -> float:
@@ -310,8 +312,8 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
     For each sample count, draw xi ~ CN(0, R*), map every draw to the
     unit-modulus vector xi / |xi| (an entry with xi = 0 becomes 1), and
     report the best quadratic-form value relative to the dual bound
-    ``unit_diag_dual_bound(A, R*)``.  A is given by its rows
-    (``OmegaRows``) and R* = Z^H Z by its factor (``GramFactor``), whose
+    ``unit_diag_dual_bound(A, R*)``.  A is given by its rows (checked
+    first, ``_require_psd_rows``) and R* = Z^H Z by its factor, whose
     columns must have unit norm to ``_unit_diag_allowance``.  Both enter
     at their rank (``_study_factors``): xi = U_r Lambda_r^(1/2) z over the
     r eigenpairs of R* above rounding level (lambda_j > L eps lambda_max),
@@ -331,11 +333,12 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
     (``_form_value``), with x formed from its draw alone, an exact
     unit-modulus value, so the ratio cannot exceed 1 whatever R* is: the
     bound is at least the relaxation optimum, which is at least every
-    unit-modulus value, and it covers the rounding of that value.  Every
-    sample count must be an integer >= 1, as ``n_g_grid`` of a config, and
-    the whole grid is checked before the first draw; a bound of 0 (A = 0)
-    is a ConfigError.
+    unit-modulus value and at least tr(A) > 0, and it covers the rounding
+    of that value.  Every sample count must be an integer >= 1, as
+    ``n_g_grid`` of a config, and the whole grid is checked before the
+    first draw.
     """
+    _require_psd_rows(a)
     n_g_grid = list(n_g_grid)
     require_integer(SimpleNamespace(n_g_grid=n_g_grid), {"n_g_grid[]": COUNT})
     z = r_star.z
@@ -344,9 +347,8 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
     if not off <= _unit_diag_allowance(z.shape[1]):
         raise ConfigError("reference covariance must have unit diagonal")
     sdp_obj = unit_diag_dual_bound(a, r_star)
-    if not sdp_obj > 0.0:
-        raise ConfigError(f"the relaxation bound is {sdp_obj!r}, so no ratio "
-                          f"is defined: A is zero, as U3 is at beta = 1")
+    if not sdp_obj > 0.0:                          # A underflows
+        raise SolverError(f"the relaxation bound is {sdp_obj!r}: no ratio")
     half, mu, e_h = _study_factors(a, r_star)
     screen = None
     reports = []
@@ -384,7 +386,7 @@ def _study_factors(a: OmegaRows, r_star: GramFactor
     if r_star.form is a:
         mu, e_h = r_star.pairs
     else:
-        mu, e_h, _ = _form_eigenpairs(a)
+        mu, e_h = _form_eigenpairs(a)
     cols = _above_rounding(np.abs(mu), l)
     return half, mu[cols], e_h[cols]
 
@@ -451,7 +453,7 @@ class _Screen:
 
         b_j = c0 + 2 T e rho D_j + T e^2 D_j^2
 
-    of the double-precision one, A indefinite too, where
+    of the double-precision one, where
 
         D_j = 2 a ||z_j|| (sum_l ||h_l||^2 / |u-hat_l|^2)^(1/2)
               + (gamma_8 + gamma'_6) sqrt(L) + 2 (a1 ||z_j|| + a0)
@@ -616,35 +618,23 @@ def _above_rounding(w: np.ndarray, n: int) -> np.ndarray:
     return w > n * _EPS * float(w.max(initial=0.0))
 
 
-def _form_eigenpairs(a: OmegaRows, complete: bool = False
-                     ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(w, E^H, null): eigenvalues of A = X^H diag(d) X with their
-    eigenvectors as the rows of E^H (k x L), from its m rows X, and the
-    number of live coordinates' directions E leaves out, where A is 0.
+def _form_eigenpairs(a: OmegaRows) -> tuple[np.ndarray, np.ndarray]:
+    """(w, E^H): eigenvalues of A = X^H diag(d) X with their eigenvectors
+    as the rows of E^H (k x L), from its m rows X.
 
-    Rows of weight 0 are dropped, and the live coordinates are the
-    columns of X that are nonzero there.  A thin QR of the live rows,
-    X^H = Q R on those coordinates, gives A = Q (R D R^H) Q^H, so one
-    k x k ``eigh`` of R D R^H = V diag(w) V^H gives E = Q V, k = min(m,
-    L_live): O(L m^2), where an ``eigh`` of A is O(L^3).  E is exactly zero
-    off the live coordinates.  ``complete`` takes a complete QR instead and
-    adds the null directions, the rest of Q's columns, with eigenvalue 0:
-    all L_live eigenpairs, which the relaxation of an indefinite A needs
-    where its shift lifts them above rounding level.
+    The live coordinates are the columns of X that are not zero.  A thin
+    QR of the rows, X^H = Q R on those coordinates, gives A =
+    Q (R D R^H) Q^H, so one k x k ``eigh`` of R D R^H = V diag(w) V^H gives
+    E = Q V, k = min(m, L_live): O(L m^2), where an ``eigh`` of A is
+    O(L^3).  E is exactly zero off the live coordinates.
     """
-    use = a.weights != 0.0
-    x, d = a.rows[use], a.weights[use]
+    x, d = a.rows, a.weights
     live = np.flatnonzero(np.any(x != 0.0, axis=0))
-    k = min(x.shape[0], live.size)
-    q, r = np.linalg.qr(x[:, live].conj().T,
-                        mode="complete" if complete else "reduced")
-    w, v = np.linalg.eigh((r[:k] * d) @ r[:k].conj().T)
+    q, r = np.linalg.qr(x[:, live].conj().T)
+    w, v = np.linalg.eigh((r * d) @ r.conj().T)
     e_h = np.zeros((q.shape[1], x.shape[1]), dtype=complex)
-    e_h[:k, live] = (q[:, :k] @ v).conj().T
-    if complete:
-        e_h[k:, live] = q[:, k:].conj().T
-        w = np.concatenate((w, np.zeros(live.size - k)))
-    return w, e_h, live.size - e_h.shape[0]
+    e_h[:, live] = (q @ v).conj().T
+    return w, e_h
 
 
 def _unit_columns(g: np.ndarray, near: np.ndarray) -> np.ndarray:
@@ -666,65 +656,55 @@ def _unit_columns(g: np.ndarray, near: np.ndarray) -> np.ndarray:
 
 
 def solve_unit_diag_relaxation(a: OmegaRows) -> GramFactor:
-    """Maximize tr(A R) over {R >= 0, diag(R) = 1}.
+    """Maximize tr(A R) over {R >= 0, diag(R) = 1}, A PSD.
 
     The generalized power method (Journee et al., JMLR 2010) on R = V^H V
     with unit-norm columns, which is the minorization step of the phase
     update applied to this set, accelerated by guarded SQUAREM cycles
-    (``squarem.squarem_ascent``).  With B = A + sigma I, sigma =
-    max(0, -lambda_min(A)), tr(A R) = tr(V B V^H) - L sigma on the set and
-    tr(V B V^H) is convex in V, so its linearization at V minorizes it;
-    the map V <- V B with every column normalized maximizes that
-    linearization in closed form, so it ascends monotonically, and a cycle
-    keeps its extrapolated point only where that point beats two plain
-    maps.  The iterate is PSD with unit diagonal by construction (where a
-    column of V B or of the extrapolation is 0, V keeps its column).  From
-    V = I, the first map, then cycles of three maps.  They stop once a map
-    between kept iterates moves Z by at most 1e-10 of ||Z||_F (the
-    fixed-point residual, which measures stationarity, as the dual
-    certificate does; a gain in tr(A R) is second order in it and reaches
-    rounding level first), or after a fixed number of maps; every rule is
-    relative, so A and 2^k A give the same bits.  Optimality is certified
-    separately by ``unit_diag_dual_bound``.
+    (``squarem.squarem_ascent``).  tr(A R) = tr(V A V^H) is convex in V,
+    so its linearization at V minorizes it; the map V <- V A with every
+    column normalized maximizes that linearization in closed form, so it
+    ascends monotonically, and a cycle keeps its extrapolated point only
+    where that point beats two plain maps.  The iterate is PSD with unit
+    diagonal by construction (where a column of V A or of the
+    extrapolation is 0, V keeps its column).  From V = I, the first map,
+    then cycles of three maps.  They stop once a map between kept iterates
+    moves Z by at most 1e-10 of ||Z||_F (the fixed-point residual, which
+    measures stationarity, as the dual certificate does; a gain in
+    tr(A R) is second order in it and reaches rounding level first), or
+    after a fixed number of maps; every rule is relative, so A and 2^k A
+    give the same bits.  Optimality is certified separately by
+    ``unit_diag_dual_bound``.
 
-    A is given by its rows (``OmegaRows``, signed weights allowed), and
-    the maps run at the rank of B.  ``_form_eigenpairs`` gives A's
-    eigenpairs from the QR of the rows and one m x m ``eigh``, and B =
-    E M E^H over its r eigenvalues above rounding level, L eps times the
-    largest (r = 5 for the ratio study's A = U3; r = L - 1 or so for a
-    full-rank indefinite A, whose shift also lifts A's null space in the
-    live coordinates, then taken from a complete QR).  After the first map
-    every column of V lies in span(E), so V = E Z and a map is
-    Z <- normalize_cols((Z E M) E^H) on the r x L coordinates, O(r^2 L)
-    where V B is O(L^3); the product also gives tr(A R) at Z, and is
-    normalized in place.  A coordinate whose column of A is zero keeps its
-    e_i (Z's column is 0 there, and the factor gains the row e_i^T); E is
-    exactly zero on such coordinates (an ``eigh`` of all of A leaves
-    rounding noise there, which normalizing amplifies).  R* = Z^H Z is
-    returned as its factor (``GramFactor``); no L x L array is formed.
-    The plain map, run alone, moves R at rounding level against the dense
-    V <- V B; both are test oracles (``tests/reference.py``).
+    A is given by its rows (``OmegaRows``) with every weight > 0
+    (``_require_psd_rows``), and the maps run at the rank of A.
+    ``_form_eigenpairs`` gives A's eigenpairs from the QR of the rows and
+    one m x m ``eigh``, and A = E M E^H over its r eigenvalues above
+    rounding level, L eps times the largest (r = 5 for the ratio study's
+    A = U3).  After the first map every column of V lies in span(E), so
+    V = E Z and a map is Z <- normalize_cols((Z E M) E^H) on the r x L
+    coordinates, O(r^2 L) where V A is O(L^3); the product also gives
+    tr(A R) at Z, and is normalized in place.  A coordinate whose column of
+    A is zero keeps its e_i (Z's column is 0 there, and the factor gains
+    the row e_i^T); E is exactly zero on such coordinates (an ``eigh`` of
+    all of A leaves rounding noise there, which normalizing amplifies).
+    R* = Z^H Z is returned as its factor (``GramFactor``); no L x L array
+    is formed.  The plain map, run alone, moves R at rounding level against
+    the dense V <- V A; both are test oracles (``tests/reference.py``).
     """
+    _require_psd_rows(a)
     n = a.rows.shape[1]
-    w, e_h, null = _form_eigenpairs(a)
-    shift = max(0.0, -float(w.min(initial=0.0)))
-    m = w + shift
-    if null and _above_rounding(np.append(m, shift), n)[-1]:
-        w, e_h, _ = _form_eigenpairs(a, complete=True)
-        m = w + shift
-    pairs = w, e_h
-    keep = _above_rounding(m, n)
-    m = m[keep]
-    e_h = e_h[keep]
-    g = m[:, np.newaxis] * e_h             # V B at V = I, in the basis E
+    w, e_h = pairs = _form_eigenpairs(a)
+    keep = _above_rounding(w, n)
+    m, e_h = w[keep], e_h[keep]
+    g = m[:, np.newaxis] * e_h             # V A at V = I, in the basis E
     z = _unit_columns(g, np.zeros_like(g))
     fixed = ~z.any(axis=0)                 # V keeps e_i there, Z's column 0
     em = e_h.conj().T * m                  # E M
-    offset = np.count_nonzero(~fixed) * shift
 
     def point(z):
         g = (z @ em) @ e_h
-        return z, float(np.vdot(z, g).real) - offset, g   # tr(A Z^H Z)
+        return z, float(np.vdot(z, g).real), g   # tr(A Z^H Z)
 
     # ||Z||_F^2 is the number of moving columns
     stop2 = _UNIT_DIAG_TOL ** 2 * np.count_nonzero(~fixed)

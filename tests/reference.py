@@ -449,7 +449,7 @@ def mixing_method_relaxation(a: np.ndarray, max_sweeps: int = 1000,
 def plain_unit_diag_relaxation(a: np.ndarray, max_steps: int | None = None,
                                tol: float = 1e-12) -> np.ndarray:
     """Reference for ``solve_unit_diag_relaxation``: the same map at the
-    rank of B, Z <- normalize_cols((Z E M) E^H), iterated alone from V = I
+    rank of A, Z <- normalize_cols((Z E M) E^H), iterated alone from V = I
     until one map gains at most ``tol`` relative or after ``max_steps``
     maps (``ratio._UNIT_DIAG_MAX_STEPS`` by default), with no
     extrapolation: the library's ascent before it took SQUAREM cycles and
@@ -460,23 +460,20 @@ def plain_unit_diag_relaxation(a: np.ndarray, max_steps: int | None = None,
     n = a.shape[0]
     live = np.any(a != 0.0, axis=0)
     w, u = np.linalg.eigh(a[np.ix_(live, live)])
-    shift = max(0.0, -float(w.min(initial=0.0)))
-    m = w + shift
-    keep = _above_rounding(m, n)
-    m = m[keep]
+    keep = _above_rounding(w, n)
+    m = w[keep]
     e_h = np.zeros((m.size, n), dtype=complex)
     e_h[:, live] = u[:, keep].conj().T
-    g = m[:, np.newaxis] * e_h             # V B at V = I, in the basis E
+    g = m[:, np.newaxis] * e_h             # V A at V = I, in the basis E
     f = float(np.real(np.trace(a)))        # tr(A R) at R = I
     norms = np.linalg.norm(g, axis=0)
     fixed = norms == 0.0                   # V keeps e_i there, Z's column 0
     em = e_h.conj().T * m                  # E M
-    offset = np.count_nonzero(~fixed) * shift
     z = np.zeros_like(g)
     np.divide(g, norms, out=z, where=~fixed)
     for _ in range(max_steps - 1):
         g = (z @ em) @ e_h
-        f_new = float(np.real(np.vdot(z, g))) - offset     # tr(A Z^H Z)
+        f_new = float(np.real(np.vdot(z, g)))     # tr(A Z^H Z)
         if abs(f_new - f) <= tol * abs(f):
             break
         f = f_new
@@ -527,19 +524,16 @@ def rejecting_extrapolations(squarem_ascent):
 def dense_power_method(a: np.ndarray, max_steps: int = 10_000,
                        tol: float = 1e-12) -> np.ndarray:
     """Reference for ``solve_unit_diag_relaxation``: the same generalized
-    power method run densely, V <- V B on the L x L iterate with
-    B = A + max(0, -lambda_min(A)) I, columns normalized (where a column
-    of V B is zero, V keeps its column), from V = I until the objective
-    gains at most ``tol`` relative or after ``max_steps`` steps."""
+    power method run densely, V <- V A on the L x L iterate of a PSD A,
+    columns normalized (where a column of V A is zero, V keeps its
+    column), from V = I until the objective gains at most ``tol`` relative
+    or after ``max_steps`` steps."""
     a = hermitize(a)
-    n = a.shape[0]
-    shift = max(0.0, -float(np.linalg.eigvalsh(a)[0]))
-    b = a + shift * np.eye(n)
-    v = np.eye(n, dtype=complex)
+    v = np.eye(a.shape[0], dtype=complex)
     f = None
     for _ in range(max_steps):
-        g = v @ b
-        f_new = float(np.real(np.vdot(v, g))) - n * shift   # tr(A V^H V)
+        g = v @ a
+        f_new = float(np.real(np.vdot(v, g)))     # tr(A V^H V)
         if f is not None and abs(f_new - f) <= tol * max(1.0, abs(f)):
             break
         f = f_new

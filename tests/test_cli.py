@@ -290,7 +290,7 @@ HUGE_SURFACES = {
     "l_values[1]": ("ratio", {"l_values": [8, 2 ** 62]}),
     "irs_rows * irs_cols": ("convergence", {"scene": {"irs_rows": 2 ** 31,
                                                       "irs_cols": 2 ** 31}}),
-    "l_values[0]": ("ratio", {"l_values": [2 ** 20]}),
+    "l_values[0]": ("ratio", {"l_values": [2 ** 26]}),
 }
 
 
@@ -371,21 +371,29 @@ class TestHugeCounts:
         assert "do not fit in memory" in done.stderr
         assert not out.exists()
 
-    # On 8 GiB, a ratio trial at L = 20000 (about 12 GiB by
-    # ratio.study_bytes, the two L x L arrays of the dense certificate's
-    # fallback) is rejected, though an overcommitting kernel
-    # grants an L x L array that is never touched.  Only run is capped:
-    # were the surface to load, its trials must fail, not fill memory.
+    # On 8 GiB, a ratio trial at L = 600000 (about 9.1 GiB by
+    # ratio.study_bytes, its candidate block and arrays at rank) is
+    # rejected, though an overcommitting kernel grants arrays that are
+    # never touched.  Only run is capped: were the surface to load, its
+    # trials must fail, not fill memory.
     @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_surface_counted_past_memory_exits_2(self, tmp_path, command):
-        config = write_shipped(tmp_path, "ratio", {"l_values": [8, 20000]})
+        config = write_shipped(tmp_path, "ratio", {"l_values": [8, 600000]})
         done, out = self._cli(
             tmp_path, command, config, memory=8 << 30,
             preexec_fn=_limit_address_space if command == "run" else None)
         assert done.returncode == 2, done.stderr
-        assert "config error: l_values[1] = 20000: " in done.stderr
+        assert "config error: l_values[1] = 600000: " in done.stderr
         assert "do not fit in memory (8 GiB)" in done.stderr
         assert not out.exists()
+
+    # A surface the factored trial holds in O(L) memory loads: L = 4096 is
+    # counted at about 70 MiB, with no L x L term
+    def test_surface_counted_within_memory_loads(self, tmp_path):
+        config = write_shipped(tmp_path, "ratio", {"l_values": [8, 4096]})
+        done, _ = self._cli(tmp_path, "validate-config", config,
+                            memory=8 << 30)
+        assert done.returncode == 0, done.stderr
 
     # The draws of a sample count numpy can index but memory cannot hold:
     # 10^12 candidates of rank up to 25 take about 600 TiB

@@ -29,10 +29,20 @@ from reference import (dense_form, dense_power_method, dense_ratio_study,
 class TestApproximationRatio:
     def test_zero_bound_is_a_config_error(self):
         # at beta = 1 the weight 1 - beta of the communication terms zeroes
-        # A = U3, and with it the bound: no ratio, rather than 0 / 0
+        # A = U3, and with it the bound: no ratio, rather than 0 / 0; the
+        # relaxation rejects it before any map
         cfg = scene_config_from_dict({"beta": 1, "irs_rows": 2, "irs_cols": 4})
-        with pytest.raises(ConfigError, match=r"relaxation bound is 0\.0"):
+        with pytest.raises(ConfigError, match=r"^A is zero, as U3 is at beta"):
             harness._ratio_trial((cfg, SolverOptions(t_max=2), [10], 0, 0, 0))
+
+    def test_underflowing_bound_is_a_solver_error(self):
+        # a nonzero A whose squares underflow bounds nothing in floating
+        # point: a numerical fault, not a config fault, and not 0 / 0
+        a = ratio_study_matrix(2, 4, 33)
+        tiny = OmegaRows(a.rows * 1e-170, a.weights)
+        r = solve_unit_diag_relaxation(tiny)
+        with pytest.raises(SolverError, match=r"relaxation bound is 0\.0"):
+            approximation_ratio_study(tiny, r, [10], np.random.default_rng(0))
 
     def test_ratio_above_one_is_a_solver_error(self):
         # a reference objective below a unit-modulus value is a numerical
@@ -63,11 +73,10 @@ class TestApproximationRatio:
         for rep in reports:
             assert rep.ratio == pytest.approx(1.0, abs=1e-12)
 
-    def test_ratio_grows_with_samples(self, rng):
-        # an indefinite A: a random PSD one of this size has a rank-one R*,
-        # where every draw is the same unit-modulus vector
-        l = 16
-        a = form_rows(random_hermitian(rng, l))
+    def test_ratio_grows_with_samples(self):
+        # a drawn U3 whose R* has rank 3: a random PSD A of this size has a
+        # rank-one R*, where every draw is the same unit-modulus vector
+        a = ratio_study_matrix(6, 6, 28)
         r_star = solve_unit_diag_relaxation(a)
         assert kept_rank_at_rounding_level(r_star) > 1
         grid = [4, 64, 1024]
@@ -121,6 +130,44 @@ class TestApproximationRatio:
                     approximation_ratio_study(a, moved, [4], rng)
 
 
+class TestPsdRows:
+    """The chain takes A = X^H diag(d) X PSD: each entry point rejects a
+    weight that is not > 0, naming it, and a zero A before any work (R* is
+    never read, the generator never drawn, A never decomposed)."""
+
+    @staticmethod
+    def _calls(entry, a, rng):
+        if entry == "relaxation":
+            return lambda: solve_unit_diag_relaxation(a)
+        if entry == "bound":
+            return lambda: unit_diag_dual_bound(a, None)
+        return lambda: approximation_ratio_study(a, None, [4], rng)
+
+    @pytest.mark.parametrize("entry", ["relaxation", "bound", "study"])
+    @pytest.mark.parametrize("weight", [-1.0, 0.0, -0.0, np.nan])
+    def test_rejects_a_weight_not_above_zero(self, monkeypatch, rng, entry,
+                                             weight):
+        monkeypatch.setattr(ratio, "_form_eigenpairs", None)
+        a = OmegaRows(complex_normal(rng, 3, 8), [2.0, weight, 0.5])
+        state = rng.bit_generator.state
+        want = rf"^weights\[1\] = {re.escape(repr(weight))}: A must be PSD"
+        with pytest.raises(ConfigError, match=want):
+            self._calls(entry, a, rng)()
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("entry", ["relaxation", "bound", "study"])
+    @pytest.mark.parametrize("rows,weights", [
+        (np.ones((2, 4)), [0.0, 0.0]), (np.zeros((2, 4)), [1.0, 1.0]),
+        (np.zeros((0, 4)), [])], ids=["zero-weights", "zero-rows", "no-rows"])
+    def test_rejects_a_zero_form(self, monkeypatch, rng, entry, rows,
+                                 weights):
+        monkeypatch.setattr(ratio, "_form_eigenpairs", None)
+        a = OmegaRows(rows.astype(complex), weights)
+        with pytest.raises(ConfigError, match=r"^A is zero, as U3 is at "
+                                              r"beta = 1"):
+            self._calls(entry, a, rng)()
+
+
 class TestUnitDiagRelaxation:
     def test_result_feasible_and_beats_identity(self, rng):
         for l in (4, 8):
@@ -140,9 +187,8 @@ class TestUnitDiagRelaxation:
         assert got <= np.trace(a).real * (1 + 1e-7)
         assert got >= np.trace(a).real * (1 - 1e-6)
 
-    @pytest.mark.parametrize("a", [np.zeros((4, 4)),
-                                   np.diag([1.0, 0.0, 2.0, 3.0])],
-                             ids=["zero", "diagonal-with-zero"])
+    @pytest.mark.parametrize("a", [np.diag([1.0, 0.0, 2.0, 3.0])],
+                             ids=["diagonal-with-zero"])
     def test_zero_column_keeps_its_unit_vector(self, a):
         # V B has a zero column wherever A has one, and V keeps e_i there
         np.testing.assert_array_equal(
@@ -203,12 +249,15 @@ class TestUnitDiagCertificate:
         assert np.linalg.eigvalsh(r)[0] >= -1e-12 * np.linalg.norm(a)
         assert np.max(np.abs(np.diagonal(r) - 1.0)) <= 1e-12
 
-    @pytest.mark.parametrize("kind", ["psd", "indefinite"])
+    @pytest.mark.parametrize("kind", ["psd", "drawn"])
     def test_bound_dominates_relaxation_and_random_points(self, rng, kind):
+        # a full-rank A, and a drawn U3 of rank 5 on 8 elements
         l = 8
-        a = (random_psd if kind == "psd" else random_hermitian)(rng, l)
-        r = solve_unit_diag_relaxation(form_rows(a))
-        bound = unit_diag_dual_bound(form_rows(a), r)
+        rows = (form_rows(random_psd(rng, l)) if kind == "psd"
+                else ratio_study_matrix(2, 4, 33))
+        a = dense_form(rows)
+        r = solve_unit_diag_relaxation(rows)
+        bound = unit_diag_dual_bound(rows, r)
         assert bound >= float(np.real(np.vdot(a, r)))
         x = np.exp(2j * np.pi * rng.random((l, 10_000)))
         values = np.real(np.sum(x.conj() * (a @ x), axis=0))
@@ -293,9 +342,9 @@ class TestLowRankStudy:
 
     def test_best_objective_is_a_unit_modulus_value(self, rng):
         # R* = x0 x0^H: every draw is x0 up to a phase, so the best value
-        # is x0^H A x0, for an indefinite A too
+        # is x0^H A x0, for a full-rank A too
         l = 12
-        a = random_hermitian(rng, l)
+        a = random_psd(rng, l)
         x0 = np.exp(2j * np.pi * rng.random(l))
         for rep in approximation_ratio_study(
                 form_rows(a), gram_factor(np.outer(x0, x0.conj())), [1, 50],
@@ -353,7 +402,7 @@ class TestLowRankStudy:
     def test_full_rank_reference_scores_densely(self, rng):
         # with R* = I all L eigenpairs are kept (r = L), so the candidates
         # are the reference's; the winner is reported by its dense value
-        a = form_rows(random_hermitian(rng, 9))
+        a = form_rows(random_psd(rng, 9))
         eye = gram_factor(np.eye(9, dtype=complex))
         new = approximation_ratio_study(a, eye, [7, 300],
                                         np.random.default_rng(2))
@@ -377,14 +426,13 @@ class TestLowRankStudy:
     # The plain map at the rank of B against the dense V <- V B: R* agrees
     # to 2.5e-14 at most over these inputs, every step cap and convergence
     # (measured), hence the bound of 1e-12.  (6, 6, 104) is a slow input
-    # (1396 plain maps); the random ones are full rank, r = L or L - 1.
+    # (1396 plain maps), (6, 6, 28) one whose R* has rank 3; the random
+    # one is full rank, r = L.
     @pytest.mark.parametrize("source", [(2, 4, 33), (6, 6, 33), (6, 6, 5),
-                                        (6, 6, 104), "psd", "indefinite"])
+                                        (6, 6, 104), (6, 6, 28), "psd"])
     def test_factored_ascent_matches_dense_reference(self, rng, source):
         if source == "psd":
             a = random_psd(rng, 36)
-        elif source == "indefinite":
-            a = random_hermitian(rng, 36)
         else:
             a = dense_form(ratio_study_matrix(*source))
         np.testing.assert_allclose(plain_unit_diag_relaxation(a),
@@ -394,12 +442,14 @@ class TestLowRankStudy:
                                        dense_power_method(a, steps),
                                        rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["psd", "indefinite"])
+    @pytest.mark.parametrize("kind", ["psd", "drawn"])
     def test_ascent_monotone_and_certified_at_l36(self, rng, kind):
-        a = (random_psd if kind == "psd" else random_hermitian)(rng, 36)
-        r = solve_unit_diag_relaxation(form_rows(a))
+        rows = (form_rows(random_psd(rng, 36)) if kind == "psd"
+                else ratio_study_matrix(6, 6, 28))
+        a = dense_form(rows)
+        r = solve_unit_diag_relaxation(rows)
         value = float(np.real(np.vdot(a, r)))
-        bound = unit_diag_dual_bound(form_rows(a), r)
+        bound = unit_diag_dual_bound(rows, r)
         assert 0.0 <= (bound - value) / abs(bound) <= 1e-6
         reference = float(np.real(np.vdot(a, mixing_method_relaxation(a))))
         assert abs(value - reference) <= 1e-6 * abs(bound)
@@ -461,10 +511,9 @@ class TestSingleScreen:
         assert len(kept) >= 10 and np.mean(kept) <= 0.1, kept
 
     @pytest.mark.parametrize("l,seeds", [(8, 100), (36, 20)])
-    def test_same_winner_on_indefinite_a(self, l, seeds):
+    def test_same_winner_on_full_rank_a(self, l, seeds):
         for seed in range(seeds):
-            a = form_rows(random_hermitian(np.random.default_rng([l, seed]),
-                                           l))
+            a = form_rows(random_psd(np.random.default_rng([l, seed]), l))
             for r in (solve_unit_diag_relaxation(a), gram_factor(np.eye(l))):
                 got, want, _ = screen_against_float64(
                     a, r, study_draws(a, r, 1000, seed))
@@ -545,21 +594,13 @@ class TestAcceleratedUnitDiagAscent:
     """The SQUAREM-accelerated ascent against the plain map it extrapolates
     (``tests/reference.py``)."""
 
-    # Measured on these inputs: the objective 3e-14 to 4e-11 relative above
-    # the plain map's, the certified gap 4 to 1e5 times smaller.  Three
-    # rows of signed weights give an indefinite A of rank 3, whose shift
-    # lifts its null space: the relaxation takes it from a complete QR.
+    # Measured on these inputs: the objective 2.6e-12 to 1.1e-10 relative
+    # above the plain map's, the certified gap 9.7 to 4.7e4 times smaller.
     @pytest.mark.parametrize("source", [(2, 4, 33), (6, 6, 33), (6, 6, 5),
-                                        (6, 6, 104), "psd", "indefinite",
-                                        "indefinite-rank-3"])
+                                        (6, 6, 104), (6, 6, 28), "psd"])
     def test_at_least_the_plain_ascent(self, rng, source):
         if source == "psd":
             a = form_rows(random_psd(rng, 36))
-        elif source == "indefinite":
-            a = form_rows(random_hermitian(rng, 36))
-        elif source == "indefinite-rank-3":
-            a = OmegaRows(complex_normal(rng, 3, 36), [2.0, -1.0, 0.5])
-            assert ratio._form_eigenpairs(a)[2] == 33
         else:
             a = ratio_study_matrix(*source)
         dense = dense_form(a)
@@ -572,12 +613,11 @@ class TestAcceleratedUnitDiagAscent:
                 <= unit_diag_dual_bound(a, gram_factor(plain)) - want)
         assert np.max(np.abs(np.diagonal(r) - 1.0)) <= 1e-12
 
-    @pytest.mark.parametrize("source", [(6, 6, 104), "indefinite"])
-    def test_monotone_at_every_cap(self, rng, monkeypatch, source):
+    @pytest.mark.parametrize("source", [(6, 6, 104), (6, 6, 28)])
+    def test_monotone_at_every_cap(self, monkeypatch, source):
         # a cap of 1 + 3c + s maps ends after c cycles and s plain maps, so
         # one more map never ends lower
-        a = (form_rows(random_hermitian(rng, 36)) if source == "indefinite"
-             else ratio_study_matrix(*source))
+        a = ratio_study_matrix(*source)
         values = []
         for steps in range(1, 41):
             monkeypatch.setattr(ratio, "_UNIT_DIAG_MAX_STEPS", steps)
@@ -588,14 +628,13 @@ class TestAcceleratedUnitDiagAscent:
         assert np.all(np.diff(values) >= -1e-12 * abs(values[-1]))
         assert values[-1] > values[0]
 
-    @pytest.mark.parametrize("source", [(6, 6, 104), "indefinite"])
-    def test_rejected_extrapolations_keep_the_plain_maps(self, rng,
-                                                         monkeypatch, source):
+    @pytest.mark.parametrize("source", [(6, 6, 104), (6, 6, 28)])
+    def test_rejected_extrapolations_keep_the_plain_maps(self, monkeypatch,
+                                                         source):
         # every extrapolated point forced back to the start, whose map lies
         # below two maps further on: each cycle keeps its two plain maps, so
         # a cap of 1 + 3c + s keeps 1 + 2c + s maps of the plain ascent
-        a = (form_rows(random_hermitian(rng, 36)) if source == "indefinite"
-             else ratio_study_matrix(*source))
+        a = ratio_study_matrix(*source)
         dense = dense_form(a)
         monkeypatch.setattr(ratio, "squarem_ascent",
                             rejecting_extrapolations(ratio.squarem_ascent))
@@ -690,37 +729,75 @@ class TestFactoredCertificate:
             assert (s > e) is certified, k
         assert ratio._schur_lambda(f_h, y) == 0.0
 
-    def test_nonpositive_y_takes_the_dense_certificate(self, monkeypatch):
+    # Weyl's bound, forced on the same 60 inputs, against the dense
+    # eigvalsh: min(y) - tr(A) lies far below lambda_min, and the ratios
+    # against the looser bound stay in (0, 1]
+    @pytest.mark.parametrize("rows,cols", [(2, 4), (6, 6)])
+    def test_forced_weyl_bound_is_sound(self, monkeypatch, rows, cols):
+        monkeypatch.setattr(ratio, "_schur_lambda", lambda f_h, y: None)
+        for seed in range(30):
+            a = ratio_study_matrix(rows, cols, seed)
+            r = solve_unit_diag_relaxation(a)
+            y = dual_y(a, r)
+            lam = ratio._weyl_lambda(a.rows * np.sqrt(a.weights)[:, None], y)
+            dense = float(np.linalg.eigvalsh(np.diag(y) - dense_form(a))[0])
+            assert lam <= dense, seed
+            for rep in approximation_ratio_study(a, r, [10, 100],
+                                                 np.random.default_rng(seed)):
+                assert 0.0 < rep.ratio <= 1.0, seed
+
+    def test_nonpositive_y_takes_weyls_bound(self, monkeypatch):
         # R = x x^H at random phases x is feasible but far from optimal,
         # and some y_i = Re(conj(x_i) (A x)_i) is below 0: the bound comes
-        # from the dense eigvalsh, and still bounds the relaxation
+        # from Weyl's inequality, and still bounds the relaxation
         a = ratio_study_matrix(6, 6, 33)
+        r_star = solve_unit_diag_relaxation(a)
+        factored = unit_diag_dual_bound(a, r_star)
+        optimum = float(np.real(np.vdot(dense_form(a), r_star)))
         x = np.exp(2j * np.pi * np.random.default_rng(0).random(36))
         r = gram_factor(np.outer(x, x.conj()))
         assert np.any(dual_y(a, r) <= 0.0)
         calls = []
-        for name in ("_schur_lambda", "_dense_lambda"):
+        for name in ("_schur_lambda", "_weyl_lambda"):
             fn = getattr(ratio, name)
             monkeypatch.setattr(ratio, name, lambda *args, _fn=fn, _n=name: (
                 calls.append(_n), _fn(*args))[1])
         reports = approximation_ratio_study(a, r, [10, 1000],
                                             np.random.default_rng(1))
-        assert calls == ["_dense_lambda"]
-        optimum = float(np.real(np.vdot(dense_form(a),
-                                        solve_unit_diag_relaxation(a))))
+        assert calls == ["_weyl_lambda"]
         for rep in reports:
             assert 0.0 < rep.ratio <= 1.0
-            assert rep.sdp_objective >= optimum
+            assert rep.sdp_objective >= factored >= optimum
 
-    def test_failed_search_takes_the_dense_certificate(self, monkeypatch):
-        # a search that cannot certify falls back to the dense bound, which
-        # the factored one matches to its rounding
+    def test_failed_search_takes_weyls_bound(self, monkeypatch):
+        # a search that cannot certify falls back to Weyl's bound, which is
+        # looser than the factored one and still bounds the relaxation
         a = ratio_study_matrix(6, 6, 33)
         r = solve_unit_diag_relaxation(a)
         factored = unit_diag_dual_bound(a, r)
+        optimum = float(np.real(np.vdot(dense_form(a), r)))
         monkeypatch.setattr(ratio, "_SCHUR_MAX_STEPS", 0)
-        dense = unit_diag_dual_bound(a, r)
-        assert dense == pytest.approx(factored, rel=1e-12)
+        weyl = unit_diag_dual_bound(a, r)
+        assert weyl >= factored >= optimum
+
+    def test_zero_columns_are_deflated(self, monkeypatch):
+        # a zero column of A has y_i = 0 and a zero row and column in
+        # Diag(y) - A: the search runs on the other coordinates and the
+        # bound is the one without that coordinate
+        a = ratio_study_matrix(2, 4, 33)
+        rows = a.rows.copy()
+        rows[:, 3] = 0.0
+        zeroed = OmegaRows(rows, a.weights)
+        r = solve_unit_diag_relaxation(zeroed)
+        assert dual_y(zeroed, r)[3] == 0.0
+        calls = []
+        fn = ratio._schur_lambda
+        monkeypatch.setattr(ratio, "_schur_lambda", lambda f_h, y: (
+            calls.append(f_h.shape[1]), fn(f_h, y))[1])
+        bound = unit_diag_dual_bound(zeroed, r)
+        assert calls == [7]
+        value = float(np.real(np.vdot(dense_form(zeroed), r)))
+        assert 0.0 <= (bound - value) / bound <= 1e-10
 
 
 @pytest.mark.kernels
@@ -750,9 +827,14 @@ class TestRankRule:
 
 
 class TestRankPath:
-    def test_no_square_array_or_decomposition_at_l1024(self, monkeypatch):
+    @pytest.mark.parametrize("certificate", ["factored", "weyl"])
+    def test_no_square_array_or_decomposition_at_l1024(self, monkeypatch,
+                                                       certificate):
         # the shipped scene on a 32 x 32 surface: build, relaxation and
-        # study form no L x L array and decompose nothing of side L
+        # study form no L x L array and decompose nothing of side L, with
+        # the Schur certificate or with Weyl's bound forced
+        if certificate == "weyl":
+            monkeypatch.setattr(ratio, "_schur_lambda", lambda f_h, y: None)
         cfg = scene_config_from_dict({
             "n_tx": 16, "n_rx": 16, "n_users": 5, "beta": 0.9,
             "power_budget_dbm": 30, "sigma2_radar_dbm": 0,
@@ -781,13 +863,13 @@ class TestRankPath:
         assert sides and all(min(side) <= 25 for side in sides), sides
 
 
-# One ratio trial of the shipped config at L = 512 in a fresh process,
+# One ratio trial of the shipped config at L = 1024 in a fresh process,
 # after a warm-up trial at L = 8, so that the interpreter's and BLAS's
 # one-time buffers are not counted: the growth of its peak resident set.
 # That peak is VmHWM, the high-water mark of this process's own memory;
 # ru_maxrss would start at the RSS of the pytest process it was spawned
-# from.  With "dense", the certificate takes its dense fallback, as where
-# some y_i <= 0.
+# from.  With "weyl", the certificate takes Weyl's bound, as where some
+# y_i <= 0.
 _TRIAL_PEAK = """
 import json, sys
 from isacopt import harness, ratio
@@ -797,9 +879,9 @@ def peak():
         return next(1024 * int(line.split()[1]) for line in fh
                     if line.startswith("VmHWM:"))
 
-if sys.argv[2] == "dense":
+if sys.argv[2] == "weyl":
     ratio._schur_lambda = lambda f_h, y: None
-spec = harness.load_experiment_spec(sys.argv[1], {"l_values": [8, 512]})
+spec = harness.load_experiment_spec(sys.argv[1], {"l_values": [8, 1024]})
 grid = list(spec.n_g_grid)
 for point, cfg in enumerate(harness._surface_scenes(spec)):
     before = peak()
@@ -814,20 +896,21 @@ class TestStudyBytes:
                         reason="reads VmHWM from /proc")
     def test_trial_stays_within_the_counted_bytes(self):
         # the load-time count of a ratio surface, its L x n_tx channel and
-        # study_bytes with the config's n_g up to 10 000, is 14.7 MB at
-        # L = 512; the trial measured 5.6 MB with the factored certificate
-        # and 8.8 MB with its dense fallback, whose two L x L arrays the
-        # count covers though the shipped trials never take it.
-        # The resident set sees LAPACK's workspace, which tracemalloc
-        # misses.  Half the count bounds the larger below: the count is
-        # not loose.
+        # study_bytes with the config's n_g up to 10 000, is 22.8 MB at
+        # L = 1024; the trial measured 15.1 to 15.2 MB with either
+        # certificate.  The resident set sees LAPACK's workspace, which
+        # tracemalloc misses.  Half the count bounds the larger below: the
+        # count is not loose.  (At L = 512 the count, 14.7 MB, is 2.5
+        # times the 5.9 MB measured: its per-sample term takes R*'s rank
+        # at its bound n_users^2 = 25, where the shipped trials have 1 to
+        # 3.)
         root = Path(__file__).resolve().parents[1]
         src = str(Path(ratio.__file__).resolve().parent.parent)
         env = {**os.environ, **dict.fromkeys(harness.BLAS_THREAD_VARS, "1"),
                "PYTHONPATH": os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")]))}
         grown = []
-        for certificate in ("factored", "dense"):
+        for certificate in ("factored", "weyl"):
             done = subprocess.run(
                 [sys.executable, "-c", _TRIAL_PEAK,
                  str(root / "configs/ratio.json"), certificate],
@@ -835,6 +918,6 @@ class TestStudyBytes:
                 check=True)
             out = json.loads(done.stdout)
             grown.append(out["grown_bytes"])
-        counted = 16 * 512 * out["n_tx"] + ratio.study_bytes(
-            512, out["n_g"], out["n_users"])
+        counted = 16 * 1024 * out["n_tx"] + ratio.study_bytes(
+            1024, out["n_g"], out["n_users"])
         assert counted / 2 <= max(grown) and max(grown) <= counted
