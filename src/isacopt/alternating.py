@@ -111,9 +111,8 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
 
     solve_irs = (solve_irs_minorization if opts.irs_method == "minorization"
                  else solve_irs_manifold)
-    theta = initial_phases(cfg, opts, rng)
-    consts = ChannelConstants(ch, cfg)
-    channels = consts.channels(theta)
+    channels = ChannelConstants(ch, cfg).channels(
+        initial_phases(cfg, opts, rng))
     trace = RunTrace()
     precoder: Precoder | None = None
     # the incumbent precoder's scored point on the current channels, as the
@@ -141,8 +140,7 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             times["recovery"] = time.perf_counter() - tic
 
             tic = time.perf_counter()
-            theta, inner = solve_irs(theta, precoder, consts,
-                                     inner_max=opts.inner_max, start=scored)
+            _, inner = solve_irs(precoder, scored, inner_max=opts.inner_max)
             if inner.line_search_failed:
                 trace.line_search_failures.append(t)
                 log.warning("outer %d: the Armijo line search found no "
@@ -170,4 +168,4 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
                 break
     if not trace.terminated_by:
         trace.terminated_by = "t_max"
-    return precoder, theta, trace
+    return precoder, channels.theta, trace

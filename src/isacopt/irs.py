@@ -53,15 +53,16 @@ phase stage's one channel input), so it forms only what depends on P.
 Both phase solvers pass one value between their steps, the scored point
 (channels, (g, SNR_R, SNR_C), Y) of ``EffectiveChannels.score``: the
 effective channels at the phases, the precoder's scores there and the
-products Y = W P_nz that gave them.  They start from the caller's point
-and return the one at the returned phases (``InnerTrace.end``) for the
-next outer iteration.  Y[0] = P^T t and t give the quartic factors p =
-a* o conj(GP) P^T t and q = a* o conj(G) t, which the gradient writes
-into rows 0 and 1 of M^T once per map, and U3 theta + mu* = cc Psi
-vec(Y[1:]), so the gradient is one product over M^T, the block the
-anchor's Gram matrix comes from, and U3 and mu = diag(U4) are never
-formed.  A slack outer iteration's phase step takes one 7 x 7
-``cholesky`` and one 14 x 14 ``eigvalsh`` at the paper size (K = 5).
+products Y = W P_nz that gave them.  A solve's one input is the same kind
+of point as its output (``InnerTrace.end``, at the returned phases), from
+which the next solve starts; its channels carry the run's constants.
+Y[0] = P^T t and t give the quartic factors p = a* o conj(GP) P^T t and
+q = a* o conj(G) t, which the gradient writes into rows 0 and 1 of M^T
+once per map, and U3 theta + mu* = cc Psi vec(Y[1:]), so the gradient is
+one product over M^T, the block the anchor's Gram matrix comes from, and
+U3 and mu = diag(U4) are never formed.  A slack outer iteration's phase
+step takes one 7 x 7 ``cholesky`` and one 14 x 14 ``eigvalsh`` at the
+paper size (K = 5).
 
 The dense quartic constructions (``quartic_kernels``,
 ``build_quartic_surrogate``, ``linear_surrogate_vectors``) run on no
@@ -100,8 +101,8 @@ class InnerTrace:
     ``end[1][0] == objectives[-1]``.
     """
 
+    end: tuple
     objectives: list[float] = field(default_factory=list)
-    end: tuple | None = None
     line_search_failed: bool = False
 
 
@@ -286,9 +287,7 @@ def ascent_anchor(factor_conj: np.ndarray, c: float, cc: float) -> float:
 _INNER_TOL = 1e-6
 
 
-def solve_irs_minorization(theta0: IrsPhase, p: Precoder,
-                           consts: ChannelConstants, inner_max: int = 200,
-                           start: tuple | None = None
+def solve_irs_minorization(p: Precoder, start: tuple, inner_max: int = 200
                            ) -> tuple[IrsPhase, InnerTrace]:
     """Iterate the closed-form double-minorization update to convergence.
 
@@ -307,15 +306,15 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder,
     (each map is guaranteed by the anchor, an extrapolation by the guard);
     a map whose computed objective dips beyond what rounding explains,
     ``SurrogateFactors.dip_allowance`` (formed only where it dips at all),
-    raises MonotonicityError.  ``start`` is the
-    scored point (channels, (g, SNR_R, SNR_C), Y) of p at theta0 where the
-    caller has it (``EffectiveChannels.score``), and the returned trace's
-    ``end`` is the one at the returned phases; ``consts`` are the run's
-    ``ChannelConstants``, ``ChannelConstants(ch, cfg)`` outside a run.
+    raises MonotonicityError.  The one input ``start`` is the scored
+    point (channels, (g, SNR_R, SNR_C), Y) of p at the starting phases
+    (``EffectiveChannels.score``), whose channels carry the run's
+    ``ChannelConstants``; the returned trace's ``end`` is the same kind of
+    point at the returned phases.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
-    factors = SurrogateFactors(p, consts)
+    factors = SurrogateFactors(p, start[0].consts)
 
     def point(scored):
         # (theta, g, scored point), as squarem_ascent takes a point
@@ -336,7 +335,7 @@ def solve_irs_minorization(theta0: IrsPhase, p: Precoder,
         return new
 
     (_, _, end), values = squarem_ascent(
-        point(start or factors.at(theta0)), step, lambda x, near: update(x),
+        point(start), step, lambda x, near: update(x),
         lambda prev, new: abs(new[1] - prev[1]) <= _INNER_TOL * abs(prev[1]),
         inner_max)
     return end[0].theta, InnerTrace(objectives=values, end=end)
@@ -347,9 +346,7 @@ _ARMIJO_SLOPE = 1e-4
 _MAX_HALVINGS = 50
 
 
-def solve_irs_manifold(theta0: IrsPhase, p: Precoder,
-                       consts: ChannelConstants, inner_max: int = 200,
-                       start: tuple | None = None
+def solve_irs_manifold(p: Precoder, start: tuple, inner_max: int = 200
                        ) -> tuple[IrsPhase, InnerTrace]:
     """Riemannian gradient ascent on the torus with Armijo backtracking.
 
@@ -360,14 +357,13 @@ def solve_irs_manifold(theta0: IrsPhase, p: Precoder,
     contraction 0.5, and the minorization solver's stop.  Accepted steps
     only, so the trace is monotone.  The surrogate factors are built once;
     each candidate's scored point scores it and, once it is accepted,
-    gives the next gradient.  ``consts``, ``start`` and the trace's
-    ``end`` are as for ``solve_irs_minorization``.
+    gives the next gradient.  ``start`` and the trace's ``end`` are as
+    for ``solve_irs_minorization``.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
-    factors = SurrogateFactors(p, consts)
-    trace = InnerTrace(end=start or factors.at(theta0))
-    trace.objectives.append(trace.end[1][0])
+    factors = SurrogateFactors(p, start[0].consts)
+    trace = InnerTrace(end=start, objectives=[start[1][0]])
     for _ in range(inner_max):
         channels, (g_prev, _, _), y = trace.end
         theta = channels.theta.theta

@@ -12,23 +12,24 @@ the shipped scenes; ``_require_psd_rows``).  Its relaxation max tr(A R) over
 generalized power method), run on coordinates in the eigenbasis of A at
 its rank in guarded SQUAREM cycles (``squarem.squarem_ascent``, shared
 with the phase step) until the fixed-point residual falls to 1e-10
-(``solve_unit_diag_relaxation``); A's eigenpairs come from a thin QR of
-the rows and one m x m ``eigh`` (``_form_eigenpairs``), and R* = Z^H Z
-travels as its factor Z (``GramFactor``, r x L), which reads as an L x L
-array only where a caller asks.  A dual certificate bounds the relaxation
-(``unit_diag_dual_bound``): lambda_min(Diag(y) - A) from m x m Schur
-complements in a safeguarded root search, and from Weyl's inequality
-where some y_i <= 0 or the search cannot certify.  Draws and scores are
-formed at the rank of R* and of A (``approximation_ratio_study``): R*'s
-eigenpairs come from the r x r Gram matrix Z Z^H, and each sample count
-takes 2 r n_g standard normals, r the number of eigenpairs of R* above
-rounding level.  The candidates are ranked in single precision, each
-score with a derived bound on its distance from the double-precision one
-(``_Screen``), and only those the bounds cannot rule out are scored again
-in double precision, so the winner is the one a double-precision pass
-over every candidate picks.  Where r = 1 every candidate is one vector up
-to a phase, and no candidate pass runs.  A trial decomposes no L x L
-matrix and forms no L x L array.
+(``solve_unit_diag_relaxation``); A's kept eigenpairs, those above
+rounding level, come from a thin QR of the rows and one m x m ``eigh``
+(``_form_eigenpairs``), and R* = Z^H Z travels as its factor Z
+(``GramFactor``, r x L), which hands the study those eigenpairs and reads
+as an L x L array only where a caller asks.  A dual certificate bounds
+the relaxation (``unit_diag_dual_bound``): lambda_min(Diag(y) - A) from
+m x m Schur complements in a safeguarded root search, and from Weyl's
+inequality where some y_i <= 0 or the search cannot certify.  Draws and
+scores are formed at the rank of R* and of A
+(``approximation_ratio_study``): R*'s eigenpairs come from the r x r Gram
+matrix Z Z^H, and each sample count takes 2 r n_g standard normals, r the
+number of eigenpairs of R* above rounding level.  The candidates are
+ranked in single precision, each score with a derived bound on its
+distance from the double-precision one (``_Screen``), and only those the
+bounds cannot rule out are scored again in double precision, so the
+winner is the one a double-precision pass over every candidate picks.
+Where r = 1 every candidate is one vector up to a phase, and no candidate
+pass runs.  A trial decomposes no L x L matrix and forms no L x L array.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ _UNIT_DIAG_MAX_STEPS = 10_000
 # bound.
 _SCHUR_MAX_STEPS = 60
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 # Unit roundoffs of single and double precision.
 _U32 = 2.0 ** -24
 _U64 = 2.0 ** -53
@@ -138,11 +140,11 @@ def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
     the products C P give U3 theta + mu*.
     """
     cc = comm_coefficient(cfg)
-    gp = ch.g @ p.nonzero_columns()
+    p_nz = p.nonzero_columns()
+    gp = ch.g @ p_nz
     (k, l), kp = ch.h.shape, gp.shape[1]
     rows = (ch.h[:, np.newaxis] * gp.T).reshape(k * kp, l)
-    gp_all = ch.g @ p.p
-    mu = cc * np.sum((gp_all @ (ch.f @ p.p).conj().T) * ch.h.T, axis=1)
+    mu = cc * np.sum((gp @ (ch.f @ p_nz).conj().T) * ch.h.T, axis=1)
     return OmegaRows(rows, np.full(k * kp, cc)), mu
 
 
@@ -154,9 +156,9 @@ class GramFactor:
     It reads as the L x L array Z^H Z, formed (and symmetrized) on each
     read: ``np.asarray``, ``np.diagonal``, ``np.linalg.eigvalsh`` and
     ``R + M`` for an array M all take it.  The ratio study reads Z alone.
-    The relaxation hands on the eigenpairs (w, E^H) of the A it solved,
-    ``form`` (``_form_eigenpairs``), which the study takes for that same
-    object instead of decomposing it again.
+    The relaxation hands on the kept eigenpairs (w, E^H) of the A it
+    solved, ``form`` (``_form_eigenpairs``), which the study takes for that
+    same object instead of decomposing it again.
     """
 
     def __init__(self, z: np.ndarray, form: OmegaRows | None = None,
@@ -272,10 +274,14 @@ def _schur_point(f_h: np.ndarray, col: np.ndarray, y: np.ndarray,
     """(s, e, rate) at lambda < min(y) for ``_schur_lambda``: the
     computed s(lambda) = lambda_min(S(lambda)), its allowance e(lambda)
     and rate = ||D^-1 F v||^2 = -ds/dlambda, with ``col`` the squared
-    column norms of f_h."""
+    column norms of f_h; all NaN, not certified, where the computed S is
+    not finite (y near underflow)."""
     n, m = f_h.shape[1], f_h.shape[0]
-    inv = 1.0 / (y - lam)
-    s = (f_h * inv) @ f_h.conj().T
+    with np.errstate(all="ignore"):                   # y near underflow
+        inv = 1.0 / (y - lam)
+        s = (f_h * inv) @ f_h.conj().T
+    if not np.isfinite(s).all():
+        return math.nan, math.nan, math.nan           # not certified
     np.negative(s, out=s)
     s.flat[::m + 1] += 1.0                            # I - F^H D^-1 F
     w, v = np.linalg.eigh(s)
@@ -371,24 +377,19 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
 def _study_factors(a: OmegaRows, r_star: GramFactor
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U_r Lambda_r^(1/2), mu, E^H): R*'s factor over its eigenpairs above
-    rounding level, and the eigenvalues mu_i of A above rounding level with
-    their eigenvectors as the rows of E^H.  R*'s come from the r' x r'
-    Gram matrix Z Z^H = V diag(lambda) V^H of its factor: R* = Z^H Z has
-    the eigenvalues lambda_j with eigenvectors Z^H v_j / sqrt(lambda_j), so
-    its factor is Z^H V_r.  A's come from ``_form_eigenpairs``.  Both
-    keep the eigenvalues above L eps times the largest, L the surface
-    size."""
+    rounding level, L eps times the largest (L the surface size), and A's
+    kept eigenpairs, the eigenvalues mu_i with their eigenvectors as the
+    rows of E^H.  R*'s come from the r' x r' Gram matrix Z Z^H =
+    V diag(lambda) V^H of its factor: R* = Z^H Z has the eigenvalues
+    lambda_j with eigenvectors Z^H v_j / sqrt(lambda_j), so its factor is
+    Z^H V_r.  A's are the relaxation's (``GramFactor.pairs``) where R*
+    solved A, else ``_form_eigenpairs``'s."""
     z = r_star.z
-    l = z.shape[1]
     w, v = np.linalg.eigh(z @ z.conj().T)
     # scale-free: the 1/sqrt(2) of CN(0, 1) cancels in xi / |xi|
-    half = z.conj().T @ v[:, _above_rounding(w, l)]
-    if r_star.form is a:
-        mu, e_h = r_star.pairs
-    else:
-        mu, e_h = _form_eigenpairs(a)
-    cols = _above_rounding(np.abs(mu), l)
-    return half, mu[cols], e_h[cols]
+    half = z.conj().T @ v[:, _above_rounding(w, z.shape[1])]
+    return (half, *(r_star.pairs if r_star.form is a
+                    else _form_eigenpairs(a)))
 
 
 def _complex_draws(draws: np.ndarray, cols) -> np.ndarray:
@@ -619,8 +620,9 @@ def _above_rounding(w: np.ndarray, n: int) -> np.ndarray:
 
 
 def _form_eigenpairs(a: OmegaRows) -> tuple[np.ndarray, np.ndarray]:
-    """(w, E^H): eigenvalues of A = X^H diag(d) X with their eigenvectors
-    as the rows of E^H (k x L), from its m rows X.
+    """(w, E^H): A's kept eigenpairs, the r eigenvalues of A = X^H diag(d) X
+    above rounding level (``_above_rounding``) with their eigenvectors as
+    the rows of E^H (r x L), from its m rows X.
 
     The live coordinates are the columns of X that are not zero.  A thin
     QR of the rows, X^H = Q R on those coordinates, gives A =
@@ -631,10 +633,16 @@ def _form_eigenpairs(a: OmegaRows) -> tuple[np.ndarray, np.ndarray]:
     x, d = a.rows, a.weights
     live = np.flatnonzero(np.any(x != 0.0, axis=0))
     q, r = np.linalg.qr(x[:, live].conj().T)
-    w, v = np.linalg.eigh((r * d) @ r.conj().T)
+    b = (r * d) @ r.conj().T
+    # eigh at a largest diagonal entry in [1/2, 1), where LAPACK does not
+    # rescale, so A and 2^k A give the same bits
+    e = math.frexp(float(np.max(b.diagonal().real)))[1]
+    w, v = np.linalg.eigh(np.ldexp(b.view(float), -e).view(complex))
+    w = np.ldexp(w, e)
     e_h = np.zeros((q.shape[1], x.shape[1]), dtype=complex)
     e_h[:, live] = (q @ v).conj().T
-    return w, e_h
+    keep = _above_rounding(w, x.shape[1])
+    return w[keep], e_h[keep]
 
 
 def _unit_columns(g: np.ndarray, near: np.ndarray) -> np.ndarray:
@@ -672,14 +680,17 @@ def solve_unit_diag_relaxation(a: OmegaRows) -> GramFactor:
     moves Z by at most 1e-10 of ||Z||_F (the fixed-point residual, which
     measures stationarity, as the dual certificate does; a gain in
     tr(A R) is second order in it and reaches rounding level first), or
-    after a fixed number of maps; every rule is relative, so A and 2^k A
-    give the same bits.  Optimality is certified separately by
-    ``unit_diag_dual_bound``.
+    after a fixed number of maps.  Every rule is relative, and the maps
+    take A's kept eigenvalues times the power of two that puts the largest
+    in [1/2, 1), so no squared column norm over- or underflows and A and
+    2^k A give the same bits; an A whose largest kept eigenvalue is below
+    the smallest normal float raises SolverError.  Optimality is certified
+    separately by ``unit_diag_dual_bound``.
 
     A is given by its rows (``OmegaRows``) with every weight > 0
     (``_require_psd_rows``), and the maps run at the rank of A.
-    ``_form_eigenpairs`` gives A's eigenpairs from the QR of the rows and
-    one m x m ``eigh``, and A = E M E^H over its r eigenvalues above
+    ``_form_eigenpairs`` gives A's kept eigenpairs from the QR of the rows
+    and one m x m ``eigh``: A = E M E^H over its r eigenvalues above
     rounding level, L eps times the largest (r = 5 for the ratio study's
     A = U3).  After the first map every column of V lies in span(E), so
     V = E Z and a map is Z <- normalize_cols((Z E M) E^H) on the r x L
@@ -694,9 +705,13 @@ def solve_unit_diag_relaxation(a: OmegaRows) -> GramFactor:
     """
     _require_psd_rows(a)
     n = a.rows.shape[1]
-    w, e_h = pairs = _form_eigenpairs(a)
-    keep = _above_rounding(w, n)
-    m, e_h = w[keep], e_h[keep]
+    m, e_h = pairs = _form_eigenpairs(a)
+    if m.size:             # the maps at the largest eigenvalue in [1/2, 1)
+        top = float(m.max())
+        if top < _TINY:
+            raise SolverError(f"A's largest eigenvalue {top!r} is below the "
+                              f"smallest normal float: A underflows")
+        m = m * math.ldexp(1.0, -math.frexp(top)[1])
     g = m[:, np.newaxis] * e_h             # V A at V = I, in the basis E
     z = _unit_columns(g, np.zeros_like(g))
     fixed = ~z.any(axis=0)                 # V keeps e_i there, Z's column 0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from isacopt import (IrsPhase, OmegaRows, Precoder, SceneConfig, alternating,
-                     make_channels)
+from isacopt import (ChannelConstants, IrsPhase, OmegaRows, Precoder,
+                     SceneConfig, alternating, make_channels)
 from isacopt.objective import hermitize
 from isacopt.scene import complex_normal
 
@@ -31,6 +31,13 @@ def paper_scene(rng, l_rows=6, l_cols=6):
     paper = SceneConfig()
     return random_scene(rng, l_rows, l_cols, n_tx=paper.n_tx, k=paper.n_users,
                         beta=paper.beta, alpha=paper.alpha)
+
+
+def scored_start(theta, p, ch, cfg):
+    """A phase solve's one input: the scored point (channels,
+    (g, SNR_R, SNR_C), Y) of p at theta, on the constants of (ch, cfg)."""
+    return ChannelConstants(ch, cfg).channels(theta).score(
+        p.nonzero_columns())
 
 
 def random_phases(rng, l):

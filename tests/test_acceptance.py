@@ -12,8 +12,8 @@ import pytest
 from scipy import stats
 
 import isacopt.irs as irs
-from isacopt import (ChannelConstants, IrsPhase, OmegaRows, Precoder,
-                     SceneConfig, build_omega, build_quartic_surrogate,
+from isacopt import (IrsPhase, OmegaRows, Precoder, SceneConfig,
+                     build_omega, build_quartic_surrogate,
                      default_beampattern_target, irs_phase_update,
                      linear_surrogate_vectors, load_experiment_spec,
                      make_channels, quartic_kernels,
@@ -25,7 +25,7 @@ from isacopt.harness import (aggregate_convergence, near_square_grid,
 from isacopt.precoder import relaxed_objective
 from isacopt.scene import complex_normal
 
-from conftest import random_scene
+from conftest import random_scene, scored_start
 from reference import (decompose_objective, dense_quadratic_terms,
                        feasibility_residuals, quartic_kernels_reference,
                        quartic_surrogate_constant, wirtinger_gradient)
@@ -118,7 +118,7 @@ def test_criterion_03_double_minorization_tangency_and_ascent(monkeypatch):
 
         # ascent over 200 forced inner iterations, slack 1e-9 relative
         _, trace = solve_irs_minorization(
-            theta_t, p, ChannelConstants(ch, cfg), inner_max=200)
+            p, scored_start(theta_t, p, ch, cfg), inner_max=200)
         for a, b in zip(trace.objectives, trace.objectives[1:]):
             if b < a - 1e-9 * abs(a):
                 violations += 1
@@ -302,7 +302,7 @@ def test_criterion_08_method_comparison(method_comparison, monkeypatch):
         for _ in range(5):
             tic = time.perf_counter()
             _, trace = solve_irs_minorization(
-                theta0, p, ChannelConstants(ch, cfg), inner_max=20)
+                p, scored_start(theta0, p, ch, cfg), inner_max=20)
             samples.append((time.perf_counter() - tic)
                            / (len(trace.objectives) - 1))
         per_inner.append(float(np.median(samples)))

@@ -15,7 +15,7 @@ from isacopt import (ConfigError, IrsPhase, MonotonicityError, Precoder,
                      weighted_snr)
 from isacopt.objective import ChannelConstants
 
-from conftest import random_scene, small_config
+from conftest import random_scene, scored_start, small_config
 from reference import objective_snapshot, plain_linearization
 
 
@@ -312,8 +312,8 @@ class TestSlackOuterIteration:
         try:
             relaxed = solve_relaxed(channels, cfg)
             p = factor_precoder(relaxed, cfg)
-            solve_irs_minorization(theta, p, consts, inner_max=1,
-                                   start=channels.score(p.nonzero_columns()))
+            solve_irs_minorization(p, channels.score(p.nonzero_columns()),
+                                   inner_max=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -352,11 +352,11 @@ class TestSlackOuterIteration:
         ch = make_channels(cfg, np.random.default_rng(9))
         theta = IrsPhase(np.ones(cfg.n_irs, dtype=complex))
         p, _, trace = run_alternating(ch, cfg, opts=SolverOptions(t_max=1))
-        consts = ChannelConstants(ch, cfg)
-        channels = consts.channels(theta)
+        channels = ChannelConstants(ch, cfg).channels(theta)
         own = factor_precoder(solve_relaxed(channels, cfg), cfg)
         np.testing.assert_array_equal(own.p, p.p)
-        _, inner = solve_irs_minorization(theta, own, consts, inner_max=1)
+        _, inner = solve_irs_minorization(
+            own, scored_start(theta, own, ch, cfg), inner_max=1)
         assert inner.end[1][0] == trace.objective_per_outer[0]
         p_nz = own.p.compress(own.p.any(axis=0), axis=1)
         assert channels.score(p_nz)[1][0] == trace.precoder_obj_per_outer[0]
@@ -382,7 +382,7 @@ class TestLoopGuards:
                                           l_rows=2, l_cols=3, beta=0.97,
                                           alpha=1.0 + 0.0j)
         with pytest.raises(MonotonicityError, match="^objective decreased"):
-            solve_irs_minorization(theta0, p, ChannelConstants(ch, cfg),
+            solve_irs_minorization(p, scored_start(theta0, p, ch, cfg),
                                    inner_max=150)
         with pytest.raises(MonotonicityError,
                            match="^outer iteration 1: objective decreased"):

@@ -17,7 +17,8 @@ from isacopt.objective import (comm_coefficient, quartic_coefficient,
                                snr_comm, snr_radar)
 from isacopt.scene import ChannelSet, complex_normal
 
-from conftest import paper_scene, random_phases, random_scene, small_config
+from conftest import (paper_scene, random_phases, random_scene,
+                      scored_start, small_config)
 from reference import (anchor_for, anchored_surrogate_value,
                        decompose_objective, dense_ascent_anchor, dense_form,
                        dense_linearization, dense_quadratic_terms,
@@ -217,7 +218,7 @@ class TestMinorizationSolver:
         for _ in range(8):
             cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
             _, trace = solve_irs_minorization(
-                theta0, p, ChannelConstants(ch, cfg), inner_max=100)
+                p, scored_start(theta0, p, ch, cfg), inner_max=100)
             objs = trace.objectives
             for a, b in zip(objs, objs[1:]):
                 assert b >= a - 1e-9 * abs(a)
@@ -240,7 +241,7 @@ class TestMinorizationSolver:
             th = theta0.theta
             assert gradient_at(factors, th)[2] == 0.0
             theta, trace = solve_irs_minorization(
-                theta0, p, ChannelConstants(ch, cfg), inner_max=60)
+                p, scored_start(theta0, p, ch, cfg), inner_max=60)
             assert np.max(np.abs(np.abs(theta.theta) - 1.0)) <= 1e-15
             for a, b in zip(trace.objectives, trace.objectives[1:]):
                 assert b >= a - 1e-9 * abs(a)
@@ -273,15 +274,15 @@ class TestMinorizationSolver:
         monkeypatch.setattr(irs, "_INNER_TOL", 1e-9)
         cfg, ch, p, theta0 = random_scene(rng)
         theta_star, _ = solve_irs_minorization(
-            theta0, p, ChannelConstants(ch, cfg), inner_max=300)
+            p, scored_start(theta0, p, ch, cfg), inner_max=300)
         _, trace = solve_irs_minorization(
-            theta_star, p, ChannelConstants(ch, cfg), inner_max=300)
+            p, scored_start(theta_star, p, ch, cfg), inner_max=300)
         assert len(trace.objectives) <= 3
 
     def test_beats_random_search(self, rng):
         cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
         theta, trace = solve_irs_minorization(
-            theta0, p, ChannelConstants(ch, cfg), inner_max=300)
+            p, scored_start(theta0, p, ch, cfg), inner_max=300)
         best = max(weighted_snr(p, random_phases(rng, cfg.n_irs), ch, cfg)
                    for _ in range(100_000))
         assert trace.objectives[-1] >= best
@@ -297,7 +298,7 @@ class TestMinorizationSolver:
                         steer=steer)
         p = Precoder(np.array([[1.0 + 0.0j]]))
         theta, trace = solve_irs_minorization(
-            IrsPhase(np.ones(4, dtype=complex)), p, ChannelConstants(ch, cfg),
+            p, scored_start(IrsPhase(np.ones(4, dtype=complex)), p, ch, cfg),
             inner_max=300)
         aligned = IrsPhase(np.exp(-1j * (np.angle(h[0]) + np.angle(g[:, 0]))))
         optimum = weighted_snr(p, aligned, ch, cfg)
@@ -336,7 +337,7 @@ class TestMinorizationSolver:
             cfg, ch, p, theta0 = random_scene(np.random.default_rng([71, k]),
                                               beta=beta)
             theta, trace = solve_irs_minorization(
-                theta0, p, ChannelConstants(ch, cfg), inner_max=inner_max)
+                p, scored_start(theta0, p, ch, cfg), inner_max=inner_max)
             want, ref = plain_minorization(theta0, p, ch, cfg,
                                            inner_max=inner_max)
             assert theta.theta.tobytes() == want.theta.tobytes()
@@ -356,7 +357,7 @@ class TestMinorizationSolver:
             finals = []
             for cap in range(1, 31):
                 _, trace = solve_irs_minorization(
-                    theta0, p, ChannelConstants(ch, cfg), inner_max=cap)
+                    p, scored_start(theta0, p, ch, cfg), inner_max=cap)
                 objs = trace.objectives
                 assert all(b >= a - 1e-9 * abs(a) for a, b in zip(objs, objs[1:]))
                 assert len(objs) - 1 <= cap
@@ -376,7 +377,7 @@ class TestMinorizationSolver:
                                               l_rows=2, l_cols=3, beta=0.9)
             for cap in (3, 4, 5, 30, 31, 32):
                 theta, trace = solve_irs_minorization(
-                    theta0, p, ChannelConstants(ch, cfg), inner_max=cap)
+                    p, scored_start(theta0, p, ch, cfg), inner_max=cap)
                 cycles, plain = divmod(cap, 3)
                 want, ref = plain_minorization(theta0, p, ch, cfg,
                                                inner_max=2 * cycles + plain)
@@ -393,7 +394,7 @@ class TestMinorizationSolver:
             cfg, ch, p, theta0 = random_scene(np.random.default_rng([74, k]),
                                               l_rows=2, l_cols=3)
             _, trace = solve_irs_minorization(
-                theta0, p, ChannelConstants(ch, cfg), inner_max=200)
+                p, scored_start(theta0, p, ch, cfg), inner_max=200)
             _, ref = plain_minorization(theta0, p, ch, cfg, inner_max=200)
             ratios.append(trace.objectives[-1] / ref.objectives[-1])
         assert min(ratios) >= 1.0 - irs._INNER_TOL
@@ -541,21 +542,17 @@ class TestDipAllowance:
         # from theta0's point with its objective raised to g1 + dip *
         # allowance dips by that much, with nothing else changed
         cfg, ch, p, theta0 = paper_scene(rng)
-        consts = ChannelConstants(ch, cfg)
-        factors = SurrogateFactors(p, consts)
-        allowance = factors.dip_allowance()
-        start = factors.at(theta0)
-        _, trace = solve_irs_minorization(theta0, p, consts, inner_max=1,
-                                          start=start)
+        allowance = SurrogateFactors(
+            p, ChannelConstants(ch, cfg)).dip_allowance()
+        start = scored_start(theta0, p, ch, cfg)
+        _, trace = solve_irs_minorization(p, start, inner_max=1)
         g1 = trace.objectives[1]
         raised = (start[0], (g1 + dip * allowance, *start[1][1:]), start[2])
         if raises:
             with pytest.raises(MonotonicityError, match="decreased"):
-                solve_irs_minorization(theta0, p, consts, inner_max=1,
-                                       start=raised)
+                solve_irs_minorization(p, raised, inner_max=1)
         else:
-            _, again = solve_irs_minorization(theta0, p, consts, inner_max=1,
-                                              start=raised)
+            _, again = solve_irs_minorization(p, raised, inner_max=1)
             assert again.objectives[1] == g1
 
 
@@ -637,7 +634,7 @@ class TestSurrogateFactors:
         tracemalloc.start()
         try:
             solve_irs_minorization(
-                theta, p, ChannelConstants(ch, cfg), inner_max=2)
+                p, scored_start(theta, p, ch, cfg), inner_max=2)
             wirtinger_gradient(theta, p, ch, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -702,13 +699,14 @@ def test_solvers_hand_over_the_scored_point_of_their_phases(
     # trace.end is what the next outer iteration starts from: the returned
     # phases, the products Y = W P_nz there and the scores Y gives.  With
     # no stop every step runs and is kept, the cycle's extrapolated map at
-    # a cap of 5 too, so each cap ends as far along as it can.
+    # a cap of 5 too, so each cap ends as far along as it can.  A solve
+    # restarted from the end of one step goes on as one solve of two steps.
     monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
     for k in range(4):
         cfg, ch, p, theta0 = random_scene(np.random.default_rng([75, k]),
                                           l_rows=2, l_cols=3, beta=0.9)
-        theta, trace = solve(theta0, p, ChannelConstants(ch, cfg),
-                             inner_max=inner_max)
+        start = scored_start(theta0, p, ch, cfg)
+        theta, trace = solve(p, start, inner_max=inner_max)
         channels, scores, y = trace.end
         p_nz = p.nonzero_columns()
         assert channels.theta is theta
@@ -716,6 +714,13 @@ def test_solvers_hand_over_the_scored_point_of_their_phases(
         assert y.tobytes() == (channels.rows @ p_nz).tobytes()
         assert scores == channels.score(p_nz)[1]
         assert scores[0] == trace.objectives[-1]
+
+        _, first = solve(p, start, inner_max=1)
+        again, second = solve(p, first.end, inner_max=1)
+        whole, joined = solve(p, start, inner_max=2)
+        assert again.theta.tobytes() == whole.theta.tobytes()
+        assert second.end[2].tobytes() == joined.end[2].tobytes()
+        assert first.objectives + second.objectives[1:] == joined.objectives
 
 
 def _g_offcircle(theta_vec, p, ch, cfg):
@@ -739,20 +744,20 @@ def _g_offcircle(theta_vec, p, ch, cfg):
 class TestManifoldSolver:
     def test_zero_gradient_terminates(self, rng):
         cfg, ch, p, theta = random_scene(rng, beta=1.0, alpha=0.0)
-        out, trace = solve_irs_manifold(theta, p, ChannelConstants(ch, cfg))
+        out, trace = solve_irs_manifold(p, scored_start(theta, p, ch, cfg))
         assert len(trace.objectives) == 1
         np.testing.assert_array_equal(out.theta, theta.theta)
 
     def test_unit_modulus_every_step(self, rng):
         cfg, ch, p, theta = random_scene(rng)
         out, _ = solve_irs_manifold(
-            theta, p, ChannelConstants(ch, cfg), inner_max=50)
+            p, scored_start(theta, p, ch, cfg), inner_max=50)
         assert np.max(np.abs(np.abs(out.theta) - 1.0)) <= 1e-12
 
     def test_monotone(self, rng):
         cfg, ch, p, theta = random_scene(rng)
         _, trace = solve_irs_manifold(
-            theta, p, ChannelConstants(ch, cfg), inner_max=100)
+            p, scored_start(theta, p, ch, cfg), inner_max=100)
         for a, b in zip(trace.objectives, trace.objectives[1:]):
             assert b >= a - 1e-12 * abs(a)
 
@@ -776,7 +781,7 @@ class TestManifoldSolver:
             cfg, ch, p, theta = random_scene(rng, l_rows=2, l_cols=3,
                                              **kwargs)
             solve_irs_manifold(
-                theta, p, ChannelConstants(ch, cfg), inner_max=50)
+                p, scored_start(theta, p, ch, cfg), inner_max=50)
         assert len(moduli) >= 100
         eps = np.finfo(float).eps
         assert min(float(m.min()) for m in moduli) >= 1.0 - 4.0 * eps
@@ -793,7 +798,7 @@ class TestManifoldSolver:
         monkeypatch.setattr(irs, "_INNER_TOL", 0.0)
         cfg, ch, p, theta0 = random_scene(rng, l_rows=2, l_cols=3)
         _, trace = solve_irs_manifold(
-            theta0, p, ChannelConstants(ch, cfg), inner_max=20)
+            p, scored_start(theta0, p, ch, cfg), inner_max=20)
         assert len(trace.objectives) > 2
         assert len(built) == 1
 
@@ -803,8 +808,8 @@ class TestManifoldSolver:
             local = np.random.default_rng([55, k])
             cfg, ch, p, theta0 = random_scene(local, l_rows=2, l_cols=3)
             t_mm, tr_mm = solve_irs_minorization(
-                theta0, p, ChannelConstants(ch, cfg), inner_max=300)
+                p, scored_start(theta0, p, ch, cfg), inner_max=300)
             t_rg, tr_rg = solve_irs_manifold(
-                theta0, p, ChannelConstants(ch, cfg), inner_max=300)
+                p, scored_start(theta0, p, ch, cfg), inner_max=300)
             gaps.append(tr_mm.objectives[-1] / max(tr_rg.objectives[-1], 1e-300))
         assert np.median(gaps) >= 0.95

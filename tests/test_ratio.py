@@ -35,14 +35,25 @@ class TestApproximationRatio:
         with pytest.raises(ConfigError, match=r"^A is zero, as U3 is at beta"):
             harness._ratio_trial((cfg, SolverOptions(t_max=2), [10], 0, 0, 0))
 
-    def test_underflowing_bound_is_a_solver_error(self):
+    @pytest.mark.parametrize("scale, message", [
+        (1e-160, r"^A's largest eigenvalue .* below the smallest normal"),
+        (1e-170, r"relaxation bound is 0\.0")], ids=["subnormal", "zero"])
+    def test_underflowing_bound_is_a_solver_error(self, scale, message):
         # a nonzero A whose squares underflow bounds nothing in floating
-        # point: a numerical fault, not a config fault, and not 0 / 0
+        # point: a numerical fault, not a config fault, and not 0 / 0.  At
+        # 1e-160 A's eigenvalues are subnormal and the relaxation stops; at
+        # 1e-170 they are zero, nothing is kept and the bound is 0
         a = ratio_study_matrix(2, 4, 33)
-        tiny = OmegaRows(a.rows * 1e-170, a.weights)
-        r = solve_unit_diag_relaxation(tiny)
-        with pytest.raises(SolverError, match=r"relaxation bound is 0\.0"):
-            approximation_ratio_study(tiny, r, [10], np.random.default_rng(0))
+        tiny = OmegaRows(a.rows * scale, a.weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=message):
+                r = solve_unit_diag_relaxation(tiny)
+                approximation_ratio_study(tiny, r, [10],
+                                          np.random.default_rng(0))
+            # the certificate on its own stays finite: Weyl's bound
+            bound = unit_diag_dual_bound(tiny, solve_unit_diag_relaxation(a))
+        assert 0.0 <= bound < 1e-300
 
     def test_ratio_above_one_is_a_solver_error(self):
         # a reference objective below a unit-modulus value is a numerical

@@ -93,11 +93,17 @@ def test_ratio_study_scaling_gives_the_same_bits(l_rows, l_cols):
         r_star = solve_unit_diag_relaxation(a)
         ratios = [rep.ratio for rep in approximation_ratio_study(
             a, r_star, [1, 100], np.random.default_rng(seed))]
-        for k in (-150, -40, 150):
-            a_k = OmegaRows(a.rows, a.weights * 2.0 ** k)
+        # the weights by 2^k, and the rows by 2^k (A by 4^k): at |k| = 600
+        # and 300 the squared columns of the relaxation's maps over- or
+        # underflow, and A's m x m eigenproblem lies where LAPACK rescales it
+        scaled = {("weights", k): OmegaRows(a.rows, a.weights * 2.0 ** k)
+                  for k in (-600, -150, -40, 150, 600)}
+        scaled.update({("rows", k): OmegaRows(a.rows * 2.0 ** k, a.weights)
+                       for k in (-300, 300)})
+        for key, a_k in scaled.items():
             r_k = solve_unit_diag_relaxation(a_k)
             assert np.asarray(r_k).tobytes() == np.asarray(r_star).tobytes(), (
-                seed, k)
+                seed, key)
             assert [rep.ratio for rep in approximation_ratio_study(
                 a_k, r_k, [1, 100], np.random.default_rng(seed))
-            ] == ratios, (seed, k)
+            ] == ratios, (seed, key)
