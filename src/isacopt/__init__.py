@@ -25,8 +25,7 @@ from .ratio import (RandomizationReport, approximation_ratio_study,
 from .alternating import RunTrace, SolverOptions, run_alternating
 
 _HARNESS_NAMES = ("AggregateResult", "ExperimentSpec", "load_experiment_spec",
-                  "run_convergence_experiment", "run_experiment",
-                  "run_ratio_experiment", "run_scaling_experiment")
+                  "run_experiment")
 
 __all__ = [n for n in dir() if not n.startswith("_")] + list(_HARNESS_NAMES)
 

@@ -1,6 +1,7 @@
 """Experiment harness: seeded studies with CSV output and JSON sidecars.
 
-Three experiment kinds:
+Three experiment kinds, each an entry of ``KINDS`` with the sweeps it reads
+and the function that runs it; ``run_experiment`` runs any of them:
 
 * ``convergence`` - objective trajectories of the alternating loop over a
   sweep of radar weights, aggregated over seeded trials.
@@ -9,15 +10,17 @@ Three experiment kinds:
 * ``ratio``       - Gaussian-randomization approximation ratio versus the
   number of randomized samples, against the unit-diagonal relaxation bound.
 
-Each trial returns the raw CSV rows it contributes; an experiment prefixes
-them with the sweep key and takes each aggregate over a column of them, so
-a sweep point whose every trial raised adds no aggregate row.  Every
-primary CSV is deterministic for a fixed config and master seed, whatever
-the number of worker processes; wall-clock measurements are written to
-separate ``*_timing.csv`` files that are excluded from the determinism
-contract.  Each CSV gets a ``.meta.json`` sidecar with the fully resolved
-configuration, the hash of its scientific fields and the trials behind it
-that raised, which are skipped rather than fatal.
+Each trial's inputs are drawn here (``_trial_inputs``) and handed to the
+kind's trial function, which returns the raw CSV rows the trial
+contributes; an experiment prefixes them with the sweep key and takes each
+aggregate over a column of them, so a sweep point whose every trial raised
+adds no aggregate row.  Every primary CSV is deterministic for a fixed
+config and master seed, whatever the number of worker processes;
+wall-clock measurements are written to separate ``*_timing.csv`` files
+that are excluded from the determinism contract.  Each CSV gets a
+``.meta.json`` sidecar with the fully resolved configuration, the hash of
+its scientific fields and the trials behind it that raised (in their draw
+or in their solve), which are skipped rather than fatal.
 """
 
 from __future__ import annotations
@@ -45,13 +48,11 @@ from .errors import (COUNT, NON_NEGATIVE, UNIT, ConfigError, require_finite,
                      require_integer)
 from .precoder import target_check_bytes, validate_beampattern_target
 from .ratio import (approximation_ratio_study, build_quadratic_terms,
-                    solve_unit_diag_relaxation, study_bytes)
+                    solve_unit_diag_relaxation, study_bytes, u3_rank_bound)
 from .scene import (ChannelSet, SceneConfig, convert_suffixed, make_channels,
                     scene_config_from_dict)
 
 log = logging.getLogger(__name__)
-
-EXPERIMENT_KINDS = ("convergence", "scaling", "ratio")
 
 
 def beta_tag(beta: float) -> str:
@@ -63,10 +64,6 @@ def beta_tag(beta: float) -> str:
 SWEEP_KEYS = {"beta_values": (beta_tag, "the file tag"),
               "l_values": (int, "the value"),
               "n_g_grid": (int, "the value")}
-# The sweeps each kind reads; every other sweep must be empty.
-KIND_SWEEPS = {"convergence": ("beta_values",),
-               "scaling": ("l_values",),
-               "ratio": ("l_values", "n_g_grid")}
 
 
 @dataclass
@@ -74,7 +71,7 @@ class ExperimentSpec:
     """One experiment: kind, scene, solver knobs, sweeps and bookkeeping.
 
     Every field is checked here, once: its type and range; the sweeps the
-    kind reads (``KIND_SWEEPS``), each non-empty with points of distinct
+    kind reads (``KINDS``), each non-empty with points of distinct
     keys (``SWEEP_KEYS``: the file tag of a radar weight, the value of a
     count), and the others empty; a radar weight below 1 for ratio, whose
     form A = U3 is zero at 1; the bytes of the beampattern check's arrays
@@ -103,10 +100,10 @@ class ExperimentSpec:
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, "
                               f"got {self.output_dir!r}")
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in KINDS:
             raise ConfigError(
-                f"kind must be one of {EXPERIMENT_KINDS}, got '{self.kind}'")
-        reads = KIND_SWEEPS[self.kind]
+                f"kind must be one of {tuple(KINDS)}, got '{self.kind}'")
+        reads = KINDS[self.kind][0]
         for name in (*reads, *(n for n in SWEEP_KEYS if n not in reads)):
             points, (key, words) = getattr(self, name), SWEEP_KEYS[name]
             if name not in reads and points:
@@ -139,7 +136,7 @@ class ExperimentSpec:
 
         def trial(l, n_g=0):
             return (_trial_bytes(l, n, k)
-                    + (study_bytes(l, n_g, k) if ratio else 0))
+                    + (study_bytes(l, n_g, k, n) if ratio else 0))
 
         surfaces = ({"irs_rows * irs_cols": self.scene.n_irs}
                     if self.kind == "convergence" else
@@ -164,9 +161,9 @@ class ExperimentSpec:
 def _trial_bytes(l: int, n_tx: int, n_users: int) -> int:
     """Bytes of a trial's arrays sized by the scene, 16 an entry: the
     L x ``n_tx`` channel G, the ``n_users`` x L channel H, and the phase
-    step's m x L surrogate rows and their m x m Gram matrix, m = 2 +
-    ``n_users`` rank(P) <= 2 + ``n_users`` min(``n_users``, ``n_tx``)."""
-    m = 2 + n_users * min(n_users, n_tx)
+    step's m x L surrogate rows and their m x m Gram matrix, m = 2 plus
+    U3's rows (``u3_rank_bound``)."""
+    m = 2 + u3_rank_bound(n_users, n_tx)
     return 16 * (l * (n_tx + n_users) + m * (l + m))
 
 
@@ -313,15 +310,14 @@ def near_square_grid(l_total: int) -> tuple[int, int]:
     return rows, l_total // rows
 
 
-# Each trial worker returns the CSV rows it contributes, in column order and
-# without the sweep key; a trial's rows come in a fixed number and order
-# wherever one row per method, stage or sample count is returned.
+# Each trial worker takes (cfg, ch, rng, opts, trial) and returns the CSV
+# rows it contributes, in column order and without the sweep key; a trial's
+# rows come in a fixed number and order wherever one row per method, stage
+# or sample count is returned.
 
-def _convergence_trial(args):
+def _convergence_trial(cfg, ch, rng, opts, trial):
     """(trial, iteration, g, SNR_R, SNR_C) per outer iteration, and
     (stage, seconds) per stage, summed over the outer iterations."""
-    cfg, opts, master_seed, point, trial = args
-    cfg, ch, rng = _trial_inputs(cfg, master_seed, point, trial)
     _, _, trace = run_alternating(ch, cfg, opts=opts, rng=rng)
     scores = zip(trace.objective_per_outer, trace.snr_radar_per_outer,
                  trace.snr_comm_per_outer)
@@ -330,11 +326,9 @@ def _convergence_trial(args):
             [(stage, sum(t[stage] for t in times)) for stage in sorted(times[0])])
 
 
-def _scaling_trial(args):
+def _scaling_trial(cfg, ch, rng, opts, trial):
     """(method, trial, final g, outer iterations, phase-stage seconds, its
     share per outer iteration, total seconds) per phase solver."""
-    cfg, opts, master_seed, point, trial = args
-    cfg, ch, rng = _trial_inputs(cfg, master_seed, point, trial)
     rows = []
     for method in IRS_METHODS:
         # paired comparison: both methods start from one generator state
@@ -350,11 +344,9 @@ def _scaling_trial(args):
     return rows
 
 
-def _ratio_trial(args):
+def _ratio_trial(cfg, ch, rng, opts, trial, n_g_grid):
     """(n_g, trial, ratio, best objective, relaxation bound) per sample
     count."""
-    cfg, opts, n_g_grid, master_seed, point, trial = args
-    cfg, ch, rng = _trial_inputs(cfg, master_seed, point, trial)
     precoder, _, _ = run_alternating(ch, cfg, opts=opts, rng=rng)
     a, _ = build_quadratic_terms(precoder, ch, cfg)
     r_star = solve_unit_diag_relaxation(a)
@@ -385,53 +377,51 @@ def _one_blas_thread():
                 os.environ[var] = value
 
 
-def _point_args(spec: ExperimentSpec, cfgs: list[SceneConfig], *extra
-                ) -> list[list[tuple]]:
-    """Worker arguments per sweep point, ending in (point, trial)."""
-    return [[(cfg, spec.solver, *extra, spec.master_seed, point, t)
-             for t in range(spec.trials)] for point, cfg in enumerate(cfgs)]
-
-
-def _run_trials(worker, point_args: list[list[tuple]], threads: int
+def _run_trials(worker, spec: ExperimentSpec, cfgs: list[SceneConfig], *extra
                 ) -> tuple[list[list], list[dict]]:
-    """Run the trials of every sweep point, here or in ``threads`` spawned
-    worker processes, which take them in chunks from one pool.
+    """Run ``worker(cfg, ch, rng, spec.solver, trial, *extra)`` on each
+    trial of each point p, drawn on ``cfgs[p]``, here or in ``spec.threads``
+    spawned worker processes, which take the trials in chunks from one pool.
 
     Returns the results of each point in trial order, and the records of
     the trials that raised.
     """
-    flat = [args for args_of_point in point_args for args in args_of_point]
-    guarded = functools.partial(_guarded, worker)
-    if threads > 1:
+    jobs = [(cfg, spec.master_seed, point, trial)
+            for point, cfg in enumerate(cfgs) for trial in range(spec.trials)]
+    guarded = functools.partial(_guarded, worker, spec.solver, extra)
+    if spec.threads > 1:
         import multiprocessing      # here: half of the module's import time
         from concurrent.futures import ProcessPoolExecutor
         with _one_blas_thread(), ProcessPoolExecutor(
-                threads, mp_context=multiprocessing.get_context("spawn")) as pool:
-            outcomes = list(pool.map(
-                guarded, flat, chunksize=math.ceil(len(flat) / (4 * threads))))
+                spec.threads,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            outcomes = list(pool.map(guarded, jobs, chunksize=math.ceil(
+                len(jobs) / (4 * spec.threads))))
     else:
-        outcomes = map(guarded, flat)
-    results, errors = [[] for _ in point_args], []
-    for args, (result, error) in zip(flat, outcomes):
+        outcomes = map(guarded, jobs)
+    results, errors = [[] for _ in cfgs], []
+    for (_, _, point, trial), (result, error) in zip(jobs, outcomes):
         if error is None:
-            results[args[-2]].append(result)
+            results[point].append(result)
         else:
             errors.append(error)
-            log.warning("trial skipped: point %d trial %d: %s", *args[-2:],
+            log.warning("trial skipped: point %d trial %d: %s", point, trial,
                         error["error"])
     return results, errors
 
 
-def _guarded(worker, args) -> tuple[object, dict | None]:
-    """Run one trial: (result, None), or (None, record) if it raised.
+def _guarded(worker, opts: SolverOptions, extra: tuple, job: tuple
+             ) -> tuple[object, dict | None]:
+    """Draw one trial's inputs and run it: (result, None), or (None,
+    record) if the draw or the trial raised.
 
     A failing trial is skipped, not fatal; its record holds the
     (point, trial) index, the error and its traceback.
     """
+    _, _, point, trial = job
     try:
-        return worker(args), None
+        return worker(*_trial_inputs(*job), opts, trial, *extra), None
     except Exception as exc:
-        point, trial = args[-2:]
         return None, {"point": point, "trial": trial,
                       "error": f"{type(exc).__name__}: {exc}",
                       "traceback": traceback.format_exc()}
@@ -472,11 +462,10 @@ def _surface_scenes(spec: ExperimentSpec) -> list[SceneConfig]:
             for rows_, cols_ in (near_square_grid(int(l)) for l in spec.l_values)]
 
 
-def run_convergence_experiment(spec: ExperimentSpec) -> AggregateResult:
+def _run_convergence(spec: ExperimentSpec) -> AggregateResult:
     """Objective trajectories per radar weight; one CSV triple per weight."""
     cfgs = [replace(spec.scene, beta=float(beta)) for beta in spec.beta_values]
-    per_point, errors = _run_trials(
-        _convergence_trial, _point_args(spec, cfgs), spec.threads)
+    per_point, errors = _run_trials(_convergence_trial, spec, cfgs)
     result = AggregateResult(trial_errors=errors)
     for point, (beta, trials) in enumerate(zip(spec.beta_values, per_point)):
         tag = beta_tag(beta)
@@ -503,13 +492,13 @@ def run_convergence_experiment(spec: ExperimentSpec) -> AggregateResult:
     return result
 
 
-def run_scaling_experiment(spec: ExperimentSpec) -> AggregateResult:
+def _run_scaling(spec: ExperimentSpec) -> AggregateResult:
     """Both phase solvers inside the full loop as the surface size grows;
     ``solver.irs_method`` is not read."""
     raw, agg, timing = [], [], []
     l0 = float(spec.l_values[0])
     per_point, errors = _run_trials(
-        _scaling_trial, _point_args(spec, _surface_scenes(spec)), spec.threads)
+        _scaling_trial, spec, _surface_scenes(spec))
     for l_total, trials in zip(spec.l_values, per_point):
         for rows in zip(*trials):       # one phase solver's row of each trial
             method, n = rows[0][0], len(rows)
@@ -539,13 +528,11 @@ def run_scaling_experiment(spec: ExperimentSpec) -> AggregateResult:
     ], errors), errors)
 
 
-def run_ratio_experiment(spec: ExperimentSpec) -> AggregateResult:
+def _run_ratio(spec: ExperimentSpec) -> AggregateResult:
     """Randomization approximation ratio over the sample-count grid."""
     raw, agg = [], []
     per_point, errors = _run_trials(
-        _ratio_trial,
-        _point_args(spec, _surface_scenes(spec), list(spec.n_g_grid)),
-        spec.threads)
+        _ratio_trial, spec, _surface_scenes(spec), list(spec.n_g_grid))
     for l_total, trials in zip(spec.l_values, per_point):
         raw += [(l_total, *row) for rows in trials for row in rows]
         for rows in zip(*trials):       # one sample count's row of each trial
@@ -562,16 +549,17 @@ def run_ratio_experiment(spec: ExperimentSpec) -> AggregateResult:
     ], errors), errors)
 
 
+# Each kind: the sweeps it reads (every other must be empty) and its runner.
+KINDS = {"convergence": (("beta_values",), _run_convergence),
+         "scaling": (("l_values",), _run_scaling),
+         "ratio": (("l_values", "n_g_grid"), _run_ratio)}
+
+
 def run_experiment(spec: ExperimentSpec) -> AggregateResult:
-    """Dispatch on the experiment kind, once the output directory is made:
+    """Run the experiment of its kind, once the output directory is made:
     a path that cannot be one fails before the first trial."""
     try:
         Path(spec.output_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output_dir {spec.output_dir}: {exc}") from exc
-    runner = {
-        "convergence": run_convergence_experiment,
-        "scaling": run_scaling_experiment,
-        "ratio": run_ratio_experiment,
-    }[spec.kind]
-    return runner(spec)
+    return KINDS[spec.kind][1](spec)

@@ -101,9 +101,18 @@ class RandomizationReport:
                 f"reference objective is not an upper bound")
 
 
-def study_bytes(l: int, n_g: int, n_users: int) -> int:
-    """Bytes one ratio trial holds at its peak beyond its channels, on a
-    surface of L elements with sample counts up to n_g: the candidate
+def u3_rank_bound(n_users: int, n_tx: int) -> int:
+    """K min(K, N), for K = ``n_users`` and N = ``n_tx``: the most rows of
+    U3's factor Psi^H (``build_quadratic_terms``), one per user and
+    nonzero precoder column, of which a recovered precoder has at most
+    min(K, N) (``factor_precoder``); and so a bound on U3's rank."""
+    return n_users * min(n_users, n_tx)
+
+
+def study_bytes(l: int, n_g: int, n_users: int, n_tx: int) -> int:
+    """An upper bound on the bytes one ratio trial holds at its peak
+    beyond its channels, on a surface of L elements with sample counts up
+    to n_g, counted from shapes, not measured: the candidate
     pass, one L x ``_RATIO_CHUNK`` complex candidate block with its
     magnitudes (the double-precision ranking; the single-precision
     screen's 2L x ``_RATIO_CHUNK`` block and its squares take less) and
@@ -113,15 +122,18 @@ def study_bytes(l: int, n_g: int, n_users: int) -> int:
     relaxation's SQUAREM points and the certificate's products (it takes
     O(L m), Schur or Weyl, and runs before the pass).
 
-    r, the rank of A = U3 and of R*, is at most min(L, K^2) for K =
-    ``n_users``: U3 has K rank(P) <= K^2 rows, and R* = Z^H Z with Z at
-    the rank of U3 (a zero column of A adds one row, and drawn channels
-    give none).  Measured as the growth of a fresh process's peak resident
-    set over one trial of ``configs/ratio.json`` at L = 512, 1024 and
-    1536 (one BLAS thread, numpy 2.4.6, OpenBLAS 0.3.31, x86-64), where
-    the count is 14.6, 22.5 and 30.4 MB: 5.8, 15.1 and 22.4 MB with the
-    Schur certificate or Weyl's bound forced alike."""
-    rank = min(l, n_users ** 2)
+    r, the rank of A = U3 and of R*, is at most min(L, ``u3_rank_bound``)
+    = min(L, K min(K, N)), and R* = Z^H Z with Z at the rank of U3 (a zero
+    column of A adds one row, and drawn channels give none).  Measured as
+    the growth of a fresh process's peak resident set over one trial of
+    ``configs/ratio.json`` at L = 512, 1024 and 1536 (one BLAS thread,
+    numpy 2.4.6, OpenBLAS 0.3.31, x86-64), where the count is 14.6, 22.5
+    and 30.4 MB: 5.8, 15.1 and 22.4 MB with the Schur certificate or
+    Weyl's bound forced alike.  The count is 2.5 times the growth at
+    L = 512 and 1.5 times at L = 1024 because it takes r at its bound,
+    K^2 = 25 there, where the shipped trials' R* has rank 1 to 3: of the
+    14.6 MB at L = 512, the per-sample term is 6.6 MB at n_g = 10 000."""
+    rank = min(l, u3_rank_bound(n_users, n_tx))
     return (24 * l * _RATIO_CHUNK + (24 * rank + 64) * n_g
             + 8 * 16 * rank * l)
 

@@ -16,10 +16,9 @@ from isacopt import (IrsPhase, OmegaRows, Precoder, SceneConfig,
                      build_omega, build_quartic_surrogate,
                      default_beampattern_target, irs_phase_update,
                      linear_surrogate_vectors, load_experiment_spec,
-                     make_channels, quartic_kernels,
-                     run_convergence_experiment, run_ratio_experiment,
-                     run_scaling_experiment, snr_comm, snr_radar,
-                     solve_irs_minorization, solve_relaxed)
+                     make_channels, quartic_kernels, run_experiment,
+                     snr_comm, snr_radar, solve_irs_minorization,
+                     solve_relaxed)
 from isacopt.harness import (aggregate_convergence, near_square_grid,
                              read_csv_rows)
 from isacopt.precoder import relaxed_objective
@@ -229,7 +228,7 @@ def paper_convergence(tmp_path_factory):
         "output_dir": str(out),
     })
     tic = time.perf_counter()
-    result = run_convergence_experiment(spec)
+    result = run_experiment(spec)
     return spec, result, time.perf_counter() - tic
 
 
@@ -271,7 +270,7 @@ def method_comparison(tmp_path_factory):
         "master_seed": 11,
         "output_dir": str(out),
     })
-    return spec, run_scaling_experiment(spec)
+    return spec, run_experiment(spec)
 
 
 def test_criterion_08_method_comparison(method_comparison, monkeypatch):
@@ -329,7 +328,7 @@ def ratio_study(tmp_path_factory):
         "master_seed": 13,
         "output_dir": str(out),
     })
-    return spec, run_ratio_experiment(spec)
+    return spec, run_experiment(spec)
 
 
 def test_criterion_09_randomization_ratio_study(ratio_study):
@@ -369,9 +368,7 @@ def test_criterion_10_determinism(tmp_path):
             spec = load_experiment_spec({
                 "kind": kind, **base, **extra,
                 "output_dir": str(tmp_path / f"{kind}_{run}")})
-            {"convergence": run_convergence_experiment,
-             "ratio": run_ratio_experiment,
-             "scaling": run_scaling_experiment}[kind](spec)
+            run_experiment(spec)
             outputs.append(sorted(
                 p for p in (tmp_path / f"{kind}_{run}").iterdir()
                 if p.suffix == ".csv" and "timing" not in p.name))

@@ -16,12 +16,18 @@ from isacopt.harness import read_csv_rows
 _CONVERGENCE_TRIAL = harness._convergence_trial
 
 
-def _fails_on_point0_trial1(args):
+def _seeded_point(rng) -> int:
+    """The sweep point a trial's generator was seeded for: the harness
+    seeds it with (master seed, point, trial)."""
+    return rng.bit_generator.seed_seq.entropy[1]
+
+
+def _fails_on_point0_trial1(cfg, ch, rng, opts, trial):
     """Convergence worker that raises on trial 1 of the first sweep point;
     module-level so that spawned workers can import it."""
-    if tuple(args[-2:]) == (0, 1):
+    if (_seeded_point(rng), trial) == (0, 1):
         raise ValueError("injected failure")
-    return _CONVERGENCE_TRIAL(args)
+    return _CONVERGENCE_TRIAL(cfg, ch, rng, opts, trial)
 
 
 def write_config(tmp_path, **overrides):
@@ -77,6 +83,26 @@ class TestRun:
         _, rows = read_csv_rows(out / "convergence_raw_beta0.9.csv")
         assert sorted({int(row[0]) for row in rows}) == [0, 1, 2]
 
+    def test_more_workers_than_jobs_write_what_one_writes(self, tmp_path):
+        # one point of two trials on four workers: chunks of one trial, and
+        # a process started per chunk, so two at most
+        config = write_config(tmp_path)
+        for threads in ("1", "4"):
+            assert main(["run", "--config", str(config), "--out",
+                         str(tmp_path / threads), "--threads", threads]) == 0
+        names = sorted(p.name for p in (tmp_path / "1").iterdir()
+                       if p.suffix == ".json" or "_timing" not in p.name)
+        assert len(names) == 5          # two primary CSVs, three sidecars
+        for name in names:
+            one, four = ((tmp_path / t / name).read_bytes() for t in "14")
+            if name.endswith(".meta.json"):
+                # the same config, but for where it was written and how
+                one, four = (json.loads(blob) for blob in (one, four))
+                for meta in (one, four):
+                    del meta["config"]["output_dir"], meta["config"]["threads"]
+                assert one["trial_errors"] == []
+            assert one == four, name
+
     # per kind: the overrides of a two-point sweep, and the CSVs whose
     # sidecars record the failures of its first point
     ALL_FAIL = {
@@ -97,10 +123,10 @@ class TestRun:
             self, tmp_path, capsys, monkeypatch, kind):
         worker = getattr(harness, f"_{kind}_trial")
 
-        def fails_on_point0(args):
-            if args[-2] == 0:
+        def fails_on_point0(cfg, ch, rng, *args):
+            if _seeded_point(rng) == 0:
                 raise ValueError("injected failure")
-            return worker(args)
+            return worker(cfg, ch, rng, *args)
 
         monkeypatch.setattr(harness, f"_{kind}_trial", fails_on_point0)
         overrides, recording = self.ALL_FAIL[kind]
@@ -185,7 +211,8 @@ class TestRun:
     def test_output_path_that_is_a_file_exits_2_before_any_trial(
             self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(harness, "_convergence_trial", calls.append)
+        monkeypatch.setattr(harness, "_convergence_trial",
+                            lambda *args: calls.append(args))
         config = write_config(tmp_path)
         out = tmp_path / "results"
         out.write_text("taken")

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from isacopt import (ConfigError, SceneConfig, alternating,
                      default_beampattern_target, harness,
                      load_experiment_spec, make_channels, run_alternating,
-                     run_convergence_experiment, run_experiment,
-                     run_ratio_experiment, run_scaling_experiment)
+                     run_experiment)
 from isacopt.alternating import initial_phases
 from isacopt.harness import (aggregate_convergence, config_hash, format_cell,
                              near_square_grid, read_csv_rows,
@@ -62,9 +61,10 @@ class TestSpecLoading:
             make_spec(tmp_path, beta_values=[0.5, 10 ** 400])
 
     def test_every_kind_reads_named_sweeps(self):
-        assert set(harness.KIND_SWEEPS) == set(harness.EXPERIMENT_KINDS)
-        for reads in harness.KIND_SWEEPS.values():
+        assert tuple(harness.KINDS) == ("convergence", "scaling", "ratio")
+        for reads, run in harness.KINDS.values():
             assert reads and set(reads) <= set(harness.SWEEP_KEYS)
+            assert callable(run)
 
     # each read sweep holds distinct points, and each other sweep is empty
     @pytest.mark.parametrize("overrides,message", [
@@ -217,7 +217,7 @@ class TestConfigProperty:
         # the sweeps the kind does not read are left out, as they must be
         raw = {key: value for key, value in raw.items()
                if key not in harness.SWEEP_KEYS
-               or key in harness.KIND_SWEEPS[raw["kind"]]}
+               or key in harness.KINDS[raw["kind"]][0]}
         scene = {**raw["scene"], "n_rx": raw["scene"]["n_tx"]}
         try:
             spec = load_experiment_spec({**raw, "scene": scene})
@@ -277,7 +277,7 @@ class TestHelpers:
 class TestConvergenceExperiment:
     def test_outputs_and_aggregates(self, tmp_path):
         spec = make_spec(tmp_path, beta_values=[0.2, 0.8])
-        result = run_convergence_experiment(spec)
+        result = run_experiment(spec)
         assert not result.trial_errors
         files = {Path(f).name for f in result.files}
         assert "convergence_beta0.2.csv" in files
@@ -292,7 +292,7 @@ class TestConvergenceExperiment:
 
     def test_aggregate_recomputes_from_raw_exactly(self, tmp_path):
         spec = make_spec(tmp_path)
-        run_convergence_experiment(spec)
+        run_experiment(spec)
         out = tmp_path / "out"
         _, raw = read_csv_rows(out / "convergence_raw_beta0.5.csv")
         curves = {}
@@ -309,7 +309,7 @@ class TestConvergenceExperiment:
 
     def test_metadata_sidecar_contents(self, tmp_path):
         spec = make_spec(tmp_path)
-        result = run_convergence_experiment(spec)
+        result = run_experiment(spec)
         meta = json.loads(Path(result.files[0] + ".meta.json").read_text())
         assert meta["config_sha256"] == config_hash(spec)
         assert meta["config"]["trials"] == 3
@@ -318,8 +318,8 @@ class TestConvergenceExperiment:
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         spec_a = make_spec(tmp_path, output_dir=str(tmp_path / "a"))
         spec_b = make_spec(tmp_path, output_dir=str(tmp_path / "b"))
-        run_convergence_experiment(spec_a)
-        run_convergence_experiment(spec_b)
+        run_experiment(spec_a)
+        run_experiment(spec_b)
         name = "convergence_beta0.5.csv"
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
@@ -328,7 +328,7 @@ class TestConvergenceExperiment:
             == (tmp_path / "b" / raw).read_bytes()
 
 
-def _blas_env(args):
+def _blas_env(cfg, ch, rng, opts, trial):
     """Trial worker reporting its BLAS thread variables; module-level so
     that spawned workers can import it."""
     return {var: os.environ.get(var) for var in harness.BLAS_THREAD_VARS}
@@ -353,15 +353,50 @@ class TestWorkers:
             assert (tmp_path / "s" / name).read_bytes() \
                 == (tmp_path / "p" / name).read_bytes(), name
 
-    def test_spawned_workers_start_with_one_blas_thread(self, monkeypatch):
+    def test_spawned_workers_start_with_one_blas_thread(self, tmp_path,
+                                                         monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "7")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         before = dict(os.environ)
-        [results], errors = harness._run_trials(
-            _blas_env, [[(0, t) for t in range(4)]], threads=2)
+        spec = make_spec(tmp_path, trials=4, threads=2)
+        [results], errors = harness._run_trials(_blas_env, spec, [spec.scene])
         assert errors == []
         assert results == [dict.fromkeys(harness.BLAS_THREAD_VARS, "1")] * 4
         assert dict(os.environ) == before
+
+    def test_failed_draw_is_a_recorded_trial(self, tmp_path, monkeypatch):
+        # a trial's inputs are drawn inside its guard: channels that fail
+        # to draw on trial 1 of the first point skip that trial alone, and
+        # every other trial keeps its rows
+        spec = make_spec(tmp_path, beta_values=[0.2, 0.8],
+                         output_dir=str(tmp_path / "ok"))
+        assert not run_experiment(spec).trial_errors
+        draw = harness.make_channels
+
+        def failing(cfg, rng):
+            if rng.bit_generator.seed_seq.entropy == [spec.master_seed, 0, 1]:
+                raise ValueError("injected draw failure")
+            return draw(cfg, rng)
+
+        monkeypatch.setattr(harness, "make_channels", failing)
+        result = run_experiment(replace(spec, output_dir=str(tmp_path / "bad")))
+        assert [(e["point"], e["trial"], e["error"])
+                for e in result.trial_errors] == [
+            (0, 1, "ValueError: injected draw failure")]
+        for tag, failed in (("beta0.2", [(0, 1)]), ("beta0.8", [])):
+            for kind in ("", "_raw", "_timing"):
+                meta = json.loads((tmp_path / "bad" / f"convergence{kind}_"
+                                   f"{tag}.csv.meta.json").read_text())
+                assert [(e["point"], e["trial"])
+                        for e in meta["trial_errors"]] == failed
+        _, ok_rows = read_csv_rows(tmp_path / "ok" / "convergence_raw_beta0.2.csv")
+        _, bad_rows = read_csv_rows(
+            tmp_path / "bad" / "convergence_raw_beta0.2.csv")
+        assert bad_rows == [row for row in ok_rows if row[0] != "1"]
+        assert sorted({row[0] for row in bad_rows}) == ["0", "2"]
+        for name in ("convergence_raw_beta0.8.csv", "convergence_beta0.8.csv"):
+            assert (tmp_path / "ok" / name).read_bytes() \
+                == (tmp_path / "bad" / name).read_bytes(), name
 
 
 class TestAggregateRecompute:
@@ -369,7 +404,7 @@ class TestAggregateRecompute:
         spec = make_spec(tmp_path, kind="scaling", beta_values=[],
                          l_values=[4], trials=3,
                          solver={"t_max": 3, "inner_max": 30})
-        run_scaling_experiment(spec)
+        run_experiment(spec)
         out = Path(spec.output_dir)
         _, raw = read_csv_rows(out / "scaling_raw.csv")
         _, agg = read_csv_rows(out / "scaling.csv")
@@ -385,7 +420,7 @@ class TestAggregateRecompute:
                          l_values=[4], n_g_grid=[5, 20], trials=3,
                          scene={**small_scene_dict(), "beta": 0.9},
                          solver={"t_max": 2})
-        run_ratio_experiment(spec)
+        run_experiment(spec)
         out = Path(spec.output_dir)
         _, raw = read_csv_rows(out / "ratio_raw.csv")
         _, agg = read_csv_rows(out / "ratio.csv")
@@ -402,7 +437,7 @@ class TestScalingExperiment:
         spec = make_spec(tmp_path, kind="scaling", beta_values=[],
                          l_values=[4], trials=2,
                          solver={"t_max": 3, "inner_max": 30})
-        result = run_scaling_experiment(spec)
+        result = run_experiment(spec)
         assert not result.trial_errors
         _, rows = read_csv_rows(Path(spec.output_dir) / "scaling.csv")
         assert len(rows) == 2
@@ -414,7 +449,7 @@ class TestScalingExperiment:
         spec = make_spec(tmp_path, kind="scaling", beta_values=[],
                          l_values=[4], trials=1,
                          solver={"t_max": 2, "inner_max": 7})
-        assert not run_scaling_experiment(spec).trial_errors
+        assert not run_experiment(spec).trial_errors
         assert {name for name, _ in phase_solver_calls} == {
             "solve_irs_minorization", "solve_irs_manifold"}
         assert all(inner_max == 7 for _, inner_max in phase_solver_calls)
@@ -438,7 +473,7 @@ class TestScalingExperiment:
                          l_values=[4], trials=2,
                          solver={"t_max": 2, "inner_max": 20,
                                  "theta_init": "random"})
-        assert not run_scaling_experiment(spec).trial_errors
+        assert not run_experiment(spec).trial_errors
         assert [m for m, _ in drawn] == ["minorization", "manifold"] * 2
         for (_, first), (_, second) in zip(drawn[::2], drawn[1::2]):
             np.testing.assert_array_equal(first, second)
@@ -448,7 +483,7 @@ class TestScalingExperiment:
         spec = make_spec(tmp_path, kind="scaling", beta_values=[],
                          l_values=[4], trials=1,
                          solver={"t_max": 2, "inner_max": 20})
-        run_scaling_experiment(spec)
+        run_experiment(spec)
         header, _ = read_csv_rows(Path(spec.output_dir) / "scaling.csv")
         assert not any("seconds" in col for col in header)
         t_header, _ = read_csv_rows(Path(spec.output_dir) / "scaling_timing.csv")
@@ -458,7 +493,7 @@ class TestScalingExperiment:
         spec = make_spec(tmp_path, kind="scaling", beta_values=[],
                          l_values=[4, 16], trials=1,
                          solver={"t_max": 2, "inner_max": 20})
-        run_scaling_experiment(spec)
+        run_experiment(spec)
         _, rows = read_csv_rows(Path(spec.output_dir) / "scaling.csv")
         ref = {int(r[0]): float(r[6]) for r in rows}
         assert ref[4] == pytest.approx(1.0)
@@ -471,7 +506,7 @@ class TestRatioExperiment:
                          l_values=[4], n_g_grid=[5, 50], trials=3,
                          scene={**small_scene_dict(), "beta": 0.9},
                          solver={"t_max": 2})
-        result = run_ratio_experiment(spec)
+        result = run_experiment(spec)
         assert not result.trial_errors
         _, rows = read_csv_rows(Path(spec.output_dir) / "ratio.csv")
         assert len(rows) == 2
@@ -484,6 +519,6 @@ class TestRatioExperiment:
                          scene={**small_scene_dict(),
                                 "irs_rows": 1, "irs_cols": 1, "beta": 0.9},
                          solver={"t_max": 2})
-        run_ratio_experiment(spec)
+        run_experiment(spec)
         _, rows = read_csv_rows(Path(spec.output_dir) / "ratio.csv")
         assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)

@@ -33,7 +33,8 @@ class TestApproximationRatio:
         # relaxation rejects it before any map
         cfg = scene_config_from_dict({"beta": 1, "irs_rows": 2, "irs_cols": 4})
         with pytest.raises(ConfigError, match=r"^A is zero, as U3 is at beta"):
-            harness._ratio_trial((cfg, SolverOptions(t_max=2), [10], 0, 0, 0))
+            harness._ratio_trial(*harness._trial_inputs(cfg, 0, 0, 0),
+                                 SolverOptions(t_max=2), 0, [10])
 
     @pytest.mark.parametrize("scale, message", [
         (1e-160, r"^A's largest eigenvalue .* below the smallest normal"),
@@ -880,9 +881,10 @@ class TestRankPath:
 # That peak is VmHWM, the high-water mark of this process's own memory;
 # ru_maxrss would start at the RSS of the pytest process it was spawned
 # from.  With "weyl", the certificate takes Weyl's bound, as where some
-# y_i <= 0.
+# y_i <= 0.  The last argument sets n_tx = n_rx.
 _TRIAL_PEAK = """
 import json, sys
+from dataclasses import replace
 from isacopt import harness, ratio
 
 def peak():
@@ -893,10 +895,13 @@ def peak():
 if sys.argv[2] == "weyl":
     ratio._schur_lambda = lambda f_h, y: None
 spec = harness.load_experiment_spec(sys.argv[1], {"l_values": [8, 1024]})
+n = int(sys.argv[3])
+spec = replace(spec, scene=replace(spec.scene, n_tx=n, n_rx=n))
 grid = list(spec.n_g_grid)
 for point, cfg in enumerate(harness._surface_scenes(spec)):
     before = peak()
-    harness._ratio_trial((cfg, spec.solver, grid, spec.master_seed, point, 0))
+    harness._ratio_trial(*harness._trial_inputs(cfg, spec.master_seed, point, 0),
+                         spec.solver, 0, grid)
 print(json.dumps({"n_tx": spec.scene.n_tx, "n_users": spec.scene.n_users,
                   "n_g": max(grid), "grown_bytes": peak() - before}))
 """
@@ -905,16 +910,19 @@ print(json.dumps({"n_tx": spec.scene.n_tx, "n_users": spec.scene.n_users,
 class TestStudyBytes:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads VmHWM from /proc")
-    def test_trial_stays_within_the_counted_bytes(self):
+    @pytest.mark.parametrize("n_tx", [16, 4], ids=["config", "n_tx<n_users"])
+    def test_trial_stays_within_the_counted_bytes(self, n_tx):
         # the load-time count of a ratio surface, its L x n_tx channel and
         # study_bytes with the config's n_g up to 10 000, is 22.8 MB at
-        # L = 1024; the trial measured 15.1 to 15.2 MB with either
+        # L = 1024; the trial measured 15.1 to 15.3 MB with either
         # certificate.  The resident set sees LAPACK's workspace, which
         # tracemalloc misses.  Half the count bounds the larger below: the
         # count is not loose.  (At L = 512 the count, 14.7 MB, is 2.5
         # times the 5.9 MB measured: its per-sample term takes R*'s rank
         # at its bound n_users^2 = 25, where the shipped trials have 1 to
-        # 3.)
+        # 3.)  With n_tx = 4 < n_users = 5 the rank bound is
+        # n_users n_tx = 20, and the count 20.7 MB against 15.0 MB
+        # measured.
         root = Path(__file__).resolve().parents[1]
         src = str(Path(ratio.__file__).resolve().parent.parent)
         env = {**os.environ, **dict.fromkeys(harness.BLAS_THREAD_VARS, "1"),
@@ -924,11 +932,11 @@ class TestStudyBytes:
         for certificate in ("factored", "weyl"):
             done = subprocess.run(
                 [sys.executable, "-c", _TRIAL_PEAK,
-                 str(root / "configs/ratio.json"), certificate],
+                 str(root / "configs/ratio.json"), certificate, str(n_tx)],
                 env=env, capture_output=True, text=True, timeout=120,
                 check=True)
             out = json.loads(done.stdout)
             grown.append(out["grown_bytes"])
         counted = 16 * 1024 * out["n_tx"] + ratio.study_bytes(
-            1024, out["n_g"], out["n_users"])
+            1024, out["n_g"], out["n_users"], out["n_tx"])
         assert counted / 2 <= max(grown) and max(grown) <= counted
