@@ -278,10 +278,19 @@ def write_tables(spec: ExperimentSpec, tables: list[tuple[str, list[str], list]]
 
 
 def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header and rows of a UTF-8 CSV file; ConfigError unless every
+    row has the header's number of fields."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            return next(reader), list(reader)
+            header, rows = next(reader), []
+            for row in reader:
+                if len(row) != len(header):
+                    raise ConfigError(
+                        f"{path}: row {reader.line_num} has {len(row)} "
+                        f"fields, the header {len(header)}")
+                rows.append(row)
+            return header, rows
     except (OSError, UnicodeDecodeError, StopIteration) as exc:
         raise ConfigError(f"{path}: not a UTF-8 CSV file with a header "
                           f"({type(exc).__name__}: {exc})") from exc

@@ -17,17 +17,17 @@ rounding level, come from a thin QR of the rows and one m x m ``eigh``
 (``_form_eigenpairs``), and R* = Z^H Z travels as its factor Z
 (``GramFactor``, r x L), which hands the study those eigenpairs and reads
 as an L x L array only where a caller asks.  A dual certificate bounds
-the relaxation (``unit_diag_dual_bound``): lambda_min(Diag(y) - A) from
-m x m Schur complements in a safeguarded root search, and from Weyl's
-inequality where some y_i <= 0 or the search cannot certify.  Draws and
-scores are formed at the rank of R* and of A
-(``approximation_ratio_study``): R*'s eigenpairs come from the r x r Gram
-matrix Z Z^H, and each sample count takes 2 r n_g standard normals, r the
-number of eigenpairs of R* above rounding level.  The candidates are
-ranked in single precision, each score with a derived bound on its
-distance from the double-precision one (``_Screen``), and only those the
-bounds cannot rule out are scored again in double precision, so the
-winner is the one a double-precision pass over every candidate picks.
+the relaxation (``unit_diag_dual_bound``): y = Re diag(A R*), floored,
+times s = lambda_max(F^H Diag(1/y) F), A = F F^H, is a dual point,
+Diag(s y) >= A, from one m x m ``eigvalsh``.  Draws and scores are formed
+at the rank of R* and of A (``approximation_ratio_study``): R*'s
+eigenpairs come from the r x r Gram matrix Z Z^H, and each sample count
+takes 2 r n_g standard normals, r the number of eigenpairs of R* above
+rounding level.  The candidates are ranked in single precision, each
+score with a derived bound on its distance from the double-precision one
+(``_Screen``), and only those the bounds cannot rule out are scored again
+in double precision, so the winner is the one a double-precision pass
+over every candidate picks.
 Where r = 1 every candidate is one vector up to a phase, and no candidate
 pass runs.  A trial decomposes no L x L matrix and forms no L x L array.
 """
@@ -51,9 +51,9 @@ _RATIO_CHUNK = 512
 # ascent stops, and its cap on maps.
 _UNIT_DIAG_TOL = 1e-10
 _UNIT_DIAG_MAX_STEPS = 10_000
-# Newton steps of the factored certificate before it falls back to Weyl's
-# bound.
-_SCHUR_MAX_STEPS = 60
+# Fraction of its largest entry below which the certificate floors the dual
+# vector y on A's live coordinates.
+_DUAL_FLOOR = 1e-3
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # Unit roundoffs of single and double precision.
@@ -120,7 +120,8 @@ def study_bytes(l: int, n_g: int, n_users: int, n_tx: int) -> int:
     eight float64 per-candidate values; and at rank, eight complex arrays
     of r x L at a time: A's rows, R*'s factor and the basis E, with the
     relaxation's SQUAREM points and the certificate's products (it takes
-    O(L m), Schur or Weyl, and runs before the pass).
+    O(L m), one m x m ``eigvalsh`` of the scaled dual, and runs before the
+    pass).
 
     r, the rank of A = U3 and of R*, is at most min(L, ``u3_rank_bound``)
     = min(L, K min(K, N)), and R* = Z^H Z with Z at the rank of U3 (a zero
@@ -128,11 +129,11 @@ def study_bytes(l: int, n_g: int, n_users: int, n_tx: int) -> int:
     the growth of a fresh process's peak resident set over one trial of
     ``configs/ratio.json`` at L = 512, 1024 and 1536 (one BLAS thread,
     numpy 2.4.6, OpenBLAS 0.3.31, x86-64), where the count is 14.6, 22.5
-    and 30.4 MB: 5.8, 15.1 and 22.4 MB with the Schur certificate or
-    Weyl's bound forced alike.  The count is 2.5 times the growth at
-    L = 512 and 1.5 times at L = 1024 because it takes r at its bound,
-    K^2 = 25 there, where the shipped trials' R* has rank 1 to 3: of the
-    14.6 MB at L = 512, the per-sample term is 6.6 MB at n_g = 10 000."""
+    and 30.4 MB: 5.8, 15.1 and 22.4 MB.  The count is 2.5 times the
+    growth at L = 512 and 1.5 times at L = 1024 because it takes r at its
+    bound, K^2 = 25 there, where the shipped trials' R* has rank 1 to 3:
+    of the 14.6 MB at L = 512, the per-sample term is 6.6 MB at
+    n_g = 10 000."""
     rank = min(l, u3_rank_bound(n_users, n_tx))
     return (24 * l * _RATIO_CHUNK + (24 * rank + 64) * n_g
             + 8 * 16 * rank * l)
@@ -188,24 +189,32 @@ class GramFactor:
 def unit_diag_dual_bound(a: OmegaRows, r_star: GramFactor) -> float:
     """Certified upper bound on max tr(A R) over {R >= 0, diag(R) = 1}.
 
-    Any real y gives the bound sum(y) + L max(0, -lambda_min(Diag(y) - A))
-    by weak duality (tr R = L on the feasible set).  With y = Re diag(A R)
-    taken from a near-optimal R the bound is tight: it equals tr(A R) when
-    Diag(y) - A is PSD, and it is never below tr(A R).  A = X^H diag(d) X
-    is given by its m rows X with weights d > 0 (``_require_psd_rows``),
-    and R = Z^H Z by Z; y comes from them as the column sums of
-    d o conj(X) o ((X Z^H) Z), O(L m r).
+    Any v with Diag(v) >= A gives the bound sum(v) by weak duality
+    (tr(A R) <= tr(Diag(v) R) = sum(v) on the feasible set).  A =
+    X^H diag(d) X is given by its m rows X with weights d > 0
+    (``_require_psd_rows``), so A = F F^H with F = (sqrt(d) o X)^H
+    (L x m), and for y > 0 Diag(s y) - F F^H is PSD exactly when
+    I - F^H Diag(1 / (s y)) F is (the inertia of the Schur complements of
+    [[Diag(s y), F], [F^H, I]]; Haynsworth, Linear Algebra Appl. 1,
+    1968), that is when s >= lambda_max(K), K = F^H Diag(1/y) F (m x m).
+    So v = s y with s = lambda_max(K) certifies, from one ``eigvalsh``
+    (``_scaled_dual``, which also bounds its rounding).  y is
+    Re diag(A R), the column sums of d o conj(X) o ((X Z^H) Z) for
+    R = Z^H Z, O(L m r): at a near-optimal R it is near the optimal dual,
+    and s y near it too, so the bound is near tr(A R).  A zero column i of
+    A gives y_i = 0 and a zero row and column of Diag(y) - A, which add
+    nothing, so only the other (live) coordinates enter.  There y is
+    divided by its largest entry and floored at ``_DUAL_FLOOR``, which
+    only rescales the certificate and keeps every y_i > 0; where no
+    y_i > 0 (tr(A R) = 0, far from the optimum) y = 1, and the bound is
+    L lambda_max(A).  F enters times the power of two that puts its
+    largest |entry| in [1/2, 1), so nothing in K over- or underflows, and
+    the bound is scaled back exactly where it is a normal float.
 
-    lambda_min enters through a lower bound lambda_c certified to hold in
-    exact arithmetic.  A zero column i of A gives y_i = 0 and a zero row
-    and column of Diag(y) - A, which add nothing; on the other coordinates
-    lambda_c comes from m x m Schur complements where every y_i > 0
-    (``_schur_lambda``), else, or where that search cannot certify, from
-    Weyl's inequality (``_weyl_lambda``).  The bound adds gamma_{L+3}
-    (sum |y_i| + L max(0, -lambda_c)), which covers the rounding of the
-    sum, of the last two additions and of Weyl's subtraction, and
-    4 gamma_{L+m+4} T, T = sum_a d_a ||x_a||_1^2, which bounds how far a
-    value x^H A x of a unit-modulus x computed as sum_a d_a |x_a x|^2
+    The bound adds gamma_{L+3} of itself, which covers the sum of y, the
+    addition of s's allowance, the product and the last two additions,
+    and 4 gamma_{L+m+4} T, T = sum_a d_a ||x_a||_1^2, which bounds how far
+    a value x^H A x of a unit-modulus x computed as sum_a d_a |x_a x|^2
     (``_form_value``) may lie above the exact one: each complex product
     x_a x is within sqrt(2) gamma_{L+2} ||x_a||_1 of its value (Higham,
     Section 3.6), its square within 3 gamma_{L+2} ||x_a||_1^2, and the
@@ -217,15 +226,37 @@ def unit_diag_dual_bound(a: OmegaRows, r_star: GramFactor) -> float:
     n, m = z.shape[1], x.shape[0]
     y = (d @ (x.conj() * ((x @ z.conj().T) @ z))).real
     live = np.any(x != 0.0, axis=0)
-    f_h, y_live = x[:, live] * np.sqrt(d)[:, np.newaxis], y[live]
-    lam = _schur_lambda(f_h, y_live) if np.all(y_live > 0.0) else None
-    if lam is None:
-        lam = _weyl_lambda(f_h, y_live)
-    deficit = n * max(0.0, -float(lam))
+    f_h, y = x[:, live] * np.sqrt(d)[:, np.newaxis], y[live]
+    top = float(y.max())
+    y = np.maximum(y / top, _DUAL_FLOOR) if top > 0.0 else np.ones_like(y)
+    e = math.frexp(float(np.abs(f_h).max()))[1]
+    f_h = np.ldexp(np.ascontiguousarray(f_h).view(float), -e).view(complex)
+    w, allow = _scaled_dual(f_h, y)
+    core = float(np.ldexp((w + allow) * float(np.sum(y)), 2 * e))
     spread = float(d @ np.square(np.sum(np.abs(x), axis=1)))
-    rounding = (_gamma(n + 3, _U64) * (float(np.sum(np.abs(y))) + deficit)
-                + 4.0 * _gamma(n + m + 4, _U64) * spread)
-    return float(np.sum(y)) + deficit + rounding
+    return core + (_gamma(n + 3, _U64) * core
+                   + 4.0 * _gamma(n + m + 4, _U64) * spread)
+
+
+def _scaled_dual(f_h: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(w, e): the computed lambda_max(K), K = F^H Diag(1/y) F with
+    F = f_h^H (L x m), y > 0, and an allowance e with w + e >= the exact
+    one, for the largest |entry| of f_h in [1/2, 1) and y <= 1, where
+    lambda_max(K) >= 1/4:
+
+        e = sqrt(2) gamma_{L+12} tr(K) + 4 (m + 1) eps ||K||_F + eps w.
+
+    The products forming K (F from the rows and sqrt(d), the divisions by
+    y, the sums of L terms) err entrywise by at most
+    sqrt(2) gamma_{L+10} |F|^H Diag(1/y) |F|, whose Frobenius norm is at
+    most its trace; ``eigvalsh`` adds its backward error, the second term;
+    and eps w covers forming e and underflow in K."""
+    n, m = f_h.shape[1], f_h.shape[0]
+    k = (f_h / y) @ f_h.conj().T
+    w = float(np.linalg.eigvalsh(k)[-1])
+    return w, (math.sqrt(2.0) * _gamma(n + 12, _U64) * float(k.trace().real)
+               + 4.0 * (m + 1) * _EPS * math.sqrt(np.vdot(k, k).real)
+               + _EPS * w)
 
 
 def _require_psd_rows(a: OmegaRows) -> None:
@@ -237,83 +268,6 @@ def _require_psd_rows(a: OmegaRows) -> None:
     if bad.size:
         raise ConfigError(f"weights[{bad[0]}] = {float(d[bad[0]])!r}: A must "
                           f"be PSD, every weight of its rows > 0")
-
-
-def _schur_lambda(f_h: np.ndarray, y: np.ndarray) -> float | None:
-    """A lower bound lambda_c <= 0 on lambda_min(Diag(y) - F F^H), y > 0,
-    F = f_h^H (L x m), certified in exact arithmetic from m x m problems;
-    None where the search does not certify one.
-
-    For lambda < min(y), D = Diag(y) - lambda I is positive definite, and
-    by the inertia of the Schur complements of [[D, F], [F^H, I]]
-    (Haynsworth, Linear Algebra Appl. 1, 1968) Diag(y) - F F^H - lambda I
-    is PSD exactly when S(lambda) = I - F^H D^-1 F is.  So lambda_min >=
-    lambda once s(lambda) = lambda_min(S(lambda)) >= 0.  s is decreasing
-    and concave in lambda (each 1/(y_i - lambda) is convex), with slope
-    -||D^-1 F v||^2 at its unit eigenvector v.  The computed s lies within
-
-        e(lambda) = sqrt(2) gamma_{L+12} tr(F^H D^-1 F)
-                    + 4 (m + 1) eps ||S||_F + eps
-
-    of the exact one: the products forming S (F from the rows and sqrt(d),
-    D^-1, the sums of L terms, I - K) err entrywise by at most
-    sqrt(2) gamma_{L+10} |F|^H D^-1 |F|, whose Frobenius norm is at most
-    its trace; ``eigh`` adds its backward error, the second term; and
-    the slack covers forming e.  So lambda is certified
-    where the computed s exceeds e.  The search starts at lambda = 0,
-    where a certified s needs no more (the bound adds nothing), and takes
-    Newton steps toward s = 4 e: by concavity each lands on the right of
-    that level and they rise to it, so the first step with s > e
-    certifies, within about 4 e / |slope| of the root.  The dense
-    lambda_min of the shipped study's Diag(y) - A lies below 0 at rounding
-    level on most inputs, so one test at lambda = 0 does not suffice.  At
-    most ``_SCHUR_MAX_STEPS`` steps, each lambda <= 0 < min(y).
-    """
-    col = np.sum(np.square(f_h.real) + np.square(f_h.imag), axis=0)
-    lam = 0.0
-    for _ in range(_SCHUR_MAX_STEPS):
-        s, allow, rate = _schur_point(f_h, col, y, lam)
-        if s > allow:
-            return lam
-        if not (rate > 0.0 and math.isfinite(s)):
-            return None
-        lam -= (4.0 * allow - s) / rate
-    return None
-
-
-def _schur_point(f_h: np.ndarray, col: np.ndarray, y: np.ndarray,
-                 lam: float) -> tuple[float, float, float]:
-    """(s, e, rate) at lambda < min(y) for ``_schur_lambda``: the
-    computed s(lambda) = lambda_min(S(lambda)), its allowance e(lambda)
-    and rate = ||D^-1 F v||^2 = -ds/dlambda, with ``col`` the squared
-    column norms of f_h; all NaN, not certified, where the computed S is
-    not finite (y near underflow)."""
-    n, m = f_h.shape[1], f_h.shape[0]
-    with np.errstate(all="ignore"):                   # y near underflow
-        inv = 1.0 / (y - lam)
-        s = (f_h * inv) @ f_h.conj().T
-    if not np.isfinite(s).all():
-        return math.nan, math.nan, math.nan           # not certified
-    np.negative(s, out=s)
-    s.flat[::m + 1] += 1.0                            # I - F^H D^-1 F
-    w, v = np.linalg.eigh(s)
-    allow = (math.sqrt(2.0) * _gamma(n + 12, _U64) * float(col @ inv)
-             + 4.0 * (m + 1) * _EPS * math.sqrt(np.vdot(s, s).real) + _EPS)
-    u = (v[:, 0] @ f_h.conj()) * inv                  # D^-1 F v
-    return float(w[0]), allow, float(np.vdot(u, u).real)
-
-
-def _weyl_lambda(f_h: np.ndarray, y: np.ndarray) -> float:
-    """A lower bound on lambda_min(Diag(y) - F F^H), F = f_h^H (L x m), by
-    Weyl's inequality: min(y) - lambda_max(F F^H) >= min(y) - tr(F^H F).
-    The computed trace sums nonnegative terms |f_ai|^2, each within
-    theta_{L+m+4} of its value, so the exact one is at most 1 +
-    gamma_{2L+2m+8} times it; 1 + gamma_{2L+2m+12} covers the product's
-    rounding too.  No eigensolve, so no backward error."""
-    n, m = f_h.shape[1], f_h.shape[0]
-    col = np.sum(np.square(f_h.real) + np.square(f_h.imag), axis=0)
-    trace = (1.0 + _gamma(2 * (n + m) + 12, _U64)) * float(np.sum(col))
-    return float(np.min(y)) - trace
 
 
 def _form_value(a: OmegaRows, x: np.ndarray) -> float:

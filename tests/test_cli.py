@@ -563,10 +563,10 @@ class TestPlotdata:
 
     # files written before the call, by name; the others are not there
     CSV_BYTES = {"latin-1.csv": "caf\u00e9,x\n1,2\n".encode("latin-1"),
-                 "empty.csv": b""}
+                 "empty.csv": b"", "ragged.csv": b"a,b\n1,2,3\n"}
 
     @pytest.mark.parametrize("name", ["nope.csv", ".", "latin-1.csv",
-                                      "empty.csv"])
+                                      "empty.csv", "ragged.csv"])
     def test_missing_csv_exits_2(self, tmp_path, capsys, name):
         if name in self.CSV_BYTES:
             (tmp_path / name).write_bytes(self.CSV_BYTES[name])
