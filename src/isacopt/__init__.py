@@ -10,8 +10,8 @@ from .scene import (ChannelSet, SceneConfig, db_to_linear, dbm_to_watts,
                     make_channels, rician_channel, scene_config_from_dict,
                     ula_spacing_check, ula_steering, upa_steering)
 from .objective import (ChannelConstants, EffectiveChannels, IrsPhase,
-                        OmegaRows, Precoder, build_omega, quartic_kernels,
-                        snr_comm, snr_radar, weighted_snr)
+                        OmegaRows, Precoder, ScoredPoint, build_omega,
+                        quartic_kernels, snr_comm, snr_radar, weighted_snr)
 from .precoder import (RelaxedCovariance, default_beampattern_target,
                        dykstra_project, factor_precoder, precoder_objective,
                        project_ball, project_psd, project_spectrahedron,

@@ -4,16 +4,16 @@ The channel constants that do not change during a run (G^T, conj(G),
 conj(H), conj(a) and the objective's weights; ``objective.ChannelConstants``,
 the phase step's channel input) are formed once per run, not cached on
 the ``ChannelSet``, so an outer iteration does only the theta- and
-P-dependent work.  It works from the
-effective channels at the current phases (``objective.EffectiveChannels``):
-it solves the relaxed precoder problem from them, recovers a K-column
-precoder deterministically (``factor_precoder``, which hands over its
-nonzero columns P_nz) and scores it there (``EffectiveChannels.score``),
-then updates the phases with the ascent-safeguarded closed-form step.  The
-step starts from that scored point (channels, (g, SNR_R, SNR_C), Y = W
-P_nz) and returns the one at the new phases, the incumbent, whose channels
-the next outer iteration works from.  A recovered precoder that scores
-below the incumbent is dropped for it (``RunTrace.precoder_dips``).
+P-dependent work.  It works from the effective channels at the current
+phases (``objective.EffectiveChannels``): it solves the relaxed precoder
+problem from them, recovers a K-column precoder deterministically
+(``factor_precoder``, which hands over its nonzero columns P_nz) and
+scores it there (``EffectiveChannels.score``), then updates the phases
+with the ascent-safeguarded closed-form step.  The step starts from that
+``objective.ScoredPoint`` and returns the one at the new phases, the
+incumbent, whose channels the next outer iteration works from.  A
+recovered precoder that scores below the incumbent is dropped for it
+(``RunTrace.precoder_dips``).
 Termination follows the relative-change rule |g(t+1) - g(t)| / g(t) <=
 eps_rel, checked from the second outer iteration on, with a hard iteration
 cap.
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (COUNT, POSITIVE, ConfigError, SolverError,
                      require_finite, require_integer)
 from .irs import solve_irs_manifold, solve_irs_minorization
-from .objective import ChannelConstants, IrsPhase, Precoder
+from .objective import ChannelConstants, IrsPhase, Precoder, ScoredPoint
 # Unused here since the loop scores on the effective channels; kept for
 # the tracer, which wraps them here by name.
 from .objective import build_omega, snr_comm, snr_radar  # noqa: F401
@@ -115,9 +115,9 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
         initial_phases(cfg, opts, rng))
     trace = RunTrace()
     precoder: Precoder | None = None
-    # the incumbent precoder's scored point on the current channels, as the
+    # the incumbent precoder's ScoredPoint on the current channels, as the
     # phase step returned it
-    incumbent = None
+    incumbent: ScoredPoint | None = None
 
     for t in range(1, opts.t_max + 1):
         times: dict[str, float] = {}
@@ -129,7 +129,7 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
             tic = time.perf_counter()
             candidate = factor_precoder(relaxed, cfg)
             scored = channels.score(candidate.nonzero_columns())
-            if incumbent is not None and incumbent[1][0] > scored[1][0]:
+            if incumbent is not None and incumbent.g > scored.g:
                 # the recovered precoder fell short of the incumbent; keep it
                 trace.precoder_dips.append(t)
                 log.debug("outer %d: recovered precoder scored below the "
@@ -146,19 +146,19 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
                 log.warning("outer %d: the Armijo line search found no "
                             "ascent step; the phase step ended early", t)
             incumbent = inner.end
-            channels = incumbent[0]
+            channels = incumbent.channels
             times["irs"] = time.perf_counter() - tic
         except SolverError as exc:
             exc.args = (f"outer iteration {t}: {exc.args[0] if exc.args else exc}",
                         *exc.args[1:])
             raise
 
-        g, s_r, s_c = incumbent[1]
+        g = incumbent.g
         trace.objective_per_outer.append(g)
-        trace.snr_radar_per_outer.append(s_r)
-        trace.snr_comm_per_outer.append(s_c)
+        trace.snr_radar_per_outer.append(incumbent.snr_radar)
+        trace.snr_comm_per_outer.append(incumbent.snr_comm)
         trace.relaxed_bound_per_outer.append(relaxed.dual_bound)
-        trace.precoder_obj_per_outer.append(scored[1][0])
+        trace.precoder_obj_per_outer.append(scored.g)
         trace.wall_time_per_stage.append(times)
 
         if t >= 2:

@@ -50,12 +50,10 @@ inner iteration costs O(L N K + L m + m^3).
 ``SurrogateFactors`` is built once per precoder, from its nonzero columns
 P_nz and the run's channel constants (``objective.ChannelConstants``, the
 phase stage's one channel input), so it forms only what depends on P.
-Both phase solvers pass one value between their steps, the scored point
-(channels, (g, SNR_R, SNR_C), Y) of ``EffectiveChannels.score``: the
-effective channels at the phases, the precoder's scores there and the
-products Y = W P_nz that gave them.  A solve's one input is the same kind
-of point as its output (``InnerTrace.end``, at the returned phases), from
-which the next solve starts; its channels carry the run's constants.
+Both phase solvers pass one value between their steps, a
+``objective.ScoredPoint``: a solve's one input is the same kind of point
+as its output (``InnerTrace.end``, at the returned phases), from which the
+next solve starts.  Its products Y = W P_nz give the linearization:
 Y[0] = P^T t and t give the quartic factors p = a* o conj(GP) P^T t and
 q = a* o conj(G) t, which the gradient writes into rows 0 and 1 of M^T
 once per map, and U3 theta + mu* = cc Psi vec(Y[1:]), so the gradient is
@@ -79,8 +77,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, MonotonicityError
-from .objective import (ChannelConstants, EffectiveChannels, IrsPhase,
-                        Precoder, hermitize, quartic_coefficient,
+from .objective import (ChannelConstants, IrsPhase, Precoder, ScoredPoint,
+                        gamma_n, hermitize, quartic_coefficient,
                         quartic_kernels)
 # The solvers score iterates with EffectiveChannels.score; the name stays a
 # module attribute because perfbench's tracer wraps it here by name.
@@ -96,12 +94,11 @@ class InnerTrace:
     """Objective bookkeeping of one inner solve.
 
     ``objectives`` is the weighted SNR at the start and after each accepted
-    update; ``end`` is the scored point (channels, (g, SNR_R, SNR_C), Y) at
-    the returned phases (``EffectiveChannels.score``), so
-    ``end[1][0] == objectives[-1]``.
+    update; ``end`` is the ``ScoredPoint`` at the returned phases, so
+    ``end.g == objectives[-1]``.
     """
 
-    end: tuple
+    end: ScoredPoint
     objectives: list[float] = field(default_factory=list)
     line_search_failed: bool = False
 
@@ -133,20 +130,19 @@ class SurrogateFactors:
         np.matmul(rows[2:], rows[2:].conj().T, out=gram[2:, 2:])
         self._cholesky = l >= m     # M^T conj(M) is singular where L < m
 
-    def at(self, theta: IrsPhase) -> tuple[
-            EffectiveChannels, tuple[float, float, float], np.ndarray]:
-        """The scored point (channels, (g, SNR_R, SNR_C), Y) at theta."""
+    def at(self, theta: IrsPhase) -> ScoredPoint:
+        """The scored point of the precoder at theta."""
         return self.consts.channels(theta).score(self.p_nz)
 
-    def gradient(self, channels: EffectiveChannels, y: np.ndarray
-                 ) -> np.ndarray:
-        """Wirtinger gradient at the channels' phases, Y the products there.
+    def gradient(self, point: ScoredPoint) -> np.ndarray:
+        """Wirtinger gradient at the point's phases, from its products Y.
 
         Writes p = a* o V b and q = a* o W b (U1 = c p q^T) into rows 0 and
         1 of M^T, then with q_v = b^H V b = ||P^T t||^2 and q_w = b^H W b =
         ||t||^2 takes [c q_w, c q_v, cc vec(CP)] M^T, as U3 theta + mu* =
         cc Psi vec(CP).
         """
+        y, channels = point.y, point.channels
         pt, a_conj, rows = y[0], self.consts.a_conj, self.rows
         np.multiply(a_conj, self.gp_conj @ pt, out=rows[0])
         np.multiply(a_conj, self.consts.g_conj @ channels.t, out=rows[1])
@@ -154,13 +150,11 @@ class SurrogateFactors:
         return np.concatenate(((self.c * channels.q_w, self.c * q_v),
                                self.cc * y[1:].ravel())) @ rows
 
-    def linearize(self, channels: EffectiveChannels, y: np.ndarray
-                  ) -> np.ndarray:
-        """nu = grad g(theta) + rho theta at the channels' phases, with the
-        exact anchor rho and Y the products there: the gradient writes p
-        and q, which the anchor then reads."""
-        return (self.gradient(channels, y)
-                + self.anchor() * channels.theta.theta)
+    def linearize(self, point: ScoredPoint) -> np.ndarray:
+        """nu = grad g(theta) + rho theta at the point's phases, with the
+        exact anchor rho: the gradient writes p and q, which the anchor
+        then reads."""
+        return self.gradient(point) + self.anchor() * point.theta
 
     def anchor(self) -> float:
         """Exact ascent anchor for the p and q in rows 0 and 1 of M^T: from
@@ -208,8 +202,7 @@ class SurrogateFactors:
         g_max = (self.c * float(y_t @ y_t) * float(t_abs @ t_abs)
                  + self.cc * float(np.sum(y_c * y_c)))
         (k, l), n = consts.h.shape, consts.g.shape[1]
-        units = (l + n + 2 * k * p_abs.shape[1] + 16) * 2.0 ** -53
-        return 24.0 * units / (1.0 - units) * g_max
+        return 24.0 * gamma_n(l + n + 2 * k * p_abs.shape[1] + 16) * g_max
 
 
 def build_quartic_surrogate(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
@@ -287,7 +280,8 @@ def ascent_anchor(factor_conj: np.ndarray, c: float, cc: float) -> float:
 _INNER_TOL = 1e-6
 
 
-def solve_irs_minorization(p: Precoder, start: tuple, inner_max: int = 200
+def solve_irs_minorization(p: Precoder, start: ScoredPoint,
+                           inner_max: int = 200
                            ) -> tuple[IrsPhase, InnerTrace]:
     """Iterate the closed-form double-minorization update to convergence.
 
@@ -306,39 +300,26 @@ def solve_irs_minorization(p: Precoder, start: tuple, inner_max: int = 200
     (each map is guaranteed by the anchor, an extrapolation by the guard);
     a map whose computed objective dips beyond what rounding explains,
     ``SurrogateFactors.dip_allowance`` (formed only where it dips at all),
-    raises MonotonicityError.  The one input ``start`` is the scored
-    point (channels, (g, SNR_R, SNR_C), Y) of p at the starting phases
-    (``EffectiveChannels.score``), whose channels carry the run's
-    ``ChannelConstants``; the returned trace's ``end`` is the same kind of
-    point at the returned phases.
+    raises MonotonicityError.  ``start`` and the trace's ``end`` are p's
+    ``ScoredPoint`` at the starting and at the returned phases.
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
-    factors = SurrogateFactors(p, start[0].consts)
-
-    def point(scored):
-        # (theta, g, scored point), as squarem_ascent takes a point
-        return scored[0].theta.theta, scored[1][0], scored
-
-    def update(nu):
-        # the point at the phase-alignment update exp(j arg nu)
-        return point(factors.at(irs_phase_update(nu)))
+    factors = SurrogateFactors(p, start.channels.consts)
 
     def step(prev):
-        channels, _, y = prev[2]
-        new = update(factors.linearize(channels, y))
-        if (new[1] < prev[1]
-                and new[1] < prev[1] - factors.dip_allowance()):
+        new = factors.at(irs_phase_update(factors.linearize(prev)))
+        if new.g < prev.g and new.g < prev.g - factors.dip_allowance():
             raise MonotonicityError(
-                f"objective decreased from {prev[1]:.12g} to {new[1]:.12g} "
+                f"objective decreased from {prev.g:.12g} to {new.g:.12g} "
                 f"in the inner phase update")
         return new
 
-    (_, _, end), values = squarem_ascent(
-        point(start), step, lambda x, near: update(x),
-        lambda prev, new: abs(new[1] - prev[1]) <= _INNER_TOL * abs(prev[1]),
+    end, values = squarem_ascent(
+        start, step, lambda x, near: factors.at(irs_phase_update(x)),
+        lambda prev, new: abs(new.g - prev.g) <= _INNER_TOL * abs(prev.g),
         inner_max)
-    return end[0].theta, InnerTrace(objectives=values, end=end)
+    return end.channels.theta, InnerTrace(objectives=values, end=end)
 
 
 # Armijo sufficient-increase slope and backtracking cap of the manifold baseline.
@@ -346,7 +327,7 @@ _ARMIJO_SLOPE = 1e-4
 _MAX_HALVINGS = 50
 
 
-def solve_irs_manifold(p: Precoder, start: tuple, inner_max: int = 200
+def solve_irs_manifold(p: Precoder, start: ScoredPoint, inner_max: int = 200
                        ) -> tuple[IrsPhase, InnerTrace]:
     """Riemannian gradient ascent on the torus with Armijo backtracking.
 
@@ -362,12 +343,11 @@ def solve_irs_manifold(p: Precoder, start: tuple, inner_max: int = 200
     """
     if inner_max < 1:
         raise ConfigError(f"inner_max must be >= 1, got {inner_max}")
-    factors = SurrogateFactors(p, start[0].consts)
-    trace = InnerTrace(end=start, objectives=[start[1][0]])
+    factors = SurrogateFactors(p, start.channels.consts)
+    trace = InnerTrace(end=start, objectives=[start.g])
     for _ in range(inner_max):
-        channels, (g_prev, _, _), y = trace.end
-        theta = channels.theta.theta
-        grad = factors.gradient(channels, y)
+        theta, g_prev = trace.end.theta, trace.end.g
+        grad = factors.gradient(trace.end)
         rgrad = 1j * theta * np.imag(grad * theta.conj())
         norm2 = float(np.real(np.vdot(rgrad, rgrad)))
         if norm2 == 0.0:
@@ -378,7 +358,7 @@ def solve_irs_manifold(p: Precoder, start: tuple, inner_max: int = 200
             cand = theta + step * rgrad
             cand /= np.abs(cand)
             cand_at = factors.at(IrsPhase.unit(cand))
-            if cand_at[1][0] >= g_prev + _ARMIJO_SLOPE * step * norm2:
+            if cand_at.g >= g_prev + _ARMIJO_SLOPE * step * norm2:
                 accepted = True
                 break
             step *= 0.5
@@ -386,8 +366,7 @@ def solve_irs_manifold(p: Precoder, start: tuple, inner_max: int = 200
             trace.line_search_failed = True
             break
         trace.end = cand_at
-        g = cand_at[1][0]
-        trace.objectives.append(g)
-        if abs(g - g_prev) <= _INNER_TOL * abs(g_prev):
+        trace.objectives.append(cand_at.g)
+        if abs(cand_at.g - g_prev) <= _INNER_TOL * abs(g_prev):
             break
-    return trace.end[0].theta, trace
+    return trace.end.channels.theta, trace

@@ -13,12 +13,13 @@ d = (beta |alpha|^2 ||t||^2 / sigma_R^2, (1 - beta) / sigma_C^2, ...).
 precoder stage takes; ``EffectiveChannels``, the ``OmegaRows`` of W at one
 theta, is what an outer iteration works from: it scores a precoder from
 the products Y = W P_nz over its nonzero columns
-(``Precoder.nonzero_columns``), and the scored point (channels, scores, Y)
-is what the phase step starts from and returns.
+(``Precoder.nonzero_columns``), and that ``ScoredPoint`` is what the phase
+step starts from and returns.
 ``build_omega`` (the dense Omega the tests check against),
 ``weighted_snr``, ``snr_radar`` and ``snr_comm`` evaluate the objective
 from the dense channels alpha t t^T and C, formed in one helper.
-``quartic_kernels`` gives the lifted quartic term's kernels densely.
+``quartic_kernels`` gives the lifted quartic term's kernels densely, and
+``gamma_n`` the rounding bound every derived allowance is written with.
 ``ChannelConstants``, the phase solvers' one channel input, holds what a
 run reads at every theta (G^T, conj(G), conj(H), conj(a), the weights),
 formed once per run from the channels and their scene ``cfg``; nothing is
@@ -30,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +96,13 @@ class Precoder:
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize (M + M^H)/2 to suppress Hermitian drift."""
     return 0.5 * (m + m.conj().T)
+
+
+def gamma_n(n: int, u: float = 2.0 ** -53) -> float:
+    """Higham's gamma_n = n u / (1 - n u), which bounds the relative error
+    of n roundings to unit roundoff u, double's by default (*Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, Lemma 3.1)."""
+    return n * u / (1.0 - n * u)
 
 
 def _check_dims(theta: np.ndarray, ch: ChannelSet):
@@ -241,19 +250,36 @@ class EffectiveChannels(OmegaRows):
         weights[0] = consts.c * self.q_w
         weights[1:] = consts.cc
 
-    def score(self, p_nz: np.ndarray) -> tuple[
-            "EffectiveChannels", tuple[float, float, float], np.ndarray]:
-        """The scored point (self, (g, SNR_R, SNR_C), Y) of a precoder P
-        from its nonzero columns P_nz, Y = W P_nz: g = ||diag(sqrt d)
-        Y||_F^2, SNR_R = |alpha|^2 ||Y[0]||^2 ||t||^2 / sigma_R^2, SNR_C =
-        ||Y[1:]||^2 / sigma_C^2 (Y[0] = P_nz^T t, Y[1:] = C P_nz)."""
+    def score(self, p_nz: np.ndarray) -> "ScoredPoint":
+        """The scored point here of a precoder P from its nonzero columns
+        P_nz."""
         cfg = self.consts.cfg
         y = self.rows @ p_nz
         pt = y[0]
         s_r = (self.consts.alpha2 * float(np.vdot(pt, pt).real) * self.q_w
                / cfg.sigma2_radar)
         s_c = float(np.vdot(y[1:], y[1:]).real) / cfg.sigma2_comm
-        return self, (cfg.beta * s_r + (1.0 - cfg.beta) * s_c, s_r, s_c), y
+        return ScoredPoint(self.theta.theta,
+                           cfg.beta * s_r + (1.0 - cfg.beta) * s_c,
+                           self, s_r, s_c, y)
+
+
+class ScoredPoint(NamedTuple):
+    """A precoder P scored at phases theta (``EffectiveChannels.score``),
+    the value both phase solvers step from and return, and the alternating
+    loop's incumbent.  ``theta`` (the phase array) and ``g`` = beta SNR_R
+    + (1 - beta) SNR_C = ||diag(sqrt d) Y||_F^2 come first, so it is the
+    point (x, f, ...) of ``squarem.squarem_ascent``; ``channels`` are the
+    ``EffectiveChannels`` at theta, ``snr_radar`` = |alpha|^2 ||Y[0]||^2
+    ||t||^2 / sigma_R^2, ``snr_comm`` = ||Y[1:]||^2 / sigma_C^2, and ``y``
+    the products Y = W P_nz (Y[0] = P_nz^T t, Y[1:] = C P_nz)."""
+
+    theta: np.ndarray
+    g: float
+    channels: EffectiveChannels
+    snr_radar: float
+    snr_comm: float
+    y: np.ndarray
 
 
 def quartic_coefficient(cfg: SceneConfig) -> float:

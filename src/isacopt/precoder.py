@@ -68,24 +68,19 @@ class RelaxedCovariance:
     the alternating loop reads its factor and bound only.
     """
 
-    # unset on the slack path, which sets only the factor and the bound
-    kkt_scale = in_ball_scale = form = None
+    # defaults: slack sets only the factor and bound, __init__ no factor
+    kkt_scale = in_ball_scale = form = factor = None
 
-    def __init__(self, s: np.ndarray, factor: np.ndarray | None = None,
-                 kkt_scale: float | None = None,
+    def __init__(self, s: np.ndarray, kkt_scale: float | None = None,
                  in_ball_scale: float | None = None,
                  dual_bound: float | None = None,
                  form: KktForm | None = None):
         s = np.asarray(s, dtype=complex)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ConfigError("relaxed covariance must be square")
-        if factor is not None:
-            factor = np.asarray(factor, dtype=complex)
-            if factor.ndim != 2 or factor.shape[0] != s.shape[0]:
-                raise ConfigError("factor must have one row per antenna")
         if in_ball_scale is not None and form is None:
             raise ConfigError("an in-ball scale needs the form it was tested on")
-        self._s, self.factor = s, factor
+        self._s = s
         self.kkt_scale, self.in_ball_scale = kkt_scale, in_ball_scale
         self.dual_bound, self.form = dual_bound, form
 

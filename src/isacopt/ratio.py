@@ -41,7 +41,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import COUNT, ConfigError, SolverError, require_integer
-from .objective import OmegaRows, Precoder, comm_coefficient, hermitize
+from .objective import (OmegaRows, Precoder, comm_coefficient, gamma_n,
+                        hermitize)
 from .scene import ChannelSet, SceneConfig
 from .squarem import squarem_ascent
 
@@ -61,13 +62,6 @@ _U32 = 2.0 ** -24
 _U64 = 2.0 ** -53
 
 
-def _gamma(n: int, u: float) -> float:
-    """Higham's gamma_n = n u / (1 - n u), which bounds the relative error
-    of n roundings to unit roundoff u (*Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., SIAM 2002, Lemma 3.1)."""
-    return n * u / (1.0 - n * u)
-
-
 def _unit_diag_allowance(n: int) -> float:
     """How far a computed squared column norm of R* = Z^H Z, Z with n
     columns of at most n rows and unit-norm columns, may leave 1:
@@ -76,7 +70,7 @@ def _unit_diag_allowance(n: int) -> float:
     1 + theta_{n+6}, and its squared norm read back, a sum of 2n
     nonnegative terms, adds theta_{2n}, as the diagonal of the dense Gram
     product does.  It is 1.3e-14 at n = 36."""
-    return _gamma(3 * n + 6, _U64)
+    return gamma_n(3 * n + 6, _U64)
 
 
 @dataclass
@@ -206,10 +200,12 @@ def unit_diag_dual_bound(a: OmegaRows, r_star: GramFactor) -> float:
     nothing, so only the other (live) coordinates enter.  There y is
     divided by its largest entry and floored at ``_DUAL_FLOOR``, which
     only rescales the certificate and keeps every y_i > 0; where no
-    y_i > 0 (tr(A R) = 0, far from the optimum) y = 1, and the bound is
-    L lambda_max(A).  F enters times the power of two that puts its
-    largest |entry| in [1/2, 1), so nothing in K over- or underflows, and
-    the bound is scaled back exactly where it is a normal float.
+    y_i > 0 (tr(A R) = 0, far from the optimum) y = 1.  The bound takes
+    the smaller of that certificate and the one at y = 1, L lambda_max(A),
+    which caps it where y is rounding noise (scaled up, noise at A R = 0
+    gave 321 L lambda_max(A)).  F enters times the power of two that puts
+    its largest |entry| in [1/2, 1), so nothing in K over- or underflows,
+    and the bound is scaled back exactly where it is a normal float.
 
     The bound adds gamma_{L+3} of itself, which covers the sum of y, the
     addition of s's allowance, the product and the last two additions,
@@ -231,11 +227,14 @@ def unit_diag_dual_bound(a: OmegaRows, r_star: GramFactor) -> float:
     y = np.maximum(y / top, _DUAL_FLOOR) if top > 0.0 else np.ones_like(y)
     e = math.frexp(float(np.abs(f_h).max()))[1]
     f_h = np.ldexp(np.ascontiguousarray(f_h).view(float), -e).view(complex)
-    w, allow = _scaled_dual(f_h, y)
-    core = float(np.ldexp((w + allow) * float(np.sum(y)), 2 * e))
+    core = math.inf
+    for v in (y, np.ones_like(y)):
+        w, allow = _scaled_dual(f_h, v)
+        core = min(core, (w + allow) * float(np.sum(v)))
+    core = float(np.ldexp(core, 2 * e))
     spread = float(d @ np.square(np.sum(np.abs(x), axis=1)))
-    return core + (_gamma(n + 3, _U64) * core
-                   + 4.0 * _gamma(n + m + 4, _U64) * spread)
+    return core + (gamma_n(n + 3, _U64) * core
+                   + 4.0 * gamma_n(n + m + 4, _U64) * spread)
 
 
 def _scaled_dual(f_h: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -254,7 +253,7 @@ def _scaled_dual(f_h: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     n, m = f_h.shape[1], f_h.shape[0]
     k = (f_h / y) @ f_h.conj().T
     w = float(np.linalg.eigvalsh(k)[-1])
-    return w, (math.sqrt(2.0) * _gamma(n + 12, _U64) * float(k.trace().real)
+    return w, (math.sqrt(2.0) * gamma_n(n + 12, _U64) * float(k.trace().real)
                + 4.0 * (m + 1) * _EPS * math.sqrt(np.vdot(k, k).real)
                + _EPS * w)
 
@@ -480,34 +479,34 @@ class _Screen:
         self.red_cap = 2.0 ** 58
         # the reduction: hn2's cast, |u|^2 and its reciprocal, L products
         # and sums, relative
-        self.red_factor = 1.0 / (1.0 - _gamma(l + 5, _U32))
-        t = float(np.sum(np.abs(mu))) * scale * (1.0 + _gamma(m + 1, _U64))
-        e = math.sqrt(float(np.max(np.sum(np.abs(e_h) ** 2, axis=1),
-                                   initial=0.0))) * (1.0 + _gamma(l + 2, _U64))
+        self.red_factor = 1.0 / (1.0 - gamma_n(l + 5, _U32))
+        t = float(np.sum(np.abs(mu))) * scale * (1.0 + gamma_n(m + 1, _U64))
+        e = (1.0 + gamma_n(l + 2, _U64)) * math.sqrt(float(np.max(
+            np.sum(np.abs(e_h) ** 2, axis=1), initial=0.0)))
         root_l = math.sqrt(l)
-        rho = e * root_l * (1.0 + _gamma(8, _U32))
-        kappa32 = (math.sqrt(2.0) * _gamma(2 * l + 2, _U32) * rho
+        rho = e * root_l * (1.0 + gamma_n(8, _U32))
+        kappa32 = (math.sqrt(2.0) * gamma_n(2 * l + 2, _U32) * rho
                    + math.sqrt(2.0) * l * 2.0 ** -147)
-        kappa64 = math.sqrt(2.0) * _gamma(2 * l + 2, _U64) * rho
+        kappa64 = math.sqrt(2.0) * gamma_n(2 * l + 2, _U64) * rho
         rounding = sum(
-            t * ((2.0 * rho + k) * k + _gamma(m + 3, u) * (rho + k) ** 2)
+            t * ((2.0 * rho + k) * k + gamma_n(m + 3, u) * (rho + k) ** 2)
             for k, u in ((kappa32, _U32), (kappa64, _U64)))
-        top = t * (rho + kappa32) ** 2 * (1.0 + _gamma(m + 3, _U32))
-        slack = 1.0 + _gamma(16, _U64)
+        top = t * (rho + kappa32) ** 2 * (1.0 + gamma_n(m + 3, _U32))
+        slack = 1.0 + gamma_n(16, _U64)
         self.c0 = slack * (rounding + (t + m) * 2.0 ** -147
-                           + 2.0 * _gamma(1, _U64) * top)
+                           + 2.0 * gamma_n(1, _U64) * top)
         self.c1 = slack * 2.0 * t * e * rho
         self.c2 = slack * t * e * e
-        norm = 1.0 + _gamma(2 * r + 2, _U64)        # of ||z_j||
-        a = math.sqrt(2.0) * (_gamma(2 * r + 2, _U32)
-                              + _gamma(2 * r + 2, _U64))
+        norm = 1.0 + gamma_n(2 * r + 2, _U64)        # of ||z_j||
+        a = math.sqrt(2.0) * (gamma_n(2 * r + 2, _U32)
+                              + gamma_n(2 * r + 2, _U64))
         under = 2.0 ** -98 * math.sqrt(2.0 * r * l)    # a1
         h_max = math.sqrt(float(hn2.max(initial=0.0)))
         # D_j = (2 a sqrt(reduction) + 2 a1) ||z_j|| + 2 a0 + normalizing
         self.d_red = slack * 2.0 * a * norm
         self.d_z = slack * 2.0 * under * norm
         self.d_0 = slack * (2.0 * under * (h_max + math.sqrt(2.0 * r))
-                            + (_gamma(8, _U32) + _gamma(6, _U64)) * root_l)
+                            + (gamma_n(8, _U32) + gamma_n(6, _U64)) * root_l)
 
     def scores(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(s, b): the screened score of every candidate of the 2r x n

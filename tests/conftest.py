@@ -34,8 +34,8 @@ def paper_scene(rng, l_rows=6, l_cols=6):
 
 
 def scored_start(theta, p, ch, cfg):
-    """A phase solve's one input: the scored point (channels,
-    (g, SNR_R, SNR_C), Y) of p at theta, on the constants of (ch, cfg)."""
+    """A phase solve's one input: the ``ScoredPoint`` of p at theta, on the
+    constants of (ch, cfg)."""
     return ChannelConstants(ch, cfg).channels(theta).score(
         p.nonzero_columns())
 

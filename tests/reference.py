@@ -16,8 +16,8 @@ from isacopt.irs import (InnerTrace, SurrogateFactors,
                          build_quartic_surrogate, irs_phase_update,
                          linear_surrogate_vectors)
 from isacopt.objective import (ChannelConstants, IrsPhase, OmegaRows,
-                               Precoder, _check_dims, _dense_channels,
-                               comm_coefficient, hermitize,
+                               Precoder, ScoredPoint, _check_dims,
+                               _dense_channels, comm_coefficient, hermitize,
                                quartic_coefficient, quartic_kernels)
 from isacopt.precoder import _KKT_MAX_DOUBLINGS, _kkt_root, project_ball
 from isacopt.ratio import (GramFactor, RandomizationReport, _above_rounding,
@@ -155,26 +155,20 @@ def dense_linearization(theta_t: IrsPhase, p: Precoder, ch: ChannelSet,
     return nu, eta, rho
 
 
-def products_at(factors: SurrogateFactors, theta: np.ndarray) -> tuple:
-    """(channels, Y) of ``factors`` at phases theta: the effective channels
-    and the products Y = W P_nz there."""
-    channels, _, y = factors.at(IrsPhase(theta))
-    return channels, y
-
-
 def quartic_at(factors: SurrogateFactors, theta: np.ndarray) -> tuple:
     """The quartic factors (p, q, q_v, q_w) of ``factors`` at phases theta:
     p and q as ``gradient`` writes them into rows 0 and 1 of M^T, q_v =
     ||P^T t||^2 and q_w = ||t||^2."""
-    channels, y = products_at(factors, theta)
-    factors.gradient(channels, y)
+    point = factors.at(IrsPhase(theta))
+    factors.gradient(point)
+    pt = point.y[0]
     return (factors.rows[0].copy(), factors.rows[1].copy(),
-            float(np.vdot(y[0], y[0]).real), channels.q_w)
+            float(np.vdot(pt, pt).real), point.channels.q_w)
 
 
 def gradient_at(factors: SurrogateFactors, theta: np.ndarray) -> np.ndarray:
     """``factors.gradient`` at phases theta."""
-    return factors.gradient(*products_at(factors, theta))
+    return factors.gradient(factors.at(IrsPhase(theta)))
 
 
 def anchor_for(factors: SurrogateFactors, pv: np.ndarray,
@@ -261,8 +255,8 @@ def objective_snapshot(p: Precoder, theta: IrsPhase, ch: ChannelSet,
                        cfg: SceneConfig) -> tuple[float, float, float]:
     """(weighted objective, radar SNR, communication SNR) at (P, theta),
     from the same kernel that scores the phase solvers' iterates."""
-    factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
-    return factors.at(theta)[1]
+    point = SurrogateFactors(p, ChannelConstants(ch, cfg)).at(theta)
+    return point.g, point.snr_radar, point.snr_comm
 
 
 def project_trace(m: np.ndarray, target: float) -> np.ndarray:
@@ -485,7 +479,8 @@ def plain_unit_diag_relaxation(a: np.ndarray, max_steps: int | None = None,
 
 
 def plain_minorization(theta0: IrsPhase, p: Precoder, ch, cfg: SceneConfig,
-                       inner_max: int = 200, start: tuple | None = None
+                       inner_max: int = 200,
+                       start: ScoredPoint | None = None
                        ) -> tuple[IrsPhase, InnerTrace]:
     """Reference for ``solve_irs_minorization``: the same phase map
     exp(j arg nu) iterated alone until one map gains at most
@@ -493,12 +488,11 @@ def plain_minorization(theta0: IrsPhase, p: Precoder, ch, cfg: SceneConfig,
     extrapolation; the library's loop before it took SQUAREM cycles."""
     factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
     trace = InnerTrace(end=start or factors.at(theta0))
-    trace.objectives.append(trace.end[1][0])
+    trace.objectives.append(trace.end.g)
     for _ in range(inner_max):
-        channels, (g_prev, _, _), y = trace.end
-        trace.end = factors.at(
-            irs_phase_update(factors.linearize(channels, y)))
-        g_new = trace.end[1][0]
+        g_prev = trace.end.g
+        trace.end = factors.at(irs_phase_update(factors.linearize(trace.end)))
+        g_new = trace.end.g
         if g_new < g_prev - 1e-9 * abs(g_prev):
             raise MonotonicityError(
                 f"objective decreased from {g_prev:.12g} to {g_new:.12g} "
@@ -506,7 +500,7 @@ def plain_minorization(theta0: IrsPhase, p: Precoder, ch, cfg: SceneConfig,
         trace.objectives.append(g_new)
         if abs(g_new - g_prev) <= irs._INNER_TOL * abs(g_prev):
             break
-    return trace.end[0].theta, trace
+    return trace.end.channels.theta, trace
 
 
 def rejecting_extrapolations(squarem_ascent):

@@ -184,12 +184,13 @@ class TestRunAlternating:
     def test_termination_rule_fires_on_flat_objective(self, monkeypatch):
         # a constant objective must stop at the first possible check (t = 2)
         import isacopt.alternating as alt
-        from isacopt.objective import EffectiveChannels
+        from isacopt.objective import EffectiveChannels, ScoredPoint
 
         cfg, ch = tiny_scene()
 
         def constant_score(self, p_nz):
-            return self, (42.0, 42.0, 42.0), self.rows @ p_nz
+            return ScoredPoint(self.theta.theta, 42.0, self, 42.0, 42.0,
+                               self.rows @ p_nz)
 
         # the loop and the phase step both score through score
         monkeypatch.setattr(EffectiveChannels, "score", constant_score)
@@ -215,11 +216,11 @@ class TestRunAlternating:
 
     def test_determinism_given_seed(self):
         cfg, ch = tiny_scene()
-        runs = [run_alternating(ch, cfg, opts=SolverOptions())
-                for _ in range(2)]
-        assert runs[0][2].objective_per_outer == runs[1][2].objective_per_outer
-        np.testing.assert_array_equal(runs[0][0].p, runs[1][0].p)
-        np.testing.assert_array_equal(runs[0][1].theta, runs[1][1].theta)
+        (p1, theta1, trace1), (p2, theta2, trace2) = (
+            run_alternating(ch, cfg, opts=SolverOptions()) for _ in range(2))
+        assert trace1.objective_per_outer == trace2.objective_per_outer
+        np.testing.assert_array_equal(p1.p, p2.p)
+        np.testing.assert_array_equal(theta1.theta, theta2.theta)
 
     def test_manifold_method_runs(self):
         cfg, ch = tiny_scene()
@@ -357,9 +358,9 @@ class TestSlackOuterIteration:
         np.testing.assert_array_equal(own.p, p.p)
         _, inner = solve_irs_minorization(
             own, scored_start(theta, own, ch, cfg), inner_max=1)
-        assert inner.end[1][0] == trace.objective_per_outer[0]
+        assert inner.end.g == trace.objective_per_outer[0]
         p_nz = own.p.compress(own.p.any(axis=0), axis=1)
-        assert channels.score(p_nz)[1][0] == trace.precoder_obj_per_outer[0]
+        assert channels.score(p_nz).g == trace.precoder_obj_per_outer[0]
 
 
 class TestLoopGuards:
@@ -373,8 +374,7 @@ class TestLoopGuards:
         # on radar-heavy scenes (TestMinorizationSolver hunts one)
         monkeypatch.setattr(
             irs.SurrogateFactors, "linearize",
-            lambda factors, channels, y: plain_linearization(
-                factors, channels.theta.theta))
+            lambda factors, point: plain_linearization(factors, point.theta))
 
     def test_inner_dip_raises_through_the_loop(self, monkeypatch):
         self.plain_maps(monkeypatch)

@@ -24,7 +24,7 @@ from reference import (anchor_for, anchored_surrogate_value,
                        dense_linearization, dense_quadratic_terms,
                        extended_objective, factors_mu, gradient_at,
                        hadamard_u3, plain_linearization, plain_minorization,
-                       products_at, quartic_at, quartic_surrogate_constant,
+                       quartic_at, quartic_surrogate_constant,
                        rejecting_extrapolations, wirtinger_gradient)
 
 
@@ -258,10 +258,10 @@ class TestMinorizationSolver:
                                               beta=0.97, alpha=1.0 + 0.0j)
             factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
             th = theta0.theta
-            g = factors.at(IrsPhase(th))[1][0]
+            g = factors.at(IrsPhase(th)).g
             for _ in range(150):
                 th = irs_phase_update(plain_linearization(factors, th)).theta
-                g_new = factors.at(IrsPhase(th))[1][0]
+                g_new = factors.at(IrsPhase(th)).g
                 tripped = g_new < g - 1e-9 * abs(g)
                 if tripped or g_new == g:
                     break
@@ -314,7 +314,7 @@ class TestMinorizationSolver:
             quartic = quartic_at(factors, th)
             pv, qv = quartic[:2]
             rho = anchor_for(factors, pv, qv)
-            nu = factors.linearize(*products_at(factors, th))
+            nu = factors.linearize(factors.at(IrsPhase(th)))
             new = irs_phase_update(nu).theta
             lifted = anchored_surrogate_value(factors, th, pv, qv, rho) \
                 + 2.0 * float(np.real(np.vdot(new - th, nu)))
@@ -342,10 +342,12 @@ class TestMinorizationSolver:
                                            inner_max=inner_max)
             assert theta.theta.tobytes() == want.theta.tobytes()
             assert trace.objectives == ref.objectives
-            assert trace.end[1] == ref.end[1]
-            assert trace.end[2].tobytes() == ref.end[2].tobytes()
-            assert (trace.end[0].rows.tobytes()
-                    == ref.end[0].rows.tobytes())
+            end, want_end = trace.end, ref.end
+            assert ((end.g, end.snr_radar, end.snr_comm)
+                    == (want_end.g, want_end.snr_radar, want_end.snr_comm))
+            assert end.y.tobytes() == want_end.y.tobytes()
+            assert (end.channels.rows.tobytes()
+                    == want_end.channels.rows.tobytes())
 
     def test_monotone_at_every_cap(self, monkeypatch):
         # each cap runs cycles of three maps and plain maps after them; the
@@ -531,7 +533,7 @@ class TestDipAllowance:
             cfg, ch, p, theta = paper_scene(np.random.default_rng(seed))
             factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
             allowance = factors.dip_allowance()
-            g = factors.at(theta)[1][0]
+            g = factors.at(theta).g
             exact = extended_objective(factors, theta.theta)
             assert abs(g - exact) <= allowance / 2
             assert allowance <= 1e-9 * g
@@ -547,7 +549,7 @@ class TestDipAllowance:
         start = scored_start(theta0, p, ch, cfg)
         _, trace = solve_irs_minorization(p, start, inner_max=1)
         g1 = trace.objectives[1]
-        raised = (start[0], (g1 + dip * allowance, *start[1][1:]), start[2])
+        raised = start._replace(g=g1 + dip * allowance)
         if raises:
             with pytest.raises(MonotonicityError, match="decreased"):
                 solve_irs_minorization(p, raised, inner_max=1)
@@ -578,7 +580,7 @@ class TestSurrogateFactors:
             factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
             quartic = quartic_at(factors, theta.theta)
             if safeguard:
-                nu = factors.linearize(*products_at(factors, theta.theta))
+                nu = factors.linearize(factors.at(theta))
                 rho = anchor_for(factors, *quartic[:2])
             else:
                 nu, rho = plain_linearization(factors, theta.theta), 0.0
@@ -618,10 +620,13 @@ class TestSurrogateFactors:
         pp[:, 3 - zero_cols:] = 0.0
         p = Precoder(pp)
         factors = SurrogateFactors(p, ChannelConstants(ch, cfg))
-        g, s_r, s_c = factors.at(theta)[1]
-        assert g == pytest.approx(weighted_snr(p, theta, ch, cfg), rel=1e-12)
-        assert s_r == pytest.approx(snr_radar(p, theta, ch, cfg), rel=1e-12)
-        assert s_c == pytest.approx(snr_comm(p, theta, ch, cfg), rel=1e-12)
+        point = factors.at(theta)
+        assert point.g == pytest.approx(weighted_snr(p, theta, ch, cfg),
+                                        rel=1e-12)
+        assert point.snr_radar == pytest.approx(snr_radar(p, theta, ch, cfg),
+                                                rel=1e-12)
+        assert point.snr_comm == pytest.approx(snr_comm(p, theta, ch, cfg),
+                                               rel=1e-12)
 
     def test_no_dense_matrix_on_solver_path(self, monkeypatch):
         cfg = small_config(l_rows=32, l_cols=32, n_tx=8, k=3, beta=0.9)
@@ -707,19 +712,21 @@ def test_solvers_hand_over_the_scored_point_of_their_phases(
                                           l_rows=2, l_cols=3, beta=0.9)
         start = scored_start(theta0, p, ch, cfg)
         theta, trace = solve(p, start, inner_max=inner_max)
-        channels, scores, y = trace.end
-        p_nz = p.nonzero_columns()
-        assert channels.theta is theta
+        end, p_nz = trace.end, p.nonzero_columns()
+        assert end.channels.theta is theta
+        assert end.theta is theta.theta
         assert len(trace.objectives) == inner_max + 1
-        assert y.tobytes() == (channels.rows @ p_nz).tobytes()
-        assert scores == channels.score(p_nz)[1]
-        assert scores[0] == trace.objectives[-1]
+        assert end.y.tobytes() == (end.channels.rows @ p_nz).tobytes()
+        again = end.channels.score(p_nz)
+        assert ((end.g, end.snr_radar, end.snr_comm)
+                == (again.g, again.snr_radar, again.snr_comm))
+        assert end.g == trace.objectives[-1]
 
         _, first = solve(p, start, inner_max=1)
         again, second = solve(p, first.end, inner_max=1)
         whole, joined = solve(p, start, inner_max=2)
         assert again.theta.tobytes() == whole.theta.tobytes()
-        assert second.end[2].tobytes() == joined.end[2].tobytes()
+        assert second.end.y.tobytes() == joined.end.y.tobytes()
         assert first.objectives + second.objectives[1:] == joined.objectives
 
 

@@ -759,8 +759,6 @@ class TestFactorPrecoder:
             relaxed_objective(s, omega), rel=1e-12)
 
     def test_factor_shape_validated(self):
-        with pytest.raises(ConfigError):
-            RelaxedCovariance(np.eye(3), factor=np.ones((2, 1)))
         # factor_precoder searches on the form the in-ball scale was tested on
         with pytest.raises(ConfigError, match="form"):
             RelaxedCovariance(np.eye(3), in_ball_scale=1.0)

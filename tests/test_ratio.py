@@ -776,6 +776,24 @@ class TestFactoredCertificate:
         assert bound >= float(np.real(np.vdot(
             dense, mixing_method_relaxation(dense))))
 
+    def test_noise_y_is_capped_by_the_unit_certificate(self):
+        # rows that each sum to 0 give A 1 = 0, so at R = 1 1^H from an eigh
+        # factor y = Re diag(A R) is rounding noise; scaled to its largest
+        # entry it gave up to 318 L lambda_max(A) on these draws, which the
+        # certificate at y = 1, L lambda_max(A) to rounding level, caps
+        rng = np.random.default_rng(0)
+        r = gram_factor(np.ones((8, 8)))
+        for draw in range(200):
+            rows = complex_normal(rng, 3, 8)
+            rows -= rows.mean(axis=1, keepdims=True)
+            a = OmegaRows(rows, rng.uniform(0.5, 2.0, 3))
+            dense = dense_form(a)
+            top = float(np.linalg.eigvalsh(dense)[-1])
+            bound = unit_diag_dual_bound(a, r)
+            assert bound <= (1.0 + 1e-12) * 8 * top, draw
+            assert bound >= float(np.real(np.vdot(
+                dense, mixing_method_relaxation(dense)))), draw
+
     def test_zero_columns_are_deflated(self):
         # a zero column of A has y_i = 0 and a zero row and column in
         # Diag(y) - A: the scaled dual is taken on the other coordinates,
