@@ -389,8 +389,8 @@ def _one_blas_thread():
 def _run_trials(worker, spec: ExperimentSpec, cfgs: list[SceneConfig], *extra
                 ) -> tuple[list[list], list[dict]]:
     """Run ``worker(cfg, ch, rng, spec.solver, trial, *extra)`` on each
-    trial of each point p, drawn on ``cfgs[p]``, here or in ``spec.threads``
-    spawned worker processes, which take the trials in chunks from one pool.
+    trial of each point p, drawn on ``cfgs[p]``, here or in chunks on a pool
+    of min(``spec.threads``, trials, usable CPUs) spawned worker processes.
 
     Returns the results of each point in trial order, and the records of
     the trials that raised.
@@ -401,11 +401,13 @@ def _run_trials(worker, spec: ExperimentSpec, cfgs: list[SceneConfig], *extra
     if spec.threads > 1:
         import multiprocessing      # here: half of the module's import time
         from concurrent.futures import ProcessPoolExecutor
-        with _one_blas_thread(), ProcessPoolExecutor(
-                spec.threads,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(spec.threads, len(jobs), cpus)
+        with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=(
+                multiprocessing.get_context("spawn"))) as pool:
             outcomes = list(pool.map(guarded, jobs, chunksize=math.ceil(
-                len(jobs) / (4 * spec.threads))))
+                len(jobs) / (4 * workers))))
     else:
         outcomes = map(guarded, jobs)
     results, errors = [[] for _ in cfgs], []

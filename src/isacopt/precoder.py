@@ -4,27 +4,24 @@ The relaxed covariance S = sum_k p_k p_k^H is optimized directly (the
 objective and both constraints depend on the precoder only through S).
 Without the beampattern ball the optimum over C = {S >= 0, tr(S) = P_T} is
 P_T u u^H with u the top eigenvector of the objective matrix, so whenever
-that matrix lies inside the ball ||S - R_D||_F^2 <= gamma_BP it is the exact
-optimum and its factor sqrt(P_T) u is an exact precoder: no iteration.
-Omega comes as ``objective.OmegaRows``, X^H diag(d) X over rows X: in a
-run, the 1 + K effective channels, whose Gram matrix gives u,
-lambda_max(Omega), ||Omega||_F and the certified bound ``slack_bound``;
-no N x N Omega is formed.  The
-ball test takes ||P_T u u^H - R_D||_F^2 in O(N) from b^H u
-(``slack_distance``), and the dense distance only within its rounding
-band of gamma; S = P_T u u^H itself is formed only when read, and the
-precoder hands its nonzero columns over to the phase step.  When
-the ball binds, the KKT conditions put the optimum at
-S(t) = Pi_C(R_D + t Omega) for the one scale t at which S(t) meets the
-ball, so the solve is a bracketing root search on t (Chandrupatla's
-method), and ``KktForm.dual_bound`` certifies it.  R_D = c I + d b b^H and
-Omega has rank <= 1 + K, so R_D + t Omega is c I plus a form on a space of
-dimension r <= K + 2 (``KktForm``, from one thin QR of [b, X^H] over the
-rows X): each tested t costs one r x r eigendecomposition, and S(t) is
-formed densely once, at the end.  The precoder is then recovered
-deterministically along the rank-K path S_K(t) = Pi_{C_K}(R_D + t Omega)
-(``factor_precoder``) on the same form.  The Euclidean projection onto the
-feasible set, ``dykstra_project``, is the same search along M - R_D.
+that lies inside the ball ||S - R_D||_F^2 <= gamma_BP it is the exact
+optimum and sqrt(P_T) u an exact precoder: no iteration.  Omega comes as
+``objective.OmegaRows`` X^H diag(d) X, in a run over the 1 + K effective
+channels, whose Gram matrix gives u, lambda_max(Omega), ||Omega||_F and the
+certified ``slack_bound``; no N x N Omega is formed.  The scene's target
+R_D = c I + d b b^H is one cached object per scene (``_Target``): b, R_D,
+||R_D||_F^2 and the rounding units, and S_K(0), the nearest rank-K
+covariance to R_D, formed on first read.  The ball test takes the slack
+distance in O(N) from b^H u (``slack_distance``), and the dense one only
+within its rounding band of gamma.  When the ball binds, the KKT
+conditions put the optimum at S(t) = Pi_C(R_D + t Omega) for the one t at
+which S(t) meets the ball, so the solve is a bracketing root search on t
+(Chandrupatla's method) over tested points ``KktPoint(t, x, dist2)``,
+certified by ``KktForm.dual_bound``.  Omega has rank <= 1 + K, so
+R_D + t Omega is c I plus a form of dimension r <= K + 2 (``KktForm``):
+each tested t costs one r x r ``eigh``.  The precoder is recovered along
+the rank-K path S_K(t) = Pi_{C_K}(R_D + t Omega) (``factor_precoder``) on
+the same form, and ``dykstra_project`` is the same search along M - R_D.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,28 +167,59 @@ def project_spectrahedron(m: np.ndarray, target: float) -> np.ndarray:
     return hermitize((u * v) @ u.conj().T)
 
 
-def _target(cfg: SceneConfig
-            ) -> tuple[float, float, np.ndarray, np.ndarray, float, float]:
-    """(c, d, b, R_D, ||R_D||_F^2, band) of the scene's target
-    R_D = c I + d b b^H (``default_beampattern_target``), b and R_D
-    read-only, and the rounding band of ``slack_distance``."""
+class KktPoint(NamedTuple):
+    """A point tested by a KKT search: scale t, point x at t (a ``KktForm``
+    point, or a rank-K factor F) and x's squared distance from R_D."""
+
+    t: float
+    x: object
+    dist2: float
+
+
+# S(0) = Pi_C(R_D) = R_D: the inner end of every search on the relaxed path
+_AT_TARGET = KktPoint(t=0.0, x=None, dist2=0.0)
+
+
+class _Target:
+    """The scene's R_D = c I + d b b^H (``default_beampattern_target``), b
+    and ``r_d`` read-only, ``norm2`` = ||R_D||_F^2, ``slack_distance``'s
+    rounding ``band`` and ``err`` = 4 N eps, unit of the rounding allowances."""
+
+    def __init__(self, n: int, p_t: float, mix: float, azimuth: float,
+                 spacing: float, k: int):
+        b = ula_steering(azimuth, n, spacing)
+        self.b = b = b / np.linalg.norm(b)
+        self.c, self.d = c, d = (1.0 - mix) * (p_t / n), mix * p_t
+        self.r_d = c * np.eye(n) + d * np.outer(b, b.conj())
+        b.flags.writeable = self.r_d.flags.writeable = False
+        self.norm2 = norm2 = n * c ** 2 + 2.0 * c * d + d ** 2
+        self.band = 4.0 * (n + 2) ** 2 * _EPS * (p_t + math.sqrt(norm2)) ** 2
+        self.err = 4.0 * n * _EPS
+        self._p_t, self._k = p_t, k
+
+    @functools.cached_property
+    def nearest(self) -> KktPoint:
+        """S_K(0) = Pi_{C_K}(R_D), the nearest rank-K covariance to R_D, as
+        (0, F, ||F F^H - R_D||^2): F (N x K, zero-padded, read-only) from a
+        dense ``eigh`` of R_D, whose ties it breaks as that ``eigh`` does,
+        formed on first read."""
+        n, k = self.r_d.shape[0], self._k
+        w, u = np.linalg.eigh(self.r_d)
+        f = np.zeros((n, k), dtype=complex)
+        f[:, :min(k, n)] = u[:, -k:] * np.sqrt(_simplex_scaled(w[-k:],
+                                                               self._p_t)[0])
+        f.flags.writeable = False
+        return KktPoint(0.0, f, _distance2(f, self.r_d))
+
+
+_target_of = functools.lru_cache(maxsize=16)(_Target)
+
+
+def _target(cfg: SceneConfig) -> _Target:
+    """The scene's target, cached on the six scalars it depends on."""
     return _target_of(cfg.n_tx, cfg.power_budget, cfg.beampattern_mix,
-                      cfg.radar_irs_azimuth, cfg.spacing_over_lambda)
-
-
-# solve_relaxed reads R_D every outer iteration; it depends on five scalars
-@functools.lru_cache(maxsize=16)
-def _target_of(n: int, p_t: float, mix: float, azimuth: float,
-               spacing: float
-               ) -> tuple[float, float, np.ndarray, np.ndarray, float, float]:
-    b = ula_steering(azimuth, n, spacing)
-    b = b / np.linalg.norm(b)
-    c, d = (1.0 - mix) * (p_t / n), mix * p_t
-    r_d = c * np.eye(n) + d * np.outer(b, b.conj())
-    b.flags.writeable = r_d.flags.writeable = False
-    norm2 = n * c ** 2 + 2.0 * c * d + d ** 2
-    band = 4.0 * (n + 2) ** 2 * _EPS * (p_t + math.sqrt(norm2)) ** 2
-    return c, d, b, r_d, norm2, band
+                      cfg.radar_irs_azimuth, cfg.spacing_over_lambda,
+                      cfg.n_users)
 
 
 def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
@@ -201,7 +230,7 @@ def default_beampattern_target(cfg: SceneConfig) -> np.ndarray:
     two PSD matrices of trace P_T (mix lies in [0, 1]), so feasible by
     construction.  Every solver reads this target from the scene.
     """
-    return _target(cfg)[3].copy()
+    return _target(cfg).r_d.copy()
 
 
 def target_check_bytes(n_tx: int, n_users: int) -> int:
@@ -218,12 +247,17 @@ def target_check_bytes(n_tx: int, n_users: int) -> int:
     return 16 * (6 * n_tx * n_tx + 2 * n_tx * n_users) + (4 << 20)
 
 
-def validate_beampattern_target(cfg: SceneConfig):
-    """ConfigError unless the ball holds a K-column precoder: S_K(0), the
-    nearest rank-K covariance to R_D and ``factor_precoder``'s last resort
-    (``_nearest_rank``), must lie in it by its dense distance.  Its arrays
-    are counted (``target_check_bytes``) before it runs."""
-    _nearest_rank(cfg)
+def validate_beampattern_target(cfg: SceneConfig) -> KktPoint:
+    """S_K(0) (``_Target.nearest``), ``factor_precoder``'s last resort;
+    ConfigError unless it lies in the ball by its dense distance, as then
+    no K-column precoder does.  Its arrays are counted
+    (``target_check_bytes``) before a config's check runs."""
+    nearest, gamma = _target(cfg).nearest, cfg.beampattern_tol
+    if nearest.dist2 > gamma:
+        raise ConfigError(f"beampattern ball too tight: the nearest "
+                          f"{cfg.n_users}-column precoder to R_D is at squared "
+                          f"distance {nearest.dist2:.6g} > {gamma:.6g}")
+    return nearest
 
 
 class KktForm:
@@ -248,11 +282,12 @@ class KktForm:
     """
 
     def __init__(self, omega: OmegaRows, cfg: SceneConfig):
-        self.c, self.d, b, _, norm2_r_d, _ = _target(cfg)
+        target = _target(cfg)
+        self.c, self.d, self.err = target.c, target.d, target.err
         rows, self.cfg = omega.rows, cfg
         n = rows.shape[1]
         span = np.empty((n, 1 + rows.shape[0]), dtype=complex)
-        span[:, 0] = b
+        span[:, 0] = target.b
         np.conjugate(rows.T, out=span[:, 1:])
         self.q, r1 = np.linalg.qr(span)
         self.beta, y = r1[:, 0], r1[:, 1:]
@@ -261,8 +296,7 @@ class KktForm:
         self.beta_conj = self.beta.conj()
         self.a0 = self.d * np.outer(self.beta, self.beta_conj)
         self.norm_omega = math.sqrt(float(np.vdot(a1, a1).real))
-        self.norm_r_d = math.sqrt(norm2_r_d)
-        self.err = 4.0 * n * _EPS
+        self.norm_r_d = math.sqrt(target.norm2)
 
     def start_scale(self) -> float:
         """t* = sqrt(gamma) / ||Omega_0||_F, Omega_0 = Omega - (tr Omega / N) I,
@@ -350,11 +384,12 @@ class KktForm:
                 + (e + err * self.cfg.power_budget) * self.norm_omega)
 
 
-def _kkt_root(point, gamma: float, lo, hi, slack, floor: float = 0.0):
+def _kkt_root(point, gamma: float, lo: KktPoint, hi: KktPoint, slack,
+              floor: float = 0.0) -> tuple[KktPoint, KktPoint]:
     """Find where the nondecreasing d(t) crosses gamma by Chandrupatla's
     bracketing method (Adv. Eng. Softw. 28, 1997), ``point(t)`` giving
-    (x, d(t)), x's squared distance from R_D.  The ends are tested points
-    (t, x, d): lo inside the ball (d <= gamma), hi outside.  Each step
+    (x, d(t)), x's squared distance from R_D.  The ends are tested points,
+    lo inside the ball (d <= gamma) and hi outside.  Each step
     tries inverse quadratic interpolation through both ends and the end
     dropped last, where Chandrupatla's test finds d monotone enough for it,
     else the midpoint, and keeps the trial half the stopping width inside
@@ -365,35 +400,35 @@ def _kkt_root(point, gamma: float, lo, hi, slack, floor: float = 0.0):
     level of the distance, d is rounding noise), and at adjacent floats.
     """
     def settled(end):
-        return abs(end[2] - gamma) <= slack(end[0], end[2])
+        return abs(end.dist2 - gamma) <= slack(end.t, end.dist2)
 
     a, b, c = hi, lo, None     # a: the end tested last; c: the end dropped last
-    while (hi[0] - lo[0] > (tol := max(_KKT_REL_WIDTH * hi[0], floor))
+    while (hi.t - lo.t > (tol := max(_KKT_REL_WIDTH * hi.t, floor))
            and not (settled(lo) and settled(hi))):
-        fa, fb = a[2] - gamma, b[2] - gamma
+        fa, fb = a.dist2 - gamma, b.dist2 - gamma
         if c is None:
             step = fa / (fa - fb)    # a first step by linear interpolation
         else:
-            ta, tb, tc, fc = a[0], b[0], c[0], c[2] - gamma
+            ta, tb, tc, fc = a.t, b.t, c.t, c.dist2 - gamma
             xi, ph = (ta - tb) / (tc - tb), (fa - fb) / (fc - fb)
             step = 0.5
             if ph * ph < xi and (1.0 - ph) ** 2 < 1.0 - xi:
                 step = (fa / (fb - fa) * fc / (fb - fc) + (tc - ta) / (tb - ta)
                         * fa / (fc - fa) * fb / (fc - fb))
-        margin = 0.5 * tol / (hi[0] - lo[0])
-        t = a[0] + min(max(step, margin), 1.0 - margin) * (b[0] - a[0])
-        if not lo[0] < t < hi[0]:
+        margin = 0.5 * tol / (hi.t - lo.t)
+        t = a.t + min(max(step, margin), 1.0 - margin) * (b.t - a.t)
+        if not lo.t < t < hi.t:
             break
-        new = (t, *point(t))
-        if (new[2] > gamma) == (a[2] > gamma):
+        tested = KktPoint(t, *point(t))
+        if (tested.dist2 > gamma) == (a.dist2 > gamma):
             c = a
         else:
             b, c = a, b
-        a = new
-        if new[2] > gamma:
-            hi = new
+        a = tested
+        if tested.dist2 > gamma:
+            hi = tested
         else:
-            lo = new
+            lo = tested
     return lo, hi
 
 
@@ -408,15 +443,13 @@ def dykstra_project(m: np.ndarray, cfg: SceneConfig) -> np.ndarray:
     Nothing in the library calls it; it is kept for the tracer, under the
     name of the Dykstra iteration it replaced.
     """
-    r_d, gamma = _target(cfg)[3], cfg.beampattern_tol
+    r_d, gamma = _target(cfg).r_d, cfg.beampattern_tol
     w, u = np.linalg.eigh(hermitize(m - r_d))
     form = KktForm(OmegaRows(u.conj().T, w), cfg)
-    x, dist2 = form.point(1.0)
-    if dist2 > gamma:
-        # S(0) = Pi_C(R_D) = R_D
-        _, (_, x, _) = _kkt_root(form.point, gamma, (0.0, None, 0.0),
-                                 (1.0, x, dist2), form.slack)
-    return project_ball(form.dense(x), r_d, gamma)
+    out = KktPoint(1.0, *form.point(1.0))
+    if out.dist2 > gamma:
+        _, out = _kkt_root(form.point, gamma, _AT_TARGET, out, form.slack)
+    return project_ball(form.dense(out.x), r_d, gamma)
 
 
 def slack_bound(lam_max: float, norm_omega: float, cfg: SceneConfig) -> float:
@@ -427,8 +460,7 @@ def slack_bound(lam_max: float, norm_omega: float, cfg: SceneConfig) -> float:
     rounding of the computed eigenvalue and of a computed tr(S Omega) or
     precoder objective, as in ``KktForm.dual_bound``.
     """
-    err = 4.0 * cfg.n_tx * _EPS
-    return cfg.power_budget * (lam_max + err * norm_omega)
+    return cfg.power_budget * (lam_max + _target(cfg).err * norm_omega)
 
 
 def slack_distance(top: np.ndarray, cfg: SceneConfig) -> tuple[float, float]:
@@ -445,12 +477,10 @@ def slack_distance(top: np.ndarray, cfg: SceneConfig) -> tuple[float, float]:
     So band = 4 (N + 2)^2 eps (P_T + ||R_D||_F)^2; within it of gamma, the
     slack test takes the dense distance instead.
     """
-    c, d, b, _, norm2_r_d, band = _target(cfg)
-    p_t = cfg.power_budget
-    bu = complex(np.vdot(b, top))
-    return (p_t * p_t - 2.0 * p_t * (c + d * (bu.real * bu.real
-                                              + bu.imag * bu.imag))
-            + norm2_r_d), band
+    target, p_t = _target(cfg), cfg.power_budget
+    bu = complex(np.vdot(target.b, top))
+    return (p_t * p_t - 2.0 * p_t * (target.c + target.d * (
+        bu.real * bu.real + bu.imag * bu.imag)) + target.norm2), target.band
 
 
 def solve_relaxed(omega: OmegaRows, cfg: SceneConfig) -> RelaxedCovariance:
@@ -496,22 +526,22 @@ def solve_relaxed(omega: OmegaRows, cfg: SceneConfig) -> RelaxedCovariance:
     slack = RelaxedCovariance.slack(top, cfg.power_budget, bound)
     dist2, band = slack_distance(top, cfg)
     if abs(dist2 - gamma) <= band:
-        diff = slack.s - _target(cfg)[3]
+        diff = slack.s - _target(cfg).r_d
         dist2 = float(np.vdot(diff, diff).real)
     if dist2 <= gamma:
         return slack
     form = KktForm(omega, cfg)
     attainable = cfg.power_budget * lam
     t = form.start_scale()
-    lo = (0.0, None, 0.0)     # S(0) = Pi_C(R_D) = R_D
+    lo = _AT_TARGET
     for _ in range(_KKT_MAX_DOUBLINGS):
-        hi = (t, *form.point(t))
-        if hi[2] > gamma:
+        hi = KktPoint(t, *form.point(t))
+        if hi.dist2 > gamma:
             break
-        _, v, v0 = hi[1]
+        _, v, v0 = hi.x
         scale = cfg.power_budget / (float(v.sum()) + form.copies * v0)
-        if form.trace(hi[1]) * scale >= attainable - 1e-12 * abs(attainable):
-            return RelaxedCovariance(scale * form.dense(hi[1]),
+        if form.trace(hi.x) * scale >= attainable - 1e-12 * abs(attainable):
+            return RelaxedCovariance(scale * form.dense(hi.x),
                                      in_ball_scale=t, dual_bound=bound,
                                      form=form)
         lo, t = hi, 2.0 * t
@@ -519,10 +549,10 @@ def solve_relaxed(omega: OmegaRows, cfg: SceneConfig) -> RelaxedCovariance:
         raise SolverError(
             f"KKT search: S(t) stayed inside the beampattern ball below its "
             f"optimum after {_KKT_MAX_DOUBLINGS} doublings of t")
-    lo, (t_hi, x_hi, dist2) = _kkt_root(form.point, gamma, lo, hi, form.slack)
+    lo, hi = _kkt_root(form.point, gamma, lo, hi, form.slack)
     return RelaxedCovariance(
-        project_ball(form.dense(x_hi), _target(cfg)[3], gamma), kkt_scale=t_hi,
-        in_ball_scale=lo[0], dual_bound=form.dual_bound(t_hi, x_hi, dist2),
+        project_ball(form.dense(hi.x), _target(cfg).r_d, gamma),
+        kkt_scale=hi.t, in_ball_scale=lo.t, dual_bound=form.dual_bound(*hi),
         form=form)
 
 
@@ -539,36 +569,6 @@ def precoder_objective(p: Precoder, omega: np.ndarray) -> float:
 def _distance2(f: np.ndarray, r_d: np.ndarray) -> float:
     """||F F^H - R_D||^2, formed densely."""
     return float(np.sum(np.abs(f @ f.conj().T - r_d) ** 2))
-
-
-def _nearest_rank(cfg: SceneConfig) -> tuple[np.ndarray, float]:
-    """(F, ||F F^H - R_D||^2) of S_K(0) = Pi_{C_K}(R_D), the nearest rank-K
-    covariance to R_D (``_nearest_rank_of``); ConfigError if its dense
-    distance exceeds gamma."""
-    gamma, k = cfg.beampattern_tol, cfg.n_users
-    f, dist2 = _nearest_rank_of(cfg.n_tx, cfg.power_budget,
-                                cfg.beampattern_mix, cfg.radar_irs_azimuth,
-                                cfg.spacing_over_lambda, k)
-    if dist2 > gamma:
-        raise ConfigError(f"beampattern ball too tight: the nearest {k}-column "
-                          f"precoder to R_D is at squared distance {dist2:.6g} "
-                          f"> {gamma:.6g}")
-    return f, dist2
-
-
-# one dense eigh of R_D per scene and K, as R_D is one per scene (_target_of)
-@functools.lru_cache(maxsize=16)
-def _nearest_rank_of(n: int, p_t: float, mix: float, azimuth: float,
-                     spacing: float, k: int) -> tuple[np.ndarray, float]:
-    """S_K(0) as the factor F (N x K, zero-padded, read-only) with
-    F F^H = S_K(0), from a dense ``eigh`` of R_D, whose ties it breaks as
-    that ``eigh`` does, and its dense squared distance from R_D."""
-    r_d = _target_of(n, p_t, mix, azimuth, spacing)[3]
-    w, u = np.linalg.eigh(r_d)
-    f = np.zeros((n, k), dtype=complex)
-    f[:, :min(k, n)] = u[:, -k:] * np.sqrt(_simplex_scaled(w[-k:], p_t)[0])
-    f.flags.writeable = False
-    return f, _distance2(f, r_d)
 
 
 def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
@@ -588,15 +588,13 @@ def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
     ``solve_relaxed`` set with the in-ball scale (``KktForm.rank_factor``,
     one r x r ``eigh``), so Omega is not passed again, and tests each
     factor F by the dense ||F F^H - R_D||^2, so the precoder returned lies
-    inside the ball as computed.  S_K(0), the
-    nearest rank-K covariance to R_D (``_nearest_rank``, formed once per
-    scene and read only after the test at t_in), is the search's t = 0
-    end, and the answer when S has neither a factor nor an in-ball scale,
-    where it lies on the sphere (a search from there picks among R_D's
-    tied eigenvectors by rounding), and where no t > 0 tests inside; the
-    same routine is ``validate_beampattern_target``'s test, and
-    ConfigError if it lies outside.  R_D is the scene's
-    ``default_beampattern_target``.
+    inside the ball as computed.  S_K(0), the nearest rank-K covariance
+    to R_D (``validate_beampattern_target``, formed once per scene and
+    read only after the test at t_in; ConfigError if it lies outside), is
+    the search's t = 0 end, and the answer when S has neither a factor nor
+    an in-ball scale, where it lies on the sphere (a search from there
+    picks among R_D's tied eigenvectors by rounding), and where no t > 0
+    tests inside.  R_D is the scene's ``default_beampattern_target``.
     """
     gamma, k = cfg.beampattern_tol, cfg.n_users
     if s.factor is not None and s.factor.shape[1] <= k:
@@ -608,19 +606,19 @@ def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
 
     t_in = s.in_ball_scale or 0.0
     if t_in > 0.0:
-        form, r_d = s.form, _target(cfg)[3]
+        form, r_d = s.form, _target(cfg).r_d
 
         def point(t):
             f = form.rank_factor(t, k)
             return f, _distance2(f, r_d)
 
-        hi = (t_in, *point(t_in))
-        if hi[2] <= gamma:
-            return Precoder(hi[1])
-    lo = (0.0, *_nearest_rank(cfg))
+        hi = KktPoint(t_in, *point(t_in))
+        if hi.dist2 <= gamma:
+            return Precoder(hi.x)
+    lo = validate_beampattern_target(cfg)
     # on the sphere, S_K(0) is kept: nearer t, d_K(t) is gamma up to
     # rounding, and the top K of R_D's tied eigenvalues are picked by it
-    if t_in > 0.0 and lo[2] < gamma:
+    if t_in > 0.0 and lo.dist2 < gamma:
         lo, _ = _kkt_root(point, gamma, lo, hi, form.slack,
                           _KKT_REL_WIDTH * t_in)
-    return Precoder(lo[1].copy())
+    return Precoder(lo.x.copy())

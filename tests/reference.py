@@ -19,7 +19,8 @@ from isacopt.objective import (ChannelConstants, IrsPhase, OmegaRows,
                                Precoder, ScoredPoint, _check_dims,
                                _dense_channels, comm_coefficient, hermitize,
                                quartic_coefficient, quartic_kernels)
-from isacopt.precoder import _KKT_MAX_DOUBLINGS, _kkt_root, project_ball
+from isacopt.precoder import (_KKT_MAX_DOUBLINGS, KktPoint, _kkt_root,
+                              project_ball)
 from isacopt.ratio import (GramFactor, RandomizationReport, _above_rounding,
                            build_quadratic_terms, unit_diag_dual_bound)
 from isacopt.scene import (TWO_PI, ChannelSet, SceneConfig, complex_normal,
@@ -304,15 +305,16 @@ def dense_kkt_search(omega: np.ndarray, cfg: SceneConfig, r_d: np.ndarray
     ball, then ``_kkt_root`` on the bracket.  (ball projection of S(t_hi),
     t_hi): the oracle for ``solve_relaxed``'s search."""
     gamma = cfg.beampattern_tol
-    t, lo = math.sqrt(gamma) / float(np.linalg.norm(omega)), (0.0, r_d, 0.0)
+    t = math.sqrt(gamma) / float(np.linalg.norm(omega))
+    lo = KktPoint(0.0, r_d, 0.0)
     for _ in range(_KKT_MAX_DOUBLINGS):
-        hi = (t, *kkt_point(omega, cfg, r_d, t))
-        if hi[2] > gamma:
+        hi = KktPoint(t, *kkt_point(omega, cfg, r_d, t))
+        if hi.dist2 > gamma:
             break
         lo, t = hi, 2.0 * t
     _, hi = _kkt_root(lambda t: kkt_point(omega, cfg, r_d, t), gamma, lo, hi,
                       lambda t, d: 0.0)
-    return project_ball(hi[1], r_d, gamma), hi[0]
+    return project_ball(hi.x, r_d, gamma), hi.t
 
 
 def relaxed_dual_bound(omega: OmegaRows, cfg: SceneConfig, t: float

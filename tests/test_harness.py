@@ -364,6 +364,45 @@ class TestWorkers:
         assert results == [dict.fromkeys(harness.BLAS_THREAD_VARS, "1")] * 4
         assert dict(os.environ) == before
 
+    @pytest.mark.parametrize("threads, trials, cpus, workers", [
+        (1000, 3, 8, 3),     # one per trial
+        (1000, 12, 3, 3),    # one per usable CPU
+        (2, 12, 8, 2),       # as many as asked for
+    ])
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_pool_is_bounded_by_trials_and_cpus(self, tmp_path, monkeypatch,
+                                                threads, trials, cpus,
+                                                workers, affinity):
+        # a stand-in pool records its size and maps inline: no process starts
+        import concurrent.futures
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = make_spec(tmp_path, trials=trials, threads=threads)
+        [results], errors = harness._run_trials(
+            lambda cfg, ch, rng, opts, trial: trial, spec, [spec.scene])
+        assert sizes == [workers]
+        assert results == list(range(trials)) and errors == []
+
     def test_failed_draw_is_a_recorded_trial(self, tmp_path, monkeypatch):
         # a trial's inputs are drawn inside its guard: channels that fail
         # to draw on trial 1 of the first point skip that trial alone, and

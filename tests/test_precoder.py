@@ -383,7 +383,7 @@ class TestSlackDistance:
         cfg = small_config(n_tx=n, k=1, power_budget=p_t, beampattern_mix=mix)
         u = complex_normal(rng, n)
         if aligned:
-            u = precoder._target(cfg)[2] + 1e-3 * u
+            u = precoder._target(cfg).b + 1e-3 * u
         u /= np.linalg.norm(u)
         dist2, band = precoder.slack_distance(u, cfg)
         diff = p_t * np.outer(u, u.conj()) - default_beampattern_target(cfg)
@@ -461,17 +461,19 @@ class TestKktRoot:
             return x, dist2
 
         t_small = math.sqrt(gamma) / np.linalg.norm(omega)
-        lo, hi = (t_small, *point(t_small)), (1e3 * t_small,
-                                              *point(1e3 * t_small))
-        assert lo[2] <= gamma < hi[2]
-        floor = floor_frac * hi[0]
+        lo = precoder.KktPoint(t_small, *point(t_small))
+        hi = precoder.KktPoint(1e3 * t_small, *point(1e3 * t_small))
+        assert lo.dist2 <= gamma < hi.dist2
+        floor = floor_frac * hi.t
         new_lo, new_hi = precoder._kkt_root(point, gamma, lo, hi,
                                             lambda t, d: 0.0, floor)
-        assert lo[0] <= new_lo[0] < new_hi[0] <= hi[0]
-        for (t, x, dist2), inside in ((new_lo, True), (new_hi, False)):
-            assert tested[t][0] is x and tested[t][1] == dist2
-            assert (dist2 <= gamma) == inside
-        assert new_hi[0] - new_lo[0] <= max(1e-13 * new_hi[0], floor)
+        assert lo.t <= new_lo.t < new_hi.t <= hi.t
+        # each end is a KktPoint of a scale the search tested, as tested
+        for end, inside in ((new_lo, True), (new_hi, False)):
+            assert isinstance(end, precoder.KktPoint)
+            assert tested[end.t][0] is end.x and tested[end.t][1] == end.dist2
+            assert (end.dist2 <= gamma) == inside
+        assert new_hi.t - new_lo.t <= max(1e-13 * new_hi.t, floor)
         # a bracket a thousand times wide closes in few tests all the same
         assert len(tested) <= 16
 
@@ -790,12 +792,15 @@ class TestFactorPrecoder:
                 s, omega) * (1 + 1e-9)
 
     def test_infeasible_raises(self, rng):
-        # a ball too tight for any K-column precoder is a config error
+        # a ball too tight for any K-column precoder is a config error, at
+        # load and at recovery alike
         cfg = small_config(n_tx=3, k=2, beampattern_tol=1e-12)
-        with pytest.raises(ConfigError):
+        message = (r"^beampattern ball too tight: the nearest 2-column "
+                   r"precoder to R_D is at squared distance \S+ > 1e-12$")
+        with pytest.raises(ConfigError, match=message):
             validate_beampattern_target(cfg)
         s = RelaxedCovariance(np.eye(3, dtype=complex) / 3)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=message):
             factor_precoder(s, cfg)
 
     @settings(max_examples=60, deadline=None)
@@ -849,7 +854,7 @@ class TestBeampatternTarget:
         cfg = SceneConfig()
         r_d = default_beampattern_target(cfg)
         r_d[:] = 0.0
-        shared = precoder._target(cfg)[3]
+        shared = precoder._target(cfg).r_d
         assert not shared.flags.writeable
         np.testing.assert_array_equal(default_beampattern_target(cfg), shared)
         assert float(np.trace(shared).real) == pytest.approx(cfg.power_budget)
@@ -872,7 +877,7 @@ class TestBeampatternTarget:
         # callers' own
         cfg = small_config(n_tx=12, k=5, beampattern_tol=0.1,
                            beampattern_mix=0.37)
-        precoder._nearest_rank_of.cache_clear()
+        precoder._target_of.cache_clear()
         dense, reads, eigh = [], [], np.linalg.eigh
 
         def spy(a, *args, **kwargs):
@@ -881,12 +886,14 @@ class TestBeampatternTarget:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        nearest = precoder._nearest_rank
-        monkeypatch.setattr(precoder, "_nearest_rank",
-                            lambda c: reads.append(c) or nearest(c))
+        validate = precoder.validate_beampattern_target
+        monkeypatch.setattr(precoder, "validate_beampattern_target",
+                            lambda c: reads.append(c) or validate(c))
+        # the target alone does not form S_K(0)
+        r_d = default_beampattern_target(cfg)
+        assert dense == []
         validate_beampattern_target(cfg)
         rng = np.random.default_rng(11)
-        r_d = default_beampattern_target(cfg)
         for _ in range(30):
             # 1 + K rows, as the effective channels give them
             rows, _ = omega_rows(complex_normal(rng, 1 + cfg.n_users, cfg.n_tx),
@@ -898,6 +905,22 @@ class TestBeampatternTarget:
         assert last.p.flags.writeable
         assert len(reads) > 10
         assert dense == [(cfg.n_tx, cfg.n_tx)]
+
+    def test_last_resort_is_a_copy_of_the_load_check_point(self):
+        # with neither a factor nor an in-ball scale the precoder is S_K(0),
+        # the point the load check returns, as the caller's own array
+        cfg = small_config(n_tx=6, k=3, beampattern_tol=0.5)
+        nearest = validate_beampattern_target(cfg)
+        assert isinstance(nearest, precoder.KktPoint) and nearest.t == 0.0
+        assert not nearest.x.flags.writeable
+        f = nearest.x
+        assert nearest.dist2 == float(np.sum(np.abs(
+            f @ f.conj().T - default_beampattern_target(cfg)) ** 2))
+        p = factor_precoder(
+            RelaxedCovariance(default_beampattern_target(cfg)), cfg).p
+        assert p.flags.writeable and not np.shares_memory(p, f)
+        np.testing.assert_array_equal(p, f)
+        assert validate_beampattern_target(cfg) is nearest
 
 
 _CHECK_PEAK = """
