@@ -39,7 +39,7 @@ from .precoder import factor_precoder, solve_relaxed
 # on the effective channels; kept for the tracer, which wraps them by name.
 from .precoder import (default_beampattern_target,  # noqa: F401
                        precoder_objective, relaxed_objective)
-from .scene import ChannelSet, SceneConfig
+from .scene import ChannelSet, SceneConfig, random_phase_vector
 
 log = logging.getLogger(__name__)
 
@@ -87,7 +87,7 @@ def initial_phases(cfg: SceneConfig, opts: SolverOptions,
                    rng: np.random.Generator) -> IrsPhase:
     if opts.theta_init == "ones":
         return IrsPhase.unit(np.ones(cfg.n_irs, dtype=complex))
-    return IrsPhase.unit(np.exp(2j * np.pi * rng.random(cfg.n_irs)))
+    return IrsPhase.unit(random_phase_vector(rng, cfg.n_irs))
 
 
 def run_alternating(ch: ChannelSet, cfg: SceneConfig,

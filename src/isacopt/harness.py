@@ -75,10 +75,10 @@ class ExperimentSpec:
     keys (``SWEEP_KEYS``: the file tag of a radar weight, the value of a
     count), and the others empty; a radar weight below 1 for ratio, whose
     form A = U3 is zero at 1; the bytes of the beampattern check's arrays
-    (``target_check_bytes``) and of each surface's per-trial arrays, for
-    ratio with the draws of the largest sample count, counted from their
-    shapes against physical memory; and then a beampattern ball that holds
-    a K-column precoder (``validate_beampattern_target``).
+    (``target_check_bytes``) and of the trials at once on each surface,
+    for ratio with the draws of the largest sample count, counted from
+    their shapes against physical memory; and then a beampattern ball that
+    holds a K-column precoder (``validate_beampattern_target``).
     """
 
     kind: str
@@ -128,22 +128,25 @@ class ExperimentSpec:
         validate_beampattern_target(self.scene)
 
     def _count_memory(self):
-        """ConfigError unless the arrays of the beampattern check and of a
-        trial on each surface, counted from their shapes, fit in physical
-        memory; for ratio, the largest surface with the largest sample
-        count too."""
+        """ConfigError unless the arrays of the beampattern check and of
+        the trials that run at once on each surface, counted from their
+        shapes, fit in physical memory; for ratio, the largest surface
+        with the largest sample count too."""
         n, k, ratio = self.scene.n_tx, self.scene.n_users, self.kind == "ratio"
+        points = len(self.beta_values or self.l_values)   # the kind's sweep
+        at_once = _worker_count(self.threads, points * self.trials)
 
         def trial(l, n_g=0):
-            return (_trial_bytes(l, n, k)
-                    + (study_bytes(l, n_g, k, n) if ratio else 0))
+            return at_once * (_trial_bytes(l, n, k)
+                              + (study_bytes(l, n_g, k, n) if ratio else 0))
 
         surfaces = ({"irs_rows * irs_cols": self.scene.n_irs}
                     if self.kind == "convergence" else
                     {f"l_values[{i}]": l for i, l in enumerate(self.l_values)})
         needs = [(f"n_tx = {n}, n_users = {k}: the beampattern check's arrays",
                   target_check_bytes(n, k))]
-        arrays = f"a trial's arrays at n_tx = {n}, n_users = {k}"
+        arrays = (f"the arrays of {at_once} trials at once" if at_once > 1
+                  else "a trial's arrays") + f" at n_tx = {n}, n_users = {k}"
         needs += [(f"{name} = {l}: {arrays}", trial(l))
                   for name, l in surfaces.items()]
         if ratio:
@@ -170,6 +173,15 @@ def _trial_bytes(l: int, n_tx: int, n_users: int) -> int:
 def _physical_memory() -> int:
     """Bytes of physical memory of this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _worker_count(threads: int, jobs: int) -> int:
+    """The trials of ``jobs`` that run at once: min(threads, jobs, usable
+    CPUs), from ``os.sched_getaffinity`` where it exists, else
+    ``os.cpu_count()``; at 1 ``_run_trials`` runs them here."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(threads, jobs, cpus)
 
 
 @dataclass
@@ -389,8 +401,8 @@ def _one_blas_thread():
 def _run_trials(worker, spec: ExperimentSpec, cfgs: list[SceneConfig], *extra
                 ) -> tuple[list[list], list[dict]]:
     """Run ``worker(cfg, ch, rng, spec.solver, trial, *extra)`` on each
-    trial of each point p, drawn on ``cfgs[p]``, here or in chunks on a pool
-    of min(``spec.threads``, trials, usable CPUs) spawned worker processes.
+    trial of each point p, drawn on ``cfgs[p]``, here or in chunks on a
+    pool of ``_worker_count`` (> 1) spawned worker processes.
 
     Returns the results of each point in trial order, and the records of
     the trials that raised.
@@ -398,12 +410,10 @@ def _run_trials(worker, spec: ExperimentSpec, cfgs: list[SceneConfig], *extra
     jobs = [(cfg, spec.master_seed, point, trial)
             for point, cfg in enumerate(cfgs) for trial in range(spec.trials)]
     guarded = functools.partial(_guarded, worker, spec.solver, extra)
-    if spec.threads > 1:
+    workers = _worker_count(spec.threads, len(jobs))
+    if workers > 1:
         import multiprocessing      # here: half of the module's import time
         from concurrent.futures import ProcessPoolExecutor
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        workers = min(spec.threads, len(jobs), cpus)
         with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=(
                 multiprocessing.get_context("spawn"))) as pool:
             outcomes = list(pool.map(guarded, jobs, chunksize=math.ceil(

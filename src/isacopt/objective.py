@@ -98,7 +98,11 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def gamma_n(n: int, u: float = 2.0 ** -53) -> float:
+# Machine epsilon of double precision, twice its unit roundoff.
+EPS = float(np.finfo(float).eps)
+
+
+def gamma_n(n: int, u: float = EPS / 2) -> float:
     """Higham's gamma_n = n u / (1 - n u), which bounds the relative error
     of n roundings to unit roundoff u, double's by default (*Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, Lemma 3.1)."""

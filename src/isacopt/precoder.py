@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, SolverError
-from .objective import OmegaRows, Precoder, hermitize
+from .objective import EPS, OmegaRows, Precoder, hermitize
 from .scene import SceneConfig, ula_steering
 # Unused here; kept for the tracer, which counts calls to it here by name.
 from .scene import complex_normal  # noqa: F401
@@ -48,7 +48,6 @@ _KKT_REL_WIDTH = 1e-13
 _KKT_MAX_DOUBLINGS = 200
 # Relative asymmetry above which project_psd rejects its input.
 _HERM_TOL = 1e-10
-_EPS = float(np.finfo(float).eps)
 
 
 class RelaxedCovariance:
@@ -193,8 +192,8 @@ class _Target:
         self.r_d = c * np.eye(n) + d * np.outer(b, b.conj())
         b.flags.writeable = self.r_d.flags.writeable = False
         self.norm2 = norm2 = n * c ** 2 + 2.0 * c * d + d ** 2
-        self.band = 4.0 * (n + 2) ** 2 * _EPS * (p_t + math.sqrt(norm2)) ** 2
-        self.err = 4.0 * n * _EPS
+        self.band = 4.0 * (n + 2) ** 2 * EPS * (p_t + math.sqrt(norm2)) ** 2
+        self.err = 4.0 * n * EPS
         self._p_t, self._k = p_t, k
 
     @functools.cached_property

@@ -14,16 +14,17 @@ its rank in guarded SQUAREM cycles (``squarem.squarem_ascent``, shared
 with the phase step) until the fixed-point residual falls to 1e-10
 (``solve_unit_diag_relaxation``); A's kept eigenpairs, those above
 rounding level, come from a thin QR of the rows and one m x m ``eigh``
-(``_form_eigenpairs``), and R* = Z^H Z travels as its factor Z
-(``GramFactor``, r x L), which hands the study those eigenpairs and reads
-as an L x L array only where a caller asks.  A dual certificate bounds
-the relaxation (``unit_diag_dual_bound``): y = Re diag(A R*), floored,
-times s = lambda_max(F^H Diag(1/y) F), A = F F^H, is a dual point,
-Diag(s y) >= A, from one m x m ``eigvalsh``.  Draws and scores are formed
-at the rank of R* and of A (``approximation_ratio_study``): R*'s
-eigenpairs come from the r x r Gram matrix Z Z^H, and each sample count
-takes 2 r n_g standard normals, r the number of eigenpairs of R* above
-rounding level.  The candidates are ranked in single precision, each
+(``_form_eigenpairs``), for the relaxation alone, and R* = Z^H Z travels
+as its factor Z (``GramFactor``, r x L), which reads as an L x L array
+only where a caller asks.  A dual certificate bounds the relaxation
+(``unit_diag_dual_bound``): y = Re diag(A R*), floored, times
+s = lambda_max(F^H Diag(1/y) F), A = F F^H, is a dual point,
+Diag(s y) >= A, from one m x m ``eigvalsh``.  Draws are formed at the rank
+of R* (``approximation_ratio_study``): R*'s eigenpairs come from the r x r
+Gram matrix Z Z^H, and each sample count takes 2 r n_g standard normals,
+r the number of eigenpairs of R* above rounding level.  Candidates x are
+scored as sum_a d_a |x_a x|^2 from A's rows, as the certificate and the
+reported value read A.  The candidates are ranked in single precision, each
 score with a derived bound on its distance from the double-precision one
 (``_Screen``), and only those the bounds cannot rule out are scored again
 in double precision, so the winner is the one a double-precision pass
@@ -41,8 +42,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import COUNT, ConfigError, SolverError, require_integer
-from .objective import (OmegaRows, Precoder, comm_coefficient, gamma_n,
-                        hermitize)
+from .objective import (EPS, OmegaRows, Precoder, comm_coefficient,
+                        gamma_n, hermitize)
 from .scene import ChannelSet, SceneConfig
 from .squarem import squarem_ascent
 
@@ -55,11 +56,9 @@ _UNIT_DIAG_MAX_STEPS = 10_000
 # Fraction of its largest entry below which the certificate floors the dual
 # vector y on A's live coordinates.
 _DUAL_FLOOR = 1e-3
-_EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# Unit roundoffs of single and double precision.
+# Unit roundoff of single precision.
 _U32 = 2.0 ** -24
-_U64 = 2.0 ** -53
 
 
 def _unit_diag_allowance(n: int) -> float:
@@ -70,7 +69,7 @@ def _unit_diag_allowance(n: int) -> float:
     1 + theta_{n+6}, and its squared norm read back, a sum of 2n
     nonnegative terms, adds theta_{2n}, as the diagonal of the dense Gram
     product does.  It is 1.3e-14 at n = 36."""
-    return gamma_n(3 * n + 6, _U64)
+    return gamma_n(3 * n + 6)
 
 
 @dataclass
@@ -112,10 +111,11 @@ def study_bytes(l: int, n_g: int, n_users: int, n_tx: int) -> int:
     screen's 2L x ``_RATIO_CHUNK`` block and its squares take less) and
     per sample the draw block's 2r float64 rows, their float32 copy and
     eight float64 per-candidate values; and at rank, eight complex arrays
-    of r x L at a time: A's rows, R*'s factor and the basis E, with the
-    relaxation's SQUAREM points and the certificate's products (it takes
-    O(L m), one m x m ``eigvalsh`` of the scaled dual, and runs before the
-    pass).
+    of r x L at a time: A's rows, their scaled copy and its float32 image,
+    and R*'s factor in the study, or the basis E with the relaxation's
+    SQUAREM points and the certificate's products before it (the
+    certificate takes O(L m) and one m x m ``eigvalsh`` of the scaled
+    dual).
 
     r, the rank of A = U3 and of R*, is at most min(L, ``u3_rank_bound``)
     = min(L, K min(K, N)), and R* = Z^H Z with Z at the rank of U3 (a zero
@@ -162,15 +162,13 @@ class GramFactor:
 
     It reads as the L x L array Z^H Z, formed (and symmetrized) on each
     read: ``np.asarray``, ``np.diagonal``, ``np.linalg.eigvalsh`` and
-    ``R + M`` for an array M all take it.  The ratio study reads Z alone.
-    The relaxation hands on the kept eigenpairs (w, E^H) of the A it
-    solved, ``form`` (``_form_eigenpairs``), which the study takes for that
-    same object instead of decomposing it again.
+    ``R + M`` for an array M all take it.  It holds Z alone: the ratio
+    study reads Z, and scores its candidates with A's rows, so nothing of
+    A travels with R*.
     """
 
-    def __init__(self, z: np.ndarray, form: OmegaRows | None = None,
-                 pairs: tuple[np.ndarray, np.ndarray] | None = None):
-        self.z, self.form, self.pairs = z, form, pairs
+    def __init__(self, z: np.ndarray):
+        self.z = z
         self.shape = (z.shape[1], z.shape[1])
 
     def __array__(self, dtype=None, copy=None):
@@ -233,8 +231,8 @@ def unit_diag_dual_bound(a: OmegaRows, r_star: GramFactor) -> float:
         core = min(core, (w + allow) * float(np.sum(v)))
     core = float(np.ldexp(core, 2 * e))
     spread = float(d @ np.square(np.sum(np.abs(x), axis=1)))
-    return core + (gamma_n(n + 3, _U64) * core
-                   + 4.0 * gamma_n(n + m + 4, _U64) * spread)
+    return core + (gamma_n(n + 3) * core
+                   + 4.0 * gamma_n(n + m + 4) * spread)
 
 
 def _scaled_dual(f_h: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -253,9 +251,9 @@ def _scaled_dual(f_h: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     n, m = f_h.shape[1], f_h.shape[0]
     k = (f_h / y) @ f_h.conj().T
     w = float(np.linalg.eigvalsh(k)[-1])
-    return w, (math.sqrt(2.0) * gamma_n(n + 12, _U64) * float(k.trace().real)
-               + 4.0 * (m + 1) * _EPS * math.sqrt(np.vdot(k, k).real)
-               + _EPS * w)
+    return w, (math.sqrt(2.0) * gamma_n(n + 12) * float(k.trace().real)
+               + 4.0 * (m + 1) * EPS * math.sqrt(np.vdot(k, k).real)
+               + EPS * w)
 
 
 def _require_psd_rows(a: OmegaRows) -> None:
@@ -286,13 +284,13 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
     ``unit_diag_dual_bound(A, R*)``.  A is given by its rows (checked
     first, ``_require_psd_rows``) and R* = Z^H Z by its factor, whose
     columns must have unit norm to ``_unit_diag_allowance``.  Both enter
-    at their rank (``_study_factors``): xi = U_r Lambda_r^(1/2) z over the
+    as ``_study_factors`` gives them: xi = U_r Lambda_r^(1/2) z over the
     r eigenpairs of R* above rounding level (lambda_j > L eps lambda_max),
     with z ~ CN(0, I_r) drawn as one 2r x n_g block of standard normals
     (real parts, then imaginary), so the generator advances by 2 r n_g
     normals per sample count; and candidates x are scored by
-    sum_i mu_i |e_i^H x|^2 over the eigenpairs (mu_i, e_i) of A above
-    rounding level, the first best one in draw order winning.  The scores
+    sum_a d_a |x_a x|^2 over A's weights d and rows x_a, each times a
+    power of two, the first best one in draw order winning.  The scores
     are screened in single precision, and the candidates whose bounds
     overlap the best one are ranked again in double precision
     (``_best_candidate``).
@@ -320,7 +318,7 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
     sdp_obj = unit_diag_dual_bound(a, r_star)
     if not sdp_obj > 0.0:                          # A underflows
         raise SolverError(f"the relaxation bound is {sdp_obj!r}: no ratio")
-    half, mu, e_h = _study_factors(a, r_star)
+    half, d, rows = _study_factors(a, r_star)
     screen = None
     reports = []
     for n_g in n_g_grid:
@@ -329,7 +327,7 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
             best = 0
         else:
             if screen is None:
-                screen = _Screen(half, mu, e_h)
+                screen = _Screen(half, d, rows)
             best = _best_candidate(screen, draws)
         best_x = _unit_modulus(half @ _complex_draws(draws, [best]))[:, 0]
         value = _form_value(a, best_x)
@@ -341,20 +339,23 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
 
 def _study_factors(a: OmegaRows, r_star: GramFactor
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U_r Lambda_r^(1/2), mu, E^H): R*'s factor over its eigenpairs above
-    rounding level, L eps times the largest (L the surface size), and A's
-    kept eigenpairs, the eigenvalues mu_i with their eigenvectors as the
-    rows of E^H.  R*'s come from the r' x r' Gram matrix Z Z^H =
-    V diag(lambda) V^H of its factor: R* = Z^H Z has the eigenvalues
-    lambda_j with eigenvectors Z^H v_j / sqrt(lambda_j), so its factor is
-    Z^H V_r.  A's are the relaxation's (``GramFactor.pairs``) where R*
-    solved A, else ``_form_eigenpairs``'s."""
+    """(U_r Lambda_r^(1/2), d 2^-f, X 2^-e): R*'s factor over its
+    eigenpairs above rounding level, L eps times the largest (L the
+    surface size), and A = X^H diag(d) X as its weights and its rows, each
+    times the power of two that puts its largest |entry| in [1/2, 1).  So
+    their float32 images are finite, no score over- or underflows, and A
+    and 2^k A score alike, whether 2^k enters through the weights or the
+    rows.  R*'s eigenpairs come from the r' x r' Gram matrix
+    Z Z^H = V diag(lambda) V^H: R* = Z^H Z has the eigenvectors
+    Z^H v_j / sqrt(lambda_j), so its factor is Z^H V_r."""
     z = r_star.z
     w, v = np.linalg.eigh(z @ z.conj().T)
     # scale-free: the 1/sqrt(2) of CN(0, 1) cancels in xi / |xi|
     half = z.conj().T @ v[:, _above_rounding(w, z.shape[1])]
-    return (half, *(r_star.pairs if r_star.form is a
-                    else _form_eigenpairs(a)))
+    x = np.ascontiguousarray(a.rows, dtype=complex)
+    e = math.frexp(float(np.abs(x).max()))[1]
+    d = np.ldexp(a.weights, -math.frexp(float(a.weights.max()))[1])
+    return half, d, np.ldexp(x.view(float), -e).view(complex)
 
 
 def _complex_draws(draws: np.ndarray, cols) -> np.ndarray:
@@ -375,7 +376,7 @@ def _best_candidate(screen: "_Screen", draws: np.ndarray) -> int:
     a candidate with s_j + b_j below max_i (s_i - b_i) cannot be the best,
     and the rest (the survivors, in draw order) are scored again in double
     precision as x = ``_unit_modulus``(U_r Lambda_r^(1/2) z) and
-    mu @ |E^H x|^2.  Only scores that tie to their own rounding can rank
+    d @ |X x|^2.  Only scores that tie to their own rounding can rank
     apart from that pass's: a BLAS product rounds a column by its place in
     the block, which differs between the survivors and the whole pass.
     """
@@ -392,14 +393,14 @@ def _best_candidate(screen: "_Screen", draws: np.ndarray) -> int:
 
 
 def _double_scores(screen: "_Screen", draws: np.ndarray, cols) -> np.ndarray:
-    """mu @ |E^H x|^2 of the candidates x = ``_unit_modulus``(U_r
-    Lambda_r^(1/2) z) of columns ``cols`` of the draw block, in double
-    precision; the L x len(cols) block is freed on return, before the
-    next chunk's is formed."""
+    """sum_a d_a |x_a x|^2 over A's weights and scaled rows, of the
+    candidates x = ``_unit_modulus``(U_r Lambda_r^(1/2) z) of columns
+    ``cols`` of the draw block, in double precision; the L x len(cols)
+    block is freed on return, before the next chunk's is formed."""
     x = _unit_modulus(screen.half @ _complex_draws(draws, cols))
-    proj = (screen.e_h @ x).view(float)              # Re, Im interleaved
+    proj = (screen.rows @ x).view(float)             # Re, Im interleaved
     np.square(proj, out=proj)
-    return screen.mu @ (proj[:, 0::2] + proj[:, 1::2])
+    return screen.d @ (proj[:, 0::2] + proj[:, 1::2])
 
 
 class _Screen:
@@ -407,17 +408,17 @@ class _Screen:
     a bound on its distance from the double-precision score.
 
     With H = U_r Lambda_r^(1/2) (L x r, rows h_l) and z a draw, the
-    double-precision pass scores S(x) = sum_i mu_i |e_i^H x|^2 at
-    x = ``_unit_modulus``(H z).  The screen forms u = H z, x = u / |u| and
-    P = E^H x on the real images [[Re M, -Im M], [Im M, Re M]] of H and
-    E^H cast to float32, with mu scaled by a power of two to a largest
-    |mu_i| in [1/2, 1) (so A and 2^k A screen alike); scores and bounds are
-    in that scale.  With m kept eigenpairs of A, T = sum_i |mu_i| (tr|A|
-    over them), e = max_i ||e_i||, gamma_n and gamma'_n Higham's bounds at
-    single and double precision, and u-hat the computed float32 u, the
-    score s_j of candidate j lies within
+    double-precision pass scores S(x) = sum_a d_a |x_a x|^2 at
+    x = ``_unit_modulus``(H z), over A's m weights d_a and rows x_a as
+    ``_study_factors`` scales them.  The screen forms u = H z, x = u / |u|
+    and P = X x on the real images [[Re M, -Im M], [Im M, Re M]] of H and
+    X cast to float32, with d cast too.  With T = sum_a d_a ||x_a||^2
+    (tr A in that scale) and W = sum_a d_a, each d_a floored at 2^-126
+    there (below it its cast errs by u 2^-126, not u d_a), gamma_n and
+    gamma'_n Higham's bounds at single and double precision, and u-hat the
+    computed float32 u, the score s_j of candidate j lies within
 
-        b_j = c0 + 2 T e rho D_j + T e^2 D_j^2
+        b_j = c0 + 2 T rho D_j + T D_j^2
 
     of the double-precision one, where
 
@@ -435,13 +436,14 @@ class _Screen:
       |x-hat_l - x_l| <= 2 a ||h_l|| ||z|| / |u-hat_l| + gamma_8
       + gamma'_6; this holds where u_l = 0 and x_l = 1 too.  Summed in
       squares over l, that is D_j, and ||x-hat - x|| <= D_j.
-    - Score of the perturbed candidate: S(x-hat) - S(x) =
-      sum_i mu_i (|e_i^H x-hat|^2 - |e_i^H x|^2), at most
-      T (2 e rho D_j + e^2 D_j^2) in size, with ||x||, ||x-hat|| <= rho / e
-      and rho = e sqrt(L) (1 + gamma_8).
-    - Rounding of each score: P is a real product of length 2L, within
-      kappa = sqrt(2) gamma_{2L+2} rho of E^H x-hat per entry, and the
-      weighted sum of squares adds gamma_{m+3}, so
+    - Score of the perturbed candidate: every |x_l| and |x-hat_l| is at
+      most 1 + gamma_8, so ||x||, ||x-hat|| <= rho = sqrt(L) (1 + gamma_8),
+      and |x_a x-hat| and |x_a x| differ by at most ||x_a|| D_j; so
+      S(x-hat) - S(x) = sum_a d_a (|x_a x-hat|^2 - |x_a x|^2) is at most
+      T (2 rho D_j + D_j^2) in size.
+    - Rounding of each score: P is a real product of length 2L, each entry
+      within ||x_a|| kappa of x_a x-hat, kappa = sqrt(2) gamma_{2L+2} rho,
+      and the weighted sum of squares adds gamma_{m+3}, so
       c0 >= T ((2 rho + kappa) kappa + gamma_{m+3} (rho + kappa)^2), at
       each precision, summed.
 
@@ -452,25 +454,26 @@ class _Screen:
     screened, so the underflow in u-hat_l, at most sqrt(2) 2^-149
     (|h_l|_1 + |z|_1 + 2r), moves its phase by at most
     a1 (||z|| + max_l ||h_l|| + sqrt(2r)) summed in squares, with
-    a1 = 2^-98 sqrt(2rL) and a0 = a1 (max_l ||h_l|| + sqrt(2r)); that of
-    P and the scores is in kappa and in the (T + m) 2^-147 of c0.  The
-    double-precision pass is not modeled with underflow.  c0 also holds
-    2 gamma'_1 max |s_j|, ||z_j|| carries its rounding gamma'_{2r+2}, and
-    every constant a factor 1 + gamma'_16: together they cover forming
-    b_j and s_j +- b_j in double precision.  A candidate not screened (a
-    non-finite score, or some |u-hat_l| too small, a zero draw among
-    them) gets b_j = inf and survives.
+    a1 = 2^-98 sqrt(2rL) and a0 = a1 (max_l ||h_l|| + sqrt(2r)).  That of
+    P, delta = sqrt(2) L 2^-147 an entry, is in the float32 kappa, and as
+    t - t^2 <= 1/4 and 1 - t^2 <= 1 at t = ||x_a||, the T terms cover all
+    of it but W L (rho + kappa) 2^-147; that of the scores is at most
+    (W + m) 2^-147.  c0 holds both.  The double-precision pass is not
+    modeled with underflow.  c0 also holds 2 gamma'_1 max |s_j|, ||z_j||
+    carries its rounding gamma'_{2r+2}, and every constant a factor
+    1 + gamma'_16: together they cover forming b_j and s_j +- b_j in
+    double precision.  A candidate not screened (a non-finite score, or
+    some |u-hat_l| too small, a zero draw among them) gets b_j = inf and
+    survives.
     """
 
-    def __init__(self, half: np.ndarray, mu: np.ndarray, e_h: np.ndarray):
-        self.half, self.mu, self.e_h = half, mu, e_h
+    def __init__(self, half: np.ndarray, d: np.ndarray, rows: np.ndarray):
+        self.half, self.d, self.rows = half, d, rows
         l, r = half.shape
-        m = mu.size
-        mu_max = float(np.max(np.abs(mu), initial=0.0))
-        self.scale = scale = math.ldexp(1.0, -math.frexp(mu_max)[1])
+        m = d.size
         self.hb = _real_image(half).astype(np.float32)
-        self.eb = _real_image(e_h).astype(np.float32)
-        self.mu32 = (mu * scale).astype(np.float32)
+        self.xb = _real_image(rows).astype(np.float32)
+        self.d32 = d.astype(np.float32)
         hn2 = np.sum(np.abs(half) ** 2, axis=1)
         # with ||h_l||^2 floored at 2^-40 the reduction is at least
         # 2^-40 max_l 1/|u-hat_l|^2, so one at most 2^58 (screened) has
@@ -480,33 +483,35 @@ class _Screen:
         # the reduction: hn2's cast, |u|^2 and its reciprocal, L products
         # and sums, relative
         self.red_factor = 1.0 / (1.0 - gamma_n(l + 5, _U32))
-        t = float(np.sum(np.abs(mu))) * scale * (1.0 + gamma_n(m + 1, _U64))
-        e = (1.0 + gamma_n(l + 2, _U64)) * math.sqrt(float(np.max(
-            np.sum(np.abs(e_h) ** 2, axis=1), initial=0.0)))
+        floored = np.maximum(d, 2.0 ** -126)
+        t = float(floored @ np.sum(np.abs(rows) ** 2, axis=1)) * (
+            1.0 + gamma_n(l + m + 2))
+        w = float(np.sum(floored)) * (1.0 + gamma_n(m))
         root_l = math.sqrt(l)
-        rho = e * root_l * (1.0 + gamma_n(8, _U32))
+        rho = root_l * (1.0 + gamma_n(8, _U32))
         kappa32 = (math.sqrt(2.0) * gamma_n(2 * l + 2, _U32) * rho
                    + math.sqrt(2.0) * l * 2.0 ** -147)
-        kappa64 = math.sqrt(2.0) * gamma_n(2 * l + 2, _U64) * rho
+        kappa64 = math.sqrt(2.0) * gamma_n(2 * l + 2) * rho
         rounding = sum(
-            t * ((2.0 * rho + k) * k + gamma_n(m + 3, u) * (rho + k) ** 2)
-            for k, u in ((kappa32, _U32), (kappa64, _U64)))
+            t * ((2.0 * rho + k) * k + g * (rho + k) ** 2)
+            for k, g in ((kappa32, gamma_n(m + 3, _U32)),
+                         (kappa64, gamma_n(m + 3))))
         top = t * (rho + kappa32) ** 2 * (1.0 + gamma_n(m + 3, _U32))
-        slack = 1.0 + gamma_n(16, _U64)
-        self.c0 = slack * (rounding + (t + m) * 2.0 ** -147
-                           + 2.0 * gamma_n(1, _U64) * top)
-        self.c1 = slack * 2.0 * t * e * rho
-        self.c2 = slack * t * e * e
-        norm = 1.0 + gamma_n(2 * r + 2, _U64)        # of ||z_j||
-        a = math.sqrt(2.0) * (gamma_n(2 * r + 2, _U32)
-                              + gamma_n(2 * r + 2, _U64))
+        slack = 1.0 + gamma_n(16)
+        # the underflow of P beyond the T terms, and of the scores
+        underflow = (w * (1.0 + l * (rho + kappa32)) + m) * 2.0 ** -147
+        self.c0 = slack * (rounding + underflow + 2.0 * gamma_n(1) * top)
+        self.c1 = slack * 2.0 * t * rho
+        self.c2 = slack * t
+        norm = 1.0 + gamma_n(2 * r + 2)             # of ||z_j||
+        a = math.sqrt(2.0) * (gamma_n(2 * r + 2, _U32) + gamma_n(2 * r + 2))
         under = 2.0 ** -98 * math.sqrt(2.0 * r * l)    # a1
         h_max = math.sqrt(float(hn2.max(initial=0.0)))
         # D_j = (2 a sqrt(reduction) + 2 a1) ||z_j|| + 2 a0 + normalizing
         self.d_red = slack * 2.0 * a * norm
         self.d_z = slack * 2.0 * under * norm
         self.d_0 = slack * (2.0 * under * (h_max + math.sqrt(2.0 * r))
-                            + (gamma_n(8, _U32) + gamma_n(6, _U64)) * root_l)
+                            + (gamma_n(8, _U32) + gamma_n(6)) * root_l)
 
     def scores(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(s, b): the screened score of every candidate of the 2r x n
@@ -537,7 +542,7 @@ class _Screen:
         """The float32 scores and reductions of one chunk of draws, into
         ``s`` and ``red``; its 2L x chunk block is freed on return, before
         the next chunk's is formed."""
-        l, m = self.half.shape[0], self.mu.size
+        l, m = self.half.shape[0], self.d.size
         u = self.hb @ z32                            # Re u over Im u
         sq = np.square(u)
         inv = np.add(sq[:l], sq[l:], out=sq[:l])    # |u|^2
@@ -546,9 +551,9 @@ class _Screen:
         np.sqrt(inv, out=inv)
         u[:l] *= inv
         u[l:] *= inv                                 # x = u / |u|
-        p = self.eb @ u                              # E^H x
+        p = self.xb @ u                              # X x
         np.square(p, out=p)
-        s[:] = self.mu32 @ (p[:m] + p[m:])
+        s[:] = self.d32 @ (p[:m] + p[m:])
 
 
 def _real_image(m: np.ndarray) -> np.ndarray:
@@ -565,12 +570,8 @@ def _unit_modulus(x: np.ndarray) -> np.ndarray:
     (re + im 0, im - re 0) * (1 / |x|), except for the sign of an
     exactly-zero real or imaginary part, which the two can set
     differently and no later sum or comparison sees; and it is cheaper.
-    The masks run only where some entry is zero.
     """
     mag = np.abs(x)
-    if mag.all():
-        x *= np.reciprocal(mag, out=mag)
-        return x
     zero = mag == 0.0
     mag[zero] = 1.0
     x *= np.reciprocal(mag, out=mag)
@@ -581,7 +582,7 @@ def _unit_modulus(x: np.ndarray) -> np.ndarray:
 def _above_rounding(w: np.ndarray, n: int) -> np.ndarray:
     """Mask of the eigenvalues w above rounding level, n eps max(w), n
     the surface size L."""
-    return w > n * _EPS * float(w.max(initial=0.0))
+    return w > n * EPS * float(w.max(initial=0.0))
 
 
 def _form_eigenpairs(a: OmegaRows) -> tuple[np.ndarray, np.ndarray]:
@@ -670,7 +671,7 @@ def solve_unit_diag_relaxation(a: OmegaRows) -> GramFactor:
     """
     _require_psd_rows(a)
     n = a.rows.shape[1]
-    m, e_h = pairs = _form_eigenpairs(a)
+    m, e_h = _form_eigenpairs(a)
     if m.size:             # the maps at the largest eigenvalue in [1/2, 1)
         top = float(m.max())
         if top < _TINY:
@@ -699,4 +700,4 @@ def solve_unit_diag_relaxation(a: OmegaRows) -> GramFactor:
         _UNIT_DIAG_MAX_STEPS - 1)
     unit = np.zeros((np.count_nonzero(fixed), n), dtype=complex)
     unit[np.arange(unit.shape[0]), np.flatnonzero(fixed)] = 1.0
-    return GramFactor(np.concatenate((z, unit)), a, pairs)
+    return GramFactor(np.concatenate((z, unit)))

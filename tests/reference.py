@@ -568,22 +568,23 @@ def dense_ratio_study(a: OmegaRows, r_star: GramFactor, n_g_grid,
     return reports
 
 
-def float64_scores(half: np.ndarray, mu: np.ndarray, e_h: np.ndarray,
+def float64_scores(half: np.ndarray, d: np.ndarray, rows: np.ndarray,
                    draws: np.ndarray) -> np.ndarray:
     """Reference for ``ratio._Screen`` and ``ratio._best_candidate``: the
-    double-precision score sum_i mu_i |e_i^H x|^2 of every candidate
-    x = ``_unit_modulus``(half z) of the 2r x n draw block (real parts over
-    imaginary parts), formed ``_RATIO_CHUNK`` columns at a time, as the
-    study ranked every candidate before its single-precision screen."""
+    double-precision score sum_a d_a |x_a x|^2, over the weights d and
+    rows x_a, of every candidate x = ``_unit_modulus``(half z) of the
+    2r x n draw block (real parts over imaginary parts), formed
+    ``_RATIO_CHUNK`` columns at a time, as the study ranked every
+    candidate before its single-precision screen."""
     r = draws.shape[0] // 2
     z = np.empty((r, draws.shape[1]), dtype=complex)
     z.real, z.imag = draws[:r], draws[r:]
     scores = []
     for j in range(0, z.shape[1], ratio._RATIO_CHUNK):
         x = ratio._unit_modulus(half @ z[:, j:j + ratio._RATIO_CHUNK])
-        proj = (e_h @ x).view(float)             # Re, Im interleaved
+        proj = (rows @ x).view(float)            # Re, Im interleaved
         np.square(proj, out=proj)
-        scores.append(mu @ (proj[:, 0::2] + proj[:, 1::2]))
+        scores.append(d @ (proj[:, 0::2] + proj[:, 1::2]))
     return np.concatenate(scores)
 
 
@@ -594,11 +595,11 @@ def float64_ratio_study(a: OmegaRows, r_star: GramFactor, n_g_grid,
     same report, with the first best of every candidate's double-precision
     score (``float64_scores``) winning, and no rank-one shortcut."""
     sdp_obj = unit_diag_dual_bound(a, r_star)
-    half, mu, e_h = ratio._study_factors(a, r_star)
+    half, d, rows = ratio._study_factors(a, r_star)
     reports = []
     for n_g in n_g_grid:
         draws = rng.standard_normal((2 * half.shape[1], int(n_g)))
-        best = int(np.argmax(float64_scores(half, mu, e_h, draws)))
+        best = int(np.argmax(float64_scores(half, d, rows, draws)))
         x = ratio._unit_modulus(half @ ratio._complex_draws(draws, [best]))
         value = ratio._form_value(a, x[:, 0])
         reports.append(RandomizationReport(

@@ -550,6 +550,17 @@ def test_readme_commands_parse():
         assert parser.parse_args(argv).command == argv[0]
 
 
+def test_readme_library_sketch_runs(capsys):
+    # the README's "Library sketch" block, executed: a name or a signature
+    # it uses that is gone cannot stay documented
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Library sketch\n\n```python\n", 1)[1].split(
+        "```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 class TestPlotdata:
     def test_emits_gnuplot_columns(self, tmp_path, capsys):
         config = write_config(tmp_path)

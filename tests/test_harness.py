@@ -357,6 +357,9 @@ class TestWorkers:
                                                          monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "7")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        # two usable CPUs, so that two workers start on any machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         before = dict(os.environ)
         spec = make_spec(tmp_path, trials=4, threads=2)
         [results], errors = harness._run_trials(_blas_env, spec, [spec.scene])
@@ -368,12 +371,16 @@ class TestWorkers:
         (1000, 3, 8, 3),     # one per trial
         (1000, 12, 3, 3),    # one per usable CPU
         (2, 12, 8, 2),       # as many as asked for
+        (1000, 1, 8, 1),     # one trial: no pool
+        (1000, 12, 1, 1),    # one CPU: no pool
+        (1, 12, 8, 1),       # one asked for: no pool
     ])
     @pytest.mark.parametrize("affinity", [True, False])
     def test_pool_is_bounded_by_trials_and_cpus(self, tmp_path, monkeypatch,
                                                 threads, trials, cpus,
                                                 workers, affinity):
-        # a stand-in pool records its size and maps inline: no process starts
+        # a stand-in pool records its size and maps inline: no process
+        # starts, and at one worker the trials run here with no pool
         import concurrent.futures
         sizes = []
 
@@ -400,8 +407,25 @@ class TestWorkers:
         spec = make_spec(tmp_path, trials=trials, threads=threads)
         [results], errors = harness._run_trials(
             lambda cfg, ch, rng, opts, trial: trial, spec, [spec.scene])
-        assert sizes == [workers]
+        assert sizes == ([workers] if workers > 1 else [])
         assert results == list(range(trials)) and errors == []
+
+    def test_trials_at_once_are_counted_against_memory(self, tmp_path,
+                                                       monkeypatch):
+        # two trials on two CPUs hold two trials' arrays at once: memory
+        # for one rejects threads 2 and takes threads 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        scene = {**small_scene_dict(), "irs_rows": 200, "irs_cols": 200}
+        one = harness._trial_bytes(200 * 200, 3, 2)
+        assert target_check_bytes(3, 2) <= one
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * one - 1)
+        with pytest.raises(ConfigError,
+                           match=r"irs_rows \* irs_cols = 40000: the arrays "
+                                 r"of 2 trials at once at n_tx = 3, "
+                                 r"n_users = 2 take"):
+            make_spec(tmp_path, scene=scene, trials=2, threads=2)
+        make_spec(tmp_path, scene=scene, trials=2, threads=1)     # fits
 
     def test_failed_draw_is_a_recorded_trial(self, tmp_path, monkeypatch):
         # a trial's inputs are drawn inside its guard: channels that fail

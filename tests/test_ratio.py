@@ -383,8 +383,8 @@ class TestLowRankStudy:
         assert got.tobytes() != want.tobytes()
 
     def test_mask_free_normalization_is_the_masked_divide(self, rng):
-        # no entry is zero, so the masks are skipped: the same bits as the
-        # masked divide up to the sign of an exactly-zero part
+        # no entry is zero: the same bits as the masked divide up to the
+        # sign of an exactly-zero part
         x = complex_normal(rng, 6, 4000)
         x[1, :2] = [complex(-0.0, 1.0), complex(2.0, -0.0)]
         want = x.copy()
@@ -481,11 +481,10 @@ class TestLowRankStudy:
 def screen_against_float64(a, r_star, draws):
     """(screened winner, double-precision winner, survivors) on a draw
     block, after checking every screened score against its bound."""
-    half, mu, e_h = ratio._study_factors(a, r_star)
-    screen = ratio._Screen(half, mu, e_h)
+    half, d, rows = ratio._study_factors(a, r_star)
+    screen = ratio._Screen(half, d, rows)
     s, b = screen.scores(draws)
-    # the pass with mu scaled by a power of two: the same bits, scaled
-    exact = float64_scores(half, mu, e_h, draws) * screen.scale
+    exact = float64_scores(half, d, rows, draws)
     screened = np.isfinite(b)
     assert np.all(np.abs(s - exact)[screened] <= b[screened])
     survivors = np.count_nonzero(s + b >= np.max(s - b))
@@ -572,8 +571,8 @@ class TestSingleScreen:
         a = ratio_study_matrix(6, 6, seed=33)
         r = solve_unit_diag_relaxation(a)
         zeros = np.zeros((4, 7))
-        half, mu, e_h = ratio._study_factors(a, r)
-        assert np.all(ratio._Screen(half, mu, e_h).scores(zeros)[1] == np.inf)
+        assert np.all(ratio._Screen(*ratio._study_factors(a, r)).scores(
+            zeros)[1] == np.inf)
         got, want, survivors = screen_against_float64(a, r, zeros)
         assert got == want and survivors == 7
         draws = study_draws(a, r, 600, 2)
@@ -600,6 +599,50 @@ class TestSingleScreen:
         else:
             assert new == ref
         assert rng_new.random() == rng_ref.random()
+
+
+class TestRowScores:
+    """The study scores its candidates with A's rows, and R* travels as Z
+    alone: no eigenpair of A is taken outside the relaxation."""
+
+    @pytest.mark.parametrize("source", ["relaxed", "identity"])
+    def test_study_takes_no_eigenpair_of_a(self, monkeypatch, source):
+        # R* of rank 2 and R* = I: the candidate pass runs on both
+        if source == "relaxed":
+            a = ratio_study_matrix(6, 6, seed=33)
+            r = solve_unit_diag_relaxation(a)
+        else:
+            a = form_rows(random_psd(np.random.default_rng(1), 9))
+            r = gram_factor(np.eye(9, dtype=complex))
+        calls, pairs = [], ratio._form_eigenpairs
+        monkeypatch.setattr(ratio, "_form_eigenpairs",
+                            lambda a: (calls.append(a), pairs(a))[1])
+        reports = approximation_ratio_study(a, r, [10, 1000],
+                                            np.random.default_rng(5))
+        assert calls == []
+        assert all(0.0 < rep.ratio <= 1.0 for rep in reports)
+        solve_unit_diag_relaxation(a)       # the spy sees the relaxation's
+        assert calls == [a]
+
+    def test_subnormal_weights_score_as_normal_ones(self):
+        # weights (1, 1.5) 2^-1040 are exact subnormal floats; with the rows
+        # times 2^500, A is back at a normal scale, and the study scales
+        # weights and rows by powers of two, so the ratios keep their bits.
+        # With the rows as they are, A itself is subnormal: the ratios lose
+        # bits, but the study still ranks and reports
+        x = complex_normal(np.random.default_rng(0), 2, 6)
+        eye = gram_factor(np.eye(6, dtype=complex))
+        weights = np.array([1.0, 1.5])
+        want, got, tiny = ([rep.ratio for rep in approximation_ratio_study(
+            OmegaRows(x * 2.0 ** k, weights * 2.0 ** j), eye, [5, 100],
+            np.random.default_rng(1))] for k, j in ((0, 0), (500, -1040),
+                                                     (0, -1040)))
+        assert got == want
+        assert all(0.0 < ratio <= 1.0 for ratio in tiny)
+
+    def test_factor_holds_z_alone(self):
+        r = solve_unit_diag_relaxation(ratio_study_matrix(6, 6, seed=33))
+        assert set(vars(r)) == {"z", "shape"}
 
 
 class TestAcceleratedUnitDiagAscent:
@@ -812,18 +855,19 @@ class TestFactoredCertificate:
 
 @pytest.mark.kernels
 class TestRankRule:
-    """The eigenpairs the study keeps at rank, L eps times the largest,
-    against the same rule on the dense matrices."""
+    """The eigenpairs kept at rank, L eps times the largest, R*'s that the
+    study draws from and A's that the relaxation runs on, against the same
+    rule on the dense matrices."""
 
     @pytest.mark.parametrize("rows,cols", [(2, 4), (6, 6)])
     def test_same_ranks_as_dense(self, rows, cols):
         for seed in range(30):
             a = ratio_study_matrix(rows, cols, seed)
             r = solve_unit_diag_relaxation(a)
-            half, mu, _ = ratio._study_factors(a, r)
+            half = ratio._study_factors(a, r)[0]
             assert half.shape[1] == kept_rank_at_rounding_level(r), seed
             w = np.abs(np.linalg.eigvalsh(dense_form(a)))
-            assert mu.size == np.count_nonzero(
+            assert ratio._form_eigenpairs(a)[0].size == np.count_nonzero(
                 ratio._above_rounding(w, w.size)) == a.rows.shape[0], seed
 
     def test_kept_factor_reproduces_reference_covariance(self):
