@@ -7,28 +7,30 @@ precoder of an alternating run, the communication form U3 = cc Psi Psi^H
 of the phase problem is the matrix A of the unit-modulus problem
 max x^H A x, and it travels as its m rows Psi^H with their weights, each
 > 0 (``build_quadratic_terms``, an ``objective.OmegaRows``; m = K K', 5 on
-the shipped scenes; ``_require_psd_rows``).  Its relaxation max tr(A R) over
-{R >= 0, diag(R) = 1} is solved by the same minorization step (a
-generalized power method), run on coordinates in the eigenbasis of A at
-its rank in guarded SQUAREM cycles (``squarem.squarem_ascent``, shared
-with the phase step) until the fixed-point residual falls to 1e-10
-(``solve_unit_diag_relaxation``); A's kept eigenpairs, those above
-rounding level, come from a thin QR of the rows and one m x m ``eigh``
-(``_form_eigenpairs``), for the relaxation alone, and R* = Z^H Z travels
-as its factor Z (``GramFactor``, r x L), which reads as an L x L array
-only where a caller asks.  A dual certificate bounds the relaxation
-(``unit_diag_dual_bound``): y = Re diag(A R*), floored, times
-s = lambda_max(F^H Diag(1/y) F), A = F F^H, is a dual point,
-Diag(s y) >= A, from one m x m ``eigvalsh``.  Draws are formed at the rank
-of R* (``approximation_ratio_study``): R*'s eigenpairs come from the r x r
-Gram matrix Z Z^H, and each sample count takes 2 r n_g standard normals,
-r the number of eigenpairs of R* above rounding level.  Candidates x are
-scored as sum_a d_a |x_a x|^2 from A's rows, as the certificate and the
-reported value read A.  The candidates are ranked in single precision, each
+the shipped scenes).  A enters the chain once, as one scaled factor F
+(m x L) with A = 2^s F^H F for an integer s (``_factor``, which checks the
+rows), and every step reads F alone, so A and 2^k A give the same bits.
+The relaxation max tr(A R) over {R >= 0, diag(R) = 1} is solved by the
+same minorization step (a generalized power method), run on coordinates
+in the eigenbasis of F^H F at its rank in guarded SQUAREM cycles
+(``squarem.squarem_ascent``, shared with the phase step) until the
+fixed-point residual falls to 1e-10 (``solve_unit_diag_relaxation``); the
+kept eigenpairs, those above rounding level, come from a thin QR of F^H
+and one m x m ``eigh`` (``_form_eigenpairs``), for the relaxation alone,
+and R* = Z^H Z travels as its factor Z (``GramFactor``, r x L), which
+reads as an L x L array only where a caller asks.  A dual certificate
+bounds the relaxation (``unit_diag_dual_bound``): y = Re diag(F^H F R*),
+floored, times c = lambda_max(F Diag(1/y) F^H), is a dual point,
+Diag(c y) >= F^H F, from one m x m ``eigvalsh``.  Draws are formed at the
+rank of R* (``approximation_ratio_study``): R*'s eigenpairs come from the
+r x r Gram matrix Z Z^H, and each sample count takes 2 r n_g standard
+normals, r the number of eigenpairs of R* above rounding level.
+Candidates x are scored as ||F x||^2, the form the certificate and the
+reported value read.  The candidates are ranked in single precision, each
 score with a derived bound on its distance from the double-precision one
 (``_Screen``), and only those the bounds cannot rule out are scored again
 in double precision, so the winner is the one a double-precision pass
-over every candidate picks.
+over every candidate picks.  Each ratio is taken in F's scale.
 Where r = 1 every candidate is one vector up to a phase, and no candidate
 pass runs.  A trial decomposes no L x L matrix and forms no L x L array.
 """
@@ -56,7 +58,6 @@ _UNIT_DIAG_MAX_STEPS = 10_000
 # Fraction of its largest entry below which the certificate floors the dual
 # vector y on A's live coordinates.
 _DUAL_FLOOR = 1e-3
-_TINY = float(np.finfo(float).tiny)
 # Unit roundoff of single precision.
 _U32 = 2.0 ** -24
 
@@ -76,10 +77,10 @@ def _unit_diag_allowance(n: int) -> float:
 class RandomizationReport:
     """Outcome of one Gaussian-randomization batch.
 
-    The ratio must be at most 1 exactly: the reported objective is at most
-    the reference in floating point (``unit_diag_dual_bound`` covers the
-    rounding of both), and a rounded quotient a / b with a <= b, b > 0, is
-    at most 1, since rounding is monotone.
+    The ratio must be at most 1 exactly: it is taken in F's scale, where
+    the value is at most the bound in floating point (``_dual_bound``
+    covers the rounding of both), and a rounded quotient a / b with
+    a <= b, b > 0, is at most 1, since rounding is monotone.
     """
 
     n_samples: int
@@ -111,9 +112,9 @@ def study_bytes(l: int, n_g: int, n_users: int, n_tx: int) -> int:
     screen's 2L x ``_RATIO_CHUNK`` block and its squares take less) and
     per sample the draw block's 2r float64 rows, their float32 copy and
     eight float64 per-candidate values; and at rank, eight complex arrays
-    of r x L at a time: A's rows, their scaled copy and its float32 image,
-    and R*'s factor in the study, or the basis E with the relaxation's
-    SQUAREM points and the certificate's products before it (the
+    of r x L at a time: A's rows, its factor F (``_factor``) and F's
+    float32 image, and R*'s factor in the study, or the basis E with the
+    relaxation's SQUAREM points and the certificate's products before it (the
     certificate takes O(L m) and one m x m ``eigvalsh`` of the scaled
     dual).
 
@@ -163,8 +164,8 @@ class GramFactor:
     It reads as the L x L array Z^H Z, formed (and symmetrized) on each
     read: ``np.asarray``, ``np.diagonal``, ``np.linalg.eigvalsh`` and
     ``R + M`` for an array M all take it.  It holds Z alone: the ratio
-    study reads Z, and scores its candidates with A's rows, so nothing of
-    A travels with R*.
+    study reads Z, and scores its candidates with A's factor F, so nothing
+    of A travels with R*.
     """
 
     def __init__(self, z: np.ndarray):
@@ -179,77 +180,78 @@ class GramFactor:
 
 
 def unit_diag_dual_bound(a: OmegaRows, r_star: GramFactor) -> float:
-    """Certified upper bound on max tr(A R) over {R >= 0, diag(R) = 1}.
+    """Certified upper bound on max tr(A R) over {R >= 0, diag(R) = 1}:
+    ``_dual_bound`` at A = 2^s F^H F (``_factor``), times 2^s."""
+    f, s = _factor(a)
+    return math.ldexp(_dual_bound(f, r_star.z), s)
 
-    Any v with Diag(v) >= A gives the bound sum(v) by weak duality
-    (tr(A R) <= tr(Diag(v) R) = sum(v) on the feasible set).  A =
-    X^H diag(d) X is given by its m rows X with weights d > 0
-    (``_require_psd_rows``), so A = F F^H with F = (sqrt(d) o X)^H
-    (L x m), and for y > 0 Diag(s y) - F F^H is PSD exactly when
-    I - F^H Diag(1 / (s y)) F is (the inertia of the Schur complements of
-    [[Diag(s y), F], [F^H, I]]; Haynsworth, Linear Algebra Appl. 1,
-    1968), that is when s >= lambda_max(K), K = F^H Diag(1/y) F (m x m).
-    So v = s y with s = lambda_max(K) certifies, from one ``eigvalsh``
-    (``_scaled_dual``, which also bounds its rounding).  y is
-    Re diag(A R), the column sums of d o conj(X) o ((X Z^H) Z) for
-    R = Z^H Z, O(L m r): at a near-optimal R it is near the optimal dual,
-    and s y near it too, so the bound is near tr(A R).  A zero column i of
-    A gives y_i = 0 and a zero row and column of Diag(y) - A, which add
-    nothing, so only the other (live) coordinates enter.  There y is
-    divided by its largest entry and floored at ``_DUAL_FLOOR``, which
-    only rescales the certificate and keeps every y_i > 0; where no
-    y_i > 0 (tr(A R) = 0, far from the optimum) y = 1.  The bound takes
-    the smaller of that certificate and the one at y = 1, L lambda_max(A),
-    which caps it where y is rounding noise (scaled up, noise at A R = 0
-    gave 321 L lambda_max(A)).  F enters times the power of two that puts
-    its largest |entry| in [1/2, 1), so nothing in K over- or underflows,
-    and the bound is scaled back exactly where it is a normal float.
+
+def _dual_bound(f: np.ndarray, z: np.ndarray) -> float:
+    """Certified upper bound on max tr(F^H F R) over {R >= 0, diag(R) = 1},
+    R* = Z^H Z, for F (m x L) as ``_factor`` gives it, the largest |entry|
+    in [1/2, 1).  It is at least ||F||_F^2 >= 1/4, the value at R = I, so
+    it is never 0 (a ratio against it is never 0 / 0).
+
+    Any v with Diag(v) >= F^H F gives the bound sum(v) by weak duality
+    (tr(F^H F R) <= tr(Diag(v) R) = sum(v) on the feasible set).  For
+    y > 0, Diag(c y) - F^H F is PSD exactly when I - F Diag(1 / (c y)) F^H
+    is (the inertia of the Schur complements of [[Diag(c y), F^H], [F, I]];
+    Haynsworth, Linear Algebra Appl. 1, 1968), that is when
+    c >= lambda_max(K), K = F Diag(1/y) F^H (m x m).  So v = c y with
+    c = lambda_max(K) certifies, from one ``eigvalsh`` (``_scaled_dual``,
+    which also bounds its rounding).  y is Re diag(F^H F R), the column
+    sums of conj(F) o ((F Z^H) Z) for R = Z^H Z, O(L m r): at a
+    near-optimal R it is near the optimal dual, and c y near it too, so
+    the bound is near tr(F^H F R).  A zero column i of F gives y_i = 0 and
+    a zero row and column of Diag(y) - F^H F, which add nothing, so only
+    the other (live) coordinates enter.  There y is divided by its largest
+    entry and floored at ``_DUAL_FLOOR``, which only rescales the
+    certificate and keeps every y_i > 0; where no y_i > 0 (tr(F^H F R) = 0,
+    far from the optimum) y = 1.  The bound takes the smaller of that
+    certificate and the one at y = 1, L lambda_max(F^H F), which caps it
+    where y is rounding noise (scaled up, noise at A R = 0 gave
+    321 L lambda_max(A)).
 
     The bound adds gamma_{L+3} of itself, which covers the sum of y, the
-    addition of s's allowance, the product and the last two additions,
-    and 4 gamma_{L+m+4} T, T = sum_a d_a ||x_a||_1^2, which bounds how far
-    a value x^H A x of a unit-modulus x computed as sum_a d_a |x_a x|^2
-    (``_form_value``) may lie above the exact one: each complex product
-    x_a x is within sqrt(2) gamma_{L+2} ||x_a||_1 of its value (Higham,
-    Section 3.6), its square within 3 gamma_{L+2} ||x_a||_1^2, and the
-    weighted sum adds gamma_{m+2}.  So a ratio of such a value against the
-    bound stays <= 1 in floating point.
+    addition of c's allowance, the product and the last two additions,
+    and 4 gamma_{L+m+4} T, T = sum_a ||f_a||_1^2 over the rows f_a of F,
+    which bounds how far a value ||F x||^2 of a unit-modulus x computed as
+    sum_a |f_a x|^2 (``_double_scores``) may lie above the exact one: each
+    complex product f_a x is within sqrt(2) gamma_{L+2} ||f_a||_1 of its
+    value (Higham, Section 3.6), its square within 3 gamma_{L+2}
+    ||f_a||_1^2, and the sum adds gamma_{m+2}.  So a ratio of such a value
+    against the bound stays <= 1 in floating point.
     """
-    _require_psd_rows(a)
-    x, d, z = a.rows, a.weights, r_star.z
-    n, m = z.shape[1], x.shape[0]
-    y = (d @ (x.conj() * ((x @ z.conj().T) @ z))).real
-    live = np.any(x != 0.0, axis=0)
-    f_h, y = x[:, live] * np.sqrt(d)[:, np.newaxis], y[live]
+    n, m = z.shape[1], f.shape[0]
+    y = np.sum(f.conj() * ((f @ z.conj().T) @ z), axis=0).real
+    live = np.any(f != 0.0, axis=0)
+    f, y = f[:, live], y[live]
     top = float(y.max())
     y = np.maximum(y / top, _DUAL_FLOOR) if top > 0.0 else np.ones_like(y)
-    e = math.frexp(float(np.abs(f_h).max()))[1]
-    f_h = np.ldexp(np.ascontiguousarray(f_h).view(float), -e).view(complex)
     core = math.inf
     for v in (y, np.ones_like(y)):
-        w, allow = _scaled_dual(f_h, v)
+        w, allow = _scaled_dual(f, v)
         core = min(core, (w + allow) * float(np.sum(v)))
-    core = float(np.ldexp(core, 2 * e))
-    spread = float(d @ np.square(np.sum(np.abs(x), axis=1)))
+    spread = float(np.sum(np.square(np.sum(np.abs(f), axis=1))))
     return core + (gamma_n(n + 3) * core
                    + 4.0 * gamma_n(n + m + 4) * spread)
 
 
-def _scaled_dual(f_h: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(w, e): the computed lambda_max(K), K = F^H Diag(1/y) F with
-    F = f_h^H (L x m), y > 0, and an allowance e with w + e >= the exact
-    one, for the largest |entry| of f_h in [1/2, 1) and y <= 1, where
+def _scaled_dual(f: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(w, e): the computed lambda_max(K), K = F Diag(1/y) F^H with F = f
+    (m x L), y > 0, and an allowance e with w + e >= the exact one, for
+    the largest |entry| of F in [1/2, 1) and y <= 1, where
     lambda_max(K) >= 1/4:
 
         e = sqrt(2) gamma_{L+12} tr(K) + 4 (m + 1) eps ||K||_F + eps w.
 
-    The products forming K (F from the rows and sqrt(d), the divisions by
-    y, the sums of L terms) err entrywise by at most
-    sqrt(2) gamma_{L+10} |F|^H Diag(1/y) |F|, whose Frobenius norm is at
-    most its trace; ``eigvalsh`` adds its backward error, the second term;
-    and eps w covers forming e and underflow in K."""
-    n, m = f_h.shape[1], f_h.shape[0]
-    k = (f_h / y) @ f_h.conj().T
+    The products forming K (F from the rows and the square roots of the
+    weights, the divisions by y, the sums of L terms) err entrywise by at
+    most sqrt(2) gamma_{L+10} |F| Diag(1/y) |F|^H, whose Frobenius norm is
+    at most its trace; ``eigvalsh`` adds its backward error, the second
+    term; and eps w covers forming e and underflow in K."""
+    n, m = f.shape[1], f.shape[0]
+    k = (f / y) @ f.conj().T
     w = float(np.linalg.eigvalsh(k)[-1])
     return w, (math.sqrt(2.0) * gamma_n(n + 12) * float(k.trace().real)
                + 4.0 * (m + 1) * EPS * math.sqrt(np.vdot(k, k).real)
@@ -267,10 +269,31 @@ def _require_psd_rows(a: OmegaRows) -> None:
                           f"be PSD, every weight of its rows > 0")
 
 
-def _form_value(a: OmegaRows, x: np.ndarray) -> float:
-    """x^H A x = sum_a d_a |x_a x|^2 from the rows x_a of A."""
-    p = a.rows @ x
-    return float(a.weights @ (np.square(p.real) + np.square(p.imag)))
+def _factor(a: OmegaRows) -> tuple[np.ndarray, int]:
+    """(F, s): A = X^H diag(d) X as one factor F (m x L), A = 2^s F^H F
+    for an integer s, its rows checked first (``_require_psd_rows``).
+
+    The weights and the rows are each taken times the power of two that
+    puts their largest entry in [1/2, 1), folded into F = D^(1/2) X, and F
+    times the one that puts its largest |entry| there.  So A and 2^k A give
+    the same F, s apart by k, wherever the scaled weights and rows are
+    normal floats; where F falls to 0 (the weights and the rows each
+    spread beyond the float range), it is a SolverError.
+    """
+    _require_psd_rows(a)
+    x = np.ascontiguousarray(a.rows, dtype=complex).view(float)  # Re, Im
+    e_d, e_x = _exponent(a.weights), _exponent(x)
+    f = np.sqrt(np.ldexp(a.weights, -e_d))[:, np.newaxis] * np.ldexp(x, -e_x)
+    if not f.any():
+        raise SolverError("A's weights and rows span more than the float "
+                          "range: D^(1/2) X underflows to 0")
+    e_f = _exponent(f.view(complex))
+    return np.ldexp(f, -e_f).view(complex), e_d + 2 * (e_x + e_f)
+
+
+def _exponent(v: np.ndarray) -> int:
+    """The e that puts the largest |entry| of v 2^-e in [1/2, 1)."""
+    return math.frexp(float(np.abs(v).max()))[1]
 
 
 def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
@@ -281,33 +304,32 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
     For each sample count, draw xi ~ CN(0, R*), map every draw to the
     unit-modulus vector xi / |xi| (an entry with xi = 0 becomes 1), and
     report the best quadratic-form value relative to the dual bound
-    ``unit_diag_dual_bound(A, R*)``.  A is given by its rows (checked
-    first, ``_require_psd_rows``) and R* = Z^H Z by its factor, whose
-    columns must have unit norm to ``_unit_diag_allowance``.  Both enter
-    as ``_study_factors`` gives them: xi = U_r Lambda_r^(1/2) z over the
-    r eigenpairs of R* above rounding level (lambda_j > L eps lambda_max),
-    with z ~ CN(0, I_r) drawn as one 2r x n_g block of standard normals
-    (real parts, then imaginary), so the generator advances by 2 r n_g
-    normals per sample count; and candidates x are scored by
-    sum_a d_a |x_a x|^2 over A's weights d and rows x_a, each times a
-    power of two, the first best one in draw order winning.  The scores
-    are screened in single precision, and the candidates whose bounds
-    overlap the best one are ranked again in double precision
-    (``_best_candidate``).
+    ``unit_diag_dual_bound(A, R*)``.  A is given by its rows, read once as
+    F, A = 2^s F^H F (``_factor``), and R* = Z^H Z by its factor, whose
+    columns must have unit norm to ``_unit_diag_allowance``.  The draws
+    are xi = U_r Lambda_r^(1/2) z over
+    the r eigenpairs of R* above rounding level (lambda_j > L eps
+    lambda_max; ``_draw_factor``), with z ~ CN(0, I_r) drawn as one
+    2r x n_g block of standard normals (real parts, then imaginary), so
+    the generator advances by 2 r n_g normals per sample count; and
+    candidates x are scored by ||F x||^2, the first best one in draw order
+    winning.  The scores are screened in single precision, and the
+    candidates whose bounds overlap the best one are ranked again in double
+    precision (``_best_candidate``).
     Where R* has rank one (r = 1, the relaxation tight) and no draw is
     zero, every candidate is u / |u| times the phase of its draw (R*'s unit
     diagonal makes |u_i| = 1), so all score alike up to rounding and the
     first wins without the pass; the draws are still taken.
-    The reported value is the winner's x^H A x from the rows
-    (``_form_value``), with x formed from its draw alone, an exact
-    unit-modulus value, so the ratio cannot exceed 1 whatever R* is: the
-    bound is at least the relaxation optimum, which is at least every
-    unit-modulus value and at least tr(A) > 0, and it covers the rounding
-    of that value.  Every sample count must be an integer >= 1, as
+    The ratio is the winner's ||F x||^2, x formed from its draw alone, an
+    exact unit-modulus value, over ``_dual_bound`` at F, so it cannot
+    exceed 1 whatever R* is: the bound is at least the relaxation optimum,
+    which is at least every unit-modulus value and at least
+    ||F||_F^2 >= 1/4, and it covers the rounding of that value.  Both are
+    reported times 2^s.  Every sample count must be an integer >= 1, as
     ``n_g_grid`` of a config, and the whole grid is checked before the
     first draw.
     """
-    _require_psd_rows(a)
+    f, s = _factor(a)
     n_g_grid = list(n_g_grid)
     require_integer(SimpleNamespace(n_g_grid=n_g_grid), {"n_g_grid[]": COUNT})
     z = r_star.z
@@ -315,10 +337,8 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
     off = np.max(np.abs(norms - 1.0))
     if not off <= _unit_diag_allowance(z.shape[1]):
         raise ConfigError("reference covariance must have unit diagonal")
-    sdp_obj = unit_diag_dual_bound(a, r_star)
-    if not sdp_obj > 0.0:                          # A underflows
-        raise SolverError(f"the relaxation bound is {sdp_obj!r}: no ratio")
-    half, d, rows = _study_factors(a, r_star)
+    bound = _dual_bound(f, z)
+    half = _draw_factor(r_star)
     screen = None
     reports = []
     for n_g in n_g_grid:
@@ -327,35 +347,24 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
             best = 0
         else:
             if screen is None:
-                screen = _Screen(half, d, rows)
+                screen = _Screen(half, f)
             best = _best_candidate(screen, draws)
-        best_x = _unit_modulus(half @ _complex_draws(draws, [best]))[:, 0]
-        value = _form_value(a, best_x)
+        value = float(_double_scores(half, f, draws, [best])[0])
         reports.append(RandomizationReport(
-            n_samples=int(n_g), best_objective=value, sdp_objective=sdp_obj,
-            ratio=value / sdp_obj))
+            n_samples=int(n_g), best_objective=math.ldexp(value, s),
+            sdp_objective=math.ldexp(bound, s), ratio=value / bound))
     return reports
 
 
-def _study_factors(a: OmegaRows, r_star: GramFactor
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U_r Lambda_r^(1/2), d 2^-f, X 2^-e): R*'s factor over its
-    eigenpairs above rounding level, L eps times the largest (L the
-    surface size), and A = X^H diag(d) X as its weights and its rows, each
-    times the power of two that puts its largest |entry| in [1/2, 1).  So
-    their float32 images are finite, no score over- or underflows, and A
-    and 2^k A score alike, whether 2^k enters through the weights or the
-    rows.  R*'s eigenpairs come from the r' x r' Gram matrix
-    Z Z^H = V diag(lambda) V^H: R* = Z^H Z has the eigenvectors
-    Z^H v_j / sqrt(lambda_j), so its factor is Z^H V_r."""
+def _draw_factor(r_star: GramFactor) -> np.ndarray:
+    """U_r Lambda_r^(1/2): R*'s factor over its eigenpairs above rounding
+    level, L eps times the largest (L the surface size).  They come from
+    the r' x r' Gram matrix Z Z^H = V diag(lambda) V^H: R* = Z^H Z has the
+    eigenvectors Z^H v_j / sqrt(lambda_j), so its factor is Z^H V_r."""
     z = r_star.z
     w, v = np.linalg.eigh(z @ z.conj().T)
     # scale-free: the 1/sqrt(2) of CN(0, 1) cancels in xi / |xi|
-    half = z.conj().T @ v[:, _above_rounding(w, z.shape[1])]
-    x = np.ascontiguousarray(a.rows, dtype=complex)
-    e = math.frexp(float(np.abs(x).max()))[1]
-    d = np.ldexp(a.weights, -math.frexp(float(a.weights.max()))[1])
-    return half, d, np.ldexp(x.view(float), -e).view(complex)
+    return z.conj().T @ v[:, _above_rounding(w, z.shape[1])]
 
 
 def _complex_draws(draws: np.ndarray, cols) -> np.ndarray:
@@ -375,32 +384,33 @@ def _best_candidate(screen: "_Screen", draws: np.ndarray) -> int:
     The screen's scores s_j lie within b_j of the double-precision ones, so
     a candidate with s_j + b_j below max_i (s_i - b_i) cannot be the best,
     and the rest (the survivors, in draw order) are scored again in double
-    precision as x = ``_unit_modulus``(U_r Lambda_r^(1/2) z) and
-    d @ |X x|^2.  Only scores that tie to their own rounding can rank
-    apart from that pass's: a BLAS product rounds a column by its place in
-    the block, which differs between the survivors and the whole pass.
+    precision (``_double_scores``).  Only scores that tie to their own
+    rounding can rank apart from that pass's: a BLAS product rounds a
+    column by its place in the block, which differs between the survivors
+    and the whole pass.
     """
     s, b = screen.scores(draws)
     survivors = np.flatnonzero(s + b >= np.max(s - b))
     best_score, best = None, None
     for k in range(0, survivors.size, _RATIO_CHUNK):
         cols = survivors[k:k + _RATIO_CHUNK]
-        score = _double_scores(screen, draws, cols)
+        score = _double_scores(screen.half, screen.f, draws, cols)
         i = int(np.argmax(score))
         if best is None or score[i] > best_score:     # first wins
             best_score, best = score[i], int(cols[i])
     return best
 
 
-def _double_scores(screen: "_Screen", draws: np.ndarray, cols) -> np.ndarray:
-    """sum_a d_a |x_a x|^2 over A's weights and scaled rows, of the
+def _double_scores(half: np.ndarray, f: np.ndarray, draws: np.ndarray,
+                   cols) -> np.ndarray:
+    """||F x||^2 = sum_a |f_a x|^2 over the rows f_a of F, of the
     candidates x = ``_unit_modulus``(U_r Lambda_r^(1/2) z) of columns
     ``cols`` of the draw block, in double precision; the L x len(cols)
     block is freed on return, before the next chunk's is formed."""
-    x = _unit_modulus(screen.half @ _complex_draws(draws, cols))
-    proj = (screen.rows @ x).view(float)             # Re, Im interleaved
+    x = _unit_modulus(half @ _complex_draws(draws, cols))
+    proj = (f @ x).view(float)                       # Re, Im interleaved
     np.square(proj, out=proj)
-    return screen.d @ (proj[:, 0::2] + proj[:, 1::2])
+    return np.sum(proj[:, 0::2] + proj[:, 1::2], axis=0)
 
 
 class _Screen:
@@ -408,15 +418,14 @@ class _Screen:
     a bound on its distance from the double-precision score.
 
     With H = U_r Lambda_r^(1/2) (L x r, rows h_l) and z a draw, the
-    double-precision pass scores S(x) = sum_a d_a |x_a x|^2 at
-    x = ``_unit_modulus``(H z), over A's m weights d_a and rows x_a as
-    ``_study_factors`` scales them.  The screen forms u = H z, x = u / |u|
-    and P = X x on the real images [[Re M, -Im M], [Im M, Re M]] of H and
-    X cast to float32, with d cast too.  With T = sum_a d_a ||x_a||^2
-    (tr A in that scale) and W = sum_a d_a, each d_a floored at 2^-126
-    there (below it its cast errs by u 2^-126, not u d_a), gamma_n and
-    gamma'_n Higham's bounds at single and double precision, and u-hat the
-    computed float32 u, the score s_j of candidate j lies within
+    double-precision pass scores S(x) = ||F x||^2 = sum_a |f_a x|^2 at
+    x = ``_unit_modulus``(H z), over the m rows f_a of A's factor F
+    (``_factor``).  The screen forms u = H z, x = u / |u| and P = F x on
+    the real images [[Re M, -Im M], [Im M, Re M]] of H and F cast to
+    float32.  With T = ||F||_F^2 = sum_a ||f_a||^2 (tr A in F's scale),
+    gamma_n and gamma'_n Higham's bounds at single and double precision,
+    and u-hat the computed float32 u, the score s_j of candidate j lies
+    within
 
         b_j = c0 + 2 T rho D_j + T D_j^2
 
@@ -438,12 +447,12 @@ class _Screen:
       squares over l, that is D_j, and ||x-hat - x|| <= D_j.
     - Score of the perturbed candidate: every |x_l| and |x-hat_l| is at
       most 1 + gamma_8, so ||x||, ||x-hat|| <= rho = sqrt(L) (1 + gamma_8),
-      and |x_a x-hat| and |x_a x| differ by at most ||x_a|| D_j; so
-      S(x-hat) - S(x) = sum_a d_a (|x_a x-hat|^2 - |x_a x|^2) is at most
+      and |f_a x-hat| and |f_a x| differ by at most ||f_a|| D_j; so
+      S(x-hat) - S(x) = sum_a (|f_a x-hat|^2 - |f_a x|^2) is at most
       T (2 rho D_j + D_j^2) in size.
     - Rounding of each score: P is a real product of length 2L, each entry
-      within ||x_a|| kappa of x_a x-hat, kappa = sqrt(2) gamma_{2L+2} rho,
-      and the weighted sum of squares adds gamma_{m+3}, so
+      within ||f_a|| kappa of f_a x-hat, kappa = sqrt(2) gamma_{2L+2} rho,
+      and the sum of squares adds gamma_{m+3}, so
       c0 >= T ((2 rho + kappa) kappa + gamma_{m+3} (rho + kappa)^2), at
       each precision, summed.
 
@@ -456,9 +465,9 @@ class _Screen:
     a1 (||z|| + max_l ||h_l|| + sqrt(2r)) summed in squares, with
     a1 = 2^-98 sqrt(2rL) and a0 = a1 (max_l ||h_l|| + sqrt(2r)).  That of
     P, delta = sqrt(2) L 2^-147 an entry, is in the float32 kappa, and as
-    t - t^2 <= 1/4 and 1 - t^2 <= 1 at t = ||x_a||, the T terms cover all
-    of it but W L (rho + kappa) 2^-147; that of the scores is at most
-    (W + m) 2^-147.  c0 holds both.  The double-precision pass is not
+    t - t^2 <= 1/4 and 1 - t^2 <= 1 at t = ||f_a||, the T terms cover all
+    of it but m L (rho + kappa) 2^-147; that of the scores is at most
+    2 m 2^-147.  c0 holds both.  The double-precision pass is not
     modeled with underflow.  c0 also holds 2 gamma'_1 max |s_j|, ||z_j||
     carries its rounding gamma'_{2r+2}, and every constant a factor
     1 + gamma'_16: together they cover forming b_j and s_j +- b_j in
@@ -467,13 +476,12 @@ class _Screen:
     survives.
     """
 
-    def __init__(self, half: np.ndarray, d: np.ndarray, rows: np.ndarray):
-        self.half, self.d, self.rows = half, d, rows
+    def __init__(self, half: np.ndarray, f: np.ndarray):
+        self.half, self.f = half, f
         l, r = half.shape
-        m = d.size
+        m = f.shape[0]
         self.hb = _real_image(half).astype(np.float32)
-        self.xb = _real_image(rows).astype(np.float32)
-        self.d32 = d.astype(np.float32)
+        self.fb = _real_image(f).astype(np.float32)
         hn2 = np.sum(np.abs(half) ** 2, axis=1)
         # with ||h_l||^2 floored at 2^-40 the reduction is at least
         # 2^-40 max_l 1/|u-hat_l|^2, so one at most 2^58 (screened) has
@@ -483,10 +491,7 @@ class _Screen:
         # the reduction: hn2's cast, |u|^2 and its reciprocal, L products
         # and sums, relative
         self.red_factor = 1.0 / (1.0 - gamma_n(l + 5, _U32))
-        floored = np.maximum(d, 2.0 ** -126)
-        t = float(floored @ np.sum(np.abs(rows) ** 2, axis=1)) * (
-            1.0 + gamma_n(l + m + 2))
-        w = float(np.sum(floored)) * (1.0 + gamma_n(m))
+        t = float(np.sum(np.abs(f) ** 2)) * (1.0 + gamma_n(l * m + 1))
         root_l = math.sqrt(l)
         rho = root_l * (1.0 + gamma_n(8, _U32))
         kappa32 = (math.sqrt(2.0) * gamma_n(2 * l + 2, _U32) * rho
@@ -499,7 +504,7 @@ class _Screen:
         top = t * (rho + kappa32) ** 2 * (1.0 + gamma_n(m + 3, _U32))
         slack = 1.0 + gamma_n(16)
         # the underflow of P beyond the T terms, and of the scores
-        underflow = (w * (1.0 + l * (rho + kappa32)) + m) * 2.0 ** -147
+        underflow = m * (2.0 + l * (rho + kappa32)) * 2.0 ** -147
         self.c0 = slack * (rounding + underflow + 2.0 * gamma_n(1) * top)
         self.c1 = slack * 2.0 * t * rho
         self.c2 = slack * t
@@ -542,7 +547,7 @@ class _Screen:
         """The float32 scores and reductions of one chunk of draws, into
         ``s`` and ``red``; its 2L x chunk block is freed on return, before
         the next chunk's is formed."""
-        l, m = self.half.shape[0], self.d.size
+        l, m = self.half.shape[0], self.f.shape[0]
         u = self.hb @ z32                            # Re u over Im u
         sq = np.square(u)
         inv = np.add(sq[:l], sq[l:], out=sq[:l])    # |u|^2
@@ -551,9 +556,9 @@ class _Screen:
         np.sqrt(inv, out=inv)
         u[:l] *= inv
         u[l:] *= inv                                 # x = u / |u|
-        p = self.xb @ u                              # X x
+        p = self.fb @ u                              # F x
         np.square(p, out=p)
-        s[:] = self.d32 @ (p[:m] + p[m:])
+        np.sum(p[:m] + p[m:], axis=0, out=s)
 
 
 def _real_image(m: np.ndarray) -> np.ndarray:
@@ -585,29 +590,23 @@ def _above_rounding(w: np.ndarray, n: int) -> np.ndarray:
     return w > n * EPS * float(w.max(initial=0.0))
 
 
-def _form_eigenpairs(a: OmegaRows) -> tuple[np.ndarray, np.ndarray]:
-    """(w, E^H): A's kept eigenpairs, the r eigenvalues of A = X^H diag(d) X
-    above rounding level (``_above_rounding``) with their eigenvectors as
-    the rows of E^H (r x L), from its m rows X.
+def _form_eigenpairs(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, E^H): the kept eigenpairs of F^H F, its r eigenvalues above
+    rounding level (``_above_rounding``) with their eigenvectors as the
+    rows of E^H (r x L), from A's factor F (m x L, ``_factor``).
 
-    The live coordinates are the columns of X that are not zero.  A thin
-    QR of the rows, X^H = Q R on those coordinates, gives A =
-    Q (R D R^H) Q^H, so one k x k ``eigh`` of R D R^H = V diag(w) V^H gives
-    E = Q V, k = min(m, L_live): O(L m^2), where an ``eigh`` of A is
-    O(L^3).  E is exactly zero off the live coordinates.
+    The live coordinates are the columns of F that are not zero.  A thin
+    QR of F^H = Q R on those coordinates gives F^H F = Q (R R^H) Q^H, so
+    one k x k ``eigh`` of R R^H = V diag(w) V^H gives E = Q V,
+    k = min(m, L_live): O(L m^2), where an ``eigh`` of A is O(L^3).  E is
+    exactly zero off the live coordinates.
     """
-    x, d = a.rows, a.weights
-    live = np.flatnonzero(np.any(x != 0.0, axis=0))
-    q, r = np.linalg.qr(x[:, live].conj().T)
-    b = (r * d) @ r.conj().T
-    # eigh at a largest diagonal entry in [1/2, 1), where LAPACK does not
-    # rescale, so A and 2^k A give the same bits
-    e = math.frexp(float(np.max(b.diagonal().real)))[1]
-    w, v = np.linalg.eigh(np.ldexp(b.view(float), -e).view(complex))
-    w = np.ldexp(w, e)
-    e_h = np.zeros((q.shape[1], x.shape[1]), dtype=complex)
+    live = np.flatnonzero(np.any(f != 0.0, axis=0))
+    q, r = np.linalg.qr(f[:, live].conj().T)
+    w, v = np.linalg.eigh(r @ r.conj().T)
+    e_h = np.zeros((q.shape[1], f.shape[1]), dtype=complex)
     e_h[:, live] = (q @ v).conj().T
-    keep = _above_rounding(w, x.shape[1])
+    keep = _above_rounding(w, f.shape[1])
     return w[keep], e_h[keep]
 
 
@@ -647,16 +646,16 @@ def solve_unit_diag_relaxation(a: OmegaRows) -> GramFactor:
     measures stationarity, as the dual certificate does; a gain in
     tr(A R) is second order in it and reaches rounding level first), or
     after a fixed number of maps.  Every rule is relative, and the maps
-    take A's kept eigenvalues times the power of two that puts the largest
-    in [1/2, 1), so no squared column norm over- or underflows and A and
-    2^k A give the same bits; an A whose largest kept eigenvalue is below
-    the smallest normal float raises SolverError.  Optimality is certified
-    separately by ``unit_diag_dual_bound``.
+    read A only as its factor F, A = 2^s F^H F (``_factor``): the largest
+    eigenvalue of F^H F lies in [1/4, L m] (F's largest |entry| is in
+    [1/2, 1)), so no squared column norm over- or underflows, and A and
+    2^k A give the same bits.  Optimality is certified separately by
+    ``unit_diag_dual_bound``.
 
     A is given by its rows (``OmegaRows``) with every weight > 0
     (``_require_psd_rows``), and the maps run at the rank of A.
-    ``_form_eigenpairs`` gives A's kept eigenpairs from the QR of the rows
-    and one m x m ``eigh``: A = E M E^H over its r eigenvalues above
+    ``_form_eigenpairs`` gives F^H F's kept eigenpairs from the QR of F^H
+    and one m x m ``eigh``: F^H F = E M E^H over its r eigenvalues above
     rounding level, L eps times the largest (r = 5 for the ratio study's
     A = U3).  After the first map every column of V lies in span(E), so
     V = E Z and a map is Z <- normalize_cols((Z E M) E^H) on the r x L
@@ -669,15 +668,9 @@ def solve_unit_diag_relaxation(a: OmegaRows) -> GramFactor:
     is formed.  The plain map, run alone, moves R at rounding level against
     the dense V <- V A; both are test oracles (``tests/reference.py``).
     """
-    _require_psd_rows(a)
-    n = a.rows.shape[1]
-    m, e_h = _form_eigenpairs(a)
-    if m.size:             # the maps at the largest eigenvalue in [1/2, 1)
-        top = float(m.max())
-        if top < _TINY:
-            raise SolverError(f"A's largest eigenvalue {top!r} is below the "
-                              f"smallest normal float: A underflows")
-        m = m * math.ldexp(1.0, -math.frexp(top)[1])
+    f, _ = _factor(a)
+    n = f.shape[1]
+    m, e_h = _form_eigenpairs(f)
     g = m[:, np.newaxis] * e_h             # V A at V = I, in the basis E
     z = _unit_columns(g, np.zeros_like(g))
     fixed = ~z.any(axis=0)                 # V keeps e_i there, Z's column 0

@@ -551,7 +551,7 @@ def dense_ratio_study(a: OmegaRows, r_star: GramFactor, n_g_grid,
     half = u[:, keep] * np.sqrt(w[keep])
     # an eigenvector's phase is arbitrary, and the draws see it: take the
     # study's, from its factor of R*
-    phase = np.sum(half.conj() * ratio._study_factors(a, r_star)[0], axis=0)
+    phase = np.sum(half.conj() * ratio._draw_factor(r_star), axis=0)
     half *= phase / np.abs(phase)
     a = dense_form(a)
     reports = []
@@ -568,23 +568,24 @@ def dense_ratio_study(a: OmegaRows, r_star: GramFactor, n_g_grid,
     return reports
 
 
-def float64_scores(half: np.ndarray, d: np.ndarray, rows: np.ndarray,
+def float64_scores(half: np.ndarray, f: np.ndarray,
                    draws: np.ndarray) -> np.ndarray:
     """Reference for ``ratio._Screen`` and ``ratio._best_candidate``: the
-    double-precision score sum_a d_a |x_a x|^2, over the weights d and
-    rows x_a, of every candidate x = ``_unit_modulus``(half z) of the
-    2r x n draw block (real parts over imaginary parts), formed
-    ``_RATIO_CHUNK`` columns at a time, as the study ranked every
-    candidate before its single-precision screen."""
+    double-precision score ||F x||^2 = sum_a |f_a x|^2, over the rows f_a
+    of A's factor F (``ratio._factor``), of every candidate
+    x = ``_unit_modulus``(half z) of the 2r x n draw block (real parts
+    over imaginary parts), formed ``_RATIO_CHUNK`` columns at a time, as
+    the study ranked every candidate before its single-precision
+    screen."""
     r = draws.shape[0] // 2
     z = np.empty((r, draws.shape[1]), dtype=complex)
     z.real, z.imag = draws[:r], draws[r:]
     scores = []
     for j in range(0, z.shape[1], ratio._RATIO_CHUNK):
         x = ratio._unit_modulus(half @ z[:, j:j + ratio._RATIO_CHUNK])
-        proj = (rows @ x).view(float)            # Re, Im interleaved
+        proj = (f @ x).view(float)               # Re, Im interleaved
         np.square(proj, out=proj)
-        scores.append(d @ (proj[:, 0::2] + proj[:, 1::2]))
+        scores.append(np.sum(proj[:, 0::2] + proj[:, 1::2], axis=0))
     return np.concatenate(scores)
 
 
@@ -593,18 +594,20 @@ def float64_ratio_study(a: OmegaRows, r_star: GramFactor, n_g_grid,
                         ) -> list[RandomizationReport]:
     """Reference for ``approximation_ratio_study``: the same draws and the
     same report, with the first best of every candidate's double-precision
-    score (``float64_scores``) winning, and no rank-one shortcut."""
-    sdp_obj = unit_diag_dual_bound(a, r_star)
-    half, d, rows = ratio._study_factors(a, r_star)
+    score (``float64_scores``) winning, and no rank-one shortcut; the
+    winner's value is its score from its draw alone, and the ratio is
+    taken in F's scale, A = 2^s F^H F."""
+    f, s = ratio._factor(a)
+    bound = ratio._dual_bound(f, r_star.z)
+    half = ratio._draw_factor(r_star)
     reports = []
     for n_g in n_g_grid:
         draws = rng.standard_normal((2 * half.shape[1], int(n_g)))
-        best = int(np.argmax(float64_scores(half, d, rows, draws)))
-        x = ratio._unit_modulus(half @ ratio._complex_draws(draws, [best]))
-        value = ratio._form_value(a, x[:, 0])
+        best = int(np.argmax(float64_scores(half, f, draws)))
+        value = float(float64_scores(half, f, draws[:, [best]])[0])
         reports.append(RandomizationReport(
-            n_samples=int(n_g), best_objective=value, sdp_objective=sdp_obj,
-            ratio=value / sdp_obj))
+            n_samples=int(n_g), best_objective=math.ldexp(value, s),
+            sdp_objective=math.ldexp(bound, s), ratio=value / bound))
     return reports
 
 

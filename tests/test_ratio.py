@@ -36,25 +36,28 @@ class TestApproximationRatio:
             harness._ratio_trial(*harness._trial_inputs(cfg, 0, 0, 0),
                                  SolverOptions(t_max=2), 0, [10])
 
-    @pytest.mark.parametrize("scale, message", [
-        (1e-160, r"^A's largest eigenvalue .* below the smallest normal"),
-        (1e-170, r"relaxation bound is 0\.0")], ids=["subnormal", "zero"])
-    def test_underflowing_bound_is_a_solver_error(self, scale, message):
-        # a nonzero A whose squares underflow bounds nothing in floating
-        # point: a numerical fault, not a config fault, and not 0 / 0.  At
-        # 1e-160 A's eigenvalues are subnormal and the relaxation stops; at
-        # 1e-170 they are zero, nothing is kept and the bound is 0
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170],
+                             ids=["subnormal", "zero"])
+    def test_underflowing_a_keeps_its_ratios(self, scale):
+        # A's entries are subnormal at 1e-160 and 0 at 1e-170, but the
+        # chain reads A as its factor F with the rows scaled back up, so
+        # the ratios are those of the unscaled A to the relaxation's
+        # stopping tolerance (1e-160 is no power of two, so F moves at
+        # rounding level), with no warning; only the reported objectives
+        # underflow with A
         a = ratio_study_matrix(2, 4, 33)
         tiny = OmegaRows(a.rows * scale, a.weights)
+        want = approximation_ratio_study(a, solve_unit_diag_relaxation(a),
+                                         [10, 100], np.random.default_rng(0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SolverError, match=message):
-                r = solve_unit_diag_relaxation(tiny)
-                approximation_ratio_study(tiny, r, [10],
-                                          np.random.default_rng(0))
-            # the certificate on its own stays finite, with no warning
-            bound = unit_diag_dual_bound(tiny, solve_unit_diag_relaxation(a))
-        assert 0.0 <= bound < 1e-300
+            got = approximation_ratio_study(
+                tiny, solve_unit_diag_relaxation(tiny), [10, 100],
+                np.random.default_rng(0))
+        for rep, ref in zip(got, want):
+            assert 0.0 < rep.ratio <= 1.0
+            assert rep.ratio == pytest.approx(ref.ratio, rel=1e-10)
+            assert 0.0 <= rep.sdp_objective < 1e-300
 
     def test_ratio_above_one_is_a_solver_error(self):
         # a reference objective below a unit-modulus value is a numerical
@@ -177,6 +180,18 @@ class TestPsdRows:
         a = OmegaRows(rows.astype(complex), weights)
         with pytest.raises(ConfigError, match=r"^A is zero, as U3 is at "
                                               r"beta = 1"):
+            self._calls(entry, a, rng)()
+
+    @pytest.mark.parametrize("entry", ["relaxation", "bound", "study"])
+    def test_factor_beyond_the_float_range(self, rng, entry):
+        # A = diag(0, 2^300) from weights (2^600, 2^-500) and rows
+        # 2^-1074 e_1^T and 2^400 e_2^T: scaled to its largest, the second
+        # weight falls to 0, and so does the first row, so F = 0.  A
+        # numerical limit, not a config fault: SolverError
+        a = OmegaRows(np.diag([2.0 ** -1074, 2.0 ** 400]).astype(complex),
+                      [2.0 ** 600, 2.0 ** -500])
+        with pytest.raises(SolverError, match=r"^A's weights and rows span "
+                                              r"more than the float range"):
             self._calls(entry, a, rng)()
 
 
@@ -478,13 +493,19 @@ class TestLowRankStudy:
         assert values[-1] > values[0]
 
 
+def screen_inputs(a, r_star):
+    """(U_r Lambda_r^(1/2), F): R*'s factor at rank and A's scaled
+    factor, as the study hands them to its screen."""
+    return ratio._draw_factor(r_star), ratio._factor(a)[0]
+
+
 def screen_against_float64(a, r_star, draws):
     """(screened winner, double-precision winner, survivors) on a draw
     block, after checking every screened score against its bound."""
-    half, d, rows = ratio._study_factors(a, r_star)
-    screen = ratio._Screen(half, d, rows)
+    half, f = screen_inputs(a, r_star)
+    screen = ratio._Screen(half, f)
     s, b = screen.scores(draws)
-    exact = float64_scores(half, d, rows, draws)
+    exact = float64_scores(half, f, draws)
     screened = np.isfinite(b)
     assert np.all(np.abs(s - exact)[screened] <= b[screened])
     survivors = np.count_nonzero(s + b >= np.max(s - b))
@@ -494,7 +515,7 @@ def screen_against_float64(a, r_star, draws):
 
 def study_draws(a, r_star, n, seed):
     """n draws of the study's shape for A and R*, from ``seed``."""
-    rank = ratio._study_factors(a, r_star)[0].shape[1]
+    rank = ratio._draw_factor(r_star).shape[1]
     return np.random.default_rng(seed).standard_normal((2 * rank, n))
 
 
@@ -535,7 +556,7 @@ class TestSingleScreen:
         # their bounds grow as 1/|u_l|, and the unscreened ones survive
         a = ratio_study_matrix(6, 6, seed=33)
         r = solve_unit_diag_relaxation(a)
-        half = ratio._study_factors(a, r)[0]
+        half = ratio._draw_factor(r)
         assert half.shape[1] == 2
         rng = np.random.default_rng(8)
         draws = rng.standard_normal((4, 3000))
@@ -558,7 +579,7 @@ class TestSingleScreen:
         a = form_rows(np.eye(l) + 1e-8 * b / np.linalg.norm(b, 2))
         r = gram_factor(np.eye(l, dtype=complex))
         draws = study_draws(a, r, 3000, 4)
-        exact = float64_scores(*ratio._study_factors(a, r), draws)
+        exact = float64_scores(*screen_inputs(a, r), draws)
         assert np.count_nonzero(exact >= exact.max() * (1 - 1e-6)) >= 100
         got, want, survivors = screen_against_float64(a, r, draws)
         assert got == want and survivors >= 100
@@ -571,7 +592,7 @@ class TestSingleScreen:
         a = ratio_study_matrix(6, 6, seed=33)
         r = solve_unit_diag_relaxation(a)
         zeros = np.zeros((4, 7))
-        assert np.all(ratio._Screen(*ratio._study_factors(a, r)).scores(
+        assert np.all(ratio._Screen(*screen_inputs(a, r)).scores(
             zeros)[1] == np.inf)
         got, want, survivors = screen_against_float64(a, r, zeros)
         assert got == want and survivors == 7
@@ -602,8 +623,8 @@ class TestSingleScreen:
 
 
 class TestRowScores:
-    """The study scores its candidates with A's rows, and R* travels as Z
-    alone: no eigenpair of A is taken outside the relaxation."""
+    """The study scores its candidates with A's factor F, and R* travels
+    as Z alone: no eigenpair of A is taken outside the relaxation."""
 
     @pytest.mark.parametrize("source", ["relaxed", "identity"])
     def test_study_takes_no_eigenpair_of_a(self, monkeypatch, source):
@@ -616,20 +637,21 @@ class TestRowScores:
             r = gram_factor(np.eye(9, dtype=complex))
         calls, pairs = [], ratio._form_eigenpairs
         monkeypatch.setattr(ratio, "_form_eigenpairs",
-                            lambda a: (calls.append(a), pairs(a))[1])
+                            lambda f: (calls.append(f), pairs(f))[1])
         reports = approximation_ratio_study(a, r, [10, 1000],
                                             np.random.default_rng(5))
         assert calls == []
         assert all(0.0 < rep.ratio <= 1.0 for rep in reports)
         solve_unit_diag_relaxation(a)       # the spy sees the relaxation's
-        assert calls == [a]
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], ratio._factor(a)[0])
 
     def test_subnormal_weights_score_as_normal_ones(self):
         # weights (1, 1.5) 2^-1040 are exact subnormal floats; with the rows
-        # times 2^500, A is back at a normal scale, and the study scales
-        # weights and rows by powers of two, so the ratios keep their bits.
-        # With the rows as they are, A itself is subnormal: the ratios lose
-        # bits, but the study still ranks and reports
+        # times 2^500, A is back at a normal scale.  With the rows as they
+        # are, A itself is subnormal.  The study reads A as its factor F,
+        # the weights and the rows scaled by powers of two, so the ratios
+        # keep their bits either way
         x = complex_normal(np.random.default_rng(0), 2, 6)
         eye = gram_factor(np.eye(6, dtype=complex))
         weights = np.array([1.0, 1.5])
@@ -637,7 +659,7 @@ class TestRowScores:
             OmegaRows(x * 2.0 ** k, weights * 2.0 ** j), eye, [5, 100],
             np.random.default_rng(1))] for k, j in ((0, 0), (500, -1040),
                                                      (0, -1040)))
-        assert got == want
+        assert got == want == tiny
         assert all(0.0 < ratio <= 1.0 for ratio in tiny)
 
     def test_factor_holds_z_alone(self):
@@ -737,8 +759,9 @@ class TestBenchmarkContract:
 
 
 def dual_y(a, r_star):
-    """Re diag(A R*) from the factors, as ``unit_diag_dual_bound`` forms
-    it."""
+    """Re diag(A R*) from A's rows and R*'s factor, in A's scale:
+    ``unit_diag_dual_bound`` forms it from A's factor F, 2^-s times
+    this."""
     x, d, z = a.rows, a.weights, r_star.z
     return (d @ (x.conj() * ((x @ z.conj().T) @ z))).real
 
@@ -864,17 +887,18 @@ class TestRankRule:
         for seed in range(30):
             a = ratio_study_matrix(rows, cols, seed)
             r = solve_unit_diag_relaxation(a)
-            half = ratio._study_factors(a, r)[0]
+            half = ratio._draw_factor(r)
             assert half.shape[1] == kept_rank_at_rounding_level(r), seed
             w = np.abs(np.linalg.eigvalsh(dense_form(a)))
-            assert ratio._form_eigenpairs(a)[0].size == np.count_nonzero(
+            f = ratio._factor(a)[0]
+            assert ratio._form_eigenpairs(f)[0].size == np.count_nonzero(
                 ratio._above_rounding(w, w.size)) == a.rows.shape[0], seed
 
     def test_kept_factor_reproduces_reference_covariance(self):
         # U_r Lambda_r U_r^H = Z^H V_r V_r^H Z is R* to rounding level
         a = ratio_study_matrix(6, 6, 33)
         r = solve_unit_diag_relaxation(a)
-        half = ratio._study_factors(a, r)[0]
+        half = ratio._draw_factor(r)
         dense = np.asarray(r)
         assert np.linalg.norm(half @ half.conj().T - dense) <= (
             36 * np.finfo(float).eps * np.linalg.norm(dense, 2))

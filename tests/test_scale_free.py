@@ -7,13 +7,19 @@ Omega's top eigenpair comes from channel rows weighted by sqrt(d / d_max),
 which no noise scaling changes, odd k included.  No rule of the solver
 steps compares against an absolute level, so the run takes the same steps
 and returns the same phases.  The same holds for
-the ratio study under A -> 2^k A.  The SQUAREM cycles of both
+the ratio study under A -> 2^k A, whether 2^k enters through the weights
+of A's rows, the rows or both, over the whole float range of each: the
+chain reads A once, as one factor F with A = 2^s F^H F, so R* and every
+ratio keep their bits and the reported objectives scale by exactly 2^k.
+The SQUAREM cycles of both
 minorization loops (``inner_max`` >= 3, and the unit-diagonal ascent) are
 scale-free too: the steplength is a ratio of norms of phase or column
 differences, which no scaling touches, the guard compares two objectives
 and the stops are relative.
 """
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +47,9 @@ SOLVERS = {"minorization-1": SolverOptions(inner_max=1),
 # irrational factor, so they catch any rounding that depends on the scale.
 SCALINGS = {"noise": (-300, -150, -149, 150, 151), "power": (-60, 60)}
 SEEDS = range(5)
+# The scale contract is the ratio chain's main guarantee, and the solver
+# steps' too: CI runs it again under other BLAS kernels.
+pytestmark = pytest.mark.kernels
 
 
 def _scaled(cfg, kind, k):
@@ -91,19 +100,29 @@ def test_ratio_study_scaling_gives_the_same_bits(l_rows, l_cols):
         p = Precoder(p * np.sqrt(cfg.power_budget / np.sum(np.abs(p) ** 2)))
         a, _ = build_quadratic_terms(p, ch, cfg)
         r_star = solve_unit_diag_relaxation(a)
-        ratios = [rep.ratio for rep in approximation_ratio_study(
-            a, r_star, [1, 100], np.random.default_rng(seed))]
-        # the weights by 2^k, and the rows by 2^k (A by 4^k): at |k| = 600
-        # and 300 the squared columns of the relaxation's maps over- or
-        # underflow, and A's m x m eigenproblem lies where LAPACK rescales it
-        scaled = {("weights", k): OmegaRows(a.rows, a.weights * 2.0 ** k)
-                  for k in (-600, -150, -40, 150, 600)}
-        scaled.update({("rows", k): OmegaRows(a.rows * 2.0 ** k, a.weights)
-                       for k in (-300, 300)})
-        for key, a_k in scaled.items():
-            r_k = solve_unit_diag_relaxation(a_k)
+        reports = approximation_ratio_study(a, r_star, [1, 100],
+                                            np.random.default_rng(seed))
+        # (i, j): the rows by 2^i and the weights by 2^j, A by 2^(2i + j).
+        # At |2i + j| = 600 the squared columns of the relaxation's maps
+        # would over- or underflow; (600, -1040) squares rows past the
+        # largest float, (-520, 1000) below the smallest; and the weights
+        # times 2^-1040 are subnormal (the shipped 500 exactly), with A at
+        # its own scale and, with the rows as they are, subnormal too
+        for i, j in ((0, -600), (0, -150), (0, -40), (0, 150), (0, 600),
+                     (-300, 0), (300, 0), (600, -1040), (-520, 1000),
+                     (520, -1040), (0, -1040)):
+            a_k = OmegaRows(a.rows * 2.0 ** i, np.ldexp(a.weights, j))
+            k = 2 * i + j
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r_k = solve_unit_diag_relaxation(a_k)
+                got = approximation_ratio_study(a_k, r_k, [1, 100],
+                                                np.random.default_rng(seed))
             assert np.asarray(r_k).tobytes() == np.asarray(r_star).tobytes(), (
-                seed, key)
-            assert [rep.ratio for rep in approximation_ratio_study(
-                a_k, r_k, [1, 100], np.random.default_rng(seed))
-            ] == ratios, (seed, key)
+                seed, i, j)
+            # math.ldexp rounds once, to a subnormal float too
+            assert [(rep.ratio, rep.best_objective, rep.sdp_objective)
+                    for rep in got] == [
+                (rep.ratio, math.ldexp(rep.best_objective, k),
+                 math.ldexp(rep.sdp_objective, k)) for rep in reports], (
+                seed, i, j)
