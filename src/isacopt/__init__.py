@@ -10,14 +10,11 @@ from .scene import (ChannelSet, SceneConfig, db_to_linear, dbm_to_watts,
                     make_channels, rician_channel, scene_config_from_dict,
                     ula_spacing_check, ula_steering, upa_steering)
 from .objective import (ChannelConstants, EffectiveChannels, IrsPhase,
-                        OmegaRows, Precoder, ScoredPoint, build_omega,
-                        quartic_kernels, snr_comm, snr_radar, weighted_snr)
+                        OmegaRows, Precoder, ScoredPoint)
 from .precoder import (RelaxedCovariance, default_beampattern_target,
-                       dykstra_project, factor_precoder, precoder_objective,
-                       project_ball, project_psd, project_spectrahedron,
-                       relaxed_objective, slack_bound, solve_relaxed)
-from .irs import (InnerTrace, build_quartic_surrogate, irs_phase_update,
-                  linear_surrogate_vectors, solve_irs_manifold,
+                       factor_precoder, project_ball, slack_bound,
+                       solve_relaxed)
+from .irs import (InnerTrace, irs_phase_update, solve_irs_manifold,
                   solve_irs_minorization)
 from .ratio import (RandomizationReport, approximation_ratio_study,
                     build_quadratic_terms, solve_unit_diag_relaxation,

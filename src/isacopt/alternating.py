@@ -39,12 +39,11 @@ from .precoder import factor_precoder, solve_relaxed
 # on the effective channels; kept for the tracer, which wraps them by name.
 from .precoder import (default_beampattern_target,  # noqa: F401
                        precoder_objective, relaxed_objective)
-from .scene import ChannelSet, SceneConfig, random_phase_vector
+from .scene import ChannelSet, SceneConfig
 
 log = logging.getLogger(__name__)
 
 IRS_METHODS = ("minorization", "manifold")
-THETA_INITS = ("ones", "random")
 
 
 @dataclass
@@ -55,15 +54,12 @@ class SolverOptions:
     t_max: int = 20              # outer iteration cap
     inner_max: int = 1           # phase-solver iterations per outer iteration
     irs_method: str = "minorization"
-    theta_init: str = "ones"
 
     def __post_init__(self):
         require_finite(self, {"eps_rel": POSITIVE})
         require_integer(self, {"t_max": COUNT, "inner_max": COUNT})
         if self.irs_method not in IRS_METHODS:
             raise ConfigError(f"irs_method must be one of {IRS_METHODS}")
-        if self.theta_init not in THETA_INITS:
-            raise ConfigError(f"theta_init must be one of {THETA_INITS}")
 
 
 @dataclass
@@ -83,36 +79,28 @@ class RunTrace:
     terminated_by: str = ""
 
 
-def initial_phases(cfg: SceneConfig, opts: SolverOptions,
-                   rng: np.random.Generator) -> IrsPhase:
-    if opts.theta_init == "ones":
-        return IrsPhase.unit(np.ones(cfg.n_irs, dtype=complex))
-    return IrsPhase.unit(random_phase_vector(rng, cfg.n_irs))
-
-
 def run_alternating(ch: ChannelSet, cfg: SceneConfig,
                     opts: SolverOptions | None = None,
                     rng: np.random.Generator | None = None
                     ) -> tuple[Precoder, IrsPhase, RunTrace]:
     """Alternate the two sub-problems until the stopping rule fires.
 
-    Returns the final precoder, phases and the run trace.  R_D is the
-    scene's ``default_beampattern_target``, PSD with trace P_T by
-    construction.  Each outer iteration takes ``opts.inner_max`` steps of
-    the phase solver ``opts.irs_method`` (fewer if it converges).  ``rng``
-    draws only the initial phases of ``theta_init="random"``; without one,
-    they come from ``np.random.default_rng(0)``.  Sub-solver failures
-    propagate as SolverError with the failing stage named; a ball too tight
-    for a K-column precoder raises ConfigError from the precoder stage, and
-    channels whose shapes do not fit the scene raise it before the first.
+    Returns the final precoder, phases and the run trace.  The run starts
+    from theta = 1.  R_D is the scene's ``default_beampattern_target``, PSD
+    with trace P_T by construction.  Each outer iteration takes
+    ``opts.inner_max`` steps of the phase solver ``opts.irs_method`` (fewer
+    if it converges).  ``rng`` is unread: the loop draws nothing, and the
+    keyword stays only because the benchmark's workloads pass it.
+    Sub-solver failures propagate as SolverError with the failing stage
+    named; a ball too tight for a K-column precoder raises ConfigError from
+    the precoder stage, and channels whose shapes do not fit the scene raise
+    it before the first.
     """
     opts = opts or SolverOptions()
-    rng = rng if rng is not None else np.random.default_rng(0)
-
     solve_irs = (solve_irs_minorization if opts.irs_method == "minorization"
                  else solve_irs_manifold)
     channels = ChannelConstants(ch, cfg).channels(
-        initial_phases(cfg, opts, rng))
+        IrsPhase.unit(np.ones(cfg.n_irs, dtype=complex)))
     trace = RunTrace()
     precoder: Precoder | None = None
     # the incumbent precoder's ScoredPoint on the current channels, as the

@@ -26,7 +26,6 @@ or in their solve), which are skipped rather than fatal.
 from __future__ import annotations
 
 import contextlib
-import copy
 import csv
 import dataclasses
 import functools
@@ -314,7 +313,8 @@ def _trial_inputs(cfg: SceneConfig, master_seed: int, point: int, trial: int
                   ) -> tuple[SceneConfig, ChannelSet, np.random.Generator]:
     """One trial's scene, channels and generator, drawn in this order: a
     uniform phase for alpha (magnitude kept), the channels, then the
-    generator is left to the solver."""
+    generator is left to the trial, whose only further draws are the ratio
+    study's."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, point, trial]))
     cfg = replace(cfg, alpha=abs(cfg.alpha) * np.exp(2j * np.pi * rng.random()))
     return cfg, make_channels(cfg, rng), rng
@@ -339,7 +339,7 @@ def near_square_grid(l_total: int) -> tuple[int, int]:
 def _convergence_trial(cfg, ch, rng, opts, trial):
     """(trial, iteration, g, SNR_R, SNR_C) per outer iteration, and
     (stage, seconds) per stage, summed over the outer iterations."""
-    _, _, trace = run_alternating(ch, cfg, opts=opts, rng=rng)
+    _, _, trace = run_alternating(ch, cfg, opts=opts)
     scores = zip(trace.objective_per_outer, trace.snr_radar_per_outer,
                  trace.snr_comm_per_outer)
     times = trace.wall_time_per_stage
@@ -352,11 +352,9 @@ def _scaling_trial(cfg, ch, rng, opts, trial):
     share per outer iteration, total seconds) per phase solver."""
     rows = []
     for method in IRS_METHODS:
-        # paired comparison: both methods start from one generator state
         method_opts = replace(opts, irs_method=method)
         tic = time.perf_counter()
-        _, _, trace = run_alternating(ch, cfg, opts=method_opts,
-                                      rng=copy.deepcopy(rng))
+        _, _, trace = run_alternating(ch, cfg, opts=method_opts)
         total = time.perf_counter() - tic
         outer = len(trace.objective_per_outer)
         irs = sum(t["irs"] for t in trace.wall_time_per_stage)
@@ -368,7 +366,7 @@ def _scaling_trial(cfg, ch, rng, opts, trial):
 def _ratio_trial(cfg, ch, rng, opts, trial, n_g_grid):
     """(n_g, trial, ratio, best objective, relaxation bound) per sample
     count."""
-    precoder, _, _ = run_alternating(ch, cfg, opts=opts, rng=rng)
+    precoder, _, _ = run_alternating(ch, cfg, opts=opts)
     a, _ = build_quadratic_terms(precoder, ch, cfg)
     r_star = solve_unit_diag_relaxation(a)
     return [(r.n_samples, trial, r.ratio, r.best_objective, r.sdp_objective)

@@ -183,7 +183,7 @@ def unit_diag_dual_bound(a: OmegaRows, r_star: GramFactor) -> float:
     """Certified upper bound on max tr(A R) over {R >= 0, diag(R) = 1}:
     ``_dual_bound`` at A = 2^s F^H F (``_factor``), times 2^s."""
     f, s = _factor(a)
-    return math.ldexp(_dual_bound(f, r_star.z), s)
+    return _reported_bound(_dual_bound(f, r_star.z), s)
 
 
 def _dual_bound(f: np.ndarray, z: np.ndarray) -> float:
@@ -291,6 +291,16 @@ def _factor(a: OmegaRows) -> tuple[np.ndarray, int]:
     return np.ldexp(f, -e_f).view(complex), e_d + 2 * (e_x + e_f)
 
 
+def _reported_bound(bound: float, s: int) -> float:
+    """A's dual bound, ``bound`` 2^s; a SolverError where that exceeds
+    the float range."""
+    try:
+        return math.ldexp(bound, s)
+    except OverflowError:
+        raise SolverError(f"the dual bound {bound!r} x 2^{s} exceeds the "
+                          f"float range") from None
+
+
 def _exponent(v: np.ndarray) -> int:
     """The e that puts the largest |entry| of v 2^-e in [1/2, 1)."""
     return math.frexp(float(np.abs(v).max()))[1]
@@ -325,7 +335,9 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
     exceed 1 whatever R* is: the bound is at least the relaxation optimum,
     which is at least every unit-modulus value and at least
     ||F||_F^2 >= 1/4, and it covers the rounding of that value.  Both are
-    reported times 2^s.  Every sample count must be an integer >= 1, as
+    reported times 2^s; a bound that exceeds the float range there (the
+    value, never above it, cannot alone) is a SolverError before the first
+    draw.  Every sample count must be an integer >= 1, as
     ``n_g_grid`` of a config, and the whole grid is checked before the
     first draw.
     """
@@ -338,6 +350,7 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
     if not off <= _unit_diag_allowance(z.shape[1]):
         raise ConfigError("reference covariance must have unit diagonal")
     bound = _dual_bound(f, z)
+    sdp_objective = _reported_bound(bound, s)
     half = _draw_factor(r_star)
     screen = None
     reports = []
@@ -352,7 +365,7 @@ def approximation_ratio_study(a: OmegaRows, r_star: GramFactor,
         value = float(_double_scores(half, f, draws, [best])[0])
         reports.append(RandomizationReport(
             n_samples=int(n_g), best_objective=math.ldexp(value, s),
-            sdp_objective=math.ldexp(bound, s), ratio=value / bound))
+            sdp_objective=sdp_objective, ratio=value / bound))
     return reports
 
 

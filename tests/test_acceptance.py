@@ -13,14 +13,14 @@ from scipy import stats
 
 import isacopt.irs as irs
 from isacopt import (IrsPhase, OmegaRows, Precoder, SceneConfig,
-                     build_omega, build_quartic_surrogate,
                      default_beampattern_target, irs_phase_update,
-                     linear_surrogate_vectors, load_experiment_spec,
-                     make_channels, quartic_kernels, run_experiment,
-                     snr_comm, snr_radar, solve_irs_minorization,
-                     solve_relaxed)
+                     load_experiment_spec, make_channels, run_experiment,
+                     solve_irs_minorization, solve_relaxed)
 from isacopt.harness import (aggregate_convergence, near_square_grid,
                              read_csv_rows)
+from isacopt.irs import build_quartic_surrogate, linear_surrogate_vectors
+from isacopt.objective import (build_omega, quartic_kernels, snr_comm,
+                               snr_radar)
 from isacopt.precoder import relaxed_objective
 from isacopt.scene import complex_normal
 

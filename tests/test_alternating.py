@@ -11,9 +11,8 @@ from isacopt import (ConfigError, IrsPhase, MonotonicityError, Precoder,
                      SceneConfig, SolverOptions, alternating,
                      default_beampattern_target, factor_precoder,
                      load_experiment_spec, make_channels, run_alternating,
-                     run_experiment, solve_irs_minorization, solve_relaxed,
-                     weighted_snr)
-from isacopt.objective import ChannelConstants
+                     run_experiment, solve_irs_minorization, solve_relaxed)
+from isacopt.objective import ChannelConstants, weighted_snr
 
 from conftest import random_scene, scored_start, small_config
 from reference import objective_snapshot, plain_linearization
@@ -242,12 +241,18 @@ class TestRunAlternating:
         assert sum("line search" in r.getMessage()
                    for r in caplog.records) == len(outers)
 
-    def test_random_theta_init(self):
+    def test_draws_nothing_from_a_passed_generator(self):
+        # every run starts from theta = 1; the generator is unread
         cfg, ch = tiny_scene()
-        opts = SolverOptions(t_max=2, theta_init="random")
-        _, theta, _ = run_alternating(ch, cfg, opts=opts,
-                                      rng=np.random.default_rng(11))
-        assert np.max(np.abs(np.abs(theta.theta) - 1.0)) < 1e-9
+        rng = np.random.default_rng(11)
+        state = rng.bit_generator.state
+        _, theta, trace = run_alternating(ch, cfg, opts=SolverOptions(t_max=2),
+                                          rng=rng)
+        assert rng.bit_generator.state == state
+        _, theta0, trace0 = run_alternating(ch, cfg,
+                                            opts=SolverOptions(t_max=2))
+        np.testing.assert_array_equal(theta.theta, theta0.theta)
+        assert trace.objective_per_outer == trace0.objective_per_outer
 
     def test_paper_table_configuration_terminates(self):
         cfg = SceneConfig(beta=0.5)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -9,11 +11,14 @@ from pathlib import Path
 import pytest
 
 import isacopt
-from isacopt import harness
+from isacopt import ConfigError, SolverOptions, harness
 from isacopt.cli import _build_parser, main
 from isacopt.harness import read_csv_rows
 
 _CONVERGENCE_TRIAL = harness._convergence_trial
+README = Path(__file__).resolve().parents[1] / "README.md"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = ("convergence", "scaling", "ratio", "beampattern")
 
 
 def _seeded_point(rng) -> int:
@@ -250,6 +255,16 @@ class TestRun:
         assert main(["validate-config", "--config", str(config)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_retired_theta_init_exits_2(self, tmp_path, capsys, name):
+        # every run starts from theta = 1, so the retired start is an
+        # unknown key even at the one value it could take
+        solver = json.loads((CONFIGS / f"{name}.json").read_text())["solver"]
+        config = write_shipped(tmp_path, name, {
+            "solver": {**solver, "theta_init": "ones"}})
+        assert main(["validate-config", "--config", str(config)]) == 2
+        assert "unknown key 'theta_init'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["validate-config", "run"])
     @pytest.mark.parametrize("key,value", [("irs_inner", True),
                                            ("inner_tol", 1e-6)])
@@ -330,8 +345,7 @@ def _limit_address_space():
 def write_shipped(tmp_path, name, overrides):
     """A shipped config with top-level fields, or scene fields under
     "scene", replaced by ``overrides``: its path under ``tmp_path``."""
-    shipped = Path(__file__).resolve().parents[1] / f"configs/{name}.json"
-    raw = json.loads(shipped.read_text())
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
     for key, value in overrides.items():
         raw[key] = {**raw[key], **value} if key == "scene" else value
     config = tmp_path / f"{name}.json"
@@ -539,8 +553,7 @@ class TestRemovedBench:
 def test_readme_commands_parse():
     # every command of the README's "Command line" block, parsed only: a
     # subcommand or flag that is gone cannot stay documented
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-        encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
     commands = [line.split()[1:] for line in block.splitlines()
                 if line.startswith("isac ")]
@@ -550,11 +563,39 @@ def test_readme_commands_parse():
         assert parser.parse_args(argv).command == argv[0]
 
 
+def _top_level_names(text: str) -> list[str]:
+    """The `quoted` names of ``text`` outside parentheses, in order."""
+    depth, names = 0, []
+    for token in re.finditer(r"`([^`]*)`|[()]", text):
+        if token.group() in "()":
+            depth += 1 if token.group() == "(" else -1
+        elif depth == 0:
+            names.append(token.group(1))
+    return names
+
+
+def _readme_sentence(start: str, end: str) -> str:
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    return readme.split(start, 1)[1].split(end, 1)[0]
+
+
+def test_readme_lists_the_solver_fields():
+    # the README's "`solver` fields:" sentence names every SolverOptions
+    # field and no other, and every option it calls retired is rejected
+    listed = _top_level_names(_readme_sentence("`solver` fields:", ". "))
+    assert listed == [f.name for f in dataclasses.fields(SolverOptions)]
+    retired = _top_level_names(_readme_sentence(
+        "The former ", " are rejected as unknown keys"))
+    assert {"seed", "safeguard", "theta_init"} <= set(retired)
+    for key in retired:
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            harness.solver_options_from_dict({key: 1})
+
+
 def test_readme_library_sketch_runs(capsys):
     # the README's "Library sketch" block, executed: a name or a signature
     # it uses that is gone cannot stay documented
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-        encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("## Library sketch\n\n```python\n", 1)[1].split(
         "```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})

@@ -12,7 +12,6 @@ from isacopt import (ConfigError, SceneConfig, alternating,
                      default_beampattern_target, harness,
                      load_experiment_spec, make_channels, run_alternating,
                      run_experiment)
-from isacopt.alternating import initial_phases
 from isacopt.harness import (aggregate_convergence, config_hash, format_cell,
                              near_square_grid, read_csv_rows,
                              solver_options_from_dict)
@@ -177,7 +176,6 @@ SOLVER_STRATEGIES = {
     "t_max": st.integers(1, 3),
     "inner_max": st.integers(1, 3),
     "irs_method": st.sampled_from(["minorization", "manifold"]),
-    "theta_init": st.sampled_from(["ones", "random"]),
 }
 
 # Scenes are valid apart from the ball, which can be too tight for a
@@ -520,27 +518,6 @@ class TestScalingExperiment:
                           .read_text())
         assert meta["config"]["solver"]["inner_max"] == 7
         assert "irs_inner" not in meta["config"]["solver"]
-
-    def test_methods_start_from_equal_random_phases(self, tmp_path,
-                                                    monkeypatch):
-        # a paired comparison: both methods of a trial draw the same theta0
-        drawn = []
-
-        def recording(cfg, opts, rng):
-            theta = initial_phases(cfg, opts, rng)
-            drawn.append((opts.irs_method, theta.theta))
-            return theta
-
-        monkeypatch.setattr(alternating, "initial_phases", recording)
-        spec = make_spec(tmp_path, kind="scaling", beta_values=[],
-                         l_values=[4], trials=2,
-                         solver={"t_max": 2, "inner_max": 20,
-                                 "theta_init": "random"})
-        assert not run_experiment(spec).trial_errors
-        assert [m for m, _ in drawn] == ["minorization", "manifold"] * 2
-        for (_, first), (_, second) in zip(drawn[::2], drawn[1::2]):
-            np.testing.assert_array_equal(first, second)
-        assert not np.array_equal(drawn[0][1], drawn[2][1])
 
     def test_timing_separated_from_primary(self, tmp_path):
         spec = make_spec(tmp_path, kind="scaling", beta_values=[],

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 import isacopt.irs as irs
 from isacopt import (ChannelConstants, IrsPhase, Precoder,
-                     build_quadratic_terms,
-                     build_quartic_surrogate, irs_phase_update,
-                     linear_surrogate_vectors, make_channels,
-                     solve_irs_manifold, solve_irs_minorization, weighted_snr)
+                     build_quadratic_terms, irs_phase_update, make_channels,
+                     solve_irs_manifold, solve_irs_minorization)
 from isacopt.errors import MonotonicityError
-from isacopt.irs import SurrogateFactors, ascent_anchor
+from isacopt.irs import (SurrogateFactors, ascent_anchor,
+                         build_quartic_surrogate, linear_surrogate_vectors)
 from isacopt.objective import (comm_coefficient, quartic_coefficient,
-                               snr_comm, snr_radar)
+                               snr_comm, snr_radar, weighted_snr)
 from isacopt.scene import ChannelSet, complex_normal
 
 from conftest import (paper_scene, random_phases, random_scene,

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from isacopt import (ChannelConstants, ConfigError, IrsPhase, Precoder,
-                     SceneConfig, build_omega, default_beampattern_target,
-                     make_channels, quartic_kernels, snr_radar, solve_relaxed,
-                     weighted_snr)
+                     SceneConfig, default_beampattern_target, make_channels,
+                     solve_relaxed)
+from isacopt.objective import (build_omega, quartic_kernels, snr_radar,
+                               weighted_snr)
 from isacopt.scene import ChannelSet, complex_normal
 
 from conftest import (eigh_rows, omega_rows, random_phases, random_scene,

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -40,6 +42,34 @@ def test_harness_names_stay_exported():
         assert getattr(isacopt, name) is getattr(harness, name)
     with pytest.raises(AttributeError, match="no_such_name"):
         isacopt.no_such_name
+
+
+# Run on no solver path; kept as test oracles or for perfbench's tracer.
+TRACER_KEPT = ("build_omega", "quartic_kernels", "snr_radar", "snr_comm",
+               "weighted_snr", "dykstra_project", "precoder_objective",
+               "relaxed_objective", "project_psd", "project_spectrahedron",
+               "build_quartic_surrogate", "linear_surrogate_vectors")
+
+
+def _tracing():
+    """perfbench/tracing.py, loaded from its file (read only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_kept_names_are_not_exported():
+    tracing = _tracing()
+    for name in TRACER_KEPT:
+        assert name not in isacopt.__all__
+        assert not hasattr(isacopt, name)
+        modules = [module for module, attr, _ in tracing.TARGETS
+                   + tracing.COUNTED if attr == name]
+        assert modules, name
+        for module in modules:
+            assert callable(getattr(importlib.import_module(module), name))
 
 
 class _Int(int):

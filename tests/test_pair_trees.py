@@ -43,6 +43,28 @@ class TestPairTrees:
         assert twin.ratio.GramFactor is not isacopt.ratio.GramFactor
         assert twin.ratio.squarem_ascent is not isacopt.ratio.squarem_ascent
 
+    def test_each_tree_runs_with_its_own_options(self, twin, monkeypatch):
+        # a tree whose loop reads a field the other tree's SolverOptions
+        # lacks must still pair, so no tree is handed the other's options
+        seen = []
+        for pkg in (isacopt, twin):
+            def recording(ch, cfg, opts=None, rng=None, _name=pkg.__name__,
+                          _run=pkg.alternating.run_alternating):
+                seen.append((_name, type(opts)))
+                return _run(ch, cfg, opts=opts, rng=rng)
+            monkeypatch.setattr(pkg.alternating, "run_alternating", recording)
+        summary = pair_trees.pair(isacopt, twin, workloads.WORKLOADS["paper"],
+                                  seed=1, count=2)
+        assert summary["problems"] == [] and summary["paired"] == 2
+        assert {name for name, _ in seen} == {"isacopt", TWIN}
+        for name, options in seen:
+            tree = isacopt if name == "isacopt" else twin
+            assert options is tree.alternating.SolverOptions, name
+        assert twin.alternating.SolverOptions is not (
+            isacopt.alternating.SolverOptions)
+        assert (workloads.alternating, workloads.irs, workloads.precoder) == (
+            isacopt.alternating, isacopt.irs, isacopt.precoder)
+
     @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
     def test_twin_gives_equal_outputs(self, twin, workload):
         wl = workloads.WORKLOADS[workload]

@@ -12,13 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isacopt import (ChannelSet, ConfigError, IrsPhase, RelaxedCovariance,
-                     build_omega, default_beampattern_target, dykstra_project,
-                     factor_precoder, make_channels, precoder_objective,
-                     project_ball, project_psd, project_spectrahedron,
-                     relaxed_objective, solve_relaxed)
+                     default_beampattern_target, factor_precoder,
+                     make_channels, project_ball, solve_relaxed)
 from isacopt import harness, precoder
-from isacopt.objective import ChannelConstants, hermitize
-from isacopt.precoder import validate_beampattern_target
+from isacopt.objective import ChannelConstants, build_omega, hermitize
+from isacopt.precoder import (dykstra_project, precoder_objective,
+                              project_psd, project_spectrahedron,
+                              relaxed_objective, validate_beampattern_target)
 from isacopt.scene import SceneConfig, complex_normal
 
 from conftest import (eigh_rows, omega_rows, random_hermitian, random_omega,

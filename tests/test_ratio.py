@@ -194,6 +194,24 @@ class TestPsdRows:
                                               r"more than the float range"):
             self._calls(entry, a, rng)()
 
+    @pytest.mark.parametrize("entry", ["bound", "study"])
+    def test_reported_bound_beyond_the_float_range(self, rng, entry):
+        # rows x 2^520 put A near 2^1050: the relaxation solves and every
+        # ratio in F's scale is finite, but the bound times 2^s is not a
+        # float.  A numerical limit: SolverError naming the bound, raised
+        # before the first draw
+        a = ratio_study_matrix(2, 4, 33)
+        a = OmegaRows(a.rows * 2.0 ** 520, a.weights)
+        r_star = solve_unit_diag_relaxation(a)
+        state = rng.bit_generator.state
+        with pytest.raises(SolverError, match=r"^the dual bound \S+ x 2\^\d+ "
+                                              r"exceeds the float range"):
+            if entry == "bound":
+                unit_diag_dual_bound(a, r_star)
+            else:
+                approximation_ratio_study(a, r_star, [4], rng)
+        assert rng.bit_generator.state == state
+
 
 class TestUnitDiagRelaxation:
     def test_result_feasible_and_beats_identity(self, rng):

@@ -6,12 +6,14 @@
 Imports this checkout's ``src/isacopt`` as ``isacopt`` and the other tree's
 as a second package, ``isacopt_against``; the package's imports are
 relative, so each copy resolves inside itself.  The inputs are the
-benchmark's (``perfbench/workloads.make_inputs``, read only), and each
-runs on both trees, which goes first alternating from one input to the
-next, after one untimed warm-up run of the first input on each.  Every
-output is certified with ``workloads.certify``.  Timing both trees in one
-process, input by input, keeps a slow phase of the machine from landing on
-one side only, which separate runs cannot.
+benchmark's (``perfbench/workloads.make_inputs``, read only).  Each runs
+on both trees through ``workloads.run_trial``, with each tree's own
+modules and ``SolverOptions`` bound in for its run; which tree goes first
+alternates from one input to the next, after one untimed warm-up run of
+the first input on each.  Every output is certified with
+``workloads.certify``.  Timing both trees in one process, input by input,
+keeps a slow phase of the machine from landing on one side only, which
+separate runs cannot.
 
 Prints the median and quartiles of the per-trial time ratio (this
 checkout over the other tree), the fraction of trials in which this
@@ -56,33 +58,34 @@ def load_tree(pkg: Path, name: str):
     return module
 
 
-def run_trial(tree, wl, inp, opts):
-    """``workloads.run_trial`` on the package ``tree``: the alternating
-    solve, then the ratio study, on a copy of the input's generator."""
+TREE_MODULES = ("alternating", "irs", "precoder")
+
+
+def run_trial(tree, wl, inp):
+    """``workloads.run_trial`` on the package ``tree``, with the tree's own
+    ``SolverOptions`` (``wl.opts()``), on a copy of the input's generator.
+
+    The tree's modules are bound into ``workloads`` for the call and the
+    originals put back afterwards, so each tree reads only its own options
+    and a field one tree lacks cannot reach the other."""
     import workloads
-    name = tree.__name__
-    alternating, irs, precoder = (
-        importlib.import_module(f"{name}.{mod}")
-        for mod in ("alternating", "irs", "precoder"))
-    rng = copy.deepcopy(inp.rng)
-    p, theta, trace = alternating.run_alternating(inp.ch, inp.cfg, opts=opts,
-                                                  rng=rng)
-    out = workloads.TrialOutput(precoder=p.p, theta=theta.theta, trace=trace)
-    if wl.n_g_grid:
-        a, _ = irs.build_quadratic_terms(p, inp.ch, inp.cfg)
-        out.r_star = precoder.solve_unit_diag_relaxation(a)
-        reports = precoder.approximation_ratio_study(a, out.r_star,
-                                                     wl.n_g_grid, rng)
-        out.ratios = [r.ratio for r in reports]
-    return out
+    saved = [(mod, getattr(workloads, mod)) for mod in TREE_MODULES]
+    try:
+        for mod in TREE_MODULES:
+            setattr(workloads, mod,
+                    importlib.import_module(f"{tree.__name__}.{mod}"))
+        return workloads.run_trial(wl, inp, copy.deepcopy(inp.rng), wl.opts())
+    finally:
+        for mod, original in saved:
+            setattr(workloads, mod, original)
 
 
-def timed(tree, wl, inp, opts):
+def timed(tree, wl, inp):
     """(output or None, seconds, problems) of one run of ``inp``."""
     import workloads
     tic = time.perf_counter()
     try:
-        out = run_trial(tree, wl, inp, opts)
+        out = run_trial(tree, wl, inp)
     except Exception:
         return None, time.perf_counter() - tic, [
             f"trial {inp.index}: {traceback.format_exc()}"]
@@ -104,14 +107,13 @@ def pair(this, against, wl, seed: int, count: int) -> dict:
     the outputs as ``outputs``, one (this, against) pair per input."""
     import workloads
     inputs = workloads.make_inputs(wl, seed, count)
-    opts = wl.opts()
     for tree in (this, against):                       # warm-up, untimed
-        timed(tree, wl, inputs[0], opts)
+        timed(tree, wl, inputs[0])
     ratios, outputs, problems = [], [], []
     diff = 0.0
     for inp in inputs:
         trees = (this, against) if inp.index % 2 == 0 else (against, this)
-        runs = {tree.__name__: timed(tree, wl, inp, opts) for tree in trees}
+        runs = {tree.__name__: timed(tree, wl, inp) for tree in trees}
         (out, t_this, bad_this), (ref, t_ref, bad_ref) = (
             runs[this.__name__], runs[against.__name__])
         problems += [f"{this.__name__}: {m}" for m in bad_this]
