@@ -6,10 +6,10 @@ the phase step's channel input) are formed once per run, not cached on
 the ``ChannelSet``, so an outer iteration does only the theta- and
 P-dependent work.  It works from the effective channels at the current
 phases (``objective.EffectiveChannels``): it solves the relaxed precoder
-problem from them, recovers a K-column precoder deterministically
-(``factor_precoder``, which hands over its nonzero columns P_nz) and
-scores it there (``EffectiveChannels.score``), then updates the phases
-with the ascent-safeguarded closed-form step.  The step starts from that
+problem from them, recovers a precoder of at most K columns, none zero,
+deterministically (``factor_precoder``) and scores it there
+(``EffectiveChannels.score``), then updates the phases with the
+ascent-safeguarded closed-form step.  The step starts from that
 ``objective.ScoredPoint`` and returns the one at the new phases, the
 incumbent, whose channels the next outer iteration works from.  A
 recovered precoder that scores below the incumbent is dropped for it
@@ -116,7 +116,7 @@ def run_alternating(ch: ChannelSet, cfg: SceneConfig,
 
             tic = time.perf_counter()
             candidate = factor_precoder(relaxed, cfg)
-            scored = channels.score(candidate.nonzero_columns())
+            scored = channels.score(candidate.p)
             if incumbent is not None and incumbent.g > scored.g:
                 # the recovered precoder fell short of the incumbent; keep it
                 trace.precoder_dips.append(t)

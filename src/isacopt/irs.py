@@ -44,16 +44,18 @@ quartic matrices are U1 = c p q^T and U2 = conj(U1), and the communication
 form is U3 = cc Psi Psi^H with K_u * rank(P) columns in Psi.  The anchor's
 displacement form vanishes off span M, M = [p, q, Psi], so rho comes from
 the (2m) x (2m) eigenproblem there (m <= K_u * K + 2), which the Cholesky
-factor of M^H M takes to constant coefficients by one congruence.  One
-inner iteration costs O(L N K + L m + m^3).
+factor of M^H M takes to constant coefficients by one congruence (where
+that factor does not exist, the rows M^T themselves do, in a (2L) x (2L)
+form).  One inner iteration costs O(L N K + L m + m^3).
 
-``SurrogateFactors`` is built once per precoder, from its nonzero columns
-P_nz and the run's channel constants (``objective.ChannelConstants``, the
-phase stage's one channel input), so it forms only what depends on P.
+``SurrogateFactors`` is built once per precoder, from its columns (a
+``Precoder`` holds no zero column) and the run's channel constants
+(``objective.ChannelConstants``, the phase stage's one channel input), so
+it forms only what depends on P.
 Both phase solvers pass one value between their steps, a
 ``objective.ScoredPoint``: a solve's one input is the same kind of point
 as its output (``InnerTrace.end``, at the returned phases), from which the
-next solve starts.  Its products Y = W P_nz give the linearization:
+next solve starts.  Its products Y = W P give the linearization:
 Y[0] = P^T t and t give the quartic factors p = a* o conj(GP) P^T t and
 q = a* o conj(G) t, which the gradient writes into rows 0 and 1 of M^T
 once per map, and U3 theta + mu* = cc Psi vec(Y[1:]), so the gradient is
@@ -106,9 +108,9 @@ class InnerTrace:
 class SurrogateFactors:
     """Objective and surrogate pieces for one precoder, in low-rank factors.
 
-    GP = G P_nz over the nonzero columns of P (``Precoder.nonzero_columns``),
-    which give the same P P^H.  With b = theta o a, t = G^T b and
-    Y = W P_nz: V b = conj(GP) Y[0], W b = conj(G) t, and U3 = cc Psi Psi^H.
+    GP = G P over the K' columns of P, none of them zero (``Precoder``).
+    With b = theta o a, t = G^T b and Y = W P: V b = conj(GP) Y[0],
+    W b = conj(G) t, and U3 = cc Psi Psi^H.
     ``rows`` = M^T, M = [p, q, Psi], is read by the anchor and the gradient:
     rows 0 and 1 are p and q, written by ``gradient`` once per map, and row
     2 + k K' + j is column (k, j) of Psi, conj(h_k o gp_j), written once.
@@ -118,10 +120,10 @@ class SurrogateFactors:
 
     def __init__(self, p: Precoder, consts: ChannelConstants):
         self.consts = consts
-        self.p_nz = p_nz = p.nonzero_columns()
+        self.p = p.p
         self.c, self.cc = consts.c, consts.cc
-        self.gp_conj = gp_conj = (consts.g @ p_nz).conj()
-        (k, l), kp = consts.h_conj.shape, p_nz.shape[1]
+        self.gp_conj = gp_conj = (consts.g @ self.p).conj()
+        (k, l), kp = consts.h_conj.shape, self.p.shape[1]
         m = 2 + k * kp
         self.rows = rows = np.empty((m, l), dtype=complex)  # M^T
         np.multiply(consts.h_conj[:, None], gp_conj.T,
@@ -132,7 +134,7 @@ class SurrogateFactors:
 
     def at(self, theta: IrsPhase) -> ScoredPoint:
         """The scored point of the precoder at theta."""
-        return self.consts.channels(theta).score(self.p_nz)
+        return self.consts.channels(theta).score(self.p)
 
     def gradient(self, point: ScoredPoint) -> np.ndarray:
         """Wirtinger gradient at the point's phases, from its products Y.
@@ -157,19 +159,20 @@ class SurrogateFactors:
         return self.gradient(point) + self.anchor() * point.theta
 
     def anchor(self) -> float:
-        """Exact ascent anchor for the p and q in rows 0 and 1 of M^T: from
-        the Cholesky factor of M^T conj(M), or R^T from M's QR where that is
-        singular by its shape (L < m) or not positive definite
-        (``ascent_anchor``)."""
-        rows, factor_conj = self.rows, None
+        """Exact ascent anchor for the p and q in rows 0 and 1 of M^T
+        (``ascent_anchor``): from the Cholesky factor of M^T conj(M), an
+        m x m factor, or from the rows M^T themselves where that Gram
+        matrix is singular by its shape (L < m) or not positive definite.
+        F = M^H also has F F^H = M^H M, so the rows give the same rho from
+        a (2L) x (2L) form: smaller than (2m) x (2m) where L < m, larger
+        where the factorization fails at L >= m."""
+        rows = factor_conj = self.rows
         if self._cholesky:
             np.matmul(rows, rows[:2].conj().T, out=self.gram[:, :2])
             try:
                 factor_conj = np.linalg.cholesky(self.gram)
             except np.linalg.LinAlgError:
                 pass
-        if factor_conj is None:
-            factor_conj = np.linalg.qr(rows.T, mode="r").T
         return ascent_anchor(factor_conj, self.c, self.cc)
 
     def dip_allowance(self) -> float:
@@ -181,10 +184,10 @@ class SurrogateFactors:
         g_abs is g with every channel, precoder and phase entry taken in
         absolute value, the same at every theta (|theta_i| = 1):
         t_abs = |G|^T |a| and C_abs = |F| + |H| |G| (``ChannelConstants``),
-        Y_abs = [t_abs^T; C_abs] |P_nz| and g_abs = c ||Y_abs[0]||^2
+        Y_abs = [t_abs^T; C_abs] |P| and g_abs = c ||Y_abs[0]||^2
         ||t_abs||^2 + cc ||Y_abs[1:]||_F^2.  theta o a, t (L terms), C (L
         terms and F) and
-        Y = W P_nz (N terms) are complex products, each within
+        Y = W P (N terms) are complex products, each within
         sqrt(2) gamma of its absolute value (Higham, *Accuracy and Stability
         of Numerical Algorithms*, 2nd ed., Section 3.6), so Y is within
         e = sqrt(2) gamma_{L+N+8} of Y_abs entrywise; a sum of squares of
@@ -196,7 +199,7 @@ class SurrogateFactors:
         at random phases and precoders there, and relative, so noise powers
         scaled by 2^k scale it exactly.
         """
-        consts, p_abs = self.consts, np.abs(self.p_nz)
+        consts, p_abs = self.consts, np.abs(self.p)
         t_abs, c_abs = consts.abs_channels
         y_t, y_c = t_abs @ p_abs, c_abs @ p_abs
         g_max = (self.c * float(y_t @ y_t) * float(t_abs @ t_abs)

@@ -12,9 +12,8 @@ d = (beta |alpha|^2 ||t||^2 / sigma_R^2, (1 - beta) / sigma_C^2, ...).
 ``OmegaRows`` (rows X, one weight each) is the one form of Omega the
 precoder stage takes; ``EffectiveChannels``, the ``OmegaRows`` of W at one
 theta, is what an outer iteration works from: it scores a precoder from
-the products Y = W P_nz over its nonzero columns
-(``Precoder.nonzero_columns``), and that ``ScoredPoint`` is what the phase
-step starts from and returns.
+the products Y = W P (``Precoder`` holds no zero column), and that
+``ScoredPoint`` is what the phase step starts from and returns.
 ``build_omega`` (the dense Omega the tests check against),
 ``weighted_snr``, ``snr_radar`` and ``snr_comm`` evaluate the objective
 from the dense channels alpha t t^T and C, formed in one helper.
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,25 +67,17 @@ class IrsPhase:
 
 @dataclass
 class Precoder:
-    """Transmit precoder, one column per served user."""
+    """Transmit precoder P, N x K', held as its nonzero columns in an array
+    of its own: P enters the objective only through P P^H, to which a zero
+    column adds nothing, so zero columns are dropped once, here."""
 
     p: np.ndarray
-    # the nonzero columns of p as a contiguous array, where its maker hands
-    # them over (factor_precoder); they must change with p
-    nonzero: np.ndarray | None = field(default=None, repr=False,
-                                       compare=False)
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=complex)
         if self.p.ndim != 2:
             raise ConfigError("precoder must be a matrix")
-
-    def nonzero_columns(self) -> np.ndarray:
-        """P_nz, the nonzero columns of p, which give the same P P^H: as
-        handed over, or selected from p."""
-        if self.nonzero is None:
-            return self.p.compress(self.p.any(axis=0), axis=1)
-        return self.nonzero
+        self.p = self.p.compress(self.p.any(axis=0), axis=1)
 
     def power(self) -> float:
         """tr(P P^H), the total transmit power."""
@@ -254,11 +245,10 @@ class EffectiveChannels(OmegaRows):
         weights[0] = consts.c * self.q_w
         weights[1:] = consts.cc
 
-    def score(self, p_nz: np.ndarray) -> "ScoredPoint":
-        """The scored point here of a precoder P from its nonzero columns
-        P_nz."""
+    def score(self, p: np.ndarray) -> "ScoredPoint":
+        """The scored point here of a precoder P (``Precoder.p``)."""
         cfg = self.consts.cfg
-        y = self.rows @ p_nz
+        y = self.rows @ p
         pt = y[0]
         s_r = (self.consts.alpha2 * float(np.vdot(pt, pt).real) * self.q_w
                / cfg.sigma2_radar)
@@ -276,7 +266,7 @@ class ScoredPoint(NamedTuple):
     point (x, f, ...) of ``squarem.squarem_ascent``; ``channels`` are the
     ``EffectiveChannels`` at theta, ``snr_radar`` = |alpha|^2 ||Y[0]||^2
     ||t||^2 / sigma_R^2, ``snr_comm`` = ||Y[1:]||^2 / sigma_C^2, and ``y``
-    the products Y = W P_nz (Y[0] = P_nz^T t, Y[1:] = C P_nz)."""
+    the products Y = W P (Y[0] = P^T t, Y[1:] = C P)."""
 
     theta: np.ndarray
     g: float

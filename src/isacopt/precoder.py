@@ -19,9 +19,10 @@ which S(t) meets the ball, so the solve is a bracketing root search on t
 (Chandrupatla's method) over tested points ``KktPoint(t, x, dist2)``,
 certified by ``KktForm.dual_bound``.  Omega has rank <= 1 + K, so
 R_D + t Omega is c I plus a form of dimension r <= K + 2 (``KktForm``):
-each tested t costs one r x r ``eigh``.  The precoder is recovered along
-the rank-K path S_K(t) = Pi_{C_K}(R_D + t Omega) (``factor_precoder``) on
-the same form, and ``dykstra_project`` is the same search along M - R_D.
+each tested t costs one r x r ``eigh``.  The precoder, the nonzero
+columns of a factor, is recovered along the rank-K path
+S_K(t) = Pi_{C_K}(R_D + t Omega) (``factor_precoder``) on the same form,
+and ``dykstra_project`` is the same search along M - R_D.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ _HERM_TOL = 1e-10
 class RelaxedCovariance:
     """Optimizer of the relaxed (covariance-level) precoder problem.
 
-    ``s`` is S, N x N.  ``factor``, when set, is an exact factor F with
-    S = F F^H (one column per nonzero eigenvalue, so no column is zero).
+    ``s`` is S, N x N.  ``factor``, set by ``slack`` alone, is the exact
+    one-column factor sqrt(P_T) u of S = P_T u u^H.
     ``kkt_scale``, set when the beampattern ball binds, is the scale t of
     the KKT point the solve stopped at, and ``dual_bound`` is
     ``KktForm.dual_bound`` at that scale.  ``in_ball_scale``, set whenever
@@ -571,16 +572,16 @@ def _distance2(f: np.ndarray, r_d: np.ndarray) -> float:
 
 
 def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
-    """Recover a K-column precoder, K = ``cfg.n_users``, with no draws.
+    """Recover a precoder of at most K = ``cfg.n_users`` columns, with no
+    draws: N x K' with 1 <= K' <= min(K, N) and no zero column (``Precoder``
+    drops them), power P_T.
 
-    An exact factor of at most K columns (slack ball), zero-padded and
-    rescaled to the power budget, is the precoder; its Gram matrix is S,
-    which passed the ball test, up to rounding, and its leading columns
-    are handed over as its nonzero ones (``Precoder.nonzero_columns``).
-    Otherwise the precoder is
-    the factor of S_K(t) = Pi_{C_K}(R_D + t Omega), C_K = {S >= 0,
-    tr S = P_T, rank S <= K}, at the largest t tested inside the ball: S's
-    in-ball scale t_in, where S_K = S if rank S(t_in) <= K, else the root
+    S's exact one-column factor (slack ball), rescaled to the power
+    budget, is the precoder; its Gram matrix is S, which passed the ball
+    test, up to rounding.  Otherwise the precoder is the factor of
+    S_K(t) = Pi_{C_K}(R_D + t Omega), C_K = {S >= 0, tr S = P_T,
+    rank S <= K}, at the largest t tested inside the ball: S's in-ball
+    scale t_in, where S_K = S if rank S(t_in) <= K, else the root
     search of ``solve_relaxed`` on [0, t_in], to a width of 1e-13 t_in.
     (S_K(t) minimizes ||S - R_D||^2 - 2t tr(Omega S) over C_K, so both terms
     are nondecreasing in t.)  The search runs on the ``KktForm`` that
@@ -596,12 +597,10 @@ def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
     tests inside.  R_D is the scene's ``default_beampattern_target``.
     """
     gamma, k = cfg.beampattern_tol, cfg.n_users
-    if s.factor is not None and s.factor.shape[1] <= k:
-        n, r = s.factor.shape
-        p = np.zeros((n, k), dtype=complex)
-        p[:, :r] = s.factor
-        p *= math.sqrt(cfg.power_budget / float(np.vdot(p, p).real))
-        return Precoder(p, p[:, :r].copy())
+    if s.factor is not None:
+        f = s.factor
+        return Precoder(f * math.sqrt(cfg.power_budget
+                                      / float(np.vdot(f, f).real)))
 
     t_in = s.in_ball_scale or 0.0
     if t_in > 0.0:
@@ -620,4 +619,4 @@ def factor_precoder(s: RelaxedCovariance, cfg: SceneConfig) -> Precoder:
     if t_in > 0.0 and lo.dist2 < gamma:
         lo, _ = _kkt_root(point, gamma, lo, hi, form.slack,
                           _KKT_REL_WIDTH * t_in)
-    return Precoder(lo.x.copy())
+    return Precoder(lo.x)

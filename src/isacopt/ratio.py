@@ -98,8 +98,8 @@ class RandomizationReport:
 def u3_rank_bound(n_users: int, n_tx: int) -> int:
     """K min(K, N), for K = ``n_users`` and N = ``n_tx``: the most rows of
     U3's factor Psi^H (``build_quadratic_terms``), one per user and
-    nonzero precoder column, of which a recovered precoder has at most
-    min(K, N) (``factor_precoder``); and so a bound on U3's rank."""
+    precoder column, of which a recovered precoder has at most min(K, N)
+    (``factor_precoder``); and so a bound on U3's rank."""
     return n_users * min(n_users, n_tx)
 
 
@@ -139,8 +139,8 @@ def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
     """U3 = cc Psi Psi^H (Hermitian PSD) as its ``OmegaRows``, and the
     linear coefficient mu = diag(U4) of the communication terms.
 
-    Psi has one column conj(h_k o gp_j) per user k and nonzero precoder
-    column j (``Precoder.nonzero_columns``), L x K K', so U3 is the rows
+    Psi has one column conj(h_k o gp_j) per user k and precoder column j
+    (a ``Precoder`` holds no zero column), L x K K', so U3 is the rows
     X = Psi^H, row k K' + j = h_k o gp_j, each of weight cc; no L x L U3
     is formed.  mu is the row sums of cc (GP (FP)^H) o H^T, O(L K K_u),
     so the L x L U4 = cc GP (FP)^H H is not formed either.  The solver
@@ -148,11 +148,10 @@ def build_quadratic_terms(p: Precoder, ch: ChannelSet, cfg: SceneConfig
     the products C P give U3 theta + mu*.
     """
     cc = comm_coefficient(cfg)
-    p_nz = p.nonzero_columns()
-    gp = ch.g @ p_nz
+    gp = ch.g @ p.p
     (k, l), kp = ch.h.shape, gp.shape[1]
     rows = (ch.h[:, np.newaxis] * gp.T).reshape(k * kp, l)
-    mu = cc * np.sum((gp @ (ch.f @ p_nz).conj().T) * ch.h.T, axis=1)
+    mu = cc * np.sum((gp @ (ch.f @ p.p).conj().T) * ch.h.T, axis=1)
     return OmegaRows(rows, np.full(k * kp, cc)), mu
 
 

@@ -36,8 +36,7 @@ def paper_scene(rng, l_rows=6, l_cols=6):
 def scored_start(theta, p, ch, cfg):
     """A phase solve's one input: the ``ScoredPoint`` of p at theta, on the
     constants of (ch, cfg)."""
-    return ChannelConstants(ch, cfg).channels(theta).score(
-        p.nonzero_columns())
+    return ChannelConstants(ch, cfg).channels(theta).score(p.p)
 
 
 def random_phases(rng, l):

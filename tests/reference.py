@@ -182,10 +182,10 @@ def anchor_for(factors: SurrogateFactors, pv: np.ndarray,
 
 def factors_mu(factors: SurrogateFactors) -> np.ndarray:
     """mu = diag(U4) = cc sum_j gp_j o ((FP)^H H)_j as a row sum over the
-    factors' nonzero precoder columns (``build_quadratic_terms`` takes
+    factors' precoder columns (``build_quadratic_terms`` takes
     the row sums of cc (GP (FP)^H) o H^T instead)."""
     consts = factors.consts
-    fp = consts.f @ factors.p_nz
+    fp = consts.f @ factors.p
     return factors.cc * np.sum(factors.gp_conj.conj() * (fp.conj().T @ consts.h).T, axis=1)
 
 
@@ -223,14 +223,14 @@ def anchored_surrogate_value(factors: SurrogateFactors, theta: np.ndarray,
 def extended_objective(factors: SurrogateFactors, theta: np.ndarray
                        ) -> float:
     """Reference for the rounding of ``EffectiveChannels.score``: g =
-    c ||P_nz^T t||^2 ||t||^2 + cc ||C P_nz||_F^2 at phases theta, every
+    c ||P^T t||^2 ||t||^2 + cc ||C P||_F^2 at phases theta, every
     product and sum in extended precision (``np.clongdouble``)."""
     consts, ld = factors.consts, np.clongdouble
     g, h, f, a = (x.astype(ld) for x in (consts.g, consts.h, consts.f,
                                           consts.steer))
-    th, p_nz = theta.astype(ld), factors.p_nz.astype(ld)
+    th, p = theta.astype(ld), factors.p.astype(ld)
     t = g.T @ (th * a)
-    y_t, y_c = p_nz.T @ t, (f + (h * th) @ g) @ p_nz
+    y_t, y_c = p.T @ t, (f + (h * th) @ g) @ p
 
     def norm2(v):
         return np.sum(np.square(v.real) + np.square(v.imag))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import isacopt.irs as irs
+from isacopt import harness, precoder
 from isacopt import (ConfigError, IrsPhase, MonotonicityError, Precoder,
                      SceneConfig, SolverOptions, alternating,
                      default_beampattern_target, factor_precoder,
@@ -131,6 +132,38 @@ class TestRunAlternating:
             objs = trace.objective_per_outer
             for a, b in zip(objs, objs[1:]):
                 assert b >= a - 1e-6 * abs(a)
+
+    @pytest.mark.parametrize("ball", ["default", "binding"])
+    def test_more_users_than_antennas(self, ball):
+        # K = 5 users on N = 3 antennas: a recovered precoder has at most N
+        # columns and none is zero, on the slack path (default gamma) and
+        # the binding one (gamma below every slack point's distance,
+        # ||P_T u u^H - R_D||^2 >= ||P_T b b^H - R_D||^2), through the
+        # loop and the ratio trial
+        cfg = small_config(l_rows=2, l_cols=3, n_tx=3, k=5, beta=0.5)
+        r_d = default_beampattern_target(cfg)
+        b = precoder._target(cfg).b
+        slack_min = float(np.sum(np.abs(
+            cfg.power_budget * np.outer(b, b.conj()) - r_d) ** 2))
+        if ball == "binding":
+            cfg = dataclasses.replace(cfg, beampattern_tol=0.5 * slack_min)
+        else:
+            assert cfg.beampattern_tol > slack_min
+        ch = make_channels(cfg, np.random.default_rng(31))
+        p, _, trace = run_alternating(ch, cfg, opts=SolverOptions())
+        assert p.p.shape[0] == cfg.n_tx
+        assert 1 <= p.p.shape[1] <= cfg.n_tx and p.p.any(axis=0).all()
+        assert p.power() == pytest.approx(cfg.power_budget, rel=1e-12)
+        assert np.sum(np.abs(p.p @ p.p.conj().T - r_d) ** 2) \
+            <= cfg.beampattern_tol * (1 + 1e-12)
+        objs = trace.objective_per_outer
+        assert len(objs) > 1
+        for prev, cur in zip(objs, objs[1:]):
+            assert cur >= prev - 1e-12 * abs(prev)
+        rows = harness._ratio_trial(cfg, ch, np.random.default_rng(32),
+                                    SolverOptions(), 0, [10, 100])
+        assert [row[0] for row in rows] == [10, 100]
+        assert all(0.0 < row[2] <= 1.0 for row in rows)
 
     def test_randomized_precoder_below_relaxed_bound(self):
         cfg, ch = tiny_scene()
@@ -318,7 +351,7 @@ class TestSlackOuterIteration:
         try:
             relaxed = solve_relaxed(channels, cfg)
             p = factor_precoder(relaxed, cfg)
-            solve_irs_minorization(p, channels.score(p.nonzero_columns()),
+            solve_irs_minorization(p, channels.score(p.p),
                                    inner_max=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -435,8 +435,8 @@ class TestAscentAnchor:
     def test_congruence_matches_dense_oracle(self, shape, nonzero_cols,
                                              near_dependent):
         # L = 4, and L = 9 with 3 columns, have L < m = 2 + 3 r, where
-        # M^H M is singular and QR factors it; the others take its Cholesky
-        # factor, or QR where it is not positive definite or withheld.  A
+        # M^H M is singular and the rows M^T serve; the others take its
+        # Cholesky factor, or the rows where it is not positive definite.  A
         # nearly dependent basis has p within 1e-8 of a column of Psi.
         for seed in range(6):
             rng = np.random.default_rng([88, *shape, nonzero_cols,
@@ -469,9 +469,10 @@ class TestAscentAnchor:
 
     @pytest.mark.kernels
     def test_routes(self, rng, monkeypatch):
-        # the Cholesky factor where M^H M is positive definite, QR where it
-        # is not (a user with no reflected channel leaves zero columns in
-        # Psi), where L < m makes it singular, or where it is withheld
+        # the Cholesky factor where M^H M is positive definite, the rows
+        # M^T themselves (no factorization) where it is not (a user with no
+        # reflected channel leaves zero columns in Psi) or where L < m
+        # makes it singular; the last "qr" of each is the QR reference's
         calls = []
         cholesky, qr = np.linalg.cholesky, np.linalg.qr
 
@@ -493,8 +494,8 @@ class TestAscentAnchor:
         # the last case is the paper's scene (N = 16, K = 5, L = 36)
         for l_cols, dead_user, want in (
                 (6, False, ["cholesky", "qr"]),
-                (6, True, ["cholesky failed", "qr", "qr"]),
-                (2, False, ["qr", "qr"]),
+                (6, True, ["cholesky failed", "qr"]),
+                (2, False, ["qr"]),
                 (None, False, ["cholesky", "qr"])):
             cfg, ch, p, theta = (
                 paper_scene(rng) if l_cols is None else
@@ -701,7 +702,7 @@ class TestWirtingerGradient:
 def test_solvers_hand_over_the_scored_point_of_their_phases(
         solve, inner_max, monkeypatch):
     # trace.end is what the next outer iteration starts from: the returned
-    # phases, the products Y = W P_nz there and the scores Y gives.  With
+    # phases, the products Y = W P there and the scores Y gives.  With
     # no stop every step runs and is kept, the cycle's extrapolated map at
     # a cap of 5 too, so each cap ends as far along as it can.  A solve
     # restarted from the end of one step goes on as one solve of two steps.
@@ -711,7 +712,7 @@ def test_solvers_hand_over_the_scored_point_of_their_phases(
                                           l_rows=2, l_cols=3, beta=0.9)
         start = scored_start(theta0, p, ch, cfg)
         theta, trace = solve(p, start, inner_max=inner_max)
-        end, p_nz = trace.end, p.nonzero_columns()
+        end, p_nz = trace.end, p.p
         assert end.channels.theta is theta
         assert end.theta is theta.theta
         assert len(trace.objectives) == inner_max + 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -378,3 +380,18 @@ class TestPrecoderType:
     def test_power(self, rng):
         p = Precoder(np.eye(3, 2, dtype=complex))
         assert p.power() == pytest.approx(2.0)
+
+    def test_drops_its_zero_columns(self, rng):
+        # P enters everything through P P^H, so a precoder is its nonzero
+        # columns, in their order, and holds nothing else
+        assert [f.name for f in dataclasses.fields(Precoder)] == ["p"]
+        cols = complex_normal(rng, 4, 3)
+        padded = np.zeros((4, 6), dtype=complex)
+        padded[:, [1, 2, 4]] = cols
+        padded[3, 5] = -0.0
+        p = Precoder(padded)
+        np.testing.assert_array_equal(p.p, cols)
+        assert p.p.flags.c_contiguous
+        np.testing.assert_array_equal(p.p @ p.p.conj().T,
+                                      padded @ padded.conj().T)
+        assert Precoder(np.zeros((4, 2))).p.shape == (4, 0)

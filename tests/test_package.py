@@ -125,3 +125,44 @@ def test_list_entries_are_named():
 def test_list_field_that_is_not_a_list_is_rejected():
     with pytest.raises(ConfigError, match="values must be a list"):
         require_integer(SimpleNamespace(values=3), ("values[]",))
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_after():
+    pass
+"""
+
+CI_WARNINGS = "error::RuntimeWarning,error::DeprecationWarning,error::FutureWarning"
+
+
+@pytest.mark.parametrize("warnings", [None, CI_WARNINGS])
+def test_failing_property_test_is_reported_and_the_run_goes_on(tmp_path,
+                                                              warnings):
+    # under the repo's warning filters, hypothesis's report of a failing
+    # @given test imports libcst, whose mypy_extensions.TypedDict warns
+    # DeprecationWarning; unfiltered, that ends the run with INTERNALERROR
+    # (exit 3) before the next test
+    (tmp_path / "test_case.py").write_text(_FAILING_PROPERTY)
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONWARNINGS"}
+    if warnings:
+        env["PYTHONWARNINGS"] = warnings
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(root / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-rA",
+         "test_case.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    out = done.stdout + done.stderr
+    assert done.returncode == 1, out
+    assert "INTERNALERROR" not in out
+    assert "Falsifying example" in out
+    assert "PASSED test_case.py::test_after" in out

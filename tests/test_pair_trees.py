@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,3 +81,28 @@ class TestPairTrees:
             assert out.ratios == ref.ratios
             if wl.n_g_grid:
                 np.testing.assert_array_equal(out.r_star.z, ref.r_star.z)
+
+    @pytest.mark.parametrize("this_s, against_s", [
+        ([1.0, 3.0], [2.0, 1.0]),                       # ratios 0.5, 3.0
+        ([1.0, 1.0, 2.0, 4.0, 1.0], [1.0, 2.0, 1.0, 1.0, 4.0])])
+    def test_quartiles_lie_within_the_ratios(self, monkeypatch, this_s,
+                                             against_s):
+        # fixed per-input times: the quartiles of the time ratios are
+        # interpolated between them, never extrapolated past them (ratios
+        # 0.5 and 3.0 gave quartiles -0.125 and 3.625 by the exclusive method)
+        seconds = {"this": this_s, "against": against_s}
+        out = SimpleNamespace(ratios=[],
+                              trace=SimpleNamespace(objective_per_outer=[1.0]))
+        monkeypatch.setattr(pair_trees, "timed", lambda tree, wl, inp: (
+            out, seconds[tree.__name__][inp.index], []))
+        trees = [SimpleNamespace(__name__=name) for name in seconds]
+        summary = pair_trees.pair(*trees, workloads.WORKLOADS["paper"],
+                                  seed=1, count=len(this_s))
+        ratios = [a / b for a, b in zip(this_s, against_s)]
+        assert summary["paired"] == len(ratios)
+        assert (min(ratios) <= summary["time_ratio_q1"]
+                <= summary["time_ratio_median"] <= summary["time_ratio_q3"]
+                <= max(ratios))
+        if len(ratios) == 2:
+            assert (summary["time_ratio_q1"], summary["time_ratio_q3"]) \
+                == pytest.approx((1.125, 2.375))

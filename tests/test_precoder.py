@@ -753,7 +753,8 @@ class TestFactorPrecoder:
         state = rng.bit_generator.state
         p = factor_precoder(s, cfg)
         assert rng.bit_generator.state == state
-        assert p.p.shape == (cfg.n_tx, cfg.n_users)
+        assert p.p.shape[0] == cfg.n_tx
+        assert 1 <= p.p.shape[1] <= cfg.n_users and p.p.any(axis=0).all()
         assert p.power() == pytest.approx(cfg.power_budget, rel=1e-12)
         gram = p.p @ p.p.conj().T
         assert np.sum(np.abs(gram - r_d) ** 2) <= cfg.beampattern_tol
@@ -803,6 +804,53 @@ class TestFactorPrecoder:
         with pytest.raises(ConfigError, match=message):
             factor_precoder(s, cfg)
 
+    @pytest.mark.parametrize("n, k, mix, ball, path", [
+        (4, 2, 0.5, "slack", "slack factor"),
+        (5, 2, 0.5, "binding", "rank-K search"),
+        (4, 4, 0.5, "binding", "in-ball S(t)"),
+        (4, 2, 0.5, "none", "S_K(0)"),
+        (4, 3, 1.0, "none", "S_K(0)"),       # R_D = P_T b b^H: one column
+        (3, 5, 0.5, "slack", "slack factor"),
+        (3, 5, 0.5, "binding", "in-ball S(t)"),
+        (3, 5, 0.5, "none", "S_K(0)"),
+    ])
+    def test_every_path_gives_no_zero_column(self, n, k, mix, ball, path,
+                                              monkeypatch):
+        # every return of factor_precoder is N x K', 1 <= K' <= min(K, N),
+        # with no zero column, power P_T and its Gram matrix in the ball,
+        # where K > N too; the path taken is read from the calls it makes
+        rng = np.random.default_rng([53, n, k])
+        rows, omega = random_omega(rng, n)
+        cfg = small_config(n_tx=n, k=k, beampattern_mix=mix)
+        r_d = default_beampattern_target(cfg)
+        if ball == "binding":
+            # between S_K(0) and the slack point, as test_rank_k_path_property
+            near = precoder.validate_beampattern_target(cfg).dist2
+            top = np.linalg.eigh(omega)[1][:, -1]
+            slack2 = float(np.sum(np.abs(
+                cfg.power_budget * np.outer(top, top.conj()) - r_d) ** 2))
+            cfg = small_config(n_tx=n, k=k, beampattern_mix=mix,
+                               beampattern_tol=0.5 * (near + slack2))
+        s = (RelaxedCovariance(r_d) if ball == "none"
+             else solve_relaxed(rows, cfg))
+        calls = []
+        for name in ("validate_beampattern_target", "_kkt_root"):
+            monkeypatch.setattr(precoder, name, lambda *args, _f=getattr(
+                precoder, name), _name=name: calls.append(_name) or _f(*args))
+        p = factor_precoder(s, cfg).p
+        taken = ("slack factor" if s.factor is not None
+                 else "in-ball S(t)" if not calls
+                 else "rank-K search" if "_kkt_root" in calls else "S_K(0)")
+        assert taken == path
+        assert p.shape[0] == n and 1 <= p.shape[1] <= min(k, n)
+        assert p.any(axis=0).all()
+        if mix == 1.0:
+            assert p.shape[1] == 1
+        assert np.sum(np.abs(p) ** 2) == pytest.approx(cfg.power_budget,
+                                                       rel=1e-12)
+        assert np.sum(np.abs(p @ p.conj().T - r_d) ** 2) \
+            <= cfg.beampattern_tol * (1 + 1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 8), k_frac=st.floats(0.0, 1.0),
            gamma_frac=st.floats(0.0, 1.0, exclude_max=True),
@@ -827,7 +875,8 @@ class TestFactorPrecoder:
         cfg = small_config(n_tx=n, k=k, beampattern_tol=gamma)
         s = solve_relaxed(rows, cfg)
         p = factor_precoder(s, cfg)
-        assert p.p.shape == (n, k)
+        assert p.p.shape[0] == n
+        assert 1 <= p.p.shape[1] <= k and p.p.any(axis=0).all()
         assert abs(p.power() - cfg.power_budget) <= 1e-12 * cfg.power_budget
         # tested inside the ball on the KKT path; on the slack path the
         # factor's Gram matrix is S, which is inside, up to rounding

@@ -16,9 +16,10 @@ keeps a slow phase of the machine from landing on one side only, which
 separate runs cannot.
 
 Prints the median and quartiles of the per-trial time ratio (this
-checkout over the other tree), the fraction of trials in which this
-checkout was faster, and the largest relative difference between the two
-trees' final objectives or ratios; the last line of standard output is
+checkout over the other tree; quartiles by the inclusive method, so they
+lie within the ratios), the fraction of trials in which this checkout was
+faster, and the largest relative difference between the two trees' final
+objectives or ratios; the last line of standard output is
 one JSON object with those keys.  Exit code 0 when every trial ran and
 certified on both trees, 1 when one raised or failed a check, 2 when the
 arguments are bad.  BLAS is pinned to one thread.
@@ -123,8 +124,8 @@ def pair(this, against, wl, seed: int, count: int) -> dict:
             ratios.append(t_this / t_ref)
             diff = max(diff, relative_diff(out, ref))
     nan = float("nan")
-    q1, median, q3 = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
-                      else [nan] * 3)
+    q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                      if len(ratios) > 1 else [nan] * 3)
     return {"workload": wl.name, "seed": seed, "inputs": count,
             "paired": len(ratios), "problems": problems,
             "time_ratio_median": median, "time_ratio_q1": q1,
